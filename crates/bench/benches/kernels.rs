@@ -5,7 +5,9 @@
 //! * contention model on vs off (why worker scaling saturates);
 //! * transfer parallel streams 1/2/4/8;
 //! * NetCDF encode/decode and label append;
-//! * RICC encode vs full reconstruct round-trip;
+//! * RICC encode vs full reconstruct round-trip, and `conv2d_fwd` alone at
+//!   the encoder's two layer shapes (128 px and 32 px tiles);
+//! * CRC-32 throughput and granule-container encode/decode;
 //! * agglomerative clustering: naive O(n³) vs nearest-neighbor chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -13,6 +15,8 @@ use eoml_cluster::contention::ContentionModel;
 use eoml_cluster::exec::ClusterModel;
 use eoml_cluster::spec::ClusterSpec;
 use eoml_executor::simexec::run_batch;
+use eoml_modis::container::Container;
+use eoml_modis::files::to_mod02;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::Platform;
 use eoml_modis::synth::{SwathDims, SwathSynthesizer};
@@ -21,6 +25,7 @@ use eoml_preprocess::writer::{append_labels, write_tiles_nc};
 use eoml_ricc::aicca::synthetic_texture_sample;
 use eoml_ricc::autoencoder::{AeConfig, ConvAutoencoder};
 use eoml_ricc::cluster::agglomerate;
+use eoml_ricc::tensor::{conv2d_fwd, ConvSpec, Tensor};
 use eoml_simtime::Simulation;
 use eoml_transfer::endpoint::Endpoint;
 use eoml_transfer::faults::FaultPlan;
@@ -62,17 +67,26 @@ fn bench_tile_extraction(c: &mut Criterion) {
 }
 
 fn bench_swath_synthesis(c: &mut Criterion) {
-    let sy = SwathSynthesizer::new(2022, SwathDims::small());
     let date = CivilDate::new(2022, 1, 1).expect("date");
-    let mut g = c.benchmark_group("swath_synthesis");
+    let mut g = c.benchmark_group("synthesize");
     g.sample_size(10);
-    g.bench_function("small_256x256", |b| {
-        let mut slot = 0u16;
-        b.iter(|| {
-            slot = (slot + 1) % 288;
-            black_box(sy.synthesize(GranuleId::new(Platform::Terra, date, slot)))
+    let paper = SwathDims {
+        lines: 384,
+        pixels: 1280,
+    };
+    for (name, dims) in [
+        ("small_256x256", SwathDims::small()),
+        ("paper_384x1280", paper),
+    ] {
+        let sy = SwathSynthesizer::new(2022, dims);
+        g.bench_function(name, |b| {
+            let mut slot = 0u16;
+            b.iter(|| {
+                slot = (slot + 1) % 288;
+                black_box(sy.synthesize(GranuleId::new(Platform::Terra, date, slot)))
+            });
         });
-    });
+    }
     g.finish();
 }
 
@@ -226,6 +240,36 @@ fn bench_ricc(c: &mut Criterion) {
         b.iter(|| black_box(model.reconstruct(&tiles[0])).len())
     });
     g.finish();
+
+    // The encoder's two stride-2 layers (6→8 then 8→16 channels) on their own.
+    let down = ConvSpec {
+        k: 3,
+        stride: 2,
+        pad: 1,
+    };
+    let mut rng = Xoshiro256::seed_from(5);
+    let mut g = c.benchmark_group("conv2d_fwd");
+    g.sample_size(20);
+    for px in [128usize, 32] {
+        for (c_in, c_out, edge) in [(6usize, 8usize, px), (8, 16, px / 2)] {
+            let x = Tensor::from_data(
+                c_in,
+                edge,
+                edge,
+                (0..c_in * edge * edge)
+                    .map(|_| rng.normal(0.0, 1.0) as f32)
+                    .collect(),
+            );
+            let w: Vec<f32> = (0..c_out * c_in * 9)
+                .map(|_| rng.normal(0.0, 0.5) as f32)
+                .collect();
+            let bias = vec![0.1f32; c_out];
+            g.bench_function(format!("{px}px_{c_in}to{c_out}_at{edge}"), |b| {
+                b.iter(|| black_box(conv2d_fwd(&x, &w, &bias, c_out, down)).len())
+            });
+        }
+    }
+    g.finish();
 }
 
 /// Naive O(n³) Ward agglomeration (recompute the full pairwise minimum at
@@ -295,11 +339,23 @@ fn bench_clustering(c: &mut Criterion) {
 }
 
 fn bench_crc_and_container(c: &mut Criterion) {
-    let data = vec![0xABu8; 1 << 20];
-    let mut g = c.benchmark_group("integrity");
+    let data: Vec<u8> = (0..4u32 << 20).map(|i| ((i * 31) >> 3) as u8).collect();
+    let mut g = c.benchmark_group("crc32");
     g.sample_size(20);
-    g.bench_function("crc32_1MiB", |b| {
-        b.iter(|| black_box(eoml_modis::container::crc32(&data)))
+    g.bench_function("4MiB", |b| {
+        b.iter(|| black_box(eoml_util::hash::crc32(&data)))
+    });
+    g.finish();
+
+    let mod02 = to_mod02(&day_swath());
+    let bytes = mod02.encode();
+    let mut g = c.benchmark_group("container");
+    g.sample_size(20);
+    g.bench_function("encode_mod02_256x256", |b| {
+        b.iter(|| black_box(mod02.encode()).len())
+    });
+    g.bench_function("decode_mod02_256x256", |b| {
+        b.iter(|| black_box(Container::decode(&bytes).unwrap()).datasets.len())
     });
     g.finish();
 }

@@ -25,7 +25,7 @@ use eoml_flows::definition::FlowDefinition;
 use eoml_flows::runner::FlowRunner;
 use eoml_flows::trigger::DirectoryCrawler;
 use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
-use eoml_modis::files::{to_mod02, to_mod03, to_mod06};
+use eoml_modis::files::into_products;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
 use eoml_modis::synth::{SwathDims, SwathSynthesizer};
@@ -37,7 +37,7 @@ use eoml_preprocess::writer::{append_labels, read_tiles_nc};
 use eoml_ricc::aicca::AiccaModel;
 use eoml_ricc::autoencoder::AeConfig;
 use eoml_ricc::tensor::Tensor;
-use eoml_transfer::manifest::{content_digest, ArtifactEntry, JournalDigest, ShipmentManifest};
+use eoml_transfer::manifest::{content_digest_of, ArtifactEntry, JournalDigest, ShipmentManifest};
 use serde_json::json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -338,13 +338,15 @@ impl RealPipeline {
                     let p02 = incoming.join(g.file_name(ProductKind::Mod02));
                     let p03 = incoming.join(g.file_name(ProductKind::Mod03));
                     let p06 = incoming.join(g.file_name(ProductKind::Mod06));
-                    let b02 = to_mod02(&swath).encode();
-                    let b03 = to_mod03(&swath).encode();
-                    let b06 = to_mod06(&swath).encode();
-                    let bytes = (b02.len() + b03.len() + b06.len()) as u64;
-                    std::fs::write(&p02, b02).map_err(|e| e.to_string())?;
-                    std::fs::write(&p03, b03).map_err(|e| e.to_string())?;
-                    std::fs::write(&p06, b06).map_err(|e| e.to_string())?;
+                    // The swath's planes move into the product containers,
+                    // and each container is encoded straight into its file.
+                    let mut bytes = 0u64;
+                    for (path, product) in [&p02, &p03, &p06].into_iter().zip(into_products(swath))
+                    {
+                        let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+                        product.encode_into(&mut file).map_err(|e| e.to_string())?;
+                        bytes += file.metadata().map_err(|e| e.to_string())?.len();
+                    }
                     Ok(json!({
                         "mod02": p02.to_string_lossy(),
                         "mod03": p03.to_string_lossy(),
@@ -553,16 +555,27 @@ impl RealPipeline {
             }
         }
 
+        // Both actions read whole tile files; each keeps one buffer for all
+        // the files of the run instead of allocating a file's worth per call.
+        fn read_into(path: &Path, buf: &mut Vec<u8>) -> Result<(), String> {
+            use std::io::Read;
+            buf.clear();
+            let mut file = std::fs::File::open(path).map_err(|e| e.to_string())?;
+            let len = file.metadata().map_err(|e| e.to_string())?.len();
+            buf.reserve(len as usize);
+            file.read_to_end(buf).map_err(|e| e.to_string())?;
+            Ok(())
+        }
         let model = &self.model;
         let tiles_dir2 = tiles_dir.clone();
+        let mut infer_bytes = Vec::new();
         let mut infer = move |_: &str,
                               params: &serde_json::Value,
                               _: &serde_json::Value|
               -> Result<serde_json::Value, String> {
             let file = params["file"].as_str().ok_or("missing file param")?;
-            let path = tiles_dir2.join(file);
-            let nc = NcFile::decode(&std::fs::read(&path).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
+            read_into(&tiles_dir2.join(file), &mut infer_bytes)?;
+            let nc = NcFile::decode(&infer_bytes).map_err(|e| e.to_string())?;
             let (tiles, existing) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
             // A crash between label-append and shipment can leave a file
             // already labeled in the tiles directory; reuse those labels
@@ -571,13 +584,14 @@ impl RealPipeline {
                 return Ok(json!({ "labels": labels }));
             }
             let tensors: Vec<Tensor> = tiles
-                .iter()
-                .map(|t| Tensor::from_data(t.bands.len(), t.size, t.size, t.data.clone()))
+                .into_iter()
+                .map(|t| Tensor::from_data(t.bands.len(), t.size, t.size, t.data))
                 .collect();
             let labels = model.predict_batch(&tensors);
             Ok(json!({ "labels": labels }))
         };
         let tiles_dir3 = tiles_dir.clone();
+        let mut append_bytes = Vec::new();
         let mut append = move |_: &str,
                                params: &serde_json::Value,
                                _: &serde_json::Value|
@@ -590,15 +604,16 @@ impl RealPipeline {
                 .map(|v| v.as_i64().unwrap_or(-1) as i32)
                 .collect();
             let path = tiles_dir3.join(file);
-            let mut nc = NcFile::decode(&std::fs::read(&path).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
+            read_into(&path, &mut append_bytes)?;
+            let mut nc = NcFile::decode(&append_bytes).map_err(|e| e.to_string())?;
             // Idempotent on rerun: labels already appended by a run that
             // died before shipping this file.
             if nc.var_by_name("aicca_label").is_some() {
                 return Ok(json!({ "appended": 0 }));
             }
             append_labels(&mut nc, &labels).map_err(|e| e.to_string())?;
-            std::fs::write(&path, nc.encode().map_err(|e| e.to_string())?)
+            std::fs::File::create(&path)
+                .and_then(|mut labeled| nc.encode_into(&mut labeled))
                 .map_err(|e| e.to_string())?;
             Ok(json!({ "appended": labels.len() }))
         };
@@ -731,11 +746,13 @@ impl RealPipeline {
                 .and_then(|n| n.to_str())
                 .ok_or("bad file name")?
                 .to_string();
-            let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+            let (digest, bytes) = std::fs::File::open(path)
+                .and_then(content_digest_of)
+                .map_err(|e| e.to_string())?;
             manifest.artifacts.push(ArtifactEntry {
                 name: name.clone(),
-                bytes: bytes.len() as u64,
-                digest: content_digest(&bytes),
+                bytes,
+                digest,
                 trace_id: crate::campaign::granule_trace_id(&name),
             });
         }
@@ -875,7 +892,7 @@ mod tests {
         for a in &manifest.artifacts {
             let bytes = std::fs::read(dir.join("outbox").join(&a.name)).unwrap();
             assert_eq!(a.bytes, bytes.len() as u64);
-            assert_eq!(a.digest, content_digest(&bytes));
+            assert_eq!(a.digest, eoml_transfer::manifest::content_digest(&bytes));
             assert!(a.trace_id.is_some(), "{} untraced", a.name);
         }
         let received: Vec<_> = manifest

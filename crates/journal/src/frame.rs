@@ -17,31 +17,16 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Header size in bytes (length + checksum).
 pub const HEADER_LEN: usize = 8;
 
-/// CRC-32 (IEEE 802.3, reflected) over `data`.
+/// CRC-32 (IEEE 802.3, reflected) over `data` — [`eoml_util::hash::crc32`].
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_seeded(0xffff_ffff, data)
-}
-
-/// Continue a CRC-32 from an intermediate register value (pass
-/// `!previous` to chain; [`crc32`] starts from the standard seed).
-fn crc32_seeded(seed: u32, data: &[u8]) -> u32 {
-    let mut crc: u32 = seed;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
+    eoml_util::hash::crc32(data)
 }
 
 /// The frame checksum: CRC-32 chained over the 4 length bytes then the
 /// payload, so a frame whose length field was zero-filled (or otherwise
 /// altered) fails verification even if the payload bytes still match.
 fn frame_crc(len: u32, payload: &[u8]) -> u32 {
-    let head = crc32(&len.to_le_bytes());
-    crc32_seeded(!head, payload)
+    eoml_util::hash::crc32_chain(crc32(&len.to_le_bytes()), payload)
 }
 
 /// Serialise one frame. Payloads must be non-empty: an empty frame is
@@ -113,10 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn chained_crc_equals_one_shot() {
-        let data = b"abcdefgh12345";
-        let (a, b) = data.split_at(5);
-        assert_eq!(crc32_seeded(!crc32(a), b), crc32(data));
+    fn frame_crc_is_the_crc_of_length_then_payload() {
+        let whole = [&5u32.to_le_bytes()[..], b"hello"].concat();
+        assert_eq!(frame_crc(5, b"hello"), crc32(&whole));
     }
 
     #[test]

@@ -163,13 +163,7 @@ impl CampaignState {
     pub fn work_checksum(&self) -> u64 {
         let mut canon = self.clone();
         canon.events_applied = 0;
-        let canon = canon.to_json().to_string();
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in canon.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        eoml_util::hash::fnv1a64(canon.to_json().to_string().as_bytes())
     }
 
     /// Serialise for a snapshot event.

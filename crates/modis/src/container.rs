@@ -25,12 +25,17 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{self, Read, Write};
 
 /// Container format magic bytes.
 pub const MAGIC: &[u8; 4] = b"EOGR";
 
 /// Container format version.
 pub const VERSION: u16 = 1;
+
+/// Payload bytes serialized, checksummed or converted at a time (a multiple
+/// of every element size): small enough to stay in cache between the steps.
+const PIECE_BYTES: usize = 32 * 1024;
 
 /// Errors produced when decoding a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,6 +76,38 @@ impl fmt::Display for ContainerError {
 }
 
 impl std::error::Error for ContainerError {}
+
+/// Errors from decoding a container out of a byte stream.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The stream itself failed.
+    Io(io::Error),
+    /// The bytes are not a valid container.
+    Format(ContainerError),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Io(e) => write!(f, "io error: {e}"),
+            ReadError::Format(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+impl From<io::Error> for ReadError {
+    fn from(e: io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+impl From<ContainerError> for ReadError {
+    fn from(e: ContainerError) -> Self {
+        ReadError::Format(e)
+    }
+}
 
 /// Typed dataset payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,30 +152,60 @@ impl DatasetData {
         }
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// Payload size in bytes once serialized.
+    fn byte_len(&self) -> usize {
         match self {
-            DatasetData::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            DatasetData::U8(v) => v.clone(),
-            DatasetData::I32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            DatasetData::U8(v) => v.len(),
+            DatasetData::F32(_) | DatasetData::I32(_) => self.len() * 4,
         }
     }
 
-    fn from_bytes(tag: u8, bytes: &[u8]) -> Result<Self, ContainerError> {
+    /// Hand the little-endian payload bytes to `f`, [`PIECE_BYTES`] at a
+    /// time, serialized through `stage`.
+    fn for_each_piece(
+        &self,
+        stage: &mut Vec<u8>,
+        f: impl FnMut(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        fn pieces<T: Copy>(
+            v: &[T],
+            to_le: impl Fn(T) -> [u8; 4],
+            stage: &mut Vec<u8>,
+            mut f: impl FnMut(&[u8]) -> io::Result<()>,
+        ) -> io::Result<()> {
+            for piece in v.chunks(PIECE_BYTES / 4) {
+                stage.resize(piece.len() * 4, 0);
+                for (dst, &x) in stage.chunks_exact_mut(4).zip(piece) {
+                    dst.copy_from_slice(&to_le(x));
+                }
+                f(stage)?;
+            }
+            Ok(())
+        }
+        match self {
+            DatasetData::U8(v) => v.chunks(PIECE_BYTES).try_for_each(f),
+            DatasetData::F32(v) => pieces(v, f32::to_le_bytes, stage, f),
+            DatasetData::I32(v) => pieces(v, i32::to_le_bytes, stage, f),
+        }
+    }
+
+    /// An empty payload of type `tag` with room for `count` elements.
+    fn with_capacity(tag: u8, count: usize) -> Result<Self, ContainerError> {
         match tag {
-            0 => Ok(DatasetData::F32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            )),
-            1 => Ok(DatasetData::U8(bytes.to_vec())),
-            2 => Ok(DatasetData::I32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            )),
+            0 => Ok(DatasetData::F32(Vec::with_capacity(count))),
+            1 => Ok(DatasetData::U8(Vec::with_capacity(count))),
+            2 => Ok(DatasetData::I32(Vec::with_capacity(count))),
             other => Err(ContainerError::BadDtype(other)),
+        }
+    }
+
+    /// Append the elements serialized little-endian in `bytes`.
+    fn extend_from_le(&mut self, bytes: &[u8]) {
+        let words = bytes.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]]);
+        match self {
+            DatasetData::F32(v) => v.extend(words.map(f32::from_le_bytes)),
+            DatasetData::U8(v) => v.extend_from_slice(bytes),
+            DatasetData::I32(v) => v.extend(words.map(i32::from_le_bytes)),
         }
     }
 
@@ -228,144 +295,194 @@ impl Container {
         self.datasets.iter().find(|d| d.name == name)
     }
 
-    /// Serialize to bytes.
+    /// Serialize to bytes: one allocation of the encoded size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.attrs.len() as u16).to_le_bytes());
-        for (k, v) in &self.attrs {
-            out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-            out.extend_from_slice(k.as_bytes());
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v.as_bytes());
-        }
-        out.extend_from_slice(&(self.datasets.len() as u16).to_le_bytes());
-        for ds in &self.datasets {
-            out.extend_from_slice(&(ds.name.len() as u16).to_le_bytes());
-            out.extend_from_slice(ds.name.as_bytes());
-            out.push(ds.data.dtype_tag());
-            out.push(ds.dims.len() as u8);
-            for &d in &ds.dims {
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            let bytes = ds.data.to_bytes();
-            out.extend_from_slice(&crc32(&bytes).to_le_bytes());
-            out.extend_from_slice(&bytes);
-        }
+        let attr_bytes: usize = self.attrs.iter().map(|(k, v)| 6 + k.len() + v.len()).sum();
+        let dataset_bytes: usize = self
+            .datasets
+            .iter()
+            .map(|ds| 8 + ds.name.len() + 4 * ds.dims.len() + ds.data.byte_len())
+            .sum();
+        let mut out = Vec::with_capacity(10 + attr_bytes + dataset_bytes);
+        self.encode_into(&mut out)
+            .expect("writing to a Vec cannot fail");
         out
+    }
+
+    /// Serialize straight into `sink` (a file, typically) — the bytes
+    /// [`encode`](Self::encode) returns, one dataset at a time, so no more
+    /// than the largest dataset is ever staged.
+    pub fn encode_into(&self, sink: &mut impl Write) -> io::Result<()> {
+        let mut head = Vec::new();
+        let mut stage = Vec::with_capacity(PIECE_BYTES);
+        head.extend_from_slice(MAGIC);
+        head.extend_from_slice(&VERSION.to_le_bytes());
+        head.extend_from_slice(&(self.attrs.len() as u16).to_le_bytes());
+        for (k, v) in &self.attrs {
+            head.extend_from_slice(&(k.len() as u16).to_le_bytes());
+            head.extend_from_slice(k.as_bytes());
+            head.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            head.extend_from_slice(v.as_bytes());
+        }
+        head.extend_from_slice(&(self.datasets.len() as u16).to_le_bytes());
+        for ds in &self.datasets {
+            head.extend_from_slice(&(ds.name.len() as u16).to_le_bytes());
+            head.extend_from_slice(ds.name.as_bytes());
+            head.push(ds.data.dtype_tag());
+            head.push(ds.dims.len() as u8);
+            for &d in &ds.dims {
+                head.extend_from_slice(&d.to_le_bytes());
+            }
+            // The CRC goes in front of the payload, so the payload is
+            // serialized twice, a cache-sized piece at a time: once to
+            // checksum it, once into the sink. Nothing larger is staged.
+            let mut crc = 0;
+            ds.data.for_each_piece(&mut stage, |piece| {
+                crc = eoml_util::hash::crc32_chain(crc, piece);
+                Ok(())
+            })?;
+            head.extend_from_slice(&crc.to_le_bytes());
+            sink.write_all(&head)?;
+            head.clear();
+            ds.data
+                .for_each_piece(&mut stage, |piece| sink.write_all(piece))?;
+        }
+        sink.write_all(&head)
     }
 
     /// Deserialize and validate checksums.
     pub fn decode(buf: &[u8]) -> Result<Self, ContainerError> {
-        let mut cur = Cursor { buf, pos: 0 };
-        if cur.take(4)? != MAGIC {
-            return Err(ContainerError::BadMagic);
+        match Self::decode_from(buf, buf.len() as u64) {
+            Ok(container) => Ok(container),
+            Err(ReadError::Format(e)) => Err(e),
+            // A slice yields every byte of the length it was announced with.
+            Err(ReadError::Io(_)) => Err(ContainerError::Truncated),
         }
-        let version = cur.u16()?;
+    }
+
+    /// Deserialize from a stream of `len` bytes (a file and its size,
+    /// typically), validating checksums, one dataset at a time: the encoded
+    /// container is never held whole. `len` bounds every length field, so a
+    /// forged one is [`ContainerError::Truncated`], not a reservation.
+    pub fn decode_from(reader: impl Read, len: u64) -> Result<Self, ReadError> {
+        let mut src = Source {
+            reader,
+            remaining: len,
+            buf: Vec::new(),
+        };
+        if src.take(4)? != MAGIC {
+            return Err(ContainerError::BadMagic.into());
+        }
+        let version = src.u16()?;
         if version != VERSION {
-            return Err(ContainerError::BadVersion(version));
+            return Err(ContainerError::BadVersion(version).into());
         }
-        let n_attrs = cur.u16()?;
+        let n_attrs = src.u16()?;
         let mut attrs = BTreeMap::new();
         for _ in 0..n_attrs {
-            let klen = cur.u16()? as usize;
-            let key = std::str::from_utf8(cur.take(klen)?)
-                .map_err(|_| ContainerError::BadUtf8)?
-                .to_string();
-            let vlen = cur.u32()? as usize;
-            let value = std::str::from_utf8(cur.take(vlen)?)
-                .map_err(|_| ContainerError::BadUtf8)?
-                .to_string();
+            let klen = src.u16()? as usize;
+            let key = src.string(klen)?;
+            let vlen = src.u32()? as usize;
+            let value = src.string(vlen)?;
             attrs.insert(key, value);
         }
-        let n_datasets = cur.u16()?;
+        let n_datasets = src.u16()? as u64;
+        // A dataset header is at least nlen + dtype + ndims + crc = 8 bytes;
+        // a count the remaining bytes cannot hold is a truncated file, and
+        // nothing is reserved for it.
+        if n_datasets > src.remaining / 8 {
+            return Err(ContainerError::Truncated.into());
+        }
         let mut datasets = Vec::with_capacity(n_datasets as usize);
         for _ in 0..n_datasets {
-            let nlen = cur.u16()? as usize;
-            let name = std::str::from_utf8(cur.take(nlen)?)
-                .map_err(|_| ContainerError::BadUtf8)?
-                .to_string();
-            let dtype = cur.u8()?;
+            let nlen = src.u16()? as usize;
+            let name = src.string(nlen)?;
+            let dtype = src.u8()?;
             let elem = DatasetData::elem_size(dtype).ok_or(ContainerError::BadDtype(dtype))?;
-            let ndims = cur.u8()? as usize;
-            let mut dims = Vec::with_capacity(ndims);
+            let ndims = src.u8()? as u64;
+            if ndims > src.remaining / 4 {
+                return Err(ContainerError::Truncated.into());
+            }
+            let mut dims = Vec::with_capacity(ndims as usize);
             let mut count: usize = 1;
             for _ in 0..ndims {
-                let d = cur.u32()?;
+                let d = src.u32()?;
                 count = count
                     .checked_mul(d as usize)
                     .ok_or(ContainerError::ShapeOverflow)?;
                 dims.push(d);
             }
-            let expected_crc = cur.u32()?;
+            let expected_crc = src.u32()?;
             let nbytes = count
                 .checked_mul(elem)
                 .ok_or(ContainerError::ShapeOverflow)?;
-            let bytes = cur.take(nbytes)?;
-            if crc32(bytes) != expected_crc {
-                return Err(ContainerError::ChecksumMismatch { dataset: name });
+            if nbytes as u64 > src.remaining {
+                return Err(ContainerError::Truncated.into());
             }
-            let data = DatasetData::from_bytes(dtype, bytes)?;
+            // Checksummed and converted a cache-sized piece at a time.
+            let mut data = DatasetData::with_capacity(dtype, count)?;
+            let mut crc = 0;
+            let mut left = nbytes;
+            while left > 0 {
+                let piece = src.take(left.min(PIECE_BYTES))?;
+                crc = eoml_util::hash::crc32_chain(crc, piece);
+                data.extend_from_le(piece);
+                left -= piece.len();
+            }
+            if crc != expected_crc {
+                return Err(ContainerError::ChecksumMismatch { dataset: name }.into());
+            }
             datasets.push(Dataset { name, dims, data });
         }
         Ok(Self { attrs, datasets })
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A byte stream of known length, read a field at a time.
+struct Source<R> {
+    reader: R,
+    /// Bytes the stream has yet to yield.
+    remaining: u64,
+    /// The field last taken (reused from field to field).
+    buf: Vec<u8>,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
-        if self.pos + n > self.buf.len() {
-            return Err(ContainerError::Truncated);
+impl<R: Read> Source<R> {
+    /// The next `n` bytes; [`ContainerError::Truncated`] (and nothing
+    /// reserved) when the stream does not hold that many.
+    fn take(&mut self, n: usize) -> Result<&[u8], ReadError> {
+        if n as u64 > self.remaining {
+            return Err(ContainerError::Truncated.into());
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        self.buf.resize(n, 0);
+        self.reader.read_exact(&mut self.buf)?;
+        self.remaining -= n as u64;
+        Ok(&self.buf)
     }
 
-    fn u8(&mut self) -> Result<u8, ContainerError> {
+    fn string(&mut self, n: usize) -> Result<String, ReadError> {
+        let s = std::str::from_utf8(self.take(n)?).map_err(|_| ContainerError::BadUtf8)?;
+        Ok(s.to_string())
+    }
+
+    fn u8(&mut self) -> Result<u8, ReadError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, ContainerError> {
+    fn u16(&mut self) -> Result<u16, ReadError> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    fn u32(&mut self) -> Result<u32, ContainerError> {
+    fn u32(&mut self) -> Result<u32, ReadError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) — [`eoml_util::hash::crc32`].
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
+    eoml_util::hash::crc32(data)
 }
 
 #[cfg(test)]
@@ -405,8 +522,85 @@ mod tests {
     fn encode_decode_round_trip() {
         let c = sample();
         let bytes = c.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "encode pre-sizes exactly");
         let back = Container::decode(&bytes).unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn streamed_codec_equals_the_in_memory_one() {
+        struct Pieces(Vec<u8>, usize);
+        impl Write for Pieces {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // Payloads of several pieces with a ragged last one, and tiny ones.
+        let n = PIECE_BYTES / 2 + 3;
+        let c = sample()
+            .with_dataset(Dataset::new(
+                "plane",
+                vec![n as u32],
+                DatasetData::F32((0..n).map(|i| i as f32 * 0.25 - 7.0).collect()),
+            ))
+            .with_dataset(Dataset::new(
+                "mask",
+                vec![3, n as u32],
+                DatasetData::U8((0..3 * n).map(|i| (i * 7) as u8).collect()),
+            ));
+        let bytes = c.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "encode pre-sizes exactly");
+        let mut sink = Pieces(Vec::new(), 0);
+        c.encode_into(&mut sink).unwrap();
+        assert_eq!(sink.0, bytes);
+        assert!(sink.1 > 2 * c.datasets.len(), "streamed in pieces");
+        // The checksum in front of a chunked payload is that of the whole.
+        let at = bytes.windows(5).position(|w| w == b"plane").unwrap() + 5 + 2 + 4;
+        let crc = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!(crc, crc32(&bytes[at + 4..at + 4 + 4 * n]));
+
+        let len = bytes.len() as u64;
+        assert_eq!(Container::decode_from(&bytes[..], len).unwrap(), c);
+        // A length field that overruns the announced length is a format
+        // error; a stream that ends before its announced length is an I/O one.
+        let short = Container::decode_from(&bytes[..], len - 1);
+        assert!(matches!(
+            short,
+            Err(ReadError::Format(ContainerError::Truncated))
+        ));
+        let cut = Container::decode_from(&bytes[..bytes.len() - 1], len);
+        assert!(matches!(cut, Err(ReadError::Io(_))));
+        assert_eq!(
+            Container::decode(&bytes[..bytes.len() - 1]),
+            Err(ContainerError::Truncated)
+        );
+    }
+
+    #[test]
+    fn forged_counts_are_truncation_not_reservations() {
+        // n_datasets = u16::MAX on a container with no dataset bytes.
+        let mut bytes = Container::new().encode();
+        let n = bytes.len();
+        bytes[n - 2..].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(Container::decode(&bytes), Err(ContainerError::Truncated));
+        // ndims = 255 on a dataset whose bytes end right after it.
+        let mut bytes = Container::new().encode();
+        bytes[n - 2..].copy_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&[1, 0, b'x', 0, 255, 0, 0, 0, 0, 0]);
+        assert_eq!(Container::decode(&bytes), Err(ContainerError::Truncated));
+        // A shape whose byte size is near usize::MAX must not wrap the cursor.
+        let mut bytes = Container::new().encode();
+        bytes[n - 2..].copy_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&[1, 0, b'x', 1, 2]);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 12]);
+        assert_eq!(Container::decode(&bytes), Err(ContainerError::Truncated));
     }
 
     #[test]

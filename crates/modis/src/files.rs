@@ -59,75 +59,96 @@ fn base_attrs(id: GranuleId, dims: SwathDims, product: ProductKind) -> Container
         .with_attr("start_time", id.start_time().iso8601())
 }
 
-/// Build the MOD02 (radiances) container for a swath.
-pub fn to_mod02(swath: &Swath) -> Container {
-    let dims2 = vec![swath.dims.lines as u32, swath.dims.pixels as u32];
-    let mut c = base_attrs(swath.id, swath.dims, ProductKind::Mod02)
-        .with_attr("day", swath.day.to_string())
-        .with_attr(
-            "bands",
-            swath
-                .bands
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-    for (i, &band) in swath.bands.iter().enumerate() {
+fn plane_dims(dims: SwathDims) -> Vec<u32> {
+    vec![dims.lines as u32, dims.pixels as u32]
+}
+
+/// MOD02 from its parts; `planes` are the radiance planes of `bands`.
+fn mod02(
+    id: GranuleId,
+    dims: SwathDims,
+    day: bool,
+    bands: &[u8],
+    planes: Vec<Vec<f32>>,
+) -> Container {
+    let band_list: Vec<String> = bands.iter().map(|b| b.to_string()).collect();
+    let mut c = base_attrs(id, dims, ProductKind::Mod02)
+        .with_attr("day", day.to_string())
+        .with_attr("bands", band_list.join(","));
+    for (&band, plane) in bands.iter().zip(planes) {
         c = c.with_dataset(Dataset::new(
             format!("radiance_b{band:02}"),
-            dims2.clone(),
-            DatasetData::F32(swath.band_plane(i).to_vec()),
+            plane_dims(dims),
+            DatasetData::F32(plane),
         ));
     }
     c
 }
 
-/// Build the MOD03 (geolocation + land mask) container for a swath.
-pub fn to_mod03(swath: &Swath) -> Container {
-    let dims2 = vec![swath.dims.lines as u32, swath.dims.pixels as u32];
-    base_attrs(swath.id, swath.dims, ProductKind::Mod03)
-        .with_dataset(Dataset::new(
-            "latitude",
-            dims2.clone(),
-            DatasetData::F32(swath.lat.clone()),
-        ))
-        .with_dataset(Dataset::new(
-            "longitude",
-            dims2.clone(),
-            DatasetData::F32(swath.lon.clone()),
-        ))
+/// MOD03 from its parts.
+fn mod03(id: GranuleId, dims: SwathDims, lat: Vec<f32>, lon: Vec<f32>, land: Vec<u8>) -> Container {
+    let f32s = |name: &str, v| Dataset::new(name, plane_dims(dims), DatasetData::F32(v));
+    base_attrs(id, dims, ProductKind::Mod03)
+        .with_dataset(f32s("latitude", lat))
+        .with_dataset(f32s("longitude", lon))
         .with_dataset(Dataset::new(
             "land_sea_mask",
-            dims2,
-            DatasetData::U8(swath.land.clone()),
+            plane_dims(dims),
+            DatasetData::U8(land),
         ))
 }
 
-/// Build the MOD06 (cloud products) container for a swath.
-pub fn to_mod06(swath: &Swath) -> Container {
-    let dims2 = vec![swath.dims.lines as u32, swath.dims.pixels as u32];
-    base_attrs(swath.id, swath.dims, ProductKind::Mod06)
+/// MOD06 from its parts.
+fn mod06(
+    id: GranuleId,
+    dims: SwathDims,
+    cloud: Vec<u8>,
+    cot: Vec<f32>,
+    ctp: Vec<f32>,
+    cer: Vec<f32>,
+) -> Container {
+    let f32s = |name: &str, v| Dataset::new(name, plane_dims(dims), DatasetData::F32(v));
+    base_attrs(id, dims, ProductKind::Mod06)
         .with_dataset(Dataset::new(
             "cloud_mask",
-            dims2.clone(),
-            DatasetData::U8(swath.cloud.clone()),
+            plane_dims(dims),
+            DatasetData::U8(cloud),
         ))
-        .with_dataset(Dataset::new(
-            "cloud_optical_thickness",
-            dims2.clone(),
-            DatasetData::F32(swath.cot.clone()),
-        ))
-        .with_dataset(Dataset::new(
-            "cloud_top_pressure",
-            dims2.clone(),
-            DatasetData::F32(swath.ctp.clone()),
-        ))
-        .with_dataset(Dataset::new(
-            "cloud_effective_radius",
-            dims2,
-            DatasetData::F32(swath.cer.clone()),
-        ))
+        .with_dataset(f32s("cloud_optical_thickness", cot))
+        .with_dataset(f32s("cloud_top_pressure", ctp))
+        .with_dataset(f32s("cloud_effective_radius", cer))
+}
+
+/// Build the MOD02 (radiances) container for a swath.
+pub fn to_mod02(s: &Swath) -> Container {
+    mod02(s.id, s.dims, s.day, &s.bands, s.radiance.clone())
+}
+
+/// Build the MOD03 (geolocation + land mask) container for a swath.
+pub fn to_mod03(s: &Swath) -> Container {
+    mod03(s.id, s.dims, s.lat.clone(), s.lon.clone(), s.land.clone())
+}
+
+/// Build the MOD06 (cloud products) container for a swath.
+pub fn to_mod06(s: &Swath) -> Container {
+    mod06(
+        s.id,
+        s.dims,
+        s.cloud.clone(),
+        s.cot.clone(),
+        s.ctp.clone(),
+        s.cer.clone(),
+    )
+}
+
+/// The MOD02, MOD03 and MOD06 containers of a swath that is no longer
+/// needed: its planes move into them, nothing is copied.
+pub fn into_products(s: Swath) -> [Container; 3] {
+    [
+        mod02(s.id, s.dims, s.day, &s.bands, s.radiance),
+        mod03(s.id, s.dims, s.lat, s.lon, s.land),
+        mod06(s.id, s.dims, s.cloud, s.cot, s.ctp, s.cer),
+    ]
 }
 
 fn parse_id(c: &Container) -> Result<(GranuleId, SwathDims), ProductFileError> {
@@ -169,32 +190,37 @@ fn parse_id(c: &Container) -> Result<(GranuleId, SwathDims), ProductFileError> {
     ))
 }
 
-fn f32_dataset(c: &Container, name: &str, n: usize) -> Result<Vec<f32>, ProductFileError> {
+/// Take dataset `name` out of `c` (leaving it empty there) if `pick` accepts
+/// its payload as `n` elements of the wanted type.
+fn take_dataset<T>(
+    c: &mut Container,
+    name: &str,
+    n: usize,
+    pick: impl FnOnce(DatasetData) -> Option<Vec<T>>,
+) -> Result<Vec<T>, ProductFileError> {
     let ds = c
-        .dataset(name)
+        .datasets
+        .iter_mut()
+        .find(|d| d.name == name)
         .ok_or_else(|| ProductFileError::MissingDataset(name.to_string()))?;
-    let v = ds
-        .data
-        .as_f32()
-        .ok_or_else(|| ProductFileError::BadDataset(name.to_string()))?;
-    if v.len() != n {
-        return Err(ProductFileError::BadDataset(name.to_string()));
-    }
-    Ok(v.to_vec())
+    let data = std::mem::replace(&mut ds.data, DatasetData::U8(Vec::new()));
+    pick(data)
+        .filter(|v| v.len() == n)
+        .ok_or_else(|| ProductFileError::BadDataset(name.to_string()))
 }
 
-fn u8_dataset(c: &Container, name: &str, n: usize) -> Result<Vec<u8>, ProductFileError> {
-    let ds = c
-        .dataset(name)
-        .ok_or_else(|| ProductFileError::MissingDataset(name.to_string()))?;
-    let v = ds
-        .data
-        .as_u8()
-        .ok_or_else(|| ProductFileError::BadDataset(name.to_string()))?;
-    if v.len() != n {
-        return Err(ProductFileError::BadDataset(name.to_string()));
-    }
-    Ok(v.to_vec())
+fn f32_dataset(c: &mut Container, name: &str, n: usize) -> Result<Vec<f32>, ProductFileError> {
+    take_dataset(c, name, n, |data| match data {
+        DatasetData::F32(v) => Some(v),
+        _ => None,
+    })
+}
+
+fn u8_dataset(c: &mut Container, name: &str, n: usize) -> Result<Vec<u8>, ProductFileError> {
+    take_dataset(c, name, n, |data| match data {
+        DatasetData::U8(v) => Some(v),
+        _ => None,
+    })
 }
 
 /// Reassemble a [`Swath`] from the three product containers, validating
@@ -204,9 +230,19 @@ pub fn swath_from_products(
     mod03: &Container,
     mod06: &Container,
 ) -> Result<Swath, ProductFileError> {
-    let (id, dims) = parse_id(mod02)?;
-    let (id3, dims3) = parse_id(mod03)?;
-    let (id6, dims6) = parse_id(mod06)?;
+    swath_from_containers(mod02.clone(), mod03.clone(), mod06.clone())
+}
+
+/// [`swath_from_products`] for containers that are no longer needed: their
+/// planes move into the swath, nothing is copied.
+pub fn swath_from_containers(
+    mut mod02: Container,
+    mut mod03: Container,
+    mut mod06: Container,
+) -> Result<Swath, ProductFileError> {
+    let (id, dims) = parse_id(&mod02)?;
+    let (id3, dims3) = parse_id(&mod03)?;
+    let (id6, dims6) = parse_id(&mod06)?;
     if id != id3 || id != id6 || dims != dims3 || dims != dims6 {
         return Err(ProductFileError::GranuleMismatch);
     }
@@ -226,23 +262,23 @@ pub fn swath_from_products(
         .and_then(|s| s.parse().ok())
         .ok_or(ProductFileError::BadAttr("day"))?;
 
-    let mut radiance = Vec::with_capacity(bands.len() * n);
-    for &band in &bands {
-        radiance.extend(f32_dataset(mod02, &format!("radiance_b{band:02}"), n)?);
-    }
+    let radiance = bands
+        .iter()
+        .map(|band| f32_dataset(&mut mod02, &format!("radiance_b{band:02}"), n))
+        .collect::<Result<_, _>>()?;
 
     Ok(Swath {
         id,
         dims,
         bands,
         radiance,
-        lat: f32_dataset(mod03, "latitude", n)?,
-        lon: f32_dataset(mod03, "longitude", n)?,
-        land: u8_dataset(mod03, "land_sea_mask", n)?,
-        cloud: u8_dataset(mod06, "cloud_mask", n)?,
-        cot: f32_dataset(mod06, "cloud_optical_thickness", n)?,
-        ctp: f32_dataset(mod06, "cloud_top_pressure", n)?,
-        cer: f32_dataset(mod06, "cloud_effective_radius", n)?,
+        lat: f32_dataset(&mut mod03, "latitude", n)?,
+        lon: f32_dataset(&mut mod03, "longitude", n)?,
+        land: u8_dataset(&mut mod03, "land_sea_mask", n)?,
+        cloud: u8_dataset(&mut mod06, "cloud_mask", n)?,
+        cot: f32_dataset(&mut mod06, "cloud_optical_thickness", n)?,
+        ctp: f32_dataset(&mut mod06, "cloud_top_pressure", n)?,
+        cer: f32_dataset(&mut mod06, "cloud_effective_radius", n)?,
         day,
     })
 }
@@ -280,6 +316,20 @@ mod tests {
         assert_eq!(back.ctp, s.ctp);
         assert_eq!(back.cer, s.cer);
         assert_eq!(back.day, s.day);
+    }
+
+    #[test]
+    fn owning_conversions_equal_the_borrowing_ones() {
+        let s = swath();
+        let borrowed = [to_mod02(&s), to_mod03(&s), to_mod06(&s)];
+        let [m02, m03, m06] = into_products(s.clone());
+        assert_eq!([m02.clone(), m03.clone(), m06.clone()], borrowed);
+        let back = swath_from_containers(m02, m03, m06).unwrap();
+        assert_eq!(back.radiance, s.radiance);
+        assert_eq!(back.lat, s.lat);
+        assert_eq!(back.land, s.land);
+        assert_eq!(back.cer, s.cer);
+        assert_eq!((back.id, back.dims, back.day), (s.id, s.dims, s.day));
     }
 
     #[test]

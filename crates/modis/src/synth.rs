@@ -79,9 +79,11 @@ pub struct Swath {
     pub dims: SwathDims,
     /// Band numbers present in `radiance`, in order.
     pub bands: Vec<u8>,
-    /// Radiances, band-major: `radiance[b * dims.len() + idx]`.
-    /// Reflective bands hold [`RADIANCE_FILL`] at night.
-    pub radiance: Vec<f32>,
+    /// Radiances, one plane of `dims.len()` pixels per band:
+    /// `radiance[b][idx]`. Kept as separate planes so products and swaths
+    /// exchange them without a whole-granule buffer. Reflective bands hold
+    /// [`RADIANCE_FILL`] at night.
+    pub radiance: Vec<Vec<f32>>,
     /// Per-pixel latitude, degrees.
     pub lat: Vec<f32>,
     /// Per-pixel longitude, degrees.
@@ -119,8 +121,7 @@ impl Swath {
 
     /// Radiance plane for band-list index `b` (not band number).
     pub fn band_plane(&self, b: usize) -> &[f32] {
-        let n = self.dims.len();
-        &self.radiance[b * n..(b + 1) * n]
+        &self.radiance[b]
     }
 }
 
@@ -207,73 +208,108 @@ impl SwathSynthesizer {
         let mut cot = vec![0.0f32; n];
         let mut ctp = vec![0.0f32; n];
         let mut cer = vec![0.0f32; n];
+        // The fields are sampled a scan line at a time (`Fbm::sample_row`
+        // reuses each octave's lattice cell along the line): the cloud field
+        // over the whole line, the three product fields over each run of
+        // cloudy pixels. Cross-track coordinates are the same for every line.
+        let xs: Vec<f64> = (0..dims.pixels).map(|px| px as f64 * scale).collect();
+        let scaled = |k: f64| -> Vec<f64> { xs.iter().map(|x| x * k).collect() };
+        let (xs_cot, xs_ctp, xs_cer) = (scaled(2.0), scaled(1.5), scaled(3.0));
+        let mut cf_row = vec![0.0f64; dims.pixels];
+        let mut strength = vec![0.0f32; dims.pixels];
+        let mut cot_row = vec![0.0f64; dims.pixels];
+        let mut ctp_row = vec![0.0f64; dims.pixels];
+        let mut cer_row = vec![0.0f64; dims.pixels];
         for line in 0..dims.lines {
             let y = (along0 + line as f64) * scale;
+            let row = dims.idx(line, 0);
+            self.cloud_field.sample_row(&xs, y, &mut cf_row);
             for px in 0..dims.pixels {
-                let i = dims.idx(line, px);
-                let x = px as f64 * scale;
-                let cf = self.cloud_field.sample(x, y);
+                let cf = cf_row[px];
                 // Latitude climatology: cloudier at the ITCZ (0°) and the
                 // mid-latitude storm tracks (±55°), drier in the subtropics.
-                let latr = (lat[i] as f64).to_radians();
+                let latr = (lat[row + px] as f64).to_radians();
                 let climo = 0.52 + 0.13 * (2.0 * latr).cos().powi(2)
                     - 0.12 * (latr.abs().to_degrees() / 90.0 - 0.3).powi(2);
                 let threshold = 1.0 - climo.clamp(0.25, 0.75);
                 if cf > threshold {
-                    cloud[i] = 1;
-                    let strength = ((cf - threshold) / (1.0 - threshold)).clamp(0.0, 1.0);
-                    cot[i] = (strength as f32).powi(2) * 60.0
-                        + 3.0 * self.cot_field.sample(x * 2.0, y * 2.0) as f32;
-                    // Thicker clouds reach higher (lower pressure).
-                    ctp[i] = 950.0
-                        - 650.0 * strength as f32
-                        - 100.0 * self.ctp_field.sample(x * 1.5, y * 1.5) as f32;
-                    cer[i] = 6.0 + 28.0 * self.cer_field.sample(x * 3.0, y * 3.0) as f32;
+                    cloud[row + px] = 1;
+                    strength[px] = ((cf - threshold) / (1.0 - threshold)).clamp(0.0, 1.0) as f32;
                 }
+            }
+            let mut a = 0;
+            for run in cloud[row..row + dims.pixels].chunk_by(|p, q| p == q) {
+                let b = a + run.len();
+                if run[0] == 1 {
+                    self.cot_field
+                        .sample_row(&xs_cot[a..b], y * 2.0, &mut cot_row[a..b]);
+                    self.ctp_field
+                        .sample_row(&xs_ctp[a..b], y * 1.5, &mut ctp_row[a..b]);
+                    self.cer_field
+                        .sample_row(&xs_cer[a..b], y * 3.0, &mut cer_row[a..b]);
+                    for px in a..b {
+                        let i = row + px;
+                        cot[i] = strength[px].powi(2) * 60.0 + 3.0 * cot_row[px] as f32;
+                        // Thicker clouds reach higher (lower pressure).
+                        ctp[i] = 950.0 - 650.0 * strength[px] - 100.0 * ctp_row[px] as f32;
+                        cer[i] = 6.0 + 28.0 * cer_row[px] as f32;
+                    }
+                }
+                a = b;
             }
         }
 
-        // Radiances for the 6 AICCA bands.
+        // Radiances for the 6 AICCA bands. A band is a gain or an offset on
+        // one of two per-pixel quantities, each computed once.
         let bands: Vec<u8> = AICCA_BANDS.to_vec();
-        let mut radiance = vec![0.0f32; bands.len() * n];
-        for (b, &band) in bands.iter().enumerate() {
-            let plane = &mut radiance[b * n..(b + 1) * n];
-            if is_reflective_band(band) && !day {
-                plane.fill(RADIANCE_FILL);
-                continue;
-            }
-            for i in 0..n {
-                let cloudy = cloud[i] == 1;
-                let tau = cot[i];
-                plane[i] = if is_reflective_band(band) {
-                    // Reflectance-like: surface albedo plus cloud albedo
-                    // 1 − e^(−τ/10), scaled per band.
+        let mut radiance = vec![vec![0.0f32; n]; bands.len()];
+        // Reflectance-like: surface albedo plus cloud albedo 1 − e^(−τ/10).
+        let reflectance: Vec<f32> = if day {
+            (0..n)
+                .map(|i| {
                     let surf = if land[i] == 1 { 0.25 } else { 0.05 };
-                    let cloud_albedo = if cloudy {
-                        0.75 * (1.0 - (-tau / 10.0).exp())
+                    let cloud_albedo = if cloud[i] == 1 {
+                        0.75 * (1.0 - (-cot[i] / 10.0).exp())
                     } else {
                         0.0
                     };
-                    let band_gain = if band == 6 { 1.0 } else { 0.8 };
-                    band_gain * (surf + cloud_albedo * (1.0 - surf))
+                    surf + cloud_albedo * (1.0 - surf)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Brightness-temperature-like (K): warm surface, cold cloud tops.
+        let brightness: Vec<f32> = (0..n)
+            .map(|i| {
+                let latr = (lat[i] as f64).to_radians();
+                let tsurf =
+                    300.0 - 45.0 * latr.sin().powi(2) as f32 + if land[i] == 1 { 3.0 } else { 0.0 };
+                if cloud[i] == 1 {
+                    // Cloud-top temperature from pressure: ~200 K at
+                    // 300 hPa up to ~285 K at 950 hPa.
+                    let tc = 160.0 + 0.13 * ctp[i];
+                    let emis = (1.0 - (-cot[i] / 5.0).exp()).clamp(0.0, 1.0);
+                    tsurf * (1.0 - emis) + tc * emis
                 } else {
-                    // Brightness-temperature-like (K): warm surface, cold
-                    // cloud tops; band-dependent small offsets.
-                    let latr = (lat[i] as f64).to_radians();
-                    let tsurf = 300.0 - 45.0 * latr.sin().powi(2) as f32
-                        + if land[i] == 1 { 3.0 } else { 0.0 };
-                    let t = if cloudy {
-                        // Cloud-top temperature from pressure: ~200 K at
-                        // 300 hPa up to ~285 K at 950 hPa.
-                        let tc = 160.0 + 0.13 * ctp[i];
-                        let emis = (1.0 - (-tau / 5.0).exp()).clamp(0.0, 1.0);
-                        tsurf * (1.0 - emis) + tc * emis
-                    } else {
-                        tsurf
-                    };
-                    let band_offset = (band as f32 - 28.0) * 0.4;
-                    t + band_offset
-                };
+                    tsurf
+                }
+            })
+            .collect();
+        for (plane, &band) in radiance.iter_mut().zip(&bands) {
+            if !is_reflective_band(band) {
+                // Band-dependent small offsets.
+                let band_offset = (band as f32 - 28.0) * 0.4;
+                for (r, &t) in plane.iter_mut().zip(&brightness) {
+                    *r = t + band_offset;
+                }
+            } else if day {
+                let band_gain = if band == 6 { 1.0 } else { 0.8 };
+                for (r, &refl) in plane.iter_mut().zip(&reflectance) {
+                    *r = band_gain * refl;
+                }
+            } else {
+                plane.fill(RADIANCE_FILL);
             }
         }
 
@@ -371,6 +407,117 @@ mod tests {
         GranuleId::new(Platform::Terra, CivilDate::new(2022, 1, 1).unwrap(), slot)
     }
 
+    /// The per-pixel definition of the cloud fields and radiances (every
+    /// field sampled point by point, every band recomputing its terms) that
+    /// `synthesize` must reproduce bit for bit. Geolocation, land mask and
+    /// the day flag are taken from `s`.
+    #[allow(clippy::needless_range_loop)]
+    fn assert_matches_per_pixel_reference(sy: &SwathSynthesizer, s: &Swath) {
+        let dims = s.dims;
+        let n = dims.len();
+        let along0 = s.id.orbit_time_s() * 6.7;
+        let scale = 1.0 / 96.0;
+        let mut cloud = vec![0u8; n];
+        let mut cot = vec![0.0f32; n];
+        let mut ctp = vec![0.0f32; n];
+        let mut cer = vec![0.0f32; n];
+        for line in 0..dims.lines {
+            let y = (along0 + line as f64) * scale;
+            for px in 0..dims.pixels {
+                let i = dims.idx(line, px);
+                let x = px as f64 * scale;
+                let cf = sy.cloud_field.sample(x, y);
+                // Latitude climatology: cloudier at the ITCZ (0°) and the
+                // mid-latitude storm tracks (±55°), drier in the subtropics.
+                let latr = (s.lat[i] as f64).to_radians();
+                let climo = 0.52 + 0.13 * (2.0 * latr).cos().powi(2)
+                    - 0.12 * (latr.abs().to_degrees() / 90.0 - 0.3).powi(2);
+                let threshold = 1.0 - climo.clamp(0.25, 0.75);
+                if cf > threshold {
+                    cloud[i] = 1;
+                    let strength = ((cf - threshold) / (1.0 - threshold)).clamp(0.0, 1.0);
+                    cot[i] = (strength as f32).powi(2) * 60.0
+                        + 3.0 * sy.cot_field.sample(x * 2.0, y * 2.0) as f32;
+                    // Thicker clouds reach higher (lower pressure).
+                    ctp[i] = 950.0
+                        - 650.0 * strength as f32
+                        - 100.0 * sy.ctp_field.sample(x * 1.5, y * 1.5) as f32;
+                    cer[i] = 6.0 + 28.0 * sy.cer_field.sample(x * 3.0, y * 3.0) as f32;
+                }
+            }
+        }
+
+        // Radiances for the 6 AICCA bands.
+        let bands: Vec<u8> = AICCA_BANDS.to_vec();
+        let mut radiance = vec![0.0f32; bands.len() * n];
+        for (b, &band) in bands.iter().enumerate() {
+            let plane = &mut radiance[b * n..(b + 1) * n];
+            if is_reflective_band(band) && !s.day {
+                plane.fill(RADIANCE_FILL);
+                continue;
+            }
+            for i in 0..n {
+                let cloudy = cloud[i] == 1;
+                let tau = cot[i];
+                plane[i] = if is_reflective_band(band) {
+                    // Reflectance-like: surface albedo plus cloud albedo
+                    // 1 − e^(−τ/10), scaled per band.
+                    let surf = if s.land[i] == 1 { 0.25 } else { 0.05 };
+                    let cloud_albedo = if cloudy {
+                        0.75 * (1.0 - (-tau / 10.0).exp())
+                    } else {
+                        0.0
+                    };
+                    let band_gain = if band == 6 { 1.0 } else { 0.8 };
+                    band_gain * (surf + cloud_albedo * (1.0 - surf))
+                } else {
+                    // Brightness-temperature-like (K): warm surface, cold
+                    // cloud tops; band-dependent small offsets.
+                    let latr = (s.lat[i] as f64).to_radians();
+                    let tsurf = 300.0 - 45.0 * latr.sin().powi(2) as f32
+                        + if s.land[i] == 1 { 3.0 } else { 0.0 };
+                    let t = if cloudy {
+                        // Cloud-top temperature from pressure: ~200 K at
+                        // 300 hPa up to ~285 K at 950 hPa.
+                        let tc = 160.0 + 0.13 * ctp[i];
+                        let emis = (1.0 - (-tau / 5.0).exp()).clamp(0.0, 1.0);
+                        tsurf * (1.0 - emis) + tc * emis
+                    } else {
+                        tsurf
+                    };
+                    let band_offset = (band as f32 - 28.0) * 0.4;
+                    t + band_offset
+                };
+            }
+        }
+        assert_eq!(s.cloud, cloud);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&s.cot), bits(&cot), "cot");
+        assert_eq!(bits(&s.ctp), bits(&ctp), "ctp");
+        assert_eq!(bits(&s.cer), bits(&cer), "cer");
+        assert_eq!(bits(&s.radiance.concat()), bits(&radiance), "radiance");
+    }
+
+    #[test]
+    fn row_wise_synthesis_is_bit_identical_to_the_per_pixel_reference() {
+        let sy = synth();
+        let day = (0..288).map(gid).find(|&g| sy.synthesize(g).day).unwrap();
+        let night = (0..288).map(gid).find(|&g| !sy.synthesize(g).day).unwrap();
+        for g in [day, night] {
+            assert_matches_per_pixel_reference(&sy, &sy.synthesize(g));
+        }
+        // Not a multiple of the 16-pixel geolocation lattice, nor of anything
+        // the noise cells align with.
+        let odd = SwathSynthesizer::new(
+            77,
+            SwathDims {
+                lines: 37,
+                pixels: 101,
+            },
+        );
+        assert_matches_per_pixel_reference(&odd, &odd.synthesize(day));
+    }
+
     #[test]
     fn synthesis_is_deterministic() {
         let a = synth().synthesize(gid(100));
@@ -398,7 +545,8 @@ mod tests {
         assert_eq!(s.land.len(), n);
         assert_eq!(s.cloud.len(), n);
         assert_eq!(s.cot.len(), n);
-        assert_eq!(s.radiance.len(), 6 * n);
+        assert_eq!(s.radiance.len(), 6);
+        assert!(s.radiance.iter().all(|plane| plane.len() == n));
         assert_eq!(s.bands, AICCA_BANDS.to_vec());
     }
 

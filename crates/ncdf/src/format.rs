@@ -8,6 +8,7 @@
 //! packed without inter-record padding).
 
 use crate::model::{DimId, NcAttr, NcDim, NcFile, NcType, NcValues, NcVar};
+use std::io::{self, Write};
 
 /// Magic bytes: `CDF`.
 pub const MAGIC: &[u8; 3] = b"CDF";
@@ -92,11 +93,31 @@ fn pad4(n: usize) -> usize {
 
 // ---------------------------------------------------------------- encoding
 
-struct Writer {
+/// Bytes staged before they are handed to the sink.
+const STAGE_BYTES: usize = 64 * 1024;
+
+/// Big-endian serializer over any byte sink. Output is staged in `buf` and
+/// handed on in [`STAGE_BYTES`] pieces, so encoding to a file never holds
+/// more than one piece and encoding to memory appends to one pre-sized
+/// vector.
+struct Writer<'w, W: Write> {
     buf: Vec<u8>,
+    sink: &'w mut W,
+    /// Bytes already handed to `sink`.
+    flushed: u64,
 }
 
-impl Writer {
+impl<W: Write> Writer<'_, W> {
+    /// Offset in the file of the next byte written.
+    fn pos(&self) -> u64 {
+        self.flushed + self.buf.len() as u64
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.sink.write_all(&self.buf)?;
+        self.flushed += self.buf.len() as u64;
+        self.buf.clear();
+        Ok(())
+    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -106,53 +127,54 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
+    fn zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
     fn name(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
-        for _ in s.len()..pad4(s.len()) {
-            self.buf.push(0);
-        }
+        self.zeros(pad4(s.len()) - s.len());
     }
-    fn values(&mut self, v: &NcValues) {
-        let start = self.buf.len();
+    /// Elements `start..end` of `v`, big-endian, unpadded; returns the byte
+    /// count.
+    fn slab(&mut self, v: &NcValues, start: usize, end: usize) -> io::Result<usize> {
+        fn put_be<W: Write, T: Copy, const N: usize>(
+            w: &mut Writer<'_, W>,
+            xs: &[T],
+            be: impl Fn(T) -> [u8; N],
+        ) -> io::Result<usize> {
+            for piece in xs.chunks(STAGE_BYTES / N) {
+                let at = w.buf.len();
+                w.buf.resize(at + piece.len() * N, 0);
+                for (dst, &x) in w.buf[at..].chunks_exact_mut(N).zip(piece) {
+                    dst.copy_from_slice(&be(x));
+                }
+                if w.buf.len() >= STAGE_BYTES {
+                    w.flush()?;
+                }
+            }
+            Ok(xs.len() * N)
+        }
         match v {
-            NcValues::Byte(xs) => {
-                for &x in xs {
-                    self.buf.push(x as u8);
-                }
-            }
-            NcValues::Char(xs) => self.buf.extend_from_slice(xs),
-            NcValues::Short(xs) => {
-                for &x in xs {
-                    self.buf.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-            NcValues::Int(xs) => {
-                for &x in xs {
-                    self.buf.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-            NcValues::Float(xs) => {
-                for &x in xs {
-                    self.buf.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-            NcValues::Double(xs) => {
-                for &x in xs {
-                    self.buf.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-        }
-        let written = self.buf.len() - start;
-        for _ in written..pad4(written) {
-            self.buf.push(0);
+            NcValues::Byte(xs) => put_be(self, &xs[start..end], i8::to_be_bytes),
+            NcValues::Char(xs) => put_be(self, &xs[start..end], u8::to_be_bytes),
+            NcValues::Short(xs) => put_be(self, &xs[start..end], i16::to_be_bytes),
+            NcValues::Int(xs) => put_be(self, &xs[start..end], i32::to_be_bytes),
+            NcValues::Float(xs) => put_be(self, &xs[start..end], f32::to_be_bytes),
+            NcValues::Double(xs) => put_be(self, &xs[start..end], f64::to_be_bytes),
         }
     }
-    fn attr_list(&mut self, attrs: &[NcAttr]) {
+    /// All of `v`, zero-padded to a 4-byte boundary.
+    fn values(&mut self, v: &NcValues) -> io::Result<()> {
+        let written = self.slab(v, 0, v.len())?;
+        self.zeros(pad4(written) - written);
+        Ok(())
+    }
+    fn attr_list(&mut self, attrs: &[NcAttr]) -> io::Result<()> {
         if attrs.is_empty() {
             self.u32(0);
             self.u32(0);
-            return;
+            return Ok(());
         }
         self.u32(TAG_ATTRIBUTE);
         self.u32(attrs.len() as u32);
@@ -160,8 +182,9 @@ impl Writer {
             self.name(&a.name);
             self.u32(a.values.nc_type().tag());
             self.u32(a.values.len() as u32);
-            self.values(&a.values);
+            self.values(&a.values)?;
         }
+        Ok(())
     }
 }
 
@@ -209,62 +232,103 @@ fn header_size(file: &NcFile, offset_width: usize) -> usize {
     sz
 }
 
-/// Encode to classic bytes. Chooses CDF-1 unless any offset needs 64 bits.
-pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
-    validate(file)?;
+/// Where everything goes: the version byte, each variable's `begin`, and
+/// the size of the whole file.
+struct Layout {
+    version: u8,
+    begins: Vec<u64>,
+    total: u64,
+    /// Indices of the fixed-size variables, in definition order.
+    fixed: Vec<usize>,
+    /// Indices of the record variables, in definition order.
+    record: Vec<usize>,
+}
 
+/// Lay the file out. Chooses CDF-1 unless any offset needs 64 bits.
+fn layout(file: &NcFile) -> Layout {
     let fixed: Vec<usize> = (0..file.vars.len())
         .filter(|&i| !is_record_var(file, &file.vars[i]))
         .collect();
     let record: Vec<usize> = (0..file.vars.len())
         .filter(|&i| is_record_var(file, &file.vars[i]))
         .collect();
+    let record_slab = |i: usize| -> u64 {
+        let bytes = slab_bytes(file, &file.vars[i]);
+        // A single record variable is packed: no padding between records.
+        (if record.len() == 1 {
+            bytes
+        } else {
+            pad4(bytes)
+        }) as u64
+    };
 
     // Decide version by laying out with 4-byte offsets first.
-    let mut version = 1u8;
     let mut begins = vec![0u64; file.vars.len()];
-    for pass in 0..2 {
+    for version in [1u8, 2] {
         let width = if version == 1 { 4 } else { 8 };
         let mut off = header_size(file, width) as u64;
         for &i in &fixed {
             begins[i] = off;
             off += pad4(slab_bytes(file, &file.vars[i])) as u64;
         }
+        let record_begin = off;
         for &i in &record {
             begins[i] = off;
-            off += if record.len() == 1 {
-                slab_bytes(file, &file.vars[i]) as u64
-            } else {
-                pad4(slab_bytes(file, &file.vars[i])) as u64
-            };
+            off += record_slab(i);
         }
-        let record_stride: u64 = record
-            .iter()
-            .map(|&i| {
-                if record.len() == 1 {
-                    slab_bytes(file, &file.vars[i]) as u64
-                } else {
-                    pad4(slab_bytes(file, &file.vars[i])) as u64
-                }
-            })
-            .sum();
+        let record_stride: u64 = record.iter().map(|&i| record_slab(i)).sum();
         let end = begins
             .iter()
             .copied()
             .max()
             .unwrap_or(off)
             .max(off + record_stride * file.numrecs.saturating_sub(1) as u64);
-        if version == 1 && end > i32::MAX as u64 {
-            version = 2;
-            continue; // relayout with 8-byte offsets
+        if version == 2 || end <= i32::MAX as u64 {
+            return Layout {
+                version,
+                total: record_begin + record_stride * file.numrecs as u64,
+                begins,
+                fixed,
+                record,
+            };
         }
-        let _ = pass;
-        break;
+        // Otherwise lay out again with 8-byte offsets.
     }
+    unreachable!("the CDF-2 pass always returns")
+}
 
-    let mut w = Writer { buf: Vec::new() };
+/// Encode to classic bytes in memory: one allocation of the file's size.
+pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
+    validate(file)?;
+    let layout = layout(file);
+    let mut out = Vec::with_capacity(layout.total as usize);
+    write(file, &layout, &mut out).expect("writing to a Vec cannot fail");
+    Ok(out)
+}
+
+/// Encode to classic bytes straight into `sink` (a file, typically), holding
+/// no more than [`STAGE_BYTES`] of them at a time. A file that fails
+/// validation is an `InvalidData` error and nothing is written.
+pub fn encode_into<W: Write>(file: &NcFile, sink: &mut W) -> io::Result<()> {
+    validate(file).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    write(file, &layout(file), sink)
+}
+
+fn write<W: Write>(file: &NcFile, layout: &Layout, sink: &mut W) -> io::Result<()> {
+    let Layout {
+        version,
+        begins,
+        total,
+        fixed,
+        record,
+    } = layout;
+    let mut w = Writer {
+        buf: Vec::with_capacity(STAGE_BYTES.min(*total as usize)),
+        sink,
+        flushed: 0,
+    };
     w.buf.extend_from_slice(MAGIC);
-    w.u8(version);
+    w.u8(*version);
     w.u32(file.numrecs as u32);
 
     // dim list
@@ -280,7 +344,7 @@ pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
         }
     }
 
-    w.attr_list(&file.gatts);
+    w.attr_list(&file.gatts)?;
 
     // var list
     if file.vars.is_empty() {
@@ -295,7 +359,7 @@ pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
             for d in &v.dims {
                 w.u32(d.0 as u32);
             }
-            w.attr_list(&v.attrs);
+            w.attr_list(&v.attrs)?;
             w.u32(v.nc_type.tag());
             let vsize = if is_record_var(file, v) && record.len() == 1 {
                 // Spec: single record variable may carry unpadded vsize.
@@ -304,7 +368,7 @@ pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
                 pad4(slab_bytes(file, v))
             };
             w.u32(vsize.min(u32::MAX as usize) as u32);
-            if version == 1 {
+            if *version == 1 {
                 w.u32(begins[i] as u32);
             } else {
                 w.u64(begins[i]);
@@ -313,49 +377,32 @@ pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
     }
 
     debug_assert_eq!(
-        w.buf.len(),
-        header_size(file, if version == 1 { 4 } else { 8 }),
+        w.pos(),
+        header_size(file, if *version == 1 { 4 } else { 8 }) as u64,
         "header layout mismatch"
     );
 
-    // Fixed variable data.
-    for &i in &fixed {
-        debug_assert_eq!(w.buf.len() as u64, begins[i]);
-        w.values(&file.vars[i].data);
-        // `values` pads to 4 already; pad4(slab) equals that.
+    // Fixed variable data; `values` pads each to 4 bytes, as `begins` assumes.
+    for &i in fixed {
+        debug_assert_eq!(w.pos(), begins[i]);
+        w.values(&file.vars[i].data)?;
     }
 
     // Record data: records interleaved across record variables.
     for rec in 0..file.numrecs {
-        for &i in &record {
+        for &i in record {
             let v = &file.vars[i];
             let slab_elems = slab_bytes(file, v) / v.nc_type.size();
-            let start = rec * slab_elems;
-            let end = start + slab_elems;
-            let slice = slice_values(&v.data, start, end);
-            if record.len() == 1 {
-                // Packed: write without padding.
-                let before = w.buf.len();
-                w.values(&slice);
-                w.buf.truncate(before + slab_bytes(file, v));
-            } else {
-                w.values(&slice);
+            let written = w.slab(&v.data, rec * slab_elems, (rec + 1) * slab_elems)?;
+            // A single record variable is packed: no padding between records.
+            if record.len() > 1 {
+                w.zeros(pad4(written) - written);
             }
         }
     }
 
-    Ok(w.buf)
-}
-
-fn slice_values(v: &NcValues, start: usize, end: usize) -> NcValues {
-    match v {
-        NcValues::Byte(xs) => NcValues::Byte(xs[start..end].to_vec()),
-        NcValues::Char(xs) => NcValues::Char(xs[start..end].to_vec()),
-        NcValues::Short(xs) => NcValues::Short(xs[start..end].to_vec()),
-        NcValues::Int(xs) => NcValues::Int(xs[start..end].to_vec()),
-        NcValues::Float(xs) => NcValues::Float(xs[start..end].to_vec()),
-        NcValues::Double(xs) => NcValues::Double(xs[start..end].to_vec()),
-    }
+    debug_assert_eq!(w.pos(), *total, "file layout mismatch");
+    w.flush()
 }
 
 fn validate(file: &NcFile) -> Result<(), NcError> {
@@ -395,8 +442,22 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
+    /// Reject an element count the remaining bytes cannot hold (each element
+    /// takes at least `min_bytes`), so a forged count is a typed error and
+    /// never a reservation.
+    fn check_count(&self, count: usize, min_bytes: usize) -> Result<(), NcError> {
+        if count > self.remaining() / min_bytes {
+            return Err(NcError::Truncated);
+        }
+        Ok(())
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], NcError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(NcError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -421,44 +482,13 @@ impl<'a> Reader<'a> {
             .map(str::to_owned)
             .map_err(|_| NcError::BadUtf8)
     }
+    /// `n` values of type `t` plus their padding to a 4-byte boundary.
     fn values(&mut self, t: NcType, n: usize) -> Result<NcValues, NcError> {
-        self.values_inner(t, n, true)
-    }
-
-    /// Like [`values`](Self::values) but without consuming trailing padding
-    /// — needed for packed single-record-variable data.
-    fn values_exact(&mut self, t: NcType, n: usize) -> Result<NcValues, NcError> {
-        self.values_inner(t, n, false)
-    }
-
-    fn values_inner(&mut self, t: NcType, n: usize, padded: bool) -> Result<NcValues, NcError> {
-        let nbytes = n * t.size();
-        let raw = self.take(if padded { pad4(nbytes) } else { nbytes })?;
-        let raw = &raw[..nbytes];
-        Ok(match t {
-            NcType::Byte => NcValues::Byte(raw.iter().map(|&b| b as i8).collect()),
-            NcType::Char => NcValues::Char(raw.to_vec()),
-            NcType::Short => NcValues::Short(
-                raw.chunks_exact(2)
-                    .map(|c| i16::from_be_bytes([c[0], c[1]]))
-                    .collect(),
-            ),
-            NcType::Int => NcValues::Int(
-                raw.chunks_exact(4)
-                    .map(|c| i32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            ),
-            NcType::Float => NcValues::Float(
-                raw.chunks_exact(4)
-                    .map(|c| f32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            ),
-            NcType::Double => NcValues::Double(
-                raw.chunks_exact(8)
-                    .map(|c| f64::from_be_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            ),
-        })
+        let nbytes = n.checked_mul(t.size()).ok_or(NcError::Truncated)?;
+        let raw = self.take(pad4(nbytes))?;
+        let mut values = NcValues::empty(t);
+        append_be(&mut values, &raw[..nbytes]);
+        Ok(values)
     }
     fn attr_list(&mut self) -> Result<Vec<NcAttr>, NcError> {
         let tag = self.u32()?;
@@ -472,6 +502,8 @@ impl<'a> Reader<'a> {
         if tag != TAG_ATTRIBUTE {
             return Err(NcError::BadTag(tag));
         }
+        // An attribute is at least name length + type + value count.
+        self.check_count(count, 12)?;
         let mut attrs = Vec::with_capacity(count);
         for _ in 0..count {
             let name = self.name()?;
@@ -481,6 +513,37 @@ impl<'a> Reader<'a> {
             attrs.push(NcAttr { name, values });
         }
         Ok(attrs)
+    }
+}
+
+/// Append the big-endian elements in `raw` to `dst`, whose type decides the
+/// element width.
+fn append_be(dst: &mut NcValues, raw: &[u8]) {
+    fn get_be<T, const N: usize>(dst: &mut Vec<T>, raw: &[u8], be: impl Fn([u8; N]) -> T) {
+        dst.extend(
+            raw.chunks_exact(N)
+                .map(|c| be(c.try_into().expect("chunk of N bytes"))),
+        );
+    }
+    match dst {
+        NcValues::Byte(xs) => get_be(xs, raw, i8::from_be_bytes),
+        NcValues::Char(xs) => xs.extend_from_slice(raw),
+        NcValues::Short(xs) => get_be(xs, raw, i16::from_be_bytes),
+        NcValues::Int(xs) => get_be(xs, raw, i32::from_be_bytes),
+        NcValues::Float(xs) => get_be(xs, raw, f32::from_be_bytes),
+        NcValues::Double(xs) => get_be(xs, raw, f64::from_be_bytes),
+    }
+}
+
+/// Reserve room for `additional` more elements.
+fn reserve(dst: &mut NcValues, additional: usize) {
+    match dst {
+        NcValues::Byte(xs) => xs.reserve_exact(additional),
+        NcValues::Char(xs) => xs.reserve_exact(additional),
+        NcValues::Short(xs) => xs.reserve_exact(additional),
+        NcValues::Int(xs) => xs.reserve_exact(additional),
+        NcValues::Float(xs) => xs.reserve_exact(additional),
+        NcValues::Double(xs) => xs.reserve_exact(additional),
     }
 }
 
@@ -528,6 +591,7 @@ pub fn decode(bytes: &[u8]) -> Result<NcFile, NcError> {
             for _ in 0..count {
                 let name = r.name()?;
                 let rank = r.u32()? as usize;
+                r.check_count(rank, 4)?;
                 let mut vdims = Vec::with_capacity(rank);
                 for _ in 0..rank {
                     let id = r.u32()? as usize;
@@ -604,24 +668,24 @@ pub fn decode(bytes: &[u8]) -> Result<NcFile, NcError> {
             })
             .sum();
         let base = hdrs[record[0]].begin as usize;
-        for rec in 0..numrecs {
-            let mut off = base + rec * stride;
+        // Every record must lie inside the file; checked before anything is
+        // reserved for them, so a forged `numrecs` is a typed error.
+        let end = numrecs
+            .checked_mul(stride)
+            .and_then(|n| n.checked_add(base));
+        if end.is_none_or(|end| end > bytes.len()) {
+            return Err(NcError::Truncated);
+        }
+        for &i in &record {
+            let elems = slab_bytes(&file, &file.vars[i]) / file.vars[i].nc_type.size();
+            reserve(&mut file.vars[i].data, numrecs * elems);
+        }
+        // Each slab is decoded straight onto the end of its variable.
+        let mut off = base;
+        for _ in 0..numrecs {
             for &i in &record {
                 let nbytes = slab_bytes(&file, &file.vars[i]);
-                if off + nbytes > bytes.len() {
-                    return Err(NcError::Truncated);
-                }
-                let mut rr = Reader {
-                    buf: bytes,
-                    pos: off,
-                };
-                let elems = nbytes / file.vars[i].nc_type.size();
-                let slab = if single {
-                    rr.values_exact(file.vars[i].nc_type, elems)?
-                } else {
-                    rr.values(file.vars[i].nc_type, elems)?
-                };
-                file.vars[i].data.extend_from(&slab)?;
+                append_be(&mut file.vars[i].data, &bytes[off..off + nbytes]);
                 off += if single { nbytes } else { pad4(nbytes) };
             }
         }
@@ -670,6 +734,30 @@ mod tests {
     }
 
     #[test]
+    fn forged_counts_are_truncation_not_reservations() {
+        let good = sample().encode().unwrap();
+        // Global attribute count: after magic, numrecs and the two dims.
+        let mut bytes = good.clone();
+        assert_eq!(&bytes[40..48], &[0, 0, 0, 0x0C, 0, 0, 0, 2]);
+        bytes[44..48].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(NcFile::decode(&bytes), Err(NcError::Truncated));
+        // Rank of the first variable: right after its name.
+        let mut bytes = good.clone();
+        let rank_at = bytes.windows(4).position(|w| w == b"temp").unwrap() + 4;
+        assert_eq!(&bytes[rank_at..rank_at + 4], &[0, 0, 0, 2]);
+        bytes[rank_at..rank_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(NcFile::decode(&bytes), Err(NcError::Truncated));
+        // Record count of a file with a record variable: bytes 4..8.
+        let mut f = NcFile::new();
+        let t = f.add_record_dim("t").unwrap();
+        let v = f.add_var("v", NcType::Int, vec![t]).unwrap();
+        f.append_record(vec![(v, NcValues::Int(vec![7]))]).unwrap();
+        let mut bytes = f.encode().unwrap();
+        bytes[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(NcFile::decode(&bytes), Err(NcError::Truncated));
+    }
+
+    #[test]
     fn fixed_round_trip() {
         let f = sample();
         let back = NcFile::decode(&f.encode().unwrap()).unwrap();
@@ -707,6 +795,57 @@ mod tests {
                 .len(),
             5
         );
+    }
+
+    #[test]
+    fn streamed_encoding_equals_the_in_memory_one() {
+        // Slabs larger and smaller than the staging buffer, an odd-sized
+        // fixed variable, padded records; the sink sees it in many pieces.
+        struct Pieces(Vec<u8>, usize);
+        impl std::io::Write for Pieces {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut f = NcFile::new();
+        let t = f.add_record_dim("tile").unwrap();
+        let p = f.add_dim("pixel", 100_003);
+        let q = f.add_dim("odd", STAGE_BYTES + 5);
+        let big = f.add_var("big", NcType::Float, vec![t, p]).unwrap();
+        let flag = f.add_var("flag", NcType::Byte, vec![t]).unwrap();
+        let fixed = f.add_var("fixed", NcType::Byte, vec![q]).unwrap();
+        f.put_values(
+            fixed,
+            NcValues::Byte((0..STAGE_BYTES + 5).map(|i| i as i8).collect()),
+        )
+        .unwrap();
+        for r in 0..3 {
+            let slab = (0..100_003).map(|i| (i * (r + 1)) as f32 * 0.5).collect();
+            f.append_record(vec![
+                (big, NcValues::Float(slab)),
+                (flag, NcValues::Byte(vec![r as i8])),
+            ])
+            .unwrap();
+        }
+        let bytes = f.encode().unwrap();
+        assert_eq!(bytes.capacity(), bytes.len(), "encode pre-sizes exactly");
+        let mut sink = Pieces(Vec::new(), 0);
+        f.encode_into(&mut sink).unwrap();
+        assert_eq!(sink.0, bytes);
+        assert!(sink.1 > 4, "streamed in pieces, not whole");
+        assert_eq!(NcFile::decode(&bytes).unwrap(), f);
+
+        // Validation failures are reported before anything is written.
+        f.vars[big.0].data = NcValues::Float(vec![1.0]);
+        let mut sink = Pieces(Vec::new(), 0);
+        let err = f.encode_into(&mut sink).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(sink.0.is_empty());
     }
 
     #[test]

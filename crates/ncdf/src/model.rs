@@ -432,15 +432,23 @@ impl NcFile {
         format::decode(bytes)
     }
 
+    /// Serialize straight into `sink` — the bytes [`encode`](Self::encode)
+    /// returns, without ever holding the whole file. A file that fails
+    /// validation is an `InvalidData` error.
+    pub fn encode_into(&self, sink: &mut impl std::io::Write) -> std::io::Result<()> {
+        format::encode_into(self, sink)
+    }
+
     /// Encode and write to a file path (via a `.part` rename so monitors
     /// never observe a partial file).
     pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let path = path.as_ref();
-        let bytes = self
-            .encode()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let part = path.with_extension("part.tmp");
-        std::fs::write(&part, bytes)?;
+        let written = std::fs::File::create(&part).and_then(|mut f| self.encode_into(&mut f));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&part);
+        }
+        written?;
         std::fs::rename(&part, path)
     }
 

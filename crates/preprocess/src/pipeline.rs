@@ -10,8 +10,10 @@
 
 use crate::tiles::{extract_tiles, TileCriteria, TileSet};
 use crate::writer::{write_tiles_nc, TileNcError};
-use eoml_modis::container::{Container, ContainerError};
-use eoml_modis::files::{swath_from_products, ProductFileError};
+use eoml_modis::container::{Container, ContainerError, ReadError};
+use eoml_modis::files::{swath_from_containers, ProductFileError};
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 /// Errors from the file-level pipeline.
@@ -50,6 +52,14 @@ impl From<ContainerError> for PipelineError {
         PipelineError::Container(e)
     }
 }
+impl From<ReadError> for PipelineError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Io(e) => PipelineError::Io(e),
+            ReadError::Format(e) => PipelineError::Container(e),
+        }
+    }
+}
 impl From<ProductFileError> for PipelineError {
     fn from(e: ProductFileError) -> Self {
         PipelineError::Product(e)
@@ -79,11 +89,17 @@ pub fn preprocess_granule_files(
     out_dir: &Path,
     criteria: &TileCriteria,
 ) -> Result<PipelineOutcome, PipelineError> {
-    let c02 = Container::decode(&std::fs::read(mod02)?)?;
-    let c03 = Container::decode(&std::fs::read(mod03)?)?;
-    let c06 = Container::decode(&std::fs::read(mod06)?)?;
-    let swath = swath_from_products(&c02, &c03, &c06)?;
+    // Files are decoded and encoded as streams, the decoded planes move into
+    // the swath, and the swath is dropped as soon as the tiles are cut.
+    let product = |path: &Path| -> Result<Container, PipelineError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Ok(Container::decode_from(BufReader::new(file), len)?)
+    };
+    let swath = swath_from_containers(product(mod02)?, product(mod03)?, product(mod06)?)?;
     let set = extract_tiles(&swath, criteria);
+    let id = swath.id;
+    drop(swath);
     if set.is_empty() {
         return Ok(PipelineOutcome {
             output: None,
@@ -92,9 +108,9 @@ pub fn preprocess_granule_files(
     }
     let nc = write_tiles_nc(&set.tiles)?;
     std::fs::create_dir_all(out_dir)?;
-    let final_path = out_dir.join(format!("tiles-{}.nc", swath.id));
-    let part_path = out_dir.join(format!("tiles-{}.nc.part", swath.id));
-    std::fs::write(&part_path, nc.encode().map_err(TileNcError::Nc)?)?;
+    let final_path = out_dir.join(format!("tiles-{id}.nc"));
+    let part_path = out_dir.join(format!("tiles-{id}.nc.part"));
+    nc.encode_into(&mut File::create(&part_path)?)?;
     std::fs::rename(&part_path, &final_path)?;
     Ok(PipelineOutcome {
         output: Some(final_path),

@@ -96,20 +96,32 @@ pub fn write_tiles_nc(tiles: &[Tile]) -> Result<NcFile, TileNcError> {
     f.add_var_attr(ctp, "units", NcValues::text("hPa"))?;
     f.add_var_attr(cer, "units", NcValues::text("micron"))?;
 
+    // Fill each record variable whole (one exact allocation apiece) and set
+    // the record count, as `append_labels` does for its variable.
+    let floats = |of: fn(&Tile) -> f32| NcValues::Float(tiles.iter().map(of).collect());
+    let ints = |of: fn(&Tile) -> usize| NcValues::Int(tiles.iter().map(|t| of(t) as i32).collect());
+    let slab = bands.len() * size * size;
+    let mut radiance = Vec::with_capacity(tiles.len() * slab);
     for t in tiles {
-        f.append_record(vec![
-            (rad, NcValues::Float(t.data.clone())),
-            (lat, NcValues::Float(vec![t.center_lat])),
-            (lon, NcValues::Float(vec![t.center_lon])),
-            (ocean, NcValues::Float(vec![t.ocean_fraction])),
-            (cloud, NcValues::Float(vec![t.cloud_fraction])),
-            (cot, NcValues::Float(vec![t.mean_cot])),
-            (ctp, NcValues::Float(vec![t.mean_ctp])),
-            (cer, NcValues::Float(vec![t.mean_cer])),
-            (row, NcValues::Int(vec![t.row as i32])),
-            (col, NcValues::Int(vec![t.col as i32])),
-        ])?;
+        if t.data.len() != slab {
+            return Err(TileNcError::Nc(eoml_ncdf::NcError::LengthMismatch {
+                expected: slab,
+                actual: t.data.len(),
+            }));
+        }
+        radiance.extend_from_slice(&t.data);
     }
+    f.vars[rad.0].data = NcValues::Float(radiance);
+    f.vars[lat.0].data = floats(|t| t.center_lat);
+    f.vars[lon.0].data = floats(|t| t.center_lon);
+    f.vars[ocean.0].data = floats(|t| t.ocean_fraction);
+    f.vars[cloud.0].data = floats(|t| t.cloud_fraction);
+    f.vars[cot.0].data = floats(|t| t.mean_cot);
+    f.vars[ctp.0].data = floats(|t| t.mean_ctp);
+    f.vars[cer.0].data = floats(|t| t.mean_cer);
+    f.vars[row.0].data = ints(|t| t.row);
+    f.vars[col.0].data = ints(|t| t.col);
+    f.numrecs = tiles.len();
     Ok(f)
 }
 

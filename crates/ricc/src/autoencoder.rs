@@ -18,8 +18,8 @@
 
 use crate::rotation::{min_rotation_mse, rot90};
 use crate::tensor::{
-    conv2d_bwd, conv2d_fwd, dense_bwd, dense_fwd, leaky_relu_bwd, leaky_relu_fwd, tconv2d_bwd,
-    tconv2d_fwd, Adam, ConvSpec, Tensor,
+    conv2d_bwd, conv2d_fwd, dense_bwd, dense_fwd, leaky_relu_bwd, leaky_relu_fwd,
+    leaky_relu_in_place, tconv2d_bwd, tconv2d_fwd, Adam, ConvSpec, Tensor,
 };
 use eoml_util::rng::{Rng64, Xoshiro256};
 use rayon::prelude::*;
@@ -305,10 +305,10 @@ impl ConvAutoencoder {
 
     /// Encode a tile to its latent vector.
     pub fn encode(&self, x: &Tensor) -> Vec<f32> {
-        let a1 = conv2d_fwd(x, &self.w1, &self.b1, self.cfg.c1, DOWN);
-        let h1 = leaky_relu_fwd(&a1);
-        let a2 = conv2d_fwd(&h1, &self.w2, &self.b2, self.cfg.c2, DOWN);
-        let h2 = leaky_relu_fwd(&a2);
+        let mut h1 = conv2d_fwd(x, &self.w1, &self.b1, self.cfg.c1, DOWN);
+        leaky_relu_in_place(&mut h1);
+        let mut h2 = conv2d_fwd(&h1, &self.w2, &self.b2, self.cfg.c2, DOWN);
+        leaky_relu_in_place(&mut h2);
         dense_fwd(&h2.data, &self.we, &self.be)
     }
 

@@ -100,34 +100,66 @@ impl ConvSpec {
 
 /// Forward convolution. `w` is `[c_out][c_in][k][k]` flattened; `b` is per
 /// output channel.
+///
+/// Every output starts at `b[o]` and adds its in-bounds taps in ascending
+/// `(i, ky, kx)` order, one `acc + x·w` per tap. The loops run tap-by-tap
+/// over whole output rows so the innermost one is a unit-stride
+/// `row += src · w`: an input row is split into its `stride` phases once per
+/// `(i, ky)` (the source columns `stride·ox + kx − pad` of consecutive `ox`
+/// are consecutive elements of one phase), and the border is a range of `ox`
+/// per `kx` instead of a branch per tap.
 pub fn conv2d_fwd(x: &Tensor, w: &[f32], b: &[f32], c_out: usize, spec: ConvSpec) -> Tensor {
     let c_in = x.c;
-    assert_eq!(w.len(), c_out * c_in * spec.k * spec.k);
+    let (k, stride) = (spec.k, spec.stride);
+    assert_eq!(w.len(), c_out * c_in * k * k);
     assert_eq!(b.len(), c_out);
     let oh = spec.out_size(x.h);
     let ow = spec.out_size(x.w);
     let mut y = Tensor::zeros(c_out, oh, ow);
-    for o in 0..c_out {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b[o];
-                for i in 0..c_in {
-                    for ky in 0..spec.k {
-                        let sy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if sy < 0 || sy >= x.h as isize {
-                            continue;
-                        }
-                        for kx in 0..spec.k {
-                            let sx = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if sx < 0 || sx >= x.w as isize {
-                                continue;
-                            }
-                            acc += x.at(i, sy as usize, sx as usize)
-                                * w[((o * c_in + i) * spec.k + ky) * spec.k + kx];
+    for (plane, &bias) in y.data.chunks_exact_mut((oh * ow).max(1)).zip(b) {
+        plane.fill(bias);
+    }
+    // Phase `p` of the current input row (its columns `p, p + stride, …`) is
+    // `phases[p * plen..]`.
+    let plen = x.w.div_ceil(stride);
+    let mut phases = vec![0.0f32; stride * plen];
+    // Per `kx`: the first output column it reaches, how many, and where the
+    // first one's source column sits in `phases`.
+    let spans: Vec<(usize, usize, usize)> = (0..k)
+        .map(|kx| {
+            let lo = spec.pad.saturating_sub(kx).div_ceil(stride);
+            let hi = (x.w + spec.pad).saturating_sub(kx).div_ceil(stride).min(ow);
+            if lo >= hi {
+                return (0, 0, 0);
+            }
+            let sx = stride * lo + kx - spec.pad;
+            (lo, hi - lo, (sx % stride) * plen + sx / stride)
+        })
+        .collect();
+    for oy in 0..oh {
+        for i in 0..c_in {
+            for ky in 0..k {
+                let Some(sy) = (oy * stride + ky).checked_sub(spec.pad) else {
+                    continue;
+                };
+                if sy >= x.h {
+                    continue;
+                }
+                let xrow = &x.data[(i * x.h + sy) * x.w..][..x.w];
+                for (j, group) in xrow.chunks(stride).enumerate() {
+                    for (p, &v) in group.iter().enumerate() {
+                        phases[p * plen + j] = v;
+                    }
+                }
+                for o in 0..c_out {
+                    let yrow = &mut y.data[(o * oh + oy) * ow..][..ow];
+                    let taps = &w[((o * c_in + i) * k + ky) * k..][..k];
+                    for (&wv, &(lo, n, src)) in taps.iter().zip(&spans) {
+                        for (acc, &xv) in yrow[lo..lo + n].iter_mut().zip(&phases[src..src + n]) {
+                            *acc += xv * wv;
                         }
                     }
                 }
-                *y.at_mut(o, oy, ox) = acc;
             }
         }
     }
@@ -266,12 +298,18 @@ pub fn tconv2d_bwd(
 /// Leaky ReLU forward (slope 0.1 for negatives).
 pub fn leaky_relu_fwd(x: &Tensor) -> Tensor {
     let mut y = x.clone();
-    for v in &mut y.data {
+    leaky_relu_in_place(&mut y);
+    y
+}
+
+/// [`leaky_relu_fwd`] overwriting its input, for callers that do not keep
+/// the pre-activation.
+pub fn leaky_relu_in_place(x: &mut Tensor) {
+    for v in &mut x.data {
         if *v < 0.0 {
             *v *= 0.1;
         }
     }
-    y
 }
 
 /// Leaky ReLU backward: `dx = dy ⊙ f'(x)`.
@@ -286,21 +324,31 @@ pub fn leaky_relu_bwd(x: &Tensor, dy: &Tensor) -> Tensor {
 }
 
 /// Dense forward: `y = W·x + b`, `W` is `[out][in]` flattened.
+///
+/// Each output is `b[o] + Σᵢ w[o][i]·x[i]` summed from 0.0 in ascending `i`.
+/// Rows are walked [`DENSE_ROWS`] at a time in lockstep, so that many
+/// independent accumulators are in flight instead of one serial chain; each
+/// output's own sum order is unchanged.
 pub fn dense_fwd(x: &[f32], w: &[f32], b: &[f32]) -> Vec<f32> {
     let n_out = b.len();
     let n_in = x.len();
     assert_eq!(w.len(), n_out * n_in);
-    let mut y = b.to_vec();
-    for o in 0..n_out {
-        let row = &w[o * n_in..(o + 1) * n_in];
-        let mut acc = 0.0f32;
-        for (wi, xi) in row.iter().zip(x) {
-            acc += wi * xi;
+    let mut y = Vec::with_capacity(n_out);
+    for (o0, bias) in b.chunks(DENSE_ROWS).enumerate() {
+        let rows = &w[o0 * DENSE_ROWS * n_in..][..bias.len() * n_in];
+        let mut acc = [0.0f32; DENSE_ROWS];
+        for (i, &xi) in x.iter().enumerate() {
+            for (a, wi) in acc.iter_mut().zip(rows[i..].iter().step_by(n_in)) {
+                *a += wi * xi;
+            }
         }
-        y[o] += acc;
+        y.extend(bias.iter().zip(acc).map(|(b, a)| b + a));
     }
     y
 }
+
+/// Rows [`dense_fwd`] advances together.
+const DENSE_ROWS: usize = 8;
 
 /// Dense backward: `(dx, dw, db)`.
 pub fn dense_bwd(x: &[f32], w: &[f32], dy: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -381,6 +429,66 @@ mod tests {
         (0..n).map(|_| rng.normal(0.0, 0.5) as f32).collect()
     }
 
+    /// The definition [`conv2d_fwd`] must reproduce bit for bit: one
+    /// accumulator per output, a bounds check per tap.
+    fn conv2d_fwd_reference(
+        x: &Tensor,
+        w: &[f32],
+        b: &[f32],
+        c_out: usize,
+        spec: ConvSpec,
+    ) -> Tensor {
+        let c_in = x.c;
+        assert_eq!(w.len(), c_out * c_in * spec.k * spec.k);
+        assert_eq!(b.len(), c_out);
+        let oh = spec.out_size(x.h);
+        let ow = spec.out_size(x.w);
+        let mut y = Tensor::zeros(c_out, oh, ow);
+        for o in 0..c_out {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = b[o];
+                    for i in 0..c_in {
+                        for ky in 0..spec.k {
+                            let sy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                            if sy < 0 || sy >= x.h as isize {
+                                continue;
+                            }
+                            for kx in 0..spec.k {
+                                let sx = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                                if sx < 0 || sx >= x.w as isize {
+                                    continue;
+                                }
+                                acc += x.at(i, sy as usize, sx as usize)
+                                    * w[((o * c_in + i) * spec.k + ky) * spec.k + kx];
+                            }
+                        }
+                    }
+                    *y.at_mut(o, oy, ox) = acc;
+                }
+            }
+        }
+        y
+    }
+
+    /// The definition [`dense_fwd`] must reproduce bit for bit: one serial
+    /// accumulator per output.
+    fn dense_fwd_reference(x: &[f32], w: &[f32], b: &[f32]) -> Vec<f32> {
+        let n_out = b.len();
+        let n_in = x.len();
+        assert_eq!(w.len(), n_out * n_in);
+        let mut y = b.to_vec();
+        for o in 0..n_out {
+            let row = &w[o * n_in..(o + 1) * n_in];
+            let mut acc = 0.0f32;
+            for (wi, xi) in row.iter().zip(x) {
+                acc += wi * xi;
+            }
+            y[o] += acc;
+        }
+        y
+    }
+
     /// Scalar loss = sum(y) for gradient checking (so dL/dy = 1).
     fn grad_check_conv(stride: usize, pad: usize) {
         let mut rng = Xoshiro256::seed_from(42);
@@ -425,6 +533,78 @@ mod tests {
                 (num - db[idx]).abs() < 0.05,
                 "db[{idx}] {num} vs {}",
                 db[idx]
+            );
+        }
+    }
+
+    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn conv_fwd_is_bit_identical_to_the_reference() {
+        let mut rng = Xoshiro256::seed_from(0xC0);
+        for k in [1usize, 3, 5] {
+            for stride in [1usize, 2, 3] {
+                for pad in [0usize, 1, 2] {
+                    for (h, w) in [(5usize, 7usize), (8, 8), (13, 6), (16, 33)] {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        let spec = ConvSpec { k, stride, pad };
+                        let (c_in, c_out) = (3, 4);
+                        let x = rand_tensor(&mut rng, c_in, h, w);
+                        let wt = rand_vec(&mut rng, c_out * c_in * k * k);
+                        let b = rand_vec(&mut rng, c_out);
+                        let fast = conv2d_fwd(&x, &wt, &b, c_out, spec);
+                        let slow = conv2d_fwd_reference(&x, &wt, &b, c_out, spec);
+                        assert_eq!((fast.c, fast.h, fast.w), (slow.c, slow.h, slow.w));
+                        assert_bits_eq(
+                            &fast.data,
+                            &slow.data,
+                            &format!("k{k} s{stride} p{pad} {h}x{w}"),
+                        );
+                    }
+                }
+            }
+        }
+        // Padding wider than the input: whole taps fall outside.
+        let spec = ConvSpec {
+            k: 5,
+            stride: 1,
+            pad: 2,
+        };
+        let x = rand_tensor(&mut rng, 2, 1, 1);
+        let wt = rand_vec(&mut rng, 3 * 2 * 25);
+        let b = rand_vec(&mut rng, 3);
+        assert_bits_eq(
+            &conv2d_fwd(&x, &wt, &b, 3, spec).data,
+            &conv2d_fwd_reference(&x, &wt, &b, 3, spec).data,
+            "1x1 input",
+        );
+    }
+
+    #[test]
+    fn dense_fwd_is_bit_identical_to_the_reference() {
+        let mut rng = Xoshiro256::seed_from(0xDE);
+        for (n_in, n_out) in [
+            (0usize, 3usize),
+            (1, 1),
+            (10, 4),
+            (37, 8),
+            (64, 24),
+            (5, 19),
+        ] {
+            let x = rand_vec(&mut rng, n_in);
+            let w = rand_vec(&mut rng, n_in * n_out);
+            let b = rand_vec(&mut rng, n_out);
+            assert_bits_eq(
+                &dense_fwd(&x, &w, &b),
+                &dense_fwd_reference(&x, &w, &b),
+                &format!("{n_in}->{n_out}"),
             );
         }
     }

@@ -16,12 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// FNV-1a over the tenant id: stable across runs, platforms, and restarts
 /// (shard assignment is part of the service's recovery contract).
 pub fn shard_of(tenant: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (eoml_util::hash::fnv1a64(tenant.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// Per-tenant state inside one shard.
@@ -143,6 +138,9 @@ mod tests {
     #[test]
     fn shard_hash_is_stable_and_spreads() {
         assert_eq!(shard_of("acme", 8), shard_of("acme", 8));
+        // Pinned: placement is part of the recovery contract.
+        assert_eq!(shard_of("tenant-7", 16), 13);
+        assert_eq!(shard_of("alpha", 8), 3);
         let hits: std::collections::BTreeSet<usize> = (0..64)
             .map(|i| shard_of(&format!("tenant-{i}"), 8))
             .collect();

@@ -13,22 +13,32 @@
 //! `ProvRecord`) and takes the journal digest as plain numbers; the
 //! drivers convert when they build the manifest at shipment time.
 
+use eoml_util::hash::{fnv1a64, fnv1a64_chain, FNV_PRIME};
 use serde_json::{json, Value};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x100000001b3;
 
 /// FNV-1a 64-bit digest of a byte payload — the content digest used for
 /// real artifacts (the on-disk pipeline hashes actual file bytes).
 pub fn content_digest(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    fnv1a64(bytes)
+}
+
+/// [`content_digest`] of everything `reader` yields, with the byte count,
+/// through a fixed 64 KiB window: hashing a shipped file never holds it in
+/// memory.
+pub fn content_digest_of(mut reader: impl std::io::Read) -> std::io::Result<(u64, u64)> {
+    let mut window = vec![0u8; 64 * 1024];
+    let (mut digest, mut bytes) = (fnv1a64(&[]), 0u64);
+    loop {
+        match reader.read(&mut window) {
+            Ok(0) => return Ok((digest, bytes)),
+            Ok(n) => {
+                digest = fnv1a64_chain(digest, &window[..n]);
+                bytes += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    h
 }
 
 /// Deterministic digest for virtual artifacts that have a name and a
@@ -36,12 +46,7 @@ pub fn content_digest(bytes: &[u8]) -> u64 {
 /// destination computing from the same `(name, bytes)` pair agree; a
 /// corrupted payload is modelled by perturbing the received digest.
 pub fn synthetic_digest(name: &str, bytes: u64) -> u64 {
-    let mut h = content_digest(name.as_bytes());
-    for &b in bytes.to_le_bytes().iter() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a64_chain(fnv1a64(name.as_bytes()), &bytes.to_le_bytes())
 }
 
 /// One shipped artifact: name, payload size, content digest, and the
@@ -296,9 +301,35 @@ mod tests {
     fn digests_are_deterministic_and_content_sensitive() {
         assert_eq!(content_digest(b"abc"), content_digest(b"abc"));
         assert_ne!(content_digest(b"abc"), content_digest(b"abd"));
+        // Pinned: manifests and journaled ingest acks store these values.
+        assert_eq!(content_digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(content_digest(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(synthetic_digest("a.nc", 10), 0xfc53_f18a_0354_6acb);
         assert_eq!(synthetic_digest("a.nc", 10), synthetic_digest("a.nc", 10));
         assert_ne!(synthetic_digest("a.nc", 10), synthetic_digest("a.nc", 11));
         assert_ne!(synthetic_digest("a.nc", 10), synthetic_digest("b.nc", 10));
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_in_memory_one() {
+        // Longer than the window, not a multiple of it, read in odd pieces.
+        struct Dribble<'a>(&'a [u8]);
+        impl std::io::Read for Dribble<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.len().min(buf.len()).min(50_001);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let bytes: Vec<u8> = (0..200_003u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        let expected = (content_digest(&bytes), bytes.len() as u64);
+        assert_eq!(content_digest_of(&bytes[..]).unwrap(), expected);
+        assert_eq!(content_digest_of(Dribble(&bytes)).unwrap(), expected);
+        assert_eq!(
+            content_digest_of(std::io::empty()).unwrap(),
+            (content_digest(b""), 0)
+        );
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`stats`] — streaming statistics (Welford), summaries with percentiles,
 //!   fixed-width histograms.
 //! * [`units`] — byte sizes and transfer rates with human-readable formatting.
+//! * [`hash`] — the one CRC-32 (slice-by-8) and the one FNV-1a 64 every
+//!   integrity check, content digest and shard placement goes through.
 //! * [`noise`] — lattice value noise and fractional Brownian motion used to
 //!   synthesize cloud and land fields.
 //! * [`timebase`] — civil dates, day-of-year arithmetic and UTC timestamps in
@@ -17,6 +19,7 @@
 //! * [`idgen`] — process-wide monotonic id generation for tasks, transfers
 //!   and flow runs.
 
+pub mod hash;
 pub mod idgen;
 pub mod noise;
 pub mod rng;

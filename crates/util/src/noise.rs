@@ -42,12 +42,23 @@ impl ValueNoise {
         let iy = y.floor() as i64;
         let fx = x - ix as f64;
         let fy = y - iy as f64;
-        let v00 = self.lattice(ix, iy);
-        let v10 = self.lattice(ix + 1, iy);
-        let v01 = self.lattice(ix, iy + 1);
-        let v11 = self.lattice(ix + 1, iy + 1);
-        let u = Self::fade(fx);
-        let v = Self::fade(fy);
+        Self::blend(self.cell(ix, iy), Self::fade(fx), Self::fade(fy))
+    }
+
+    /// Lattice values `[v00, v10, v01, v11]` at the corners of cell `(ix, iy)`.
+    #[inline]
+    fn cell(&self, ix: i64, iy: i64) -> [f64; 4] {
+        [
+            self.lattice(ix, iy),
+            self.lattice(ix + 1, iy),
+            self.lattice(ix, iy + 1),
+            self.lattice(ix + 1, iy + 1),
+        ]
+    }
+
+    /// Bilinear blend of a [`cell`](Self::cell) at faded offsets `(u, v)`.
+    #[inline]
+    fn blend([v00, v10, v01, v11]: [f64; 4], u: f64, v: f64) -> f64 {
         let a = v00 * (1.0 - u) + v10 * u;
         let b = v01 * (1.0 - u) + v11 * u;
         a * (1.0 - v) + b * v
@@ -104,6 +115,44 @@ impl Fbm {
             freq *= self.lacunarity;
         }
         sum / norm
+    }
+
+    /// [`sample`](Self::sample) at every `(xs[i], y)` of one scan line,
+    /// bit-identical to the per-point call: per octave the `y` terms (the two
+    /// lattice rows, `fade(fy)`) are computed once for the line and the four
+    /// lattice values are re-hashed only when a point leaves the current
+    /// cell, and each `out[i]` still accumulates its octaves in order.
+    pub fn sample_row(&self, xs: &[f64], y: f64, out: &mut [f64]) {
+        assert_eq!(xs.len(), out.len());
+        out.fill(0.0);
+        let mut amp = 1.0;
+        let mut freq = 1.0;
+        let mut norm = 0.0;
+        for oct in 0..self.octaves {
+            let off = oct as f64 * 137.31;
+            let yo = y * freq - off;
+            let iy = yo.floor() as i64;
+            let v = ValueNoise::fade(yo - iy as f64);
+            // Lattice values of the cell `cell_ix`; refreshed on first use.
+            let mut cell_ix = i64::MIN;
+            let mut cell = [0.0; 4];
+            for (o, &x) in out.iter_mut().zip(xs) {
+                let xo = x * freq + off;
+                let ix = xo.floor() as i64;
+                if ix != cell_ix {
+                    cell_ix = ix;
+                    cell = self.base.cell(ix, iy);
+                }
+                let u = ValueNoise::fade(xo - ix as f64);
+                *o += amp * ValueNoise::blend(cell, u, v);
+            }
+            norm += amp;
+            amp *= self.gain;
+            freq *= self.lacunarity;
+        }
+        for o in out.iter_mut() {
+            *o /= norm;
+        }
     }
 
     /// Sample mapped through a ridge transform (`1 − |2n − 1|`), giving
@@ -204,6 +253,37 @@ mod tests {
             rough_var > smooth_var,
             "more octaves should add high-frequency energy ({rough_var} vs {smooth_var})"
         );
+    }
+
+    #[test]
+    fn sample_row_is_bit_identical_to_per_point_sample() {
+        // Negative and positive coordinates, cells from many points wide to
+        // narrower than the step, and a non-monotonic line.
+        for (seed, octaves, x0, dx, y) in [
+            (3u64, 6u32, -7.3f64, 1.0 / 96.0, -2.25f64),
+            (4, 5, 0.0, 2.0 / 96.0, 913.0 / 96.0),
+            (5, 4, -0.5, 0.37, 0.0),
+            (6, 1, 2.0, -0.013, -1e-9),
+        ] {
+            let f = Fbm::new(seed, octaves);
+            let xs: Vec<f64> = (0..301).map(|i| x0 + i as f64 * dx).collect();
+            let mut row = vec![0.0; xs.len()];
+            f.sample_row(&xs, y, &mut row);
+            for (i, &x) in xs.iter().enumerate() {
+                assert_eq!(
+                    row[i].to_bits(),
+                    f.sample(x, y).to_bits(),
+                    "seed {seed} x {x} y {y}"
+                );
+            }
+        }
+        let f = Fbm::with_params(9, 3, 2.7, 0.8);
+        let xs = [5.5, -3.25, 5.5, 0.0, 1e6 + 0.5];
+        let mut row = [0.0; 5];
+        f.sample_row(&xs, 4.75, &mut row);
+        for (r, &x) in row.iter().zip(&xs) {
+            assert_eq!(r.to_bits(), f.sample(x, 4.75).to_bits());
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use eoml::modis::product::Platform;
 use eoml::modis::synth::{SwathDims, SwathSynthesizer};
 use eoml::ncdf::NcFile;
 use eoml::preprocess::writer::read_tiles_nc;
+use eoml::transfer::manifest::content_digest;
 use eoml::util::timebase::CivilDate;
 use std::path::PathBuf;
 
@@ -90,6 +91,47 @@ fn pipeline_is_deterministic_across_runs() {
         .collect();
     assert_eq!(label_sets[0], label_sets[1]);
     assert!(!label_sets[0].is_empty());
+}
+
+/// `name digest` of every file in `dir`, sorted by name.
+fn dir_digests(dir: &std::path::Path) -> Vec<String> {
+    let mut out: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| {
+            let digest = content_digest(&std::fs::read(&p).unwrap());
+            format!("{} {digest:016x}", p.file_name().unwrap().to_string_lossy())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn artifacts_are_byte_identical_to_the_recorded_golden_run() {
+    // Recorded at commit ec45d2d (before the conv / CRC / synthesis kernels
+    // were rewritten). A kernel change that alters one bit of a radiance, a
+    // checksum or a latent moves these digests.
+    const INCOMING: [&str; 6] = [
+        "MOD021KM.A2022001.0015.061.2022003141500.eogr 3b0f71985f91ab76",
+        "MOD021KM.A2022001.0020.061.2022003141500.eogr 4e34c6a429f179ce",
+        "MOD03.A2022001.0015.061.2022003141500.eogr 87488d8f96f78569",
+        "MOD03.A2022001.0020.061.2022003141500.eogr 225a2b370fecf721",
+        "MOD06_L2.A2022001.0015.061.2022003141500.eogr 08b419efd5426682",
+        "MOD06_L2.A2022001.0020.061.2022003141500.eogr 6716cb85bc34b1c9",
+    ];
+    const OUTBOX: [&str; 2] = [
+        "tiles-MOD.A2022001.0015.nc 8e6144f5d91d6b3a",
+        "tiles-MOD.A2022001.0020.nc ca5f2f27ceec0fa2",
+    ];
+    let dir = tempdir("golden");
+    let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 2)
+        .unwrap()
+        .with_thresholds(0.0, 0.0);
+    pipeline.run(&day_granules(2)).unwrap();
+    assert_eq!(dir_digests(&dir.join("incoming")), INCOMING);
+    assert_eq!(dir_digests(&dir.join("outbox")), OUTBOX);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
