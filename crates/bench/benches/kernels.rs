@@ -5,6 +5,10 @@
 //! * contention model on vs off (why worker scaling saturates);
 //! * transfer parallel streams 1/2/4/8;
 //! * NetCDF encode/decode and label append;
+//! * the land mask of a 384×1280 granule: per-pixel `is_land` vs
+//!   `LandMask::land_plane`;
+//! * label write-back on a 12 MB tile file: read + decode + append +
+//!   encode + write vs `patch_labels` in place;
 //! * RICC encode vs full reconstruct round-trip, and `conv2d_fwd` alone at
 //!   the encoder's two layer shapes (128 px and 32 px tiles);
 //! * CRC-32 throughput and granule-container encode/decode;
@@ -15,13 +19,14 @@ use eoml_cluster::contention::ContentionModel;
 use eoml_cluster::exec::ClusterModel;
 use eoml_cluster::spec::ClusterSpec;
 use eoml_executor::simexec::run_batch;
+use eoml_geo::latlon::LatLon;
 use eoml_modis::container::Container;
 use eoml_modis::files::to_mod02;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::Platform;
 use eoml_modis::synth::{SwathDims, SwathSynthesizer};
 use eoml_preprocess::tiles::{extract_tiles, TileCriteria};
-use eoml_preprocess::writer::{append_labels, write_tiles_nc};
+use eoml_preprocess::writer::{append_labels, patch_labels, write_tiles_nc};
 use eoml_ricc::aicca::synthetic_texture_sample;
 use eoml_ricc::autoencoder::{AeConfig, ConvAutoencoder};
 use eoml_ricc::cluster::agglomerate;
@@ -88,6 +93,89 @@ fn bench_swath_synthesis(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+fn bench_landmask(c: &mut Criterion) {
+    let dims = SwathDims {
+        lines: 384,
+        pixels: 1280,
+    };
+    let sy = SwathSynthesizer::new(2022, dims);
+    let date = CivilDate::new(2022, 1, 1).expect("date");
+    // A coastal granule, so neither side has it easy.
+    let swath = (0..288)
+        .map(|slot| sy.synthesize(GranuleId::new(Platform::Terra, date, slot)))
+        .find(|s| (0.3..0.7).contains(&s.ocean_fraction()))
+        .expect("a granule with both land and ocean");
+    let mask = sy.landmask();
+    let mut g = c.benchmark_group("landmask");
+    g.sample_size(10);
+    g.bench_function("per_pixel_is_land_384x1280", |b| {
+        b.iter(|| {
+            let land: Vec<u8> = (swath.lat.iter().zip(&swath.lon))
+                .map(|(&lat, &lon)| mask.is_land(&LatLon::new(lat as f64, lon as f64)) as u8)
+                .collect();
+            black_box(land).len()
+        })
+    });
+    g.bench_function("land_plane_384x1280", |b| {
+        b.iter(|| black_box(mask.land_plane(&swath.lat, &swath.lon, dims.pixels)).len())
+    });
+    g.finish();
+}
+
+fn bench_label_writeback(c: &mut Criterion) {
+    // One paper-shape tile file (30 tiles of 128 px, 11.8 MB) on disk.
+    let sy = SwathSynthesizer::new(
+        2022,
+        SwathDims {
+            lines: 384,
+            pixels: 1280,
+        },
+    );
+    let date = CivilDate::new(2022, 1, 1).expect("date");
+    let crit = TileCriteria {
+        tile_size: 128,
+        min_ocean_fraction: 0.0,
+        min_cloud_fraction: 0.0,
+    };
+    let tiles = (0..288)
+        .map(|slot| sy.synthesize(GranuleId::new(Platform::Terra, date, slot)))
+        .find(|s| s.day)
+        .map(|s| extract_tiles(&s, &crit).tiles)
+        .expect("day granule");
+    let labels: Vec<i32> = (0..tiles.len() as i32).collect();
+    let unlabelled = write_tiles_nc(&tiles)
+        .expect("netcdf")
+        .encode()
+        .expect("encode");
+    let path = std::env::temp_dir().join(format!("eoml-bench-labels-{}.nc", std::process::id()));
+    let labelled = path.with_extension("labelled.nc");
+    std::fs::write(&path, &unlabelled).expect("write");
+    let mut g = c.benchmark_group("label_writeback");
+    g.sample_size(10);
+    g.bench_function("decode_append_encode_write", |b| {
+        b.iter(|| {
+            let mut f = eoml_ncdf::NcFile::decode(&std::fs::read(&path).unwrap()).unwrap();
+            append_labels(&mut f, &labels).unwrap();
+            f.encode_into(&mut std::fs::File::create(&labelled).unwrap())
+                .unwrap();
+        })
+    });
+    g.bench_function("patch_in_place", |b| {
+        b.iter(|| {
+            let mut file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            patch_labels(&mut file, &labels).unwrap();
+        })
+    });
+    g.finish();
+    assert!(std::fs::read(&path).unwrap() == std::fs::read(&labelled).unwrap());
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&labelled);
 }
 
 fn bench_contention_ablation(c: &mut Criterion) {
@@ -364,6 +452,8 @@ criterion_group!(
     benches,
     bench_tile_extraction,
     bench_swath_synthesis,
+    bench_landmask,
+    bench_label_writeback,
     bench_contention_ablation,
     bench_transfer_streams,
     bench_netcdf,

@@ -140,7 +140,7 @@ impl Atlas {
     /// Fold in a labeled tile NetCDF file (as shipped by stage 5).
     pub fn add_file(&mut self, nc: &NcFile) -> Result<usize, String> {
         let (tiles, labels) = read_tiles_nc(nc).map_err(|e: TileNcError| e.to_string())?;
-        let labels = labels.ok_or("file has no aicca_label variable")?;
+        let labels = labels.ok_or("file has unlabelled tiles")?;
         let n = tiles.len();
         self.add_tiles(&tiles, &labels)?;
         Ok(n)

@@ -33,7 +33,7 @@ use eoml_ncdf::NcFile;
 use eoml_obs::{Obs, TraceContext};
 use eoml_preprocess::pipeline::preprocess_granule_files;
 use eoml_preprocess::tiles::TileCriteria;
-use eoml_preprocess::writer::{append_labels, read_tiles_nc};
+use eoml_preprocess::writer::{patch_labels, read_labels, read_tiles_nc};
 use eoml_ricc::aicca::AiccaModel;
 use eoml_ricc::autoencoder::AeConfig;
 use eoml_ricc::tensor::Tensor;
@@ -489,17 +489,9 @@ impl RealPipeline {
         // the journal; the files are the source of truth).
         for (file, (labels, _bytes)) in &resume.labeled {
             tile_file_names.insert(file.clone());
-            let path = outbox.join(file);
-            match std::fs::read(&path) {
-                Ok(bytes) => {
-                    let nc = NcFile::decode(&bytes).map_err(|e| e.to_string())?;
-                    let (_, file_labels) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
-                    for l in file_labels.unwrap_or_default() {
-                        if l >= 0 && (l as usize) < histogram.len() {
-                            histogram[l as usize] += 1;
-                            labeled_tiles += 1;
-                        }
-                    }
+            match std::fs::File::open(outbox.join(file)) {
+                Ok(mut shipped) => {
+                    labeled_tiles += tally(&mut histogram, shipped_labels(&mut shipped)?)
                 }
                 // Artifact missing (workdir tampering): trust the journal
                 // for the count; the class breakdown is unrecoverable.
@@ -511,33 +503,15 @@ impl RealPipeline {
         // whose LabelsAppended append crashed is complete on disk but not
         // in the journal — journal it now instead of losing or redoing it.
         if journal.is_some() {
-            let mut healed: Vec<PathBuf> = std::fs::read_dir(&outbox)
-                .map_err(|e| e.to_string())?
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().map(|x| x == "nc").unwrap_or(false))
-                .collect();
-            healed.sort();
-            for path in healed {
-                let name = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .ok_or("bad file name")?
-                    .to_string();
+            for path in nc_files_sorted(&outbox)? {
+                let name = file_name(&path)?;
                 if resume.is_labeled(&name) {
                     continue;
                 }
                 tile_file_names.insert(name.clone());
-                let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
-                let nc = NcFile::decode(&bytes).map_err(|e| e.to_string())?;
-                let (_, file_labels) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
-                let file_labels = file_labels.unwrap_or_default();
-                for &l in &file_labels {
-                    if l >= 0 && (l as usize) < histogram.len() {
-                        histogram[l as usize] += 1;
-                        labeled_tiles += 1;
-                    }
-                }
+                let mut shipped = std::fs::File::open(&path).map_err(|e| e.to_string())?;
+                let file_labels = shipped_labels(&mut shipped)?;
+                let bytes = shipped.metadata().map_err(|e| e.to_string())?.len();
                 if !resume.monitor_saw(&name) {
                     record(
                         journal,
@@ -549,23 +523,16 @@ impl RealPipeline {
                     JournalEvent::LabelsAppended {
                         file: name,
                         labels: file_labels.len() as u64,
-                        bytes: bytes.len() as u64,
+                        bytes,
                     },
                 )?;
+                labeled_tiles += tally(&mut histogram, file_labels);
             }
         }
 
-        // Both actions read whole tile files; each keeps one buffer for all
-        // the files of the run instead of allocating a file's worth per call.
-        fn read_into(path: &Path, buf: &mut Vec<u8>) -> Result<(), String> {
-            use std::io::Read;
-            buf.clear();
-            let mut file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-            let len = file.metadata().map_err(|e| e.to_string())?.len();
-            buf.reserve(len as usize);
-            file.read_to_end(buf).map_err(|e| e.to_string())?;
-            Ok(())
-        }
+        // The infer action reads whole tile files; it keeps one buffer for
+        // all the files of the run instead of allocating a file's worth per
+        // call.
         let model = &self.model;
         let tiles_dir2 = tiles_dir.clone();
         let mut infer_bytes = Vec::new();
@@ -573,13 +540,22 @@ impl RealPipeline {
                               params: &serde_json::Value,
                               _: &serde_json::Value|
               -> Result<serde_json::Value, String> {
+            use std::io::Read;
             let file = params["file"].as_str().ok_or("missing file param")?;
-            read_into(&tiles_dir2.join(file), &mut infer_bytes)?;
+            let mut tile_file =
+                std::fs::File::open(tiles_dir2.join(file)).map_err(|e| e.to_string())?;
+            let len = tile_file.metadata().map_err(|e| e.to_string())?.len();
+            infer_bytes.clear();
+            infer_bytes.reserve(len as usize);
+            tile_file
+                .read_to_end(&mut infer_bytes)
+                .map_err(|e| e.to_string())?;
             let nc = NcFile::decode(&infer_bytes).map_err(|e| e.to_string())?;
             let (tiles, existing) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
             // A crash between label-append and shipment can leave a file
             // already labeled in the tiles directory; reuse those labels
-            // so the rerun is idempotent.
+            // so the rerun is idempotent. A file the crash left partly
+            // labeled reads as unlabeled and is predicted again.
             if let Some(labels) = existing {
                 return Ok(json!({ "labels": labels }));
             }
@@ -590,8 +566,11 @@ impl RealPipeline {
             let labels = model.predict_batch(&tensors);
             Ok(json!({ "labels": labels }))
         };
+        // The append action writes the labels into the file in place: the
+        // variable was reserved when the file was written, so nothing is
+        // decoded, re-encoded or truncated, and rewriting labels a killed
+        // run already wrote is harmless.
         let tiles_dir3 = tiles_dir.clone();
-        let mut append_bytes = Vec::new();
         let mut append = move |_: &str,
                                params: &serde_json::Value,
                                _: &serde_json::Value|
@@ -603,17 +582,11 @@ impl RealPipeline {
                 .iter()
                 .map(|v| v.as_i64().unwrap_or(-1) as i32)
                 .collect();
-            let path = tiles_dir3.join(file);
-            read_into(&path, &mut append_bytes)?;
-            let mut nc = NcFile::decode(&append_bytes).map_err(|e| e.to_string())?;
-            // Idempotent on rerun: labels already appended by a run that
-            // died before shipping this file.
-            if nc.var_by_name("aicca_label").is_some() {
-                return Ok(json!({ "appended": 0 }));
-            }
-            append_labels(&mut nc, &labels).map_err(|e| e.to_string())?;
-            std::fs::File::create(&path)
-                .and_then(|mut labeled| nc.encode_into(&mut labeled))
+            std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(tiles_dir3.join(file))
+                .and_then(|mut tile_file| patch_labels(&mut tile_file, &labels))
                 .map_err(|e| e.to_string())?;
             Ok(json!({ "appended": labels.len() }))
         };
@@ -645,11 +618,7 @@ impl RealPipeline {
                 break;
             }
             for path in fresh {
-                let name = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .ok_or("bad file name")?
-                    .to_string();
+                let name = file_name(&path)?;
                 tile_file_names.insert(name.clone());
                 if !resume.monitor_saw(&name) {
                     record(
@@ -673,17 +642,13 @@ impl RealPipeline {
                     return Err(format!("inference flow failed for {name}: {e}").into());
                 }
                 // Tally labels from the flow context.
-                let mut file_labels = 0u64;
-                if let Some(labels) = run.context["labels"]["labels"].as_array() {
-                    for l in labels {
-                        let l = l.as_i64().unwrap_or(-1);
-                        if l >= 0 && (l as usize) < histogram.len() {
-                            histogram[l as usize] += 1;
-                            labeled_tiles += 1;
-                            file_labels += 1;
-                        }
-                    }
-                }
+                let file_labels = run.context["labels"]["labels"]
+                    .as_array()
+                    .map_or(0, |labels| {
+                        let labels = labels.iter().map(|l| l.as_i64().unwrap_or(-1));
+                        tally(&mut histogram, labels)
+                    });
+                labeled_tiles += file_labels;
                 if !resume.is_labeled(&name) {
                     let shipped_bytes = std::fs::metadata(outbox.join(&name))
                         .map(|m| m.len())
@@ -692,7 +657,7 @@ impl RealPipeline {
                         journal,
                         JournalEvent::LabelsAppended {
                             file: name,
-                            labels: file_labels,
+                            labels: file_labels as u64,
                             bytes: shipped_bytes,
                         },
                     )?;
@@ -714,13 +679,7 @@ impl RealPipeline {
         let t3 = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("shipment", "collect"));
         stage_started(journal, "shipment")?;
-        let mut shipped: Vec<PathBuf> = std::fs::read_dir(&outbox)
-            .map_err(|e| e.to_string())?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().map(|x| x == "nc").unwrap_or(false))
-            .collect();
-        shipped.sort();
+        let shipped = nc_files_sorted(&outbox)?;
         if resume.shipped.is_none() {
             let shipped_bytes: u64 = shipped
                 .iter()
@@ -737,18 +696,16 @@ impl RealPipeline {
         }
         stage_finished(journal, "shipment")?;
         // The manifest hashes the real shipped bytes — what a destination
-        // facility would verify against after the WAN hop.
+        // facility would verify against after the WAN hop. The files are
+        // hashed on the pool; `map` keeps their order.
         let mut manifest =
             ShipmentManifest::new("ace-defiant", "frontier-orion", t0.elapsed().as_secs_f64());
-        for path in &shipped {
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .ok_or("bad file name")?
-                .to_string();
-            let (digest, bytes) = std::fs::File::open(path)
-                .and_then(content_digest_of)
-                .map_err(|e| e.to_string())?;
+        let digests = self.executor.map(shipped.clone(), |path| {
+            std::fs::File::open(path).and_then(content_digest_of)
+        });
+        for (path, digest) in shipped.iter().zip(digests) {
+            let name = file_name(path)?;
+            let (digest, bytes) = digest.map_err(|e| e.to_string())?;
             manifest.artifacts.push(ArtifactEntry {
                 name: name.clone(),
                 bytes,
@@ -783,6 +740,46 @@ impl RealPipeline {
             manifest: Some(manifest),
         })
     }
+}
+
+/// The `.nc` files of `dir`, sorted by path.
+fn nc_files_sorted(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| e.to_string())?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().map(|x| x == "nc").unwrap_or(false))
+        .collect();
+    files.sort();
+    Ok(files)
+}
+
+fn file_name(path: &Path) -> Result<String, String> {
+    let name = path.file_name().and_then(|n| n.to_str());
+    Ok(name.ok_or("bad file name")?.to_string())
+}
+
+/// The labels of a shipped tile file, read from its label records alone
+/// (nothing else of the file is decoded); empty if it is not fully labeled.
+fn shipped_labels(shipped: &mut std::fs::File) -> Result<Vec<i64>, String> {
+    let labels = read_labels(shipped).map_err(|e| e.to_string())?;
+    Ok(labels
+        .unwrap_or_default()
+        .into_iter()
+        .map(i64::from)
+        .collect())
+}
+
+/// Count the in-range `labels` into `histogram`; returns how many there were.
+fn tally(histogram: &mut [usize], labels: impl IntoIterator<Item = i64>) -> usize {
+    let mut counted = 0;
+    for l in labels {
+        if let Some(class) = usize::try_from(l).ok().and_then(|l| histogram.get_mut(l)) {
+            *class += 1;
+            counted += 1;
+        }
+    }
+    counted
 }
 
 fn granule_to_json(g: &GranuleId) -> serde_json::Value {

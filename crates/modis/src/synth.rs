@@ -185,12 +185,8 @@ impl SwathSynthesizer {
 
         let (lat, lon) = self.geolocate(id, geom);
 
-        // Land mask from geolocation.
-        let mut land = vec![0u8; n];
-        for i in 0..n {
-            let p = LatLon::new(lat[i] as f64, lon[i] as f64);
-            land[i] = self.landmask.is_land(&p) as u8;
-        }
+        // Land mask from geolocation, decided a lattice cell at a time.
+        let land = self.landmask.land_plane(&lat, &lon, dims.pixels);
 
         // Day/night from the solar zenith angle at the swath center (the
         // real product's criterion; reflective bands need sunlight).
@@ -208,13 +204,17 @@ impl SwathSynthesizer {
         let mut cot = vec![0.0f32; n];
         let mut ctp = vec![0.0f32; n];
         let mut cer = vec![0.0f32; n];
-        // The fields are sampled a scan line at a time (`Fbm::sample_row`
-        // reuses each octave's lattice cell along the line): the cloud field
-        // over the whole line, the three product fields over each run of
-        // cloudy pixels. Cross-track coordinates are the same for every line.
+        // The fields are sampled a scan line at a time (`FbmRows` reuses each
+        // octave's lattice cell along the line): the cloud field over the
+        // whole line, the three product fields over each run of cloudy
+        // pixels. Cross-track coordinates are the same for every line, so
+        // their share of the noise arithmetic is done once per granule.
         let xs: Vec<f64> = (0..dims.pixels).map(|px| px as f64 * scale).collect();
         let scaled = |k: f64| -> Vec<f64> { xs.iter().map(|x| x * k).collect() };
-        let (xs_cot, xs_ctp, xs_cer) = (scaled(2.0), scaled(1.5), scaled(3.0));
+        let cloud_rows = self.cloud_field.rows(&xs);
+        let cot_rows = self.cot_field.rows(&scaled(2.0));
+        let ctp_rows = self.ctp_field.rows(&scaled(1.5));
+        let cer_rows = self.cer_field.rows(&scaled(3.0));
         let mut cf_row = vec![0.0f64; dims.pixels];
         let mut strength = vec![0.0f32; dims.pixels];
         let mut cot_row = vec![0.0f64; dims.pixels];
@@ -223,7 +223,7 @@ impl SwathSynthesizer {
         for line in 0..dims.lines {
             let y = (along0 + line as f64) * scale;
             let row = dims.idx(line, 0);
-            self.cloud_field.sample_row(&xs, y, &mut cf_row);
+            cloud_rows.sample(y, 0..dims.pixels, &mut cf_row);
             for px in 0..dims.pixels {
                 let cf = cf_row[px];
                 // Latitude climatology: cloudier at the ITCZ (0°) and the
@@ -241,12 +241,9 @@ impl SwathSynthesizer {
             for run in cloud[row..row + dims.pixels].chunk_by(|p, q| p == q) {
                 let b = a + run.len();
                 if run[0] == 1 {
-                    self.cot_field
-                        .sample_row(&xs_cot[a..b], y * 2.0, &mut cot_row[a..b]);
-                    self.ctp_field
-                        .sample_row(&xs_ctp[a..b], y * 1.5, &mut ctp_row[a..b]);
-                    self.cer_field
-                        .sample_row(&xs_cer[a..b], y * 3.0, &mut cer_row[a..b]);
+                    cot_rows.sample(y * 2.0, a..b, &mut cot_row[a..b]);
+                    ctp_rows.sample(y * 1.5, a..b, &mut ctp_row[a..b]);
+                    cer_rows.sample(y * 3.0, a..b, &mut cer_row[a..b]);
                     for px in a..b {
                         let i = row + px;
                         cot[i] = strength[px].powi(2) * 60.0 + 3.0 * cot_row[px] as f32;
@@ -516,6 +513,60 @@ mod tests {
             },
         );
         assert_matches_per_pixel_reference(&odd, &odd.synthesize(day));
+    }
+
+    /// `land_plane` against the per-pixel definition on 32 granules spread
+    /// over a day for each of three seeds, the thresholds of
+    /// `LandMask::with_threshold` included; the day must hold a polar granule
+    /// and one crossing the antimeridian.
+    fn assert_land_plane_matches_is_land(dims: SwathDims) {
+        let (mut polar, mut seam) = (false, false);
+        for seed in [2022u64, 7, 77] {
+            let sy = SwathSynthesizer::new(seed, dims);
+            let masks = [
+                sy.landmask,
+                LandMask::with_threshold(seed, 0.3),
+                LandMask::with_threshold(seed, 0.8),
+            ];
+            for slot in (0..288).step_by(9) {
+                let id = gid(slot);
+                let (lat, lon) = sy.geolocate(id, sy.geometry(&id));
+                let over_pole = lat.iter().any(|v| v.abs() > 80.0);
+                let over_seam = lon.iter().any(|&v| v > 179.0) && lon.iter().any(|&v| v < -179.0);
+                polar |= over_pole;
+                seam |= over_seam;
+                // The custom thresholds run where the geometry is hardest,
+                // and everywhere on the small rasters.
+                let all = over_pole || over_seam || dims.len() <= SwathDims::small().len();
+                for mask in &masks[..if all { 3 } else { 1 }] {
+                    let reference: Vec<u8> = (0..dims.len())
+                        .map(|i| mask.is_land(&LatLon::new(lat[i] as f64, lon[i] as f64)) as u8)
+                        .collect();
+                    assert!(
+                        mask.land_plane(&lat, &lon, dims.pixels) == reference,
+                        "seed {seed} slot {slot} {dims:?}"
+                    );
+                }
+            }
+        }
+        assert!(polar && seam, "polar {polar}, antimeridian {seam}");
+    }
+
+    #[test]
+    fn land_plane_matches_is_land_at_the_paper_shape() {
+        assert_land_plane_matches_is_land(SwathDims {
+            lines: 384,
+            pixels: 1280,
+        });
+    }
+
+    #[test]
+    fn land_plane_matches_is_land_on_small_and_odd_rasters() {
+        assert_land_plane_matches_is_land(SwathDims::small());
+        assert_land_plane_matches_is_land(SwathDims {
+            lines: 37,
+            pixels: 101,
+        });
     }
 
     #[test]

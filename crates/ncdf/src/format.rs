@@ -8,7 +8,7 @@
 //! packed without inter-record padding).
 
 use crate::model::{DimId, NcAttr, NcDim, NcFile, NcType, NcValues, NcVar};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// Magic bytes: `CDF`.
 pub const MAGIC: &[u8; 3] = b"CDF";
@@ -89,6 +89,12 @@ impl std::error::Error for NcError {}
 
 fn pad4(n: usize) -> usize {
     n.div_ceil(4) * 4
+}
+
+/// An `InvalidData` I/O error carrying `e`; `get_ref` + `downcast_ref` on it
+/// give the [`NcError`] back.
+fn invalid(e: NcError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 // ---------------------------------------------------------------- encoding
@@ -191,21 +197,25 @@ impl<W: Write> Writer<'_, W> {
 /// Unpadded byte size of one "slab": the full variable for fixed variables,
 /// one record for record variables.
 fn slab_bytes(file: &NcFile, var: &NcVar) -> usize {
-    let elems: usize = var
-        .dims
+    checked_slab_bytes(&file.dims, var).expect("slab size fits in memory")
+}
+
+/// [`slab_bytes`] for a shape read from bytes, which may be forged: `None`
+/// when the size overflows.
+fn checked_slab_bytes(dims: &[NcDim], var: &NcVar) -> Option<usize> {
+    var.dims
         .iter()
-        .map(|d| file.dims[d.0].len)
+        .map(|d| dims[d.0].len)
         .filter(|&l| l > 0)
-        .product::<usize>()
-        .max(1);
-    elems * var.nc_type.size()
+        .try_fold(var.nc_type.size(), usize::checked_mul)
 }
 
 fn is_record_var(file: &NcFile, var: &NcVar) -> bool {
-    var.dims
-        .first()
-        .map(|d| file.dims[d.0].is_record())
-        .unwrap_or(false)
+    first_dim_is_record(&file.dims, var)
+}
+
+fn first_dim_is_record(dims: &[NcDim], var: &NcVar) -> bool {
+    var.dims.first().is_some_and(|d| dims[d.0].is_record())
 }
 
 /// Header size given an offset width (4 for CDF-1, 8 for CDF-2).
@@ -310,7 +320,7 @@ pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
 /// no more than [`STAGE_BYTES`] of them at a time. A file that fails
 /// validation is an `InvalidData` error and nothing is written.
 pub fn encode_into<W: Write>(file: &NcFile, sink: &mut W) -> io::Result<()> {
-    validate(file).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    validate(file).map_err(invalid)?;
     write(file, &layout(file), sink)
 }
 
@@ -547,127 +557,188 @@ fn reserve(dst: &mut NcValues, additional: usize) {
     }
 }
 
+/// One variable as the header declares it.
+struct VarHdr {
+    var: NcVar,
+    vsize: u32,
+    begin: u64,
+}
+
+/// Everything before the data: what [`decode`] needs to find the values and
+/// all [`RecordVarSpan::locate`] reads.
+struct Header {
+    numrecs: usize,
+    dims: Vec<NcDim>,
+    gatts: Vec<NcAttr>,
+    vars: Vec<VarHdr>,
+    /// Bytes the header takes.
+    len: usize,
+}
+
+impl Header {
+    /// Parse the header at the start of `bytes`. [`NcError::Truncated`] means
+    /// `bytes` ended before the header did (or a count claims more than
+    /// `bytes` holds).
+    fn parse(bytes: &[u8]) -> Result<Header, NcError> {
+        let mut r = Reader { buf: bytes, pos: 0 };
+        if r.take(3)? != MAGIC {
+            return Err(NcError::BadMagic);
+        }
+        let version = r.u8()?;
+        if version != 1 && version != 2 {
+            return Err(NcError::BadVersion(version));
+        }
+        let numrecs = r.u32()? as usize;
+
+        let tag = r.u32()?;
+        let count = r.u32()? as usize;
+        let mut dims = Vec::new();
+        match tag {
+            0 if count == 0 => {}
+            TAG_DIMENSION => {
+                for _ in 0..count {
+                    let name = r.name()?;
+                    let len = r.u32()? as usize;
+                    dims.push(NcDim { name, len });
+                }
+            }
+            t => return Err(NcError::BadTag(t)),
+        }
+
+        let gatts = r.attr_list()?;
+
+        let tag = r.u32()?;
+        let count = r.u32()? as usize;
+        let mut vars = Vec::new();
+        match tag {
+            0 if count == 0 => {}
+            TAG_VARIABLE => {
+                for _ in 0..count {
+                    let name = r.name()?;
+                    let rank = r.u32()? as usize;
+                    r.check_count(rank, 4)?;
+                    let mut vdims = Vec::with_capacity(rank);
+                    for _ in 0..rank {
+                        let id = r.u32()? as usize;
+                        if id >= dims.len() {
+                            return Err(NcError::UnknownDim);
+                        }
+                        vdims.push(DimId(id));
+                    }
+                    let attrs = r.attr_list()?;
+                    let t = r.u32()?;
+                    let nc_type = NcType::from_tag(t).ok_or(NcError::BadType(t))?;
+                    let vsize = r.u32()?;
+                    let begin = if version == 1 {
+                        r.u32()? as u64
+                    } else {
+                        r.u64()?
+                    };
+                    vars.push(VarHdr {
+                        var: NcVar {
+                            name,
+                            dims: vdims,
+                            attrs,
+                            nc_type,
+                            data: NcValues::empty(nc_type),
+                        },
+                        vsize,
+                        begin,
+                    });
+                }
+            }
+            t => return Err(NcError::BadTag(t)),
+        }
+        Ok(Header {
+            numrecs,
+            dims,
+            gatts,
+            vars,
+            len: r.pos,
+        })
+    }
+
+    /// The record variables in definition order, each with the bytes its
+    /// slab takes inside a record (padded to 4 unless it is the only one).
+    fn record_slabs(&self) -> Result<Vec<(usize, usize)>, NcError> {
+        let record: Vec<usize> = (0..self.vars.len())
+            .filter(|&i| first_dim_is_record(&self.dims, &self.vars[i].var))
+            .collect();
+        record
+            .iter()
+            .map(|&i| {
+                let bytes = checked_slab_bytes(&self.dims, &self.vars[i].var);
+                let in_record = if record.len() == 1 {
+                    bytes
+                } else {
+                    bytes.and_then(|b| b.checked_next_multiple_of(4))
+                };
+                Ok((i, in_record.ok_or(NcError::Truncated)?))
+            })
+            .collect()
+    }
+
+    /// Check what [`decode`] takes on trust: that the header declares each
+    /// of `record_slabs`' sizes as its `vsize` and places the record
+    /// variables back to back in that order, after the header.
+    fn check_record_layout(&self, record_slabs: &[(usize, usize)]) -> Result<(), NcError> {
+        let mut expected_begin = Some(self.len as u64);
+        for (k, &(i, in_record)) in record_slabs.iter().enumerate() {
+            let h = &self.vars[i];
+            // The writer caps `vsize` at `u32::MAX`; a lone record variable
+            // may declare its size padded or not.
+            let padded = in_record.next_multiple_of(4).min(u32::MAX as usize);
+            if h.vsize as usize != padded && h.vsize as usize != in_record {
+                return Err(NcError::Corrupt(
+                    "vsize disagrees with the variable's shape",
+                ));
+            }
+            let placed = match expected_begin {
+                Some(b) if k == 0 => h.begin >= b,
+                Some(b) => h.begin == b,
+                None => false,
+            };
+            if !placed {
+                return Err(NcError::Corrupt(
+                    "record variables are not back to back after the header",
+                ));
+            }
+            expected_begin = h.begin.checked_add(in_record as u64);
+        }
+        Ok(())
+    }
+}
+
 /// Decode classic bytes into an [`NcFile`].
 pub fn decode(bytes: &[u8]) -> Result<NcFile, NcError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(3)? != MAGIC {
-        return Err(NcError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != 1 && version != 2 {
-        return Err(NcError::BadVersion(version));
-    }
-    let numrecs = r.u32()? as usize;
-
-    // dims
-    let tag = r.u32()?;
-    let count = r.u32()? as usize;
-    let mut dims = Vec::new();
-    match tag {
-        0 if count == 0 => {}
-        TAG_DIMENSION => {
-            for _ in 0..count {
-                let name = r.name()?;
-                let len = r.u32()? as usize;
-                dims.push(NcDim { name, len });
-            }
-        }
-        t => return Err(NcError::BadTag(t)),
-    }
-
-    let gatts = r.attr_list()?;
-
-    // vars
-    let tag = r.u32()?;
-    let count = r.u32()? as usize;
-    struct VarHdr {
-        var: NcVar,
-        begin: u64,
-    }
-    let mut hdrs: Vec<VarHdr> = Vec::new();
-    match tag {
-        0 if count == 0 => {}
-        TAG_VARIABLE => {
-            for _ in 0..count {
-                let name = r.name()?;
-                let rank = r.u32()? as usize;
-                r.check_count(rank, 4)?;
-                let mut vdims = Vec::with_capacity(rank);
-                for _ in 0..rank {
-                    let id = r.u32()? as usize;
-                    if id >= dims.len() {
-                        return Err(NcError::UnknownDim);
-                    }
-                    vdims.push(DimId(id));
-                }
-                let attrs = r.attr_list()?;
-                let t = r.u32()?;
-                let nc_type = NcType::from_tag(t).ok_or(NcError::BadType(t))?;
-                let _vsize = r.u32()?;
-                let begin = if version == 1 {
-                    r.u32()? as u64
-                } else {
-                    r.u64()?
-                };
-                hdrs.push(VarHdr {
-                    var: NcVar {
-                        name,
-                        dims: vdims,
-                        attrs,
-                        nc_type,
-                        data: NcValues::empty(nc_type),
-                    },
-                    begin,
-                });
-            }
-        }
-        t => return Err(NcError::BadTag(t)),
-    }
-
-    // Assemble a file skeleton so slab arithmetic can reuse model helpers.
+    let header = Header::parse(bytes)?;
+    let record = header.record_slabs()?;
+    let base = record.first().map(|&(i, _)| header.vars[i].begin as usize);
+    let begins: Vec<usize> = header.vars.iter().map(|h| h.begin as usize).collect();
+    let numrecs = header.numrecs;
     let mut file = NcFile {
-        dims,
-        gatts,
-        vars: hdrs.iter().map(|h| h.var.clone()).collect(),
+        dims: header.dims,
+        gatts: header.gatts,
+        vars: header.vars.into_iter().map(|h| h.var).collect(),
         numrecs,
     };
 
     // Read fixed variables.
-    for (i, h) in hdrs.iter().enumerate() {
-        if is_record_var(&file, &file.vars[i]) {
+    for (var, &begin) in file.vars.iter_mut().zip(&begins) {
+        if first_dim_is_record(&file.dims, var) {
             continue;
         }
-        let nbytes = slab_bytes(&file, &file.vars[i]);
-        let start = h.begin as usize;
-        if start + nbytes > bytes.len() {
-            return Err(NcError::Truncated);
-        }
+        let nbytes = checked_slab_bytes(&file.dims, var).ok_or(NcError::Truncated)?;
         let mut rr = Reader {
             buf: bytes,
-            pos: start,
+            pos: begin,
         };
-        let elems = nbytes / file.vars[i].nc_type.size();
-        file.vars[i].data = rr.values(file.vars[i].nc_type, elems)?;
+        var.data = rr.values(var.nc_type, nbytes / var.nc_type.size())?;
     }
 
     // Read record variables.
-    let record: Vec<usize> = (0..file.vars.len())
-        .filter(|&i| is_record_var(&file, &file.vars[i]))
-        .collect();
-    if !record.is_empty() {
-        let single = record.len() == 1;
-        let stride: usize = record
-            .iter()
-            .map(|&i| {
-                let s = slab_bytes(&file, &file.vars[i]);
-                if single {
-                    s
-                } else {
-                    pad4(s)
-                }
-            })
-            .sum();
-        let base = hdrs[record[0]].begin as usize;
+    if let Some(base) = base {
+        let stride: usize = record.iter().map(|&(_, in_record)| in_record).sum();
         // Every record must lie inside the file; checked before anything is
         // reserved for them, so a forged `numrecs` is a typed error.
         let end = numrecs
@@ -676,22 +747,152 @@ pub fn decode(bytes: &[u8]) -> Result<NcFile, NcError> {
         if end.is_none_or(|end| end > bytes.len()) {
             return Err(NcError::Truncated);
         }
-        for &i in &record {
+        for &(i, _) in &record {
             let elems = slab_bytes(&file, &file.vars[i]) / file.vars[i].nc_type.size();
             reserve(&mut file.vars[i].data, numrecs * elems);
         }
         // Each slab is decoded straight onto the end of its variable.
         let mut off = base;
         for _ in 0..numrecs {
-            for &i in &record {
+            for &(i, in_record) in &record {
                 let nbytes = slab_bytes(&file, &file.vars[i]);
                 append_be(&mut file.vars[i].data, &bytes[off..off + nbytes]);
-                off += if single { nbytes } else { pad4(nbytes) };
+                off += in_record;
             }
         }
     }
 
     Ok(file)
+}
+
+/// Where one record variable's values lie in an encoded file, found by
+/// reading the header alone — so they can be read, or overwritten in place,
+/// without decoding (or holding) the rest of the file.
+///
+/// Every count the header declares is checked against the file's length
+/// before anything is sized by it, and the span itself is checked to lie
+/// inside the file, so a forged header is a typed [`NcError`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordVarSpan {
+    nc_type: NcType,
+    /// Elements per record.
+    slab_len: usize,
+    begin: u64,
+    stride: u64,
+    numrecs: usize,
+}
+
+/// How much of a file [`RecordVarSpan::locate`] reads first; a tile file's
+/// header is under 1 KiB.
+const HEADER_GUESS: u64 = 4096;
+
+impl RecordVarSpan {
+    /// Locate record variable `name` in `file`, reading only its header (in
+    /// growing prefixes, never more than the file holds). Failures in the
+    /// header are `InvalidData` errors that carry the [`NcError`]:
+    /// [`NcError::UnknownVar`] when no record variable has that name.
+    pub fn locate(file: &mut (impl Read + Seek), name: &str) -> io::Result<RecordVarSpan> {
+        let file_len = file.seek(SeekFrom::End(0))?;
+        let mut head = Vec::new();
+        let mut want = HEADER_GUESS.min(file_len);
+        let header = loop {
+            file.seek(SeekFrom::Start(head.len() as u64))?;
+            let more = want - head.len() as u64;
+            if (&mut *file).take(more).read_to_end(&mut head)? as u64 != more {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            match Header::parse(&head) {
+                Err(NcError::Truncated) if want < file_len => want = (want * 2).min(file_len),
+                parsed => break parsed.map_err(invalid)?,
+            }
+        };
+        Self::in_header(&header, file_len, name).map_err(invalid)
+    }
+
+    fn in_header(header: &Header, file_len: u64, name: &str) -> Result<RecordVarSpan, NcError> {
+        let record = header.record_slabs()?;
+        header.check_record_layout(&record)?;
+        let &(var, _) = record
+            .iter()
+            .find(|&&(i, _)| header.vars[i].var.name == name)
+            .ok_or(NcError::UnknownVar)?;
+        let stride: u64 = record.iter().map(|&(_, in_record)| in_record as u64).sum();
+        let base = header.vars[record[0].0].begin;
+        let end = (header.numrecs as u64)
+            .checked_mul(stride)
+            .and_then(|n| n.checked_add(base));
+        if end.is_none_or(|end| end > file_len) {
+            return Err(NcError::Truncated);
+        }
+        let VarHdr { var, begin, .. } = &header.vars[var];
+        Ok(RecordVarSpan {
+            nc_type: var.nc_type,
+            slab_len: checked_slab_bytes(&header.dims, var).ok_or(NcError::Truncated)?
+                / var.nc_type.size(),
+            begin: *begin,
+            stride,
+            numrecs: header.numrecs,
+        })
+    }
+
+    /// Offset in the file of the variable's first record.
+    pub fn begin(&self) -> u64 {
+        self.begin
+    }
+
+    /// Bytes from one record of the variable to the next.
+    pub fn record_stride(&self) -> u64 {
+        self.stride
+    }
+
+    /// Records in the file.
+    pub fn numrecs(&self) -> usize {
+        self.numrecs
+    }
+
+    fn record_offset(&self, rec: usize) -> SeekFrom {
+        SeekFrom::Start(self.begin + rec as u64 * self.stride)
+    }
+
+    /// Read the variable's values, all records in order, touching nothing
+    /// else in the file.
+    pub fn read(&self, file: &mut (impl Read + Seek)) -> io::Result<NcValues> {
+        let mut values = NcValues::empty(self.nc_type);
+        reserve(&mut values, self.numrecs * self.slab_len);
+        let mut raw = vec![0u8; self.slab_len * self.nc_type.size()];
+        for rec in 0..self.numrecs {
+            file.seek(self.record_offset(rec))?;
+            file.read_exact(&mut raw)?;
+            append_be(&mut values, &raw);
+        }
+        Ok(values)
+    }
+
+    /// Overwrite the variable's values in place — all records, in order;
+    /// `values` must have the variable's type and `numrecs` records' worth
+    /// of elements. Every other byte of the file is left as it is.
+    pub fn write(&self, file: &mut (impl Write + Seek), values: &NcValues) -> io::Result<()> {
+        if values.nc_type() != self.nc_type {
+            return Err(invalid(NcError::TypeMismatch));
+        }
+        if values.len() != self.numrecs * self.slab_len {
+            return Err(invalid(NcError::LengthMismatch {
+                expected: self.numrecs * self.slab_len,
+                actual: values.len(),
+            }));
+        }
+        let mut w = Writer {
+            buf: Vec::new(),
+            sink: file,
+            flushed: 0,
+        };
+        for rec in 0..self.numrecs {
+            w.sink.seek(self.record_offset(rec))?;
+            w.slab(values, rec * self.slab_len, (rec + 1) * self.slab_len)?;
+            w.flush()?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -755,6 +956,176 @@ mod tests {
         let mut bytes = f.encode().unwrap();
         bytes[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(NcFile::decode(&bytes), Err(NcError::Truncated));
+    }
+
+    /// A tile-file-like dataset: a wide record variable, two narrow ones
+    /// (one of them an odd number of bytes), a fixed variable.
+    fn records() -> NcFile {
+        let mut f = NcFile::new();
+        let t = f.add_record_dim("tile").unwrap();
+        let b = f.add_dim("band", 3);
+        let n = f.add_dim("n", 5);
+        f.add_global_attr("source", NcValues::text("test"));
+        let fixed = f.add_var("fixed", NcType::Short, vec![n]).unwrap();
+        f.put_values(fixed, NcValues::Short(vec![1, 2, 3, 4, 5]))
+            .unwrap();
+        let rad = f.add_var("rad", NcType::Float, vec![t, b]).unwrap();
+        let flag = f.add_var("flag", NcType::Byte, vec![t, b]).unwrap();
+        let lab = f.add_var("label", NcType::Int, vec![t]).unwrap();
+        f.add_var_attr(lab, "long_name", NcValues::text("a label"))
+            .unwrap();
+        for i in 0..7 {
+            f.append_record(vec![
+                (rad, NcValues::Float(vec![i as f32, 0.5, -(i as f32)])),
+                (flag, NcValues::Byte(vec![i as i8, -1, 1])),
+                (lab, NcValues::Int(vec![crate::NC_FILL_INT])),
+            ])
+            .unwrap();
+        }
+        f
+    }
+
+    fn nc_error(e: &io::Error) -> Option<&NcError> {
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        e.get_ref().and_then(|inner| inner.downcast_ref())
+    }
+
+    #[test]
+    fn record_variable_is_read_and_patched_in_place() {
+        let mut f = records();
+        let mut disk = io::Cursor::new(f.encode().unwrap());
+        for name in ["rad", "flag", "label"] {
+            let span = RecordVarSpan::locate(&mut disk, name).unwrap();
+            assert_eq!(span.numrecs(), 7);
+            assert_eq!(span.record_stride(), 12 + 4 + 4);
+            assert_eq!(
+                span.read(&mut disk).unwrap(),
+                f.var_by_name(name).unwrap().data
+            );
+        }
+        // Patching equals changing the values and encoding again.
+        let labels = NcValues::Int((0..7).map(|i| i * 3 - 4).collect());
+        let flags = NcValues::Byte((0..21).map(|i| i as i8 - 9).collect());
+        let label = RecordVarSpan::locate(&mut disk, "label").unwrap();
+        assert_eq!(
+            label.begin() + 6 * label.record_stride() + 4,
+            disk.get_ref().len() as u64,
+            "the last variable of the last record ends the file"
+        );
+        label.write(&mut disk, &labels).unwrap();
+        let flag = RecordVarSpan::locate(&mut disk, "flag").unwrap();
+        flag.write(&mut disk, &flags).unwrap();
+        let (label_id, flag_id) = (f.var_id("label").unwrap(), f.var_id("flag").unwrap());
+        f.vars[label_id.0].data = labels.clone();
+        f.vars[flag_id.0].data = flags;
+        assert_eq!(disk.get_ref(), &f.encode().unwrap());
+        assert_eq!(label.read(&mut disk).unwrap(), labels);
+
+        // Wrong type, wrong count: refused before a byte is written.
+        let before = disk.get_ref().clone();
+        let e = label
+            .write(&mut disk, &NcValues::Float(vec![0.0; 7]))
+            .unwrap_err();
+        assert_eq!(nc_error(&e), Some(&NcError::TypeMismatch));
+        let e = label
+            .write(&mut disk, &NcValues::Int(vec![0; 6]))
+            .unwrap_err();
+        assert_eq!(
+            nc_error(&e),
+            Some(&NcError::LengthMismatch {
+                expected: 7,
+                actual: 6
+            })
+        );
+        assert_eq!(disk.get_ref(), &before);
+
+        // Fixed and missing variables are not record variables.
+        for name in ["fixed", "nope"] {
+            let e = RecordVarSpan::locate(&mut disk, name).unwrap_err();
+            assert_eq!(nc_error(&e), Some(&NcError::UnknownVar));
+        }
+    }
+
+    #[test]
+    fn lone_record_variable_is_packed_and_headers_may_outgrow_the_first_read() {
+        let mut f = NcFile::new();
+        let t = f.add_record_dim("t").unwrap();
+        let c = f.add_dim("c", 3);
+        // A header several times HEADER_GUESS long.
+        f.add_global_attr("history", NcValues::text(&"x".repeat(20_000)));
+        let v = f.add_var("v", NcType::Byte, vec![t, c]).unwrap();
+        for i in 0..4i8 {
+            f.append_record(vec![(v, NcValues::Byte(vec![i, i + 1, i + 2]))])
+                .unwrap();
+        }
+        let mut disk = io::Cursor::new(f.encode().unwrap());
+        let span = RecordVarSpan::locate(&mut disk, "v").unwrap();
+        assert_eq!(span.record_stride(), 3, "no padding between records");
+        assert_eq!(span.read(&mut disk).unwrap(), f.vars[v.0].data);
+        let new = NcValues::Byte((0..12).collect());
+        span.write(&mut disk, &new).unwrap();
+        f.vars[v.0].data = new;
+        assert_eq!(disk.get_ref(), &f.encode().unwrap());
+    }
+
+    #[test]
+    fn forged_headers_are_typed_errors_for_the_header_only_reader() {
+        let good = records().encode().unwrap();
+        let locate = |bytes: &[u8]| {
+            let e = RecordVarSpan::locate(&mut io::Cursor::new(bytes), "label").unwrap_err();
+            nc_error(&e).cloned()
+        };
+        let at = |needle: &[u8]| {
+            good.windows(needle.len())
+                .position(|w| w == needle)
+                .unwrap()
+        };
+        let forge = |pos: usize, value: u32| {
+            let mut bytes = good.clone();
+            bytes[pos..pos + 4].copy_from_slice(&value.to_be_bytes());
+            bytes
+        };
+        // numrecs: one more record than the file holds, and far more.
+        assert_eq!(locate(&forge(4, 8)), Some(NcError::Truncated));
+        assert_eq!(locate(&forge(4, u32::MAX)), Some(NcError::Truncated));
+        // The variable entry of `label` ends: type, vsize, begin.
+        let label = at(b"a label\0") + 8;
+        assert_eq!(&good[label..label + 8], &[0, 0, 0, 4, 0, 0, 0, 4]);
+        let corrupt = |e: Option<NcError>| matches!(e, Some(NcError::Corrupt(_)));
+        assert!(corrupt(locate(&forge(label + 4, 8))), "vsize");
+        assert!(corrupt(locate(&forge(label + 4, u32::MAX))), "vsize");
+        assert!(corrupt(locate(&forge(label + 8, 0))), "begin");
+        assert!(corrupt(locate(&forge(label + 8, u32::MAX))), "begin");
+        // `begin` of the first record variable: inside the header, and so
+        // far out that the records overrun the file.
+        let rad = at(b"rad\0") + 4 + 4 + 8 + 8 + 8;
+        assert_eq!(&good[rad - 8..rad], &[0, 0, 0, 5, 0, 0, 0, 12]);
+        assert!(corrupt(locate(&forge(rad, 16))), "begin in the header");
+        assert!(corrupt(locate(&forge(rad, u32::MAX - 3))), "begin");
+        // Counts: dimensions, global attributes, variables, a rank, a
+        // dimension length that makes a record larger than any file.
+        assert_eq!(locate(&forge(12, u32::MAX)), Some(NcError::Truncated));
+        let gatts = at(b"source\0\0") - 12;
+        assert_eq!(&good[gatts..gatts + 4], &[0, 0, 0, 0x0C]);
+        assert_eq!(
+            locate(&forge(gatts + 4, u32::MAX)),
+            Some(NcError::Truncated)
+        );
+        let vars = at(b"fixed\0\0\0") - 12;
+        assert_eq!(&good[vars..vars + 4], &[0, 0, 0, 0x0B]);
+        assert_eq!(locate(&forge(vars + 4, u32::MAX)), Some(NcError::Truncated));
+        assert_eq!(
+            locate(&forge(at(b"rad\0") + 4, u32::MAX)),
+            Some(NcError::Truncated)
+        );
+        let band_len = at(b"band") + 4;
+        assert!(locate(&forge(band_len, u32::MAX)).is_some());
+        // Cut anywhere, it is an error and never a panic.
+        for cut in 0..good.len() {
+            let short = &good[..cut];
+            assert!(RecordVarSpan::locate(&mut io::Cursor::new(short), "label").is_err());
+        }
+        assert!(locate(&good[..good.len() - 1]) == Some(NcError::Truncated));
     }
 
     #[test]

@@ -33,5 +33,9 @@ mod format;
 mod model;
 
 pub use cdl::{to_cdl, CdlMode};
-pub use format::{NcError, MAGIC};
+pub use format::{NcError, RecordVarSpan, MAGIC};
+/// Default fill value of `NC_INT` variables (`NC_FILL_INT` in the C library):
+/// what a record holds until a value is written to it.
+pub const NC_FILL_INT: i32 = -2_147_483_647;
+
 pub use model::{AttrId, DimId, NcAttr, NcDim, NcFile, NcType, NcValues, NcVar, VarId};

@@ -20,4 +20,4 @@ pub mod writer;
 
 pub use pipeline::{preprocess_granule_files, PipelineError};
 pub use tiles::{extract_tiles, Tile, TileCriteria, TileSet};
-pub use writer::{append_labels, read_tiles_nc, write_tiles_nc};
+pub use writer::{append_labels, patch_labels, read_labels, read_tiles_nc, write_tiles_nc};

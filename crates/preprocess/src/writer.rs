@@ -1,12 +1,21 @@
 //! Tiles ↔ NetCDF.
 //!
 //! Each preprocessed granule becomes one NetCDF file with a `tile` record
-//! dimension; stage 4 later *appends* an `aicca_label` variable to the same
-//! file — the exact interchange pattern of the paper's pipeline.
+//! dimension; stage 4 later *appends* the `aicca_label` values to the same
+//! file — the exact interchange pattern of the paper's pipeline. The
+//! variable is reserved when the file is written, every record holding
+//! [`NC_FILL_INT`], so the file already has its final layout and the append
+//! is a write of one `int` per tile: in memory with [`append_labels`], or
+//! straight into the file on disk with [`patch_labels`]. A file counts as
+//! labelled once no record holds the fill value.
 
 use crate::tiles::Tile;
 use eoml_modis::granule::GranuleId;
-use eoml_ncdf::{NcFile, NcType, NcValues};
+use eoml_ncdf::{NcFile, NcType, NcValues, RecordVarSpan, NC_FILL_INT};
+use std::io::{self, Read, Seek, Write};
+
+/// The per-tile class label variable.
+const LABEL_VAR: &str = "aicca_label";
 
 /// Errors from tile NetCDF encoding/decoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,9 +104,15 @@ pub fn write_tiles_nc(tiles: &[Tile]) -> Result<NcFile, TileNcError> {
     )?;
     f.add_var_attr(ctp, "units", NcValues::text("hPa"))?;
     f.add_var_attr(cer, "units", NcValues::text("micron"))?;
+    let label = f.add_var(LABEL_VAR, NcType::Int, vec![tile_dim])?;
+    f.add_var_attr(
+        label,
+        "long_name",
+        NcValues::text("AICCA cloud class (0-41)"),
+    )?;
 
     // Fill each record variable whole (one exact allocation apiece) and set
-    // the record count, as `append_labels` does for its variable.
+    // the record count.
     let floats = |of: fn(&Tile) -> f32| NcValues::Float(tiles.iter().map(of).collect());
     let ints = |of: fn(&Tile) -> usize| NcValues::Int(tiles.iter().map(|t| of(t) as i32).collect());
     let slab = bands.len() * size * size;
@@ -121,35 +136,67 @@ pub fn write_tiles_nc(tiles: &[Tile]) -> Result<NcFile, TileNcError> {
     f.vars[cer.0].data = floats(|t| t.mean_cer);
     f.vars[row.0].data = ints(|t| t.row);
     f.vars[col.0].data = ints(|t| t.col);
+    f.vars[label.0].data = NcValues::Int(vec![NC_FILL_INT; tiles.len()]);
     f.numrecs = tiles.len();
     Ok(f)
 }
 
-/// Append per-tile class labels as the `aicca_label` variable — stage 4's
-/// write-back. Fails if labels are already present or the count is wrong.
-pub fn append_labels(f: &mut NcFile, labels: &[i32]) -> Result<(), TileNcError> {
-    if f.var_by_name("aicca_label").is_some() {
-        return Err(TileNcError::BadLabels("labels already present".into()));
-    }
-    if labels.len() != f.numrecs {
+/// The label values if every tile has one.
+fn complete(labels: &[i32]) -> Option<&[i32]> {
+    (!labels.contains(&NC_FILL_INT)).then_some(labels)
+}
+
+fn check_label_count(labels: usize, tiles: usize) -> Result<(), TileNcError> {
+    if labels != tiles {
         return Err(TileNcError::BadLabels(format!(
-            "{} labels for {} tiles",
-            labels.len(),
-            f.numrecs
+            "{labels} labels for {tiles} tiles"
         )));
     }
-    let tile_dim = f
-        .record_dim()
-        .ok_or_else(|| TileNcError::Malformed("no tile dimension".into()))?;
-    let v = f.add_var("aicca_label", NcType::Int, vec![tile_dim])?;
-    f.add_var_attr(v, "long_name", NcValues::text("AICCA cloud class (0-41)"))?;
-    // The variable is a record variable; backfill its data directly so the
-    // file stays consistent with numrecs.
-    f.vars[v.0].data = NcValues::Int(labels.to_vec());
     Ok(())
 }
 
-/// Read tiles (and labels, if present) back from a tile NetCDF dataset.
+/// Write per-tile class labels into the reserved `aicca_label` variable —
+/// stage 4's write-back. Fails if the file is already labelled (no record
+/// holds the fill value any more) or the count is wrong.
+pub fn append_labels(f: &mut NcFile, labels: &[i32]) -> Result<(), TileNcError> {
+    check_label_count(labels.len(), f.numrecs)?;
+    let var = f
+        .vars
+        .iter_mut()
+        .find(|v| v.name == LABEL_VAR)
+        .ok_or_else(|| TileNcError::Malformed("no aicca_label variable".into()))?;
+    let data = &mut var.data;
+    if data.as_i32().is_none_or(|held| complete(held).is_some()) {
+        return Err(TileNcError::BadLabels("labels already present".into()));
+    }
+    *data = NcValues::Int(labels.to_vec());
+    Ok(())
+}
+
+/// [`append_labels`] on the encoded file itself: one 4-byte write per tile
+/// at the reserved variable's record offsets, no other byte read past the
+/// header or written. The result is byte-identical to decoding the file,
+/// [`append_labels`] and encoding it again. Writing the same labels twice is
+/// harmless, and a writer killed part-way leaves some records at the fill
+/// value, which [`read_tiles_nc`] and [`read_labels`] report as unlabelled.
+pub fn patch_labels(file: &mut (impl Read + Write + Seek), labels: &[i32]) -> io::Result<()> {
+    let span = RecordVarSpan::locate(file, LABEL_VAR)?;
+    check_label_count(labels.len(), span.numrecs())
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    span.write(file, &NcValues::Int(labels.to_vec()))
+}
+
+/// The labels of an encoded tile file, read from the `aicca_label` records
+/// alone; `None` while any tile is unlabelled.
+pub fn read_labels(file: &mut (impl Read + Seek)) -> io::Result<Option<Vec<i32>>> {
+    Ok(match RecordVarSpan::locate(file, LABEL_VAR)?.read(file)? {
+        NcValues::Int(labels) if complete(&labels).is_some() => Some(labels),
+        _ => None,
+    })
+}
+
+/// Read tiles (and labels, once every tile has one) back from a tile NetCDF
+/// dataset.
 pub fn read_tiles_nc(f: &NcFile) -> Result<(Vec<Tile>, Option<Vec<i32>>), TileNcError> {
     let bad = |m: &str| TileNcError::Malformed(m.to_string());
     let granule_str = f
@@ -214,9 +261,10 @@ pub fn read_tiles_nc(f: &NcFile) -> Result<(Vec<Tile>, Option<Vec<i32>>), TileNc
         });
     }
     let labels = f
-        .var_by_name("aicca_label")
+        .var_by_name(LABEL_VAR)
         .and_then(|v| v.data.as_i32())
-        .map(|l| l.to_vec());
+        .and_then(complete)
+        .map(<[i32]>::to_vec);
     Ok((tiles, labels))
 }
 
@@ -255,11 +303,15 @@ mod tests {
     use eoml_util::timebase::CivilDate;
 
     fn some_tiles() -> Vec<Tile> {
+        tiles_of(128)
+    }
+
+    fn tiles_of(tile_size: usize) -> Vec<Tile> {
         let sy = SwathSynthesizer::new(2022, SwathDims::small());
         let crit = TileCriteria {
+            tile_size,
             min_ocean_fraction: 0.0,
             min_cloud_fraction: 0.0,
-            ..TileCriteria::default()
         };
         for slot in 0..288 {
             let s = sy.synthesize(GranuleId::new(
@@ -283,7 +335,9 @@ mod tests {
         let back = NcFile::decode(&bytes).unwrap();
         let (tiles2, labels) = read_tiles_nc(&back).unwrap();
         assert_eq!(tiles2, tiles);
-        assert!(labels.is_none());
+        assert!(labels.is_none(), "reserved, every record at the fill value");
+        let reserved = back.var_by_name(LABEL_VAR).unwrap();
+        assert_eq!(reserved.data, NcValues::Int(vec![NC_FILL_INT; tiles.len()]));
     }
 
     #[test]
@@ -296,6 +350,71 @@ mod tests {
         let (tiles2, labels2) = read_tiles_nc(&back).unwrap();
         assert_eq!(tiles2.len(), tiles.len());
         assert_eq!(labels2, Some(labels));
+    }
+
+    /// How labels reached the file before the variable was reserved: the
+    /// unlabelled file had no `aicca_label` at all, and the append defined
+    /// it, attribute and values, after the other variables.
+    fn labelled_by_adding_the_variable(tiles: &[Tile], labels: &[i32]) -> Vec<u8> {
+        let mut f = write_tiles_nc(tiles).unwrap();
+        assert_eq!(f.vars.pop().unwrap().name, LABEL_VAR);
+        let tile_dim = f.record_dim().unwrap();
+        let v = f.add_var(LABEL_VAR, NcType::Int, vec![tile_dim]).unwrap();
+        f.add_var_attr(v, "long_name", NcValues::text("AICCA cloud class (0-41)"))
+            .unwrap();
+        f.vars[v.0].data = NcValues::Int(labels.to_vec());
+        f.encode().unwrap()
+    }
+
+    #[test]
+    fn patched_file_equals_append_and_encode_and_the_former_layout() {
+        for tile_size in [128, 32] {
+            let tiles = tiles_of(tile_size);
+            let labels: Vec<i32> = (0..tiles.len() as i32).map(|i| (i * 5) % 42).collect();
+            let unlabelled = write_tiles_nc(&tiles).unwrap();
+            let mut in_memory = unlabelled.clone();
+            append_labels(&mut in_memory, &labels).unwrap();
+            let expected = in_memory.encode().unwrap();
+
+            let mut disk = io::Cursor::new(unlabelled.encode().unwrap());
+            assert_eq!(disk.get_ref().len(), expected.len(), "layout is final");
+            assert_eq!(read_labels(&mut disk).unwrap(), None);
+            patch_labels(&mut disk, &labels).unwrap();
+            assert_eq!(read_labels(&mut disk).unwrap(), Some(labels.clone()));
+            assert!(disk.get_ref() == &expected, "tile size {tile_size}");
+            assert!(expected == labelled_by_adding_the_variable(&tiles, &labels));
+            // Patching again changes nothing; a wrong count is refused.
+            patch_labels(&mut disk, &labels).unwrap();
+            assert!(disk.get_ref() == &expected);
+            let err = patch_labels(&mut disk, &labels[1..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(disk.get_ref() == &expected);
+        }
+    }
+
+    #[test]
+    fn partly_patched_file_reads_as_unlabelled_and_can_be_labelled() {
+        let tiles = tiles_of(32);
+        let n = tiles.len();
+        let labels: Vec<i32> = (0..n as i32).map(|i| i % 42).collect();
+        let mut whole = write_tiles_nc(&tiles).unwrap();
+        append_labels(&mut whole, &labels).unwrap();
+        for k in [0, 1, n - 1] {
+            // A writer killed after `k` of the `n` 4-byte writes.
+            let mut partial = labels.clone();
+            partial[k..].fill(NC_FILL_INT);
+            let mut f = write_tiles_nc(&tiles).unwrap();
+            let v = f.var_id(LABEL_VAR).unwrap();
+            f.vars[v.0].data = NcValues::Int(partial);
+            let mut disk = io::Cursor::new(f.encode().unwrap());
+            assert_eq!(read_labels(&mut disk).unwrap(), None, "k = {k}");
+            let decoded = NcFile::decode(disk.get_ref()).unwrap();
+            assert_eq!(read_tiles_nc(&decoded).unwrap().1, None, "k = {k}");
+            append_labels(&mut f, &labels).unwrap();
+            assert_eq!(f, whole);
+            patch_labels(&mut disk, &labels).unwrap();
+            assert!(disk.get_ref() == &whole.encode().unwrap());
+        }
     }
 
     #[test]

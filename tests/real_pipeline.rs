@@ -135,6 +135,36 @@ fn artifacts_are_byte_identical_to_the_recorded_golden_run() {
 }
 
 #[test]
+fn manifest_is_the_same_whether_one_worker_hashes_the_outbox_or_two() {
+    // Shipment digests run on the executor; ids, sizes, digests and order
+    // must not depend on how many workers it has.
+    let granules = day_granules(3);
+    let manifests: Vec<_> = [1usize, 2]
+        .into_iter()
+        .map(|workers| {
+            let dir = tempdir(&format!("manifest-{workers}w"));
+            let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, workers)
+                .unwrap()
+                .with_thresholds(0.0, 0.0);
+            let report = pipeline.run(&granules).unwrap();
+            let manifest = report.manifest.expect("manifest");
+            assert_eq!(manifest.len(), 3);
+            for (entry, path) in manifest.artifacts.iter().zip(&report.outbox) {
+                assert_eq!(
+                    Some(entry.name.as_str()),
+                    path.file_name().unwrap().to_str()
+                );
+                assert_eq!(entry.digest, content_digest(&std::fs::read(path).unwrap()));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            manifest
+        })
+        .collect();
+    assert_eq!(manifests[0].artifacts, manifests[1].artifacts);
+    assert_eq!(manifests[0].id(), manifests[1].id());
+}
+
+#[test]
 fn preprocessing_scales_with_local_workers() {
     // Real strong scaling: 2 workers should beat 1 on a CPU-bound batch —
     // but only where the host actually has two cores to run them on.

@@ -12,7 +12,10 @@ use eoml::journal::{Journal, JournalEvent, Ledger, MemStorage};
 use eoml::modis::granule::GranuleId;
 use eoml::modis::product::Platform;
 use eoml::modis::synth::{SwathDims, SwathSynthesizer};
+use eoml::ncdf::RecordVarSpan;
+use eoml::preprocess::writer::read_labels;
 use eoml::util::timebase::CivilDate;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const SEED: u64 = 2022;
@@ -148,6 +151,68 @@ fn real_run_killed_at_every_event_resumes_to_identical_artifacts() {
 
         let (final_journal, _) = Journal::open(store).unwrap();
         assert_no_duplicate_completions(final_journal.events(), &tag);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&base_dir).unwrap();
+}
+
+#[test]
+fn run_killed_inside_the_label_write_resumes_to_identical_artifacts() {
+    // The append action writes the labels into the tile file one record at
+    // a time. Stop a run as inference begins (tile file written, nothing
+    // labeled), write the first k of the N labels by hand — what a kill
+    // after k of those writes leaves on disk — and resume: the infer action
+    // must see an unlabeled file, predict again and label it whole.
+    let granules = granules();
+    let base_dir = tempdir("patch-base");
+    let store = MemStorage::new();
+    let (mut journal, _) = Journal::open(store.clone()).unwrap();
+    let baseline = pipeline(&base_dir)
+        .run_resumable(&granules, &mut journal)
+        .unwrap();
+    let first_trigger = journal
+        .events()
+        .iter()
+        .position(|e| matches!(e, JournalEvent::MonitorTriggered { .. }))
+        .expect("inference was journaled");
+    let shipped = &baseline.outbox[0];
+    let labels = read_labels(&mut std::fs::File::open(shipped).unwrap())
+        .unwrap()
+        .expect("baseline artifact is labeled");
+    let n = labels.len();
+    assert!(n > 2);
+
+    for k in [0, 1, n - 1] {
+        let tag = format!("killed after {k} of {n} label writes");
+        let dir = tempdir(&format!("patch-{k}"));
+        let p = pipeline(&dir);
+        let store = MemStorage::new();
+        let (mut journal, _) = Journal::open(store.clone()).unwrap();
+        journal.crash_after(first_trigger);
+        assert!(p.run_resumable(&granules, &mut journal).is_err(), "{tag}");
+        drop(journal);
+
+        let tile_file = dir.join("tiles").join(shipped.file_name().unwrap());
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&tile_file)
+            .unwrap();
+        assert_eq!(read_labels(&mut file).unwrap(), None, "{tag}: reserved");
+        let span = RecordVarSpan::locate(&mut file, "aicca_label").unwrap();
+        assert_eq!(span.numrecs(), n);
+        for (i, label) in labels[..k].iter().enumerate() {
+            let at = span.begin() + i as u64 * span.record_stride();
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.write_all(&label.to_be_bytes()).unwrap();
+        }
+        assert_eq!(read_labels(&mut file).unwrap(), None, "{tag}: partial");
+        drop(file);
+
+        let (mut journal, _) = Journal::open(store.clone()).unwrap();
+        let resumed = p.run_resumable(&granules, &mut journal).unwrap();
+        assert_equivalent(&resumed, &baseline, &tag);
+        assert_no_duplicate_completions(journal.events(), &tag);
         std::fs::remove_dir_all(&dir).unwrap();
     }
     std::fs::remove_dir_all(&base_dir).unwrap();
