@@ -1,0 +1,77 @@
+#!/usr/bin/env bash
+# "One of each": the virtual-time worker pool lives once, in eoml-simtime,
+# with one file mover (eoml-transfer) and one task batch (eoml-executor) on
+# top of it. Fails when a second copy of the slot/queue/retry loop creeps
+# back into the non-test part of crates/{transfer,executor,core}/src, and
+# prints the per-crate non-test line counts ROADMAP wants to see fall.
+#
+# "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+nontest() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+
+# Matching lines in a file's non-test part. `grep -c` reads to the end: a
+# `grep -q` would close the pipe early and fail the pipeline under pipefail.
+hits() { nontest "$2" | grep -cE "$1" || true; }
+
+# Files under the given directories whose non-test part matches the pattern.
+callers() {
+  local pattern=$1 f
+  shift
+  find "$@" -name '*.rs' | sort | while read -r f; do
+    if [ "$(hits "$pattern" "$f")" -gt 0 ]; then echo "$f"; fi
+  done
+}
+
+# Matches of the pattern in the non-test part of the files under the dirs.
+count() {
+  local pattern=$1 f n=0
+  shift
+  while read -r f; do
+    n=$((n + $(hits "$pattern" "$f")))
+  done < <(find "$@" -name '*.rs' | sort)
+  echo "$n"
+}
+
+fail=0
+complain() { echo "one-of-each: $*" >&2; fail=1; }
+
+src=(crates/transfer/src crates/executor/src crates/core/src)
+
+flow_callers=$(callers '(^|[^_[:alnum:]])start_flow\(' "${src[@]}" | grep -v '/flownet\.rs$' || true)
+if [ "$(echo "$flow_callers" | grep -c .)" -gt 1 ]; then
+  complain "start_flow( is called outside flownet.rs from more than one file:"$'\n'"$flow_callers"
+fi
+
+if [ "$(count '(^|[^_[:alnum:]])submit_task\(' crates/core/src)" -ne 0 ]; then
+  complain "submit_task( is called in crates/core (use eoml_executor::open_batch)"
+fi
+if [ "$(count '(^|[^_[:alnum:]])submit_task\(' crates/executor/src)" -gt 1 ]; then
+  complain "submit_task( is called more than once in crates/executor"
+fi
+
+# A worker counter next to a `Simulation` is a second pool. (Wall-clock code
+# may count what it has in flight: executor/dag.rs dispatches to real
+# threads and is not a virtual-time loop.)
+counters=$(callers '(^|[^_[:alnum:]])(active|in_flight|[_[:alnum:]]*_active) \+= 1' "${src[@]}" |
+  while read -r f; do
+    if [ "$(hits 'Simulation<' "$f")" -gt 0 ]; then echo "$f"; fi
+  done)
+if [ -n "$counters" ]; then
+  complain "hand-rolled worker counter (active/in_flight/_active += 1) in:"$'\n'"$counters"
+fi
+
+echo "non-test lines (before the first #[cfg(test)] of each file):"
+total=0
+for crate in simtime transfer executor core; do
+  n=0
+  while read -r f; do
+    n=$((n + $(nontest "$f" | wc -l)))
+  done < <(find "crates/$crate/src" -name '*.rs' | sort)
+  printf '  %-9s %6d\n' "$crate" "$n"
+  total=$((total + n))
+done
+printf '  %-9s %6d\n' total "$total"
+
+exit "$fail"

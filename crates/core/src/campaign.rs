@@ -8,16 +8,17 @@
 //! closes the campaign.
 
 use crate::telemetry::Telemetry;
-use crate::world::World;
-use eoml_cluster::exec::submit_task;
+use crate::world::{stage_activity, World};
 use eoml_cluster::slurm::request_block;
 use eoml_config::WorkflowConfig;
+use eoml_executor::simexec::open_batch;
 use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::{Platform, ProductKind};
 use eoml_obs::{GranuleTrace, Obs, TraceAnalysis, TraceContext};
-use eoml_simtime::{SimTime, Simulation};
+use eoml_simtime::{Pool, SimTime, Simulation, Verdict};
+use eoml_transfer::backoff::BackoffPolicy;
 use eoml_transfer::faults::FaultPlan;
 use eoml_transfer::manifest::{
     synthetic_digest, ArtifactEntry, JournalDigest, LineageRecord, ShipmentManifest,
@@ -29,7 +30,7 @@ use eoml_util::rng::{Rng64, SplitMix64, Xoshiro256};
 use eoml_util::timebase::CivilDate;
 use eoml_util::units::ByteSize;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -323,20 +324,13 @@ struct Progress {
     download: Option<DownloadReport>,
     shipment: Option<TransferReport>,
     // preprocess
-    work_queue: VecDeque<(GranuleId, f64)>,
-    preprocess_active: usize,
-    preprocess_started: SimTime,
     granules_done: usize,
-    granules_total: usize,
     /// Selected tiles per completed day granule. Totals are summed in key
     /// order, so an interrupted-and-resumed campaign reproduces the exact
     /// f64 totals of an uninterrupted one regardless of completion order.
     day_tiles: BTreeMap<GranuleId, f64>,
     preprocess_done: bool,
-    block_nodes: Vec<usize>,
     // inference
-    inference_queue: VecDeque<(String, f64)>,
-    inference_active: usize,
     labeled: Vec<(String, ByteSize)>,
     manifest: Option<ShipmentManifest>,
     journal_sync: Option<JournalSync>,
@@ -357,30 +351,38 @@ impl Progress {
     fn total_tiles(&self) -> f64 {
         self.day_tiles.values().sum()
     }
+
+    /// Everything preprocessing will ever produce is labeled: time to stop
+    /// monitoring and ship. Every tile file gets exactly one inference job
+    /// (the crawler reports a file once; journal-labeled files are replayed,
+    /// not re-inferred), so equal counts also mean no inference job is
+    /// queued or running.
+    fn all_labeled(&self) -> bool {
+        self.preprocess_done && self.labeled.len() == self.tile_files()
+    }
 }
 
 type P = Rc<RefCell<Progress>>;
 
-/// Append `event` to the campaign's journal, if any. Returns `false` when
-/// the journal refused the append (crash point reached): the campaign must
-/// stop scheduling work — the event, and everything after it, is not durable.
-fn journal_record(progress: &P, event: JournalEvent) -> bool {
-    let sink = progress.borrow().journal.clone();
-    match sink {
-        None => true,
-        Some(journal) => {
-            if journal.borrow_mut().append(event).is_ok() {
-                true
-            } else {
-                progress.borrow_mut().halted = true;
-                false
-            }
-        }
-    }
-}
+/// The stage-4 worker pool: `(tile file, tiles)` jobs.
+pub(crate) type InferencePool = Pool<World, (String, f64)>;
 
-fn is_halted(progress: &P) -> bool {
-    progress.borrow().halted
+/// Append `event` to the campaign's journal, if any. Returns `false` when
+/// the journal refused the append (crash point reached) or refused an
+/// earlier one: the event, and everything after it, is not durable. The
+/// campaign is then halted — the driver stops the clock after the event in
+/// progress, so nothing downstream needs to ask.
+fn journal_record(progress: &P, event: JournalEvent) -> bool {
+    let sink = {
+        let p = progress.borrow();
+        if p.halted {
+            return false;
+        }
+        p.journal.clone()
+    };
+    let durable = sink.is_none_or(|journal| journal.borrow_mut().append(event).is_ok());
+    progress.borrow_mut().halted = !durable;
+    durable
 }
 
 /// Journal a `StageStarted` event unless the resume state already has it.
@@ -424,25 +426,45 @@ pub fn run_campaign(params: CampaignParams) -> CampaignReport {
 /// prefix.
 pub fn run_campaign_resumable<S: Storage + 'static>(
     params: CampaignParams,
-    journal: Journal<S>,
+    mut journal: Journal<S>,
 ) -> Result<CampaignReport, JournalError> {
-    let resume = journal.state().clone();
-    if let Some(seed) = resume.seed {
-        if seed != params.seed {
-            return Err(JournalError::Io(format!(
-                "journal belongs to seed {seed}, campaign params use seed {}",
-                params.seed
-            )));
-        }
-    }
+    let resume = claim_journal(&mut journal, params.seed, BATCH_LABEL)?;
     let sink: Rc<RefCell<dyn JournalSink>> = Rc::new(RefCell::new(journal));
+    run_inner(params, Some(sink), resume)
+}
+
+/// Journal label of batch campaigns ([`Journal::open_seeded`] failover
+/// journals carry it too).
+const BATCH_LABEL: &str = "batch-campaign";
+
+/// Claim `journal` for the driver that labels its runs `label`: a fresh
+/// journal gets the `CampaignStarted { seed, label }` record; one already
+/// started must carry the same seed and label, so no driver continues
+/// another driver's (or another seed's) run. Nothing is appended on
+/// refusal. Returns the state to resume from, as it was before the claim.
+pub(crate) fn claim_journal<S: Storage>(
+    journal: &mut Journal<S>,
+    seed: u64,
+    label: &str,
+) -> Result<CampaignState, JournalError> {
+    let resume = journal.state().clone();
+    if let Some(theirs) = resume.seed.filter(|&theirs| theirs != seed) {
+        return Err(JournalError::Io(format!(
+            "journal belongs to seed {theirs}, this run uses seed {seed}"
+        )));
+    }
+    if let Some(theirs) = resume.label.as_deref().filter(|&theirs| theirs != label) {
+        return Err(JournalError::Io(format!(
+            "journal belongs to a {theirs:?} run, not a {label:?} run"
+        )));
+    }
     if resume.seed.is_none() {
-        sink.borrow_mut().append(JournalEvent::CampaignStarted {
-            seed: params.seed,
-            label: "batch-campaign".into(),
+        journal.append(JournalEvent::CampaignStarted {
+            seed,
+            label: label.into(),
         })?;
     }
-    run_inner(params, Some(sink), resume)
+    Ok(resume)
 }
 
 fn run_inner(
@@ -464,16 +486,9 @@ fn run_inner(
         stages: Vec::new(),
         download: None,
         shipment: None,
-        work_queue: VecDeque::new(),
-        preprocess_active: 0,
-        preprocess_started: SimTime::ZERO,
         granules_done: 0,
-        granules_total: 0,
         day_tiles: BTreeMap::new(),
         preprocess_done: false,
-        block_nodes: Vec::new(),
-        inference_queue: VecDeque::new(),
-        inference_active: 0,
         labeled: Vec::new(),
         manifest: None,
         journal_sync: None,
@@ -484,15 +499,15 @@ fn run_inner(
     }));
 
     stage_download(&mut sim, &progress);
-    sim.run();
+    while !progress.borrow().halted && sim.step() {}
+    if progress.borrow().halted {
+        return Err(JournalError::Crashed);
+    }
 
     let world = sim.into_state();
     let p = Rc::try_unwrap(progress)
         .unwrap_or_else(|_| panic!("campaign closures leaked"))
         .into_inner();
-    if p.halted {
-        return Err(JournalError::Crashed);
-    }
     let makespan_s = p
         .stages
         .iter()
@@ -518,6 +533,9 @@ fn run_inner(
 
 // --------------------------------------------------------- stage 1: download
 
+/// Re-attempts granted per LAADS file after its first try.
+pub(crate) const DOWNLOAD_RETRIES: usize = 3;
+
 fn stage_download(sim: &mut Simulation<World>, progress: &P) {
     let launch = sim.state_mut().launch.sample().total();
     let t0 = sim.now();
@@ -526,9 +544,6 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
         .span("download", "launch", t0, t0 + launch);
     let progress = Rc::clone(progress);
     sim.schedule_in(launch, move |sim| {
-        if is_halted(&progress) {
-            return;
-        }
         let (files, workers) = {
             let p = progress.borrow();
             let cat = Catalog::new(p.params.seed);
@@ -545,15 +560,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             }
             (files, p.params.download_workers)
         };
-        let stage_was_started = progress.borrow().resume.stages_started.contains("download");
-        if !stage_was_started
-            && !journal_record(
-                &progress,
-                JournalEvent::StageStarted {
-                    stage: "download".into(),
-                },
-            )
-        {
+        if !journal_started(&progress, "download") {
             return;
         }
         let started = sim.now();
@@ -598,19 +605,17 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
         let hook_progress = Rc::clone(&progress);
         let progress2 = Rc::clone(&progress);
         let obs = sim.state_mut().telemetry.obs().cloned();
-        DownloadPool::run_traced(
+        DownloadPool::run_full(
             sim,
             "laads",
             "ace-defiant",
             pending,
             workers,
-            3,
+            DOWNLOAD_RETRIES,
+            BackoffPolicy::wan_default(),
             obs,
             |file| granule_trace_id(file).map(TraceContext::new),
             move |_sim, timing: &FileTiming| {
-                if is_halted(&hook_progress) {
-                    return;
-                }
                 journal_record(
                     &hook_progress,
                     JournalEvent::FileDownloaded {
@@ -620,9 +625,6 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
                 );
             },
             move |sim, mut report| {
-                if is_halted(&progress2) {
-                    return;
-                }
                 if !journal_record(
                     &progress2,
                     JournalEvent::StageFinished {
@@ -693,29 +695,14 @@ fn finish_download(
 // ------------------------------------------------------- stage 2: preprocess
 
 fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
-    if is_halted(progress) {
-        return;
-    }
-    let stage_was_started = progress
-        .borrow()
-        .resume
-        .stages_started
-        .contains("preprocess");
-    if !stage_was_started
-        && !journal_record(
-            progress,
-            JournalEvent::StageStarted {
-                stage: "preprocess".into(),
-            },
-        )
-    {
+    if !journal_started(progress, "preprocess") {
         return;
     }
     // Build the granule work list from the downloaded MOD02 files, skipping
     // granules the journal records as already preprocessed. Completed day
     // granules either re-enter the monitor (labels still pending) or replay
     // straight into the labeled set.
-    let announce = {
+    let (pending, announce) = {
         let mut p = progress.borrow_mut();
         let seed = p.params.seed;
         let report = p.download.as_ref().expect("download done");
@@ -729,7 +716,6 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
             }
         }
         work.sort_by_key(|&(g, _)| g);
-        p.granules_total = work.len();
         let mut pending = Vec::new();
         let mut announce = Vec::new();
         for (granule, tiles) in work {
@@ -750,14 +736,12 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
                 }
             }
         }
-        p.work_queue = pending.into();
-        p.preprocess_started = sim.now();
-        announce
+        (pending, announce)
     };
     for file in announce {
         sim.state_mut().crawler.announce(file);
     }
-    let alloc_start = sim.now();
+    let started = sim.now();
     let nodes = progress.borrow().params.nodes;
     let progress2 = Rc::clone(progress);
     request_block(
@@ -768,18 +752,13 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
             let now = sim.now();
             sim.state_mut()
                 .telemetry
-                .span("preprocess", "slurm_alloc", alloc_start, now);
+                .span("preprocess", "slurm_alloc", started, now);
             // Parsl interchange/worker start overhead.
             let parsl = Duration::from_secs_f64(sim.state_mut().rng.lognormal_mean_cv(1.6, 0.3));
             sim.state_mut()
                 .telemetry
                 .span("preprocess", "parsl_start", now, now + parsl);
-            let progress3 = Rc::clone(&progress2);
             sim.schedule_in(parsl, move |sim| {
-                {
-                    progress3.borrow_mut().block_nodes = node_list.clone();
-                }
-                let wpn = progress3.borrow().params.workers_per_node;
                 let tile_start = sim.now();
                 sim.state_mut().telemetry.span(
                     "preprocess",
@@ -788,172 +767,138 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
                     tile_start,
                 );
                 // Fill every worker slot; start the monitor alongside.
-                for _ in 0..wpn {
-                    for node_idx in 0..node_list.len() {
-                        preprocess_pull(sim, &progress3, node_idx);
-                    }
+                let wpn = progress2.borrow().params.workers_per_node;
+                let (hook_progress, done_progress) = (Rc::clone(&progress2), Rc::clone(&progress2));
+                let batch = open_batch(
+                    sim,
+                    node_list,
+                    wpn,
+                    0.0,
+                    0,
+                    stage_activity("preprocess"),
+                    move |sim, &(granule, tiles): &(GranuleId, f64), timing| {
+                        granule_preprocessed(sim, &hook_progress, granule, tiles, timing.started)
+                    },
+                    move |sim, _report| finish_preprocess(sim, &done_progress, started),
+                );
+                for (granule, tiles) in pending {
+                    // Night granules cost a scan floor.
+                    batch.push(sim, ((granule, tiles), tiles.max(12.0)));
                 }
-                monitor_poll(sim, &progress3);
-                maybe_finish_preprocess(sim, &progress3, tile_start);
+                let inference = inference_pool(sim, &progress2);
+                monitor_poll(sim, &progress2, &inference);
+                batch.close(sim);
             });
         },
     )
     .expect("cluster has enough nodes");
 }
 
-fn preprocess_pull(sim: &mut Simulation<World>, progress: &P, node_idx: usize) {
-    if is_halted(progress) {
+/// Per-granule completion hook of the preprocessing batch: journal, trace,
+/// count, and hand a day granule's tile file to the monitor.
+fn granule_preprocessed(
+    sim: &mut Simulation<World>,
+    progress: &P,
+    granule: GranuleId,
+    tiles: f64,
+    submitted: SimTime,
+) {
+    // Attribute the completion path's allocations (journal append,
+    // provenance, trace bookkeeping) to the preprocess stage.
+    let _mem = sim
+        .state_mut()
+        .telemetry
+        .resource_scope("preprocess", "granule");
+    // The completion record must be durable before the counters move:
+    // a crash between the two re-runs this granule, never loses it.
+    if !journal_record(
+        progress,
+        JournalEvent::TileFileWritten {
+            file: preprocess_key(granule, tiles),
+            tiles: tiles.round() as u64,
+        },
+    ) {
         return;
     }
-    let job = {
+    let now = sim.now();
+    {
+        // The granule's own trace interval: submission → completion,
+        // so queueing on the node block is visible to trace analysis.
+        let trace = TraceContext::new(granule.to_string());
+        let tel = &mut sim.state_mut().telemetry;
+        tel.span_traced("preprocess", "granule", submitted, now, Some(&trace));
+        tel.count("granules", "preprocess", 1);
+    }
+    {
         let mut p = progress.borrow_mut();
-        match p.work_queue.pop_front() {
-            Some(job) => {
-                p.preprocess_active += 1;
-                let active = p.preprocess_active;
-                let node = p.block_nodes[node_idx];
-                let now = sim.now();
-                drop(p);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("preprocess", now, active);
-                Some((node, job))
-            }
-            None => None,
+        p.granules_done += 1;
+        if tiles > 0.0 {
+            p.day_tiles.insert(granule, tiles);
         }
-    };
-    let Some((node, (granule, tiles))) = job else {
-        return;
-    };
-    let work = tiles.max(12.0); // night-granule scan floor
-    let progress2 = Rc::clone(progress);
-    let tile_start = progress.borrow().preprocess_started;
-    let submitted = sim.now();
-    submit_task(sim, node, work, move |sim| {
-        if is_halted(&progress2) {
-            return;
-        }
-        // Attribute the completion path's allocations (journal append,
-        // provenance, trace bookkeeping) to the preprocess stage.
-        let _mem = sim
-            .state_mut()
-            .telemetry
-            .resource_scope("preprocess", "granule");
-        // The completion record must be durable before the counters move:
-        // a crash between the two re-runs this granule, never loses it.
-        if !journal_record(
-            &progress2,
-            JournalEvent::TileFileWritten {
-                file: preprocess_key(granule, tiles),
-                tiles: tiles.round() as u64,
-            },
-        ) {
-            return;
-        }
-        let now = sim.now();
-        {
-            // The granule's own trace interval: submission → completion,
-            // so queueing on the node block is visible to trace analysis.
-            let trace = TraceContext::new(granule.to_string());
-            let tel = &mut sim.state_mut().telemetry;
-            tel.span_traced("preprocess", "granule", submitted, now, Some(&trace));
-            tel.count("granules", "preprocess", 1);
-        }
-        let produced = {
-            let mut p = progress2.borrow_mut();
-            p.preprocess_active -= 1;
-            p.granules_done += 1;
-            let active = p.preprocess_active;
-            drop(p);
-            sim.state_mut()
-                .telemetry
-                .activity_change("preprocess", now, active);
-            let mut p = progress2.borrow_mut();
-            if tiles > 0.0 {
-                p.day_tiles.insert(granule, tiles);
-                Some(format!("tiles-{granule}.nc"))
-            } else {
-                None
-            }
-        };
-        if let Some(file) = produced {
-            sim.state_mut().cluster.note_tiles(tiles);
-            let now_s = sim.now().as_secs_f64();
-            let inputs = ProductKind::all()
-                .into_iter()
-                .map(|p| format!("defiant:{}", granule.file_name(p)))
-                .collect();
-            sim.state_mut()
-                .provenance
-                .record(file.clone(), "preprocess", inputs, "parsl-worker", now_s)
-                .attrs
-                .insert("tiles".into(), format!("{tiles:.0}"));
-            sim.state_mut().crawler.announce(file);
-        }
-        preprocess_pull(sim, &progress2, node_idx);
-        maybe_finish_preprocess(sim, &progress2, tile_start);
-    });
+    }
+    if tiles > 0.0 {
+        let file = format!("tiles-{granule}.nc");
+        let inputs = ProductKind::all()
+            .into_iter()
+            .map(|p| format!("defiant:{}", granule.file_name(p)))
+            .collect();
+        sim.state_mut()
+            .provenance
+            .record(
+                file.clone(),
+                "preprocess",
+                inputs,
+                "parsl-worker",
+                now.as_secs_f64(),
+            )
+            .attrs
+            .insert("tiles".into(), format!("{tiles:.0}"));
+        sim.state_mut().crawler.announce(file);
+    }
 }
 
-fn maybe_finish_preprocess(sim: &mut Simulation<World>, progress: &P, _tile_start: SimTime) {
-    if is_halted(progress) {
+/// The preprocessing batch drained: close the stage and ship if inference
+/// has already caught up.
+fn finish_preprocess(sim: &mut Simulation<World>, progress: &P, started: SimTime) {
+    progress.borrow_mut().preprocess_done = true;
+    let stage_was_done = progress.borrow().resume.stage_done("preprocess");
+    if !stage_was_done
+        && !journal_record(
+            progress,
+            JournalEvent::StageFinished {
+                stage: "preprocess".into(),
+            },
+        )
+    {
         return;
     }
-    let finished = {
-        let mut p = progress.borrow_mut();
-        if p.preprocess_done
-            || p.preprocess_active > 0
-            || !p.work_queue.is_empty()
-            || p.block_nodes.is_empty()
-        {
-            false
-        } else {
-            p.preprocess_done = true;
-            true
-        }
+    let now = sim.now();
+    let (items, tiles) = {
+        let p = progress.borrow();
+        (p.granules_done, p.total_tiles())
     };
-    if finished {
-        let stage_was_done = progress.borrow().resume.stage_done("preprocess");
-        if !stage_was_done
-            && !journal_record(
-                progress,
-                JournalEvent::StageFinished {
-                    stage: "preprocess".into(),
-                },
-            )
-        {
-            return;
-        }
-        let now = sim.now();
-        let (started, items, tiles) = {
-            let p = progress.borrow();
-            (p.preprocess_started, p.granules_done, p.total_tiles())
-        };
-        sim.state_mut()
-            .telemetry
-            .span("preprocess", "total", started, now);
-        let mut p = progress.borrow_mut();
-        let bytes = ByteSize::bytes((tiles * p.params.tile_nc_bytes as f64) as u64);
-        p.stages.push(StageReport {
-            name: "preprocess".into(),
-            started,
-            finished: now,
-            items,
-            bytes,
-        });
-        drop(p);
-        maybe_ship(sim, progress);
-    }
+    sim.state_mut()
+        .telemetry
+        .span("preprocess", "total", started, now);
+    let mut p = progress.borrow_mut();
+    let bytes = ByteSize::bytes((tiles * p.params.tile_nc_bytes as f64) as u64);
+    p.stages.push(StageReport {
+        name: "preprocess".into(),
+        started,
+        finished: now,
+        items,
+        bytes,
+    });
+    drop(p);
+    maybe_ship(sim, progress);
 }
 
 // ------------------------------------------------ stage 3+4: monitor & infer
 
-fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
-    if is_halted(progress) {
-        return;
-    }
+fn monitor_poll(sim: &mut Simulation<World>, progress: &P, inference: &InferencePool) {
     // Crawl for new tile files and enqueue inference jobs.
     let fresh = sim.state_mut().crawler.crawl();
+    let mut jobs = Vec::with_capacity(fresh.len());
     for file in fresh {
         let (seed, labeled_already, seen_before) = {
             let p = progress.borrow();
@@ -984,31 +929,21 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
         let tel = &mut sim.state_mut().telemetry;
         tel.mark_traced("monitor", "trigger", now, trace.as_ref());
         tel.count("triggers", "monitor", 1);
-        // Recover the tile count from the file name's granule.
-        let tiles = file
-            .strip_prefix("tiles-")
-            .and_then(|rest| rest.strip_suffix(".nc"))
-            .and_then(parse_granule_display)
-            .map(|g| granule_tiles(seed, g))
-            .unwrap_or(100.0);
-        progress
-            .borrow_mut()
-            .inference_queue
-            .push_back((file, tiles));
+        let tiles = tile_file_tiles(seed, &file);
+        jobs.push((file, tiles));
     }
-    pump_inference(sim, progress);
+    // Every trigger of this crawl is journaled and marked before the
+    // first of its flows starts.
+    for job in jobs {
+        inference.push(sim, job);
+    }
 
-    let stop = {
-        let p = progress.borrow();
-        p.preprocess_done
-            && p.inference_queue.is_empty()
-            && p.inference_active == 0
-            && p.labeled.len() == p.tile_files()
-    };
-    if !stop {
+    if !progress.borrow().all_labeled() {
         let period = Duration::from_secs_f64(progress.borrow().params.monitor_period_s);
-        let progress2 = Rc::clone(progress);
-        sim.schedule_in(period, move |sim| monitor_poll(sim, &progress2));
+        let (progress2, inference2) = (Rc::clone(progress), inference.clone());
+        sim.schedule_in(period, move |sim| {
+            monitor_poll(sim, &progress2, &inference2)
+        });
     } else {
         maybe_ship(sim, progress);
     }
@@ -1046,6 +981,15 @@ pub fn trace_for_artifact<'a>(
     analysis.trace(&granule_trace_id(artifact)?)
 }
 
+/// Recover a tile file's tile count from the granule in its name.
+pub(crate) fn tile_file_tiles(seed: u64, file: &str) -> f64 {
+    file.strip_prefix("tiles-")
+        .and_then(|rest| rest.strip_suffix(".nc"))
+        .and_then(parse_granule_display)
+        .map(|g| granule_tiles(seed, g))
+        .unwrap_or(100.0)
+}
+
 fn parse_granule_display(s: &str) -> Option<GranuleId> {
     // "{MOD|MYD}.A{yyyy}{ddd}.{hhmm}"
     let mut parts = s.split('.');
@@ -1064,89 +1008,64 @@ fn parse_granule_display(s: &str) -> Option<GranuleId> {
     Some(GranuleId::new(platform, date, hh * 12 + mm / 5))
 }
 
-fn pump_inference(sim: &mut Simulation<World>, progress: &P) {
-    loop {
-        let job = {
-            let mut p = progress.borrow_mut();
-            if p.inference_active >= p.params.inference_workers {
-                None
-            } else if let Some(job) = p.inference_queue.pop_front() {
-                p.inference_active += 1;
-                let active = p.inference_active;
-                drop(p);
+/// Open the stage-4 pool: `inference_workers` slots, each job one flow run
+/// (crawl-handoff → infer → append → move). The monitor feeds it for as
+/// long as the campaign runs, so it is never closed.
+fn inference_pool(sim: &mut Simulation<World>, progress: &P) -> InferencePool {
+    let workers = progress.borrow().params.inference_workers;
+    let progress = Rc::clone(progress);
+    Pool::new(
+        sim,
+        workers,
+        move |sim, pool: &InferencePool, slot, (file, tiles): (String, f64), _attempt| {
+            // Each hop pays the Globus-Flows action overhead (~50 ms) and
+            // carries the file's granule trace so the flow joins its
+            // end-to-end timeline.
+            let trace = granule_trace_id(&file).map(TraceContext::new);
+            let mut overhead = Duration::ZERO;
+            for _ in 0..4 {
+                let hop = sim.state_mut().flow_overhead.sample().total();
                 let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("inference", now, active);
-                Some(job)
-            } else {
-                None
+                sim.state_mut().telemetry.span_traced(
+                    "inference",
+                    "flow_action",
+                    now + overhead,
+                    now + overhead + hop,
+                    trace.as_ref(),
+                );
+                overhead += hop;
             }
-        };
-        let Some((file, tiles)) = job else {
-            break;
-        };
-        // The flow: crawl-handoff → infer → append → move, each hop paying
-        // the Globus-Flows action overhead (~50 ms). Every hop carries the
-        // file's granule trace so the flow joins its end-to-end timeline.
-        let trace = granule_trace_id(&file).map(TraceContext::new);
-        let mut overhead = Duration::ZERO;
-        for _ in 0..4 {
-            let hop = sim.state_mut().flow_overhead.sample().total();
+            let rate = progress.borrow().params.inference_rate;
+            let compute = Duration::from_secs_f64(tiles / rate);
             let now = sim.now();
             sim.state_mut().telemetry.span_traced(
                 "inference",
-                "flow_action",
+                "compute",
                 now + overhead,
-                now + overhead + hop,
+                now + overhead + compute,
                 trace.as_ref(),
             );
-            overhead += hop;
-        }
-        let rate = progress.borrow().params.inference_rate;
-        let compute = Duration::from_secs_f64(tiles / rate);
-        let now = sim.now();
-        sim.state_mut().telemetry.span_traced(
-            "inference",
-            "compute",
-            now + overhead,
-            now + overhead + compute,
-            trace.as_ref(),
-        );
-        let total = overhead + compute;
-        let progress2 = Rc::clone(progress);
-        sim.schedule_in(total, move |sim| {
-            if is_halted(&progress2) {
-                return;
-            }
-            let bytes_u64 = {
-                let p = progress2.borrow();
-                (tiles * p.params.tile_nc_bytes as f64) as u64
-            };
-            if !journal_record(
-                &progress2,
-                JournalEvent::LabelsAppended {
-                    file: file.clone(),
-                    labels: tiles.round() as u64,
-                    bytes: bytes_u64,
-                },
-            ) {
-                return;
-            }
-            let now = sim.now();
-            sim.state_mut()
-                .telemetry
-                .count("files_labeled", "inference", 1);
-            {
-                let mut p = progress2.borrow_mut();
-                p.inference_active -= 1;
-                p.labeled.push((file.clone(), ByteSize::bytes(bytes_u64)));
-                let active = p.inference_active;
-                drop(p);
+            let (progress, pool) = (Rc::clone(&progress), pool.clone());
+            sim.schedule_in(overhead + compute, move |sim| {
+                let bytes = (tiles * progress.borrow().params.tile_nc_bytes as f64) as u64;
+                if !journal_record(
+                    &progress,
+                    JournalEvent::LabelsAppended {
+                        file: file.clone(),
+                        labels: tiles.round() as u64,
+                        bytes,
+                    },
+                ) {
+                    return;
+                }
                 sim.state_mut()
                     .telemetry
-                    .activity_change("inference", now, active);
-                let now_s = now.as_secs_f64();
+                    .count("files_labeled", "inference", 1);
+                progress
+                    .borrow_mut()
+                    .labeled
+                    .push((file.clone(), ByteSize::bytes(bytes)));
+                let now_s = sim.now().as_secs_f64();
                 sim.state_mut().provenance.record(
                     format!("labeled:{file}"),
                     "inference",
@@ -1154,22 +1073,15 @@ fn pump_inference(sim: &mut Simulation<World>, progress: &P) {
                     "globus-flow",
                     now_s,
                 );
-            }
-            pump_inference(sim, &progress2);
-            // The monitor loop handles the stop/ship decision; but if it
-            // already stopped polling, check here too.
-            let stop = {
-                let p = progress2.borrow();
-                p.preprocess_done
-                    && p.inference_queue.is_empty()
-                    && p.inference_active == 0
-                    && p.labeled.len() == p.tile_files()
-            };
-            if stop {
-                maybe_ship(sim, &progress2);
-            }
-        });
-    }
+                pool.complete(sim, slot, Verdict::Done);
+                // The monitor loop handles the stop/ship decision; but if
+                // it already stopped polling, check here too.
+                maybe_ship(sim, &progress);
+            });
+        },
+        stage_activity("inference"),
+        |_, _| {},
+    )
 }
 
 // --------------------------------------------------------- stage 5: shipment
@@ -1242,17 +1154,9 @@ fn build_journal_sync(progress: &P) -> Option<JournalSync> {
 }
 
 fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
-    if is_halted(progress) {
-        return;
-    }
     let (files, replay_shipment) = {
         let mut p = progress.borrow_mut();
-        let ready = p.preprocess_done
-            && p.inference_queue.is_empty()
-            && p.inference_active == 0
-            && p.labeled.len() == p.tile_files()
-            && !p.shipped;
-        if !ready {
+        if !p.all_labeled() || p.shipped {
             return;
         }
         p.shipped = true;
@@ -1284,26 +1188,7 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
                 .map(|(n, _)| (n.clone(), started, started))
                 .collect(),
         };
-        let manifest = build_shipment_manifest(
-            "ace-defiant",
-            "frontier-orion",
-            &files,
-            &sim.state().provenance,
-            journal_digest(progress),
-            started.as_secs_f64(),
-        );
-        let sync = build_journal_sync(progress);
-        let mut p = progress.borrow_mut();
-        p.stages.push(StageReport {
-            name: "shipment".into(),
-            started,
-            finished: started,
-            items: report.files_ok,
-            bytes: report.bytes,
-        });
-        p.shipment = Some(report);
-        p.manifest = Some(manifest);
-        p.journal_sync = sync;
+        close_shipment(sim, progress, started, report);
         return;
     }
     let progress2 = Rc::clone(progress);
@@ -1314,9 +1199,6 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
         files,
         TransferOptions::default(),
         move |sim, report| {
-            if is_halted(&progress2) {
-                return;
-            }
             if !journal_record(
                 &progress2,
                 JournalEvent::ShipmentFinished {
@@ -1362,35 +1244,43 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
                     );
                 }
             }
-            let journal = journal_digest(&progress2);
-            let manifest = {
-                let p = progress2.borrow();
-                build_shipment_manifest(
-                    "ace-defiant",
-                    "frontier-orion",
-                    &p.labeled,
-                    &sim.state().provenance,
-                    journal,
-                    now.as_secs_f64(),
-                )
-            };
-            // Snapshot the journal-sync payload at the same point the
-            // manifest's digest is taken — the two must agree for the
-            // destination's completeness check to pass.
-            let sync = build_journal_sync(&progress2);
-            let mut p = progress2.borrow_mut();
-            p.stages.push(StageReport {
-                name: "shipment".into(),
-                started,
-                finished: now,
-                items: report.files_ok,
-                bytes: report.bytes,
-            });
-            p.shipment = Some(report);
-            p.manifest = Some(manifest);
-            p.journal_sync = sync;
+            close_shipment(sim, &progress2, started, report);
         },
     );
+}
+
+/// Close the shipment stage, live or replayed: manifest over every labeled
+/// file, journal-sync payload, stage summary.
+fn close_shipment(
+    sim: &mut Simulation<World>,
+    progress: &P,
+    started: SimTime,
+    report: TransferReport,
+) {
+    let now = sim.now();
+    let manifest = build_shipment_manifest(
+        "ace-defiant",
+        "frontier-orion",
+        &progress.borrow().labeled,
+        &sim.state().provenance,
+        journal_digest(progress),
+        now.as_secs_f64(),
+    );
+    // Snapshot the journal-sync payload at the same point the manifest's
+    // digest is taken — the two must agree for the destination's
+    // completeness check to pass.
+    let sync = build_journal_sync(progress);
+    let mut p = progress.borrow_mut();
+    p.stages.push(StageReport {
+        name: "shipment".into(),
+        started,
+        finished: now,
+        items: report.files_ok,
+        bytes: report.bytes,
+    });
+    p.shipment = Some(report);
+    p.manifest = Some(manifest);
+    p.journal_sync = sync;
 }
 
 #[cfg(test)]
@@ -1831,5 +1721,66 @@ mod tests {
             ..CampaignParams::small()
         };
         assert!(run_campaign_resumable(other, journal).is_err());
+    }
+
+    #[test]
+    fn no_driver_resumes_another_drivers_journal() {
+        use crate::realrun::RealPipeline;
+        use crate::streaming::{run_streaming_campaign_resumable, StreamingParams};
+        use eoml_journal::MemStorage;
+        use eoml_modis::synth::SwathDims;
+
+        let params = CampaignParams::small();
+        let dir = std::env::temp_dir().join(format!("eoml-claim-{}", std::process::id()));
+        let pipeline = RealPipeline::new(&dir, params.seed, SwathDims::small(), 32, 1).unwrap();
+        let granules: Vec<GranuleId> = GranuleId::day_granules(params.platform, params.start)
+            .take(1)
+            .collect();
+        // Each driver, handed a same-seed journal begun by `theirs`.
+        let resume_as = |driver: &str, store: MemStorage| -> Result<(), JournalError> {
+            let (mut journal, _) = Journal::open(store).unwrap();
+            match driver {
+                "batch-campaign" => run_campaign_resumable(params.clone(), journal).map(drop),
+                "streaming-campaign" => {
+                    let sp = StreamingParams {
+                        base: params.clone(),
+                        ..StreamingParams::demo()
+                    };
+                    match run_streaming_campaign_resumable(sp, journal) {
+                        Ok(_) => Ok(()),
+                        Err(crate::streaming::StreamingError::Journal(e)) => Err(e),
+                        Err(other) => panic!("{other}"),
+                    }
+                }
+                "real-run" => match pipeline.run_resumable(&granules, &mut journal) {
+                    Ok(_) => Ok(()),
+                    Err(crate::realrun::RealRunError::Journal(e)) => Err(e),
+                    Err(other) => panic!("{other}"),
+                },
+                _ => unreachable!(),
+            }
+        };
+        let labels = ["batch-campaign", "streaming-campaign", "real-run"];
+        for theirs in labels {
+            for driver in labels.into_iter().filter(|&d| d != theirs) {
+                let store = MemStorage::new();
+                let (mut journal, _) = Journal::open(store.clone()).unwrap();
+                journal
+                    .append(JournalEvent::CampaignStarted {
+                        seed: params.seed,
+                        label: theirs.into(),
+                    })
+                    .unwrap();
+                drop(journal);
+                let err = resume_as(driver, store.clone()).unwrap_err();
+                assert!(
+                    matches!(&err, JournalError::Io(msg) if msg.contains(theirs)),
+                    "{driver} on a {theirs} journal: {err}"
+                );
+                let (journal, _) = Journal::open(store).unwrap();
+                assert_eq!(journal.len(), 1, "{driver} appended to a {theirs} journal");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,7 +17,7 @@
 //! work — the resumed run's labeled artifacts are byte-identical to an
 //! uninterrupted run's.
 
-use crate::campaign::JournalSink;
+use crate::campaign::{claim_journal, JournalSink};
 use eoml_compute::endpoint::{ComputeEndpoint, TaskResult};
 use eoml_compute::registry::FunctionRegistry;
 use eoml_executor::local::LocalExecutor;
@@ -229,30 +229,8 @@ impl RealPipeline {
         granules: &[GranuleId],
         journal: &mut Journal<S>,
     ) -> Result<RealRunReport, RealRunError> {
-        let resume = journal.state().clone();
-        if let Some(seed) = resume.seed {
-            if seed != self.seed {
-                return Err(RealRunError::Journal(JournalError::Io(format!(
-                    "journal belongs to seed {seed}, pipeline uses seed {}",
-                    self.seed
-                ))));
-            }
-        }
-        if let Some(label) = &resume.label {
-            if label != REAL_RUN_LABEL {
-                return Err(RealRunError::Journal(JournalError::Io(format!(
-                    "journal belongs to a {label:?} run, not a real pipeline run"
-                ))));
-            }
-        }
-        if resume.seed.is_none() {
-            journal
-                .append(JournalEvent::CampaignStarted {
-                    seed: self.seed,
-                    label: REAL_RUN_LABEL.into(),
-                })
-                .map_err(RealRunError::Journal)?;
-        }
+        let resume =
+            claim_journal(journal, self.seed, REAL_RUN_LABEL).map_err(RealRunError::Journal)?;
         let mut sink: Option<&mut dyn JournalSink> = Some(journal);
         self.run_inner(granules, &mut sink, &resume)
     }

@@ -19,23 +19,26 @@
 //! queue.
 
 use crate::campaign::{
-    build_shipment_manifest, granule_tiles, granule_trace_id, preprocess_key, CampaignParams,
-    JournalSink, StageReport,
+    build_shipment_manifest, claim_journal, granule_tiles, granule_trace_id, preprocess_key,
+    tile_file_tiles, CampaignParams, InferencePool, JournalSink, StageReport, DOWNLOAD_RETRIES,
 };
-use crate::world::World;
-use eoml_cluster::exec::submit_task;
+use crate::world::{stage_activity, World};
 use eoml_cluster::slurm::request_block;
-use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
+use eoml_executor::simexec::{open_batch, TaskBatch};
+use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, MemStorage, Storage};
 use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
 use eoml_obs::TraceContext;
-use eoml_simtime::{SimTime, Simulation};
-use eoml_transfer::flownet::start_flow;
+use eoml_simtime::{Pool, SimTime, Simulation, Verdict};
+use eoml_transfer::backoff::BackoffPolicy;
 use eoml_transfer::manifest::ShipmentManifest;
+use eoml_transfer::mover::{open_mover, FileJob, FileMover};
+use eoml_transfer::pool::FileTiming;
+use eoml_transfer::service::TransferOptions;
 use eoml_util::units::ByteSize;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -133,6 +136,12 @@ pub struct StreamingReport {
     pub downloaded: ByteSize,
     /// Bytes shipped.
     pub shipped: ByteSize,
+    /// Files abandoned after exhausting their retry budget: archive files
+    /// that never arrived (their granule is not preprocessed) and tile
+    /// files that never reached the destination (not counted as labeled).
+    pub failed: Vec<String>,
+    /// Retries across downloads and shipments.
+    pub retries: usize,
     /// End-to-end makespan, virtual seconds.
     pub makespan_s: f64,
     /// Stage summaries (download/preprocess/shipment windows).
@@ -148,26 +157,17 @@ struct StState {
     params: StreamingParams,
     // archive schedule
     pending_granules: VecDeque<GranuleId>, // not yet visible
-    download_queue: VecDeque<(GranuleId, ProductKind, String, ByteSize)>,
-    download_active: usize,
     parts_arrived: HashMap<GranuleId, usize>,
     granules_downloaded: usize,
     downloaded: ByteSize,
     first_download: Option<SimTime>,
     last_download: SimTime,
     // preprocess
-    block_nodes: Vec<usize>,
-    preprocess_queue: VecDeque<(GranuleId, f64)>,
-    preprocess_active: usize,
     granules_preprocessed: usize,
     first_preprocess: Option<SimTime>,
     last_preprocess: SimTime,
-    // inference
-    inference_queue: VecDeque<(String, f64)>,
-    inference_active: usize,
+    // inference + shipment
     labeled: usize,
-    // shipment
-    shipping: usize,
     shipped_files: usize,
     shipped: ByteSize,
     /// Every shipped `(file, bytes)` pair — manifest input; seeded with
@@ -175,7 +175,8 @@ struct StState {
     /// the whole campaign.
     ship_log: Vec<(String, ByteSize)>,
     last_ship: SimTime,
-    finished: bool,
+    failed: Vec<String>,
+    retries: usize,
     manifest: Option<ShipmentManifest>,
     // journaling
     journal: Option<Rc<RefCell<dyn JournalSink>>>,
@@ -186,25 +187,20 @@ struct StState {
 type S = Rc<RefCell<StState>>;
 
 /// Append `event` to the campaign's journal, if any. Returns `false` when
-/// the append failed (crash point reached): the pipeline must stop — the
-/// event, and everything after it, is not durable.
+/// the append failed (crash point reached) or an earlier one did: the
+/// event, and everything after it, is not durable. The pipeline is then
+/// halted — the driver stops the clock after the event in progress.
 fn st_record(st: &S, event: JournalEvent) -> bool {
-    let sink = st.borrow().journal.clone();
-    match sink {
-        None => true,
-        Some(journal) => {
-            if journal.borrow_mut().append(event).is_ok() {
-                true
-            } else {
-                st.borrow_mut().halted = true;
-                false
-            }
+    let sink = {
+        let s = st.borrow();
+        if s.halted {
+            return false;
         }
-    }
-}
-
-fn st_halted(st: &S) -> bool {
-    st.borrow().halted
+        s.journal.clone()
+    };
+    let durable = sink.is_none_or(|journal| journal.borrow_mut().append(event).is_ok());
+    st.borrow_mut().halted = !durable;
+    durable
 }
 
 /// Run a streaming campaign. The archive releases granules on the
@@ -221,7 +217,7 @@ pub fn run_streaming_campaign(params: StreamingParams) -> StreamingReport {
 pub fn try_run_streaming_campaign(
     params: StreamingParams,
 ) -> Result<StreamingReport, StreamingError> {
-    run_streaming_inner(params, None, CampaignState::default())
+    run_streaming_inner(params, None::<Journal<MemStorage>>)
 }
 
 /// Run a streaming campaign against a write-ahead `journal`, resuming any
@@ -239,62 +235,47 @@ pub fn run_streaming_campaign_resumable<St: Storage + 'static>(
     params: StreamingParams,
     journal: Journal<St>,
 ) -> Result<StreamingReport, StreamingError> {
-    if params.base.days != 1 {
-        return Err(StreamingError::UnsupportedDays {
-            days: params.base.days,
-        });
-    }
-    let resume = journal.state().clone();
-    if let Some(seed) = resume.seed {
-        if seed != params.base.seed {
-            return Err(StreamingError::Journal(JournalError::Io(format!(
-                "journal belongs to seed {seed}, campaign params use seed {}",
-                params.base.seed
-            ))));
-        }
-    }
-    if let Some(label) = &resume.label {
-        if label != "streaming-campaign" {
-            return Err(StreamingError::Journal(JournalError::Io(format!(
-                "journal belongs to a {label:?} run, not a streaming campaign"
-            ))));
-        }
-    }
-    let sink: Rc<RefCell<dyn JournalSink>> = Rc::new(RefCell::new(journal));
-    if resume.seed.is_none() {
-        sink.borrow_mut().append(JournalEvent::CampaignStarted {
-            seed: params.base.seed,
-            label: "streaming-campaign".into(),
-        })?;
-    }
-    run_streaming_inner(params, Some(sink), resume)
+    run_streaming_inner(params, Some(journal))
 }
 
-fn run_streaming_inner(
+fn run_streaming_inner<St: Storage + 'static>(
     params: StreamingParams,
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
+    journal: Option<Journal<St>>,
 ) -> Result<StreamingReport, StreamingError> {
     if params.base.days != 1 {
         return Err(StreamingError::UnsupportedDays {
             days: params.base.days,
         });
     }
+    let (sink, resume) = match journal {
+        None => (None, CampaignState::default()),
+        Some(mut journal) => {
+            let resume = claim_journal(&mut journal, params.base.seed, "streaming-campaign")?;
+            let sink: Rc<RefCell<dyn JournalSink>> = Rc::new(RefCell::new(journal));
+            (Some(sink), resume)
+        }
+    };
+    let (mut sim, st) = launch(params, sink, resume);
+    while !st.borrow().halted && sim.step() {}
+    conclude(sim, st)
+}
+
+/// Build the world and wire the pipeline; nothing has run yet.
+fn launch(
+    params: StreamingParams,
+    journal: Option<Rc<RefCell<dyn JournalSink>>>,
+    resume: CampaignState,
+) -> (Simulation<World>, S) {
     let mut world = World::new(params.base.seed, params.base.faults);
     if let Some(obs) = &params.base.obs {
         world.telemetry.attach_obs(Arc::clone(obs));
     }
     let mut sim = Simulation::new(world);
-
-    let all: Vec<GranuleId> = GranuleId::day_granules(params.base.platform, params.base.start)
-        .take(params.base.files_per_day)
-        .collect();
-    let expected = all.len();
     let seed = params.base.seed;
 
     // Partition the day by how far the journal says each granule got.
     let mut pending_granules = VecDeque::new();
-    let mut preprocess_queue = VecDeque::new();
+    let mut preprocess_seed: Vec<(GranuleId, f64)> = Vec::new();
     let mut inference_seed: Vec<(String, f64)> = Vec::new();
     let mut parts_arrived = HashMap::new();
     let mut granules_downloaded = 0usize;
@@ -304,7 +285,7 @@ fn run_streaming_inner(
     let mut shipped_files = 0usize;
     let mut shipped = ByteSize::ZERO;
     let mut ship_log: Vec<(String, ByteSize)> = Vec::new();
-    for &g in &all {
+    for g in day_granules(&params) {
         let tiles = granule_tiles(seed, g);
         let key = preprocess_key(g, tiles);
         let dl_bytes: u64 = ProductKind::all()
@@ -336,7 +317,7 @@ fn run_streaming_inner(
             // All products durable: re-enter at preprocessing.
             granules_downloaded += 1;
             downloaded += ByteSize::bytes(dl_bytes);
-            preprocess_queue.push_back((g, tiles));
+            preprocess_seed.push((g, tiles));
         } else {
             // Waits for the archive; journaled products are pre-credited and
             // skipped when the granule is released.
@@ -351,28 +332,21 @@ fn run_streaming_inner(
     let st: S = Rc::new(RefCell::new(StState {
         params: params.clone(),
         pending_granules,
-        download_queue: VecDeque::new(),
-        download_active: 0,
         parts_arrived,
         granules_downloaded,
         downloaded,
         first_download: None,
         last_download: SimTime::ZERO,
-        block_nodes: Vec::new(),
-        preprocess_queue,
-        preprocess_active: 0,
         granules_preprocessed,
         first_preprocess: None,
         last_preprocess: SimTime::ZERO,
-        inference_queue: inference_seed.iter().cloned().collect(),
-        inference_active: 0,
         labeled,
-        shipping: 0,
         shipped_files,
         shipped,
         ship_log,
         last_ship: SimTime::ZERO,
-        finished: false,
+        failed: Vec::new(),
+        retries: 0,
         manifest: None,
         journal,
         resume,
@@ -388,8 +362,9 @@ fn run_streaming_inner(
         }
     }
 
-    // Allocate the preprocessing block up front; polling starts once the
-    // nodes are up.
+    // Allocate the preprocessing block up front; the pipeline is wired —
+    // last stage first, each stage closing the next when it drains — and
+    // polling starts once the nodes are up.
     let nodes = params.base.nodes;
     let st2 = Rc::clone(&st);
     request_block(
@@ -397,23 +372,48 @@ fn run_streaming_inner(
         |w: &mut World| &mut w.slurm,
         nodes,
         move |sim, _block, node_list| {
-            st2.borrow_mut().block_nodes = node_list;
-            poll_archive(sim, &st2);
-            pump_preprocess(sim, &st2);
-            pump_inference(sim, &st2);
+            let shipments = shipment_mover(sim, &st2);
+            let inference = inference_pool(sim, &params.base, shipments);
+            let preprocess = preprocess_batch(sim, &st2, node_list, inference.clone());
+            let downloads = download_mover(sim, &st2, preprocess.clone());
+            for (granule, tiles) in preprocess_seed {
+                preprocess.push(sim, ((granule, tiles), tiles.max(12.0)));
+            }
+            for job in inference_seed {
+                inference.push(sim, job);
+            }
+            poll_archive(sim, &st2, &downloads);
         },
     )
     .expect("cluster has enough nodes");
-    sim.run();
+    (sim, st)
+}
 
+fn day_granules(params: &StreamingParams) -> impl Iterator<Item = GranuleId> {
+    GranuleId::day_granules(params.base.platform, params.base.start).take(params.base.files_per_day)
+}
+
+/// Turn a finished simulation into the report.
+fn conclude(sim: Simulation<World>, st: S) -> Result<StreamingReport, StreamingError> {
+    if st.borrow().halted {
+        return Err(StreamingError::Journal(JournalError::Crashed));
+    }
     let world = sim.into_state();
     let s = Rc::try_unwrap(st)
         .unwrap_or_else(|_| panic!("streaming closures leaked"))
         .into_inner();
-    if s.halted {
-        return Err(StreamingError::Journal(JournalError::Crashed));
-    }
-    assert_eq!(s.granules_downloaded, expected, "archive fully drained");
+    // Every granule either arrived whole or lost a product to the retry
+    // budget.
+    let lost: BTreeSet<GranuleId> = s
+        .failed
+        .iter()
+        .filter_map(|file| GranuleId::parse_file_name(file).map(|(g, _)| g))
+        .collect();
+    assert_eq!(
+        s.granules_downloaded + lost.len(),
+        day_granules(&s.params).count(),
+        "archive fully drained"
+    );
     let mut stages = Vec::new();
     if let Some(t0) = s.first_download {
         stages.push(StageReport {
@@ -451,6 +451,8 @@ fn run_streaming_inner(
         shipped_files: s.shipped_files,
         downloaded: s.downloaded,
         shipped: s.shipped,
+        failed: s.failed,
+        retries: s.retries,
         makespan_s,
         stages,
         telemetry: world.telemetry,
@@ -459,15 +461,14 @@ fn run_streaming_inner(
 }
 
 /// Poll the archive: release granules whose availability time has passed
-/// into the download queue; reschedule until the archive is drained.
-fn poll_archive(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
-        return;
-    }
-    {
+/// to the download workers; reschedule until the archive is drained, then
+/// close the download feed.
+fn poll_archive(sim: &mut Simulation<World>, st: &S, downloads: &FileMover<World>) {
+    let released: Vec<(String, ByteSize)> = {
         let mut s = st.borrow_mut();
         let now = sim.now();
         let cat = Catalog::new(s.params.base.seed);
+        let mut released = Vec::new();
         while let Some(&g) = s.pending_granules.front() {
             if s.params.available_at(g) > now {
                 break;
@@ -475,175 +476,128 @@ fn poll_archive(sim: &mut Simulation<World>, st: &S) {
             s.pending_granules.pop_front();
             for product in ProductKind::all() {
                 let name = g.file_name(product);
-                if s.resume.is_downloaded(&name) {
-                    // Journaled before the crash; pre-credited at setup.
-                    continue;
+                // Products journaled before the crash were pre-credited
+                // at setup.
+                if !s.resume.is_downloaded(&name) {
+                    released.push((name, cat.file_size(g, product)));
                 }
-                let size = cat.file_size(g, product);
-                s.download_queue.push_back((g, product, name, size));
             }
         }
+        released
+    };
+    for (name, size) in released {
+        downloads.push(sim, FileJob::new(name, size));
     }
-    pump_downloads(sim, st);
-    let keep_polling = !st.borrow().pending_granules.is_empty() && !st_halted(st);
-    if keep_polling {
+    if st.borrow().pending_granules.is_empty() {
+        downloads.close(sim);
+    } else {
         let period = Duration::from_secs_f64(st.borrow().params.poll_period_s);
-        let st2 = Rc::clone(st);
-        sim.schedule_in(period, move |sim| poll_archive(sim, &st2));
+        let (st2, downloads2) = (Rc::clone(st), downloads.clone());
+        sim.schedule_in(period, move |sim| poll_archive(sim, &st2, &downloads2));
     }
 }
 
-fn pump_downloads(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
-        return;
-    }
-    loop {
-        let job = {
-            let mut s = st.borrow_mut();
-            if s.download_active >= s.params.base.download_workers {
-                None
-            } else if let Some(job) = s.download_queue.pop_front() {
-                s.download_active += 1;
-                let active = s.download_active;
-                if s.first_download.is_none() {
-                    s.first_download = Some(sim.now());
-                }
-                drop(s);
-                let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("download", now, active);
-                Some(job)
-            } else {
-                None
-            }
-        };
-        let Some((granule, product, name, size)) = job else {
-            break;
-        };
-        let st2 = Rc::clone(st);
-        let dl_start = sim.now();
-        start_flow(sim, "laads", "ace-defiant", size, move |sim, outcome| {
-            if st_halted(&st2) {
+/// Stage 1: the LAADS download workers, fed by [`poll_archive`]. A granule
+/// whose three products have all landed goes to preprocessing; when the
+/// feed drains, preprocessing is closed.
+fn download_mover(
+    sim: &mut Simulation<World>,
+    st: &S,
+    preprocess: TaskBatch<World, (GranuleId, f64)>,
+) -> FileMover<World> {
+    let options = TransferOptions {
+        parallel_streams: st.borrow().params.base.download_workers,
+        retry_limit: DOWNLOAD_RETRIES,
+        backoff: BackoffPolicy::wan_default(),
+    };
+    let obs = sim.state().telemetry.obs().cloned();
+    let (file_st, done_st) = (Rc::clone(st), Rc::clone(st));
+    let ready = preprocess.clone();
+    open_mover(
+        sim,
+        "laads",
+        "ace-defiant",
+        options,
+        obs,
+        |file| granule_trace_id(file).map(TraceContext::new),
+        move |sim, file: &FileTiming| {
+            let st = &file_st;
+            if !st_record(
+                st,
+                JournalEvent::FileDownloaded {
+                    file: file.name.clone(),
+                    bytes: file.size.as_u64(),
+                },
+            ) {
                 return;
             }
-            let now = sim.now();
-            {
-                let mut s = st2.borrow_mut();
-                s.download_active -= 1;
-                let active = s.download_active;
-                drop(s);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("download", now, active);
-            }
-            if outcome.is_success()
-                && !st_record(
-                    &st2,
-                    JournalEvent::FileDownloaded {
-                        file: name.clone(),
-                        bytes: size.as_u64(),
-                    },
-                )
-            {
-                return;
-            }
-            if outcome.is_success() {
-                let trace = TraceContext::new(granule.to_string());
-                let tel = &mut sim.state_mut().telemetry;
-                tel.span_traced("download", "file", dl_start, now, Some(&trace));
-                tel.count("files", "download", 1);
-                tel.count("bytes", "download", size.as_u64());
-            }
-            let granule_ready = {
-                let mut s = st2.borrow_mut();
-                if outcome.is_success() {
-                    s.downloaded += size;
-                    s.last_download = now;
-                    let parts = s.parts_arrived.entry(granule).or_insert(0);
-                    *parts += 1;
-                    if *parts == 3 {
-                        // All three products in: granule is preprocessable.
-                        s.granules_downloaded += 1;
-                        let tiles = granule_tiles(s.params.base.seed, granule);
-                        s.preprocess_queue.push_back((granule, tiles));
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    // Retry: re-enqueue the file.
-                    s.download_queue
-                        .push_back((granule, product, name.clone(), size));
-                    false
-                }
+            let (granule, _) =
+                GranuleId::parse_file_name(&file.name).expect("archive files name their granule");
+            let ready_tiles = {
+                let mut s = st.borrow_mut();
+                s.downloaded += file.size;
+                s.first_download.get_or_insert(file.started);
+                s.last_download = file.finished;
+                let parts = s.parts_arrived.entry(granule).or_insert(0);
+                *parts += 1;
+                // All three products in: granule is preprocessable.
+                let whole = *parts == 3;
+                s.granules_downloaded += usize::from(whole);
+                whole.then(|| granule_tiles(s.params.base.seed, granule))
             };
-            if granule_ready {
-                pump_preprocess(sim, &st2);
+            if let Some(tiles) = ready_tiles {
+                ready.push(sim, ((granule, tiles), tiles.max(12.0)));
             }
-            pump_downloads(sim, &st2);
-        });
-    }
+        },
+        move |sim, report| {
+            sim.state_mut()
+                .telemetry
+                .merge_activity("download", &report.activity);
+            {
+                let mut s = done_st.borrow_mut();
+                s.retries += report.retries;
+                s.failed.extend(report.failed);
+            }
+            preprocess.close(sim);
+        },
+    )
 }
 
-fn pump_preprocess(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
-        return;
-    }
-    loop {
-        let job = {
-            let mut s = st.borrow_mut();
-            let slots = s.block_nodes.len() * s.params.base.workers_per_node;
-            if s.preprocess_active >= slots {
-                None
-            } else if let Some(job) = s.preprocess_queue.pop_front() {
-                s.preprocess_active += 1;
-                let active = s.preprocess_active;
-                if s.first_preprocess.is_none() {
-                    s.first_preprocess = Some(sim.now());
-                }
-                let node = s.block_nodes[active % s.block_nodes.len()];
-                drop(s);
-                let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("preprocess", now, active);
-                Some((node, job))
-            } else {
-                None
-            }
-        };
-        let Some((node, (granule, tiles))) = job else {
-            break;
-        };
-        let st2 = Rc::clone(st);
-        let pp_start = sim.now();
-        submit_task(sim, node, tiles.max(12.0), move |sim| {
-            if st_halted(&st2) {
-                return;
-            }
+/// Stage 2 (+3): the Parsl block. A finished day granule's tile file
+/// triggers inference at once; when the batch drains, inference is closed.
+fn preprocess_batch(
+    sim: &mut Simulation<World>,
+    st: &S,
+    node_list: Vec<usize>,
+    inference: InferencePool,
+) -> TaskBatch<World, (GranuleId, f64)> {
+    let wpn = st.borrow().params.base.workers_per_node;
+    let task_st = Rc::clone(st);
+    let labelable = inference.clone();
+    open_batch(
+        sim,
+        node_list,
+        wpn,
+        0.0,
+        0,
+        stage_activity("preprocess"),
+        move |sim, &(granule, tiles): &(GranuleId, f64), task| {
+            let st = &task_st;
             // Attribute allocations in the completion path (journal
             // append, span bookkeeping, queue churn) to the stage.
             let _mem = sim
                 .state_mut()
                 .telemetry
                 .resource_scope("preprocess", "granule");
+            let file = format!("tiles-{granule}.nc");
             if !st_record(
-                &st2,
+                st,
                 JournalEvent::TileFileWritten {
                     file: preprocess_key(granule, tiles),
                     tiles: tiles.round() as u64,
                 },
-            ) {
-                return;
-            }
-            if tiles > 0.0
-                && !st_record(
-                    &st2,
-                    JournalEvent::MonitorTriggered {
-                        file: format!("tiles-{granule}.nc"),
-                    },
-                )
+            ) || (tiles > 0.0
+                && !st_record(st, JournalEvent::MonitorTriggered { file: file.clone() }))
             {
                 return;
             }
@@ -651,7 +605,7 @@ fn pump_preprocess(sim: &mut Simulation<World>, st: &S) {
             {
                 let trace = TraceContext::new(granule.to_string());
                 let tel = &mut sim.state_mut().telemetry;
-                tel.span_traced("preprocess", "granule", pp_start, now, Some(&trace));
+                tel.span_traced("preprocess", "granule", task.started, now, Some(&trace));
                 tel.count("granules", "preprocess", 1);
                 if tiles > 0.0 {
                     tel.mark_traced("monitor", "trigger", now, Some(&trace));
@@ -659,191 +613,144 @@ fn pump_preprocess(sim: &mut Simulation<World>, st: &S) {
                 }
             }
             {
-                let mut s = st2.borrow_mut();
-                s.preprocess_active -= 1;
+                let mut s = st.borrow_mut();
                 s.granules_preprocessed += 1;
+                s.first_preprocess.get_or_insert(task.started);
                 s.last_preprocess = now;
-                let active = s.preprocess_active;
-                if tiles > 0.0 {
-                    s.inference_queue
-                        .push_back((format!("tiles-{granule}.nc"), tiles));
-                }
-                drop(s);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("preprocess", now, active);
             }
-            pump_inference(sim, &st2);
-            pump_preprocess(sim, &st2);
-            maybe_finish(sim, &st2);
-        });
-    }
+            if tiles > 0.0 {
+                labelable.push(sim, (file, tiles));
+            }
+        },
+        move |sim, _report| inference.close(sim),
+    )
 }
 
-fn pump_inference(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
-        return;
-    }
-    loop {
-        let job = {
-            let mut s = st.borrow_mut();
-            if s.inference_active >= s.params.base.inference_workers {
-                None
-            } else if let Some(job) = s.inference_queue.pop_front() {
-                s.inference_active += 1;
-                let active = s.inference_active;
-                drop(s);
+/// Stage 4: one flow run per tile file. Each labeled file ships at once;
+/// when the pool drains, the shipment feed is closed.
+fn inference_pool(
+    sim: &mut Simulation<World>,
+    base: &CampaignParams,
+    shipments: FileMover<World>,
+) -> InferencePool {
+    let (rate, tile_bytes) = (base.inference_rate, base.tile_nc_bytes);
+    let labeled = shipments.clone();
+    Pool::new(
+        sim,
+        base.inference_workers,
+        move |sim, pool: &InferencePool, slot, (file, tiles): (String, f64), _attempt| {
+            let overhead = sim.state_mut().flow_overhead.sample().total() * 4;
+            let compute = Duration::from_secs_f64(tiles / rate);
+            let (pool, labeled) = (pool.clone(), labeled.clone());
+            let inf_start = sim.now();
+            sim.schedule_in(overhead + compute, move |sim| {
                 let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("inference", now, active);
-                Some(job)
-            } else {
-                None
-            }
-        };
-        let Some((file, tiles)) = job else {
-            break;
-        };
-        let (rate, tile_bytes) = {
-            let s = st.borrow();
-            (s.params.base.inference_rate, s.params.base.tile_nc_bytes)
-        };
-        let overhead = sim.state_mut().flow_overhead.sample().total() * 4;
-        let compute = Duration::from_secs_f64(tiles / rate);
-        let st2 = Rc::clone(st);
-        let inf_start = sim.now();
-        sim.schedule_in(overhead + compute, move |sim| {
-            if st_halted(&st2) {
+                let trace = granule_trace_id(&file).map(TraceContext::new);
+                sim.state_mut().telemetry.span_traced(
+                    "inference",
+                    "infer",
+                    inf_start,
+                    now,
+                    trace.as_ref(),
+                );
+                // Ship this labeled file immediately (streaming shipment).
+                // The label only becomes durable — and is only counted —
+                // once the shipment lands, so a crash between inference and
+                // shipment re-runs both on resume.
+                let size = ByteSize::bytes((tiles * tile_bytes as f64) as u64);
+                labeled.push(sim, FileJob::new(file, size));
+                pool.complete(sim, slot, Verdict::Done);
+            });
+        },
+        stage_activity("inference"),
+        move |sim, _summary| shipments.close(sim),
+    )
+}
+
+/// Stage 5: every labeled file ships on its own through the same mover,
+/// streams, retry budget and backoff as a batch campaign's shipment. When
+/// the feed drains the campaign is over: journal it and build the manifest.
+fn shipment_mover(sim: &mut Simulation<World>, st: &S) -> FileMover<World> {
+    let (file_st, done_st) = (Rc::clone(st), Rc::clone(st));
+    open_mover(
+        sim,
+        "ace-defiant",
+        "frontier-orion",
+        TransferOptions::default(),
+        None,
+        |_| None,
+        move |sim, file: &FileTiming| {
+            let st = &file_st;
+            let tiles = tile_file_tiles(st.borrow().params.base.seed, &file.name);
+            if !st_record(
+                st,
+                JournalEvent::LabelsAppended {
+                    file: file.name.clone(),
+                    labels: tiles.round() as u64,
+                    bytes: file.size.as_u64(),
+                },
+            ) {
                 return;
             }
-            let now = sim.now();
-            let trace = granule_trace_id(&file).map(TraceContext::new);
-            sim.state_mut().telemetry.span_traced(
-                "inference",
-                "infer",
-                inf_start,
-                now,
+            {
+                let mut s = st.borrow_mut();
+                s.labeled += 1;
+                s.shipped_files += 1;
+                s.shipped += file.size;
+                s.ship_log.push((file.name.clone(), file.size));
+                s.last_ship = file.finished;
+            }
+            let trace = granule_trace_id(&file.name).map(TraceContext::new);
+            let tel = &mut sim.state_mut().telemetry;
+            tel.span_traced(
+                "shipment",
+                "ship",
+                file.started,
+                file.finished,
                 trace.as_ref(),
             );
+            tel.count("files_labeled", "inference", 1);
+            tel.count("files_shipped", "shipment", 1);
+            tel.count("bytes_shipped", "shipment", file.size.as_u64());
+        },
+        move |sim, report| {
+            let st = &done_st;
             {
-                let mut s = st2.borrow_mut();
-                s.inference_active -= 1;
-                let active = s.inference_active;
-                drop(s);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("inference", now, active);
+                let tel = &sim.state().telemetry;
+                tel.count("retries", "shipment", report.retries as u64);
+                tel.count("files_abandoned", "shipment", report.failed.len() as u64);
             }
-            // Ship this labeled file immediately (streaming shipment). The
-            // label only becomes durable — and is only counted — once the
-            // shipment lands, so a crash between inference and shipment
-            // re-runs both on resume.
-            let size = ByteSize::bytes((tiles * tile_bytes as f64) as u64);
-            {
-                st2.borrow_mut().shipping += 1;
+            let (files, bytes) = {
+                let mut s = st.borrow_mut();
+                s.retries += report.retries;
+                s.failed.extend(report.failed);
+                (s.shipped_files as u64, s.shipped.as_u64())
+            };
+            if !st_record(st, JournalEvent::ShipmentFinished { files, bytes }) {
+                return;
             }
-            let st3 = Rc::clone(&st2);
-            let ship_start = sim.now();
-            start_flow(
-                sim,
+            let journal = {
+                let sink = st.borrow().journal.clone();
+                sink.and_then(|j| j.borrow().state_digest())
+            };
+            let manifest = build_shipment_manifest(
                 "ace-defiant",
                 "frontier-orion",
-                size,
-                move |sim, out| {
-                    if st_halted(&st3) {
-                        return;
-                    }
-                    if out.is_success()
-                        && !st_record(
-                            &st3,
-                            JournalEvent::LabelsAppended {
-                                file: file.clone(),
-                                labels: tiles.round() as u64,
-                                bytes: size.as_u64(),
-                            },
-                        )
-                    {
-                        return;
-                    }
-                    {
-                        let mut s = st3.borrow_mut();
-                        s.shipping -= 1;
-                        if out.is_success() {
-                            s.labeled += 1;
-                            s.shipped_files += 1;
-                            s.shipped += size;
-                            s.ship_log.push((file.clone(), size));
-                            s.last_ship = sim.now();
-                        }
-                    }
-                    if out.is_success() {
-                        let now = sim.now();
-                        let trace = granule_trace_id(&file).map(TraceContext::new);
-                        let tel = &mut sim.state_mut().telemetry;
-                        tel.span_traced("shipment", "ship", ship_start, now, trace.as_ref());
-                        tel.count("files_labeled", "inference", 1);
-                        tel.count("files_shipped", "shipment", 1);
-                        tel.count("bytes_shipped", "shipment", size.as_u64());
-                    }
-                    maybe_finish(sim, &st3);
-                },
+                &st.borrow().ship_log,
+                &sim.state().provenance,
+                journal,
+                sim.now().as_secs_f64(),
             );
-            pump_inference(sim, &st2);
-            maybe_finish(sim, &st2);
-        });
-    }
-}
-
-fn maybe_finish(sim: &mut Simulation<World>, st: &S) {
-    {
-        let s = st.borrow();
-        if s.finished || s.halted {
-            return;
-        }
-        let done = s.pending_granules.is_empty()
-            && s.download_queue.is_empty()
-            && s.download_active == 0
-            && s.preprocess_queue.is_empty()
-            && s.preprocess_active == 0
-            && s.inference_queue.is_empty()
-            && s.inference_active == 0
-            && s.shipping == 0;
-        if !done {
-            return;
-        }
-    }
-    let (files, bytes) = {
-        let s = st.borrow();
-        (s.shipped_files as u64, s.shipped.as_u64())
-    };
-    if !st_record(st, JournalEvent::ShipmentFinished { files, bytes }) {
-        return;
-    }
-    let journal = {
-        let sink = st.borrow().journal.clone();
-        sink.and_then(|j| j.borrow().state_digest())
-    };
-    let manifest = {
-        let s = st.borrow();
-        build_shipment_manifest(
-            "ace-defiant",
-            "frontier-orion",
-            &s.ship_log,
-            &sim.state().provenance,
-            journal,
-            sim.now().as_secs_f64(),
-        )
-    };
-    let mut s = st.borrow_mut();
-    s.manifest = Some(manifest);
-    s.finished = true;
+            st.borrow_mut().manifest = Some(manifest);
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eoml_journal::MemStorage;
+    use eoml_transfer::faults::FaultPlan;
 
     fn small() -> StreamingParams {
         StreamingParams {
@@ -1051,5 +958,121 @@ mod tests {
             }
         }
         assert!(!seen.is_empty(), "no monitor triggers journaled");
+    }
+
+    fn day_granule_count(p: &StreamingParams) -> usize {
+        day_granules(p)
+            .filter(|&g| granule_tiles(p.base.seed, g) > 0.0)
+            .count()
+    }
+
+    #[test]
+    fn flaky_wan_ships_every_labeled_file() {
+        // A full acquisition day: ≈ 144 shipments and 864 downloads at a
+        // 2.5 % per-flow failure rate. A failed shipment used to be dropped
+        // without a word, a failed download re-queued forever.
+        for seed in [2022, 7] {
+            let mut p = small();
+            p.base.seed = seed;
+            p.base.files_per_day = 288;
+            p.base.faults = FaultPlan::flaky_wan();
+            let days = day_granule_count(&p);
+            let r = run_streaming_campaign(p);
+            assert!(r.failed.is_empty(), "seed {seed}: abandoned {:?}", r.failed);
+            assert!(r.retries > 0, "seed {seed}: 1000 flaky flows, no retry");
+            assert_eq!(r.granules_downloaded, 288);
+            assert_eq!(r.labeled_files, days, "seed {seed}");
+            assert_eq!(r.shipped_files, days, "seed {seed}");
+            let m = r.manifest.as_ref().expect("manifest");
+            assert_eq!(m.len(), days, "manifest covers every tile file");
+        }
+    }
+
+    #[test]
+    fn retries_are_bounded_counted_and_exhaustion_is_reported() {
+        let counter = |obs: &eoml_obs::Obs, name: &str, stage: &str| {
+            obs.metrics().counter_value(name, stage).unwrap_or(0) as usize
+        };
+        // A bad WAN: most files need retries, some exhaust the budget.
+        let obs = eoml_obs::Obs::shared();
+        let mut p = small();
+        p.base.obs = Some(Arc::clone(&obs));
+        p.base.faults = FaultPlan {
+            drop_probability: 0.45,
+            corrupt_probability: 0.0,
+        };
+        let r = run_streaming_campaign(p);
+        assert_eq!(
+            r.retries,
+            counter(&obs, "retries", "download") + counter(&obs, "retries", "shipment")
+        );
+        let delivered: Vec<_> = obs
+            .spans()
+            .into_iter()
+            .filter(|sp| sp.stage == "download" && sp.name == "file")
+            .collect();
+        for sp in &delivered {
+            let attempts: usize = sp.attr("attempts").unwrap().parse().unwrap();
+            assert!(attempts <= DOWNLOAD_RETRIES + 1, "{attempts} attempts");
+        }
+        let lost_files = counter(&obs, "files_abandoned", "download");
+        assert!(
+            lost_files > 0,
+            "0.45^4 of 72 files should exhaust the budget"
+        );
+        assert_eq!(delivered.len() + lost_files, 72, "every file ends once");
+        let lost_ships = counter(&obs, "files_abandoned", "shipment");
+        assert_eq!(r.failed.len(), lost_files + lost_ships);
+        assert!(r.granules_downloaded < 24, "a granule missing a product");
+        assert_eq!(r.granules_preprocessed, r.granules_downloaded);
+        assert_eq!(r.shipped_files, r.labeled_files);
+
+        // A dead WAN: every file burns its whole budget and is abandoned;
+        // the campaign still terminates and says what it lost.
+        let obs = eoml_obs::Obs::shared();
+        let mut p = small();
+        p.base.obs = Some(Arc::clone(&obs));
+        p.base.faults = FaultPlan {
+            drop_probability: 1.0,
+            corrupt_probability: 0.0,
+        };
+        let r = run_streaming_campaign(p);
+        assert_eq!(r.failed.len(), 72);
+        assert_eq!(r.retries, 72 * DOWNLOAD_RETRIES);
+        assert_eq!(counter(&obs, "files_abandoned", "download"), 72);
+        assert_eq!((r.granules_downloaded, r.shipped_files), (0, 0));
+        assert_eq!(r.manifest.as_ref().map(|m| m.len()), Some(0));
+    }
+
+    #[test]
+    fn no_node_ever_runs_more_than_its_workers() {
+        // A resumed day whose downloads are all durable: every granule
+        // reaches the block at once, the burst the old `active % nodes`
+        // placement stacked on one node while another idled.
+        let mut p = small();
+        p.base.workers_per_node = 2;
+        let mut resume = CampaignState::default();
+        for g in day_granules(&p) {
+            for product in ProductKind::all() {
+                resume.apply(&JournalEvent::FileDownloaded {
+                    file: g.file_name(product),
+                    bytes: 1,
+                });
+            }
+        }
+        let (nodes, wpn) = (p.base.nodes, p.base.workers_per_node);
+        let (mut sim, st) = launch(p, None, resume);
+        let mut peak = 0;
+        while sim.step() {
+            for node in 0..sim.state().cluster.spec().nodes {
+                let busy = sim.state().cluster.node_occupancy(node);
+                assert!(busy <= wpn, "node {node} runs {busy} tasks, {wpn} workers");
+                peak = peak.max(busy);
+            }
+        }
+        assert_eq!(peak, wpn, "the block was never saturated; test too weak");
+        let r = conclude(sim, st).unwrap();
+        assert_eq!(r.granules_preprocessed, 24);
+        assert!(r.telemetry.peak("preprocess") <= nodes * wpn);
     }
 }

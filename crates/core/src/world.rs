@@ -8,6 +8,7 @@ use eoml_cluster::slurm::SlurmProvider;
 use eoml_cluster::spec::ClusterSpec;
 use eoml_compute::launch::LaunchModel;
 use eoml_flows::trigger::VirtualCrawler;
+use eoml_simtime::Simulation;
 use eoml_transfer::endpoint::Endpoint;
 use eoml_transfer::faults::FaultPlan;
 use eoml_transfer::flownet::{FlowNetwork, HasNetwork};
@@ -64,6 +65,16 @@ impl World {
     }
 }
 
+/// A pool's activity listener feeding `stage`'s worker timeline.
+pub(crate) fn stage_activity(stage: &'static str) -> impl Fn(&mut Simulation<World>, usize) {
+    move |sim, active| {
+        let now = sim.now();
+        sim.state_mut()
+            .telemetry
+            .activity_change(stage, now, active);
+    }
+}
+
 impl HasNetwork for World {
     fn network(&mut self) -> &mut FlowNetwork<World> {
         &mut self.net
@@ -89,7 +100,6 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eoml_simtime::Simulation;
     use eoml_transfer::flownet::start_flow;
     use eoml_util::units::ByteSize;
     use std::cell::RefCell;

@@ -21,4 +21,4 @@ pub mod simexec;
 
 pub use dag::{Dag, DagError, NodeId};
 pub use local::LocalExecutor;
-pub use simexec::{run_batch, run_batch_faulty, BatchReport, TaskTiming};
+pub use simexec::{open_batch, run_batch, run_batch_faulty, BatchReport, TaskBatch, TaskTiming};

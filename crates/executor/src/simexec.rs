@@ -3,15 +3,18 @@
 //! This is Parsl's worker pool seen from the simulator's side: a batch of
 //! tasks (one per granule, work measured in tiles) is distributed over
 //! `nodes × workers_per_node` worker slots; a slot that finishes a task
-//! immediately pulls the next queued one. The report carries everything the
-//! scaling figures need — per-task timings, worker-activity change points,
-//! and total completion time.
+//! immediately pulls the next queued one. The slots, queue, requeues and
+//! activity series are an `eoml-simtime` [`Pool`]; [`open_batch`] adds
+//! the cluster tasks, the crash-retry verdict, per-task timing and the
+//! per-task hook. The report carries everything the scaling figures need —
+//! per-task timings, worker-activity change points, and total completion
+//! time.
 
 use eoml_cluster::exec::{submit_task, HasCluster};
-use eoml_simtime::{SimTime, Simulation};
+use eoml_simtime::{Pool, SimTime, Simulation, Verdict};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
+use std::time::Duration;
 
 /// Start/end of one executed task.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,21 +69,90 @@ impl BatchReport {
     }
 }
 
-type OnDoneFn<S> = Box<dyn FnOnce(&mut Simulation<S>, BatchReport)>;
+/// Handle to an open task batch: `push` `(tag, tiles)` tasks while it is
+/// open, then `close` it.
+pub type TaskBatch<S, T> = Pool<S, (T, f64)>;
 
-struct BatchState<S> {
+/// Open the one task batch: a [`Pool`] of `nodes × workers_per_node` worker
+/// slots running tasks on the cluster model, with Parsl-style crash
+/// retries. Slot `i` lives on `nodes[i % nodes.len()]`, so slots spread
+/// node-major and a slot never changes node.
+///
+/// Each task execution crashes with probability `crash_probability` (the
+/// work is lost and the task re-queued, up to `retry_limit` retries per
+/// task, then abandoned) — the failure handling Parsl provides via app
+/// retries. `on_active` hears every change of the busy-worker count;
+/// `on_task` fires once per task that completes without crashing, with the
+/// tag it was pushed under; `on_done` fires once, after the batch is
+/// closed, when every pushed task has completed or been abandoned.
+#[allow(clippy::too_many_arguments)]
+pub fn open_batch<S: HasCluster, T: 'static>(
+    sim: &mut Simulation<S>,
     nodes: Vec<usize>,
-    queue: VecDeque<(f64, usize)>, // (tiles, attempts so far)
-    active: usize,
-    started: SimTime,
-    tasks: Vec<TaskTiming>,
-    activity: Vec<(SimTime, usize)>,
-    total_tiles: f64,
+    workers_per_node: usize,
     crash_probability: f64,
     retry_limit: usize,
-    retries: usize,
-    abandoned: usize,
-    on_done: Option<OnDoneFn<S>>,
+    on_active: impl Fn(&mut Simulation<S>, usize) + 'static,
+    on_task: impl FnMut(&mut Simulation<S>, &T, &TaskTiming) + 'static,
+    on_done: impl FnOnce(&mut Simulation<S>, BatchReport) + 'static,
+) -> TaskBatch<S, T> {
+    assert!(!nodes.is_empty() && workers_per_node > 0);
+    assert!((0.0..1.0).contains(&crash_probability));
+    let started = sim.now();
+    let on_task = Rc::new(RefCell::new(on_task));
+    let tasks = Rc::new(RefCell::new(Vec::new()));
+    let done_tasks = Rc::clone(&tasks);
+    Pool::new(
+        sim,
+        nodes.len() * workers_per_node,
+        move |sim, pool: &TaskBatch<S, T>, slot, (tag, tiles): (T, f64), attempt| {
+            let node = nodes[slot % nodes.len()];
+            let task_started = sim.now();
+            let (pool, on_task, tasks) = (pool.clone(), Rc::clone(&on_task), Rc::clone(&tasks));
+            submit_task(sim, node, tiles, move |sim| {
+                let p = crash_probability;
+                let verdict = if p > 0.0 && sim.state_mut().cluster().chance(p) {
+                    // `attempt` is 1-based: `attempt <= retry_limit` grants
+                    // exactly `retry_limit` re-executions beyond the first.
+                    if attempt <= retry_limit {
+                        let job = (tag, tiles);
+                        Verdict::Requeue {
+                            job,
+                            after: Duration::ZERO,
+                        }
+                    } else {
+                        Verdict::Abandon
+                    }
+                } else {
+                    let timing = TaskTiming {
+                        node,
+                        started: task_started,
+                        finished: sim.now(),
+                        tiles,
+                    };
+                    tasks.borrow_mut().push(timing);
+                    sim.state_mut().cluster().note_tiles(tiles);
+                    (on_task.borrow_mut())(sim, &tag, &timing);
+                    Verdict::Done
+                };
+                pool.complete(sim, slot, verdict);
+            });
+        },
+        on_active,
+        move |sim, summary| {
+            let tasks = done_tasks.take();
+            let report = BatchReport {
+                started,
+                finished: sim.now(),
+                total_tiles: tasks.iter().fold(0.0, |sum, t| sum + t.tiles),
+                tasks,
+                activity: summary.activity,
+                retries: summary.requeues,
+                abandoned: summary.abandoned,
+            };
+            on_done(sim, report);
+        },
+    )
 }
 
 /// Run a batch of `work` tasks (tiles each) over `workers_per_node` worker
@@ -95,10 +167,8 @@ pub fn run_batch<S: HasCluster>(
     run_batch_faulty(sim, nodes, workers_per_node, work, 0.0, 0, on_done)
 }
 
-/// Like [`run_batch`], with worker-crash fault injection: each task
-/// execution crashes with probability `crash_probability` (the work is
-/// lost and the task re-queued, up to `retry_limit` retries per task) —
-/// the failure-handling behaviour Parsl provides via app retries.
+/// Like [`run_batch`], with worker-crash fault injection (see
+/// [`open_batch`]).
 pub fn run_batch_faulty<S: HasCluster>(
     sim: &mut Simulation<S>,
     nodes: Vec<usize>,
@@ -108,113 +178,20 @@ pub fn run_batch_faulty<S: HasCluster>(
     retry_limit: usize,
     on_done: impl FnOnce(&mut Simulation<S>, BatchReport) + 'static,
 ) {
-    assert!(!nodes.is_empty() && workers_per_node > 0);
-    assert!((0.0..1.0).contains(&crash_probability));
-    let state = Rc::new(RefCell::new(BatchState {
-        nodes: nodes.clone(),
-        queue: work.into_iter().map(|w| (w, 0)).collect(),
-        active: 0,
-        started: sim.now(),
-        tasks: Vec::new(),
-        activity: vec![(sim.now(), 0)],
-        total_tiles: 0.0,
+    let batch = open_batch(
+        sim,
+        nodes,
+        workers_per_node,
         crash_probability,
         retry_limit,
-        retries: 0,
-        abandoned: 0,
-        on_done: Some(Box::new(on_done)),
-    }));
-    // Fill every slot: iterate node-major so slots spread evenly.
-    for slot in 0..workers_per_node {
-        for node_idx in 0..nodes.len() {
-            let _ = slot;
-            slot_pull(sim, &state, node_idx);
-        }
+        |_, _| {},
+        |_, _: &(), _| {},
+        on_done,
+    );
+    for tiles in work {
+        batch.push(sim, ((), tiles));
     }
-    maybe_finish(sim, &state);
-}
-
-fn slot_pull<S: HasCluster>(
-    sim: &mut Simulation<S>,
-    state: &Rc<RefCell<BatchState<S>>>,
-    node_idx: usize,
-) {
-    let job = {
-        let mut st = state.borrow_mut();
-        match st.queue.pop_front() {
-            Some(job) => {
-                st.active += 1;
-                let now = sim.now();
-                let active = st.active;
-                st.activity.push((now, active));
-                Some((st.nodes[node_idx], job))
-            }
-            None => None,
-        }
-    };
-    let Some((node, (tiles, attempts))) = job else {
-        return;
-    };
-    let started = sim.now();
-    let state2 = Rc::clone(state);
-    submit_task(sim, node, tiles, move |sim| {
-        let crash = {
-            let p = state2.borrow().crash_probability;
-            p > 0.0 && sim.state_mut().cluster().chance(p)
-        };
-        {
-            let mut st = state2.borrow_mut();
-            st.active -= 1;
-            let now = sim.now();
-            let active = st.active;
-            st.activity.push((now, active));
-            if crash {
-                if attempts < st.retry_limit {
-                    st.retries += 1;
-                    st.queue.push_back((tiles, attempts + 1));
-                } else {
-                    st.abandoned += 1;
-                }
-            } else {
-                st.tasks.push(TaskTiming {
-                    node,
-                    started,
-                    finished: sim.now(),
-                    tiles,
-                });
-                st.total_tiles += tiles;
-            }
-        }
-        if !crash {
-            sim.state_mut().cluster().note_tiles(tiles);
-        }
-        slot_pull(sim, &state2, node_idx);
-        maybe_finish(sim, &state2);
-    });
-}
-
-fn maybe_finish<S: HasCluster>(sim: &mut Simulation<S>, state: &Rc<RefCell<BatchState<S>>>) {
-    let done = {
-        let mut st = state.borrow_mut();
-        if st.active > 0 || !st.queue.is_empty() || st.on_done.is_none() {
-            None
-        } else {
-            let on_done = st.on_done.take().expect("checked");
-            let report = BatchReport {
-                started: st.started,
-                finished: sim.now(),
-                tasks: std::mem::take(&mut st.tasks),
-                activity: std::mem::take(&mut st.activity),
-                total_tiles: st.total_tiles,
-                retries: st.retries,
-                abandoned: st.abandoned,
-            };
-            Some((on_done, report))
-        }
-    };
-    if let Some((on_done, report)) = done {
-        on_done(sim, report);
-    }
+    batch.close(sim);
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! here exercises the counted path (the lib unit tests cover the
 //! no-allocator zero path).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use eoml_obs::resource::{
     self, memory_table, CountingAlloc, ResourceGuard, ALLOC_BYTES_COUNTER, ALLOC_COUNT_COUNTER,
@@ -13,6 +13,16 @@ use eoml_obs::Obs;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// The allocator's counters are process-global and `cargo test` runs these
+/// tests on parallel threads: a sibling freeing memory inside another's
+/// scope breaks its delta and peak assertions. Each test holds this lock.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; the counters it guards are fine.
+    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn counter(obs: &Obs, name: &str, stage: &str) -> u64 {
     obs.metrics()
@@ -26,6 +36,7 @@ fn counter(obs: &Obs, name: &str, stage: &str) -> u64 {
 
 #[test]
 fn counting_allocator_is_live() {
+    let _exclusive = exclusive();
     // Getting here required allocating (test harness, strings, ...).
     assert!(resource::counting_active());
     let before = resource::snapshot();
@@ -40,6 +51,7 @@ fn counting_allocator_is_live() {
 
 #[test]
 fn detached_guard_measures_scope_deltas_and_peak() {
+    let _exclusive = exclusive();
     let guard = ResourceGuard::detached("preprocess", "tile");
     let block: Vec<u8> = vec![1u8; 1 << 20];
     let mid = guard.measure();
@@ -63,6 +75,7 @@ fn detached_guard_measures_scope_deltas_and_peak() {
 
 #[test]
 fn attached_guard_attributes_bytes_to_the_stage_registry() {
+    let _exclusive = exclusive();
     let obs = Obs::shared();
     {
         let _guard = ResourceGuard::enter(Arc::clone(&obs), "preprocess", "granule");
@@ -82,6 +95,7 @@ fn attached_guard_attributes_bytes_to_the_stage_registry() {
 
 #[test]
 fn successive_guards_accumulate_and_memory_table_reports_them() {
+    let _exclusive = exclusive();
     let obs = Obs::shared();
     for _ in 0..2 {
         let _guard = ResourceGuard::enter(Arc::clone(&obs), "download", "chunk");

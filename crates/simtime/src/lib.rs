@@ -35,10 +35,16 @@
 //! * **Cancelability** — [`Simulation::cancel`] revokes a scheduled event;
 //!   the fair-share network model reschedules completion events whenever the
 //!   set of active flows changes.
+//!
+//! On top of the engine sits [`Pool`], the one bounded worker pool every
+//! virtual-time throughput stage (downloads, Parsl tasks, transfer streams,
+//! inference) runs on.
 
 pub mod clock;
+pub mod pool;
 
 pub use clock::{Clock, RealClock, VirtualClock};
+pub use pool::{Pool, PoolSummary, Verdict};
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};

@@ -14,12 +14,15 @@
 //!   every change to the active-flow set reschedules the next completion;
 //! * [`faults`] — fault injection (connection drops, checksum corruption)
 //!   with bounded retries;
+//! * [`mover`] — the one file mover: a bounded `eoml-simtime` worker pool
+//!   of flows with retry, backoff, per-file timing, obs records and a
+//!   per-file hook; everything below that moves files is this;
 //! * [`service`] — a Globus-Transfer-like batch service (a task = many
 //!   files, `parallel_streams` concurrent flows, checksum verification,
-//!   automatic retry) built on the flow network;
+//!   automatic retry): the mover over a closed file list;
 //! * [`pool`] — the LAADS download pool: N workers pulling catalog files
 //!   off a shared queue, one flow each, exactly the structure of the
-//!   paper's remotely executed download function;
+//!   paper's remotely executed download function — the mover again;
 //! * [`manifest`] — the [`manifest::ShipmentManifest`] that travels with
 //!   every shipment: per-artifact content digests, the provenance slice,
 //!   originating trace ids, and a source-journal digest;
@@ -39,6 +42,7 @@ pub mod faults;
 pub mod flownet;
 pub mod ingest;
 pub mod manifest;
+pub mod mover;
 pub mod pool;
 pub mod service;
 pub mod sync;
@@ -51,6 +55,7 @@ pub use ingest::{receive, IngestError, IngestReport, Ingestor, ReceivedArtifact}
 pub use manifest::{
     content_digest, synthetic_digest, ArtifactEntry, JournalDigest, LineageRecord, ShipmentManifest,
 };
+pub use mover::{open_mover, FileJob, FileMover};
 pub use pool::{DownloadPool, DownloadReport, FileTiming};
 pub use service::{submit_transfer, TransferOptions, TransferReport, TransferTaskId};
 pub use sync::{

@@ -8,16 +8,13 @@
 //! the per-worker activity timeline the paper's Fig. 6 plots.
 
 use crate::backoff::BackoffPolicy;
-use crate::faults::FlowOutcome;
-use crate::flownet::{start_flow, HasNetwork};
+use crate::flownet::HasNetwork;
+use crate::mover::{open_mover, FileJob};
+use crate::service::TransferOptions;
 use eoml_obs::{Obs, TraceContext};
 use eoml_simtime::{SimTime, Simulation};
 use eoml_util::units::{ByteSize, Rate};
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Timing of one delivered file.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,52 +102,20 @@ impl DownloadReport {
     }
 }
 
-/// The download pool entry point (see [`DownloadPool::run`]).
+/// The download pool entry points: a closed file list through the one
+/// [file mover](crate::mover).
 pub struct DownloadPool<S>(std::marker::PhantomData<S>);
-
-type PoolDoneFn<S> = Box<dyn FnOnce(&mut Simulation<S>, DownloadReport)>;
-type PoolFileFn<S> = Box<dyn FnMut(&mut Simulation<S>, &FileTiming)>;
-type PoolTraceFn = Box<dyn Fn(&str) -> Option<TraceContext>>;
-
-struct PoolState<S> {
-    src: String,
-    dst: String,
-    retry_limit: usize,
-    backoff: BackoffPolicy,
-    workers: usize,
-    queue: VecDeque<(String, ByteSize, usize)>,
-    /// Failed files waiting out a backoff delay before requeueing. The
-    /// pool is not finished while any of these are outstanding, even if
-    /// the queue is empty and every worker is idle.
-    pending_retries: usize,
-    active: usize,
-    files: Vec<FileTiming>,
-    failed: Vec<String>,
-    started: SimTime,
-    first_start: std::collections::HashMap<String, SimTime>,
-    activity: Vec<(SimTime, usize)>,
-    retries: usize,
-    obs: Option<Arc<Obs>>,
-    trace_for: Option<PoolTraceFn>,
-    on_file: Option<PoolFileFn<S>>,
-    on_done: Option<PoolDoneFn<S>>,
-}
 
 impl<S: HasNetwork> DownloadPool<S> {
     /// Start `workers` download workers pulling `files` from `src` into
     /// `dst`. `on_done` fires when the last worker terminates.
     ///
-    /// **Retry semantics** (identical across all four constructors):
-    /// `retry_limit` is the number of *re*-attempts granted per file after
-    /// its first try, so a file is attempted at most `retry_limit + 1`
-    /// times in total and [`FileTiming::attempts`] counts total tries
-    /// (`1` = delivered on the first attempt, no retries). Retries wait
-    /// out a bounded exponential backoff ([`BackoffPolicy::wan_default`];
-    /// use [`DownloadPool::run_traced_with_backoff`] to override). Files
-    /// that exhaust the budget are *abandoned*: listed in
-    /// [`DownloadReport::failed`] and counted on the
-    /// `files_abandoned{stage="download"}` counter that feeds the ops
-    /// plane's `health::evaluate`.
+    /// **Retry semantics:** `retry_limit` is the number of *re*-attempts
+    /// granted per file after its first try, so a file is attempted at
+    /// most `retry_limit + 1` times in total and [`FileTiming::attempts`]
+    /// counts total tries (`1` = no retries). Retries wait out
+    /// [`BackoffPolicy::wan_default`]. Files that exhaust the budget are
+    /// *abandoned*: listed in [`DownloadReport::failed`].
     pub fn run(
         sim: &mut Simulation<S>,
         src: &str,
@@ -160,105 +125,7 @@ impl<S: HasNetwork> DownloadPool<S> {
         retry_limit: usize,
         on_done: impl FnOnce(&mut Simulation<S>, DownloadReport) + 'static,
     ) {
-        Self::run_with_hook(
-            sim,
-            src,
-            dst,
-            files,
-            workers,
-            retry_limit,
-            |_, _| {},
-            on_done,
-        );
-    }
-
-    /// [`DownloadPool::run`] with a per-file hook: `on_file` fires once per
-    /// successfully delivered file, as soon as it lands. Journaling drivers
-    /// use this to make each completed download durable before the pool
-    /// finishes. Retry semantics as documented on [`DownloadPool::run`]:
-    /// `retry_limit` re-attempts per file beyond the first, backoff
-    /// between them, abandoned files reported and counted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_hook(
-        sim: &mut Simulation<S>,
-        src: &str,
-        dst: &str,
-        files: Vec<(String, ByteSize)>,
-        workers: usize,
-        retry_limit: usize,
-        on_file: impl FnMut(&mut Simulation<S>, &FileTiming) + 'static,
-        on_done: impl FnOnce(&mut Simulation<S>, DownloadReport) + 'static,
-    ) {
-        Self::run_observed(
-            sim,
-            src,
-            dst,
-            files,
-            workers,
-            retry_limit,
-            None,
-            on_file,
-            on_done,
-        );
-    }
-
-    /// [`DownloadPool::run_with_hook`] with an observability hub: each
-    /// delivered file becomes a `download/file` span (whose duration
-    /// feeds the `file{stage="download"}` histogram) plus per-file
-    /// counters (`files`, `bytes`, `retries`, `files_failed`,
-    /// `files_abandoned`) and a `file_attempts` histogram, and the live
-    /// worker count drives the `active_workers{stage="download"}` gauge.
-    /// Retry semantics as documented on [`DownloadPool::run`]:
-    /// `retry_limit` re-attempts per file beyond the first, backoff
-    /// between them, abandoned files reported and counted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_observed(
-        sim: &mut Simulation<S>,
-        src: &str,
-        dst: &str,
-        files: Vec<(String, ByteSize)>,
-        workers: usize,
-        retry_limit: usize,
-        obs: Option<Arc<Obs>>,
-        on_file: impl FnMut(&mut Simulation<S>, &FileTiming) + 'static,
-        on_done: impl FnOnce(&mut Simulation<S>, DownloadReport) + 'static,
-    ) {
-        Self::run_traced(
-            sim,
-            src,
-            dst,
-            files,
-            workers,
-            retry_limit,
-            obs,
-            |_| None,
-            on_file,
-            on_done,
-        );
-    }
-
-    /// [`DownloadPool::run_observed`] with per-granule trace propagation:
-    /// `trace_for` maps a file name to the [`TraceContext`] of the
-    /// pipeline item it belongs to, and each `download/file` span is
-    /// tagged with it so the trace-analysis layer can stitch downloads
-    /// into end-to-end granule traces. Retry semantics as documented on
-    /// [`DownloadPool::run`]: `retry_limit` re-attempts per file beyond
-    /// the first, backoff between them, abandoned files reported and
-    /// counted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_traced(
-        sim: &mut Simulation<S>,
-        src: &str,
-        dst: &str,
-        files: Vec<(String, ByteSize)>,
-        workers: usize,
-        retry_limit: usize,
-        obs: Option<Arc<Obs>>,
-        trace_for: impl Fn(&str) -> Option<TraceContext> + 'static,
-        on_file: impl FnMut(&mut Simulation<S>, &FileTiming) + 'static,
-        on_done: impl FnOnce(&mut Simulation<S>, DownloadReport) + 'static,
-    ) {
-        Self::run_traced_with_backoff(
+        Self::run_full(
             sim,
             src,
             dst,
@@ -266,19 +133,22 @@ impl<S: HasNetwork> DownloadPool<S> {
             workers,
             retry_limit,
             BackoffPolicy::wan_default(),
-            obs,
-            trace_for,
-            on_file,
+            None,
+            |_| None,
+            |_, _| {},
             on_done,
         );
     }
 
-    /// [`DownloadPool::run_traced`] with an explicit [`BackoffPolicy`]
-    /// governing the wait before each retry ([`BackoffPolicy::immediate`]
-    /// restores the legacy no-wait loop). Retry semantics as documented
-    /// on [`DownloadPool::run`].
+    /// [`DownloadPool::run`] with everything spelled out: the `backoff`
+    /// before each retry ([`BackoffPolicy::immediate`] is the no-wait
+    /// loop), and the `obs` hub, per-file `trace_for` and per-file
+    /// `on_file` hook of [`open_mover`] — journaling drivers make each
+    /// download durable in the hook, before the pool finishes; abandoned
+    /// files reach `files_abandoned{stage="download"}` and through it the
+    /// ops plane's `health::evaluate`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_traced_with_backoff(
+    pub fn run_full(
         sim: &mut Simulation<S>,
         src: &str,
         dst: &str,
@@ -291,191 +161,16 @@ impl<S: HasNetwork> DownloadPool<S> {
         on_file: impl FnMut(&mut Simulation<S>, &FileTiming) + 'static,
         on_done: impl FnOnce(&mut Simulation<S>, DownloadReport) + 'static,
     ) {
-        assert!(workers > 0, "need at least one worker");
-        let inner = Rc::new(RefCell::new(PoolState {
-            src: src.to_string(),
-            dst: dst.to_string(),
+        let options = TransferOptions {
+            parallel_streams: workers,
             retry_limit,
             backoff,
-            workers,
-            queue: files.into_iter().map(|(n, s)| (n, s, 1)).collect(),
-            pending_retries: 0,
-            active: 0,
-            files: Vec::new(),
-            failed: Vec::new(),
-            started: sim.now(),
-            first_start: std::collections::HashMap::new(),
-            activity: vec![(sim.now(), 0)],
-            retries: 0,
-            obs,
-            trace_for: Some(Box::new(trace_for)),
-            on_file: Some(Box::new(on_file)),
-            on_done: Some(Box::new(on_done)),
-        }));
-        // Each worker tries to take a file; workers that find the queue
-        // empty terminate immediately (matching the paper's "gracefully
-        // terminates" semantics).
-        for _ in 0..workers {
-            Self::worker_take_next(sim, &inner);
-        }
-        Self::maybe_finish(sim, &inner);
-    }
-
-    fn record_activity(sim_now: SimTime, st: &mut PoolState<S>) {
-        if let Some(obs) = &st.obs {
-            obs.gauge_set("active_workers", "download", st.active as f64);
-        }
-        st.activity.push((sim_now, st.active));
-    }
-
-    fn worker_take_next(sim: &mut Simulation<S>, inner: &Rc<RefCell<PoolState<S>>>) {
-        let job = {
-            let mut st = inner.borrow_mut();
-            match st.queue.pop_front() {
-                Some(job) => {
-                    st.active += 1;
-                    st.first_start.entry(job.0.clone()).or_insert(sim.now());
-                    let now = sim.now();
-                    Self::record_activity(now, &mut st);
-                    Some((st.src.clone(), st.dst.clone(), job))
-                }
-                None => None, // worker terminates
-            }
         };
-        let Some((src, dst, (name, size, attempt))) = job else {
-            return;
-        };
-        let inner2 = Rc::clone(inner);
-        start_flow(sim, &src, &dst, size, move |sim, outcome| {
-            Self::on_file_done(sim, &inner2, name, size, attempt, outcome);
-        });
-    }
-
-    fn on_file_done(
-        sim: &mut Simulation<S>,
-        inner: &Rc<RefCell<PoolState<S>>>,
-        name: String,
-        size: ByteSize,
-        attempt: usize,
-        outcome: FlowOutcome,
-    ) {
-        let delivered = {
-            let mut st = inner.borrow_mut();
-            st.active -= 1;
-            let now = sim.now();
-            Self::record_activity(now, &mut st);
-            match outcome {
-                FlowOutcome::Success => {
-                    let started = st.first_start[&name];
-                    let timing = FileTiming {
-                        name,
-                        size,
-                        started,
-                        finished: sim.now(),
-                        attempts: attempt,
-                    };
-                    if let Some(obs) = &st.obs {
-                        let trace = st.trace_for.as_ref().and_then(|f| f(&timing.name));
-                        obs.record_sim_span_traced(
-                            "download",
-                            "file",
-                            timing.started,
-                            timing.finished,
-                            trace.as_ref(),
-                            &[
-                                ("file", &timing.name),
-                                ("attempts", &timing.attempts.to_string()),
-                            ],
-                        );
-                        obs.counter_add("files", "download", 1);
-                        obs.counter_add("bytes", "download", size.as_u64());
-                        obs.observe("file_attempts", "download", timing.attempts as f64);
-                    }
-                    st.files.push(timing.clone());
-                    Some(timing)
-                }
-                _ => {
-                    if attempt <= st.retry_limit {
-                        st.retries += 1;
-                        if let Some(obs) = &st.obs {
-                            obs.counter_add("retries", "download", 1);
-                        }
-                        // Retry number == attempt (attempt 1 failing earns
-                        // retry 1). Zero-delay policies requeue in place;
-                        // otherwise the file waits out the backoff and a
-                        // worker is revived for it if the pool went idle.
-                        let delay = st.backoff.delay_s(attempt);
-                        if delay <= 0.0 {
-                            st.queue.push_back((name, size, attempt + 1));
-                        } else {
-                            st.pending_retries += 1;
-                            let inner3 = Rc::clone(inner);
-                            sim.schedule_in(Duration::from_secs_f64(delay), move |sim| {
-                                let revive = {
-                                    let mut st = inner3.borrow_mut();
-                                    st.pending_retries -= 1;
-                                    st.queue.push_back((name, size, attempt + 1));
-                                    st.active < st.workers
-                                };
-                                if revive {
-                                    Self::worker_take_next(sim, &inner3);
-                                }
-                            });
-                        }
-                    } else {
-                        if let Some(obs) = &st.obs {
-                            obs.counter_add("files_failed", "download", 1);
-                            // Abandonment is a health signal: this counter
-                            // feeds the ops plane's `health::evaluate`.
-                            obs.counter_add("files_abandoned", "download", 1);
-                        }
-                        st.failed.push(name);
-                    }
-                    None
-                }
-            }
-        };
-        if let Some(timing) = delivered {
-            sim.state_mut().network().note_delivered(size);
-            // Call the hook outside the state borrow (it may re-enter sim).
-            let hook = inner.borrow_mut().on_file.take();
-            if let Some(mut hook) = hook {
-                hook(sim, &timing);
-                inner.borrow_mut().on_file = Some(hook);
-            }
+        let mover = open_mover(sim, src, dst, options, obs, trace_for, on_file, on_done);
+        for (name, size) in files {
+            mover.push(sim, FileJob::new(name, size));
         }
-        // The worker that just finished takes the next queued file.
-        Self::worker_take_next(sim, inner);
-        Self::maybe_finish(sim, inner);
-    }
-
-    fn maybe_finish(sim: &mut Simulation<S>, inner: &Rc<RefCell<PoolState<S>>>) {
-        let done = {
-            let mut st = inner.borrow_mut();
-            if st.active > 0
-                || !st.queue.is_empty()
-                || st.pending_retries > 0
-                || st.on_done.is_none()
-            {
-                None
-            } else {
-                let on_done = st.on_done.take().expect("checked");
-                let bytes = st.files.iter().map(|f| f.size).sum();
-                let report = DownloadReport {
-                    files: std::mem::take(&mut st.files),
-                    failed: std::mem::take(&mut st.failed),
-                    bytes,
-                    started: st.started,
-                    finished: sim.now(),
-                    activity: std::mem::take(&mut st.activity),
-                    retries: st.retries,
-                };
-                Some((on_done, report))
-            }
-        };
-        if let Some((on_done, report)) = done {
-            on_done(sim, report);
-        }
+        mover.close(sim);
     }
 }
 
@@ -485,6 +180,8 @@ mod tests {
     use crate::endpoint::Endpoint;
     use crate::faults::FaultPlan;
     use crate::flownet::FlowNetwork;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::time::Duration;
 
     struct St {
@@ -664,13 +361,16 @@ mod tests {
         let mut s = sim(FaultPlan::none(), 0);
         let seen = Rc::new(RefCell::new(Vec::<(String, SimTime)>::new()));
         let seen2 = Rc::clone(&seen);
-        DownloadPool::run_with_hook(
+        DownloadPool::run_full(
             &mut s,
             "laads",
             "ace-defiant",
             files(5, 45),
             2,
             2,
+            BackoffPolicy::wan_default(),
+            None,
+            |_| None,
             move |_sim, t: &FileTiming| seen2.borrow_mut().push((t.name.clone(), t.finished)),
             |sim, r| sim.state_mut().report = Some(r),
         );
@@ -699,14 +399,16 @@ mod tests {
             0,
         );
         let obs = Obs::shared();
-        DownloadPool::run_observed(
+        DownloadPool::run_full(
             &mut s,
             "laads",
             "ace-defiant",
             files(6, 45),
             3,
             8,
+            BackoffPolicy::wan_default(),
             Some(Arc::clone(&obs)),
+            |_| None,
             |_, _| {},
             |sim, r| sim.state_mut().report = Some(r),
         );
@@ -742,13 +444,14 @@ mod tests {
     fn traced_run_tags_spans_with_granule_ids() {
         let mut s = sim(FaultPlan::none(), 0);
         let obs = Obs::shared();
-        DownloadPool::run_traced(
+        DownloadPool::run_full(
             &mut s,
             "laads",
             "ace-defiant",
             files(4, 45),
             2,
             2,
+            BackoffPolicy::wan_default(),
             Some(Arc::clone(&obs)),
             |name| name.strip_suffix(".eogr").map(TraceContext::new),
             |_, _| {},

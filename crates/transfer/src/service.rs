@@ -7,14 +7,10 @@
 //! paper's stage 5 (shipment to Frontier's Orion) relies on.
 
 use crate::backoff::BackoffPolicy;
-use crate::faults::FlowOutcome;
-use crate::flownet::{start_flow, HasNetwork};
+use crate::flownet::HasNetwork;
+use crate::pool::DownloadPool;
 use eoml_simtime::{SimTime, Simulation};
 use eoml_util::units::ByteSize;
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
-use std::time::Duration as StdDuration;
 
 eoml_util::typed_id!(
     /// Identifier of a submitted transfer task.
@@ -88,31 +84,6 @@ impl TransferReport {
     }
 }
 
-type TaskDoneFn<S> = Box<dyn FnOnce(&mut Simulation<S>, TransferReport)>;
-
-struct TaskState<S> {
-    id: TransferTaskId,
-    src: String,
-    dst: String,
-    // name, size, attempt number (1-based: first try is attempt 1, the
-    // same convention as the download pool).
-    queue: VecDeque<(String, ByteSize, usize)>,
-    /// Failed files waiting out a backoff delay before requeueing; the
-    /// task is not finished while any are outstanding.
-    pending_retries: usize,
-    in_flight: usize,
-    options: TransferOptions,
-    files_ok: usize,
-    files_failed: usize,
-    bytes: ByteSize,
-    retries: usize,
-    submitted: SimTime,
-    file_times: Vec<(String, f64)>,
-    file_windows: Vec<(String, SimTime, SimTime)>,
-    file_started: std::collections::HashMap<String, SimTime>,
-    on_done: Option<TaskDoneFn<S>>,
-}
-
 /// Submit a batch transfer; `on_done` receives the final report.
 pub fn submit_transfer<S: HasNetwork>(
     sim: &mut Simulation<S>,
@@ -122,137 +93,43 @@ pub fn submit_transfer<S: HasNetwork>(
     options: TransferOptions,
     on_done: impl FnOnce(&mut Simulation<S>, TransferReport) + 'static,
 ) -> TransferTaskId {
-    assert!(options.parallel_streams > 0, "need at least one stream");
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     let id = TransferTaskId::from_raw(NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
-    let state = Rc::new(RefCell::new(TaskState {
-        id,
-        src: src.to_string(),
-        dst: dst.to_string(),
-        queue: files.into_iter().map(|(n, s)| (n, s, 1)).collect(),
-        pending_retries: 0,
-        in_flight: 0,
-        options,
-        files_ok: 0,
-        files_failed: 0,
-        bytes: ByteSize::ZERO,
-        retries: 0,
-        submitted: sim.now(),
-        file_times: Vec::new(),
-        file_windows: Vec::new(),
-        file_started: std::collections::HashMap::new(),
-        on_done: Some(Box::new(on_done)),
-    }));
-    pump(sim, &state);
+    DownloadPool::run_full(
+        sim,
+        src,
+        dst,
+        files,
+        options.parallel_streams,
+        options.retry_limit,
+        options.backoff,
+        None,
+        |_| None,
+        |_, _| {},
+        move |sim, moved| {
+            let report = TransferReport {
+                task: id,
+                files_ok: moved.files.len(),
+                files_failed: moved.failed.len(),
+                bytes: moved.bytes,
+                retries: moved.retries,
+                submitted: moved.started,
+                finished: moved.finished,
+                file_times: moved
+                    .files
+                    .iter()
+                    .map(|f| (f.name.clone(), (f.finished - f.started).as_secs_f64()))
+                    .collect(),
+                file_windows: moved
+                    .files
+                    .into_iter()
+                    .map(|f| (f.name, f.started, f.finished))
+                    .collect(),
+            };
+            on_done(sim, report);
+        },
+    );
     id
-}
-
-/// Launch flows until the stream budget is used or the queue is empty; if
-/// everything is done, emit the report.
-fn pump<S: HasNetwork>(sim: &mut Simulation<S>, state: &Rc<RefCell<TaskState<S>>>) {
-    loop {
-        let next = {
-            let mut st = state.borrow_mut();
-            if st.in_flight >= st.options.parallel_streams {
-                None
-            } else if let Some(item) = st.queue.pop_front() {
-                st.in_flight += 1;
-                st.file_started.entry(item.0.clone()).or_insert(sim.now());
-                Some((st.src.clone(), st.dst.clone(), item))
-            } else {
-                None
-            }
-        };
-        let Some((src, dst, (name, size, attempt))) = next else {
-            break;
-        };
-        let state2 = Rc::clone(state);
-        start_flow(sim, &src, &dst, size, move |sim, outcome| {
-            on_flow_done(sim, &state2, name, size, attempt, outcome);
-        });
-    }
-    maybe_finish(sim, state);
-}
-
-fn on_flow_done<S: HasNetwork>(
-    sim: &mut Simulation<S>,
-    state: &Rc<RefCell<TaskState<S>>>,
-    name: String,
-    size: ByteSize,
-    attempt: usize,
-    outcome: FlowOutcome,
-) {
-    {
-        let mut st = state.borrow_mut();
-        st.in_flight -= 1;
-        match outcome {
-            FlowOutcome::Success => {
-                st.files_ok += 1;
-                st.bytes += size;
-                let started = st.file_started[&name];
-                let elapsed = (sim.now() - started).as_secs_f64();
-                st.file_windows.push((name.clone(), started, sim.now()));
-                st.file_times.push((name, elapsed));
-            }
-            FlowOutcome::ConnectionDropped | FlowOutcome::ChecksumMismatch => {
-                // attempt is 1-based, so `attempt <= retry_limit` grants
-                // exactly `retry_limit` retries beyond the first try.
-                if attempt <= st.options.retry_limit {
-                    st.retries += 1;
-                    let delay = st.options.backoff.delay_s(attempt);
-                    if delay <= 0.0 {
-                        st.queue.push_back((name, size, attempt + 1));
-                    } else {
-                        st.pending_retries += 1;
-                        let state3 = Rc::clone(state);
-                        sim.schedule_in(StdDuration::from_secs_f64(delay), move |sim| {
-                            {
-                                let mut st = state3.borrow_mut();
-                                st.pending_retries -= 1;
-                                st.queue.push_back((name, size, attempt + 1));
-                            }
-                            pump(sim, &state3);
-                        });
-                    }
-                } else {
-                    st.files_failed += 1;
-                }
-            }
-        }
-    }
-    if outcome.is_success() {
-        sim.state_mut().network().note_delivered(size);
-    }
-    pump(sim, state);
-}
-
-fn maybe_finish<S: HasNetwork>(sim: &mut Simulation<S>, state: &Rc<RefCell<TaskState<S>>>) {
-    let report = {
-        let mut st = state.borrow_mut();
-        if st.in_flight > 0
-            || !st.queue.is_empty()
-            || st.pending_retries > 0
-            || st.on_done.is_none()
-        {
-            return;
-        }
-        let on_done = st.on_done.take().expect("checked");
-        let report = TransferReport {
-            task: st.id,
-            files_ok: st.files_ok,
-            files_failed: st.files_failed,
-            bytes: st.bytes,
-            retries: st.retries,
-            submitted: st.submitted,
-            finished: sim.now(),
-            file_times: std::mem::take(&mut st.file_times),
-            file_windows: std::mem::take(&mut st.file_windows),
-        };
-        Some((on_done, report))
-    };
-    if let Some((on_done, report)) = report {
-        on_done(sim, report);
-    }
 }
 
 #[cfg(test)]
