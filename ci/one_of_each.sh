@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # "One of each": the virtual-time worker pool lives once, in eoml-simtime,
 # with one file mover (eoml-transfer) and one task batch (eoml-executor) on
-# top of it. Fails when a second copy of the slot/queue/retry loop creeps
-# back into the non-test part of crates/{transfer,executor,core}/src, and
-# prints the per-crate non-test line counts ROADMAP wants to see fall.
+# top of it, and what a driver remembers lives once, in eoml-core's run
+# journal. Fails when a second copy of the slot/queue/retry loop or of the
+# append / already-done / halt ledger creeps back into the non-test part of
+# crates/{transfer,executor,core}/src, and prints the per-crate non-test
+# line counts ROADMAP wants to see fall.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -62,16 +64,33 @@ if [ -n "$counters" ]; then
   complain "hand-rolled worker counter (active/in_flight/_active += 1) in:"$'\n'"$counters"
 fi
 
+# The run journal (core/src/run_journal.rs) is the only thing in core's
+# drivers that appends to a journal or knows that the run stopped. (chaos.rs
+# appends `IngestAcked` to the *destination's* journal: a different journal.)
+for driver in campaign streaming realrun; do
+  for pattern in '\.append\(' 'fn [a-z_]*_record\b' 'halted'; do
+    if [ "$(hits "$pattern" "crates/core/src/$driver.rs")" -ne 0 ]; then
+      complain "/$pattern/ in crates/core/src/$driver.rs (the ledger is RunJournal's)"
+    fi
+  done
+done
+
+lines() {
+  local n=0 f
+  while read -r f; do
+    n=$((n + $(nontest "$f" | wc -l)))
+  done < <(find "crates/$1/src" -name '*.rs' | sort)
+  echo "$n"
+}
+
 echo "non-test lines (before the first #[cfg(test)] of each file):"
 total=0
 for crate in simtime transfer executor core; do
-  n=0
-  while read -r f; do
-    n=$((n + $(nontest "$f" | wc -l)))
-  done < <(find "crates/$crate/src" -name '*.rs' | sort)
+  n=$(lines "$crate")
   printf '  %-9s %6d\n' "$crate" "$n"
   total=$((total + n))
 done
 printf '  %-9s %6d\n' total "$total"
+printf '  %-9s %6d\n' journal "$(lines journal)"
 
 exit "$fail"

@@ -7,12 +7,13 @@
 //! is still running* (the crawler triggers per finished file), and shipment
 //! closes the campaign.
 
+use crate::run_journal::RunJournal;
 use crate::telemetry::Telemetry;
 use crate::world::{stage_activity, World};
 use eoml_cluster::slurm::request_block;
 use eoml_config::WorkflowConfig;
 use eoml_executor::simexec::open_batch;
-use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
+use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::{Platform, ProductKind};
@@ -34,40 +35,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Object-safe journal handle the campaign driver appends through; lets the
-/// driver stay non-generic over the journal's [`Storage`] backend.
-pub trait JournalSink {
-    /// Append one event durably.
-    fn append(&mut self, event: JournalEvent) -> Result<(), JournalError>;
-
-    /// The journal's `(events, checksum)` state digest for shipment
-    /// manifests; `None` for sinks that cannot summarise their state.
-    fn state_digest(&self) -> Option<(u64, u64)> {
-        None
-    }
-
-    /// Canonical JSON of the journal's materialised state, shipped to the
-    /// destination as the journal-sync payload; `None` for sinks that
-    /// cannot export one.
-    fn export_state(&self) -> Option<serde_json::Value> {
-        None
-    }
-}
-
-impl<S: Storage> JournalSink for Journal<S> {
-    fn append(&mut self, event: JournalEvent) -> Result<(), JournalError> {
-        Journal::append(self, event)
-    }
-
-    fn state_digest(&self) -> Option<(u64, u64)> {
-        Some(Journal::state_digest(self))
-    }
-
-    fn export_state(&self) -> Option<serde_json::Value> {
-        Some(self.state().to_json())
-    }
-}
 
 /// Everything a campaign needs to run (derived from the user's YAML
 /// [`WorkflowConfig`] or built directly for experiments).
@@ -336,11 +303,7 @@ struct Progress {
     journal_sync: Option<JournalSync>,
     // control
     shipped: bool,
-    // journaling (None → plain in-memory campaign, identical to the
-    // original behaviour)
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
-    halted: bool,
+    journal: RunJournal<'static>,
 }
 
 impl Progress {
@@ -367,38 +330,6 @@ type P = Rc<RefCell<Progress>>;
 /// The stage-4 worker pool: `(tile file, tiles)` jobs.
 pub(crate) type InferencePool = Pool<World, (String, f64)>;
 
-/// Append `event` to the campaign's journal, if any. Returns `false` when
-/// the journal refused the append (crash point reached) or refused an
-/// earlier one: the event, and everything after it, is not durable. The
-/// campaign is then halted — the driver stops the clock after the event in
-/// progress, so nothing downstream needs to ask.
-fn journal_record(progress: &P, event: JournalEvent) -> bool {
-    let sink = {
-        let p = progress.borrow();
-        if p.halted {
-            return false;
-        }
-        p.journal.clone()
-    };
-    let durable = sink.is_none_or(|journal| journal.borrow_mut().append(event).is_ok());
-    progress.borrow_mut().halted = !durable;
-    durable
-}
-
-/// Journal a `StageStarted` event unless the resume state already has it.
-/// Returns `false` when the append hit the crash point.
-fn journal_started(progress: &P, stage: &str) -> bool {
-    if progress.borrow().resume.stages_started.contains(stage) {
-        return true;
-    }
-    journal_record(
-        progress,
-        JournalEvent::StageStarted {
-            stage: stage.into(),
-        },
-    )
-}
-
 /// The durable completion key for a granule's preprocessing: day granules
 /// produce a tile file, night granules only a scan record.
 pub(crate) fn preprocess_key(granule: GranuleId, tiles: f64) -> String {
@@ -411,7 +342,7 @@ pub(crate) fn preprocess_key(granule: GranuleId, tiles: f64) -> String {
 
 /// Run a full five-stage campaign in virtual time.
 pub fn run_campaign(params: CampaignParams) -> CampaignReport {
-    run_inner(params, None, CampaignState::default()).expect("journal-free campaign cannot crash")
+    run_inner(params, RunJournal::unjournaled()).expect("journal-free campaign cannot crash")
 }
 
 /// Run a campaign against a write-ahead `journal`, resuming any work the
@@ -423,54 +354,22 @@ pub fn run_campaign(params: CampaignParams) -> CampaignReport {
 /// Returns [`JournalError::Crashed`] when the journal's injected kill point
 /// fires mid-campaign (see [`Journal::crash_after`]); reopening the journal
 /// over the same storage and calling this again resumes from the durable
-/// prefix.
+/// prefix. Any other refused append comes back as the error it was.
 pub fn run_campaign_resumable<S: Storage + 'static>(
     params: CampaignParams,
-    mut journal: Journal<S>,
+    journal: Journal<S>,
 ) -> Result<CampaignReport, JournalError> {
-    let resume = claim_journal(&mut journal, params.seed, BATCH_LABEL)?;
-    let sink: Rc<RefCell<dyn JournalSink>> = Rc::new(RefCell::new(journal));
-    run_inner(params, Some(sink), resume)
+    let journal = RunJournal::claim(journal, params.seed, BATCH_LABEL)?;
+    run_inner(params, journal)
 }
 
 /// Journal label of batch campaigns ([`Journal::open_seeded`] failover
 /// journals carry it too).
 const BATCH_LABEL: &str = "batch-campaign";
 
-/// Claim `journal` for the driver that labels its runs `label`: a fresh
-/// journal gets the `CampaignStarted { seed, label }` record; one already
-/// started must carry the same seed and label, so no driver continues
-/// another driver's (or another seed's) run. Nothing is appended on
-/// refusal. Returns the state to resume from, as it was before the claim.
-pub(crate) fn claim_journal<S: Storage>(
-    journal: &mut Journal<S>,
-    seed: u64,
-    label: &str,
-) -> Result<CampaignState, JournalError> {
-    let resume = journal.state().clone();
-    if let Some(theirs) = resume.seed.filter(|&theirs| theirs != seed) {
-        return Err(JournalError::Io(format!(
-            "journal belongs to seed {theirs}, this run uses seed {seed}"
-        )));
-    }
-    if let Some(theirs) = resume.label.as_deref().filter(|&theirs| theirs != label) {
-        return Err(JournalError::Io(format!(
-            "journal belongs to a {theirs:?} run, not a {label:?} run"
-        )));
-    }
-    if resume.seed.is_none() {
-        journal.append(JournalEvent::CampaignStarted {
-            seed,
-            label: label.into(),
-        })?;
-    }
-    Ok(resume)
-}
-
 fn run_inner(
     params: CampaignParams,
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
+    journal: RunJournal<'static>,
 ) -> Result<CampaignReport, JournalError> {
     assert!(params.files_per_day >= 1 && params.files_per_day <= 288);
     assert!(params.nodes >= 1 && params.workers_per_node >= 1);
@@ -494,15 +393,11 @@ fn run_inner(
         journal_sync: None,
         shipped: false,
         journal,
-        resume,
-        halted: false,
     }));
 
     stage_download(&mut sim, &progress);
-    while !progress.borrow().halted && sim.step() {}
-    if progress.borrow().halted {
-        return Err(JournalError::Crashed);
-    }
+    while progress.borrow().journal.check().is_ok() && sim.step() {}
+    progress.borrow().journal.check()?;
 
     let world = sim.into_state();
     let p = Rc::try_unwrap(progress)
@@ -560,7 +455,8 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             }
             (files, p.params.download_workers)
         };
-        if !journal_started(&progress, "download") {
+        let starting = JournalEvent::stage_started("download");
+        if progress.borrow_mut().journal.once(starting).is_err() {
             return;
         }
         let started = sim.now();
@@ -571,7 +467,8 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             files
                 .iter()
                 .filter_map(|(name, _)| {
-                    p.resume.downloaded.get(name).map(|&bytes| FileTiming {
+                    let &bytes = p.journal.resume().downloaded.get(name)?;
+                    Some(FileTiming {
                         name: name.clone(),
                         size: ByteSize::bytes(bytes),
                         started,
@@ -581,7 +478,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
                 })
                 .collect()
         };
-        if progress.borrow().resume.stage_done("download") {
+        if progress.borrow().journal.resume().stage_done("download") {
             let bytes = replayed.iter().map(|f| f.size).sum();
             let report = DownloadReport {
                 files: replayed,
@@ -599,7 +496,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             let p = progress.borrow();
             files
                 .into_iter()
-                .filter(|(name, _)| !p.resume.is_downloaded(name))
+                .filter(|(name, _)| !p.journal.resume().is_downloaded(name))
                 .collect()
         };
         let hook_progress = Rc::clone(&progress);
@@ -616,21 +513,16 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             obs,
             |file| granule_trace_id(file).map(TraceContext::new),
             move |_sim, timing: &FileTiming| {
-                journal_record(
-                    &hook_progress,
-                    JournalEvent::FileDownloaded {
-                        file: timing.name.clone(),
-                        bytes: timing.size.as_u64(),
-                    },
-                );
+                let downloaded = JournalEvent::FileDownloaded {
+                    file: timing.name.clone(),
+                    bytes: timing.size.as_u64(),
+                };
+                // A refusal is kept by the run journal and stops the clock.
+                let _ = hook_progress.borrow_mut().journal.record(downloaded);
             },
             move |sim, mut report| {
-                if !journal_record(
-                    &progress2,
-                    JournalEvent::StageFinished {
-                        stage: "download".into(),
-                    },
-                ) {
+                let finished = JournalEvent::stage_finished("download");
+                if progress2.borrow_mut().journal.record(finished).is_err() {
                     return;
                 }
                 // Stage totals cover journal-replayed and fresh files alike.
@@ -695,7 +587,8 @@ fn finish_download(
 // ------------------------------------------------------- stage 2: preprocess
 
 fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
-    if !journal_started(progress, "preprocess") {
+    let starting = JournalEvent::stage_started("preprocess");
+    if progress.borrow_mut().journal.once(starting).is_err() {
         return;
     }
     // Build the granule work list from the downloaded MOD02 files, skipping
@@ -720,14 +613,14 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
         let mut announce = Vec::new();
         for (granule, tiles) in work {
             let key = preprocess_key(granule, tiles);
-            if !p.resume.has_tile_file(&key) {
+            if !p.journal.resume().has_tile_file(&key) {
                 pending.push((granule, tiles));
                 continue;
             }
             p.granules_done += 1;
             if tiles > 0.0 {
                 p.day_tiles.insert(granule, tiles);
-                if let Some(&(_, bytes)) = p.resume.labeled.get(&key) {
+                if let Some(&(_, bytes)) = p.journal.resume().labeled.get(&key) {
                     p.labeled.push((key, ByteSize::bytes(bytes)));
                 } else {
                     // Tile file durable but labels are not: hand the file
@@ -811,13 +704,11 @@ fn granule_preprocessed(
         .resource_scope("preprocess", "granule");
     // The completion record must be durable before the counters move:
     // a crash between the two re-runs this granule, never loses it.
-    if !journal_record(
-        progress,
-        JournalEvent::TileFileWritten {
-            file: preprocess_key(granule, tiles),
-            tiles: tiles.round() as u64,
-        },
-    ) {
+    let written = JournalEvent::TileFileWritten {
+        file: preprocess_key(granule, tiles),
+        tiles: tiles.round() as u64,
+    };
+    if progress.borrow_mut().journal.record(written).is_err() {
         return;
     }
     let now = sim.now();
@@ -861,15 +752,8 @@ fn granule_preprocessed(
 /// has already caught up.
 fn finish_preprocess(sim: &mut Simulation<World>, progress: &P, started: SimTime) {
     progress.borrow_mut().preprocess_done = true;
-    let stage_was_done = progress.borrow().resume.stage_done("preprocess");
-    if !stage_was_done
-        && !journal_record(
-            progress,
-            JournalEvent::StageFinished {
-                stage: "preprocess".into(),
-            },
-        )
-    {
+    let finished = JournalEvent::stage_finished("preprocess");
+    if progress.borrow_mut().journal.once(finished).is_err() {
         return;
     }
     let now = sim.now();
@@ -900,25 +784,14 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P, inference: &Inference
     let fresh = sim.state_mut().crawler.crawl();
     let mut jobs = Vec::with_capacity(fresh.len());
     for file in fresh {
-        let (seed, labeled_already, seen_before) = {
-            let p = progress.borrow();
-            (
-                p.params.seed,
-                p.resume.is_labeled(&file),
-                p.resume.monitor_saw(&file),
-            )
-        };
-        if labeled_already {
+        let mut p = progress.borrow_mut();
+        if p.journal.resume().is_labeled(&file) {
             // Dedup across restarts: the journal shows inference already
             // completed for this file; its labels were replayed at resume.
             continue;
         }
-        if !seen_before
-            && !journal_record(
-                progress,
-                JournalEvent::MonitorTriggered { file: file.clone() },
-            )
-        {
+        let trigger = JournalEvent::MonitorTriggered { file: file.clone() };
+        if p.journal.once(trigger).is_err() {
             return;
         }
         // Stage-3 visibility: each crawl hit is an instantaneous span plus
@@ -929,7 +802,7 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P, inference: &Inference
         let tel = &mut sim.state_mut().telemetry;
         tel.mark_traced("monitor", "trigger", now, trace.as_ref());
         tel.count("triggers", "monitor", 1);
-        let tiles = tile_file_tiles(seed, &file);
+        let tiles = tile_file_tiles(p.params.seed, &file);
         jobs.push((file, tiles));
     }
     // Every trigger of this crawl is journaled and marked before the
@@ -1048,14 +921,12 @@ fn inference_pool(sim: &mut Simulation<World>, progress: &P) -> InferencePool {
             let (progress, pool) = (Rc::clone(&progress), pool.clone());
             sim.schedule_in(overhead + compute, move |sim| {
                 let bytes = (tiles * progress.borrow().params.tile_nc_bytes as f64) as u64;
-                if !journal_record(
-                    &progress,
-                    JournalEvent::LabelsAppended {
-                        file: file.clone(),
-                        labels: tiles.round() as u64,
-                        bytes,
-                    },
-                ) {
+                let labeled = JournalEvent::LabelsAppended {
+                    file: file.clone(),
+                    labels: tiles.round() as u64,
+                    bytes,
+                };
+                if progress.borrow_mut().journal.record(labeled).is_err() {
                     return;
                 }
                 sim.state_mut()
@@ -1095,11 +966,11 @@ pub(crate) fn build_shipment_manifest(
     destination: &str,
     files: &[(String, ByteSize)],
     prov: &crate::provenance::ProvenanceLog,
-    journal: Option<(u64, u64)>,
+    journal: Option<JournalDigest>,
     now_s: f64,
 ) -> ShipmentManifest {
     let mut manifest = ShipmentManifest::new(source, destination, now_s);
-    manifest.journal = journal.map(|(events, checksum)| JournalDigest { events, checksum });
+    manifest.journal = journal;
     // Artifact order feeds the manifest id; sort by name so an interrupted
     // and resumed campaign (whose completion order differs) still produces
     // the same id — the destination's idempotency key.
@@ -1136,23 +1007,6 @@ pub(crate) fn build_shipment_manifest(
     manifest
 }
 
-/// The campaign journal's `(events, checksum)` digest, if journaled.
-fn journal_digest(progress: &P) -> Option<(u64, u64)> {
-    let sink = progress.borrow().journal.clone();
-    sink.and_then(|j| j.borrow().state_digest())
-}
-
-/// Package the journal-sync payload that travels with the shipment: the
-/// ship-time digest plus the full compacted state. `None` for unjournaled
-/// campaigns or sinks that cannot export their state.
-fn build_journal_sync(progress: &P) -> Option<JournalSync> {
-    let sink = progress.borrow().journal.clone()?;
-    let sink = sink.borrow();
-    let (events, checksum) = sink.state_digest()?;
-    let state = sink.export_state()?;
-    Some(JournalSync::from_parts(events, checksum, state))
-}
-
 fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
     let (files, replay_shipment) = {
         let mut p = progress.borrow_mut();
@@ -1160,15 +1014,13 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
             return;
         }
         p.shipped = true;
-        let replay = if p.resume.stage_done("shipment") {
-            p.resume.shipped
-        } else {
-            None
-        };
+        let resume = p.journal.resume();
+        let replay = resume.shipped.filter(|_| resume.stage_done("shipment"));
         (p.labeled.clone(), replay)
     };
     let started = sim.now();
-    if !journal_started(progress, "shipment") {
+    let starting = JournalEvent::stage_started("shipment");
+    if progress.borrow_mut().journal.once(starting).is_err() {
         return;
     }
     // Journal says the shipment already completed before the crash: rebuild
@@ -1199,21 +1051,15 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
         files,
         TransferOptions::default(),
         move |sim, report| {
-            if !journal_record(
-                &progress2,
-                JournalEvent::ShipmentFinished {
-                    files: report.files_ok as u64,
-                    bytes: report.bytes.as_u64(),
-                },
-            ) {
+            let shipped = JournalEvent::ShipmentFinished {
+                files: report.files_ok as u64,
+                bytes: report.bytes.as_u64(),
+            };
+            if progress2.borrow_mut().journal.record(shipped).is_err() {
                 return;
             }
-            if !journal_record(
-                &progress2,
-                JournalEvent::StageFinished {
-                    stage: "shipment".into(),
-                },
-            ) {
+            let finished = JournalEvent::stage_finished("shipment");
+            if progress2.borrow_mut().journal.record(finished).is_err() {
                 return;
             }
             let now = sim.now();
@@ -1258,19 +1104,18 @@ fn close_shipment(
     report: TransferReport,
 ) {
     let now = sim.now();
+    let mut p = progress.borrow_mut();
+    // The manifest carries the digest of the journal-sync payload shipped
+    // with it: the destination's completeness check needs the two to agree.
+    let sync = p.journal.sync();
     let manifest = build_shipment_manifest(
         "ace-defiant",
         "frontier-orion",
-        &progress.borrow().labeled,
+        &p.labeled,
         &sim.state().provenance,
-        journal_digest(progress),
+        sync.as_ref().map(|sync| sync.digest),
         now.as_secs_f64(),
     );
-    // Snapshot the journal-sync payload at the same point the manifest's
-    // digest is taken — the two must agree for the destination's
-    // completeness check to pass.
-    let sync = build_journal_sync(progress);
-    let mut p = progress.borrow_mut();
     p.stages.push(StageReport {
         name: "shipment".into(),
         started,

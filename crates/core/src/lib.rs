@@ -14,19 +14,25 @@
 //!    NetCDF files.
 //! 5. **Shipment** — labeled files transferred to the destination facility.
 //!
-//! Two execution paths share this orchestration logic:
+//! Three drivers run these stages:
 //!
-//! * [`campaign`] — *virtual time*: the full multi-facility system runs
-//!   inside one discrete-event simulation ([`world::World`] composes the
-//!   flow network, the cluster model, Slurm, the crawler and telemetry).
-//!   This is the path that reproduces the paper's figures at 10-node,
-//!   80-worker scale on a laptop.
+//! * [`campaign`] — *virtual time*, batch: the full multi-facility system
+//!   runs inside one discrete-event simulation ([`world::World`] composes
+//!   the flow network, the cluster model, Slurm, the crawler and
+//!   telemetry). This is the path that reproduces the paper's figures at
+//!   10-node, 80-worker scale on a laptop.
+//! * [`streaming`] — the same world with granules released on the
+//!   acquisition timeline and all five stages running as one pipeline.
 //! * [`realrun`] — *real execution*: synthesizes granules to disk, runs the
 //!   actual preprocessing kernels on a thread pool, monitors the real file
 //!   system, and runs real RICC inference — the "it actually works" path
 //!   used by the examples and integration tests.
 //!
-//! [`telemetry`] provides the instrumentation both paths feed: per-stage
+//! All three share what a driver *remembers*: the run journal
+//! (`run_journal`) alone appends a stage completion, finds it already done
+//! on replay, or halts the run after a refused append.
+//!
+//! [`telemetry`] provides the instrumentation every driver feeds: per-stage
 //! worker-activity timelines (Fig. 6) and span-based latency breakdowns
 //! (Fig. 7).
 
@@ -35,6 +41,7 @@ pub mod campaign;
 pub mod chaos;
 pub mod provenance;
 pub mod realrun;
+mod run_journal;
 pub mod scheduler;
 pub mod streaming;
 pub mod telemetry;

@@ -17,14 +17,14 @@
 //! work — the resumed run's labeled artifacts are byte-identical to an
 //! uninterrupted run's.
 
-use crate::campaign::{claim_journal, JournalSink};
+use crate::run_journal::RunJournal;
 use eoml_compute::endpoint::{ComputeEndpoint, TaskResult};
 use eoml_compute::registry::FunctionRegistry;
 use eoml_executor::local::LocalExecutor;
 use eoml_flows::definition::FlowDefinition;
 use eoml_flows::runner::FlowRunner;
 use eoml_flows::trigger::DirectoryCrawler;
-use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
+use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::files::into_products;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
@@ -37,7 +37,7 @@ use eoml_preprocess::writer::{patch_labels, read_labels, read_tiles_nc};
 use eoml_ricc::aicca::AiccaModel;
 use eoml_ricc::autoencoder::AeConfig;
 use eoml_ricc::tensor::Tensor;
-use eoml_transfer::manifest::{content_digest_of, ArtifactEntry, JournalDigest, ShipmentManifest};
+use eoml_transfer::manifest::{content_digest_of, ArtifactEntry, ShipmentManifest};
 use serde_json::json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -67,6 +67,12 @@ impl std::fmt::Display for RealRunError {
 }
 
 impl std::error::Error for RealRunError {}
+
+impl From<JournalError> for RealRunError {
+    fn from(e: JournalError) -> Self {
+        RealRunError::Journal(e)
+    }
+}
 
 impl From<String> for RealRunError {
     fn from(msg: String) -> Self {
@@ -202,7 +208,7 @@ impl RealPipeline {
 
     /// Run the pipeline over `granules`.
     pub fn run(&self, granules: &[GranuleId]) -> Result<RealRunReport, String> {
-        self.run_inner(granules, &mut None, &CampaignState::new())
+        self.run_inner(granules, &mut RunJournal::unjournaled())
             .map_err(|e| e.to_string())
     }
 
@@ -229,54 +235,18 @@ impl RealPipeline {
         granules: &[GranuleId],
         journal: &mut Journal<S>,
     ) -> Result<RealRunReport, RealRunError> {
-        let resume =
-            claim_journal(journal, self.seed, REAL_RUN_LABEL).map_err(RealRunError::Journal)?;
-        let mut sink: Option<&mut dyn JournalSink> = Some(journal);
-        self.run_inner(granules, &mut sink, &resume)
+        let mut journal = RunJournal::claim(journal, self.seed, REAL_RUN_LABEL)?;
+        self.run_inner(granules, &mut journal)
     }
 
     fn run_inner(
         &self,
         granules: &[GranuleId],
-        journal: &mut Option<&mut dyn JournalSink>,
-        resume: &CampaignState,
+        journal: &mut RunJournal<'_>,
     ) -> Result<RealRunReport, RealRunError> {
         let incoming = self.workdir.join("incoming");
         let tiles_dir = self.workdir.join("tiles");
         let outbox = self.workdir.join("outbox");
-
-        let record = |journal: &mut Option<&mut dyn JournalSink>,
-                      event: JournalEvent|
-         -> Result<(), RealRunError> {
-            if let Some(j) = journal {
-                j.append(event).map_err(RealRunError::Journal)?;
-            }
-            Ok(())
-        };
-        let stage_started =
-            |journal: &mut Option<&mut dyn JournalSink>, stage: &str| -> Result<(), RealRunError> {
-                if !resume.stages_started.contains(stage) {
-                    record(
-                        journal,
-                        JournalEvent::StageStarted {
-                            stage: stage.into(),
-                        },
-                    )?;
-                }
-                Ok(())
-            };
-        let stage_finished =
-            |journal: &mut Option<&mut dyn JournalSink>, stage: &str| -> Result<(), RealRunError> {
-                if !resume.stage_done(stage) {
-                    record(
-                        journal,
-                        JournalEvent::StageFinished {
-                            stage: stage.into(),
-                        },
-                    )?;
-                }
-                Ok(())
-            };
 
         // Stage 1 (substituted download): the paper's remotely executable
         // download function, registered on a real compute endpoint. Each
@@ -285,7 +255,7 @@ impl RealPipeline {
         // still on disk are skipped.
         let t0 = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("download", "synthesize"));
-        stage_started(journal, "download")?;
+        journal.once(JournalEvent::stage_started("download"))?;
         let granule_paths: Vec<(GranuleId, [PathBuf; 3])> = granules
             .iter()
             .map(|&g| {
@@ -302,7 +272,8 @@ impl RealPipeline {
         let to_download: Vec<&(GranuleId, [PathBuf; 3])> = granule_paths
             .iter()
             .filter(|(g, paths)| {
-                !(resume.is_downloaded(&g.to_string()) && paths.iter().all(|p| p.exists()))
+                let journaled = journal.resume().is_downloaded(&g.to_string());
+                !(journaled && paths.iter().all(|p| p.exists()))
             })
             .collect();
         if !to_download.is_empty() {
@@ -350,18 +321,10 @@ impl RealPipeline {
                 .collect();
             for ((g, _), h) in to_download.iter().zip(handles) {
                 match h.wait() {
-                    TaskResult::Success(v) => {
-                        let key = g.to_string();
-                        if !resume.is_downloaded(&key) {
-                            record(
-                                journal,
-                                JournalEvent::FileDownloaded {
-                                    file: key,
-                                    bytes: v["bytes"].as_u64().unwrap_or(0),
-                                },
-                            )?;
-                        }
-                    }
+                    TaskResult::Success(v) => journal.once(JournalEvent::FileDownloaded {
+                        file: g.to_string(),
+                        bytes: v["bytes"].as_u64().unwrap_or(0),
+                    })?,
                     TaskResult::Failed(e) => {
                         return Err(format!("download failed: {e}").into());
                     }
@@ -369,7 +332,7 @@ impl RealPipeline {
             }
             endpoint.shutdown();
         }
-        stage_finished(journal, "download")?;
+        journal.once(JournalEvent::stage_finished("download"))?;
         if let Some(mut span) = stage_span {
             span.attr("granules", granules.len());
         }
@@ -381,10 +344,11 @@ impl RealPipeline {
         // is folded in from the journal without re-running the kernels.
         let t1 = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("preprocess", "map"));
-        stage_started(journal, "preprocess")?;
+        journal.once(JournalEvent::stage_started("preprocess"))?;
         let mut total_tiles = 0usize;
         let mut tile_file_names: BTreeSet<String> = BTreeSet::new();
         let mut to_preprocess: Vec<[PathBuf; 3]> = Vec::new();
+        let resume = journal.resume();
         for (g, paths) in &granule_paths {
             let tiles_key = format!("tiles-{g}.nc");
             let scan_key = format!("scan-{g}");
@@ -432,21 +396,16 @@ impl RealPipeline {
                         }
                         None => format!("scan-{}", granule.as_deref().unwrap_or("unknown-granule")),
                     };
-                    if !resume.has_tile_file(&key) {
-                        record(
-                            journal,
-                            JournalEvent::TileFileWritten {
-                                file: key,
-                                tiles: out.tiles.len() as u64,
-                            },
-                        )?;
-                    }
+                    journal.once(JournalEvent::TileFileWritten {
+                        file: key,
+                        tiles: out.tiles.len() as u64,
+                    })?;
                 }
                 Err(e) => return Err(format!("preprocess failed: {e}").into()),
             }
         }
         drop(mem_scope);
-        stage_finished(journal, "preprocess")?;
+        journal.once(JournalEvent::stage_finished("preprocess"))?;
         if let Some(mut span) = stage_span {
             span.attr("tiles", total_tiles);
         }
@@ -456,7 +415,7 @@ impl RealPipeline {
         // flow per discovered file.
         let t2 = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("monitor", "crawl"));
-        stage_started(journal, "inference")?;
+        journal.once(JournalEvent::stage_started("inference"))?;
         let mut crawler = DirectoryCrawler::new(&tiles_dir, ".nc");
         let flow = FlowDefinition::inference_flow();
         let mut labeled_tiles = 0usize;
@@ -465,11 +424,11 @@ impl RealPipeline {
         // Fold journaled-complete inference back into the tallies by
         // reading the shipped artifacts (the labels themselves are not in
         // the journal; the files are the source of truth).
-        for (file, (labels, _bytes)) in &resume.labeled {
+        for (file, (labels, _bytes)) in &journal.resume().labeled {
             tile_file_names.insert(file.clone());
             match std::fs::File::open(outbox.join(file)) {
                 Ok(mut shipped) => {
-                    labeled_tiles += tally(&mut histogram, shipped_labels(&mut shipped)?)
+                    labeled_tiles += tally(&mut histogram, shipped_labels(file, &mut shipped)?)
                 }
                 // Artifact missing (workdir tampering): trust the journal
                 // for the count; the class breakdown is unrecoverable.
@@ -480,30 +439,22 @@ impl RealPipeline {
         // Heal the journal/filesystem gap: a file that reached the outbox
         // whose LabelsAppended append crashed is complete on disk but not
         // in the journal — journal it now instead of losing or redoing it.
-        if journal.is_some() {
+        if journal.is_journaled() {
             for path in nc_files_sorted(&outbox)? {
                 let name = file_name(&path)?;
-                if resume.is_labeled(&name) {
+                if journal.resume().is_labeled(&name) {
                     continue;
                 }
                 tile_file_names.insert(name.clone());
                 let mut shipped = std::fs::File::open(&path).map_err(|e| e.to_string())?;
-                let file_labels = shipped_labels(&mut shipped)?;
+                let file_labels = shipped_labels(&name, &mut shipped)?;
                 let bytes = shipped.metadata().map_err(|e| e.to_string())?.len();
-                if !resume.monitor_saw(&name) {
-                    record(
-                        journal,
-                        JournalEvent::MonitorTriggered { file: name.clone() },
-                    )?;
-                }
-                record(
-                    journal,
-                    JournalEvent::LabelsAppended {
-                        file: name,
-                        labels: file_labels.len() as u64,
-                        bytes,
-                    },
-                )?;
+                journal.once(JournalEvent::MonitorTriggered { file: name.clone() })?;
+                journal.record(JournalEvent::LabelsAppended {
+                    file: name,
+                    labels: file_labels.len() as u64,
+                    bytes,
+                })?;
                 labeled_tiles += tally(&mut histogram, file_labels);
             }
         }
@@ -598,12 +549,7 @@ impl RealPipeline {
             for path in fresh {
                 let name = file_name(&path)?;
                 tile_file_names.insert(name.clone());
-                if !resume.monitor_saw(&name) {
-                    record(
-                        journal,
-                        JournalEvent::MonitorTriggered { file: name.clone() },
-                    )?;
-                }
+                journal.once(JournalEvent::MonitorTriggered { file: name.clone() })?;
                 let trace = crate::campaign::granule_trace_id(&name).map(TraceContext::new);
                 let mut infer_span = self.obs.as_ref().map(|o| o.span("inference", "flow"));
                 if let (Some(span), Some(trace)) = (infer_span.as_mut(), trace.as_ref()) {
@@ -627,22 +573,17 @@ impl RealPipeline {
                         tally(&mut histogram, labels)
                     });
                 labeled_tiles += file_labels;
-                if !resume.is_labeled(&name) {
-                    let shipped_bytes = std::fs::metadata(outbox.join(&name))
-                        .map(|m| m.len())
-                        .unwrap_or(0);
-                    record(
-                        journal,
-                        JournalEvent::LabelsAppended {
-                            file: name,
-                            labels: file_labels as u64,
-                            bytes: shipped_bytes,
-                        },
-                    )?;
-                }
+                let shipped_bytes = std::fs::metadata(outbox.join(&name))
+                    .map(|m| m.len())
+                    .unwrap_or(0);
+                journal.once(JournalEvent::LabelsAppended {
+                    file: name,
+                    labels: file_labels as u64,
+                    bytes: shipped_bytes,
+                })?;
             }
         }
-        stage_finished(journal, "inference")?;
+        journal.once(JournalEvent::stage_finished("inference"))?;
         let tile_files = tile_file_names
             .iter()
             .filter(|n| n.ends_with(".nc"))
@@ -656,23 +597,18 @@ impl RealPipeline {
         // the shipped files.
         let t3 = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("shipment", "collect"));
-        stage_started(journal, "shipment")?;
+        journal.once(JournalEvent::stage_started("shipment"))?;
         let shipped = nc_files_sorted(&outbox)?;
-        if resume.shipped.is_none() {
-            let shipped_bytes: u64 = shipped
-                .iter()
-                .filter_map(|p| std::fs::metadata(p).ok())
-                .map(|m| m.len())
-                .sum();
-            record(
-                journal,
-                JournalEvent::ShipmentFinished {
-                    files: shipped.len() as u64,
-                    bytes: shipped_bytes,
-                },
-            )?;
-        }
-        stage_finished(journal, "shipment")?;
+        let shipped_bytes: u64 = shipped
+            .iter()
+            .filter_map(|p| std::fs::metadata(p).ok())
+            .map(|m| m.len())
+            .sum();
+        journal.once(JournalEvent::ShipmentFinished {
+            files: shipped.len() as u64,
+            bytes: shipped_bytes,
+        })?;
+        journal.once(JournalEvent::stage_finished("shipment"))?;
         // The manifest hashes the real shipped bytes — what a destination
         // facility would verify against after the WAN hop. The files are
         // hashed on the pool; `map` keeps their order.
@@ -691,10 +627,7 @@ impl RealPipeline {
                 trace_id: crate::campaign::granule_trace_id(&name),
             });
         }
-        manifest.journal = journal
-            .as_ref()
-            .and_then(|j| j.state_digest())
-            .map(|(events, checksum)| JournalDigest { events, checksum });
+        manifest.journal = journal.digest();
         if let Some(mut span) = stage_span {
             span.attr("files", shipped.len());
         }
@@ -737,10 +670,11 @@ fn file_name(path: &Path) -> Result<String, String> {
     Ok(name.ok_or("bad file name")?.to_string())
 }
 
-/// The labels of a shipped tile file, read from its label records alone
-/// (nothing else of the file is decoded); empty if it is not fully labeled.
-fn shipped_labels(shipped: &mut std::fs::File) -> Result<Vec<i64>, String> {
-    let labels = read_labels(shipped).map_err(|e| e.to_string())?;
+/// The labels of the shipped tile file `name`, read from its label records
+/// alone (nothing else of the file is decoded); empty if it is not fully
+/// labeled. A file in the layout without reserved label records is refused.
+fn shipped_labels(name: &str, shipped: &mut std::fs::File) -> Result<Vec<i64>, String> {
+    let labels = read_labels(shipped).map_err(|e| format!("{name}: {e}"))?;
     Ok(labels
         .unwrap_or_default()
         .into_iter()
@@ -1041,6 +975,43 @@ mod tests {
         assert_eq!(completions, 2 + 2 + 2, "replay must not re-journal work");
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_a_tile_file_in_the_former_layout_by_name() {
+        // Where a resumed run meets a tile file: waiting in tiles/ (the
+        // append action), in outbox/ but not journaled as labeled (the
+        // heal), and in outbox/ and journaled (the fold). `kill` stops the
+        // first run at its first trigger, the tile file journaled.
+        for (kill, place) in [(Some(8), "tiles"), (Some(8), "outbox"), (None, "outbox")] {
+            let dir = tempdir("former");
+            let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 1)
+                .unwrap()
+                .with_thresholds(0.0, 0.0);
+            let granules = day_granules(1);
+            let store = MemStorage::new();
+            let (mut journal, _) = Journal::open(store.clone()).unwrap();
+            kill.into_iter().for_each(|n| journal.crash_after(n));
+            let first = pipeline.run_resumable(&granules, &mut journal);
+            assert_eq!(first.is_err(), kill.is_some());
+            let name = format!("tiles-{}.nc", granules[0]);
+            let written = ["tiles", "outbox"].map(|sub| dir.join(sub).join(&name));
+            let written = written.iter().find(|p| p.exists()).expect("tile file");
+            // The file as a build without the reserved variable left it.
+            let mut nc = NcFile::decode(&std::fs::read(written).unwrap()).unwrap();
+            assert_eq!(nc.vars.pop().unwrap().name, "aicca_label");
+            std::fs::remove_file(written).unwrap();
+            std::fs::write(dir.join(place).join(&name), nc.encode().unwrap()).unwrap();
+
+            let (mut journal, _) = Journal::open(store).unwrap();
+            let err = pipeline.run_resumable(&granules, &mut journal).unwrap_err();
+            let RealRunError::Pipeline(msg) = &err else {
+                panic!("{place}: {err}")
+            };
+            assert!(msg.contains(&name), "{place}: {msg}");
+            assert!(msg.contains("predates the reserved aicca_label"), "{msg}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //! queue.
 
 use crate::campaign::{
-    build_shipment_manifest, claim_journal, granule_tiles, granule_trace_id, preprocess_key,
-    tile_file_tiles, CampaignParams, InferencePool, JournalSink, StageReport, DOWNLOAD_RETRIES,
+    build_shipment_manifest, granule_tiles, granule_trace_id, preprocess_key, tile_file_tiles,
+    CampaignParams, InferencePool, StageReport, DOWNLOAD_RETRIES,
 };
+use crate::run_journal::RunJournal;
 use crate::world::{stage_activity, World};
 use eoml_cluster::slurm::request_block;
 use eoml_executor::simexec::{open_batch, TaskBatch};
-use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, MemStorage, Storage};
+use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
@@ -178,30 +179,10 @@ struct StState {
     failed: Vec<String>,
     retries: usize,
     manifest: Option<ShipmentManifest>,
-    // journaling
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
-    halted: bool,
+    journal: RunJournal<'static>,
 }
 
 type S = Rc<RefCell<StState>>;
-
-/// Append `event` to the campaign's journal, if any. Returns `false` when
-/// the append failed (crash point reached) or an earlier one did: the
-/// event, and everything after it, is not durable. The pipeline is then
-/// halted — the driver stops the clock after the event in progress.
-fn st_record(st: &S, event: JournalEvent) -> bool {
-    let sink = {
-        let s = st.borrow();
-        if s.halted {
-            return false;
-        }
-        s.journal.clone()
-    };
-    let durable = sink.is_none_or(|journal| journal.borrow_mut().append(event).is_ok());
-    st.borrow_mut().halted = !durable;
-    durable
-}
 
 /// Run a streaming campaign. The archive releases granules on the
 /// (compressed) acquisition timeline; every stage runs concurrently.
@@ -217,7 +198,8 @@ pub fn run_streaming_campaign(params: StreamingParams) -> StreamingReport {
 pub fn try_run_streaming_campaign(
     params: StreamingParams,
 ) -> Result<StreamingReport, StreamingError> {
-    run_streaming_inner(params, None::<Journal<MemStorage>>)
+    one_day_window(&params)?;
+    run_streaming_inner(params, RunJournal::unjournaled())
 }
 
 /// Run a streaming campaign against a write-ahead `journal`, resuming any
@@ -229,49 +211,45 @@ pub fn try_run_streaming_campaign(
 ///
 /// Returns [`StreamingError::Journal`] wrapping [`JournalError::Crashed`]
 /// when the journal's injected kill point fires mid-campaign (see
-/// [`Journal::crash_after`]), and [`StreamingError::UnsupportedDays`] for
-/// multi-day windows — checked before anything is journaled.
+/// [`Journal::crash_after`]) — any other refused append comes back as the
+/// error it was — and [`StreamingError::UnsupportedDays`] for multi-day
+/// windows, checked before anything is journaled.
 pub fn run_streaming_campaign_resumable<St: Storage + 'static>(
     params: StreamingParams,
     journal: Journal<St>,
 ) -> Result<StreamingReport, StreamingError> {
-    run_streaming_inner(params, Some(journal))
+    one_day_window(&params)?;
+    let journal = RunJournal::claim(journal, params.base.seed, "streaming-campaign")?;
+    run_streaming_inner(params, journal)
 }
 
-fn run_streaming_inner<St: Storage + 'static>(
-    params: StreamingParams,
-    journal: Option<Journal<St>>,
-) -> Result<StreamingReport, StreamingError> {
+fn one_day_window(params: &StreamingParams) -> Result<(), StreamingError> {
     if params.base.days != 1 {
         return Err(StreamingError::UnsupportedDays {
             days: params.base.days,
         });
     }
-    let (sink, resume) = match journal {
-        None => (None, CampaignState::default()),
-        Some(mut journal) => {
-            let resume = claim_journal(&mut journal, params.base.seed, "streaming-campaign")?;
-            let sink: Rc<RefCell<dyn JournalSink>> = Rc::new(RefCell::new(journal));
-            (Some(sink), resume)
-        }
-    };
-    let (mut sim, st) = launch(params, sink, resume);
-    while !st.borrow().halted && sim.step() {}
+    Ok(())
+}
+
+fn run_streaming_inner(
+    params: StreamingParams,
+    journal: RunJournal<'static>,
+) -> Result<StreamingReport, StreamingError> {
+    let (mut sim, st) = launch(params, journal);
+    while st.borrow().journal.check().is_ok() && sim.step() {}
     conclude(sim, st)
 }
 
 /// Build the world and wire the pipeline; nothing has run yet.
-fn launch(
-    params: StreamingParams,
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
-) -> (Simulation<World>, S) {
+fn launch(params: StreamingParams, journal: RunJournal<'static>) -> (Simulation<World>, S) {
     let mut world = World::new(params.base.seed, params.base.faults);
     if let Some(obs) = &params.base.obs {
         world.telemetry.attach_obs(Arc::clone(obs));
     }
     let mut sim = Simulation::new(world);
     let seed = params.base.seed;
+    let resume = journal.resume();
 
     // Partition the day by how far the journal says each granule got.
     let mut pending_granules = VecDeque::new();
@@ -349,15 +327,13 @@ fn launch(
         retries: 0,
         manifest: None,
         journal,
-        resume,
-        halted: false,
     }));
 
     // Re-entering at inference counts as a monitor trigger unless one is
     // already journaled for the file (dedup across restarts).
     for (file, _) in &inference_seed {
-        let seen = st.borrow().resume.monitor_saw(file);
-        if !seen && !st_record(&st, JournalEvent::MonitorTriggered { file: file.clone() }) {
+        let trigger = JournalEvent::MonitorTriggered { file: file.clone() };
+        if st.borrow_mut().journal.once(trigger).is_err() {
             break;
         }
     }
@@ -395,9 +371,7 @@ fn day_granules(params: &StreamingParams) -> impl Iterator<Item = GranuleId> {
 
 /// Turn a finished simulation into the report.
 fn conclude(sim: Simulation<World>, st: S) -> Result<StreamingReport, StreamingError> {
-    if st.borrow().halted {
-        return Err(StreamingError::Journal(JournalError::Crashed));
-    }
+    st.borrow().journal.check()?;
     let world = sim.into_state();
     let s = Rc::try_unwrap(st)
         .unwrap_or_else(|_| panic!("streaming closures leaked"))
@@ -478,7 +452,7 @@ fn poll_archive(sim: &mut Simulation<World>, st: &S, downloads: &FileMover<World
                 let name = g.file_name(product);
                 // Products journaled before the crash were pre-credited
                 // at setup.
-                if !s.resume.is_downloaded(&name) {
+                if !s.journal.resume().is_downloaded(&name) {
                     released.push((name, cat.file_size(g, product)));
                 }
             }
@@ -522,13 +496,11 @@ fn download_mover(
         |file| granule_trace_id(file).map(TraceContext::new),
         move |sim, file: &FileTiming| {
             let st = &file_st;
-            if !st_record(
-                st,
-                JournalEvent::FileDownloaded {
-                    file: file.name.clone(),
-                    bytes: file.size.as_u64(),
-                },
-            ) {
+            let downloaded = JournalEvent::FileDownloaded {
+                file: file.name.clone(),
+                bytes: file.size.as_u64(),
+            };
+            if st.borrow_mut().journal.record(downloaded).is_err() {
                 return;
             }
             let (granule, _) =
@@ -590,16 +562,18 @@ fn preprocess_batch(
                 .telemetry
                 .resource_scope("preprocess", "granule");
             let file = format!("tiles-{granule}.nc");
-            if !st_record(
-                st,
-                JournalEvent::TileFileWritten {
-                    file: preprocess_key(granule, tiles),
-                    tiles: tiles.round() as u64,
-                },
-            ) || (tiles > 0.0
-                && !st_record(st, JournalEvent::MonitorTriggered { file: file.clone() }))
-            {
+            let written = JournalEvent::TileFileWritten {
+                file: preprocess_key(granule, tiles),
+                tiles: tiles.round() as u64,
+            };
+            if st.borrow_mut().journal.record(written).is_err() {
                 return;
+            }
+            if tiles > 0.0 {
+                let trigger = JournalEvent::MonitorTriggered { file: file.clone() };
+                if st.borrow_mut().journal.record(trigger).is_err() {
+                    return;
+                }
             }
             let now = sim.now();
             {
@@ -682,14 +656,12 @@ fn shipment_mover(sim: &mut Simulation<World>, st: &S) -> FileMover<World> {
         move |sim, file: &FileTiming| {
             let st = &file_st;
             let tiles = tile_file_tiles(st.borrow().params.base.seed, &file.name);
-            if !st_record(
-                st,
-                JournalEvent::LabelsAppended {
-                    file: file.name.clone(),
-                    labels: tiles.round() as u64,
-                    bytes: file.size.as_u64(),
-                },
-            ) {
+            let labeled = JournalEvent::LabelsAppended {
+                file: file.name.clone(),
+                labels: tiles.round() as u64,
+                bytes: file.size.as_u64(),
+            };
+            if st.borrow_mut().journal.record(labeled).is_err() {
                 return;
             }
             {
@@ -726,19 +698,16 @@ fn shipment_mover(sim: &mut Simulation<World>, st: &S) -> FileMover<World> {
                 s.failed.extend(report.failed);
                 (s.shipped_files as u64, s.shipped.as_u64())
             };
-            if !st_record(st, JournalEvent::ShipmentFinished { files, bytes }) {
+            let finished = JournalEvent::ShipmentFinished { files, bytes };
+            if st.borrow_mut().journal.once(finished).is_err() {
                 return;
             }
-            let journal = {
-                let sink = st.borrow().journal.clone();
-                sink.and_then(|j| j.borrow().state_digest())
-            };
             let manifest = build_shipment_manifest(
                 "ace-defiant",
                 "frontier-orion",
                 &st.borrow().ship_log,
                 &sim.state().provenance,
-                journal,
+                st.borrow().journal.digest(),
                 sim.now().as_secs_f64(),
             );
             st.borrow_mut().manifest = Some(manifest);
@@ -1051,17 +1020,17 @@ mod tests {
         // placement stacked on one node while another idled.
         let mut p = small();
         p.base.workers_per_node = 2;
-        let mut resume = CampaignState::default();
+        let (mut journal, _) = Journal::open(MemStorage::new()).unwrap();
         for g in day_granules(&p) {
             for product in ProductKind::all() {
-                resume.apply(&JournalEvent::FileDownloaded {
-                    file: g.file_name(product),
-                    bytes: 1,
-                });
+                let file = g.file_name(product);
+                let downloaded = JournalEvent::FileDownloaded { file, bytes: 1 };
+                journal.append(downloaded).unwrap();
             }
         }
         let (nodes, wpn) = (p.base.nodes, p.base.workers_per_node);
-        let (mut sim, st) = launch(p, None, resume);
+        let journal = RunJournal::claim(journal, p.base.seed, "streaming-campaign").unwrap();
+        let (mut sim, st) = launch(p, journal);
         let mut peak = 0;
         while sim.step() {
             for node in 0..sim.state().cluster.spec().nodes {

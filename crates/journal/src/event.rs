@@ -117,6 +117,20 @@ pub enum JournalEvent {
 }
 
 impl JournalEvent {
+    /// `StageStarted` for `stage`.
+    pub fn stage_started(stage: &str) -> JournalEvent {
+        JournalEvent::StageStarted {
+            stage: stage.into(),
+        }
+    }
+
+    /// `StageFinished` for `stage`.
+    pub fn stage_finished(stage: &str) -> JournalEvent {
+        JournalEvent::StageFinished {
+            stage: stage.into(),
+        }
+    }
+
     /// The on-disk JSON form.
     pub fn to_json(&self) -> Value {
         match self {

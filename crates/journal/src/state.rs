@@ -120,6 +120,24 @@ impl CampaignState {
         }
     }
 
+    /// Whether this state already holds the completion `event` records, so
+    /// a resuming driver need not append it again. It sits beside
+    /// [`apply`](Self::apply) because both must agree on the key each event
+    /// is filed under. Only the seven work events can be covered; a claim,
+    /// snapshot, flow, ingest or service record is always appended.
+    pub fn covers(&self, event: &JournalEvent) -> bool {
+        match event {
+            JournalEvent::StageStarted { stage } => self.stages_started.contains(stage),
+            JournalEvent::StageFinished { stage } => self.stage_done(stage),
+            JournalEvent::FileDownloaded { file, .. } => self.is_downloaded(file),
+            JournalEvent::TileFileWritten { file, .. } => self.has_tile_file(file),
+            JournalEvent::MonitorTriggered { file } => self.monitor_saw(file),
+            JournalEvent::LabelsAppended { file, .. } => self.is_labeled(file),
+            JournalEvent::ShipmentFinished { .. } => self.shipped.is_some(),
+            _ => false,
+        }
+    }
+
     /// Whether a download already completed durably.
     pub fn is_downloaded(&self, file: &str) -> bool {
         self.downloaded.contains_key(file)
@@ -322,6 +340,76 @@ impl CampaignState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One of the seven work events (`kind` 0–6) or of the records a state
+    /// never covers (7–12); small name spaces so sequences collide.
+    fn event(kind: u8, n: u64) -> JournalEvent {
+        let file = format!("tiles-{}.nc", n % 5);
+        let stage = format!("stage-{}", n % 3);
+        match kind {
+            0 => JournalEvent::StageStarted { stage },
+            1 => JournalEvent::StageFinished { stage },
+            2 => JournalEvent::FileDownloaded { file, bytes: n },
+            3 => JournalEvent::TileFileWritten { file, tiles: n },
+            4 => JournalEvent::MonitorTriggered { file },
+            5 => JournalEvent::LabelsAppended {
+                file,
+                labels: n,
+                bytes: n * 7,
+            },
+            6 => JournalEvent::ShipmentFinished { files: n, bytes: n },
+            7 => JournalEvent::CampaignStarted {
+                seed: n,
+                label: stage,
+            },
+            8 => JournalEvent::Snapshot {
+                state: CampaignState::new().to_json(),
+            },
+            9 => JournalEvent::FlowTransition {
+                run: n,
+                state: stage,
+                context: json!({ "file": file }),
+            },
+            10 => JournalEvent::FlowFinished {
+                run: n,
+                status: "succeeded".into(),
+            },
+            11 => JournalEvent::IngestAcked {
+                manifest: file,
+                facility: stage,
+                files: n,
+                bytes: n,
+            },
+            _ => JournalEvent::ServiceRecord {
+                key: file,
+                value: json!(n),
+            },
+        }
+    }
+
+    proptest! {
+        /// `covers` answers from exactly what `apply` filed: a work event is
+        /// covered from the moment it is applied, and applying a covered
+        /// event again with the same payload changes no completed work.
+        #[test]
+        fn covers_holds_after_apply_for_the_work_events(
+            kinds in proptest::collection::vec((0u8..13, 0u64..40), 1..60),
+        ) {
+            let mut s = CampaignState::new();
+            for &(kind, n) in &kinds {
+                let ev = event(kind, n);
+                prop_assert!(!CampaignState::new().covers(&ev), "default state covers {:?}", ev);
+                s.apply(&ev);
+                prop_assert_eq!(s.covers(&ev), kind < 7, "{:?}", ev);
+                let checksum = s.work_checksum();
+                if s.covers(&ev) {
+                    s.apply(&ev);
+                    prop_assert_eq!(s.work_checksum(), checksum, "replayed {:?}", ev);
+                }
+            }
+        }
+    }
 
     fn populated() -> CampaignState {
         let mut s = CampaignState::new();

@@ -11,7 +11,7 @@
 
 use crate::tiles::Tile;
 use eoml_modis::granule::GranuleId;
-use eoml_ncdf::{NcFile, NcType, NcValues, RecordVarSpan, NC_FILL_INT};
+use eoml_ncdf::{NcError, NcFile, NcType, NcValues, RecordVarSpan, NC_FILL_INT};
 use std::io::{self, Read, Seek, Write};
 
 /// The per-tile class label variable.
@@ -30,6 +30,10 @@ pub enum TileNcError {
     Malformed(String),
     /// Label count does not match tile count, or labels already present.
     BadLabels(String),
+    /// The encoded file has no `aicca_label` record variable: it was written
+    /// before the variable was reserved, so there is nothing to patch or
+    /// read in place. Such a file is refused; write it again.
+    FormerLayout,
 }
 
 impl std::fmt::Display for TileNcError {
@@ -40,6 +44,10 @@ impl std::fmt::Display for TileNcError {
             TileNcError::Nc(e) => write!(f, "netcdf error: {e}"),
             TileNcError::Malformed(m) => write!(f, "malformed tile file: {m}"),
             TileNcError::BadLabels(m) => write!(f, "bad labels: {m}"),
+            TileNcError::FormerLayout => write!(
+                f,
+                "tile file layout predates the reserved aicca_label variable; regenerate the file"
+            ),
         }
     }
 }
@@ -180,16 +188,30 @@ pub fn append_labels(f: &mut NcFile, labels: &[i32]) -> Result<(), TileNcError> 
 /// harmless, and a writer killed part-way leaves some records at the fill
 /// value, which [`read_tiles_nc`] and [`read_labels`] report as unlabelled.
 pub fn patch_labels(file: &mut (impl Read + Write + Seek), labels: &[i32]) -> io::Result<()> {
-    let span = RecordVarSpan::locate(file, LABEL_VAR)?;
+    let span = label_span(file)?;
     check_label_count(labels.len(), span.numrecs())
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     span.write(file, &NcValues::Int(labels.to_vec()))
 }
 
+/// Where an encoded tile file keeps its labels. A file with no such record
+/// variable is refused as [`TileNcError::FormerLayout`] (an `InvalidData`
+/// error carrying it).
+fn label_span(file: &mut (impl Read + Seek)) -> io::Result<RecordVarSpan> {
+    RecordVarSpan::locate(file, LABEL_VAR).map_err(|e| {
+        match e.get_ref().and_then(|inner| inner.downcast_ref()) {
+            Some(NcError::UnknownVar) => {
+                io::Error::new(io::ErrorKind::InvalidData, TileNcError::FormerLayout)
+            }
+            _ => e,
+        }
+    })
+}
+
 /// The labels of an encoded tile file, read from the `aicca_label` records
 /// alone; `None` while any tile is unlabelled.
 pub fn read_labels(file: &mut (impl Read + Seek)) -> io::Result<Option<Vec<i32>>> {
-    Ok(match RecordVarSpan::locate(file, LABEL_VAR)?.read(file)? {
+    Ok(match label_span(file)?.read(file)? {
         NcValues::Int(labels) if complete(&labels).is_some() => Some(labels),
         _ => None,
     })
@@ -390,6 +412,29 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             assert!(disk.get_ref() == &expected);
         }
+    }
+
+    #[test]
+    fn an_unlabelled_file_in_the_former_layout_is_refused_by_name() {
+        let mut f = write_tiles_nc(&tiles_of(32)).unwrap();
+        assert_eq!(f.vars.pop().unwrap().name, LABEL_VAR);
+        let before = f.encode().unwrap();
+        let mut disk = io::Cursor::new(before.clone());
+        let refusals = [
+            read_labels(&mut disk).unwrap_err(),
+            patch_labels(&mut disk, &[0; 4]).unwrap_err(),
+        ];
+        for e in refusals {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            let typed = e.get_ref().and_then(|inner| inner.downcast_ref());
+            assert_eq!(typed, Some(&TileNcError::FormerLayout), "{e}");
+            assert!(e.to_string().contains("predates the reserved aicca_label"));
+        }
+        assert!(disk.get_ref() == &before, "a refused file is not touched");
+        // Any other header failure is still the NetCDF error it was.
+        let e = read_labels(&mut io::Cursor::new(b"CDF\x01".to_vec())).unwrap_err();
+        let typed: Option<&TileNcError> = e.get_ref().and_then(|inner| inner.downcast_ref());
+        assert_eq!(typed, None, "{e}");
     }
 
     #[test]
