@@ -4,8 +4,9 @@
 # top of it, and what a driver remembers lives once, in eoml-core's run
 # journal. Fails when a second copy of the slot/queue/retry loop or of the
 # append / already-done / halt ledger creeps back into the non-test part of
-# crates/{transfer,executor,core}/src, and prints the per-crate non-test
-# line counts ROADMAP wants to see fall.
+# crates/{transfer,executor,core}/src, or a by-name scan into the provenance
+# log, and prints the per-crate non-test line counts ROADMAP wants to see
+# fall.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -74,6 +75,12 @@ for driver in campaign streaming realrun; do
     fi
   done
 done
+
+# The provenance log answers by-name queries from its index (DESIGN §19): a
+# scan of the records for a name is the quadratic simulator coming back.
+if [ "$(hits '\.filter\(\|r\| r\.artifact ==' crates/core/src/provenance.rs)" -ne 0 ]; then
+  complain "crates/core/src/provenance.rs scans the records for a name (use producer_indices)"
+fi
 
 lines() {
   local n=0 f

@@ -31,7 +31,7 @@ use eoml_util::rng::{Rng64, SplitMix64, Xoshiro256};
 use eoml_util::timebase::CivilDate;
 use eoml_util::units::ByteSize;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -558,16 +558,15 @@ fn finish_download(
         let now_s = now.as_secs_f64();
         let prov = &mut sim.state_mut().provenance;
         for f in &report.files {
-            let rec = prov.record(
+            let attrs = prov.record(
                 format!("defiant:{}", f.name),
                 "download",
                 vec![format!("laads:{}", f.name)],
                 "download-pool",
                 now_s,
             );
-            rec.attrs
-                .insert("bytes".into(), f.size.as_u64().to_string());
-            rec.attrs.insert("attempts".into(), f.attempts.to_string());
+            attrs.insert("bytes".into(), f.size.as_u64().to_string());
+            attrs.insert("attempts".into(), f.attempts.to_string());
         }
     }
     {
@@ -742,7 +741,6 @@ fn granule_preprocessed(
                 "parsl-worker",
                 now.as_secs_f64(),
             )
-            .attrs
             .insert("tiles".into(), format!("{tiles:.0}"));
         sim.state_mut().crawler.announce(file);
     }
@@ -976,7 +974,7 @@ pub(crate) fn build_shipment_manifest(
     // the same id — the destination's idempotency key.
     let mut files: Vec<&(String, ByteSize)> = files.iter().collect();
     files.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut seen: std::collections::BTreeSet<(String, String)> = std::collections::BTreeSet::new();
+    let mut seen: HashSet<(&str, &str)> = HashSet::new();
     for (name, bytes) in files {
         manifest.artifacts.push(ArtifactEntry {
             name: name.clone(),
@@ -986,21 +984,17 @@ pub(crate) fn build_shipment_manifest(
         });
         // The lineage slice: the destination-side record plus everything
         // upstream of it, deduplicated — shared ancestors (a granule's
-        // three MODIS products, say) appear once.
-        let shipped = format!("orion:{name}");
-        let mut chain = vec![shipped.clone()];
-        chain.extend(prov.lineage(&shipped));
-        for artifact in &chain {
-            for rec in prov.producers(artifact) {
-                if seen.insert((rec.artifact.clone(), rec.activity.clone())) {
-                    manifest.lineage.push(LineageRecord {
-                        artifact: rec.artifact.clone(),
-                        activity: rec.activity.clone(),
-                        inputs: rec.inputs.clone(),
-                        agent: rec.agent.clone(),
-                        at_s: rec.at_s,
-                    });
-                }
+        // three MODIS products, say) appear once. A re-shipped granule
+        // has two shipment records: the first per (artifact, activity) wins.
+        for rec in prov.upstream_records(&format!("orion:{name}")) {
+            if seen.insert((&rec.artifact, &rec.activity)) {
+                manifest.lineage.push(LineageRecord {
+                    artifact: rec.artifact.clone(),
+                    activity: rec.activity.clone(),
+                    inputs: rec.inputs.clone(),
+                    agent: rec.agent.clone(),
+                    at_s: rec.at_s,
+                });
             }
         }
     }
@@ -1393,6 +1387,113 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), m.lineage.len(), "duplicate lineage records");
+    }
+
+    /// The manifest's lineage slice as `build_shipment_manifest` built it
+    /// before the provenance index: a scan per artifact of each file's chain,
+    /// deduplicated on cloned `(artifact, activity)` pairs. The reference.
+    fn scanned_lineage_slice(
+        files: &[(String, ByteSize)],
+        prov: &crate::provenance::ProvenanceLog,
+    ) -> Vec<LineageRecord> {
+        use crate::provenance::scan;
+        let mut names: Vec<&String> = files.iter().map(|f| &f.0).collect();
+        names.sort();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut slice = Vec::new();
+        for name in names {
+            let shipped = format!("orion:{name}");
+            let mut chain = vec![shipped.clone()];
+            chain.extend(scan::lineage(prov, &shipped));
+            for artifact in &chain {
+                for rec in scan::producers(prov, artifact) {
+                    if seen.insert((rec.artifact.clone(), rec.activity.clone())) {
+                        slice.push(LineageRecord {
+                            artifact: rec.artifact.clone(),
+                            activity: rec.activity.clone(),
+                            inputs: rec.inputs.clone(),
+                            agent: rec.agent.clone(),
+                            at_s: rec.at_s,
+                        });
+                    }
+                }
+            }
+        }
+        slice
+    }
+
+    #[test]
+    fn manifest_lineage_equals_the_scanned_slice() {
+        for files_per_day in [4, 24] {
+            let r = run_campaign(CampaignParams {
+                files_per_day,
+                ..CampaignParams::small()
+            });
+            let m = r.manifest.as_ref().expect("campaign produced a manifest");
+            let files: Vec<(String, ByteSize)> = m
+                .artifacts
+                .iter()
+                .map(|a| (a.name.clone(), ByteSize::bytes(a.bytes)))
+                .collect();
+            assert_eq!(m.lineage, scanned_lineage_slice(&files, &r.provenance));
+            assert_eq!(m.lineage.len(), 6 * r.tile_files);
+        }
+    }
+
+    #[test]
+    fn reshipped_granule_appears_once_in_the_manifest_lineage() {
+        // Two granules sharing nothing; the first is shipped twice (a failed
+        // ingest made the source re-ship it) and out of name order.
+        let mut prov = crate::provenance::ProvenanceLog::new();
+        let mut files = Vec::new();
+        for (granule, ships) in [("b", 2), ("a", 1)] {
+            let tile_file = format!("tiles-{granule}.nc");
+            let products = ["MOD021KM", "MOD03", "MOD06_L2"].map(|p| format!("{p}.{granule}"));
+            for product in &products {
+                let archive = vec![format!("laads:{product}")];
+                prov.record(
+                    format!("defiant:{product}"),
+                    "download",
+                    archive,
+                    "pool",
+                    1.0,
+                );
+            }
+            let downloaded = products.iter().map(|p| format!("defiant:{p}")).collect();
+            prov.record(tile_file.clone(), "preprocess", downloaded, "worker", 2.0);
+            let labeled = format!("labeled:{tile_file}");
+            prov.record(
+                labeled.clone(),
+                "inference",
+                vec![tile_file.clone()],
+                "flow",
+                3.0,
+            );
+            for ship in 0..ships {
+                let at_s = 4.0 + ship as f64;
+                let shipped = format!("orion:{tile_file}");
+                prov.record(shipped, "shipment", vec![labeled.clone()], "transfer", at_s);
+            }
+            files.push((tile_file, ByteSize::bytes(10)));
+        }
+        let m = build_shipment_manifest("src", "dst", &files, &prov, None, 9.0);
+        assert_eq!(m.lineage, scanned_lineage_slice(&files, &prov));
+        assert_eq!(
+            m.lineage.len(),
+            12,
+            "six records per granule, re-ship or not"
+        );
+        assert_eq!(
+            m.lineage[0].artifact, "orion:tiles-a.nc",
+            "files in name order"
+        );
+        let reshipped: Vec<f64> = m
+            .lineage
+            .iter()
+            .filter(|l| l.artifact == "orion:tiles-b.nc")
+            .map(|l| l.at_s)
+            .collect();
+        assert_eq!(reshipped, [4.0], "the first shipment record wins");
     }
 
     #[test]

@@ -131,3 +131,48 @@ fn default_config_runs_a_day_of_288_granules() {
     let gb = report.download.bytes.as_gb();
     assert!((50.0..70.0).contains(&gb), "downloaded {gb} GB");
 }
+
+#[test]
+fn simulator_wall_time_is_linear_in_campaign_length() {
+    // The provenance log is indexed (DESIGN §19): a manifest's lineage slice
+    // costs the same per file however long the campaign is. Before the index
+    // it was a scan of the whole log per artifact and 16 days took 38× the
+    // wall time of 4; linear is 4×, and 8× leaves room for a noisy host.
+    let run = |days: usize| {
+        let params = CampaignParams {
+            days,
+            files_per_day: 288,
+            ..CampaignParams::paper_demo()
+        };
+        let timed = (0..3).map(|_| {
+            let t0 = std::time::Instant::now();
+            let report = run_campaign(params.clone());
+            (t0.elapsed().as_secs_f64(), report)
+        });
+        timed
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("three runs")
+    };
+    let (wall_4d, _) = run(4);
+    let (wall_16d, report) = run(16);
+    assert!(
+        wall_16d <= 8.0 * wall_4d,
+        "16 days took {wall_16d:.3} s, 4 days {wall_4d:.3} s: super-linear"
+    );
+
+    // What the index makes affordable to assert on a 20 736-record log.
+    assert_eq!(report.granules, 16 * 288);
+    let manifest = report.manifest.as_ref().expect("manifest");
+    assert_eq!(manifest.lineage.len(), 6 * report.tile_files);
+    assert!(report.provenance.is_acyclic());
+    let shipped = report
+        .provenance
+        .records()
+        .iter()
+        .find(|rec| rec.activity == "shipment")
+        .expect("shipment recorded");
+    let lineage = report.provenance.lineage(&shipped.artifact);
+    assert_eq!(lineage.len(), 8, "{lineage:?}");
+    assert!(lineage[0].starts_with("labeled:tiles-"), "{lineage:?}");
+    assert!(lineage[5..].iter().all(|a| a.starts_with("laads:")));
+}
