@@ -11,6 +11,8 @@
 //!   encode + write vs `patch_labels` in place;
 //! * RICC encode vs full reconstruct round-trip, and `conv2d_fwd` alone at
 //!   the encoder's two layer shapes (128 px and 32 px tiles);
+//! * the model bootstrap: `AiccaModel::pretrained` at 32 px and 128 px, and
+//!   one 128 px sample tile of six octaves, plain and ridged;
 //! * CRC-32 throughput and granule-container encode/decode;
 //! * agglomerative clustering: naive O(n³) vs nearest-neighbor chain.
 
@@ -27,7 +29,7 @@ use eoml_modis::product::Platform;
 use eoml_modis::synth::{SwathDims, SwathSynthesizer};
 use eoml_preprocess::tiles::{extract_tiles, TileCriteria};
 use eoml_preprocess::writer::{append_labels, patch_labels, write_tiles_nc};
-use eoml_ricc::aicca::synthetic_texture_sample;
+use eoml_ricc::aicca::{synthetic_texture_sample, synthetic_texture_tile, AiccaModel};
 use eoml_ricc::autoencoder::{AeConfig, ConvAutoencoder};
 use eoml_ricc::cluster::agglomerate;
 use eoml_ricc::tensor::{conv2d_fwd, ConvSpec, Tensor};
@@ -327,6 +329,28 @@ fn bench_ricc(c: &mut Criterion) {
     g.bench_function("reconstruct_32px", |b| {
         b.iter(|| black_box(model.reconstruct(&tiles[0])).len())
     });
+    g.finish();
+
+    // What every `RealPipeline::new` pays: 168 sample tiles made, encoded
+    // and clustered.
+    let mut g = c.benchmark_group("pretrained");
+    g.sample_size(10);
+    for px in [32usize, 128] {
+        let cfg = AeConfig { input: px, ..cfg };
+        g.bench_function(BenchmarkId::from_parameter(px), |b| {
+            b.iter(|| black_box(AiccaModel::pretrained(cfg, 2022)).num_classes())
+        });
+    }
+    g.finish();
+    // One sample tile at the paper's size, six octaves (index % 5 == 4).
+    let mut g = c.benchmark_group("texture_tile");
+    g.sample_size(20);
+    let cfg128 = AeConfig { input: 128, ..cfg };
+    for (name, index) in [("plain", 4usize), ("ridged", 9)] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(synthetic_texture_tile(cfg128, 3, index)).len())
+        });
+    }
     g.finish();
 
     // The encoder's two stride-2 layers (6→8 then 8→16 channels) on their own.

@@ -15,10 +15,10 @@
 //! way.
 
 use crate::autoencoder::{AeConfig, ConvAutoencoder};
-use crate::cluster::{agglomerate, assign, centroids};
+use crate::cluster::{agglomerate, assign, centroids, nearest};
 use crate::tensor::Tensor;
 use crate::AICCA_CLASSES;
-use eoml_util::noise::Fbm;
+use eoml_util::noise::{ridge, Fbm};
 use rayon::prelude::*;
 
 /// Encoder + centroids.
@@ -40,34 +40,47 @@ impl AiccaModel {
     /// Fit centroids by encoding `sample` tiles, agglomerating to `k`
     /// clusters (Ward) and taking cluster means.
     pub fn fit(encoder: ConvAutoencoder, sample: &[Tensor], k: usize) -> Self {
-        assert!(
-            sample.len() >= k,
-            "need at least k={k} sample tiles, got {}",
-            sample.len()
-        );
         let latents: Vec<Vec<f32>> = sample.par_iter().map(|t| encoder.encode(t)).collect();
-        let dendro = agglomerate(&latents);
-        let labels = dendro.cut(k);
-        let cents = centroids(&latents, &labels, k);
-        Self {
-            encoder,
-            centroids: cents,
-        }
+        Self::from_latents(encoder, &latents, k)
     }
 
     /// Deterministic stand-in for the published trained model: random
     /// encoder + centroids fitted on `4 × AICCA_CLASSES` synthetic texture
     /// tiles spanning a range of cloud morphologies.
+    ///
+    /// Each worker makes a tile, encodes it and keeps only the latent, so
+    /// no more than one sample tile per thread is alive at a time; the
+    /// latents come back in tile order however the indices were split, so
+    /// the model does not depend on the thread count.
     pub fn pretrained(cfg: AeConfig, seed: u64) -> Self {
         let encoder = ConvAutoencoder::new(cfg, seed);
-        let sample = synthetic_texture_sample(cfg, 4 * AICCA_CLASSES, seed ^ 0x7117E5);
-        Self::fit(encoder, &sample, AICCA_CLASSES)
+        let sample_seed = seed ^ 0x7117E5;
+        let indices: Vec<usize> = (0..4 * AICCA_CLASSES).collect();
+        let latents: Vec<Vec<f32>> = indices
+            .par_iter()
+            .map(|&i| encoder.encode(&synthetic_texture_tile(cfg, sample_seed, i)))
+            .collect();
+        Self::from_latents(encoder, &latents, AICCA_CLASSES)
+    }
+
+    /// Ward-agglomerate the sample's `latents` to `k` clusters and keep the
+    /// cluster means.
+    fn from_latents(encoder: ConvAutoencoder, latents: &[Vec<f32>], k: usize) -> Self {
+        assert!(
+            latents.len() >= k,
+            "need at least k={k} sample tiles, got {}",
+            latents.len()
+        );
+        let labels = agglomerate(latents).cut(k);
+        Self {
+            centroids: centroids(latents, &labels, k),
+            encoder,
+        }
     }
 
     /// Predict the class of one tile.
     pub fn predict(&self, tile: &Tensor) -> usize {
-        let z = self.encoder.encode(tile);
-        nearest(&z, &self.centroids)
+        nearest(&self.encoder.encode(tile), &self.centroids)
     }
 
     /// Predict a batch (rayon-parallel).
@@ -81,26 +94,6 @@ impl AiccaModel {
     }
 }
 
-fn nearest(z: &[f32], cents: &[Vec<f32>]) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (i, c) in cents.iter().enumerate() {
-        let d: f64 = z
-            .iter()
-            .zip(c)
-            .map(|(a, b)| {
-                let d = (*a - *b) as f64;
-                d * d
-            })
-            .sum();
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Assign labels to already-encoded latents.
 pub fn predict_latents(latents: &[Vec<f32>], cents: &[Vec<f32>]) -> Vec<usize> {
     assign(latents, cents)
@@ -111,30 +104,40 @@ pub fn predict_latents(latents: &[Vec<f32>], cents: &[Vec<f32>]) -> Vec<usize> {
 /// morphologies (the stand-in for the paper's training sample).
 pub fn synthetic_texture_sample(cfg: AeConfig, n: usize, seed: u64) -> Vec<Tensor> {
     (0..n)
-        .map(|i| {
-            let octaves = 2 + (i % 5) as u32;
-            let gain = 0.35 + 0.12 * ((i / 5) % 5) as f64;
-            let f = Fbm::with_params(seed.wrapping_add(i as u64 * 7919), octaves, 2.0, gain);
-            let scale = 0.06 + 0.05 * ((i / 25) % 4) as f64;
-            let ridged = i % 3 == 0;
-            let mut t = Tensor::zeros(cfg.in_ch, cfg.input, cfg.input);
-            for c in 0..cfg.in_ch {
-                let off = c as f64 * 31.7;
-                for y in 0..cfg.input {
-                    for x in 0..cfg.input {
-                        let (fx, fy) = (x as f64 * scale + off, y as f64 * scale - off);
-                        let v = if ridged {
-                            f.ridged(fx, fy)
-                        } else {
-                            f.sample(fx, fy)
-                        };
-                        *t.at_mut(c, y, x) = (v as f32 - 0.5) * 2.0;
-                    }
-                }
-            }
-            t
-        })
+        .map(|i| synthetic_texture_tile(cfg, seed, i))
         .collect()
+}
+
+/// Tile `i` of [`synthetic_texture_sample`]: the index picks the octave
+/// count, gain, scale and ridged-or-plain, and every channel is the same
+/// field at its own offset. Sampled a scan line at a time
+/// ([`Fbm::rows`]), bit-identical to the per-pixel `Fbm::sample` /
+/// `Fbm::ridged`.
+pub fn synthetic_texture_tile(cfg: AeConfig, seed: u64, i: usize) -> Tensor {
+    let octaves = 2 + (i % 5) as u32;
+    let gain = 0.35 + 0.12 * ((i / 5) % 5) as f64;
+    let f = Fbm::with_params(seed.wrapping_add(i as u64 * 7919), octaves, 2.0, gain);
+    let scale = 0.06 + 0.05 * ((i / 25) % 4) as f64;
+    let ridged = i.is_multiple_of(3);
+    let edge = cfg.input;
+    let mut t = Tensor::zeros(cfg.in_ch, edge, edge);
+    let mut xs = vec![0.0f64; edge];
+    let mut line = vec![0.0f64; edge];
+    for (c, plane) in t.data.chunks_exact_mut((edge * edge).max(1)).enumerate() {
+        let off = c as f64 * 31.7;
+        for (x, fx) in xs.iter_mut().enumerate() {
+            *fx = x as f64 * scale + off;
+        }
+        let rows = f.rows(&xs);
+        for (y, out) in plane.chunks_exact_mut(edge).enumerate() {
+            rows.sample(y as f64 * scale - off, 0..edge, &mut line);
+            for (o, &n) in out.iter_mut().zip(&line) {
+                let v = if ridged { ridge(n) } else { n };
+                *o = (v as f32 - 0.5) * 2.0;
+            }
+        }
+    }
+    t
 }
 
 #[cfg(test)]
@@ -143,6 +146,112 @@ mod tests {
 
     fn tiny_model() -> AiccaModel {
         AiccaModel::pretrained(AeConfig::tiny(), 2022)
+    }
+
+    /// The sample as it was first written, one `Fbm::sample` / `ridged`
+    /// call per pixel: what the row-sampled tiles must equal bit for bit.
+    fn oracle_sample(cfg: AeConfig, n: usize, seed: u64) -> Vec<Tensor> {
+        (0..n).map(|i| oracle_tile(cfg, seed, i)).collect()
+    }
+
+    fn oracle_tile(cfg: AeConfig, seed: u64, i: usize) -> Tensor {
+        let octaves = 2 + (i % 5) as u32;
+        let gain = 0.35 + 0.12 * ((i / 5) % 5) as f64;
+        let f = Fbm::with_params(seed.wrapping_add(i as u64 * 7919), octaves, 2.0, gain);
+        let scale = 0.06 + 0.05 * ((i / 25) % 4) as f64;
+        let ridged = i.is_multiple_of(3);
+        let mut t = Tensor::zeros(cfg.in_ch, cfg.input, cfg.input);
+        for c in 0..cfg.in_ch {
+            let off = c as f64 * 31.7;
+            for y in 0..cfg.input {
+                for x in 0..cfg.input {
+                    let (fx, fy) = (x as f64 * scale + off, y as f64 * scale - off);
+                    let v = if ridged {
+                        f.ridged(fx, fy)
+                    } else {
+                        f.sample(fx, fy)
+                    };
+                    *t.at_mut(c, y, x) = (v as f32 - 0.5) * 2.0;
+                }
+            }
+        }
+        t
+    }
+
+    fn paper_cfg(input: usize) -> AeConfig {
+        AeConfig {
+            in_ch: 6,
+            input,
+            ..AeConfig::tiny()
+        }
+    }
+
+    fn assert_tile_matches_oracle(cfg: AeConfig, seed: u64, i: usize) {
+        let (fast, slow) = (
+            synthetic_texture_tile(cfg, seed, i),
+            oracle_tile(cfg, seed, i),
+        );
+        assert_eq!((fast.c, fast.h, fast.w), (slow.c, slow.h, slow.w));
+        let differing = fast
+            .data
+            .iter()
+            .zip(&slow.data)
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        assert_eq!(differing, None, "tile {i} at {} px", cfg.input);
+    }
+
+    #[test]
+    fn row_sampled_tiles_equal_the_per_pixel_oracle() {
+        let seed = 2022 ^ 0x7117E5;
+        // Every parameter combination `pretrained` draws, at 32 px.
+        for i in 0..4 * AICCA_CLASSES {
+            assert_tile_matches_oracle(paper_cfg(32), seed, i);
+        }
+        // At 128 px: ridged (i % 3 == 0) and plain at every octave count
+        // (i % 5) and scale ((i / 25) % 4); the gain steps through i / 5.
+        for scale in 0..4 {
+            for octaves in 0..5 {
+                let mut gains = (0..5).map(|gain| scale * 25 + gain * 5 + octaves);
+                let ridged = gains.clone().find(|i| i % 3 == 0).expect("ridged");
+                let plain = gains.find(|i| i % 3 != 0).expect("plain");
+                for i in [ridged, plain] {
+                    assert_eq!((i % 5, (i / 25) % 4), (octaves, scale));
+                    assert_tile_matches_oracle(paper_cfg(128), seed, i);
+                }
+            }
+        }
+        assert_eq!(
+            synthetic_texture_sample(AeConfig::tiny(), 7, 5),
+            oracle_sample(AeConfig::tiny(), 7, 5)
+        );
+    }
+
+    #[test]
+    fn pretrained_is_fit_on_the_oracle_sample_whatever_the_thread_count() {
+        use crate::serialize::save_model;
+        let cfg = AeConfig {
+            input: 32,
+            ..AeConfig::tiny()
+        };
+        for seed in [0u64, 2022, u64::MAX] {
+            let sample = oracle_sample(cfg, 4 * AICCA_CLASSES, seed ^ 0x7117E5);
+            let reference = save_model(&AiccaModel::fit(
+                ConvAutoencoder::new(cfg, seed),
+                &sample,
+                AICCA_CLASSES,
+            ));
+            assert!(reference == save_model(&AiccaModel::pretrained(cfg, seed)));
+            // The latents must come back in tile order however the 168
+            // indices are chunked over the workers.
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool");
+                let bytes = pool.install(|| save_model(&AiccaModel::pretrained(cfg, seed)));
+                assert!(reference == bytes, "seed {seed}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -70,6 +70,31 @@ impl AeConfig {
             lambda: 0.1,
         }
     }
+
+    /// Lengths of the twelve parameter buffers, in
+    /// [`ConvAutoencoder::param_buffers`] order; `None` when one does not
+    /// fit a `usize` (only hyperparameters read from an artifact can be
+    /// that large).
+    pub(crate) fn param_sizes(&self) -> Option<[usize; 12]> {
+        let q = self.input / 4;
+        let flat = self.c2.checked_mul(q)?.checked_mul(q)?;
+        let conv =
+            |c_out: usize, c_in: usize, taps: usize| c_out.checked_mul(c_in)?.checked_mul(taps);
+        Some([
+            conv(self.c1, self.in_ch, 9)?,
+            self.c1,
+            conv(self.c2, self.c1, 9)?,
+            self.c2,
+            self.latent.checked_mul(flat)?,
+            self.latent,
+            flat.checked_mul(self.latent)?,
+            flat,
+            conv(self.c2, self.c1, 16)?,
+            self.c1,
+            conv(self.c1, self.in_ch, 16)?,
+            self.in_ch,
+        ])
+    }
 }
 
 const DOWN: ConvSpec = ConvSpec {
@@ -210,28 +235,14 @@ impl ConvAutoencoder {
             let std = (2.0 / fan_in as f64).sqrt();
             (0..n).map(|_| rng.normal(0.0, std) as f32).collect()
         };
-        let q = cfg.input / 4;
-        let flat = cfg.c2 * q * q;
-        let w1 = init(cfg.c1 * cfg.in_ch * 9, cfg.in_ch * 9);
-        let w2 = init(cfg.c2 * cfg.c1 * 9, cfg.c1 * 9);
-        let we = init(cfg.latent * flat, flat);
-        let wd = init(flat * cfg.latent, cfg.latent);
-        let wu1 = init(cfg.c2 * cfg.c1 * 16, cfg.c2 * 16);
-        let wu2 = init(cfg.c1 * cfg.in_ch * 16, cfg.c1 * 16);
-        let sizes = [
-            w1.len(),
-            cfg.c1,
-            w2.len(),
-            cfg.c2,
-            we.len(),
-            cfg.latent,
-            wd.len(),
-            flat,
-            wu1.len(),
-            cfg.c1,
-            wu2.len(),
-            cfg.in_ch,
-        ];
+        let sizes = cfg.param_sizes().expect("parameter counts fit a usize");
+        let [n_w1, _, n_w2, _, n_we, _, n_wd, flat, n_wu1, _, n_wu2, _] = sizes;
+        let w1 = init(n_w1, cfg.in_ch * 9);
+        let w2 = init(n_w2, cfg.c1 * 9);
+        let we = init(n_we, flat);
+        let wd = init(n_wd, cfg.latent);
+        let wu1 = init(n_wu1, cfg.c2 * 16);
+        let wu2 = init(n_wu2, cfg.c1 * 16);
         Self {
             cfg,
             w1,

@@ -191,19 +191,25 @@ pub fn centroids(points: &[Vec<f32>], labels: &[usize], k: usize) -> Vec<Vec<f32
         .collect()
 }
 
-/// Assign each point to its nearest centroid (squared Euclidean).
+/// Index of the centroid nearest to `point` (squared Euclidean); of equally
+/// near centroids the first wins, and a distance that is not a number never
+/// does. 0 when there is nothing to compare with.
+pub fn nearest(point: &[f32], centroids: &[Vec<f32>]) -> usize {
+    let mut best = 0;
+    let mut best_d = f64::INFINITY;
+    for (i, c) in centroids.iter().enumerate() {
+        let d = sq_dist(point, c);
+        if d < best_d {
+            best_d = d;
+            best = i;
+        }
+    }
+    best
+}
+
+/// Assign each point to its nearest centroid.
 pub fn assign(points: &[Vec<f32>], centroids: &[Vec<f32>]) -> Vec<usize> {
-    points
-        .iter()
-        .map(|p| {
-            centroids
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| sq_dist(p, a).partial_cmp(&sq_dist(p, b)).expect("finite"))
-                .map(|(i, _)| i)
-                .expect("at least one centroid")
-        })
-        .collect()
+    points.iter().map(|p| nearest(p, centroids)).collect()
 }
 
 #[cfg(test)]

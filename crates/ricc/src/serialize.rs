@@ -68,12 +68,18 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], ModelIoError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(ModelIoError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+    /// Whether `count` items of `item_bytes` each fit in the unread bytes.
+    fn holds(&self, count: usize, item_bytes: usize) -> bool {
+        count
+            .checked_mul(item_bytes)
+            .is_some_and(|bytes| bytes <= self.buf.len() - self.pos)
     }
     fn u16(&mut self) -> Result<u16, ModelIoError> {
         let b = self.take(2)?;
@@ -145,18 +151,28 @@ pub fn load_model(bytes: &[u8]) -> Result<AiccaModel, ModelIoError> {
         lr,
         lambda,
     };
+    // The header is unchecked input: before anything is sized from it, the
+    // buffers it promises (a length word and four bytes a value each) must
+    // fit in the bytes that are left.
+    let sizes = cfg.param_sizes().ok_or(ModelIoError::Truncated)?;
+    let params = sizes.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
+    if !params.is_some_and(|n| r.holds(n, 4)) {
+        return Err(ModelIoError::Truncated);
+    }
     let mut encoder = ConvAutoencoder::new(cfg, 0);
-    let expected: Vec<usize> = encoder.param_buffers().iter().map(|b| b.len()).collect();
-    let mut loaded = Vec::with_capacity(expected.len());
-    for want in &expected {
+    let mut loaded = Vec::with_capacity(sizes.len());
+    for want in sizes {
         let buf = r.f32s()?;
-        if buf.len() != *want {
+        if buf.len() != want {
             return Err(ModelIoError::Inconsistent("parameter buffer length"));
         }
         loaded.push(buf);
     }
     encoder.set_param_buffers(&loaded);
     let k = r.u32()? as usize;
+    if !r.holds(k, 4 + 4 * latent) {
+        return Err(ModelIoError::Truncated);
+    }
     let mut centroids = Vec::with_capacity(k);
     for _ in 0..k {
         let c = r.f32s()?;
@@ -201,6 +217,29 @@ mod tests {
         let bytes = save_model(&model());
         for cut in [0, 4, 5, 10, 40, bytes.len() - 1] {
             assert!(load_model(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        // A 34-byte header alone decides nothing: the five u32 fields at
+        // offset 6 may promise terabytes of parameters, or a count that
+        // overflows. Refused before a buffer is sized from them
+        // (`tests/model_artifact.rs` counts the allocations).
+        for fields in [
+            [6u32, 0xFFFF, 0xFFFF, 0xFFFF, 0x4000],
+            [u32::MAX, u32::MAX, u32::MAX, u32::MAX, u32::MAX - 3],
+        ] {
+            let mut forged = bytes[..34].to_vec();
+            for (field, v) in forged[6..26].chunks_exact_mut(4).zip(fields) {
+                field.copy_from_slice(&v.to_le_bytes());
+            }
+            assert_eq!(load_model(&forged).unwrap_err(), ModelIoError::Truncated);
+        }
+        // Likewise the centroid count, after an honest set of parameters.
+        let latent = AeConfig::tiny().latent;
+        let k_at = bytes.len() - 4 - crate::AICCA_CLASSES * (4 + 4 * latent);
+        assert_eq!(bytes[k_at..k_at + 4], 42u32.to_le_bytes());
+        for k in [43, u32::MAX] {
+            let mut forged = bytes.clone();
+            forged[k_at..k_at + 4].copy_from_slice(&k.to_le_bytes());
+            assert_eq!(load_model(&forged).unwrap_err(), ModelIoError::Truncated);
         }
     }
 

@@ -256,12 +256,19 @@ impl Fbm {
         1.5 * slope / norm
     }
 
-    /// Sample mapped through a ridge transform (`1 − |2n − 1|`), giving
-    /// filament-like structures used for cirrus-type cloud textures.
+    /// Sample mapped through the [`ridge`] transform, giving filament-like
+    /// structures used for cirrus-type cloud textures.
     pub fn ridged(&self, x: f64, y: f64) -> f64 {
-        let n = self.sample(x, y);
-        1.0 - (2.0 * n - 1.0).abs()
+        ridge(self.sample(x, y))
     }
+}
+
+/// The ridge transform `1 − |2n − 1|` of a noise value `n` in `[0, 1)`: mid
+/// values become crests. [`Fbm::ridged`] applies it to a point, a caller of
+/// [`FbmRows::sample`] to each value of a line.
+#[inline]
+pub fn ridge(n: f64) -> f64 {
+    1.0 - (2.0 * n - 1.0).abs()
 }
 
 #[cfg(test)]
