@@ -29,18 +29,17 @@ use eoml_modis::files::into_products;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
 use eoml_modis::synth::{SwathDims, SwathSynthesizer};
-use eoml_ncdf::NcFile;
 use eoml_obs::{Obs, TraceContext};
 use eoml_preprocess::pipeline::preprocess_granule_files;
 use eoml_preprocess::tiles::TileCriteria;
-use eoml_preprocess::writer::{patch_labels, read_labels, read_tiles_nc};
+use eoml_preprocess::writer::{patch_labels, read_labels, read_radiance};
 use eoml_ricc::aicca::AiccaModel;
 use eoml_ricc::autoencoder::AeConfig;
-use eoml_ricc::tensor::Tensor;
 use eoml_transfer::manifest::{content_digest_of, ArtifactEntry, ShipmentManifest};
 use serde_json::json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -368,41 +367,31 @@ impl RealPipeline {
             }
             to_preprocess.push(paths.clone());
         }
-        // Attribute the stage's allocations (tile buffers, outcome
-        // collection) when the counting allocator is installed.
+        // Attribute the stage's allocations (one granule's planes and tiles
+        // per worker) when the counting allocator is installed. Only the
+        // tile file's name and the tile count leave a worker: the pixels are
+        // freed where they were made, so what the run holds does not grow
+        // with the number of granules.
         let mem_scope = self
             .obs
             .as_ref()
             .map(|o| eoml_obs::ResourceGuard::enter(Arc::clone(o), "preprocess", "map"));
-        let outcomes = self.executor.map(to_preprocess, |[p02, p03, p06]| {
-            let granule = granule_from_mod02_path(&p02);
-            preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
-                .map(|out| (granule, out))
-                .map_err(|e| e.to_string())
+        let written = self.executor.map(to_preprocess, |[p02, p03, p06]| {
+            let out = preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
+                .map_err(|e| e.to_string())?;
+            let name = out.output.as_deref().map(file_name).transpose()?;
+            Ok::<_, String>((granule_from_mod02_path(&p02), name, out.tiles.len()))
         });
-        for o in &outcomes {
-            match o {
-                Ok((granule, out)) => {
-                    total_tiles += out.tiles.len();
-                    let key = match &out.output {
-                        Some(path) => {
-                            let name = path
-                                .file_name()
-                                .and_then(|n| n.to_str())
-                                .ok_or("bad tile file name")?
-                                .to_string();
-                            tile_file_names.insert(name.clone());
-                            name
-                        }
-                        None => format!("scan-{}", granule.as_deref().unwrap_or("unknown-granule")),
-                    };
-                    journal.once(JournalEvent::TileFileWritten {
-                        file: key,
-                        tiles: out.tiles.len() as u64,
-                    })?;
-                }
-                Err(e) => return Err(format!("preprocess failed: {e}").into()),
-            }
+        for w in written {
+            let (granule, name, tiles) = w.map_err(|e| format!("preprocess failed: {e}"))?;
+            total_tiles += tiles;
+            tile_file_names.extend(name.clone());
+            let scan = || format!("scan-{}", granule.as_deref().unwrap_or("unknown-granule"));
+            let key = name.unwrap_or_else(scan);
+            journal.once(JournalEvent::TileFileWritten {
+                file: key,
+                tiles: tiles as u64,
+            })?;
         }
         drop(mem_scope);
         journal.once(JournalEvent::stage_finished("preprocess"))?;
@@ -417,7 +406,6 @@ impl RealPipeline {
         let stage_span = self.obs.as_ref().map(|o| o.span("monitor", "crawl"));
         journal.once(JournalEvent::stage_started("inference"))?;
         let mut crawler = DirectoryCrawler::new(&tiles_dir, ".nc");
-        let flow = FlowDefinition::inference_flow();
         let mut labeled_tiles = 0usize;
         let mut histogram = vec![0usize; self.model.num_classes()];
 
@@ -459,129 +447,32 @@ impl RealPipeline {
             }
         }
 
-        // The infer action reads whole tile files; it keeps one buffer for
-        // all the files of the run instead of allocating a file's worth per
-        // call.
-        let model = &self.model;
-        let tiles_dir2 = tiles_dir.clone();
-        let mut infer_bytes = Vec::new();
-        let mut infer = move |_: &str,
-                              params: &serde_json::Value,
-                              _: &serde_json::Value|
-              -> Result<serde_json::Value, String> {
-            use std::io::Read;
-            let file = params["file"].as_str().ok_or("missing file param")?;
-            let mut tile_file =
-                std::fs::File::open(tiles_dir2.join(file)).map_err(|e| e.to_string())?;
-            let len = tile_file.metadata().map_err(|e| e.to_string())?.len();
-            infer_bytes.clear();
-            infer_bytes.reserve(len as usize);
-            tile_file
-                .read_to_end(&mut infer_bytes)
-                .map_err(|e| e.to_string())?;
-            let nc = NcFile::decode(&infer_bytes).map_err(|e| e.to_string())?;
-            let (tiles, existing) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
-            // A crash between label-append and shipment can leave a file
-            // already labeled in the tiles directory; reuse those labels
-            // so the rerun is idempotent. A file the crash left partly
-            // labeled reads as unlabeled and is predicted again.
-            if let Some(labels) = existing {
-                return Ok(json!({ "labels": labels }));
-            }
-            let tensors: Vec<Tensor> = tiles
-                .into_iter()
-                .map(|t| Tensor::from_data(t.bands.len(), t.size, t.size, t.data))
-                .collect();
-            let labels = model.predict_batch(&tensors);
-            Ok(json!({ "labels": labels }))
-        };
-        // The append action writes the labels into the file in place: the
-        // variable was reserved when the file was written, so nothing is
-        // decoded, re-encoded or truncated, and rewriting labels a killed
-        // run already wrote is harmless.
-        let tiles_dir3 = tiles_dir.clone();
-        let mut append = move |_: &str,
-                               params: &serde_json::Value,
-                               _: &serde_json::Value|
-              -> Result<serde_json::Value, String> {
-            let file = params["file"].as_str().ok_or("missing file param")?;
-            let labels: Vec<i32> = params["labels"]["labels"]
-                .as_array()
-                .ok_or("missing labels")?
-                .iter()
-                .map(|v| v.as_i64().unwrap_or(-1) as i32)
-                .collect();
-            std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(tiles_dir3.join(file))
-                .and_then(|mut tile_file| patch_labels(&mut tile_file, &labels))
-                .map_err(|e| e.to_string())?;
-            Ok(json!({ "appended": labels.len() }))
-        };
-        let tiles_dir4 = tiles_dir.clone();
-        let outbox2 = outbox.clone();
-        let mut move_out = move |_: &str,
-                                 params: &serde_json::Value,
-                                 _: &serde_json::Value|
-              -> Result<serde_json::Value, String> {
-            let file = params["file"].as_str().ok_or("missing file param")?;
-            std::fs::rename(tiles_dir4.join(file), outbox2.join(file))
-                .map_err(|e| e.to_string())?;
-            Ok(json!({ "moved": file }))
-        };
-
-        let mut runner = FlowRunner::new();
-        if let Some(obs) = &self.obs {
-            runner.obs = Some(Arc::clone(obs));
-        }
-        runner.register("inference", &mut infer);
-        runner.register("append_labels", &mut append);
-        runner.register("move_to_outbox", &mut move_out);
-
         // Drain the crawler (preprocessing already finished, so one crawl
-        // sees everything; loop anyway to mirror the monitor structure).
+        // sees everything; loop anyway to mirror the monitor structure). A
+        // crawl's triggers are journaled before its first flow starts; the
+        // flows then run `workers` at a time and each file's completion is
+        // journaled here, in crawl order.
+        let crawl_span = stage_span.as_ref().map(|span| span.id());
         loop {
             let fresh = crawler.crawl().map_err(|e| e.to_string())?;
             if fresh.is_empty() {
                 break;
             }
-            for path in fresh {
-                let name = file_name(&path)?;
+            let names: Result<Vec<_>, _> = fresh.iter().map(|path| file_name(path)).collect();
+            let names = names?;
+            for name in &names {
                 tile_file_names.insert(name.clone());
                 journal.once(JournalEvent::MonitorTriggered { file: name.clone() })?;
-                let trace = crate::campaign::granule_trace_id(&name).map(TraceContext::new);
-                let mut infer_span = self.obs.as_ref().map(|o| o.span("inference", "flow"));
-                if let (Some(span), Some(trace)) = (infer_span.as_mut(), trace.as_ref()) {
-                    span.set_trace(trace);
-                }
-                let run = match trace.as_ref() {
-                    Some(trace) => runner.run_traced(&flow, json!({ "file": name }), trace),
-                    None => runner.run(&flow, json!({ "file": name })),
-                };
-                if let Some(mut span) = infer_span {
-                    span.attr("file", &name);
-                }
-                if let eoml_flows::runner::RunStatus::Failed(e) = &run.status {
-                    return Err(format!("inference flow failed for {name}: {e}").into());
-                }
-                // Tally labels from the flow context.
-                let file_labels = run.context["labels"]["labels"]
-                    .as_array()
-                    .map_or(0, |labels| {
-                        let labels = labels.iter().map(|l| l.as_i64().unwrap_or(-1));
-                        tally(&mut histogram, labels)
-                    });
+            }
+            self.run_flows(&names, crawl_span, |name, (file_labels, shipped_bytes)| {
+                let file_labels = tally(&mut histogram, file_labels);
                 labeled_tiles += file_labels;
-                let shipped_bytes = std::fs::metadata(outbox.join(&name))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
                 journal.once(JournalEvent::LabelsAppended {
-                    file: name,
+                    file: name.to_string(),
                     labels: file_labels as u64,
                     bytes: shipped_bytes,
-                })?;
-            }
+                })
+            })?;
         }
         journal.once(JournalEvent::stage_finished("inference"))?;
         let tile_files = tile_file_names
@@ -651,7 +542,141 @@ impl RealPipeline {
             manifest: Some(manifest),
         })
     }
+
+    /// Run the inference flow over the tile files `names`: up to `workers`
+    /// threads each take the next unclaimed file and run its whole flow,
+    /// and every file's outcome goes to `done` on the calling thread in
+    /// `names` order. The first failure (a flow's or `done`'s) stops files
+    /// from being claimed; flows already running finish, and every worker
+    /// has exited when this returns, so nothing touches the workdir after.
+    fn run_flows(
+        &self,
+        names: &[String],
+        crawl_span: Option<u64>,
+        mut done: impl FnMut(&str, FlowOutcome) -> Result<(), JournalError>,
+    ) -> Result<(), RealRunError> {
+        // Neither flag publishes data: `names` is shared as it is.
+        let (next, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|pool| {
+            for _ in 0..self.executor.workers().min(names.len()) {
+                let (tx, next, stop) = (tx.clone(), &next, &stop);
+                pool.spawn(move || {
+                    // A worker holds one file's radiance, in a buffer it
+                    // reuses, and nothing else of the file.
+                    let (flow, mut radiance) = (FlowDefinition::inference_flow(), Vec::new());
+                    while !stop.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(name) = names.get(i) else { break };
+                        let outcome = self.run_flow(&flow, name, &mut radiance, crawl_span);
+                        tx.send((i, outcome))
+                            .expect("the receiver outlives the pool");
+                    }
+                });
+            }
+            drop(tx);
+            let mut finished: Vec<Option<_>> = names.iter().map(|_| None).collect();
+            let in_order = names.iter().enumerate().try_for_each(|(i, name)| {
+                while finished[i].is_none() {
+                    let (j, outcome) = rx.recv().map_err(|_| "an inference worker died")?;
+                    finished[j] = Some(outcome);
+                }
+                let outcome: Result<FlowOutcome, String> = finished[i].take().expect("filled");
+                let outcome = outcome.map_err(|e| format!("inference flow failed for {name}: {e}"));
+                Ok(done(name, outcome?)?)
+            });
+            stop.store(true, Ordering::Relaxed);
+            in_order
+        })
+    }
+
+    /// One whole flow of tile file `name`: infer, write the labels into the
+    /// file, move it to the outbox.
+    fn run_flow(
+        &self,
+        flow: &FlowDefinition,
+        name: &str,
+        radiance: &mut Vec<f32>,
+        crawl_span: Option<u64>,
+    ) -> Result<FlowOutcome, String> {
+        use serde_json::Value;
+        let (tiles_dir, outbox) = (self.workdir.join("tiles"), self.workdir.join("outbox"));
+        fn file_of(params: &Value) -> Result<&str, &'static str> {
+            params["file"].as_str().ok_or("missing file param")
+        }
+        // The infer action reads the one variable it needs and predicts
+        // each tile where it lies in the buffer.
+        let mut infer = |_: &str, params: &Value, _: &Value| {
+            let tile_file = std::fs::File::open(tiles_dir.join(file_of(params)?));
+            let mut tile_file = tile_file.map_err(|e| e.to_string())?;
+            // A crash between label-append and shipment can leave a file
+            // already labeled in the tiles directory; reuse those labels
+            // so the rerun is idempotent. A file the crash left partly
+            // labeled reads as unlabeled and is predicted again.
+            if let Some(labels) = read_labels(&mut tile_file).map_err(|e| e.to_string())? {
+                return Ok(json!({ "labels": labels }));
+            }
+            let tiles = read_radiance(&mut tile_file, radiance).map_err(|e| e.to_string())?;
+            let cfg = self.model.encoder.cfg;
+            let slab = cfg.in_ch * cfg.input * cfg.input;
+            if radiance.len() != tiles * slab {
+                return Err(format!("tiles are not the model's {slab}-float input"));
+            }
+            let tiles = radiance.chunks_exact(slab.max(1));
+            let labels: Vec<usize> = tiles.map(|t| self.model.predict_slice(t)).collect();
+            Ok(json!({ "labels": labels }))
+        };
+        // The append action writes the labels into the file in place: the
+        // variable was reserved when the file was written, so nothing is
+        // decoded, re-encoded or truncated, and rewriting labels a killed
+        // run already wrote is harmless.
+        let mut append = |_: &str, params: &Value, _: &Value| {
+            let labels = params["labels"]["labels"].as_array();
+            let labels = labels.ok_or("missing labels")?.iter();
+            let labels: Vec<i32> = labels.map(|v| v.as_i64().unwrap_or(-1) as i32).collect();
+            std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(tiles_dir.join(file_of(params)?))
+                .and_then(|mut tile_file| patch_labels(&mut tile_file, &labels))
+                .map_err(|e| e.to_string())?;
+            Ok(json!({ "appended": labels.len() }))
+        };
+        let mut move_out = |_: &str, params: &Value, _: &Value| {
+            let file = file_of(params)?;
+            std::fs::rename(tiles_dir.join(file), outbox.join(file)).map_err(|e| e.to_string())?;
+            Ok(json!({ "moved": file }))
+        };
+        let mut runner = FlowRunner::new();
+        runner.obs = self.obs.clone();
+        runner.register("inference", &mut infer);
+        runner.register("append_labels", &mut append);
+        runner.register("move_to_outbox", &mut move_out);
+
+        let trace = crate::campaign::granule_trace_id(name).map(TraceContext::new);
+        let obs = self.obs.as_ref().zip(crawl_span);
+        let mut span = obs.map(|(o, crawl)| o.span_under(crawl, "inference", "flow"));
+        if let (Some(span), Some(trace)) = (span.as_mut(), trace.as_ref()) {
+            span.set_trace(trace);
+        }
+        runner.current_trace = trace;
+        let run = runner.run(flow, json!({ "file": name }));
+        if let Some(mut span) = span {
+            span.attr("file", name);
+        }
+        if let eoml_flows::runner::RunStatus::Failed(e) = run.status {
+            return Err(e);
+        }
+        let labels = &run.context["labels"]["labels"];
+        let labels = labels.as_array().into_iter().flatten();
+        let labels = labels.map(|l| l.as_i64().unwrap_or(-1)).collect();
+        let shipped_bytes = std::fs::metadata(outbox.join(name)).map_or(0, |m| m.len());
+        Ok((labels, shipped_bytes))
+    }
 }
+
+/// What one file's inference flow produced: its labels and the shipped size.
+type FlowOutcome = (Vec<i64>, u64);
 
 /// The `.nc` files of `dir`, sorted by path.
 fn nc_files_sorted(dir: &Path) -> Result<Vec<PathBuf>, String> {
@@ -741,6 +766,8 @@ mod tests {
     use super::*;
     use eoml_journal::MemStorage;
     use eoml_modis::product::Platform;
+    use eoml_ncdf::NcFile;
+    use eoml_preprocess::writer::read_tiles_nc;
     use eoml_util::timebase::CivilDate;
 
     fn tempdir(tag: &str) -> PathBuf {

@@ -526,15 +526,17 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Append the big-endian `N`-byte elements of `raw` to `dst`.
+fn get_be<T, const N: usize>(dst: &mut Vec<T>, raw: &[u8], be: impl Fn([u8; N]) -> T) {
+    dst.extend(
+        raw.chunks_exact(N)
+            .map(|c| be(c.try_into().expect("chunk of N bytes"))),
+    );
+}
+
 /// Append the big-endian elements in `raw` to `dst`, whose type decides the
 /// element width.
 fn append_be(dst: &mut NcValues, raw: &[u8]) {
-    fn get_be<T, const N: usize>(dst: &mut Vec<T>, raw: &[u8], be: impl Fn([u8; N]) -> T) {
-        dst.extend(
-            raw.chunks_exact(N)
-                .map(|c| be(c.try_into().expect("chunk of N bytes"))),
-        );
-    }
     match dst {
         NcValues::Byte(xs) => get_be(xs, raw, i8::from_be_bytes),
         NcValues::Char(xs) => xs.extend_from_slice(raw),
@@ -859,13 +861,40 @@ impl RecordVarSpan {
     pub fn read(&self, file: &mut (impl Read + Seek)) -> io::Result<NcValues> {
         let mut values = NcValues::empty(self.nc_type);
         reserve(&mut values, self.numrecs * self.slab_len);
+        self.for_each_record(file, |raw| append_be(&mut values, raw))?;
+        Ok(values)
+    }
+
+    /// [`read`](Self::read) of a `float` variable into `out`, which is
+    /// cleared first and keeps its allocation: a caller that reads the same
+    /// variable of one file after another holds a single buffer. Any other
+    /// type is [`NcError::TypeMismatch`].
+    pub fn read_f32_into(
+        &self,
+        file: &mut (impl Read + Seek),
+        out: &mut Vec<f32>,
+    ) -> io::Result<()> {
+        if self.nc_type != NcType::Float {
+            return Err(invalid(NcError::TypeMismatch));
+        }
+        out.clear();
+        out.reserve_exact(self.numrecs * self.slab_len);
+        self.for_each_record(file, |raw| get_be(out, raw, f32::from_be_bytes))
+    }
+
+    /// Hand each record's slab of the variable, still big-endian, to `each`.
+    fn for_each_record(
+        &self,
+        file: &mut (impl Read + Seek),
+        mut each: impl FnMut(&[u8]),
+    ) -> io::Result<()> {
         let mut raw = vec![0u8; self.slab_len * self.nc_type.size()];
         for rec in 0..self.numrecs {
             file.seek(self.record_offset(rec))?;
             file.read_exact(&mut raw)?;
-            append_be(&mut values, &raw);
+            each(&raw);
         }
-        Ok(values)
+        Ok(())
     }
 
     /// Overwrite the variable's values in place — all records, in order;
@@ -1003,6 +1032,21 @@ mod tests {
                 f.var_by_name(name).unwrap().data
             );
         }
+        // A float variable into a caller's buffer: cleared, refilled, and
+        // not reallocated once it is large enough; other types are refused.
+        let rad = RecordVarSpan::locate(&mut disk, "rad").unwrap();
+        let mut floats = vec![9.0f32; 64];
+        let held = floats.as_ptr();
+        rad.read_f32_into(&mut disk, &mut floats).unwrap();
+        assert_eq!(
+            Some(&floats[..]),
+            f.var_by_name("rad").unwrap().data.as_f32()
+        );
+        assert_eq!(floats.as_ptr(), held);
+        let flag = RecordVarSpan::locate(&mut disk, "flag").unwrap();
+        let e = flag.read_f32_into(&mut disk, &mut floats).unwrap_err();
+        assert_eq!(nc_error(&e), Some(&NcError::TypeMismatch));
+
         // Patching equals changing the values and encoding again.
         let labels = NcValues::Int((0..7).map(|i| i * 3 - 4).collect());
         let flags = NcValues::Byte((0..21).map(|i| i as i8 - 9).collect());

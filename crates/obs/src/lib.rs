@@ -197,8 +197,20 @@ impl Obs {
     /// Open a wall-clock span; it records when the returned guard drops.
     /// The innermost guard open on this thread becomes the parent.
     pub fn span(&self, stage: &str, name: &str) -> SpanGuard<'_> {
+        self.span_with_parent(self.current_parent(), stage, name)
+    }
+
+    /// [`Obs::span`] under the span `parent` instead of this thread's
+    /// innermost guard: for work a stage hands to a worker thread, whose own
+    /// stack knows nothing of the stage span open on the thread that
+    /// dispatched it. Spans opened on the worker meanwhile nest under the
+    /// returned guard as usual.
+    pub fn span_under(&self, parent: u64, stage: &str, name: &str) -> SpanGuard<'_> {
+        self.span_with_parent(Some(parent), stage, name)
+    }
+
+    fn span_with_parent(&self, parent: Option<u64>, stage: &str, name: &str) -> SpanGuard<'_> {
         let id = self.alloc_id();
-        let parent = self.current_parent();
         SPAN_STACK.with(|s| s.borrow_mut().push((self.obs_key(), id)));
         SpanGuard {
             obs: self,
@@ -524,6 +536,27 @@ mod tests {
         assert_eq!(inner.parent, Some(outer_id));
         assert_eq!(outer.attr("granules"), Some("4"));
         assert!(outer.wall_end_ns >= inner.wall_end_ns);
+    }
+
+    #[test]
+    fn a_span_opened_on_a_worker_nests_under_the_span_it_was_handed() {
+        let obs = Obs::new();
+        let stage = obs.span("monitor", "crawl");
+        let stage_id = stage.id();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let flow = obs.span_under(stage_id, "inference", "flow");
+                obs.record_sim_span_secs("flow", "Infer", 0.0, 0.05);
+                drop(flow);
+                drop(obs.span("inference", "unparented"));
+            });
+        });
+        drop(stage);
+        let spans = obs.spans();
+        let by_name = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(by_name("flow").parent, Some(stage_id));
+        assert_eq!(by_name("Infer").parent, Some(by_name("flow").id));
+        assert_eq!(by_name("unparented").parent, None);
     }
 
     #[test]

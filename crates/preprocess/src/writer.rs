@@ -17,6 +17,9 @@ use std::io::{self, Read, Seek, Write};
 /// The per-tile class label variable.
 const LABEL_VAR: &str = "aicca_label";
 
+/// The per-tile radiance variable (`tile × band × y × x`).
+const RADIANCE_VAR: &str = "radiance";
+
 /// Errors from tile NetCDF encoding/decoding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TileNcError {
@@ -92,7 +95,7 @@ pub fn write_tiles_nc(tiles: &[Tile]) -> Result<NcFile, TileNcError> {
     f.add_global_attr("source", NcValues::text("eoml-preprocess"));
 
     let rad = f.add_var(
-        "radiance",
+        RADIANCE_VAR,
         NcType::Float,
         vec![tile_dim, band_dim, y_dim, x_dim],
     )?;
@@ -217,6 +220,16 @@ pub fn read_labels(file: &mut (impl Read + Seek)) -> io::Result<Option<Vec<i32>>
     })
 }
 
+/// The radiance of an encoded tile file — each tile's `band × y × x` floats,
+/// tile after tile — read from the `radiance` records alone into `radiance`,
+/// which keeps its allocation from one file to the next; nothing else of the
+/// file is decoded or held. Returns the number of tiles.
+pub fn read_radiance(file: &mut (impl Read + Seek), radiance: &mut Vec<f32>) -> io::Result<usize> {
+    let span = RecordVarSpan::locate(file, RADIANCE_VAR)?;
+    span.read_f32_into(file, radiance)?;
+    Ok(span.numrecs())
+}
+
 /// Read tiles (and labels, once every tile has one) back from a tile NetCDF
 /// dataset.
 pub fn read_tiles_nc(f: &NcFile) -> Result<(Vec<Tile>, Option<Vec<i32>>), TileNcError> {
@@ -250,7 +263,7 @@ pub fn read_tiles_nc(f: &NcFile) -> Result<(Vec<Tile>, Option<Vec<i32>>), TileNc
             .and_then(|v| v.data.as_i32())
             .ok_or_else(|| bad(&format!("missing {name}")))
     };
-    let rad = get_f32("radiance")?;
+    let rad = get_f32(RADIANCE_VAR)?;
     let lat = get_f32("center_lat")?;
     let lon = get_f32("center_lon")?;
     let ocean = get_f32("ocean_fraction")?;
@@ -412,6 +425,32 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             assert!(disk.get_ref() == &expected);
         }
+    }
+
+    #[test]
+    fn radiance_is_read_from_its_records_alone_into_a_reused_buffer() {
+        let mut radiance = Vec::new();
+        let mut held = None;
+        // Largest first: the smaller file must fit the buffer it left.
+        for tile_size in [128, 32] {
+            let tiles = tiles_of(tile_size);
+            let mut disk = io::Cursor::new(write_tiles_nc(&tiles).unwrap().encode().unwrap());
+            assert_eq!(
+                read_radiance(&mut disk, &mut radiance).unwrap(),
+                tiles.len()
+            );
+            let expected: Vec<f32> = tiles.iter().flat_map(|t| t.data.iter().copied()).collect();
+            assert!(radiance == expected, "tile size {tile_size}");
+            assert_eq!(*held.get_or_insert(radiance.as_ptr()), radiance.as_ptr());
+        }
+        // Not a tile file: the header failure is the NetCDF error it was.
+        let mut other = NcFile::new();
+        let t = other.add_record_dim("tile").unwrap();
+        other.add_var(LABEL_VAR, NcType::Int, vec![t]).unwrap();
+        let mut disk = io::Cursor::new(other.encode().unwrap());
+        let e = read_radiance(&mut disk, &mut radiance).unwrap_err();
+        let typed: Option<&NcError> = e.get_ref().and_then(|inner| inner.downcast_ref());
+        assert_eq!(typed, Some(&NcError::UnknownVar));
     }
 
     #[test]

@@ -83,6 +83,12 @@ impl AiccaModel {
         nearest(&self.encoder.encode(tile), &self.centroids)
     }
 
+    /// [`predict`](Self::predict) for a tile of the model's input shape held
+    /// as borrowed CHW data, e.g. one tile's slice of a file's radiance.
+    pub fn predict_slice(&self, tile: &[f32]) -> usize {
+        nearest(&self.encoder.encode_slice(tile), &self.centroids)
+    }
+
     /// Predict a batch (rayon-parallel).
     pub fn predict_batch(&self, tiles: &[Tensor]) -> Vec<usize> {
         tiles.par_iter().map(|t| self.predict(t)).collect()
@@ -274,6 +280,8 @@ mod tests {
             assert!(l < 42);
         }
         assert_eq!(labels, m.predict_batch(&tiles));
+        let by_slice: Vec<usize> = tiles.iter().map(|t| m.predict_slice(&t.data)).collect();
+        assert_eq!(labels, by_slice);
         // Same construction gives the same model.
         let m2 = tiny_model();
         assert_eq!(labels, m2.predict_batch(&tiles));

@@ -18,8 +18,9 @@
 
 use crate::rotation::{min_rotation_mse, rot90};
 use crate::tensor::{
-    conv2d_bwd, conv2d_fwd, dense_bwd, dense_fwd, leaky_relu_bwd, leaky_relu_fwd,
-    leaky_relu_in_place, tconv2d_bwd, tconv2d_fwd, Adam, ConvSpec, Tensor,
+    conv2d_bwd, conv2d_fwd, conv2d_fwd_chw, dense_bwd, dense_fwd, dense_fwd_transposed,
+    leaky_relu_bwd, leaky_relu_fwd, leaky_relu_in_place, tconv2d_bwd, tconv2d_fwd, transpose, Adam,
+    ConvSpec, Tensor,
 };
 use eoml_util::rng::{Rng64, Xoshiro256};
 use rayon::prelude::*;
@@ -198,6 +199,9 @@ pub struct ConvAutoencoder {
     b2: Vec<f32>,
     we: Vec<f32>,
     be: Vec<f32>,
+    /// `we` as `[n_in][n_out]`, the layout [`encode`](Self::encode) walks;
+    /// rebuilt wherever `we` changes.
+    we_t: Vec<f32>,
     // decoder
     wd: Vec<f32>,
     bd: Vec<f32>,
@@ -249,6 +253,7 @@ impl ConvAutoencoder {
             b1: vec![0.0; cfg.c1],
             w2,
             b2: vec![0.0; cfg.c2],
+            we_t: transpose(&we, cfg.latent),
             we,
             be: vec![0.0; cfg.latent],
             wd,
@@ -295,6 +300,7 @@ impl ConvAutoencoder {
             dst.copy_from_slice(src);
             sizes.push(dst.len());
         }
+        self.we_t = transpose(&self.we, self.cfg.latent);
         self.opt = sizes.into_iter().map(|n| Adam::new(n, lr)).collect();
     }
 
@@ -316,11 +322,21 @@ impl ConvAutoencoder {
 
     /// Encode a tile to its latent vector.
     pub fn encode(&self, x: &Tensor) -> Vec<f32> {
-        let mut h1 = conv2d_fwd(x, &self.w1, &self.b1, self.cfg.c1, DOWN);
+        self.encode_chw(&x.data, [x.c, x.h, x.w])
+    }
+
+    /// [`encode`](Self::encode) of a tile of the configured input shape held
+    /// as borrowed CHW data (`in_ch × input × input` floats).
+    pub fn encode_slice(&self, x: &[f32]) -> Vec<f32> {
+        self.encode_chw(x, [self.cfg.in_ch, self.cfg.input, self.cfg.input])
+    }
+
+    fn encode_chw(&self, x: &[f32], shape: [usize; 3]) -> Vec<f32> {
+        let mut h1 = conv2d_fwd_chw(x, shape, &self.w1, &self.b1, self.cfg.c1, DOWN);
         leaky_relu_in_place(&mut h1);
         let mut h2 = conv2d_fwd(&h1, &self.w2, &self.b2, self.cfg.c2, DOWN);
         leaky_relu_in_place(&mut h2);
-        dense_fwd(&h2.data, &self.we, &self.be)
+        dense_fwd_transposed(&h2.data, &self.we_t, &self.be)
     }
 
     /// Decode a latent vector back to a tile.
@@ -470,6 +486,7 @@ impl ConvAutoencoder {
         self.opt[2].step(&mut self.w2, &total.w2);
         self.opt[3].step(&mut self.b2, &total.b2);
         self.opt[4].step(&mut self.we, &total.we);
+        self.we_t = transpose(&self.we, self.cfg.latent);
         self.opt[5].step(&mut self.be, &total.be);
         self.opt[6].step(&mut self.wd, &total.wd);
         self.opt[7].step(&mut self.bd, &total.bd);
@@ -575,6 +592,54 @@ mod tests {
             after < before,
             "relative latent rotation distance should shrink: {before} → {after}"
         );
+    }
+
+    /// `encode` as it was before the select and the transposed latent layer:
+    /// the branchy leaky ReLU and `dense_fwd` over `we` itself.
+    fn encode_oracle(m: &ConvAutoencoder, x: &Tensor) -> Vec<f32> {
+        use crate::tensor::leaky_relu_in_place_reference;
+        let mut h1 = conv2d_fwd(x, &m.w1, &m.b1, m.cfg.c1, DOWN);
+        leaky_relu_in_place_reference(&mut h1);
+        let mut h2 = conv2d_fwd(&h1, &m.w2, &m.b2, m.cfg.c2, DOWN);
+        leaky_relu_in_place_reference(&mut h2);
+        dense_fwd(&h2.data, &m.we, &m.be)
+    }
+
+    #[test]
+    fn encode_is_bit_identical_to_the_former_forward_pass() {
+        use crate::aicca::synthetic_texture_tile;
+        // The real pipeline's model at both benchmark tile sizes: every
+        // sample tile `pretrained` draws at 32 px, 40 of them at 128 px.
+        for (input, tiles) in [(32usize, 168usize), (128, 40)] {
+            let cfg = AeConfig {
+                in_ch: 6,
+                c1: 8,
+                c2: 16,
+                latent: 24,
+                input,
+                ..AeConfig::tiny()
+            };
+            let m = ConvAutoencoder::new(cfg, 2022);
+            for i in 0..tiles {
+                let x = synthetic_texture_tile(cfg, 2022 ^ 0x7117E5, i);
+                let bits = |z: Vec<f32>| z.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                let expected = bits(encode_oracle(&m, &x));
+                assert_eq!(bits(m.encode(&x)), expected, "tile {i} at {input} px");
+                assert_eq!(bits(m.encode_slice(&x.data)), expected, "slice {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_transposed_latent_weights_follow_training_and_loading() {
+        let mut m = ConvAutoencoder::new(AeConfig::tiny(), 7);
+        let tiles = toy_tiles(4, 16, 2, 100);
+        m.train_batch(&tiles);
+        assert_eq!(m.encode(&tiles[0]), encode_oracle(&m, &tiles[0]));
+        let mut loaded = ConvAutoencoder::new(AeConfig::tiny(), 8);
+        let bufs: Vec<Vec<f32>> = m.param_buffers().iter().map(|b| b.to_vec()).collect();
+        loaded.set_param_buffers(&bufs);
+        assert_eq!(loaded.encode(&tiles[0]), m.encode(&tiles[0]));
     }
 
     #[test]

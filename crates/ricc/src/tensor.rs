@@ -109,26 +109,39 @@ impl ConvSpec {
 /// are consecutive elements of one phase), and the border is a range of `ox`
 /// per `kx` instead of a branch per tap.
 pub fn conv2d_fwd(x: &Tensor, w: &[f32], b: &[f32], c_out: usize, spec: ConvSpec) -> Tensor {
-    let c_in = x.c;
+    conv2d_fwd_chw(&x.data, [x.c, x.h, x.w], w, b, c_out, spec)
+}
+
+/// [`conv2d_fwd`] over borrowed CHW data of shape `[c, h, w]`, so a caller
+/// that holds many samples in one buffer convolves them where they lie.
+pub(crate) fn conv2d_fwd_chw(
+    x: &[f32],
+    [c_in, xh, xw]: [usize; 3],
+    w: &[f32],
+    b: &[f32],
+    c_out: usize,
+    spec: ConvSpec,
+) -> Tensor {
+    assert_eq!(x.len(), c_in * xh * xw, "shape/data mismatch");
     let (k, stride) = (spec.k, spec.stride);
     assert_eq!(w.len(), c_out * c_in * k * k);
     assert_eq!(b.len(), c_out);
-    let oh = spec.out_size(x.h);
-    let ow = spec.out_size(x.w);
+    let oh = spec.out_size(xh);
+    let ow = spec.out_size(xw);
     let mut y = Tensor::zeros(c_out, oh, ow);
     for (plane, &bias) in y.data.chunks_exact_mut((oh * ow).max(1)).zip(b) {
         plane.fill(bias);
     }
     // Phase `p` of the current input row (its columns `p, p + stride, …`) is
     // `phases[p * plen..]`.
-    let plen = x.w.div_ceil(stride);
+    let plen = xw.div_ceil(stride);
     let mut phases = vec![0.0f32; stride * plen];
     // Per `kx`: the first output column it reaches, how many, and where the
     // first one's source column sits in `phases`.
     let spans: Vec<(usize, usize, usize)> = (0..k)
         .map(|kx| {
             let lo = spec.pad.saturating_sub(kx).div_ceil(stride);
-            let hi = (x.w + spec.pad).saturating_sub(kx).div_ceil(stride).min(ow);
+            let hi = (xw + spec.pad).saturating_sub(kx).div_ceil(stride).min(ow);
             if lo >= hi {
                 return (0, 0, 0);
             }
@@ -142,10 +155,10 @@ pub fn conv2d_fwd(x: &Tensor, w: &[f32], b: &[f32], c_out: usize, spec: ConvSpec
                 let Some(sy) = (oy * stride + ky).checked_sub(spec.pad) else {
                     continue;
                 };
-                if sy >= x.h {
+                if sy >= xh {
                     continue;
                 }
-                let xrow = &x.data[(i * x.h + sy) * x.w..][..x.w];
+                let xrow = &x[(i * xh + sy) * xw..][..xw];
                 for (j, group) in xrow.chunks(stride).enumerate() {
                     for (p, &v) in group.iter().enumerate() {
                         phases[p * plen + j] = v;
@@ -304,7 +317,20 @@ pub fn leaky_relu_fwd(x: &Tensor) -> Tensor {
 
 /// [`leaky_relu_fwd`] overwriting its input, for callers that do not keep
 /// the pre-activation.
+///
+/// Both arms are computed and one is selected, so the loop has no branch per
+/// element and vectorises; the values are those of `if v < 0 { v * 0.1 }`.
 pub fn leaky_relu_in_place(x: &mut Tensor) {
+    for v in &mut x.data {
+        let scaled = *v * 0.1;
+        *v = if *v < 0.0 { scaled } else { *v };
+    }
+}
+
+/// [`leaky_relu_in_place`] as it was first written, a branch per element:
+/// what the select must equal bit for bit.
+#[cfg(test)]
+pub(crate) fn leaky_relu_in_place_reference(x: &mut Tensor) {
     for v in &mut x.data {
         if *v < 0.0 {
             *v *= 0.1;
@@ -349,6 +375,45 @@ pub fn dense_fwd(x: &[f32], w: &[f32], b: &[f32]) -> Vec<f32> {
 
 /// Rows [`dense_fwd`] advances together.
 const DENSE_ROWS: usize = 8;
+
+/// `w` (`[n_out][n_in]`, as [`dense_fwd`] takes it) as `[n_in][n_out]`, for
+/// [`dense_fwd_transposed`].
+pub(crate) fn transpose(w: &[f32], n_out: usize) -> Vec<f32> {
+    let n_in = w.len().checked_div(n_out).unwrap_or(0);
+    let mut wt = vec![0.0f32; w.len()];
+    for (o, row) in w.chunks_exact(n_in.max(1)).enumerate() {
+        for (i, &v) in row.iter().enumerate() {
+            wt[i * n_out + o] = v;
+        }
+    }
+    wt
+}
+
+/// [`dense_fwd`] over `wt`, the [`transpose`] of its `w`: bit-identical, for
+/// a wide input and few outputs (the encoder's latent layer). One input's
+/// weights for [`DENSE_COLS`] outputs lie side by side, so the accumulators
+/// advance as vectors over unit-stride loads where `dense_fwd` gathers its
+/// rows `n_in` floats apart. Each output still adds its `w·x` terms from 0.0
+/// in ascending `i`.
+pub(crate) fn dense_fwd_transposed(x: &[f32], wt: &[f32], b: &[f32]) -> Vec<f32> {
+    let n_out = b.len();
+    assert_eq!(wt.len(), n_out * x.len());
+    let mut y = Vec::with_capacity(n_out);
+    for (o0, bias) in b.chunks(DENSE_COLS).enumerate() {
+        let mut acc = [0.0f32; DENSE_COLS];
+        for (&xi, row) in x.iter().zip(wt.chunks_exact(n_out.max(1))) {
+            let cols = &row[o0 * DENSE_COLS..][..bias.len()];
+            for (a, wi) in acc.iter_mut().zip(cols) {
+                *a += wi * xi;
+            }
+        }
+        y.extend(bias.iter().zip(acc).map(|(b, a)| b + a));
+    }
+    y
+}
+
+/// Outputs [`dense_fwd_transposed`] advances together.
+const DENSE_COLS: usize = 24;
 
 /// Dense backward: `(dx, dw, db)`.
 pub fn dense_bwd(x: &[f32], w: &[f32], dy: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -607,6 +672,41 @@ mod tests {
                 &format!("{n_in}->{n_out}"),
             );
         }
+    }
+
+    #[test]
+    fn transposed_dense_fwd_is_bit_identical_to_dense_fwd() {
+        let mut rng = Xoshiro256::seed_from(0xD7);
+        for (n_in, n_out) in [
+            (0usize, 3usize),
+            (1, 1),
+            (10, 4),
+            (64, 24),
+            (1024, 24),
+            (37, 25),
+            (5, 49),
+        ] {
+            let x = rand_vec(&mut rng, n_in);
+            let w = rand_vec(&mut rng, n_in * n_out);
+            let b = rand_vec(&mut rng, n_out);
+            assert_bits_eq(
+                &dense_fwd_transposed(&x, &transpose(&w, n_out), &b),
+                &dense_fwd_reference(&x, &w, &b),
+                &format!("{n_in}->{n_out}"),
+            );
+        }
+    }
+
+    #[test]
+    fn leaky_relu_select_is_bit_identical_to_the_branch() {
+        let mut rng = Xoshiro256::seed_from(0x1E);
+        let mut x = rand_tensor(&mut rng, 3, 9, 11);
+        x.data[..6].copy_from_slice(&[0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1e-42, -1e-42]);
+        x.data[6] = f32::NAN;
+        let mut expected = x.clone();
+        leaky_relu_in_place_reference(&mut expected);
+        leaky_relu_in_place(&mut x);
+        assert_bits_eq(&x.data, &expected.data, "leaky relu");
     }
 
     #[test]

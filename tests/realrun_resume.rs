@@ -218,6 +218,157 @@ fn run_killed_inside_the_label_write_resumes_to_identical_artifacts() {
     std::fs::remove_dir_all(&base_dir).unwrap();
 }
 
+/// Five day granules: with the pipeline's two workers, more than one
+/// inference flow is in flight at a time.
+fn day_granules() -> Vec<GranuleId> {
+    let sy = SwathSynthesizer::new(SEED, SwathDims::small());
+    let date = CivilDate::new(2022, 1, 1).unwrap();
+    (0..288)
+        .map(|slot| GranuleId::new(Platform::Terra, date, slot))
+        .filter(|&g| sy.synthesize(g).day)
+        .take(5)
+        .collect()
+}
+
+/// The `.nc` files of `tiles/` and of `outbox/`, by name.
+fn tile_files(workdir: &Path) -> [Vec<String>; 2] {
+    ["tiles", "outbox"].map(|sub| {
+        let mut names: Vec<String> = std::fs::read_dir(workdir.join(sub))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".nc"))
+            .collect();
+        names.sort();
+        names
+    })
+}
+
+#[test]
+fn real_run_killed_with_flows_in_flight_resumes_to_identical_artifacts() {
+    let granules = day_granules();
+    let base_dir = tempdir("flight-base");
+    let store = MemStorage::new();
+    let (mut journal, _) = Journal::open(store).unwrap();
+    let baseline = pipeline(&base_dir)
+        .run_resumable(&granules, &mut journal)
+        .unwrap();
+    assert_eq!(baseline.outbox.len(), granules.len());
+    let at = |event: JournalEvent| journal.events().iter().position(|e| *e == event).unwrap();
+    let stage = at(JournalEvent::stage_started("inference"))
+        ..=at(JournalEvent::stage_finished("inference"));
+    // The crawl's triggers are journaled before its first completion.
+    let inside = &journal.events()[*stage.start() + 1..*stage.end()];
+    let (triggers, completions) = inside.split_at(granules.len());
+    assert!(triggers
+        .iter()
+        .all(|e| matches!(e, JournalEvent::MonitorTriggered { .. })));
+    assert!(completions
+        .iter()
+        .all(|e| matches!(e, JournalEvent::LabelsAppended { .. })));
+    assert_eq!(completions.len(), granules.len());
+
+    for kill_at in stage {
+        let tag = format!("kill at inference event {kill_at}");
+        let dir = tempdir(&format!("flight-{kill_at}"));
+        let p = pipeline(&dir);
+        let store = MemStorage::new();
+        let (mut journal, _) = Journal::open(store.clone()).unwrap();
+        journal.crash_after(kill_at);
+        match p.run_resumable(&granules, &mut journal) {
+            Err(RealRunError::Journal(_)) => {}
+            other => panic!("{tag}: expected a journal crash, got {other:?}"),
+        }
+        drop(journal);
+        // Every worker was joined before the call returned: each tile file
+        // is in exactly one place, whatever reached the outbox is labeled
+        // whole, and nothing moves between the return and the resume.
+        let [waiting, shipped] = tile_files(&dir);
+        assert_eq!(waiting.len() + shipped.len(), granules.len(), "{tag}");
+        for name in &shipped {
+            let mut file = std::fs::File::open(dir.join("outbox").join(name)).unwrap();
+            assert!(read_labels(&mut file).unwrap().is_some(), "{tag}: {name}");
+        }
+        let (mut journal, _) = Journal::open(store.clone()).unwrap();
+        assert_eq!(tile_files(&dir), [waiting, shipped], "{tag}: files moved");
+        let resumed = p.run_resumable(&granules, &mut journal).unwrap();
+        assert_equivalent(&resumed, &baseline, &tag);
+        drop(journal);
+        let (final_journal, _) = Journal::open(store).unwrap();
+        assert_no_duplicate_completions(final_journal.events(), &tag);
+        let labeled = |e: &&JournalEvent| matches!(e, JournalEvent::LabelsAppended { .. });
+        let labeled = final_journal.events().iter().filter(labeled).count();
+        assert_eq!(labeled, granules.len(), "{tag}: completions");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&base_dir).unwrap();
+}
+
+#[test]
+fn run_killed_with_three_files_mid_flow_resumes_to_identical_artifacts() {
+    // What a kill can leave when several flows were running: one file
+    // partly labeled, one labeled whole but not yet moved, one moved but
+    // not yet journaled. Stop a run as inference begins, put the first three
+    // tile files into those states by hand, and resume.
+    let granules = day_granules();
+    let base_dir = tempdir("midflow-base");
+    let store = MemStorage::new();
+    let (mut journal, _) = Journal::open(store).unwrap();
+    let baseline = pipeline(&base_dir)
+        .run_resumable(&granules, &mut journal)
+        .unwrap();
+    let first_trigger = journal
+        .events()
+        .iter()
+        .position(|e| matches!(e, JournalEvent::MonitorTriggered { .. }))
+        .expect("inference was journaled");
+
+    let dir = tempdir("midflow");
+    let p = pipeline(&dir);
+    let store = MemStorage::new();
+    let (mut journal, _) = Journal::open(store.clone()).unwrap();
+    journal.crash_after(first_trigger);
+    assert!(p.run_resumable(&granules, &mut journal).is_err());
+    drop(journal);
+
+    for (state, shipped) in baseline.outbox.iter().take(3).enumerate() {
+        let labels = read_labels(&mut std::fs::File::open(shipped).unwrap())
+            .unwrap()
+            .expect("baseline artifact is labeled");
+        let name = shipped.file_name().unwrap();
+        let tile_file = dir.join("tiles").join(name);
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&tile_file)
+            .unwrap();
+        assert_eq!(read_labels(&mut file).unwrap(), None, "reserved");
+        // State 0 stops one label short; 1 and 2 are labeled whole.
+        let written = if state == 0 {
+            labels.len() - 1
+        } else {
+            labels.len()
+        };
+        let span = RecordVarSpan::locate(&mut file, "aicca_label").unwrap();
+        for (i, label) in labels[..written].iter().enumerate() {
+            let at = span.begin() + i as u64 * span.record_stride();
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.write_all(&label.to_be_bytes()).unwrap();
+        }
+        assert_eq!(read_labels(&mut file).unwrap().is_some(), state > 0);
+        drop(file);
+        if state == 2 {
+            std::fs::rename(&tile_file, dir.join("outbox").join(name)).unwrap();
+        }
+    }
+
+    let (mut journal, _) = Journal::open(store).unwrap();
+    let resumed = p.run_resumable(&granules, &mut journal).unwrap();
+    assert_equivalent(&resumed, &baseline, "three files mid-flow");
+    assert_no_duplicate_completions(journal.events(), "three files mid-flow");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&base_dir).unwrap();
+}
+
 #[test]
 fn real_run_survives_two_crashes_in_a_row() {
     let granules = granules();
