@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# "One of each": the virtual-time worker pool lives once, in eoml-simtime,
-# with one file mover (eoml-transfer) and one task batch (eoml-executor) on
-# top of it, and what a driver remembers lives once, in eoml-core's run
-# journal. Fails when a second copy of the slot/queue/retry loop or of the
-# append / already-done / halt ledger creeps back into the non-test part of
-# crates/{transfer,executor,core}/src, or a by-name scan into the provenance
-# log, and prints the per-crate non-test line counts ROADMAP wants to see
-# fall.
+# "One of each, on both clocks": the virtual-time worker pool lives once, in
+# eoml-simtime, with one file mover (eoml-transfer) and one task batch
+# (eoml-executor) on top of it; the wall-clock worker pool lives once, in
+# eoml-executor's pool.rs; and what a driver remembers lives once, in
+# eoml-core's run journal. Fails when a second copy of the slot/queue/retry
+# loop or of the append / already-done / halt ledger creeps back into the
+# non-test part of crates/{transfer,executor,core}/src, when the executor or
+# a driver starts threads of its own, or when a by-name scan returns to the
+# provenance log, and prints the per-crate non-test line counts ROADMAP
+# wants to see fall.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -54,15 +56,21 @@ if [ "$(count '(^|[^_[:alnum:]])submit_task\(' crates/executor/src)" -gt 1 ]; th
   complain "submit_task( is called more than once in crates/executor"
 fi
 
-# A worker counter next to a `Simulation` is a second pool. (Wall-clock code
-# may count what it has in flight: executor/dag.rs dispatches to real
-# threads and is not a virtual-time loop.)
+# A worker counter next to a `Simulation` is a second virtual-time pool.
 counters=$(callers '(^|[^_[:alnum:]])(active|in_flight|[_[:alnum:]]*_active) \+= 1' "${src[@]}" |
   while read -r f; do
     if [ "$(hits 'Simulation<' "$f")" -gt 0 ]; then echo "$f"; fi
   done)
 if [ -n "$counters" ]; then
   complain "hand-rolled worker counter (active/in_flight/_active += 1) in:"$'\n'"$counters"
+fi
+
+# Starting threads anywhere but executor/src/pool.rs is a second wall-clock
+# pool. (The compute endpoint's service threads live in crates/compute.)
+threads=$(callers 'thread::(scope\(|spawn\(|Builder)' crates/executor/src crates/core/src |
+  grep -v '^crates/executor/src/pool\.rs$' || true)
+if [ -n "$threads" ]; then
+  complain "threads started outside executor/src/pool.rs in:"$'\n'"$threads"
 fi
 
 # The run journal (core/src/run_journal.rs) is the only thing in core's

@@ -28,14 +28,6 @@ impl TaskResult {
     pub fn is_success(&self) -> bool {
         matches!(self, TaskResult::Success(_))
     }
-
-    /// The success value, if any.
-    pub fn value(&self) -> Option<&Value> {
-        match self {
-            TaskResult::Success(v) => Some(v),
-            TaskResult::Failed(_) => None,
-        }
-    }
 }
 
 struct Slot {
@@ -72,11 +64,6 @@ impl TaskHandle {
             self.slot.cond.wait(&mut guard);
         }
         guard.clone().expect("fulfilled")
-    }
-
-    /// Non-blocking poll.
-    pub fn try_get(&self) -> Option<TaskResult> {
-        self.slot.state.lock().clone()
     }
 }
 
@@ -144,11 +131,6 @@ impl ComputeEndpoint {
         &self.name
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The shared function registry.
     pub fn registry(&self) -> &Arc<FunctionRegistry> {
         &self.registry
@@ -206,19 +188,13 @@ impl ComputeEndpoint {
     }
 
     /// Drain and stop all workers (waits for in-flight tasks).
-    pub fn shutdown(mut self) {
-        for _ in 0..self.workers.len() {
-            let _ = self.tx.send(Job::Shutdown);
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ComputeEndpoint {
     fn drop(&mut self) {
-        // Best-effort shutdown if the user forgot to call `shutdown`.
         for _ in 0..self.workers.len() {
             let _ = self.tx.send(Job::Shutdown);
         }
@@ -352,26 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_is_nonblocking() {
-        let reg = Arc::new(FunctionRegistry::new());
-        let gate = Arc::new(AtomicUsize::new(0));
-        let g = Arc::clone(&gate);
-        reg.register("slow", move |_| {
-            while g.load(Ordering::Acquire) == 0 {
-                std::thread::yield_now();
-            }
-            Ok(json!("done"))
-        });
-        let ep = ComputeEndpoint::start("test", reg, 1);
-        let h = ep.submit_by_name("slow", json!(null)).unwrap();
-        assert_eq!(h.try_get(), None, "still running");
-        gate.store(1, Ordering::Release);
-        assert_eq!(h.wait(), TaskResult::Success(json!("done")));
-        assert!(h.try_get().is_some());
-        ep.shutdown();
-    }
-
-    #[test]
     fn tasks_really_run_in_parallel() {
         // Two tasks that each wait for the other's side effect can only
         // finish if two workers run them concurrently.
@@ -409,7 +365,6 @@ mod tests {
     fn endpoint_metadata() {
         let ep = ComputeEndpoint::start("ace", registry_with_basics(), 3);
         assert_eq!(ep.name(), "ace");
-        assert_eq!(ep.worker_count(), 3);
         assert_eq!(ep.registry().len(), 3);
         ep.shutdown();
     }

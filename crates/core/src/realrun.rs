@@ -39,7 +39,6 @@ use eoml_transfer::manifest::{content_digest_of, ArtifactEntry, ShipmentManifest
 use serde_json::json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,12 +75,6 @@ impl From<JournalError> for RealRunError {
 impl From<String> for RealRunError {
     fn from(msg: String) -> Self {
         RealRunError::Pipeline(msg)
-    }
-}
-
-impl From<&str> for RealRunError {
-    fn from(msg: &str) -> Self {
-        RealRunError::Pipeline(msg.to_string())
     }
 }
 
@@ -149,6 +142,12 @@ impl RealPipeline {
         tile_size: usize,
         workers: usize,
     ) -> std::io::Result<Self> {
+        if workers == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a real pipeline needs at least one worker",
+            ));
+        }
         let workdir = workdir.into();
         for sub in ["incoming", "tiles", "outbox"] {
             std::fs::create_dir_all(workdir.join(sub))?;
@@ -181,8 +180,7 @@ impl RealPipeline {
     /// headline counters (granules, tile files, labeled tiles) are mirrored
     /// as metrics.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
-        let workers = self.executor.workers();
-        self.executor = LocalExecutor::new(workers).with_obs(Arc::clone(&obs));
+        self.executor = self.executor.with_obs(Arc::clone(&obs));
         self.obs = Some(obs);
         self
     }
@@ -193,16 +191,6 @@ impl RealPipeline {
         self.criteria.min_ocean_fraction = min_ocean;
         self.criteria.min_cloud_fraction = min_cloud;
         self
-    }
-
-    /// The pipeline's work directory.
-    pub fn workdir(&self) -> &Path {
-        &self.workdir
-    }
-
-    /// The AICCA model used for inference.
-    pub fn model(&self) -> &AiccaModel {
-        &self.model
     }
 
     /// Run the pipeline over `granules`.
@@ -376,23 +364,28 @@ impl RealPipeline {
             .obs
             .as_ref()
             .map(|o| eoml_obs::ResourceGuard::enter(Arc::clone(o), "preprocess", "map"));
-        let written = self.executor.map(to_preprocess, |[p02, p03, p06]| {
-            let out = preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
-                .map_err(|e| e.to_string())?;
-            let name = out.output.as_deref().map(file_name).transpose()?;
-            Ok::<_, String>((granule_from_mod02_path(&p02), name, out.tiles.len()))
-        });
-        for w in written {
-            let (granule, name, tiles) = w.map_err(|e| format!("preprocess failed: {e}"))?;
-            total_tiles += tiles;
-            tile_file_names.extend(name.clone());
-            let scan = || format!("scan-{}", granule.as_deref().unwrap_or("unknown-granule"));
-            let key = name.unwrap_or_else(scan);
-            journal.once(JournalEvent::TileFileWritten {
-                file: key,
-                tiles: tiles as u64,
-            })?;
-        }
+        // Each granule's completion is journaled in granule order while the
+        // workers run.
+        self.executor.run(
+            to_preprocess,
+            || (),
+            |(), [p02, p03, p06]| {
+                let out = preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
+                    .map_err(|e| format!("preprocess failed: {e}"))?;
+                let name = out.output.as_deref().map(file_name).transpose()?;
+                Ok::<_, RealRunError>((granule_from_mod02_path(&p02), name, out.tiles.len()))
+            },
+            |_, (granule, name, tiles)| {
+                total_tiles += tiles;
+                tile_file_names.extend(name.clone());
+                let scan = || format!("scan-{}", granule.as_deref().unwrap_or("unknown-granule"));
+                let key = name.unwrap_or_else(scan);
+                Ok(journal.once(JournalEvent::TileFileWritten {
+                    file: key,
+                    tiles: tiles as u64,
+                })?)
+            },
+        )?;
         drop(mem_scope);
         journal.once(JournalEvent::stage_finished("preprocess"))?;
         if let Some(mut span) = stage_span {
@@ -464,15 +457,25 @@ impl RealPipeline {
                 tile_file_names.insert(name.clone());
                 journal.once(JournalEvent::MonitorTriggered { file: name.clone() })?;
             }
-            self.run_flows(&names, crawl_span, |name, (file_labels, shipped_bytes)| {
-                let file_labels = tally(&mut histogram, file_labels);
-                labeled_tiles += file_labels;
-                journal.once(JournalEvent::LabelsAppended {
-                    file: name.to_string(),
-                    labels: file_labels as u64,
-                    bytes: shipped_bytes,
-                })
-            })?;
+            self.executor.run(
+                names.iter().collect(),
+                // A worker holds one file's radiance, in a buffer it reuses,
+                // and nothing else of the file.
+                || (FlowDefinition::inference_flow(), Vec::new()),
+                |(flow, radiance), name: &String| {
+                    self.run_flow(flow, name, radiance, crawl_span)
+                        .map_err(|e| format!("inference flow failed for {name}: {e}").into())
+                },
+                |i, (file_labels, shipped_bytes)| {
+                    let file_labels = tally(&mut histogram, file_labels);
+                    labeled_tiles += file_labels;
+                    Ok::<_, RealRunError>(journal.once(JournalEvent::LabelsAppended {
+                        file: names[i].clone(),
+                        labels: file_labels as u64,
+                        bytes: shipped_bytes,
+                    })?)
+                },
+            )?;
         }
         journal.once(JournalEvent::stage_finished("inference"))?;
         let tile_files = tile_file_names
@@ -543,62 +546,15 @@ impl RealPipeline {
         })
     }
 
-    /// Run the inference flow over the tile files `names`: up to `workers`
-    /// threads each take the next unclaimed file and run its whole flow,
-    /// and every file's outcome goes to `done` on the calling thread in
-    /// `names` order. The first failure (a flow's or `done`'s) stops files
-    /// from being claimed; flows already running finish, and every worker
-    /// has exited when this returns, so nothing touches the workdir after.
-    fn run_flows(
-        &self,
-        names: &[String],
-        crawl_span: Option<u64>,
-        mut done: impl FnMut(&str, FlowOutcome) -> Result<(), JournalError>,
-    ) -> Result<(), RealRunError> {
-        // Neither flag publishes data: `names` is shared as it is.
-        let (next, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|pool| {
-            for _ in 0..self.executor.workers().min(names.len()) {
-                let (tx, next, stop) = (tx.clone(), &next, &stop);
-                pool.spawn(move || {
-                    // A worker holds one file's radiance, in a buffer it
-                    // reuses, and nothing else of the file.
-                    let (flow, mut radiance) = (FlowDefinition::inference_flow(), Vec::new());
-                    while !stop.load(Ordering::Relaxed) {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(name) = names.get(i) else { break };
-                        let outcome = self.run_flow(&flow, name, &mut radiance, crawl_span);
-                        tx.send((i, outcome))
-                            .expect("the receiver outlives the pool");
-                    }
-                });
-            }
-            drop(tx);
-            let mut finished: Vec<Option<_>> = names.iter().map(|_| None).collect();
-            let in_order = names.iter().enumerate().try_for_each(|(i, name)| {
-                while finished[i].is_none() {
-                    let (j, outcome) = rx.recv().map_err(|_| "an inference worker died")?;
-                    finished[j] = Some(outcome);
-                }
-                let outcome: Result<FlowOutcome, String> = finished[i].take().expect("filled");
-                let outcome = outcome.map_err(|e| format!("inference flow failed for {name}: {e}"));
-                Ok(done(name, outcome?)?)
-            });
-            stop.store(true, Ordering::Relaxed);
-            in_order
-        })
-    }
-
     /// One whole flow of tile file `name`: infer, write the labels into the
-    /// file, move it to the outbox.
+    /// file, move it to the outbox. Returns its labels and the shipped size.
     fn run_flow(
         &self,
         flow: &FlowDefinition,
         name: &str,
         radiance: &mut Vec<f32>,
         crawl_span: Option<u64>,
-    ) -> Result<FlowOutcome, String> {
+    ) -> Result<(Vec<i64>, u64), String> {
         use serde_json::Value;
         let (tiles_dir, outbox) = (self.workdir.join("tiles"), self.workdir.join("outbox"));
         fn file_of(params: &Value) -> Result<&str, &'static str> {
@@ -674,9 +630,6 @@ impl RealPipeline {
         Ok((labels, shipped_bytes))
     }
 }
-
-/// What one file's inference flow produced: its labels and the shipped size.
-type FlowOutcome = (Vec<i64>, u64);
 
 /// The `.nc` files of `dir`, sorted by path.
 fn nc_files_sorted(dir: &Path) -> Result<Vec<PathBuf>, String> {
@@ -929,6 +882,15 @@ mod tests {
         assert!(m.counter_value("tasks", "executor").unwrap_or(0) >= 2);
         assert!(m.counter_value("actions", "flow").unwrap_or(0) >= 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zero_workers_is_an_invalid_input_error() {
+        let dir = std::env::temp_dir().join(format!("eoml-realrun-w0-{}", std::process::id()));
+        let built = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 0);
+        let refused = built.err().expect("no pipeline without a worker");
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!dir.exists(), "a refused pipeline left a workdir behind");
     }
 
     #[test]

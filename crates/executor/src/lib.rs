@@ -1,24 +1,22 @@
 //! `eoml-executor` — a Parsl-like parallel execution layer.
 //!
-//! Parsl gives the paper two things: a *data-flow kernel* (apps returning
-//! futures, dependencies resolved automatically) and *providers* that place
-//! workers onto resources (here, the Slurm blocks of `eoml-cluster`). This
-//! crate reproduces both, with two interchangeable execution paths:
+//! What the paper takes from Parsl is a pool of workers that tasks are
+//! handed to, placed onto resources by *providers* (here, the Slurm blocks
+//! of `eoml-cluster`). This crate has that pool once per clock:
 //!
-//! * [`local`] — real execution: a thread-pool executor (rayon under the
-//!   hood) with per-task timing, used by the examples, the integration
-//!   tests and the kernel benchmarks on this machine;
-//! * [`dag`] — a data-flow kernel executing dependency graphs of arbitrary
-//!   closures on a bounded worker pool (crossbeam channels), with panic
-//!   capture and cycle detection;
+//! * [`pool`] — the wall-clock worker pool, the one place the real runtime
+//!   starts threads: dynamic claiming, per-worker state, outcomes delivered
+//!   in item order while the workers run, first failure stops the batch;
+//! * [`local`] — [`LocalExecutor`], a worker count and an observability hub
+//!   in front of the pool, used by the real driver, the examples and the
+//!   wall-clock benchmark;
 //! * [`simexec`] — virtual-time execution: batches of tile-measured tasks
 //!   placed onto cluster worker slots, producing the completion-time and
 //!   worker-activity records behind Figs. 4–6 and Table I.
 
-pub mod dag;
 pub mod local;
+pub mod pool;
 pub mod simexec;
 
-pub use dag::{Dag, DagError, NodeId};
 pub use local::LocalExecutor;
 pub use simexec::{open_batch, run_batch, run_batch_faulty, BatchReport, TaskBatch, TaskTiming};

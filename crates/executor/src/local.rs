@@ -1,45 +1,30 @@
-//! Real thread-pool execution with per-task timing.
+//! The observed handle on the wall-clock pool: a worker count and an
+//! optional observability hub in front of [`crate::pool::run`].
 
+use crate::pool;
 use eoml_obs::Obs;
+use std::convert::Infallible;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A Parsl-style local executor: a fixed pool of `workers` threads
-/// executing data-parallel maps.
+/// A Parsl-style local executor: batches run on `workers` threads of the
+/// pool, each item counted and timed when a hub is attached.
+#[derive(Debug)]
 pub struct LocalExecutor {
-    pool: rayon::ThreadPool,
     workers: usize,
     obs: Option<Arc<Obs>>,
 }
 
-impl std::fmt::Debug for LocalExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalExecutor")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
 impl LocalExecutor {
-    /// Build a pool with exactly `workers` threads.
+    /// An executor whose batches run on exactly `workers` threads.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .thread_name(|i| format!("eoml-worker-{i}"))
-            .build()
-            .expect("build thread pool");
-        Self {
-            pool,
-            workers,
-            obs: None,
-        }
+        Self { workers, obs: None }
     }
 
-    /// Attach an observability hub: every mapped item is counted under
+    /// Attach an observability hub: every item run is counted under
     /// `tasks{stage="executor"}` and timed into the
-    /// `task_seconds{stage="executor"}` histogram, and timed batches get
-    /// an `executor/map` wall-clock span.
+    /// `task_seconds{stage="executor"}` histogram.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
         self.obs = Some(obs);
         self
@@ -50,6 +35,27 @@ impl LocalExecutor {
         self.workers
     }
 
+    /// [`pool::run`] on this executor's workers, each item observed.
+    pub fn run<T: Send, S, R: Send, E: Send>(
+        &self,
+        items: Vec<T>,
+        state: impl Fn() -> S + Sync,
+        work: impl Fn(&mut S, T) -> Result<R, E> + Sync,
+        done: impl FnMut(usize, R) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let obs = self.obs.as_deref();
+        let observed = |state: &mut S, item: T| {
+            let t0 = Instant::now();
+            let outcome = work(state, item);
+            if let Some(obs) = obs {
+                obs.counter_add("tasks", "executor", 1);
+                obs.observe("task_seconds", "executor", t0.elapsed().as_secs_f64());
+            }
+            outcome
+        };
+        pool::run(self.workers, items, state, observed, done)
+    }
+
     /// Parallel map preserving input order.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
@@ -57,51 +63,17 @@ impl LocalExecutor {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        use rayon::prelude::*;
-        let obs = self.obs.as_deref();
-        self.pool.install(|| {
-            items
-                .into_par_iter()
-                .map(|x| {
-                    let t0 = Instant::now();
-                    let r = f(x);
-                    if let Some(obs) = obs {
-                        obs.counter_add("tasks", "executor", 1);
-                        obs.observe("task_seconds", "executor", t0.elapsed().as_secs_f64());
-                    }
-                    r
-                })
-                .collect()
-        })
-    }
-
-    /// Parallel map that also reports per-item wall time and the batch
-    /// total — the measurements the scaling experiments need.
-    pub fn map_timed<T, R, F>(&self, items: Vec<T>, f: F) -> (Vec<R>, Vec<Duration>, Duration)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let mut span = self.obs.as_ref().map(|o| o.span("executor", "map"));
-        let start = Instant::now();
-        let pairs = self.map(items, |x| {
-            let t0 = Instant::now();
-            let r = f(x);
-            (r, t0.elapsed())
-        });
-        let total = start.elapsed();
-        let (results, times): (Vec<R>, Vec<Duration>) = pairs.into_iter().unzip();
-        if let Some(span) = &mut span {
-            span.attr("items", results.len());
-            span.attr("workers", self.workers);
-        }
-        (results, times, total)
-    }
-
-    /// Run one closure on the pool (for nesting rayon iterators inside).
-    pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        self.pool.install(f)
+        let mut out = Vec::with_capacity(items.len());
+        let Ok(()) = self.run(
+            items,
+            || (),
+            |(), item| Ok::<R, Infallible>(f(item)),
+            |_, r| {
+                out.push(r);
+                Ok(())
+            },
+        );
+        out
     }
 }
 
@@ -109,6 +81,8 @@ impl LocalExecutor {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_order() {
@@ -132,18 +106,44 @@ mod tests {
     }
 
     #[test]
-    fn map_timed_reports_durations() {
-        let ex = LocalExecutor::new(2);
-        let (out, times, total) = ex.map_timed(vec![1u64, 2, 3, 4], |x| {
-            std::thread::sleep(Duration::from_millis(x));
-            x
+    fn map_claims_items_dynamically() {
+        // Item 0 returns only once every other item has completed: with two
+        // workers that needs the second one to take all of `1..n`, which a
+        // static split (items `1..n/2` queued behind item 0) cannot do.
+        let n = 8usize;
+        let (tx, rx) = mpsc::channel();
+        let rx = std::sync::Mutex::new(rx);
+        let out = LocalExecutor::new(2).map((0..n).collect(), |i| {
+            if i > 0 {
+                tx.send(i).unwrap();
+                return 0;
+            }
+            let others = rx.lock().unwrap();
+            (1..n)
+                .take_while(|_| others.recv_timeout(Duration::from_secs(10)).is_ok())
+                .count()
         });
-        assert_eq!(out, vec![1, 2, 3, 4]);
-        assert_eq!(times.len(), 4);
-        for (x, t) in out.iter().zip(&times) {
+        assert_eq!(out[0], n - 1, "items queued behind item 0");
+    }
+
+    #[test]
+    fn map_runs_each_item_for_its_own_time() {
+        let ex = LocalExecutor::new(2);
+        let start = Instant::now();
+        let out = ex.map(vec![1u64, 2, 3, 4], |x| {
+            let t0 = Instant::now();
+            std::thread::sleep(Duration::from_millis(x));
+            (x, t0.elapsed())
+        });
+        let total = start.elapsed();
+        assert_eq!(
+            out.iter().map(|(x, _)| *x).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+        for (x, t) in &out {
             assert!(t.as_millis() as u64 >= *x, "{t:?} for {x}");
         }
-        assert!(total >= *times.iter().max().unwrap());
+        assert!(total >= out.iter().map(|(_, t)| *t).max().unwrap());
     }
 
     #[test]
@@ -152,19 +152,11 @@ mod tests {
         let ex = LocalExecutor::new(2).with_obs(Arc::clone(&obs));
         let out = ex.map((0..10).collect(), |x: i32| x + 1);
         assert_eq!(out.len(), 10);
-        let (out2, _, _) = ex.map_timed(vec![1u64, 2], |x| x);
+        let out2 = ex.map(vec![1u64, 2], |x| x);
         assert_eq!(out2, vec![1, 2]);
         assert_eq!(obs.metrics().counter_value("tasks", "executor"), Some(12));
         let h = obs.metrics().histogram("task_seconds", "executor").unwrap();
         assert_eq!(h.count(), 12);
-        // map_timed wraps the batch in an executor/map span.
-        let spans = obs.spans();
-        let map_span = spans
-            .iter()
-            .find(|s| s.stage == "executor" && s.name == "map")
-            .expect("map span recorded");
-        assert_eq!(map_span.attr("items"), Some("2"));
-        assert_eq!(map_span.attr("workers"), Some("2"));
     }
 
     #[test]
@@ -190,10 +182,12 @@ mod tests {
             }
             std::hint::black_box(x);
         }
-        let e1 = LocalExecutor::new(1);
-        let e2 = LocalExecutor::new(2);
-        let (_, _, t1) = e1.map_timed(vec![20u64; 8], busy);
-        let (_, _, t2) = e2.map_timed(vec![20u64; 8], busy);
+        let timed = |workers: usize| {
+            let t0 = Instant::now();
+            LocalExecutor::new(workers).map(vec![20u64; 8], busy);
+            t0.elapsed()
+        };
+        let (t1, t2) = (timed(1), timed(2));
         assert!(
             t2.as_secs_f64() < t1.as_secs_f64() * 0.8,
             "2 workers {t2:?} vs 1 worker {t1:?}"

@@ -15,11 +15,9 @@
 //!   exactly once and starts a flow run per file.
 
 pub mod definition;
-pub mod registry;
 pub mod runner;
 pub mod trigger;
 
 pub use definition::{FlowDefinition, FlowState};
-pub use registry::{FlowRegistry, RegisteredFlow, RegistryError};
 pub use runner::{ActionProvider, FlowEvent, FlowRun, FlowRunner, RunStatus};
 pub use trigger::DirectoryCrawler;

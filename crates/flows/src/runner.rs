@@ -76,12 +76,6 @@ impl FlowRun {
     pub fn total_duration(&self) -> f64 {
         self.events.iter().map(|e| e.duration).sum()
     }
-
-    /// Sum of per-transition overheads (everything except action/wait
-    /// bodies) — the quantity Fig. 7 reports as ≈50 ms per action hop.
-    pub fn overhead(&self) -> f64 {
-        self.events.len() as f64 * 0.0 // overhead is folded into durations; see runner
-    }
 }
 
 /// Resolve `$.a.b` expressions against the context; non-`$.` values pass

@@ -6,7 +6,7 @@
 //! the caller starts one flow run per reported file.
 
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A stateful directory crawler: each `crawl` returns matching files never
 /// reported before (by path), in sorted order for determinism.
@@ -26,16 +26,6 @@ impl DirectoryCrawler {
             suffix: suffix.into(),
             seen: HashSet::new(),
         }
-    }
-
-    /// The watched directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Number of files reported so far.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
     }
 
     /// Scan the directory (non-recursive) and return newly appeared files.
@@ -72,13 +62,6 @@ impl DirectoryCrawler {
         fresh.sort();
         Ok(fresh)
     }
-
-    /// Record files as seen without reporting them (e.g. pre-existing files
-    /// at monitor start that should not trigger inference).
-    pub fn mark_existing(&mut self) -> std::io::Result<usize> {
-        let fresh = self.crawl()?;
-        Ok(fresh.len())
-    }
 }
 
 /// In-memory variant used by the virtual-time workflow: paths are announced
@@ -112,11 +95,6 @@ impl VirtualCrawler {
             .collect();
         out.sort();
         out
-    }
-
-    /// Files reported so far.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
     }
 }
 
@@ -152,7 +130,6 @@ mod tests {
         let second = c.crawl().unwrap();
         assert_eq!(second.len(), 1);
         assert!(second[0].ends_with("c.nc"));
-        assert_eq!(c.seen_count(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -189,18 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn mark_existing_suppresses_initial_files() {
-        let dir = tempdir("preexist");
-        fs::write(dir.join("old.nc"), b"x").unwrap();
-        let mut c = DirectoryCrawler::new(&dir, ".nc");
-        assert_eq!(c.mark_existing().unwrap(), 1);
-        assert!(c.crawl().unwrap().is_empty());
-        fs::write(dir.join("new.nc"), b"x").unwrap();
-        assert_eq!(c.crawl().unwrap().len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn results_are_sorted() {
         let dir = tempdir("sorted");
         for name in ["c.nc", "a.nc", "b.nc"] {
@@ -228,6 +193,5 @@ mod tests {
         assert!(c.crawl().is_empty());
         c.announce("c.nc");
         assert_eq!(c.crawl(), vec!["c.nc".to_string()]);
-        assert_eq!(c.seen_count(), 3);
     }
 }
