@@ -2,13 +2,15 @@
 # "One of each, on both clocks": the virtual-time worker pool lives once, in
 # eoml-simtime, with one file mover (eoml-transfer) and one task batch
 # (eoml-executor) on top of it; the wall-clock worker pool lives once, in
-# eoml-executor's pool.rs; and what a driver remembers lives once, in
-# eoml-core's run journal. Fails when a second copy of the slot/queue/retry
-# loop or of the append / already-done / halt ledger creeps back into the
-# non-test part of crates/{transfer,executor,core}/src, when the executor or
-# a driver starts threads of its own, or when a by-name scan returns to the
-# provenance log, and prints the per-crate non-test line counts ROADMAP
-# wants to see fall.
+# eoml-executor's pool.rs; what a driver remembers lives once, in
+# eoml-core's run journal; and the real driver is one pass of that pool, a
+# worker carrying each granule from download to shipped file. Fails when a
+# second copy of the slot/queue/retry loop or of the append / already-done /
+# halt ledger creeps back into the non-test part of
+# crates/{transfer,executor,core}/src, when the executor or a driver starts
+# threads of its own, when realrun.rs grows a second pass or a directory
+# crawl, or when a by-name scan returns to the provenance log, and prints the
+# per-crate non-test line counts ROADMAP wants to see fall.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -84,6 +86,16 @@ for driver in campaign streaming realrun; do
   done
 done
 
+# The real driver is one pass over the granules (DESIGN §21): one
+# `executor.run(` and no crawler in the non-test part of realrun.rs.
+realrun=crates/core/src/realrun.rs
+if [ "$(hits 'executor\.run\(' "$realrun")" -ne 1 ]; then
+  complain "$realrun must have exactly one executor.run( (one pass per run)"
+fi
+if [ "$(hits 'DirectoryCrawler' "$realrun")" -ne 0 ]; then
+  complain "DirectoryCrawler in $realrun (a worker hands its own tile file to its flow)"
+fi
+
 # The provenance log answers by-name queries from its index (DESIGN §19): a
 # scan of the records for a name is the quadratic simulator coming back.
 if [ "$(hits '\.filter\(\|r\| r\.artifact ==' crates/core/src/provenance.rs)" -ne 0 ]; then
@@ -106,6 +118,7 @@ for crate in simtime transfer executor core; do
   total=$((total + n))
 done
 printf '  %-9s %6d\n' total "$total"
+printf '  %-9s %6d\n' realrun "$(nontest "$realrun" | wc -l)"
 printf '  %-9s %6d\n' journal "$(lines journal)"
 
 exit "$fail"

@@ -48,7 +48,6 @@ impl std::error::Error for SlurmError {}
 /// The provider: tracks free nodes and grants blocks after a startup delay.
 #[derive(Debug)]
 pub struct SlurmProvider {
-    total_nodes: usize,
     free: Vec<usize>,
     blocks: HashMap<u64, Vec<usize>>,
     next_id: u64,
@@ -61,7 +60,6 @@ impl SlurmProvider {
     /// Provider over `total_nodes` nodes with ~2 s mean block startup.
     pub fn new(total_nodes: usize, seed: u64) -> Self {
         Self {
-            total_nodes,
             free: (0..total_nodes).rev().collect(),
             blocks: HashMap::new(),
             next_id: 1,
@@ -73,11 +71,6 @@ impl SlurmProvider {
     /// Number of currently free nodes.
     pub fn free_nodes(&self) -> usize {
         self.free.len()
-    }
-
-    /// Number of nodes in allocated blocks.
-    pub fn allocated_nodes(&self) -> usize {
-        self.total_nodes - self.free.len()
     }
 
     /// Synchronously reserve `n` nodes; returns the block id and node list.

@@ -1,7 +1,8 @@
 //! A compute endpoint: a real worker pool executing registered functions.
 //!
 //! Submissions return a [`TaskHandle`] future; workers are OS threads fed
-//! by a crossbeam channel. Panics inside functions are captured and
+//! by a crossbeam channel, or — for an endpoint started without workers —
+//! the submitting thread itself. Panics inside functions are captured and
 //! reported as task failures rather than poisoning the pool.
 
 use crate::registry::{FunctionId, FunctionRegistry};
@@ -67,18 +68,25 @@ impl TaskHandle {
     }
 }
 
+struct Task {
+    func: FunctionId,
+    args: Value,
+    handle: TaskHandle,
+    submitted: Instant,
+    trace: Option<TraceContext>,
+}
+
 enum Job {
-    Run {
-        func: FunctionId,
-        args: Value,
-        handle: TaskHandle,
-        submitted: Instant,
-        trace: Option<TraceContext>,
-    },
+    Run(Task),
     Shutdown,
 }
 
 /// A compute endpoint with `workers` OS threads sharing a registry.
+///
+/// With no workers, [`ComputeEndpoint::submit`] runs each task to the end on
+/// the thread that submits it, with the same accounting, and returns a
+/// fulfilled handle: for a caller whose own threads are the workers, so a
+/// task's allocations stay with the thread that goes on to use its output.
 pub struct ComputeEndpoint {
     name: String,
     tx: Sender<Job>,
@@ -88,7 +96,8 @@ pub struct ComputeEndpoint {
 }
 
 impl ComputeEndpoint {
-    /// Start an endpoint with the given worker count.
+    /// Start an endpoint with the given worker count (0: tasks run on the
+    /// submitting thread).
     pub fn start(name: impl Into<String>, registry: Arc<FunctionRegistry>, workers: usize) -> Self {
         Self::start_observed(name, registry, workers, None)
     }
@@ -103,7 +112,6 @@ impl ComputeEndpoint {
         workers: usize,
         obs: Option<Arc<Obs>>,
     ) -> Self {
-        assert!(workers > 0, "need at least one worker");
         let (tx, rx) = unbounded::<Job>();
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -155,15 +163,18 @@ impl ComputeEndpoint {
         if let Some(obs) = &self.obs {
             obs.counter_add("tasks_submitted", "compute", 1);
         }
-        self.tx
-            .send(Job::Run {
-                func,
-                args,
-                handle: handle.clone(),
-                submitted: Instant::now(),
-                trace: trace.cloned(),
-            })
-            .expect("endpoint alive");
+        let task = Task {
+            func,
+            args,
+            handle: handle.clone(),
+            submitted: Instant::now(),
+            trace: trace.cloned(),
+        };
+        if self.workers.is_empty() {
+            run(&self.registry, self.obs.as_deref(), task);
+        } else {
+            self.tx.send(Job::Run(task)).expect("endpoint alive");
+        }
         handle
     }
 
@@ -205,65 +216,65 @@ impl Drop for ComputeEndpoint {
 }
 
 fn worker_loop(rx: Receiver<Job>, registry: Arc<FunctionRegistry>, obs: Option<Arc<Obs>>) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Shutdown => break,
-            Job::Run {
-                func,
-                args,
-                handle,
-                submitted,
-                trace,
-            } => {
-                // A traced task gets a wall-clock span so it joins the
-                // granule's end-to-end trace; untraced tasks keep the
-                // histogram-only footprint they always had.
-                let guard = match (&obs, &trace) {
-                    (Some(obs), Some(trace)) => {
-                        let name = registry
-                            .describe(func)
-                            .map(|(n, _)| n)
-                            .unwrap_or_else(|| "task".to_string());
-                        let mut g = obs.span("compute", &name);
-                        g.set_trace(trace);
-                        Some(g)
-                    }
-                    _ => None,
-                };
-                let started = Instant::now();
-                let outcome =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| registry.invoke(func, args)));
-                drop(guard);
-                let result = match outcome {
-                    Ok(Ok(v)) => TaskResult::Success(v),
-                    Ok(Err(e)) => TaskResult::Failed(e),
-                    Err(panic) => {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "function panicked".into());
-                        TaskResult::Failed(format!("panic: {msg}"))
-                    }
-                };
-                if let Some(obs) = &obs {
-                    obs.observe(
-                        "queue_seconds",
-                        "compute",
-                        (started - submitted).as_secs_f64(),
-                    );
-                    obs.observe("task_seconds", "compute", started.elapsed().as_secs_f64());
-                    let counter = if result.is_success() {
-                        "tasks_completed"
-                    } else {
-                        "tasks_failed"
-                    };
-                    obs.counter_add(counter, "compute", 1);
-                }
-                handle.fulfill(result);
-            }
-        }
+    while let Ok(Job::Run(task)) = rx.recv() {
+        run(&registry, obs.as_deref(), task);
     }
+}
+
+/// Run one task on this thread and fulfill its handle.
+fn run(registry: &FunctionRegistry, obs: Option<&Obs>, task: Task) {
+    let Task {
+        func,
+        args,
+        handle,
+        submitted,
+        trace,
+    } = task;
+    // A traced task gets a wall-clock span so it joins the granule's
+    // end-to-end trace; untraced tasks keep the histogram-only footprint
+    // they always had.
+    let guard = match (obs, &trace) {
+        (Some(obs), Some(trace)) => {
+            let name = registry
+                .describe(func)
+                .map(|(n, _)| n)
+                .unwrap_or_else(|| "task".to_string());
+            let mut g = obs.span("compute", &name);
+            g.set_trace(trace);
+            Some(g)
+        }
+        _ => None,
+    };
+    let started = Instant::now();
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| registry.invoke(func, args)));
+    drop(guard);
+    let result = match outcome {
+        Ok(Ok(v)) => TaskResult::Success(v),
+        Ok(Err(e)) => TaskResult::Failed(e),
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "function panicked".into());
+            TaskResult::Failed(format!("panic: {msg}"))
+        }
+    };
+    if let Some(obs) = obs {
+        obs.observe(
+            "queue_seconds",
+            "compute",
+            (started - submitted).as_secs_f64(),
+        );
+        obs.observe("task_seconds", "compute", started.elapsed().as_secs_f64());
+        let counter = if result.is_success() {
+            "tasks_completed"
+        } else {
+            "tasks_failed"
+        };
+        obs.counter_add(counter, "compute", 1);
+    }
+    handle.fulfill(result);
 }
 
 #[cfg(test)]
@@ -351,6 +362,29 @@ mod tests {
         assert!(a.wait().is_success());
         assert!(b.wait().is_success());
         ep.shutdown();
+    }
+
+    #[test]
+    fn an_endpoint_without_workers_runs_tasks_on_the_submitting_thread() {
+        let reg = registry_with_basics();
+        let submitter = std::thread::current().id();
+        reg.register("where", move |_| {
+            Ok(json!(std::thread::current().id() == submitter))
+        });
+        let obs = Obs::shared();
+        let ep = ComputeEndpoint::start_observed("inline", reg, 0, Some(Arc::clone(&obs)));
+        let trace = TraceContext::new("MOD.A2022001.0610");
+        let here = ep.submit_by_name_traced("where", json!(null), Some(&trace));
+        assert_eq!(here.unwrap().wait(), TaskResult::Success(json!(true)));
+        let panicked = ep.submit_by_name("panic", json!(null)).unwrap();
+        assert!(!panicked.wait().is_success(), "a panic is a failed task");
+        drop(ep);
+        let m = obs.metrics();
+        assert_eq!(m.counter_value("tasks_submitted", "compute"), Some(2));
+        assert_eq!(m.counter_value("tasks_completed", "compute"), Some(1));
+        assert_eq!(m.counter_value("tasks_failed", "compute"), Some(1));
+        let traced = obs.spans().into_iter().filter(|s| s.stage == "compute");
+        assert_eq!(traced.count(), 1, "the traced task's span");
     }
 
     #[test]

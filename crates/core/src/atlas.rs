@@ -23,7 +23,6 @@ pub struct ClassStats {
     sum_cot: f64,
     sum_ctp: f64,
     sum_cer: f64,
-    sum_cloud_fraction: f64,
     /// Tile counts per 10° latitude band (index 0 = 90S–80S).
     pub lat_hist: [usize; LAT_BANDS],
 }
@@ -35,7 +34,6 @@ impl Default for ClassStats {
             sum_cot: 0.0,
             sum_ctp: 0.0,
             sum_cer: 0.0,
-            sum_cloud_fraction: 0.0,
             lat_hist: [0; LAT_BANDS],
         }
     }
@@ -66,15 +64,6 @@ impl ClassStats {
             0.0
         } else {
             self.sum_cer / self.count as f64
-        }
-    }
-
-    /// Mean tile cloud fraction.
-    pub fn mean_cloud_fraction(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_cloud_fraction / self.count as f64
         }
     }
 
@@ -129,7 +118,6 @@ impl Atlas {
             c.sum_cot += t.mean_cot as f64;
             c.sum_ctp += t.mean_ctp as f64;
             c.sum_cer += t.mean_cer as f64;
-            c.sum_cloud_fraction += t.cloud_fraction as f64;
             c.lat_hist[band] += 1;
             self.zonal[band] += 1;
             self.total += 1;
@@ -154,7 +142,6 @@ impl Atlas {
             a.sum_cot += b.sum_cot;
             a.sum_ctp += b.sum_ctp;
             a.sum_cer += b.sum_cer;
-            a.sum_cloud_fraction += b.sum_cloud_fraction;
             for (x, y) in a.lat_hist.iter_mut().zip(&b.lat_hist) {
                 *x += y;
             }

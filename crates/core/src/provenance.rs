@@ -5,10 +5,9 @@
 //! The model is a light W3C-PROV-style graph: *activities* (download,
 //! preprocess, inference, shipment) generate *artifacts* (files) from input
 //! artifacts, attributed to an *agent* (the service that did the work).
-//! The log answers the two questions that matter operationally — "where
-//! did this labeled file come from?" (full upstream lineage) and "what was
-//! derived from this granule?" (downstream closure) — and exports JSON for
-//! external tooling.
+//! The log answers the question that matters operationally — "where did
+//! this labeled file come from?" (full upstream lineage) — and exports JSON
+//! for external tooling.
 //!
 //! What each query costs, with N records in the log (DESIGN §19):
 //! [`record`](ProvenanceLog::record) is O(1) and keeps the index;
@@ -16,11 +15,10 @@
 //! records sharing the name; [`lineage`](ProvenanceLog::lineage) is linear
 //! in the ancestry it returns, whatever N is;
 //! [`is_acyclic`](ProvenanceLog::is_acyclic) is one pass, O(records +
-//! edges); [`downstream`](ProvenanceLog::downstream) is still a scan of all
-//! N records per artifact in the closure — nothing but tests calls it.
+//! edges).
 
 use eoml_util::hash::fnv1a64;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One provenance record: `activity` produced `artifact` from `inputs`.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,24 +180,6 @@ impl ProvenanceLog {
         found
     }
 
-    /// Transitive downstream closure of `artifact`: everything derived
-    /// from it.
-    pub fn downstream(&self, artifact: &str) -> Vec<String> {
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut queue: VecDeque<String> = VecDeque::new();
-        queue.push_back(artifact.to_string());
-        let mut out = Vec::new();
-        while let Some(current) = queue.pop_front() {
-            for rec in self.records.iter().filter(|r| r.inputs.contains(&current)) {
-                if seen.insert(rec.artifact.clone()) {
-                    out.push(rec.artifact.clone());
-                    queue.push_back(rec.artifact.clone());
-                }
-            }
-        }
-        out
-    }
-
     /// Verify the graph is acyclic (an artifact never being its own
     /// ancestor) — the integrity invariant a provenance log must hold.
     pub fn is_acyclic(&self) -> bool {
@@ -265,6 +245,7 @@ impl ProvenanceLog {
 /// records for a name — kept as the reference the indexed ones must equal.
 pub(crate) mod scan {
     use super::*;
+    use std::collections::VecDeque;
 
     pub fn producers<'a>(log: &'a ProvenanceLog, artifact: &str) -> Vec<&'a ProvRecord> {
         log.records
@@ -360,20 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn downstream_closure() {
-        let log = pipeline_log();
-        let down = log.downstream("laads:MOD021KM.A2022001.0005");
-        assert_eq!(down.len(), 4, "{down:?}");
-        assert!(down.iter().any(|a| a == "orion:tiles-MOD.A2022001.0005.nc"));
-        assert!(log
-            .downstream("orion:tiles-MOD.A2022001.0005.nc")
-            .is_empty());
-    }
-
-    #[test]
     fn reshipped_granule_does_not_duplicate_closure_records() {
         // A failed ingest makes the source re-ship the granule: a second
-        // shipment record lands for the same orion: artifact. The closures
+        // shipment record lands for the same orion: artifact. The lineage
         // must stay duplicate-free — multi-input joins (the three MODIS
         // products feeding one tile file) plus a re-ship is exactly the
         // shape that makes a naive BFS emit an artifact twice.
@@ -387,20 +357,6 @@ mod tests {
         );
         assert_eq!(log.producers("orion:tiles-MOD.A2022001.0005.nc").len(), 2);
         assert!(log.is_acyclic());
-
-        // Downstream of any archive original, the re-shipped artifact
-        // appears exactly once.
-        let down = log.downstream("laads:MOD021KM.A2022001.0005");
-        assert_eq!(
-            down.iter()
-                .filter(|a| *a == "orion:tiles-MOD.A2022001.0005.nc")
-                .count(),
-            1
-        );
-        let mut dedup = down.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), down.len(), "duplicate downstream records");
 
         // Upstream of the re-shipped artifact, each ancestor — including
         // the shared multi-input MODIS products — appears exactly once.

@@ -1,21 +1,21 @@
 //! Real execution of the five-stage pipeline on this machine.
 //!
 //! Same orchestration as the virtual campaign, but everything is real: a
-//! `download_granule` function registered on a real compute endpoint
-//! (worker threads, exactly the paper's remotely-executable Globus Compute
-//! function) materializes `.eogr` product files — there is no real LAADS,
-//! so "download" synthesizes the archive's contents — the preprocessing
-//! kernels run on a thread pool, the stage-3 monitor crawls a real
-//! directory, stage 4 executes the Globus-Flows-style inference flow with
-//! real RICC inference, and stage 5 "ships" by moving files to an outbox
-//! directory (facilities being directories here).
+//! `download_granule` function submitted to a real compute endpoint (the
+//! paper's remotely-executable Globus Compute function) materializes `.eogr`
+//! product files — there is no real LAADS, so "download" synthesizes the
+//! archive's contents — the preprocessing kernels cut them into a tile
+//! NetCDF, the Globus-Flows-style inference flow labels it with real RICC
+//! inference, and stage 5 "ships" by moving files to an outbox directory
+//! (facilities being directories here). There is no directory crawl: one
+//! worker of the wall-clock pool carries each granule from its download to
+//! its shipped file, so the first file is labelled while later granules are
+//! still being preprocessed (Fig. 6).
 //!
-//! [`RealPipeline::run_resumable`] journals per-granule stage completions
-//! (download → preprocess → monitor/inference → shipment) to a write-ahead
-//! journal, so an on-disk run killed at any point reopens the journal and
-//! resumes against the same workdir without redoing journaled-complete
-//! work — the resumed run's labeled artifacts are byte-identical to an
-//! uninterrupted run's.
+//! [`RealPipeline::run_resumable`] journals each granule's transitions to a
+//! write-ahead journal, so an on-disk run killed at any point resumes
+//! against the same workdir without redoing journaled or shipped work, to
+//! labeled artifacts byte-identical to an uninterrupted run's.
 
 use crate::run_journal::RunJournal;
 use eoml_compute::endpoint::{ComputeEndpoint, TaskResult};
@@ -23,7 +23,6 @@ use eoml_compute::registry::FunctionRegistry;
 use eoml_executor::local::LocalExecutor;
 use eoml_flows::definition::FlowDefinition;
 use eoml_flows::runner::FlowRunner;
-use eoml_flows::trigger::DirectoryCrawler;
 use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::files::into_products;
 use eoml_modis::granule::GranuleId;
@@ -37,7 +36,6 @@ use eoml_ricc::aicca::AiccaModel;
 use eoml_ricc::autoencoder::AeConfig;
 use eoml_transfer::manifest::{content_digest_of, ArtifactEntry, ShipmentManifest};
 use serde_json::json;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -87,7 +85,7 @@ impl RealRunError {
 }
 
 /// Report of one real pipeline run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RealRunReport {
     /// Granules processed.
     pub granules: usize,
@@ -101,8 +99,10 @@ pub struct RealRunReport {
     pub label_histogram: Vec<usize>,
     /// Final labeled files in the outbox.
     pub outbox: Vec<PathBuf>,
-    /// Wall-clock seconds per stage: synthesize ("download"), preprocess,
-    /// monitor+inference, shipment.
+    /// Wall-clock seconds per stage — synthesize ("download"), preprocess,
+    /// inference, shipment — each the stage's extent, from the start of its
+    /// first transition to the end of its last. A worker carries a granule
+    /// through the first three, so their extents overlap.
     pub stage_secs: [f64; 4],
     /// Shipment manifest over the outbox: *real* content digests of the
     /// shipped bytes (not synthetic), plus the journal digest when run
@@ -111,13 +111,44 @@ pub struct RealRunReport {
 }
 
 impl RealRunReport {
-    /// Preprocessing throughput, tiles/s.
+    /// Preprocessing throughput, tiles/s over the preprocess extent (which
+    /// overlaps the download and inference extents).
     pub fn preprocess_throughput(&self) -> f64 {
         if self.stage_secs[1] <= 0.0 {
             return 0.0;
         }
         self.total_tiles as f64 / self.stage_secs[1]
     }
+}
+
+/// Where a granule's remaining work starts on this run, in transition order
+/// (see [`RealPipeline::start_of`]).
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Start {
+    Download,
+    Preprocess,
+    Flow,
+    /// In `outbox/` with some of its events not journaled (a run stopped
+    /// before journaling its whole burst): nothing is redone, the missing
+    /// events are journaled from the files.
+    Shipped,
+}
+
+/// What one worker carried one granule through.
+#[derive(Default)]
+struct Carried {
+    /// Its product files' bytes, when this pass downloaded them or found
+    /// the granule shipped.
+    downloaded: Option<u64>,
+    /// Tiles cut, and whether they went into a tile file (a granule with no
+    /// tiles leaves a scan record).
+    tiles: usize,
+    tile_file: bool,
+    /// The shipped file's labels and size.
+    labels: Vec<i64>,
+    shipped_bytes: u64,
+    /// `(start, end)` of the download, preprocess and flow this pass ran.
+    ran: [Option<(Instant, Instant)>; 3],
 }
 
 /// The real pipeline: synthesizer + criteria + model + thread pool, rooted
@@ -175,10 +206,10 @@ impl RealPipeline {
         })
     }
 
-    /// Attach an observability hub: each stage gets a wall-clock span, the
-    /// endpoint/executor/flow-runner instrumentation is enabled, and the
-    /// headline counters (granules, tile files, labeled tiles) are mirrored
-    /// as metrics.
+    /// Attach an observability hub: each transition and the shipment get a
+    /// wall-clock span, the endpoint/executor/flow-runner instrumentation
+    /// is enabled, and the headline counters (granules, tile files, labeled
+    /// tiles) are mirrored as metrics.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
         self.executor = self.executor.with_obs(Arc::clone(&obs));
         self.obs = Some(obs);
@@ -202,16 +233,18 @@ impl RealPipeline {
     /// Run the pipeline against a write-ahead `journal`, resuming any work
     /// the journal already records as complete against this workdir.
     ///
-    /// Each stage journals per-granule completion events *after* the
-    /// corresponding artifact is durably on disk: `FileDownloaded` once a
-    /// granule's three product files exist, `TileFileWritten` once its
-    /// tile NetCDF (or night-granule scan record) is written,
-    /// `MonitorTriggered`/`LabelsAppended` around the inference flow, and
-    /// `ShipmentFinished` when the outbox is complete. On reopen,
-    /// journaled-complete granule stages are skipped (their results are
-    /// folded into the report from the journal and the on-disk artifacts),
-    /// so a resumed run produces byte-identical labeled artifacts and an
-    /// identical report without re-executing finished work.
+    /// A granule's events are journaled *after* the work they record is on
+    /// disk, as one burst once the worker carrying it is done:
+    /// `FileDownloaded` (its three product files), `TileFileWritten` (its
+    /// tile NetCDF, or the scan record of a granule with no tiles), then
+    /// `MonitorTriggered` and `LabelsAppended` (its labelled file shipped).
+    /// The bursts come in granule order, between the `StageStarted` and
+    /// `StageFinished` of download, preprocess and inference; the shipment
+    /// follows. On reopen each granule resumes where the journal and the
+    /// workdir say it stopped — finished granules are folded into the report
+    /// from the journal and their shipped files — so a resumed run produces
+    /// byte-identical labeled artifacts and an identical report without
+    /// re-executing finished work.
     ///
     /// Returns [`RealRunError::Journal`]\([`JournalError::Crashed`]\) when
     /// the journal's injected kill point fires (see
@@ -231,265 +264,103 @@ impl RealPipeline {
         granules: &[GranuleId],
         journal: &mut RunJournal<'_>,
     ) -> Result<RealRunReport, RealRunError> {
-        let incoming = self.workdir.join("incoming");
-        let tiles_dir = self.workdir.join("tiles");
+        let started = Instant::now();
         let outbox = self.workdir.join("outbox");
-
-        // Stage 1 (substituted download): the paper's remotely executable
-        // download function, registered on a real compute endpoint. Each
-        // invocation materializes one granule's three product files.
-        // Granules whose download is journaled AND whose product files are
-        // still on disk are skipped.
-        let t0 = Instant::now();
-        let stage_span = self.obs.as_ref().map(|o| o.span("download", "synthesize"));
-        journal.once(JournalEvent::stage_started("download"))?;
-        let granule_paths: Vec<(GranuleId, [PathBuf; 3])> = granules
-            .iter()
-            .map(|&g| {
-                (
-                    g,
-                    [
-                        incoming.join(g.file_name(ProductKind::Mod02)),
-                        incoming.join(g.file_name(ProductKind::Mod03)),
-                        incoming.join(g.file_name(ProductKind::Mod06)),
-                    ],
-                )
-            })
-            .collect();
-        let to_download: Vec<&(GranuleId, [PathBuf; 3])> = granule_paths
-            .iter()
-            .filter(|(g, paths)| {
-                let journaled = journal.resume().is_downloaded(&g.to_string());
-                !(journaled && paths.iter().all(|p| p.exists()))
-            })
-            .collect();
-        if !to_download.is_empty() {
-            let registry = Arc::new(FunctionRegistry::new());
-            {
-                let synth = self.synth.clone();
-                let incoming = incoming.clone();
-                registry.register("download_granule", move |args| {
-                    let g = granule_from_json(&args).ok_or("bad granule args")?;
-                    let swath = synth.synthesize(g);
-                    let p02 = incoming.join(g.file_name(ProductKind::Mod02));
-                    let p03 = incoming.join(g.file_name(ProductKind::Mod03));
-                    let p06 = incoming.join(g.file_name(ProductKind::Mod06));
-                    // The swath's planes move into the product containers,
-                    // and each container is encoded straight into its file.
-                    let mut bytes = 0u64;
-                    for (path, product) in [&p02, &p03, &p06].into_iter().zip(into_products(swath))
-                    {
-                        let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-                        product.encode_into(&mut file).map_err(|e| e.to_string())?;
-                        bytes += file.metadata().map_err(|e| e.to_string())?.len();
-                    }
-                    Ok(json!({
-                        "mod02": p02.to_string_lossy(),
-                        "mod03": p03.to_string_lossy(),
-                        "mod06": p06.to_string_lossy(),
-                        "bytes": bytes,
-                    }))
-                });
-            }
-            let endpoint = ComputeEndpoint::start_observed(
-                "laads-downloader",
-                registry,
-                self.executor.workers(),
-                self.obs.clone(),
-            );
-            let handles: Vec<_> = to_download
-                .iter()
-                .map(|(g, _)| {
-                    let trace = TraceContext::new(g.to_string());
-                    endpoint
-                        .submit_by_name_traced("download_granule", granule_to_json(g), Some(&trace))
-                        .expect("registered function")
-                })
-                .collect();
-            for ((g, _), h) in to_download.iter().zip(handles) {
-                match h.wait() {
-                    TaskResult::Success(v) => journal.once(JournalEvent::FileDownloaded {
-                        file: g.to_string(),
-                        bytes: v["bytes"].as_u64().unwrap_or(0),
-                    })?,
-                    TaskResult::Failed(e) => {
-                        return Err(format!("download failed: {e}").into());
-                    }
-                }
-            }
-            endpoint.shutdown();
+        let mut report = RealRunReport {
+            granules: granules.len(),
+            label_histogram: vec![0; self.model.num_classes()],
+            ..RealRunReport::default()
+        };
+        for stage in ["download", "preprocess", "inference"] {
+            journal.once(JournalEvent::stage_started(stage))?;
         }
-        journal.once(JournalEvent::stage_finished("download"))?;
-        if let Some(mut span) = stage_span {
-            span.attr("granules", granules.len());
-        }
-        let synth_secs = t0.elapsed().as_secs_f64();
 
-        // Stage 2: parallel preprocessing. A granule whose tile file (or
-        // night-granule scan record) is journaled and whose artifact is
-        // accounted for — still in tiles/, already labeled, or shipped —
-        // is folded in from the journal without re-running the kernels.
-        let t1 = Instant::now();
-        let stage_span = self.obs.as_ref().map(|o| o.span("preprocess", "map"));
-        journal.once(JournalEvent::stage_started("preprocess"))?;
-        let mut total_tiles = 0usize;
-        let mut tile_file_names: BTreeSet<String> = BTreeSet::new();
-        let mut to_preprocess: Vec<[PathBuf; 3]> = Vec::new();
-        let resume = journal.resume();
-        for (g, paths) in &granule_paths {
-            let tiles_key = format!("tiles-{g}.nc");
-            let scan_key = format!("scan-{g}");
-            if let Some(&tiles) = resume.tile_files.get(&tiles_key) {
-                let artifact_accounted = tiles_dir.join(&tiles_key).exists()
-                    || resume.is_labeled(&tiles_key)
-                    || outbox.join(&tiles_key).exists();
-                if artifact_accounted {
-                    total_tiles += tiles as usize;
-                    tile_file_names.insert(tiles_key);
-                    continue;
-                }
-                // Artifact lost under a journaled completion (workdir
-                // tampering): fall through and regenerate it.
-            } else if resume.tile_files.contains_key(&scan_key) {
+        // A granule the journal records as finished is folded in: its
+        // labels are read back from its shipped file (the journal holds only
+        // their count). Every other granule is carried by the pass.
+        let mut todo = Vec::new();
+        for &g in granules {
+            if let Some(start) = self.start_of(g, journal) {
+                todo.push((g, start));
                 continue;
             }
-            to_preprocess.push(paths.clone());
-        }
-        // Attribute the stage's allocations (one granule's planes and tiles
-        // per worker) when the counting allocator is installed. Only the
-        // tile file's name and the tile count leave a worker: the pixels are
-        // freed where they were made, so what the run holds does not grow
-        // with the number of granules.
-        let mem_scope = self
-            .obs
-            .as_ref()
-            .map(|o| eoml_obs::ResourceGuard::enter(Arc::clone(o), "preprocess", "map"));
-        // Each granule's completion is journaled in granule order while the
-        // workers run.
-        self.executor.run(
-            to_preprocess,
-            || (),
-            |(), [p02, p03, p06]| {
-                let out = preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
-                    .map_err(|e| format!("preprocess failed: {e}"))?;
-                let name = out.output.as_deref().map(file_name).transpose()?;
-                Ok::<_, RealRunError>((granule_from_mod02_path(&p02), name, out.tiles.len()))
-            },
-            |_, (granule, name, tiles)| {
-                total_tiles += tiles;
-                tile_file_names.extend(name.clone());
-                let scan = || format!("scan-{}", granule.as_deref().unwrap_or("unknown-granule"));
-                let key = name.unwrap_or_else(scan);
-                Ok(journal.once(JournalEvent::TileFileWritten {
-                    file: key,
-                    tiles: tiles as u64,
-                })?)
-            },
-        )?;
-        drop(mem_scope);
-        journal.once(JournalEvent::stage_finished("preprocess"))?;
-        if let Some(mut span) = stage_span {
-            span.attr("tiles", total_tiles);
-        }
-        let preprocess_secs = t1.elapsed().as_secs_f64();
-
-        // Stages 3+4: monitor the tiles directory and run the inference
-        // flow per discovered file.
-        let t2 = Instant::now();
-        let stage_span = self.obs.as_ref().map(|o| o.span("monitor", "crawl"));
-        journal.once(JournalEvent::stage_started("inference"))?;
-        let mut crawler = DirectoryCrawler::new(&tiles_dir, ".nc");
-        let mut labeled_tiles = 0usize;
-        let mut histogram = vec![0usize; self.model.num_classes()];
-
-        // Fold journaled-complete inference back into the tallies by
-        // reading the shipped artifacts (the labels themselves are not in
-        // the journal; the files are the source of truth).
-        for (file, (labels, _bytes)) in &journal.resume().labeled {
-            tile_file_names.insert(file.clone());
-            match std::fs::File::open(outbox.join(file)) {
-                Ok(mut shipped) => {
-                    labeled_tiles += tally(&mut histogram, shipped_labels(file, &mut shipped)?)
-                }
+            let name = format!("tiles-{g}.nc");
+            let resume = journal.resume();
+            let Some(&(labels, _)) = resume.labeled.get(&name) else {
+                continue;
+            };
+            report.tile_files += 1;
+            report.total_tiles += resume.tile_files.get(&name).copied().unwrap_or(0) as usize;
+            report.labeled_tiles += match std::fs::File::open(outbox.join(&name)) {
+                Ok(mut shipped) => tally(
+                    &mut report.label_histogram,
+                    shipped_labels(&name, &mut shipped)?,
+                ),
                 // Artifact missing (workdir tampering): trust the journal
                 // for the count; the class breakdown is unrecoverable.
-                Err(_) => labeled_tiles += *labels as usize,
-            }
+                Err(_) => labels as usize,
+            };
         }
 
-        // Heal the journal/filesystem gap: a file that reached the outbox
-        // whose LabelsAppended append crashed is complete on disk but not
-        // in the journal — journal it now instead of losing or redoing it.
-        if journal.is_journaled() {
-            for path in nc_files_sorted(&outbox)? {
-                let name = file_name(&path)?;
-                if journal.resume().is_labeled(&name) {
-                    continue;
+        // The pass: each worker takes the next granule and carries it
+        // through every transition it still needs; the in-order callback
+        // journals each granule's burst and tallies it, so workers never
+        // touch the journal.
+        let endpoint = self.downloader();
+        let pass = self.obs.as_ref().map(|o| o.span("monitor", "crawl"));
+        let pass_id = pass.as_ref().map(|span| span.id());
+        let mut extents: [Option<(Instant, Instant)>; 3] = [None; 3];
+        self.executor.run(
+            todo.clone(),
+            FlowDefinition::inference_flow,
+            |flow, (g, start)| self.carry(g, start, flow, &endpoint, pass_id),
+            |i, carried| {
+                let g = todo[i].0;
+                for (extent, ran) in extents.iter_mut().zip(carried.ran) {
+                    let widened = |(s, e)| extent.map_or((s, e), |(a, b)| (a.min(s), b.max(e)));
+                    *extent = ran.map(widened).or(*extent);
                 }
-                tile_file_names.insert(name.clone());
-                let mut shipped = std::fs::File::open(&path).map_err(|e| e.to_string())?;
-                let file_labels = shipped_labels(&name, &mut shipped)?;
-                let bytes = shipped.metadata().map_err(|e| e.to_string())?.len();
-                journal.once(JournalEvent::MonitorTriggered { file: name.clone() })?;
-                journal.record(JournalEvent::LabelsAppended {
-                    file: name,
-                    labels: file_labels.len() as u64,
-                    bytes,
+                if let Some(bytes) = carried.downloaded {
+                    let file = g.to_string();
+                    journal.once(JournalEvent::FileDownloaded { file, bytes })?;
+                }
+                let file = if carried.tile_file {
+                    format!("tiles-{g}.nc")
+                } else {
+                    format!("scan-{g}")
+                };
+                let tiles = carried.tiles as u64;
+                journal.once(JournalEvent::TileFileWritten {
+                    file: file.clone(),
+                    tiles,
                 })?;
-                labeled_tiles += tally(&mut histogram, file_labels);
-            }
+                report.total_tiles += carried.tiles;
+                if carried.tile_file {
+                    report.tile_files += 1;
+                    let labels = tally(&mut report.label_histogram, carried.labels);
+                    report.labeled_tiles += labels;
+                    journal.once(JournalEvent::MonitorTriggered { file: file.clone() })?;
+                    journal.once(JournalEvent::LabelsAppended {
+                        file,
+                        labels: labels as u64,
+                        bytes: carried.shipped_bytes,
+                    })?;
+                }
+                Ok::<_, RealRunError>(())
+            },
+        )?;
+        if let Some(mut span) = pass {
+            span.attr("tile_files", report.tile_files);
         }
-
-        // Drain the crawler (preprocessing already finished, so one crawl
-        // sees everything; loop anyway to mirror the monitor structure). A
-        // crawl's triggers are journaled before its first flow starts; the
-        // flows then run `workers` at a time and each file's completion is
-        // journaled here, in crawl order.
-        let crawl_span = stage_span.as_ref().map(|span| span.id());
-        loop {
-            let fresh = crawler.crawl().map_err(|e| e.to_string())?;
-            if fresh.is_empty() {
-                break;
-            }
-            let names: Result<Vec<_>, _> = fresh.iter().map(|path| file_name(path)).collect();
-            let names = names?;
-            for name in &names {
-                tile_file_names.insert(name.clone());
-                journal.once(JournalEvent::MonitorTriggered { file: name.clone() })?;
-            }
-            self.executor.run(
-                names.iter().collect(),
-                // A worker holds one file's radiance, in a buffer it reuses,
-                // and nothing else of the file.
-                || (FlowDefinition::inference_flow(), Vec::new()),
-                |(flow, radiance), name: &String| {
-                    self.run_flow(flow, name, radiance, crawl_span)
-                        .map_err(|e| format!("inference flow failed for {name}: {e}").into())
-                },
-                |i, (file_labels, shipped_bytes)| {
-                    let file_labels = tally(&mut histogram, file_labels);
-                    labeled_tiles += file_labels;
-                    Ok::<_, RealRunError>(journal.once(JournalEvent::LabelsAppended {
-                        file: names[i].clone(),
-                        labels: file_labels as u64,
-                        bytes: shipped_bytes,
-                    })?)
-                },
-            )?;
+        for stage in ["download", "preprocess", "inference"] {
+            journal.once(JournalEvent::stage_finished(stage))?;
         }
-        journal.once(JournalEvent::stage_finished("inference"))?;
-        let tile_files = tile_file_names
-            .iter()
-            .filter(|n| n.ends_with(".nc"))
-            .count();
-        if let Some(mut span) = stage_span {
-            span.attr("tile_files", tile_files);
-        }
-        let infer_secs = t2.elapsed().as_secs_f64();
+        let [download, preprocess, inference] =
+            extents.map(|extent| extent.map_or(0.0, |(a, b)| (b - a).as_secs_f64()));
 
         // Stage 5: the outbox *is* the destination facility here; collect
         // the shipped files.
-        let t3 = Instant::now();
+        let shipment = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("shipment", "collect"));
         journal.once(JournalEvent::stage_started("shipment"))?;
         let shipped = nc_files_sorted(&outbox)?;
@@ -506,8 +377,11 @@ impl RealPipeline {
         // The manifest hashes the real shipped bytes — what a destination
         // facility would verify against after the WAN hop. The files are
         // hashed on the pool; `map` keeps their order.
-        let mut manifest =
-            ShipmentManifest::new("ace-defiant", "frontier-orion", t0.elapsed().as_secs_f64());
+        let mut manifest = ShipmentManifest::new(
+            "ace-defiant",
+            "frontier-orion",
+            started.elapsed().as_secs_f64(),
+        );
         let digests = self.executor.map(shipped.clone(), |path| {
             std::fs::File::open(path).and_then(content_digest_of)
         });
@@ -525,25 +399,140 @@ impl RealPipeline {
         if let Some(mut span) = stage_span {
             span.attr("files", shipped.len());
         }
-        let ship_secs = t3.elapsed().as_secs_f64();
+        let shipment = shipment.elapsed().as_secs_f64();
 
         if let Some(obs) = &self.obs {
             obs.counter_add("granules", "download", granules.len() as u64);
-            obs.counter_add("tile_files", "preprocess", tile_files as u64);
-            obs.counter_add("labeled_tiles", "inference", labeled_tiles as u64);
+            obs.counter_add("tile_files", "preprocess", report.tile_files as u64);
+            obs.counter_add("labeled_tiles", "inference", report.labeled_tiles as u64);
             obs.counter_add("files_shipped", "shipment", shipped.len() as u64);
         }
+        report.outbox = shipped;
+        report.stage_secs = [download, preprocess, inference, shipment];
+        report.manifest = Some(manifest);
+        Ok(report)
+    }
 
-        Ok(RealRunReport {
-            granules: granules.len(),
-            tile_files,
-            total_tiles,
-            labeled_tiles,
-            label_histogram: histogram,
-            outbox: shipped,
-            stage_secs: [synth_secs, preprocess_secs, infer_secs, ship_secs],
-            manifest: Some(manifest),
+    /// Where granule `g`'s remaining work starts, from the journal state
+    /// this run resumed from and the workdir; `None` when the journal
+    /// records it finished, which is decided without touching a file.
+    fn start_of(&self, g: GranuleId, journal: &RunJournal<'_>) -> Option<Start> {
+        let resume = journal.resume();
+        let name = format!("tiles-{g}.nc");
+        if resume.is_labeled(&name) || resume.has_tile_file(&format!("scan-{g}")) {
+            return None;
+        }
+        let exists = |sub: &str| self.workdir.join(sub).join(&name).exists();
+        Some(if journal.is_journaled() && exists("outbox") {
+            Start::Shipped
+        } else if !resume.is_downloaded(&g.to_string()) {
+            Start::Download
+        } else if resume.has_tile_file(&name) && exists("tiles") {
+            Start::Flow
+        } else if product_files(&self.workdir, g).iter().all(|p| p.exists()) {
+            Start::Preprocess
+        } else {
+            Start::Download
         })
+    }
+
+    /// Carry granule `g` from `start` to its shipped file (or its scan
+    /// record), on a worker of the pass. The radiance its flow reads is
+    /// freed before the worker takes its next granule.
+    fn carry(
+        &self,
+        g: GranuleId,
+        start: Start,
+        flow: &FlowDefinition,
+        endpoint: &ComputeEndpoint,
+        pass: Option<u64>,
+    ) -> Result<Carried, RealRunError> {
+        let trace = TraceContext::new(g.to_string());
+        let span = |stage, name| {
+            let mut span = self
+                .obs
+                .as_ref()
+                .zip(pass)
+                .map(|(o, at)| o.span_under(at, stage, name));
+            span.iter_mut().for_each(|span| span.set_trace(&trace));
+            span
+        };
+        let [p02, p03, p06] = product_files(&self.workdir, g);
+        let name = format!("tiles-{g}.nc");
+        let mut out = Carried {
+            tile_file: true,
+            ..Carried::default()
+        };
+        if start == Start::Download {
+            let _span = span("download", "synthesize");
+            let began = Instant::now();
+            let file = json!({ "file": g.file_name(ProductKind::Mod02) });
+            let task = endpoint.submit_by_name_traced("download_granule", file, Some(&trace));
+            match task.expect("registered function").wait() {
+                TaskResult::Success(v) => out.downloaded = Some(v["bytes"].as_u64().unwrap_or(0)),
+                TaskResult::Failed(e) => return Err(format!("download failed: {e}").into()),
+            }
+            out.ran[0] = Some((began, Instant::now()));
+        }
+        if start <= Start::Preprocess {
+            let _span = span("preprocess", "map");
+            let began = Instant::now();
+            let tiles_dir = self.workdir.join("tiles");
+            let done = preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
+                .map_err(|e| format!("preprocess failed: {e}"))?;
+            // Only the count leaves: the pixels are freed here.
+            (out.tiles, out.tile_file) = (done.tiles.len(), done.output.is_some());
+            out.ran[1] = Some((began, Instant::now()));
+        }
+        if !out.tile_file {
+            return Ok(out);
+        }
+        if start <= Start::Flow {
+            let _span = span("inference", "flow");
+            let began = Instant::now();
+            (out.labels, out.shipped_bytes) = self
+                .run_flow(flow, &name, &trace)
+                .map_err(|e| format!("inference flow failed for {name}: {e}"))?;
+            out.ran[2] = Some((began, Instant::now()));
+        } else {
+            // Shipped by a run that stopped before journaling all of it:
+            // what the journal lacks is read back from the files.
+            let shipped = self.workdir.join("outbox").join(&name);
+            let mut shipped = std::fs::File::open(shipped).map_err(|e| e.to_string())?;
+            out.labels = shipped_labels(&name, &mut shipped)?;
+            out.shipped_bytes = shipped.metadata().map_err(|e| e.to_string())?.len();
+            let sizes = [p02, p03, p06].map(|p| std::fs::metadata(p).map(|m| m.len()));
+            out.downloaded = sizes.into_iter().sum::<Result<u64, _>>().ok();
+        }
+        out.tiles = out.labels.len(); // one label per tile
+        Ok(out)
+    }
+
+    /// Stage 1 (substituted download): the paper's remotely executable
+    /// download function, registered on a real compute endpoint. Each
+    /// invocation is asked for a granule's MOD02 file and materializes the
+    /// granule's three product files. The endpoint has no threads of its
+    /// own: a download runs on the worker that submits it, which then cuts
+    /// the same granule, so its buffers are reused by that worker rather
+    /// than held by a second set of threads (DESIGN §21).
+    fn downloader(&self) -> ComputeEndpoint {
+        let registry = Arc::new(FunctionRegistry::new());
+        let (synth, workdir) = (self.synth.clone(), self.workdir.clone());
+        registry.register("download_granule", move |args| {
+            let file = args["file"].as_str().and_then(GranuleId::parse_file_name);
+            let (g, _) = file.ok_or("bad granule args")?;
+            // The swath's planes move into the product containers, and each
+            // container is encoded straight into its file.
+            let products = into_products(synth.synthesize(g));
+            let mut bytes = 0u64;
+            for (path, product) in product_files(&workdir, g).iter().zip(products) {
+                let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+                product.encode_into(&mut file).map_err(|e| e.to_string())?;
+                bytes += file.metadata().map_err(|e| e.to_string())?.len();
+            }
+            Ok(json!({ "bytes": bytes }))
+        });
+        ComputeEndpoint::start_observed("laads-downloader", registry, 0, self.obs.clone())
     }
 
     /// One whole flow of tile file `name`: infer, write the labels into the
@@ -552,8 +541,7 @@ impl RealPipeline {
         &self,
         flow: &FlowDefinition,
         name: &str,
-        radiance: &mut Vec<f32>,
-        crawl_span: Option<u64>,
+        trace: &TraceContext,
     ) -> Result<(Vec<i64>, u64), String> {
         use serde_json::Value;
         let (tiles_dir, outbox) = (self.workdir.join("tiles"), self.workdir.join("outbox"));
@@ -561,7 +549,9 @@ impl RealPipeline {
             params["file"].as_str().ok_or("missing file param")
         }
         // The infer action reads the one variable it needs and predicts
-        // each tile where it lies in the buffer.
+        // each tile where it lies in the buffer. The buffer lives as long
+        // as the flow.
+        let mut radiance = Vec::new();
         let mut infer = |_: &str, params: &Value, _: &Value| {
             let tile_file = std::fs::File::open(tiles_dir.join(file_of(params)?));
             let mut tile_file = tile_file.map_err(|e| e.to_string())?;
@@ -572,7 +562,7 @@ impl RealPipeline {
             if let Some(labels) = read_labels(&mut tile_file).map_err(|e| e.to_string())? {
                 return Ok(json!({ "labels": labels }));
             }
-            let tiles = read_radiance(&mut tile_file, radiance).map_err(|e| e.to_string())?;
+            let tiles = read_radiance(&mut tile_file, &mut radiance).map_err(|e| e.to_string())?;
             let cfg = self.model.encoder.cfg;
             let slab = cfg.in_ch * cfg.input * cfg.input;
             if radiance.len() != tiles * slab {
@@ -608,18 +598,8 @@ impl RealPipeline {
         runner.register("inference", &mut infer);
         runner.register("append_labels", &mut append);
         runner.register("move_to_outbox", &mut move_out);
-
-        let trace = crate::campaign::granule_trace_id(name).map(TraceContext::new);
-        let obs = self.obs.as_ref().zip(crawl_span);
-        let mut span = obs.map(|(o, crawl)| o.span_under(crawl, "inference", "flow"));
-        if let (Some(span), Some(trace)) = (span.as_mut(), trace.as_ref()) {
-            span.set_trace(trace);
-        }
-        runner.current_trace = trace;
+        runner.current_trace = Some(trace.clone());
         let run = runner.run(flow, json!({ "file": name }));
-        if let Some(mut span) = span {
-            span.attr("file", name);
-        }
         if let eoml_flows::runner::RunStatus::Failed(e) = run.status {
             return Err(e);
         }
@@ -629,6 +609,12 @@ impl RealPipeline {
         let shipped_bytes = std::fs::metadata(outbox.join(name)).map_or(0, |m| m.len());
         Ok((labels, shipped_bytes))
     }
+}
+
+/// Granule `g`'s three product files in `workdir`'s `incoming/`, in the
+/// order [`into_products`] makes them.
+fn product_files(workdir: &Path, g: GranuleId) -> [PathBuf; 3] {
+    ProductKind::all().map(|kind| workdir.join("incoming").join(g.file_name(kind)))
 }
 
 /// The `.nc` files of `dir`, sorted by path.
@@ -653,11 +639,7 @@ fn file_name(path: &Path) -> Result<String, String> {
 /// labeled. A file in the layout without reserved label records is refused.
 fn shipped_labels(name: &str, shipped: &mut std::fs::File) -> Result<Vec<i64>, String> {
     let labels = read_labels(shipped).map_err(|e| format!("{name}: {e}"))?;
-    Ok(labels
-        .unwrap_or_default()
-        .into_iter()
-        .map(i64::from)
-        .collect())
+    Ok(labels.into_iter().flatten().map(i64::from).collect())
 }
 
 /// Count the in-range `labels` into `histogram`; returns how many there were.
@@ -670,48 +652,6 @@ fn tally(histogram: &mut [usize], labels: impl IntoIterator<Item = i64>) -> usiz
         }
     }
     counted
-}
-
-fn granule_to_json(g: &GranuleId) -> serde_json::Value {
-    json!({
-        "platform": g.platform.to_string(),
-        "year": g.date.year(),
-        "doy": g.date.ordinal(),
-        "slot": g.slot,
-    })
-}
-
-fn granule_from_json(v: &serde_json::Value) -> Option<GranuleId> {
-    use eoml_modis::product::Platform;
-    use eoml_util::timebase::CivilDate;
-    let platform = match v["platform"].as_str()? {
-        "Terra" => Platform::Terra,
-        "Aqua" => Platform::Aqua,
-        _ => return None,
-    };
-    let date = CivilDate::from_ordinal(v["year"].as_i64()? as i32, v["doy"].as_i64()? as u16)?;
-    let slot = v["slot"].as_u64()? as u16;
-    if slot >= eoml_modis::granule::SLOTS_PER_DAY {
-        return None;
-    }
-    Some(GranuleId::new(platform, date, slot))
-}
-
-/// Granule display id recovered from a MOD02 product path
-/// (`MOD021KM.A2022001.0005.eogr` → `MOD.A2022001.0005`), for naming the
-/// no-tiles scan record of a night granule.
-fn granule_from_mod02_path(p: &Path) -> Option<String> {
-    let stem = p.file_stem()?.to_str()?;
-    let mut parts = stem.split('.');
-    let product = parts.next()?;
-    let date = parts.next()?;
-    let slot = parts.next()?;
-    let prefix = if product.starts_with("MYD") {
-        "MYD"
-    } else {
-        "MOD"
-    };
-    Some(format!("{prefix}.{date}.{slot}"))
 }
 
 #[cfg(test)]
@@ -885,6 +825,54 @@ mod tests {
     }
 
     #[test]
+    fn inference_overlaps_preprocessing_as_in_fig6() {
+        // One worker carries each granule from its download to its shipped
+        // file, so the first file is labelled before the last granule is
+        // preprocessed.
+        let dir = tempdir("overlap");
+        let obs = Obs::shared();
+        RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 1)
+            .unwrap()
+            .with_thresholds(0.0, 0.0)
+            .with_obs(Arc::clone(&obs))
+            .run(&day_granules(3))
+            .unwrap();
+        let spans = obs.spans();
+        let of = |stage: &'static str, name: &'static str| {
+            let spans = spans.iter();
+            spans.filter(move |s| s.stage == stage && s.name == name)
+        };
+        let first_flow = of("inference", "flow").min_by_key(|s| s.wall_start_ns);
+        let last_preprocess = of("preprocess", "map").max_by_key(|s| s.wall_start_ns);
+        let (first_flow, last_preprocess) = (first_flow.unwrap(), last_preprocess.unwrap());
+        assert!(
+            first_flow.wall_end_ns < last_preprocess.wall_start_ns,
+            "the first flow ended after the last preprocess began"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_journal_order_is_the_same_for_any_worker_count() {
+        let granules = day_granules(4);
+        let events: Vec<Vec<JournalEvent>> = (1..=3)
+            .map(|workers| {
+                let dir = tempdir(&format!("order-{workers}w"));
+                let (mut journal, _) = Journal::open(MemStorage::new()).unwrap();
+                RealPipeline::new(&dir, 2022, SwathDims::small(), 32, workers)
+                    .unwrap()
+                    .with_thresholds(0.0, 0.0)
+                    .run_resumable(&granules, &mut journal)
+                    .unwrap();
+                std::fs::remove_dir_all(&dir).unwrap();
+                journal.events().to_vec()
+            })
+            .collect();
+        assert_eq!(events[0], events[1], "1 worker vs 2");
+        assert_eq!(events[0], events[2], "1 worker vs 3");
+    }
+
+    #[test]
     fn zero_workers_is_an_invalid_input_error() {
         let dir = std::env::temp_dir().join(format!("eoml-realrun-w0-{}", std::process::id()));
         let built = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 0);
@@ -972,12 +960,25 @@ mod tests {
         // append action), in outbox/ but not journaled as labeled (the
         // heal), and in outbox/ and journaled (the fold). `kill` stops the
         // first run at its first trigger, the tile file journaled.
-        for (kill, place) in [(Some(8), "tiles"), (Some(8), "outbox"), (None, "outbox")] {
+        let granules = day_granules(1);
+        let probe_dir = tempdir("former-probe");
+        let (mut probe, _) = Journal::open(MemStorage::new()).unwrap();
+        RealPipeline::new(&probe_dir, 2022, SwathDims::small(), 32, 1)
+            .unwrap()
+            .with_thresholds(0.0, 0.0)
+            .run_resumable(&granules, &mut probe)
+            .unwrap();
+        std::fs::remove_dir_all(&probe_dir).unwrap();
+        let trigger = probe
+            .events()
+            .iter()
+            .position(|e| matches!(e, JournalEvent::MonitorTriggered { .. }));
+        assert!(trigger.is_some(), "the probe journaled no trigger");
+        for (kill, place) in [(trigger, "tiles"), (trigger, "outbox"), (None, "outbox")] {
             let dir = tempdir("former");
             let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 1)
                 .unwrap()
                 .with_thresholds(0.0, 0.0);
-            let granules = day_granules(1);
             let store = MemStorage::new();
             let (mut journal, _) = Journal::open(store.clone()).unwrap();
             kill.into_iter().for_each(|n| journal.crash_after(n));

@@ -255,11 +255,6 @@ impl LandMask {
         raster.land
     }
 
-    /// Whether the point is ocean.
-    pub fn is_ocean(&self, p: &LatLon) -> bool {
-        !self.is_land(p)
-    }
-
     /// Monte-Carlo estimate of the global land fraction using an
     /// area-correct (cosine-latitude) sample of `n` points.
     pub fn land_fraction(&self, n: usize) -> f64 {

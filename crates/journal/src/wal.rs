@@ -362,11 +362,6 @@ impl<S: Storage> Journal<S> {
         self.since_snapshot += 1;
         Ok(())
     }
-
-    /// Tear down, returning the storage (tests reuse it to reopen).
-    pub fn into_storage(self) -> S {
-        self.storage
-    }
 }
 
 #[cfg(test)]

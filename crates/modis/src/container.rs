@@ -217,14 +217,6 @@ impl DatasetData {
         }
     }
 
-    /// Borrow as `&[u8]`, if that is the payload type.
-    pub fn as_u8(&self) -> Option<&[u8]> {
-        match self {
-            DatasetData::U8(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Borrow as `&[i32]`, if that is the payload type.
     pub fn as_i32(&self) -> Option<&[i32]> {
         match self {

@@ -116,9 +116,6 @@ impl fmt::Display for ProductKind {
 /// and phase and remains available at night (except 6/7).
 pub const AICCA_BANDS: [u8; 6] = [6, 7, 20, 28, 29, 31];
 
-/// Number of spectral bands on the MODIS instrument.
-pub const MODIS_BAND_COUNT: usize = 36;
-
 /// Center wavelength in micrometres for each MODIS band (1-based index into
 /// a table of 36). Values follow the MODIS instrument specification closely
 /// enough for the synthesizer's toy radiative model.

@@ -329,22 +329,6 @@ impl TraceAnalysis {
         self.traces.values()
     }
 
-    /// Exact distribution of per-trace service seconds in `stage`, over
-    /// the traces that touched it.
-    pub fn stage_service_summary(&self, stage: &str) -> Option<Summary> {
-        let samples: Vec<f64> = self
-            .traces
-            .values()
-            .map(|t| t.stage_service_seconds(stage))
-            .filter(|&s| s > 0.0)
-            .collect();
-        if samples.is_empty() {
-            None
-        } else {
-            Some(Summary::from_samples(samples))
-        }
-    }
-
     /// Items beyond `cfg.multiple ×` their stage's median service time,
     /// sorted by stage then by descending excess.
     pub fn stragglers(&self, cfg: &StragglerConfig) -> Vec<Straggler> {

@@ -36,7 +36,7 @@ use crate::archive::RunArchive;
 use crate::baseline::Tolerance;
 use crate::profile::parse_folded;
 use crate::resource::{ALLOC_BYTES_COUNTER, ALLOC_COUNT_COUNTER, ALLOC_PEAK_GAUGE};
-use crate::table::{Cell, Table};
+use crate::table::Cell;
 
 /// Default gate for time-valued deltas: 1 % relative *and* 10 ms
 /// absolute must both be exceeded. Much tighter than the baseline
@@ -400,36 +400,6 @@ impl AttributionReport {
             ),
         );
         Value::Object(obj)
-    }
-
-    /// The ranked entries as a renderable [`Table`].
-    pub fn entries_table(&self) -> Table {
-        let mut table = Table::new(
-            "attribution",
-            &[
-                "rank",
-                "kind",
-                "stage",
-                "name",
-                "base_s",
-                "cur_s",
-                "delta_s",
-                "share_pct",
-            ],
-        );
-        for e in &self.entries {
-            table.row(vec![
-                Cell::int(e.rank as i64),
-                Cell::str(e.kind),
-                Cell::str(&e.stage),
-                Cell::str(&e.name),
-                Cell::num(e.base_s, 3),
-                Cell::num(e.cur_s, 3),
-                Cell::num(e.delta_s(), 3),
-                Cell::num(e.share_pct, 1),
-            ]);
-        }
-        table
     }
 }
 

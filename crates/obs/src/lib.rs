@@ -219,8 +219,6 @@ impl Obs {
             stage: stage.to_string(),
             name: name.to_string(),
             wall_start_ns: self.now_ns(),
-            sim_start: None,
-            sim_end: None,
             trace_id: None,
             attrs: Vec::new(),
         }
@@ -243,8 +241,8 @@ impl Obs {
             stage: std::mem::take(&mut guard.stage),
             name: std::mem::take(&mut guard.name),
             tid: current_tid(),
-            sim_start: guard.sim_start,
-            sim_end: guard.sim_end,
+            sim_start: None,
+            sim_end: None,
             wall_start_ns: guard.wall_start_ns,
             wall_end_ns: self.now_ns(),
             trace_id: guard.trace_id.take(),

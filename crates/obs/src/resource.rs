@@ -177,14 +177,6 @@ pub struct ResourceReport {
     pub peak_in_use_bytes: u64,
 }
 
-impl ResourceReport {
-    /// Net change in live bytes over the scope (negative = the scope
-    /// freed more than it allocated).
-    pub fn net_bytes(&self) -> i64 {
-        self.allocated_bytes as i64 - self.freed_bytes as i64
-    }
-}
-
 /// RAII scope that attributes allocator activity to a `(stage, name)`
 /// label pair, writing `alloc_bytes` / `allocs` counters and an
 /// `alloc_peak_bytes` gauge into the attached [`Obs`] registry on drop.

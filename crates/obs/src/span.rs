@@ -88,8 +88,6 @@ pub struct SpanGuard<'a> {
     pub(crate) stage: String,
     pub(crate) name: String,
     pub(crate) wall_start_ns: u64,
-    pub(crate) sim_start: Option<SimTime>,
-    pub(crate) sim_end: Option<SimTime>,
     pub(crate) trace_id: Option<String>,
     pub(crate) attrs: Vec<(String, String)>,
 }
@@ -103,12 +101,6 @@ impl SpanGuard<'_> {
     /// Attach a key/value attribute.
     pub fn attr(&mut self, key: &str, value: impl ToString) {
         self.attrs.push((key.to_string(), value.to_string()));
-    }
-
-    /// Stamp the simulation-time interval this wall-clock span covered.
-    pub fn set_sim(&mut self, start: SimTime, end: SimTime) {
-        self.sim_start = Some(start);
-        self.sim_end = Some(end);
     }
 
     /// Tag this span with the pipeline item it belongs to.

@@ -334,13 +334,6 @@ impl Ingestor {
         self
     }
 
-    /// Builder: override verify throughput (bytes/second, > 0).
-    pub fn with_verify_rate(mut self, bps: f64) -> Ingestor {
-        assert!(bps > 0.0, "verify rate must be positive");
-        self.verify_rate_bps = bps;
-        self
-    }
-
     /// The facility this verifier answers for.
     pub fn facility(&self) -> &str {
         &self.facility

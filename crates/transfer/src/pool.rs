@@ -84,22 +84,6 @@ impl DownloadReport {
                 / self.files.len() as f64,
         )
     }
-
-    /// Standard deviation of per-file speeds, MB/s.
-    pub fn file_speed_std_mb(&self) -> f64 {
-        let n = self.files.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean_file_speed().as_mb_per_sec();
-        (self
-            .files
-            .iter()
-            .map(|f| (f.speed().as_mb_per_sec() - mean).powi(2))
-            .sum::<f64>()
-            / (n - 1) as f64)
-            .sqrt()
-    }
 }
 
 /// The download pool entry points: a closed file list through the one

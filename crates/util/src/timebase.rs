@@ -161,14 +161,6 @@ pub struct UtcTime {
 }
 
 impl UtcTime {
-    /// The Unix epoch.
-    pub const EPOCH: UtcTime = UtcTime { secs: 0.0 };
-
-    /// From seconds since the epoch.
-    pub fn from_unix_secs(secs: f64) -> Self {
-        Self { secs }
-    }
-
     /// Midnight UTC at the start of `date`.
     pub fn from_date(date: CivilDate) -> Self {
         Self {
@@ -184,11 +176,6 @@ impl UtcTime {
                 + min as f64 * 60.0
                 + sec,
         }
-    }
-
-    /// Seconds since the epoch.
-    pub fn unix_secs(&self) -> f64 {
-        self.secs
     }
 
     /// The civil date containing this instant.

@@ -12,7 +12,7 @@ use eoml::journal::{Journal, JournalEvent, Ledger, MemStorage};
 use eoml::modis::granule::GranuleId;
 use eoml::modis::product::Platform;
 use eoml::modis::synth::{SwathDims, SwathSynthesizer};
-use eoml::ncdf::RecordVarSpan;
+use eoml::ncdf::{RecordVarSpan, NC_FILL_INT};
 use eoml::preprocess::writer::read_labels;
 use eoml::util::timebase::CivilDate;
 use std::io::{Seek, SeekFrom, Write};
@@ -157,9 +157,39 @@ fn real_run_killed_at_every_event_resumes_to_identical_artifacts() {
 }
 
 #[test]
+fn real_run_killed_at_every_event_resumes_to_the_uninterrupted_journal_state() {
+    // Whatever a kill leaves unjournaled — including files a worker shipped
+    // after the event that failed — the resumed journal holds exactly the
+    // work an uninterrupted run's does.
+    let granules = granules();
+    let probe_dir = tempdir("state-probe");
+    let (mut probe, _) = Journal::open(MemStorage::new()).unwrap();
+    pipeline(&probe_dir)
+        .run_resumable(&granules, &mut probe)
+        .unwrap();
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+    let (total_events, (_, work)) = (probe.len(), probe.state_digest());
+
+    for kill_at in 0..total_events {
+        let tag = format!("kill at event {kill_at}/{total_events}");
+        let dir = tempdir(&format!("state-{kill_at}"));
+        let p = pipeline(&dir);
+        let store = MemStorage::new();
+        let (mut journal, _) = Journal::open(store.clone()).unwrap();
+        journal.crash_after(kill_at);
+        assert!(p.run_resumable(&granules, &mut journal).is_err(), "{tag}");
+        drop(journal);
+        let (mut journal, _) = Journal::open(store).unwrap();
+        p.run_resumable(&granules, &mut journal).unwrap();
+        assert_eq!(journal.state_digest().1, work, "{tag}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
 fn run_killed_inside_the_label_write_resumes_to_identical_artifacts() {
     // The append action writes the labels into the tile file one record at
-    // a time. Stop a run as inference begins (tile file written, nothing
+    // a time. Put a run where inference begins (tile file written, nothing
     // labeled), write the first k of the N labels by hand — what a kill
     // after k of those writes leaves on disk — and resume: the infer action
     // must see an unlabeled file, predict again and label it whole.
@@ -170,11 +200,6 @@ fn run_killed_inside_the_label_write_resumes_to_identical_artifacts() {
     let baseline = pipeline(&base_dir)
         .run_resumable(&granules, &mut journal)
         .unwrap();
-    let first_trigger = journal
-        .events()
-        .iter()
-        .position(|e| matches!(e, JournalEvent::MonitorTriggered { .. }))
-        .expect("inference was journaled");
     let shipped = &baseline.outbox[0];
     let labels = read_labels(&mut std::fs::File::open(shipped).unwrap())
         .unwrap()
@@ -186,11 +211,7 @@ fn run_killed_inside_the_label_write_resumes_to_identical_artifacts() {
         let tag = format!("killed after {k} of {n} label writes");
         let dir = tempdir(&format!("patch-{k}"));
         let p = pipeline(&dir);
-        let store = MemStorage::new();
-        let (mut journal, _) = Journal::open(store.clone()).unwrap();
-        journal.crash_after(first_trigger);
-        assert!(p.run_resumable(&granules, &mut journal).is_err(), "{tag}");
-        drop(journal);
+        let store = as_inference_begins(&p, &dir, &granules);
 
         let tile_file = dir.join("tiles").join(shipped.file_name().unwrap());
         let mut file = std::fs::OpenOptions::new()
@@ -243,6 +264,48 @@ fn tile_files(workdir: &Path) -> [Vec<String>; 2] {
     })
 }
 
+/// Where a run stands as inference begins — every tile file written and
+/// journaled, no flow started — built from a finished run of `p` over
+/// `granules` in `workdir`: each shipped file goes back into `tiles/` with
+/// its label records reset to `NC_FILL_INT`, and the journal is the finished
+/// run's events up to its first `StageFinished`, minus every
+/// `MonitorTriggered` and `LabelsAppended`. Returns the journal's storage.
+fn as_inference_begins(p: &RealPipeline, workdir: &Path, granules: &[GranuleId]) -> MemStorage {
+    let (mut finished, _) = Journal::open(MemStorage::new()).unwrap();
+    p.run_resumable(granules, &mut finished).unwrap();
+    let [_, shipped] = tile_files(workdir);
+    for name in shipped {
+        let tile_file = workdir.join("tiles").join(&name);
+        std::fs::rename(workdir.join("outbox").join(&name), &tile_file).unwrap();
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&tile_file)
+            .unwrap();
+        let span = RecordVarSpan::locate(&mut file, "aicca_label").unwrap();
+        for i in 0..span.numrecs() as u64 {
+            file.seek(SeekFrom::Start(span.begin() + i * span.record_stride()))
+                .unwrap();
+            file.write_all(&NC_FILL_INT.to_be_bytes()).unwrap();
+        }
+    }
+    let store = MemStorage::new();
+    let (mut journal, _) = Journal::open(store.clone()).unwrap();
+    let unfinished = finished
+        .events()
+        .iter()
+        .take_while(|e| !matches!(e, JournalEvent::StageFinished { .. }));
+    for event in unfinished.filter(|e| {
+        !matches!(
+            e,
+            JournalEvent::MonitorTriggered { .. } | JournalEvent::LabelsAppended { .. }
+        )
+    }) {
+        journal.append(event.clone()).unwrap();
+    }
+    store
+}
+
 #[test]
 fn real_run_killed_with_flows_in_flight_resumes_to_identical_artifacts() {
     let granules = day_granules();
@@ -256,16 +319,22 @@ fn real_run_killed_with_flows_in_flight_resumes_to_identical_artifacts() {
     let at = |event: JournalEvent| journal.events().iter().position(|e| *e == event).unwrap();
     let stage = at(JournalEvent::stage_started("inference"))
         ..=at(JournalEvent::stage_finished("inference"));
-    // The crawl's triggers are journaled before its first completion.
+    // Each granule's four work events in transition order, granule after
+    // granule.
     let inside = &journal.events()[*stage.start() + 1..*stage.end()];
-    let (triggers, completions) = inside.split_at(granules.len());
-    assert!(triggers
-        .iter()
-        .all(|e| matches!(e, JournalEvent::MonitorTriggered { .. })));
-    assert!(completions
-        .iter()
-        .all(|e| matches!(e, JournalEvent::LabelsAppended { .. })));
-    assert_eq!(completions.len(), granules.len());
+    for (g, burst) in granules.iter().zip(inside.chunks(4)) {
+        let file = format!("tiles-{g}.nc");
+        let downloaded = g.to_string();
+        assert!(
+            matches!(&burst[0], JournalEvent::FileDownloaded { file: f, .. } if *f == downloaded)
+        );
+        assert!(matches!(&burst[1], JournalEvent::TileFileWritten { file: f, .. } if *f == file));
+        assert_eq!(
+            burst[2],
+            JournalEvent::MonitorTriggered { file: file.clone() }
+        );
+        assert!(matches!(&burst[3], JournalEvent::LabelsAppended { file: f, .. } if *f == file));
+    }
 
     for kill_at in stage {
         let tag = format!("kill at inference event {kill_at}");
@@ -280,10 +349,12 @@ fn real_run_killed_with_flows_in_flight_resumes_to_identical_artifacts() {
         }
         drop(journal);
         // Every worker was joined before the call returned: each tile file
-        // is in exactly one place, whatever reached the outbox is labeled
-        // whole, and nothing moves between the return and the resume.
+        // is in at most one place (a kill before a granule was tiled leaves
+        // none), whatever reached the outbox is labeled whole, and nothing
+        // moves between the return and the resume.
         let [waiting, shipped] = tile_files(&dir);
-        assert_eq!(waiting.len() + shipped.len(), granules.len(), "{tag}");
+        assert!(waiting.len() + shipped.len() <= granules.len(), "{tag}");
+        assert!(waiting.iter().all(|name| !shipped.contains(name)), "{tag}");
         for name in &shipped {
             let mut file = std::fs::File::open(dir.join("outbox").join(name)).unwrap();
             assert!(read_labels(&mut file).unwrap().is_some(), "{tag}: {name}");
@@ -307,8 +378,8 @@ fn real_run_killed_with_flows_in_flight_resumes_to_identical_artifacts() {
 fn run_killed_with_three_files_mid_flow_resumes_to_identical_artifacts() {
     // What a kill can leave when several flows were running: one file
     // partly labeled, one labeled whole but not yet moved, one moved but
-    // not yet journaled. Stop a run as inference begins, put the first three
-    // tile files into those states by hand, and resume.
+    // not yet journaled. Put a run where inference begins, put the first
+    // three tile files into those states by hand, and resume.
     let granules = day_granules();
     let base_dir = tempdir("midflow-base");
     let store = MemStorage::new();
@@ -316,19 +387,10 @@ fn run_killed_with_three_files_mid_flow_resumes_to_identical_artifacts() {
     let baseline = pipeline(&base_dir)
         .run_resumable(&granules, &mut journal)
         .unwrap();
-    let first_trigger = journal
-        .events()
-        .iter()
-        .position(|e| matches!(e, JournalEvent::MonitorTriggered { .. }))
-        .expect("inference was journaled");
 
     let dir = tempdir("midflow");
     let p = pipeline(&dir);
-    let store = MemStorage::new();
-    let (mut journal, _) = Journal::open(store.clone()).unwrap();
-    journal.crash_after(first_trigger);
-    assert!(p.run_resumable(&granules, &mut journal).is_err());
-    drop(journal);
+    let store = as_inference_begins(&p, &dir, &granules);
 
     for (state, shipped) in baseline.outbox.iter().take(3).enumerate() {
         let labels = read_labels(&mut std::fs::File::open(shipped).unwrap())
