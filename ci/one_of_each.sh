@@ -10,7 +10,11 @@
 # crates/{transfer,executor,core}/src, when the executor or a driver starts
 # threads of its own, when realrun.rs grows a second pass or a directory
 # crawl, or when a by-name scan returns to the provenance log, and prints the
-# per-crate non-test line counts ROADMAP wants to see fall.
+# per-crate non-test line counts ROADMAP wants to see fall. Spans live once,
+# in eoml-obs: no `struct Span` / `Vec<Span>` in any other crate's source
+# (core's Telemetry keeps only the Fig. 6 activity series and forwards every
+# interval to the hub); and library code reads no environment variable
+# (`EOML_*` knobs belong to examples, tests and binaries).
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -102,6 +106,18 @@ if [ "$(hits '\.filter\(\|r\| r\.artifact ==' crates/core/src/provenance.rs)" -n
   complain "crates/core/src/provenance.rs scans the records for a name (use producer_indices)"
 fi
 
+# One span model (DESIGN §22): the span store is eoml-obs's.
+spans=$(callers '(struct Span\b|Vec<Span>)' crates/*/src | grep -v '^crates/obs/src/' || true)
+if [ -n "$spans" ]; then
+  complain "a span list outside crates/obs/src (record into the hub) in:"$'\n'"$spans"
+fi
+
+# Library code takes its settings as arguments, never from the environment.
+envs=$(callers 'env::var\(' crates/*/src || true)
+if [ -n "$envs" ]; then
+  complain "env::var( in library code (read EOML_* in examples, tests or binaries) in:"$'\n'"$envs"
+fi
+
 lines() {
   local n=0 f
   while read -r f; do
@@ -119,6 +135,7 @@ for crate in simtime transfer executor core; do
 done
 printf '  %-9s %6d\n' total "$total"
 printf '  %-9s %6d\n' realrun "$(nontest "$realrun" | wc -l)"
+printf '  %-9s %6d\n' telemetry "$(nontest crates/core/src/telemetry.rs | wc -l)"
 printf '  %-9s %6d\n' journal "$(lines journal)"
 
 exit "$fail"

@@ -55,8 +55,8 @@
 //! reported as text only.
 //!
 //! With `--archive[=DIR]` (default `bench-archive`) the whole run is
-//! additionally frozen as an [`eoml_obs::RunArchive`]: the campaign
-//! experiments (fig6/fig7) report into a shared hub whose span store,
+//! additionally frozen as an [`eoml_obs::RunArchive`]: the one campaign
+//! behind fig6/fig7 reports into a shared hub whose span store,
 //! folded profile, and every emitted table land under a digested
 //! manifest. Two such archives — e.g. this PR vs main — feed
 //! `eoml-obsctl diff` for ranked regression attribution.
@@ -65,7 +65,7 @@ use eoml_bench::TILES_PER_FILE;
 use eoml_cluster::contention::ContentionModel;
 use eoml_cluster::exec::ClusterModel;
 use eoml_cluster::spec::ClusterSpec;
-use eoml_core::campaign::{run_campaign, CampaignParams};
+use eoml_core::campaign::{run_campaign, CampaignParams, CampaignReport};
 use eoml_executor::simexec::{run_batch, BatchReport};
 use eoml_modis::catalog::Catalog;
 use eoml_modis::product::Platform;
@@ -99,9 +99,9 @@ eoml_obs::install_counting_allocator!();
 struct Emit {
     json_dir: Option<PathBuf>,
     tables: RefCell<Vec<Table>>,
-    /// Shared hub the campaign experiments report into when this run is
-    /// being archived (`--archive`); `None` keeps the legacy path.
-    obs: Option<Arc<Obs>>,
+    /// The hub the Fig. 6/7 campaign reports into — the only experiment
+    /// that does — and whose spans and metrics `--archive` freezes.
+    obs: Arc<Obs>,
     meta: RunMeta,
 }
 
@@ -205,7 +205,7 @@ fn main() {
     let emit = Emit {
         json_dir: cli.json_dir,
         tables: RefCell::new(Vec::new()),
-        obs: cli.archive_dir.as_ref().map(|_| Arc::new(Obs::new())),
+        obs: Obs::shared(),
         meta,
     };
     println!("eoml — paper figure/table reproduction harness");
@@ -228,14 +228,15 @@ fn main() {
     if want("table1") {
         table1_throughput(&emit);
     }
-    if want("fig6") {
-        fig6_timeline(&emit);
+    if want("fig6") || want("fig7") {
+        let report = fig6_fig7_campaign(&emit);
+        if want("fig6") {
+            fig6_timeline(&emit, &report);
+        }
+        if want("fig7") {
+            fig7_latency_breakdown(&emit);
+        }
     }
-    if want("fig7") {
-        fig7_latency_breakdown(&emit);
-    }
-    // `headline` follows fig6/fig7 so the archived span store (when
-    // `--archive` attached a hub above) covers the campaign experiments.
     if want("headline") {
         headline_12k_tiles(&emit);
     }
@@ -255,12 +256,7 @@ fn main() {
     // Freeze the run as a diffable archive *before* the compare pass, so
     // a failed gate still leaves the artifacts behind for attribution.
     if let Some(dir) = &cli.archive_dir {
-        let spans = emit.obs.as_ref().map(|o| o.spans()).unwrap_or_default();
-        let snapshot = emit
-            .obs
-            .as_ref()
-            .map(|o| o.metrics().snapshot())
-            .unwrap_or_default();
+        let (spans, snapshot) = (emit.obs.spans(), emit.obs.metrics().snapshot());
         match RunArchive::record(dir, &emit.meta, &spans, &snapshot, &tables, &[]) {
             Ok(archive) => println!(
                 "\narchived run under {} ({} spans, {} tables)",
@@ -604,28 +600,30 @@ fn table1_throughput(emit: &Emit) {
 
 // ------------------------------------------------------------------ fig 6
 
-/// Fig. 6: the automation timeline — active workers per stage over the
-/// campaign (3 download, 32 preprocess, 1 inference workers).
-fn fig6_timeline(emit: &Emit) {
-    println!("\n--- Fig. 6: automation timeline (3 download / 32 preprocess / 1 inference) ---");
-    let report = run_campaign(CampaignParams {
+/// The one campaign behind Figs. 6 and 7, observed by the bench's hub
+/// (Fig. 7 reads it).
+fn fig6_fig7_campaign(emit: &Emit) -> CampaignReport {
+    run_campaign(CampaignParams {
         files_per_day: 32,
         nodes: 4,
         workers_per_node: 8,
-        obs: emit.obs.clone(),
+        obs: Some(Arc::clone(&emit.obs)),
         ..CampaignParams::paper_demo()
-    });
-    let t_end = SimTime::from_secs_f64(report.makespan_s);
+    })
+}
+
+/// Fig. 6: the automation timeline — active workers per stage over the
+/// campaign (3 download, 32 preprocess, 1 inference workers).
+fn fig6_timeline(emit: &Emit, report: &CampaignReport) {
+    println!("\n--- Fig. 6: automation timeline (3 download / 32 preprocess / 1 inference) ---");
+    let (tel, t_end) = (&report.telemetry, SimTime::from_secs_f64(report.makespan_s));
     const SAMPLES: usize = 24;
-    let dl = report
-        .telemetry
-        .sample_activity("download", SimTime::ZERO, t_end, SAMPLES);
-    let pp = report
-        .telemetry
-        .sample_activity("preprocess", SimTime::ZERO, t_end, SAMPLES);
-    let inf = report
-        .telemetry
-        .sample_activity("inference", SimTime::ZERO, t_end, SAMPLES);
+    let sample = |stage| tel.sample_activity(stage, SimTime::ZERO, t_end, SAMPLES);
+    let (dl, pp, inf) = (
+        sample("download"),
+        sample("preprocess"),
+        sample("inference"),
+    );
     let mut table = Table::new("fig6", &["t_s", "download", "preprocess", "inference"]);
     for i in 0..SAMPLES {
         table.row(vec![
@@ -638,68 +636,52 @@ fn fig6_timeline(emit: &Emit) {
     emit.table(&table);
     println!(
         "peaks: download {}, preprocess {}, inference {} (paper: 3 / 32 / 1)",
-        report.telemetry.peak("download"),
-        report.telemetry.peak("preprocess"),
-        report.telemetry.peak("inference"),
+        tel.peak("download"),
+        tel.peak("preprocess"),
+        tel.peak("inference"),
     );
     println!(
         "inference overlaps preprocessing: {} (paper: yes)",
-        report.telemetry.stages_overlap("preprocess", "inference")
+        tel.stages_overlap("preprocess", "inference")
     );
 }
 
 // ------------------------------------------------------------------ fig 7
 
-/// Fig. 7: the workflow latency breakdown.
+/// Fig. 7: the workflow latency breakdown, from the hub's per-`(name,
+/// stage)` span histograms.
 fn fig7_latency_breakdown(emit: &Emit) {
     println!("\n--- Fig. 7: workflow latency breakdown ---");
-    let report = run_campaign(CampaignParams {
-        files_per_day: 32,
-        nodes: 4,
-        workers_per_node: 8,
-        obs: emit.obs.clone(),
-        ..CampaignParams::paper_demo()
-    });
-    let tel = &report.telemetry;
-    let preprocess_latency = tel.total_seconds("preprocess", "slurm_alloc")
-        + tel.total_seconds("preprocess", "parsl_start")
-        + tel.total_seconds("preprocess", "total");
+    let hist = |stage: &str, name: &str| emit.obs.metrics().histogram(name, stage);
+    let total = |stage: &str, name: &str| hist(stage, name).map_or(0.0, |h| h.sum());
+    let flow_action = hist("inference", "flow_action").map_or(0.0, |h| h.sum() / h.count() as f64);
+    let (slurm, parsl, tiles) = (
+        total("preprocess", "slurm_alloc"),
+        total("preprocess", "parsl_start"),
+        total("preprocess", "total"),
+    );
     let mut table = Table::new("fig7", &["component", "seconds", "paper_s"]);
-    table.row(vec![
-        Cell::str("download_launch"),
-        Cell::num(tel.total_seconds("download", "launch"), 2),
-        Cell::num(5.63, 2),
-    ]);
-    table.row(vec![
-        Cell::str("preprocess_total"),
-        Cell::num(preprocess_latency, 2),
-        Cell::num(32.80, 2),
-    ]);
-    table.row(vec![
-        Cell::str("  slurm_alloc"),
-        Cell::num(tel.total_seconds("preprocess", "slurm_alloc"), 2),
-        Cell::str(""),
-    ]);
-    table.row(vec![
-        Cell::str("  parsl_start"),
-        Cell::num(tel.total_seconds("preprocess", "parsl_start"), 2),
-        Cell::str(""),
-    ]);
-    table.row(vec![
-        Cell::str("  tile_creation"),
-        Cell::num(tel.total_seconds("preprocess", "total"), 2),
-        Cell::str(""),
-    ]);
-    table.row(vec![
-        Cell::str("flow_action_mean"),
-        Cell::num(tel.mean_seconds("inference", "flow_action"), 3),
-        Cell::num(0.050, 3),
-    ]);
-    table.row(vec![
-        Cell::str("shipment_transfer"),
-        Cell::num(tel.total_seconds("shipment", "transfer"), 2),
-        Cell::str(""),
-    ]);
+    for (component, seconds, digits, paper) in [
+        (
+            "download_launch",
+            total("download", "launch"),
+            2,
+            Some(5.63),
+        ),
+        ("preprocess_total", slurm + parsl + tiles, 2, Some(32.80)),
+        ("  slurm_alloc", slurm, 2, None),
+        ("  parsl_start", parsl, 2, None),
+        ("  tile_creation", tiles, 2, None),
+        ("flow_action_mean", flow_action, 3, Some(0.050)),
+        ("shipment_transfer", total("shipment", "transfer"), 2, None),
+    ] {
+        let paper = paper.map_or(Cell::str(""), |p| Cell::num(p, digits));
+        table.row(vec![
+            Cell::str(component),
+            Cell::num(seconds, digits),
+            paper,
+        ]);
+    }
     emit.table(&table);
     println!("(download launch = Globus Compute start + LAADS connect + file list;");
     println!(" preprocess = Parsl start + Slurm allocation + tile creation)");

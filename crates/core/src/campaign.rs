@@ -176,7 +176,7 @@ impl StageReport {
 pub struct CampaignReport {
     /// Per-stage summaries in execution order.
     pub stages: Vec<StageReport>,
-    /// All spans and activity timelines.
+    /// Per-stage activity timelines; the spans are in the attached hub.
     pub telemetry: Telemetry,
     /// The stage-1 download report.
     pub download: DownloadReport,
@@ -433,10 +433,8 @@ pub(crate) const DOWNLOAD_RETRIES: usize = 3;
 
 fn stage_download(sim: &mut Simulation<World>, progress: &P) {
     let launch = sim.state_mut().launch.sample().total();
-    let t0 = sim.now();
-    sim.state_mut()
-        .telemetry
-        .span("download", "launch", t0, t0 + launch);
+    let (t0, tel) = (sim.now(), &mut sim.state_mut().telemetry);
+    tel.span("download", "launch", t0, t0 + launch, None);
     let progress = Rc::clone(progress);
     sim.schedule_in(launch, move |sim| {
         let (files, workers) = {
@@ -551,7 +549,7 @@ fn finish_download(
         .resource_scope("download", "finish");
     {
         let tel = &mut sim.state_mut().telemetry;
-        tel.span("download", "transfer", started, now);
+        tel.span("download", "transfer", started, now, None);
         tel.merge_activity("download", &report.activity);
     }
     {
@@ -642,14 +640,11 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
         nodes,
         move |sim, _block, node_list| {
             let now = sim.now();
-            sim.state_mut()
-                .telemetry
-                .span("preprocess", "slurm_alloc", started, now);
             // Parsl interchange/worker start overhead.
             let parsl = Duration::from_secs_f64(sim.state_mut().rng.lognormal_mean_cv(1.6, 0.3));
-            sim.state_mut()
-                .telemetry
-                .span("preprocess", "parsl_start", now, now + parsl);
+            let tel = &mut sim.state_mut().telemetry;
+            tel.span("preprocess", "slurm_alloc", started, now, None);
+            tel.span("preprocess", "parsl_start", now, now + parsl, None);
             sim.schedule_in(parsl, move |sim| {
                 let tile_start = sim.now();
                 sim.state_mut().telemetry.span(
@@ -657,6 +652,7 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
                     "tile_creation_start",
                     tile_start,
                     tile_start,
+                    None,
                 );
                 // Fill every worker slot; start the monitor alongside.
                 let wpn = progress2.borrow().params.workers_per_node;
@@ -716,7 +712,7 @@ fn granule_preprocessed(
         // so queueing on the node block is visible to trace analysis.
         let trace = TraceContext::new(granule.to_string());
         let tel = &mut sim.state_mut().telemetry;
-        tel.span_traced("preprocess", "granule", submitted, now, Some(&trace));
+        tel.span("preprocess", "granule", submitted, now, Some(&trace));
         tel.count("granules", "preprocess", 1);
     }
     {
@@ -761,7 +757,7 @@ fn finish_preprocess(sim: &mut Simulation<World>, progress: &P, started: SimTime
     };
     sim.state_mut()
         .telemetry
-        .span("preprocess", "total", started, now);
+        .span("preprocess", "total", started, now, None);
     let mut p = progress.borrow_mut();
     let bytes = ByteSize::bytes((tiles * p.params.tile_nc_bytes as f64) as u64);
     p.stages.push(StageReport {
@@ -798,7 +794,7 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P, inference: &Inference
         let now = sim.now();
         let trace = granule_trace_id(&file).map(TraceContext::new);
         let tel = &mut sim.state_mut().telemetry;
-        tel.mark_traced("monitor", "trigger", now, trace.as_ref());
+        tel.span("monitor", "trigger", now, now, trace.as_ref());
         tel.count("triggers", "monitor", 1);
         let tiles = tile_file_tiles(p.params.seed, &file);
         jobs.push((file, tiles));
@@ -892,30 +888,20 @@ fn inference_pool(sim: &mut Simulation<World>, progress: &P) -> InferencePool {
             // Each hop pays the Globus-Flows action overhead (~50 ms) and
             // carries the file's granule trace so the flow joins its
             // end-to-end timeline.
-            let trace = granule_trace_id(&file).map(TraceContext::new);
+            let (now, trace) = (sim.now(), granule_trace_id(&file).map(TraceContext::new));
             let mut overhead = Duration::ZERO;
             for _ in 0..4 {
                 let hop = sim.state_mut().flow_overhead.sample().total();
-                let now = sim.now();
-                sim.state_mut().telemetry.span_traced(
-                    "inference",
-                    "flow_action",
-                    now + overhead,
-                    now + overhead + hop,
-                    trace.as_ref(),
-                );
+                let (from, to) = (now + overhead, now + overhead + hop);
+                let tel = &mut sim.state_mut().telemetry;
+                tel.span("inference", "flow_action", from, to, trace.as_ref());
                 overhead += hop;
             }
             let rate = progress.borrow().params.inference_rate;
             let compute = Duration::from_secs_f64(tiles / rate);
-            let now = sim.now();
-            sim.state_mut().telemetry.span_traced(
-                "inference",
-                "compute",
-                now + overhead,
-                now + overhead + compute,
-                trace.as_ref(),
-            );
+            let (from, to) = (now + overhead, now + overhead + compute);
+            let tel = &mut sim.state_mut().telemetry;
+            tel.span("inference", "compute", from, to, trace.as_ref());
             let (progress, pool) = (Rc::clone(&progress), pool.clone());
             sim.schedule_in(overhead + compute, move |sim| {
                 let bytes = (tiles * progress.borrow().params.tile_nc_bytes as f64) as u64;
@@ -1028,7 +1014,6 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
             retries: 0,
             submitted: started,
             finished: started,
-            file_times: files.iter().map(|(n, _)| (n.clone(), 0.0)).collect(),
             file_windows: files
                 .iter()
                 .map(|(n, _)| (n.clone(), started, started))
@@ -1059,22 +1044,20 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
             let now = sim.now();
             {
                 let tel = &mut sim.state_mut().telemetry;
-                tel.span("shipment", "transfer", started, now);
+                tel.span("shipment", "transfer", started, now, None);
                 // Per-file traced shipment windows close each granule's
                 // end-to-end trace (download → … → shipment).
                 for (name, from, to) in &report.file_windows {
                     let trace = granule_trace_id(name).map(TraceContext::new);
-                    tel.span_traced("shipment", "file", *from, *to, trace.as_ref());
+                    tel.span("shipment", "file", *from, *to, trace.as_ref());
                 }
                 tel.count("files_shipped", "shipment", report.files_ok as u64);
                 tel.count("bytes_shipped", "shipment", report.bytes.as_u64());
             }
             {
                 let now_s = now.as_secs_f64();
-                let shipped: Vec<String> =
-                    report.file_times.iter().map(|(n, _)| n.clone()).collect();
                 let prov = &mut sim.state_mut().provenance;
-                for name in shipped {
+                for (name, ..) in &report.file_windows {
                     prov.record(
                         format!("orion:{name}"),
                         "shipment",
@@ -1174,18 +1157,22 @@ mod tests {
 
     #[test]
     fn download_launch_is_about_5_6_seconds() {
-        let r = small_report();
-        let launch = r.telemetry.total_seconds("download", "launch");
+        let obs = Obs::shared();
+        run_campaign(CampaignParams::small().with_obs(Arc::clone(&obs)));
+        let launch = obs.metrics().histogram("launch", "download").unwrap().sum();
         assert!((3.5..9.0).contains(&launch), "launch {launch}");
     }
 
     #[test]
     fn flow_action_overhead_is_tens_of_milliseconds() {
-        let r = run_campaign(CampaignParams {
+        let obs = Obs::shared();
+        let params = CampaignParams {
             files_per_day: 12,
             ..CampaignParams::small()
-        });
-        let mean = r.telemetry.mean_seconds("inference", "flow_action");
+        };
+        run_campaign(params.with_obs(Arc::clone(&obs)));
+        let h = obs.metrics().histogram("flow_action", "inference").unwrap();
+        let mean = h.sum() / h.count() as f64;
         assert!((0.02..0.12).contains(&mean), "flow action mean {mean}");
     }
 
@@ -1343,7 +1330,7 @@ mod tests {
         let s0 = &j["stages"][0];
         assert_eq!(s0["name"], serde_json::json!(r.stages[0].name));
         assert_eq!(s0["items"], serde_json::json!(r.stages[0].items));
-        assert!(j["telemetry"]["spans"].as_array().is_some());
+        assert!(j["telemetry"]["activity"]["download"].as_array().is_some());
     }
 
     #[test]
@@ -1593,6 +1580,73 @@ mod tests {
         let parsed = serde_json::from_str(&obs.chrome_trace_json()).unwrap();
         let events = parsed["traceEvents"].as_array().unwrap();
         assert_eq!(events.len(), spans.len());
+    }
+
+    #[test]
+    fn observing_a_run_is_passive_and_an_unobserved_report_loses_nothing() {
+        use crate::streaming::{run_streaming_campaign, StreamingParams, StreamingReport};
+        let id = |m: &Option<ShipmentManifest>| m.as_ref().map(ShipmentManifest::id);
+        let streamed = |r: &StreamingReport| {
+            let counts = (
+                r.granules_downloaded,
+                r.granules_preprocessed,
+                r.labeled_files,
+            );
+            let shipped = (
+                r.shipped_files,
+                r.downloaded,
+                r.shipped,
+                r.retries,
+                r.makespan_s,
+            );
+            let activity = r.telemetry.activity.clone();
+            (r.stages.clone(), counts, shipped, activity, id(&r.manifest))
+        };
+        for seed in [1, 2022] {
+            let base = CampaignParams {
+                seed,
+                files_per_day: 12,
+                ..CampaignParams::small()
+            };
+            let obs = Obs::shared();
+            let plain = run_campaign(base.clone());
+            let observed = run_campaign(base.clone().with_obs(Arc::clone(&obs)));
+            assert_eq!(plain.to_json(), observed.to_json(), "seed {seed}");
+            assert_eq!(plain.telemetry.activity, observed.telemetry.activity);
+            assert_eq!(id(&plain.manifest), id(&observed.manifest));
+            // Fig. 7 from the hub: each histogram is the in-order sum of its
+            // spans' sim durations, to the bit.
+            let spans = obs.spans();
+            for (stage, name) in [
+                ("download", "launch"),
+                ("preprocess", "slurm_alloc"),
+                ("preprocess", "parsl_start"),
+                ("preprocess", "total"),
+                ("inference", "flow_action"),
+                ("shipment", "transfer"),
+            ] {
+                let h = obs.metrics().histogram(name, stage).unwrap();
+                let matching = spans.iter().filter(|s| s.stage == stage && s.name == name);
+                let sum = matching
+                    .clone()
+                    .fold(0.0, |acc, s| acc + s.sim_seconds().unwrap());
+                assert_eq!(h.sum().to_bits(), sum.to_bits(), "{stage}/{name}");
+                assert_eq!(h.count(), matching.count() as u64, "{stage}/{name}");
+            }
+
+            let streaming = StreamingParams {
+                base,
+                ..StreamingParams::demo()
+            };
+            let plain = run_streaming_campaign(streaming.clone());
+            let obs = Obs::shared();
+            let observed = run_streaming_campaign(StreamingParams {
+                base: streaming.base.with_obs(Arc::clone(&obs)),
+                ..streaming
+            });
+            assert!(obs.span_count() > 0);
+            assert_eq!(streamed(&plain), streamed(&observed), "seed {seed}");
+        }
     }
 
     #[test]

@@ -471,11 +471,11 @@ fn wan_scenario(
     // Phase 1 — full partition: every flow drops. The bounded budget
     // must give up instead of retrying forever.
     let partition_budget = 3 + (schedule.derive(salt) % 3) as usize;
-    let mut partition = FaultInjector::new(FaultPlan {
+    let cut_wan = FaultPlan {
         drop_probability: 1.0,
         corrupt_probability: 0.0,
-    })
-    .with_seed(schedule.derive(salt ^ 0x11));
+    };
+    let mut partition = FaultInjector::new(cut_wan, schedule.derive(salt ^ 0x11));
     let cut = reship_with_backoff(
         baseline_manifest,
         Some(baseline_sync),
@@ -494,11 +494,11 @@ fn wan_scenario(
     // has a workable per-attempt success probability.
     let drop_p = 0.05 + (schedule.derive(salt ^ 0x22) % 15) as f64 / 100.0;
     let corrupt_p = 0.02 + (schedule.derive(salt ^ 0x33) % 8) as f64 / 100.0;
-    let mut degraded = FaultInjector::new(FaultPlan {
+    let flaky_wan = FaultPlan {
         drop_probability: drop_p,
         corrupt_probability: corrupt_p,
-    })
-    .with_seed(schedule.derive(salt ^ 0x44));
+    };
+    let mut degraded = FaultInjector::new(flaky_wan, schedule.derive(salt ^ 0x44));
     let healed = reship_with_backoff(
         baseline_manifest,
         Some(baseline_sync),
@@ -548,7 +548,7 @@ fn ingestor_scenario(
     let dest_store = MemStorage::new();
     let (mut dest_journal, _) = Journal::open(dest_store.clone())?;
     let mut ingestor = Ingestor::new(DEST_FACILITY);
-    let mut clean = FaultInjector::new(FaultPlan::none()).with_seed(schedule.derive(salt));
+    let mut clean = FaultInjector::new(FaultPlan::none(), schedule.derive(salt));
     let received = receive(baseline_manifest, &mut clean);
 
     // First ingest verifies clean…

@@ -33,8 +33,8 @@
 //! on replay, or halts the run after a refused append.
 //!
 //! [`telemetry`] provides the instrumentation every driver feeds: per-stage
-//! worker-activity timelines (Fig. 6) and span-based latency breakdowns
-//! (Fig. 7).
+//! worker-activity timelines (Fig. 6), and spans forwarded to an attached
+//! `eoml-obs` hub, whose histograms are the latency breakdowns (Fig. 7).
 
 pub mod atlas;
 pub mod campaign;
@@ -61,5 +61,5 @@ pub use streaming::{
     run_streaming_campaign, try_run_streaming_campaign, StreamingError, StreamingParams,
     StreamingReport,
 };
-pub use telemetry::{Span, Telemetry};
+pub use telemetry::Telemetry;
 pub use world::World;

@@ -579,10 +579,10 @@ fn preprocess_batch(
             {
                 let trace = TraceContext::new(granule.to_string());
                 let tel = &mut sim.state_mut().telemetry;
-                tel.span_traced("preprocess", "granule", task.started, now, Some(&trace));
+                tel.span("preprocess", "granule", task.started, now, Some(&trace));
                 tel.count("granules", "preprocess", 1);
                 if tiles > 0.0 {
-                    tel.mark_traced("monitor", "trigger", now, Some(&trace));
+                    tel.span("monitor", "trigger", now, now, Some(&trace));
                     tel.count("triggers", "monitor", 1);
                 }
             }
@@ -618,15 +618,9 @@ fn inference_pool(
             let (pool, labeled) = (pool.clone(), labeled.clone());
             let inf_start = sim.now();
             sim.schedule_in(overhead + compute, move |sim| {
-                let now = sim.now();
-                let trace = granule_trace_id(&file).map(TraceContext::new);
-                sim.state_mut().telemetry.span_traced(
-                    "inference",
-                    "infer",
-                    inf_start,
-                    now,
-                    trace.as_ref(),
-                );
+                let (now, trace) = (sim.now(), granule_trace_id(&file).map(TraceContext::new));
+                let tel = &mut sim.state_mut().telemetry;
+                tel.span("inference", "infer", inf_start, now, trace.as_ref());
                 // Ship this labeled file immediately (streaming shipment).
                 // The label only becomes durable — and is only counted —
                 // once the shipment lands, so a crash between inference and
@@ -674,7 +668,7 @@ fn shipment_mover(sim: &mut Simulation<World>, st: &S) -> FileMover<World> {
             }
             let trace = granule_trace_id(&file.name).map(TraceContext::new);
             let tel = &mut sim.state_mut().telemetry;
-            tel.span_traced(
+            tel.span(
                 "shipment",
                 "ship",
                 file.started,

@@ -1,47 +1,25 @@
-//! Workflow instrumentation: spans and worker-activity timelines.
+//! Workflow instrumentation: worker-activity timelines and the span hub.
 //!
 //! Everything the paper's Figs. 6 and 7 plot comes through here: Fig. 6 is
-//! the per-stage active-worker count over time; Fig. 7 is the latency of
-//! each workflow component and the communication hops between them.
+//! the per-stage active-worker count over time, kept in [`Telemetry`];
+//! Fig. 7 is the latency of each workflow component and the communication
+//! hops between them, read from the attached hub's span histograms.
 
 use eoml_obs::{Obs, TraceContext};
 use eoml_simtime::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A named interval attributed to a stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Stage, e.g. `"download"`.
-    pub stage: String,
-    /// Component within the stage, e.g. `"launch"`, `"transfer"`.
-    pub name: String,
-    /// Start time.
-    pub start: SimTime,
-    /// End time.
-    pub end: SimTime,
-}
-
-impl Span {
-    /// Span duration in seconds.
-    pub fn seconds(&self) -> f64 {
-        (self.end - self.start).as_secs_f64()
-    }
-}
-
-/// Collected telemetry for one campaign.
+/// The per-stage worker timelines of one campaign, plus the hub its spans
+/// go to.
 ///
-/// Since the `eoml-obs` crate landed this is a thin adapter: the local
-/// `spans`/`activity` collections still feed the Fig. 6/7 reproduction
-/// code unchanged, and when an [`Obs`] hub is attached every span and
-/// activity change is mirrored into it (sim-stamped spans, an
-/// `active_workers` gauge, and the per-`(name, stage)` duration
-/// histograms), so one campaign run also yields Chrome traces,
-/// Prometheus dumps, and live sink events.
+/// Every interval a campaign records is an `eoml-obs` span: [`Telemetry::span`]
+/// forwards it to the attached [`Obs`] hub, whose per-`(name, stage)`
+/// duration histograms are what Fig. 7 reads, and a run with no hub records
+/// no spans at all. What only this struct keeps is the per-stage
+/// `(time, active workers)` series behind Fig. 6.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    /// All recorded spans, in recording order.
-    pub spans: Vec<Span>,
     /// Per-stage `(time, active workers)` change points.
     pub activity: BTreeMap<String, Vec<(SimTime, usize)>>,
     obs: Option<Arc<Obs>>,
@@ -53,7 +31,7 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Mirror everything recorded from now on into `obs`.
+    /// Send everything recorded from now on to `obs`.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
         self.obs = Some(obs);
     }
@@ -63,16 +41,10 @@ impl Telemetry {
         self.obs.as_ref()
     }
 
-    /// Record a completed span.
-    pub fn span(&mut self, stage: &str, name: &str, start: SimTime, end: SimTime) {
-        self.span_traced(stage, name, start, end, None);
-    }
-
-    /// [`Telemetry::span`] carrying a per-granule trace identity: the
-    /// mirrored obs span is stamped with `trace` so the interval joins
-    /// that granule's end-to-end trace. The local `spans` collection is
-    /// unchanged (Fig. 6/7 aggregation is trace-agnostic).
-    pub fn span_traced(
+    /// Record a completed span on the hub, stamped with the granule `trace`
+    /// it belongs to, if any. An instantaneous event (a monitor trigger) is
+    /// a span with `start == end`. No-op when no hub is attached.
+    pub fn span(
         &mut self,
         stage: &str,
         name: &str,
@@ -82,32 +54,8 @@ impl Telemetry {
     ) {
         assert!(end >= start, "span ends before it starts");
         if let Some(obs) = &self.obs {
-            obs.record_sim_span_traced(stage, name, start, end, trace, &[]);
+            obs.record_sim_span(stage, name, start, end, trace, &[]);
         }
-        self.spans.push(Span {
-            stage: stage.to_string(),
-            name: name.to_string(),
-            start,
-            end,
-        });
-    }
-
-    /// Record an instantaneous event (a zero-length span) — monitor
-    /// triggers, journal recovery points.
-    pub fn mark(&mut self, stage: &str, name: &str, t: SimTime) {
-        self.span(stage, name, t, t);
-    }
-
-    /// [`Telemetry::mark`] carrying a per-granule trace identity (see
-    /// [`Telemetry::span_traced`]).
-    pub fn mark_traced(
-        &mut self,
-        stage: &str,
-        name: &str,
-        t: SimTime,
-        trace: Option<&TraceContext>,
-    ) {
-        self.span_traced(stage, name, t, t, trace);
     }
 
     /// Bump an obs counter; no-op when no hub is attached.
@@ -181,30 +129,6 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
-    /// Sum of span durations matching `(stage, name)`.
-    pub fn total_seconds(&self, stage: &str, name: &str) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.stage == stage && s.name == name)
-            .map(Span::seconds)
-            .sum()
-    }
-
-    /// Mean duration of spans matching `(stage, name)`, or 0 if none.
-    pub fn mean_seconds(&self, stage: &str, name: &str) -> f64 {
-        let matching: Vec<f64> = self
-            .spans
-            .iter()
-            .filter(|s| s.stage == stage && s.name == name)
-            .map(Span::seconds)
-            .collect();
-        if matching.is_empty() {
-            0.0
-        } else {
-            matching.iter().sum::<f64>() / matching.len() as f64
-        }
-    }
-
     /// Whether two stages' activity overlapped in time (both nonzero at
     /// some change point) — how Fig. 6's preprocess/inference overlap is
     /// checked.
@@ -222,16 +146,11 @@ impl Telemetry {
         probe(a, b) || probe(b, a)
     }
 
-    /// Export everything as JSON for external plotting/telemetry tooling
-    /// (the paper's §V-A "telemetry tools for real-time workflow insights").
+    /// Export the activity timelines as JSON for external plotting tooling
+    /// (the paper's §V-A "telemetry tools for real-time workflow insights");
+    /// the spans export from the hub ([`Obs::jsonl`], [`Obs::chrome_trace_json`]).
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
-            "spans": self.spans.iter().map(|s| serde_json::json!({
-                "stage": s.stage,
-                "name": s.name,
-                "start_s": s.start.as_secs_f64(),
-                "end_s": s.end.as_secs_f64(),
-            })).collect::<Vec<_>>(),
             "activity": self.activity.iter().map(|(stage, series)| {
                 (stage.clone(), series.iter().map(|&(t, a)| {
                     serde_json::json!([t.as_secs_f64(), a])
@@ -271,15 +190,20 @@ mod tests {
 
     #[test]
     fn spans_record_and_aggregate() {
+        let obs = Obs::shared();
         let mut tel = Telemetry::new();
-        tel.span("download", "launch", t(0.0), t(5.63));
-        tel.span("download", "transfer", t(5.63), t(30.0));
-        tel.span("inference", "flow_action", t(40.0), t(40.05));
-        tel.span("inference", "flow_action", t(41.0), t(41.07));
-        assert_eq!(tel.spans.len(), 4);
-        assert!((tel.total_seconds("download", "launch") - 5.63).abs() < 1e-9);
-        assert!((tel.mean_seconds("inference", "flow_action") - 0.06).abs() < 1e-9);
-        assert_eq!(tel.mean_seconds("nope", "x"), 0.0);
+        tel.attach_obs(Arc::clone(&obs));
+        tel.span("download", "launch", t(0.0), t(5.63), None);
+        tel.span("download", "transfer", t(5.63), t(30.0), None);
+        tel.span("inference", "flow_action", t(40.0), t(40.05), None);
+        tel.span("inference", "flow_action", t(41.0), t(41.07), None);
+        assert_eq!(obs.span_count(), 4);
+        let m = obs.metrics();
+        let launch = m.histogram("launch", "download").unwrap();
+        assert!((launch.sum() - 5.63).abs() < 1e-9);
+        let action = m.histogram("flow_action", "inference").unwrap();
+        assert!((action.sum() / action.count() as f64 - 0.06).abs() < 1e-9);
+        assert!(m.histogram("x", "nope").is_none());
     }
 
     #[test]
@@ -339,12 +263,16 @@ mod tests {
 
     #[test]
     fn json_export_contains_spans_and_activity() {
+        let obs = Obs::shared();
         let mut tel = Telemetry::new();
-        tel.span("download", "launch", t(0.0), t(5.0));
+        tel.attach_obs(Arc::clone(&obs));
+        tel.span("download", "launch", t(0.0), t(5.0), None);
         tel.activity_change("preprocess", t(10.0), 8);
+        let spans = obs.spans();
+        assert_eq!(spans[0].stage, "download");
+        assert_eq!(spans[0].sim_end, Some(t(5.0)));
         let j = tel.to_json();
-        assert_eq!(j["spans"][0]["stage"], "download");
-        assert_eq!(j["spans"][0]["end_s"], 5.0);
+        assert!(j.get("spans").is_none());
         assert_eq!(j["activity"]["preprocess"][0][0], 10.0);
         assert_eq!(j["activity"]["preprocess"][0][1], 8);
     }
@@ -353,6 +281,6 @@ mod tests {
     #[should_panic(expected = "ends before it starts")]
     fn inverted_span_panics() {
         let mut tel = Telemetry::new();
-        tel.span("x", "y", t(2.0), t(1.0));
+        tel.span("x", "y", t(2.0), t(1.0), None);
     }
 }

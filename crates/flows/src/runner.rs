@@ -4,9 +4,12 @@
 use crate::definition::{FlowDefinition, FlowState};
 use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_obs::{Obs, TraceContext};
+use eoml_simtime::SimTime;
 use serde_json::{Map, Value};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
 eoml_util::typed_id!(
@@ -159,12 +162,14 @@ impl<'a> FlowRunner<'a> {
     fn obs_event(&self, flow: &FlowDefinition, state: &str, entered_at: f64, duration: f64) {
         let Some(obs) = &self.obs else { return };
         obs.counter_add("transitions", "flow", 1);
-        obs.record_sim_span_traced_secs(
+        let at = |secs: f64| SimTime::from_secs_f64(secs.max(0.0));
+        obs.record_sim_span(
             "flow",
             state,
-            entered_at,
-            entered_at + duration,
+            at(entered_at),
+            at(entered_at + duration),
             self.current_trace.as_ref(),
+            &[],
         );
         if matches!(flow.states.get(state), Some(FlowState::Action { .. })) {
             obs.counter_add("actions", "flow", 1);
@@ -177,28 +182,16 @@ impl<'a> FlowRunner<'a> {
         self.providers.insert(name.into(), provider);
     }
 
-    /// Execute one state of `flow`, mutating `ctx` in place. Returns either
-    /// the terminal status or the next state to enter, plus the virtual time
+    /// Execute one state of `flow`, mutating `ctx` in place. Returns the
+    /// next state to enter or the terminal status, plus the virtual time
     /// spent in the state.
-    fn step(&mut self, flow: &FlowDefinition, current: &str, ctx: &mut Value) -> Step {
-        let state = flow.states.get(current).expect("validated definition");
-        match state {
-            FlowState::Succeed => Step::Done {
-                status: RunStatus::Succeeded,
-                duration: self.transition_overhead,
-            },
-            FlowState::Fail { error } => Step::Done {
-                status: RunStatus::Failed(error.clone()),
-                duration: self.transition_overhead,
-            },
-            FlowState::Pass { next } => Step::Next {
-                state: next.clone(),
-                duration: self.transition_overhead,
-            },
-            FlowState::Wait { seconds, next } => Step::Next {
-                state: next.clone(),
-                duration: self.transition_overhead + seconds,
-            },
+    fn step(&mut self, flow: &FlowDefinition, current: &str, ctx: &mut Value) -> (Step, f64) {
+        let overhead = self.transition_overhead;
+        match flow.states.get(current).expect("validated definition") {
+            FlowState::Succeed => (Break(RunStatus::Succeeded), overhead),
+            FlowState::Fail { error } => (Break(RunStatus::Failed(error.clone())), overhead),
+            FlowState::Pass { next } => (Continue(next.clone()), overhead),
+            FlowState::Wait { seconds, next } => (Continue(next.clone()), overhead + seconds),
             FlowState::Choice {
                 variable,
                 cases,
@@ -211,10 +204,7 @@ impl<'a> FlowRunner<'a> {
                     .find(|(v, _)| *v == actual)
                     .map(|(_, n)| n.clone())
                     .unwrap_or_else(|| default.clone());
-                Step::Next {
-                    state: target,
-                    duration: self.transition_overhead,
-                }
+                (Continue(target), overhead)
             }
             FlowState::Action {
                 provider,
@@ -223,32 +213,24 @@ impl<'a> FlowRunner<'a> {
                 next,
             } => {
                 let resolved = resolve_params(parameters, ctx);
-                match self.providers.get_mut(provider.as_str()) {
-                    None => Step::Done {
-                        status: RunStatus::Failed(format!("no provider named {provider:?}")),
-                        duration: self.transition_overhead,
-                    },
-                    Some(p) => match p.invoke(provider, &resolved, ctx) {
-                        Ok(result) => {
-                            // Actions may report their own virtual
-                            // duration via a `_duration` field.
-                            let action_time = result
-                                .get("_duration")
-                                .and_then(Value::as_f64)
-                                .unwrap_or(0.0);
-                            if let Some(rp) = result_path {
-                                ctx[rp.as_str()] = result;
-                            }
-                            Step::Next {
-                                state: next.clone(),
-                                duration: self.transition_overhead + action_time,
-                            }
+                let Some(p) = self.providers.get_mut(provider.as_str()) else {
+                    let missing = format!("no provider named {provider:?}");
+                    return (Break(RunStatus::Failed(missing)), overhead);
+                };
+                match p.invoke(provider, &resolved, ctx) {
+                    Ok(result) => {
+                        // Actions may report their own virtual
+                        // duration via a `_duration` field.
+                        let action_time = result
+                            .get("_duration")
+                            .and_then(Value::as_f64)
+                            .unwrap_or(0.0);
+                        if let Some(rp) = result_path {
+                            ctx[rp.as_str()] = result;
                         }
-                        Err(e) => Step::Done {
-                            status: RunStatus::Failed(e),
-                            duration: self.transition_overhead,
-                        },
-                    },
+                        (Continue(next.clone()), overhead + action_time)
+                    }
+                    Err(e) => (Break(RunStatus::Failed(e)), overhead),
                 }
             }
         }
@@ -274,45 +256,11 @@ impl<'a> FlowRunner<'a> {
     pub fn run(&mut self, flow: &FlowDefinition, input: Value) -> FlowRun {
         let id = RunId::from_raw(self.next_run);
         self.next_run += 1;
-        let mut ctx = serde_json::json!({ "input": input });
-        let mut events = Vec::new();
-        let mut clock = 0.0f64;
-        let mut current = flow.start_at.clone();
-
-        for _ in 0..self.max_steps {
-            let entered_at = clock;
-            match self.step(flow, &current, &mut ctx) {
-                Step::Done { status, duration } => {
-                    self.obs_event(flow, &current, entered_at, duration);
-                    events.push(FlowEvent {
-                        state: current,
-                        entered_at,
-                        duration,
-                    });
-                    return FlowRun {
-                        id,
-                        status,
-                        context: ctx,
-                        events,
-                    };
-                }
-                Step::Next { state, duration } => {
-                    clock += duration;
-                    self.obs_event(flow, &current, entered_at, duration);
-                    events.push(FlowEvent {
-                        state: current.clone(),
-                        entered_at,
-                        duration,
-                    });
-                    current = state;
-                }
-            }
-        }
-        FlowRun {
-            id,
-            status: RunStatus::Failed(format!("exceeded {} steps", self.max_steps)),
-            context: ctx,
-            events,
+        let ctx = serde_json::json!({ "input": input });
+        let start = flow.start_at.clone();
+        match self.drive(flow, id, start, ctx, |_| Ok::<_, Infallible>(())) {
+            Ok(run) => run,
+            Err(never) => match never {},
         }
     }
 
@@ -353,7 +301,7 @@ impl<'a> FlowRunner<'a> {
                 events: Vec::new(),
             });
         }
-        let (mut current, mut ctx) = match journal.state().flow_states.get(&run) {
+        let (current, ctx) = match journal.state().flow_states.get(&run) {
             Some((state, context)) => (state.clone(), context.clone()),
             None => {
                 let ctx = serde_json::json!({ "input": input });
@@ -365,52 +313,65 @@ impl<'a> FlowRunner<'a> {
                 (flow.start_at.clone(), ctx)
             }
         };
+        self.drive(flow, id, current, ctx, |hop| {
+            let event = match hop {
+                Hop::Next(state, context) => JournalEvent::FlowTransition {
+                    run,
+                    state: state.to_string(),
+                    context: context.clone(),
+                },
+                Hop::Finished(RunStatus::Succeeded) => JournalEvent::FlowFinished {
+                    run,
+                    status: "succeeded".to_string(),
+                },
+                Hop::Finished(RunStatus::Failed(e)) => JournalEvent::FlowFinished {
+                    run,
+                    status: format!("failed:{e}"),
+                },
+            };
+            journal.append(event).map(drop)
+        })
+    }
+
+    /// The step loop both entry points share: execute states from `current`
+    /// until a terminal one (or the step limit), recording each into the
+    /// hub and the run's event log, and hand every transition to `hop` —
+    /// which journals it, or does nothing. An error from `hop` stops the run.
+    fn drive<E>(
+        &mut self,
+        flow: &FlowDefinition,
+        id: RunId,
+        mut current: String,
+        mut ctx: Value,
+        mut hop: impl FnMut(Hop<'_>) -> Result<(), E>,
+    ) -> Result<FlowRun, E> {
         let mut events = Vec::new();
         let mut clock = 0.0f64;
+        let mut finished = None;
         for _ in 0..self.max_steps {
             let entered_at = clock;
-            match self.step(flow, &current, &mut ctx) {
-                Step::Done { status, duration } => {
-                    self.obs_event(flow, &current, entered_at, duration);
-                    events.push(FlowEvent {
-                        state: current,
-                        entered_at,
-                        duration,
-                    });
-                    let tag = match &status {
-                        RunStatus::Succeeded => "succeeded".to_string(),
-                        RunStatus::Failed(e) => format!("failed:{e}"),
-                    };
-                    journal.append(JournalEvent::FlowFinished { run, status: tag })?;
-                    return Ok(FlowRun {
-                        id,
-                        status,
-                        context: ctx,
-                        events,
-                    });
+            let (next, duration) = self.step(flow, &current, &mut ctx);
+            self.obs_event(flow, &current, entered_at, duration);
+            events.push(FlowEvent {
+                state: current,
+                entered_at,
+                duration,
+            });
+            match next {
+                Break(status) => {
+                    finished = Some(status);
+                    break;
                 }
-                Step::Next { state, duration } => {
+                Continue(state) => {
                     clock += duration;
-                    self.obs_event(flow, &current, entered_at, duration);
-                    events.push(FlowEvent {
-                        state: current.clone(),
-                        entered_at,
-                        duration,
-                    });
-                    journal.append(JournalEvent::FlowTransition {
-                        run,
-                        state: state.clone(),
-                        context: ctx.clone(),
-                    })?;
+                    hop(Hop::Next(&state, &ctx))?;
                     current = state;
                 }
             }
         }
-        let status = RunStatus::Failed(format!("exceeded {} steps", self.max_steps));
-        journal.append(JournalEvent::FlowFinished {
-            run,
-            status: format!("failed:exceeded {} steps", self.max_steps),
-        })?;
+        let status = finished
+            .unwrap_or_else(|| RunStatus::Failed(format!("exceeded {} steps", self.max_steps)));
+        hop(Hop::Finished(&status))?;
         Ok(FlowRun {
             id,
             status,
@@ -420,13 +381,16 @@ impl<'a> FlowRunner<'a> {
     }
 }
 
-/// Outcome of executing a single state.
-enum Step {
-    /// The run reached a terminal state (or failed).
-    Done { status: RunStatus, duration: f64 },
-    /// Continue to the named state.
-    Next { state: String, duration: f64 },
+/// A transition the step loop reports: the state entered next, with the
+/// context accumulated so far, or the run's terminal status.
+enum Hop<'a> {
+    Next(&'a str, &'a Value),
+    Finished(&'a RunStatus),
 }
+
+/// Outcome of executing a single state: continue to the named state, or
+/// stop with the run's terminal status.
+type Step = ControlFlow<RunStatus, String>;
 
 impl Default for FlowRunner<'_> {
     fn default() -> Self {

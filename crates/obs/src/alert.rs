@@ -417,7 +417,7 @@ mod tests {
     use eoml_simtime::SimTime;
 
     fn record(obs: &Obs, stage: &str, start: f64, end: f64) {
-        obs.record_sim_span_traced(
+        obs.record_sim_span(
             stage,
             "work",
             SimTime::from_secs_f64(start),

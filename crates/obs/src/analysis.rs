@@ -494,7 +494,7 @@ mod tests {
     use eoml_simtime::SimTime;
 
     fn sim_span(obs: &Obs, stage: &str, name: &str, start: f64, end: f64, trace: &TraceContext) {
-        obs.record_sim_span_traced(
+        obs.record_sim_span(
             stage,
             name,
             SimTime::from_secs_f64(start),

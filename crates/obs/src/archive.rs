@@ -394,7 +394,7 @@ mod tests {
             ("preprocess", "granule", 12.0, 30.0),
             ("inference", "infer", 32.0, 40.0),
         ] {
-            obs.record_sim_span_traced(
+            obs.record_sim_span(
                 stage,
                 name,
                 SimTime::from_secs_f64(a),

@@ -655,7 +655,7 @@ mod tests {
         let obs = Obs::new();
         let t = TraceContext::new("g1");
         let span = |stage: &str, name: &str, a: f64, b: f64| {
-            obs.record_sim_span_traced(
+            obs.record_sim_span(
                 stage,
                 name,
                 SimTime::from_secs_f64(a),
@@ -794,7 +794,7 @@ mod tests {
     fn flame_diff_lists_both_sides_with_zero_fill() {
         let a = archive_of("flame_a", &run_obs(20.0, 0.0), 7, "cfg");
         let only_b = Obs::new();
-        only_b.record_sim_span_traced(
+        only_b.record_sim_span(
             "labeling",
             "write",
             SimTime::from_secs_f64(0.0),

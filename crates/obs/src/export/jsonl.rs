@@ -321,7 +321,7 @@ mod tests {
         use crate::TraceContext;
         use eoml_simtime::SimTime;
         let obs = crate::Obs::new();
-        obs.record_sim_span_traced(
+        obs.record_sim_span(
             "download",
             "file",
             SimTime::from_secs_f64(1.5),
@@ -377,7 +377,7 @@ mod tests {
         use crate::TraceContext;
         use eoml_simtime::SimTime;
         let obs = crate::Obs::new();
-        obs.record_sim_span_traced(
+        obs.record_sim_span(
             "download",
             "file",
             SimTime::ZERO,

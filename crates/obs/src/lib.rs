@@ -20,8 +20,9 @@
 //!
 //! One [`Obs`] instance (usually behind an `Arc`) observes a whole
 //! campaign; every pipeline crate takes an optional handle and records
-//! into it. The legacy `eoml-core` `Telemetry` struct stays as a thin
-//! adapter over this collector.
+//! into it. It is the only span store: `eoml-core`'s `Telemetry` forwards
+//! every simulated interval here and keeps only the Fig. 6 worker
+//! timelines, so a campaign run without a hub records no spans at all.
 //!
 //! ```
 //! use eoml_obs::Obs;
@@ -38,6 +39,8 @@
 //!     "transfer",
 //!     SimTime::ZERO,
 //!     SimTime::from_secs_f64(12.5),
+//!     None,
+//!     &[],
 //! );
 //! obs.metrics().counter_add("files", "download", 1);
 //! let trace = obs.chrome_trace_json(); // paste into Perfetto
@@ -252,39 +255,11 @@ impl Obs {
     }
 
     /// Record a span whose interval is known in simulation time (the
-    /// virtual-time campaigns). Wall-clock bounds collapse to "now".
-    /// Returns the span id.
-    pub fn record_sim_span(&self, stage: &str, name: &str, start: SimTime, end: SimTime) -> u64 {
-        self.record_sim_span_with(stage, name, start, end, &[])
-    }
-
-    /// [`Obs::record_sim_span`] for callers that track virtual time as
-    /// plain f64 seconds (the flow runner's clock).
-    pub fn record_sim_span_secs(&self, stage: &str, name: &str, start_s: f64, end_s: f64) -> u64 {
-        self.record_sim_span(
-            stage,
-            name,
-            SimTime::from_secs_f64(start_s.max(0.0)),
-            SimTime::from_secs_f64(end_s.max(0.0)),
-        )
-    }
-
-    /// [`Obs::record_sim_span`] with attributes.
-    pub fn record_sim_span_with(
-        &self,
-        stage: &str,
-        name: &str,
-        start: SimTime,
-        end: SimTime,
-        attrs: &[(&str, &str)],
-    ) -> u64 {
-        self.record_sim_span_traced(stage, name, start, end, None, attrs)
-    }
-
-    /// [`Obs::record_sim_span_with`] tagged with the pipeline item
-    /// (granule) the work belonged to. The per-granule trace analysis
-    /// ([`analysis::TraceAnalysis`]) groups spans by this id.
-    pub fn record_sim_span_traced(
+    /// virtual-time campaigns), tagged with the pipeline item (granule)
+    /// the work belonged to, if any — the per-granule trace analysis
+    /// ([`analysis::TraceAnalysis`]) groups spans by this id. Wall-clock
+    /// bounds collapse to "now". Returns the span id.
+    pub fn record_sim_span(
         &self,
         stage: &str,
         name: &str,
@@ -313,26 +288,6 @@ impl Obs {
         };
         self.commit(record);
         id
-    }
-
-    /// [`Obs::record_sim_span_traced`] for f64-seconds virtual clocks
-    /// (the flow runner).
-    pub fn record_sim_span_traced_secs(
-        &self,
-        stage: &str,
-        name: &str,
-        start_s: f64,
-        end_s: f64,
-        trace: Option<&TraceContext>,
-    ) -> u64 {
-        self.record_sim_span_traced(
-            stage,
-            name,
-            SimTime::from_secs_f64(start_s.max(0.0)),
-            SimTime::from_secs_f64(end_s.max(0.0)),
-            trace,
-            &[],
-        )
     }
 
     /// Every span lands here: collector push, duration histogram, stage
@@ -544,7 +499,14 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let flow = obs.span_under(stage_id, "inference", "flow");
-                obs.record_sim_span_secs("flow", "Infer", 0.0, 0.05);
+                obs.record_sim_span(
+                    "flow",
+                    "Infer",
+                    SimTime::from_secs_f64(0.0),
+                    SimTime::from_secs_f64(0.05),
+                    None,
+                    &[],
+                );
                 drop(flow);
                 drop(obs.span("inference", "unparented"));
             });
@@ -565,6 +527,8 @@ mod tests {
             "transfer",
             SimTime::from_secs_f64(10.0),
             SimTime::from_secs_f64(22.5),
+            None,
+            &[],
         );
         let spans = obs.spans();
         assert_eq!(spans.len(), 1);
@@ -593,6 +557,8 @@ mod tests {
             "transfer",
             SimTime::ZERO,
             SimTime::from_secs_f64(1.0),
+            None,
+            &[],
         );
         let seen = events.lock().unwrap();
         assert_eq!(seen.len(), 3);
@@ -636,7 +602,7 @@ mod tests {
     fn traced_sim_spans_carry_the_trace_id() {
         let obs = Obs::new();
         let trace = TraceContext::new("MOD.A2022001.0610");
-        obs.record_sim_span_traced(
+        obs.record_sim_span(
             "download",
             "file",
             SimTime::ZERO,
@@ -647,7 +613,7 @@ mod tests {
         let mut guard = obs.span("inference", "flow");
         guard.set_trace(&trace);
         drop(guard);
-        obs.record_sim_span("monitor", "poll", SimTime::ZERO, SimTime::ZERO);
+        obs.record_sim_span("monitor", "poll", SimTime::ZERO, SimTime::ZERO, None, &[]);
         let spans = obs.spans();
         assert_eq!(spans.len(), 3);
         let traced: Vec<_> = spans
@@ -669,12 +635,16 @@ mod tests {
             "transfer",
             SimTime::ZERO,
             SimTime::from_secs_f64(2.0),
+            None,
+            &[],
         );
         obs.record_sim_span(
             "inference",
             "flow_action",
             SimTime::ZERO,
             SimTime::from_secs_f64(1.0),
+            None,
+            &[],
         );
         let health = obs.stage_health();
         let dl = health.iter().find(|h| h.stage == "download").unwrap();

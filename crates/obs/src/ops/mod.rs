@@ -625,12 +625,16 @@ mod tests {
             "work",
             eoml_simtime::SimTime::ZERO,
             eoml_simtime::SimTime::from_secs_f64(10.0),
+            None,
+            &[],
         );
         obs.record_sim_span(
             "download",
             "work",
             eoml_simtime::SimTime::from_secs_f64(10.0),
             eoml_simtime::SimTime::from_secs_f64(120.0),
+            None,
+            &[],
         );
         assert_eq!(plane.alerts_active(), 1);
         let report = plane.health();
@@ -642,6 +646,8 @@ mod tests {
             "work",
             eoml_simtime::SimTime::from_secs_f64(120.0),
             eoml_simtime::SimTime::from_secs_f64(125.0),
+            None,
+            &[],
         );
         assert_eq!(plane.alerts_active(), 0);
         assert_eq!(plane.health().state, HealthState::Healthy);

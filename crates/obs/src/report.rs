@@ -303,7 +303,7 @@ mod tests {
             ("preprocess", "granule", 12.0, 30.0),
             ("inference", "infer", 32.0, 40.0),
         ] {
-            obs.record_sim_span_traced(
+            obs.record_sim_span(
                 stage,
                 name,
                 SimTime::from_secs_f64(a),
@@ -373,7 +373,14 @@ mod tests {
             ("tenant:acme", 5.0, 6.0),
             ("tenant:zip", 1.0, 2.0),
         ] {
-            obs.record_sim_span_secs(tenant, "quantum", a, b);
+            obs.record_sim_span(
+                tenant,
+                "quantum",
+                SimTime::from_secs_f64(a),
+                SimTime::from_secs_f64(b),
+                None,
+                &[],
+            );
         }
         obs.metrics().counter_add("granules", "tenant:acme", 7);
         obs.metrics().counter_add("granules", "tenant:zip", 1);
@@ -393,8 +400,22 @@ mod tests {
     #[test]
     fn stage_prefix_slice_never_captures_sibling_with_shared_prefix() {
         let obs = Obs::new();
-        obs.record_sim_span_secs("tenant:t1", "quantum", 0.0, 5.0);
-        obs.record_sim_span_secs("tenant:t10", "quantum", 0.0, 50.0);
+        obs.record_sim_span(
+            "tenant:t1",
+            "quantum",
+            SimTime::from_secs_f64(0.0),
+            SimTime::from_secs_f64(5.0),
+            None,
+            &[],
+        );
+        obs.record_sim_span(
+            "tenant:t10",
+            "quantum",
+            SimTime::from_secs_f64(0.0),
+            SimTime::from_secs_f64(50.0),
+            None,
+            &[],
+        );
         obs.metrics().counter_add("granules", "tenant:t1", 1);
         obs.metrics().counter_add("granules", "tenant:t10", 99);
         let t1 = ObsReport::for_stage_prefix(&obs, "tenant:t1");

@@ -222,7 +222,7 @@ mod tests {
     use eoml_simtime::SimTime;
 
     fn span(obs: &Obs, stage: &str, name: &str, start: f64, end: f64, trace: &str) {
-        obs.record_sim_span_traced(
+        obs.record_sim_span(
             stage,
             name,
             SimTime::from_secs_f64(start),

@@ -29,6 +29,8 @@ fn chrome_trace_round_trips_with_nesting() {
         "transfer",
         SimTime::from_secs_f64(5.0),
         SimTime::from_secs_f64(17.0),
+        None,
+        &[],
     );
 
     let text = obs.chrome_trace_json();

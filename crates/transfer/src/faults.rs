@@ -63,21 +63,11 @@ impl FaultPlan {
     }
 }
 
-/// Default seed for [`FaultInjector`] when neither the builder nor
-/// `EOML_FAULT_SEED` picks one.
-pub const DEFAULT_FAULT_SEED: u64 = 0xfa17_0b5e_ed00_0001;
-
 /// A [`FaultPlan`] bundled with its own deterministically seeded RNG —
 /// the reproducible fault source the ingest-verification path samples.
 ///
-/// Seed resolution, in priority order:
-/// 1. an explicit [`FaultInjector::with_seed`] builder call,
-/// 2. the `EOML_FAULT_SEED` environment variable,
-/// 3. [`DEFAULT_FAULT_SEED`].
-///
 /// Two injectors built from the same plan and seed produce the same
-/// outcome sequence, so a failing corruption/loss test reruns
-/// identically under `EOML_FAULT_SEED=<n>`.
+/// outcome sequence, so a failing corruption/loss test reruns identically.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -85,52 +75,9 @@ pub struct FaultInjector {
     rng: Xoshiro256,
 }
 
-/// Resolve the `EOML_FAULT_SEED` override: `Ok(None)` when unset (or set
-/// to the empty string), `Ok(Some(seed))` for a valid decimal u64, and a
-/// descriptive `Err` for anything else. A malformed seed must fail loudly:
-/// silently falling back to [`DEFAULT_FAULT_SEED`] would let a typo'd
-/// reproduction run "reproduce" a different fault stream than the one the
-/// user asked for.
-fn parse_env_seed(raw: Option<&str>) -> Result<Option<u64>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    trimmed.parse::<u64>().map(Some).map_err(|e| {
-        format!("EOML_FAULT_SEED={raw:?} is not a valid u64 fault seed ({e}); unset it or pass a decimal integer")
-    })
-}
-
 impl FaultInjector {
-    /// Injector over `plan`, seeded from `EOML_FAULT_SEED` when set,
-    /// else [`DEFAULT_FAULT_SEED`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message when `EOML_FAULT_SEED` is set
-    /// but malformed — a typo'd seed must never silently reproduce the
-    /// default stream. Use [`FaultInjector::try_new`] for a typed error.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self::try_new(plan).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`FaultInjector::new`] with the malformed-`EOML_FAULT_SEED` case
-    /// surfaced as a typed error instead of a panic.
-    pub fn try_new(plan: FaultPlan) -> Result<Self, String> {
-        let env = std::env::var("EOML_FAULT_SEED").ok();
-        let seed = parse_env_seed(env.as_deref())?.unwrap_or(DEFAULT_FAULT_SEED);
-        Ok(Self::seeded(plan, seed))
-    }
-
-    /// Builder: replace the seed (and reset the stream).
-    pub fn with_seed(self, seed: u64) -> Self {
-        Self::seeded(self.plan, seed)
-    }
-
-    fn seeded(plan: FaultPlan, seed: u64) -> Self {
+    /// Injector over `plan` whose outcome stream starts from `seed`.
+    pub fn new(plan: FaultPlan, seed: u64) -> Self {
         Self {
             plan,
             seed,
@@ -141,11 +88,6 @@ impl FaultInjector {
     /// The seed this injector's stream started from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The plan being sampled.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     /// Sample the next flow outcome.
@@ -213,44 +155,23 @@ mod tests {
             drop_probability: 0.3,
             corrupt_probability: 0.3,
         };
-        let mut a = FaultInjector::new(plan).with_seed(77);
-        let mut b = FaultInjector::new(plan).with_seed(77);
+        let mut a = FaultInjector::new(plan, 77);
+        let mut b = FaultInjector::new(plan, 77);
         assert_eq!(a.seed(), 77);
         for _ in 0..200 {
             assert_eq!(a.sample(), b.sample());
         }
         assert_eq!(a.corrupt_digest(0x1234), b.corrupt_digest(0x1234));
         // A different seed diverges somewhere in the stream.
-        let mut c = FaultInjector::new(plan).with_seed(78);
-        let mut a = FaultInjector::new(plan).with_seed(77);
+        let mut c = FaultInjector::new(plan, 78);
+        let mut a = FaultInjector::new(plan, 77);
         let diverged = (0..200).any(|_| a.sample() != c.sample());
         assert!(diverged, "seeds 77 and 78 produced identical streams");
     }
 
     #[test]
-    fn env_seed_parsing_rejects_malformed_values() {
-        // Unset and empty both mean "no override".
-        assert_eq!(parse_env_seed(None), Ok(None));
-        assert_eq!(parse_env_seed(Some("")), Ok(None));
-        assert_eq!(parse_env_seed(Some("   ")), Ok(None));
-        // Valid decimal seeds pass through (whitespace tolerated).
-        assert_eq!(parse_env_seed(Some("42")), Ok(Some(42)));
-        assert_eq!(parse_env_seed(Some(" 99 ")), Ok(Some(99)));
-        assert_eq!(
-            parse_env_seed(Some("18446744073709551615")),
-            Ok(Some(u64::MAX))
-        );
-        // Malformed values are errors, never a silent default fallback.
-        for bad in ["0x10", "12abc", "-3", "1e9", "18446744073709551616"] {
-            let err = parse_env_seed(Some(bad)).unwrap_err();
-            assert!(err.contains("EOML_FAULT_SEED"), "{err}");
-            assert!(err.contains(bad), "{err} should name the bad value");
-        }
-    }
-
-    #[test]
     fn corrupt_digest_always_differs() {
-        let mut inj = FaultInjector::new(FaultPlan::none()).with_seed(5);
+        let mut inj = FaultInjector::new(FaultPlan::none(), 5);
         for d in [0u64, 1, u64::MAX, 0xabcd] {
             assert_ne!(inj.corrupt_digest(d), d);
         }

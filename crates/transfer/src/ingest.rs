@@ -376,11 +376,12 @@ impl Ingestor {
         let stage_key = format!("facility:{}", self.facility);
         if self.acked.contains(&manifest_id) {
             if let Some(obs) = &self.obs {
-                obs.record_sim_span_with(
+                obs.record_sim_span(
                     "ingest",
                     "duplicate_ack",
                     eoml_simtime::SimTime::from_secs_f64(now_s.max(0.0)),
                     eoml_simtime::SimTime::from_secs_f64(now_s.max(0.0)),
+                    None,
                     &[
                         ("facility", self.facility.as_str()),
                         ("manifest", manifest_id.as_str()),
@@ -424,7 +425,7 @@ impl Ingestor {
                     let took = r.bytes as f64 / self.verify_rate_bps;
                     if let Some(obs) = &self.obs {
                         let trace = entry.trace_id.as_deref().map(TraceContext::new);
-                        obs.record_sim_span_traced(
+                        obs.record_sim_span(
                             "ingest",
                             "verify",
                             eoml_simtime::SimTime::from_secs_f64(clock.max(0.0)),
@@ -455,11 +456,12 @@ impl Ingestor {
             if !errors.is_empty() {
                 obs.counter_add("verify_failures", &stage_key, errors.len() as u64);
                 for e in &errors {
-                    obs.record_sim_span_with(
+                    obs.record_sim_span(
                         "ingest",
                         "verify_failed",
                         eoml_simtime::SimTime::from_secs_f64(clock.max(0.0)),
                         eoml_simtime::SimTime::from_secs_f64(clock.max(0.0)),
+                        None,
                         &[
                             ("facility", self.facility.as_str()),
                             ("artifact", e.artifact()),
@@ -608,8 +610,8 @@ mod tests {
             drop_probability: 0.2,
             corrupt_probability: 0.2,
         };
-        let r1 = receive(&m, &mut FaultInjector::new(plan).with_seed(42));
-        let r2 = receive(&m, &mut FaultInjector::new(plan).with_seed(42));
+        let r1 = receive(&m, &mut FaultInjector::new(plan, 42));
+        let r2 = receive(&m, &mut FaultInjector::new(plan, 42));
         assert_eq!(r1, r2, "same seed, same corruption/loss pattern");
         let mut a = Ingestor::new("frontier-orion");
         let mut b = Ingestor::new("frontier-orion");

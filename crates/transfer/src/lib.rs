@@ -49,7 +49,7 @@ pub mod sync;
 
 pub use backoff::BackoffPolicy;
 pub use endpoint::{Endpoint, EndpointId};
-pub use faults::{FaultInjector, FaultPlan, FlowOutcome, DEFAULT_FAULT_SEED};
+pub use faults::{FaultInjector, FaultPlan, FlowOutcome};
 pub use flownet::{FlowId, FlowNetwork, HasNetwork};
 pub use ingest::{receive, IngestError, IngestReport, Ingestor, ReceivedArtifact};
 pub use manifest::{

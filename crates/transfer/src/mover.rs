@@ -146,7 +146,7 @@ impl<S: HasNetwork> Mover<S> {
             };
             if let Some(obs) = &self.obs {
                 let trace = (self.trace_for)(&timing.name);
-                obs.record_sim_span_traced(
+                obs.record_sim_span(
                     "download",
                     "file",
                     timing.started,

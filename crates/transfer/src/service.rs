@@ -61,8 +61,6 @@ pub struct TransferReport {
     pub submitted: SimTime,
     /// Completion time.
     pub finished: SimTime,
-    /// Per-file `(name, seconds)` for delivered files.
-    pub file_times: Vec<(String, f64)>,
     /// Per-file `(name, started, finished)` windows for delivered files —
     /// what per-granule shipment spans are recorded from.
     pub file_windows: Vec<(String, SimTime, SimTime)>,
@@ -115,11 +113,6 @@ pub fn submit_transfer<S: HasNetwork>(
                 retries: moved.retries,
                 submitted: moved.started,
                 finished: moved.finished,
-                file_times: moved
-                    .files
-                    .iter()
-                    .map(|f| (f.name.clone(), (f.finished - f.started).as_secs_f64()))
-                    .collect(),
                 file_windows: moved
                     .files
                     .into_iter()
@@ -307,15 +300,20 @@ mod tests {
         );
         s.run();
         let r = s.state().report.as_ref().expect("report");
-        assert_eq!(r.file_times.len(), 4);
-        for (name, t) in &r.file_times {
+        let file_times: Vec<(&String, f64)> = r
+            .file_windows
+            .iter()
+            .map(|(name, started, finished)| (name, (*finished - *started).as_secs_f64()))
+            .collect();
+        assert_eq!(file_times.len(), 4);
+        for (name, t) in &file_times {
             assert!(name.starts_with("file"));
             assert!((t - 1.0).abs() < 1e-6, "{name}: {t}");
         }
         // Windows agree with the elapsed times and the task bounds.
         assert_eq!(r.file_windows.len(), 4);
-        for ((name, t), (wname, started, finished)) in r.file_times.iter().zip(&r.file_windows) {
-            assert_eq!(name, wname);
+        for ((name, t), (wname, started, finished)) in file_times.iter().zip(&r.file_windows) {
+            assert_eq!(*name, wname);
             assert!(((*finished - *started).as_secs_f64() - t).abs() < 1e-9);
             assert!(*started >= r.submitted && *finished <= r.finished);
         }

@@ -515,11 +515,13 @@ mod tests {
         let (sync, manifest) = sync_and_manifest();
         let mut ing = Ingestor::new("frontier-orion");
         // Heavy but recoverable loss, deterministic stream.
-        let mut faults = FaultInjector::new(FaultPlan {
-            drop_probability: 0.6,
-            corrupt_probability: 0.2,
-        })
-        .with_seed(1207);
+        let mut faults = FaultInjector::new(
+            FaultPlan {
+                drop_probability: 0.6,
+                corrupt_probability: 0.2,
+            },
+            1207,
+        );
         let policy = BackoffPolicy::wan_default();
         let out = reship_with_backoff(
             &manifest,
@@ -551,11 +553,13 @@ mod tests {
         let (sync, manifest) = sync_and_manifest();
         let mut ing = Ingestor::new("frontier-orion");
         // Total partition: every artifact drops, every attempt.
-        let mut faults = FaultInjector::new(FaultPlan {
-            drop_probability: 1.0,
-            corrupt_probability: 0.0,
-        })
-        .with_seed(7);
+        let mut faults = FaultInjector::new(
+            FaultPlan {
+                drop_probability: 1.0,
+                corrupt_probability: 0.0,
+            },
+            7,
+        );
         let policy = BackoffPolicy::wan_default();
         let out = reship_with_backoff(
             &manifest,

@@ -29,7 +29,7 @@ proptest! {
             drop_probability: p_drop,
             corrupt_probability: p_corrupt,
         };
-        let mut inj = FaultInjector::new(plan).with_seed(seed);
+        let mut inj = FaultInjector::new(plan, seed);
         let (mut drops, mut corrupts, mut successes) = (0usize, 0usize, 0usize);
         for _ in 0..DRAWS {
             match inj.sample() {
@@ -76,8 +76,8 @@ proptest! {
             drop_probability: drop_pct as f64 / 100.0,
             corrupt_probability: corrupt_pct as f64 / 100.0,
         };
-        let mut a = FaultInjector::new(plan).with_seed(seed);
-        let mut b = FaultInjector::new(plan).with_seed(seed);
+        let mut a = FaultInjector::new(plan, seed);
+        let mut b = FaultInjector::new(plan, seed);
         for _ in 0..256 {
             prop_assert_eq!(a.sample(), b.sample());
         }

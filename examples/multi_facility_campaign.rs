@@ -422,9 +422,9 @@ fn main() {
     //     the per-artifact digests, roll the outcome into facility
     //     health, and stitch both facilities' span stores into one
     //     Chrome trace with a process lane per facility.
-    //     EOML_XFAC_CORRUPT=1 injects deterministic WAN damage (seeded;
-    //     override with EOML_FAULT_SEED), EOML_XFAC_TRACE=<path> writes
-    //     the stitched trace, EOML_XFAC_REPORT=<path> the ingest report.
+    //     EOML_XFAC_CORRUPT=1 injects deterministic WAN damage (fixed
+    //     seed), EOML_XFAC_TRACE=<path> writes the stitched trace,
+    //     EOML_XFAC_REPORT=<path> the ingest report.
     println!();
     println!("== two-facility shipment, ingest, and stitched trace ==");
     let manifest = observed.manifest.as_ref().expect("campaign manifest");
@@ -447,7 +447,7 @@ fn main() {
     } else {
         FaultPlan::none()
     };
-    let mut faults = eoml::transfer::FaultInjector::new(plan);
+    let mut faults = eoml::transfer::FaultInjector::new(plan, 0xfa17_0b5e_ed00_0001);
     println!(
         "  two-facility: WAN fault seed {} (corrupt={corrupt})",
         faults.seed()

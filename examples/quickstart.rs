@@ -7,6 +7,8 @@
 
 use eoml::config::WorkflowConfig;
 use eoml::core::campaign::{run_campaign, CampaignParams};
+use eoml::obs::Obs;
+use std::sync::Arc;
 
 const CONFIG: &str = r#"
 # EO-ML workflow configuration (see eoml-config for the full schema)
@@ -51,7 +53,8 @@ fn main() {
     );
     println!();
 
-    let report = run_campaign(CampaignParams::from_config(&cfg));
+    let obs = Obs::shared();
+    let report = run_campaign(CampaignParams::from_config(&cfg).with_obs(Arc::clone(&obs)));
 
     println!("=== campaign report ===");
     print!("{}", report.summary_table());
@@ -74,25 +77,18 @@ fn main() {
         }
         println!();
     }
+    // Fig. 7 reads the hub's per-`(name, stage)` span histograms.
+    let hist = |stage: &str, name: &str| obs.metrics().histogram(name, stage);
     println!("latency breakdown (paper Fig. 7 analogue):");
-    println!(
-        "  download launch     : {:.2}s",
-        report.telemetry.total_seconds("download", "launch")
-    );
-    println!(
-        "  slurm allocation    : {:.2}s",
-        report.telemetry.total_seconds("preprocess", "slurm_alloc")
-    );
-    println!(
-        "  parsl start         : {:.2}s",
-        report.telemetry.total_seconds("preprocess", "parsl_start")
-    );
-    println!(
-        "  preprocessing total : {:.2}s",
-        report.telemetry.total_seconds("preprocess", "total")
-    );
-    println!(
-        "  flow action overhead: {:.0}ms mean",
-        report.telemetry.mean_seconds("inference", "flow_action") * 1e3
-    );
+    for (label, stage, name) in [
+        ("download launch     ", "download", "launch"),
+        ("slurm allocation    ", "preprocess", "slurm_alloc"),
+        ("parsl start         ", "preprocess", "parsl_start"),
+        ("preprocessing total ", "preprocess", "total"),
+    ] {
+        let seconds = hist(stage, name).map_or(0.0, |h| h.sum());
+        println!("  {label}: {seconds:.2}s");
+    }
+    let flow_action = hist("inference", "flow_action").map_or(0.0, |h| h.sum() / h.count() as f64);
+    println!("  flow action overhead: {:.0}ms mean", flow_action * 1e3);
 }

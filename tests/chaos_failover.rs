@@ -59,7 +59,7 @@ fn export_artifacts(report: &ChaosReport) {
     if let Some(manifest) = run.manifest.as_ref() {
         let dst_obs = Obs::shared();
         let mut ingestor = Ingestor::new(DEST_FACILITY).with_obs(Arc::clone(&dst_obs));
-        let received = receive(manifest, &mut FaultInjector::new(FaultPlan::none()));
+        let received = receive(manifest, &mut FaultInjector::new(FaultPlan::none(), 0));
         let _ = ingestor.ingest(manifest, &received, manifest.created_s + 5.0);
         let x = XfacAnalysis::stitch(&[
             FacilitySpans::capture(SOURCE_FACILITY, &src_obs),
@@ -187,11 +187,13 @@ fn degraded_wan_reships_converge_with_bounded_backoff_and_no_duplicate_acks() {
 
     let policy = BackoffPolicy::wan_default();
     let mut ingestor = Ingestor::new(DEST_FACILITY);
-    let mut wan = FaultInjector::new(FaultPlan {
-        drop_probability: 0.25,
-        corrupt_probability: 0.10,
-    })
-    .with_seed(0xdeb4);
+    let mut wan = FaultInjector::new(
+        FaultPlan {
+            drop_probability: 0.25,
+            corrupt_probability: 0.10,
+        },
+        0xdeb4,
+    );
     let outcome = reship_with_backoff(
         manifest,
         Some(sync),
@@ -226,7 +228,7 @@ fn degraded_wan_reships_converge_with_bounded_backoff_and_no_duplicate_acks() {
     assert_eq!(ingestor.acked_count(), 1);
     // A post-convergence re-ship is an idempotent duplicate, not a
     // second ack.
-    let received = receive(manifest, &mut FaultInjector::new(FaultPlan::none()));
+    let received = receive(manifest, &mut FaultInjector::new(FaultPlan::none(), 0));
     let again = ingestor.ingest(manifest, &received, outcome.finished_s + 60.0);
     assert!(again.duplicate);
     assert_eq!(ingestor.acked_count(), 1);

@@ -28,10 +28,10 @@ fn t(s: f64) -> SimTime {
 fn record_granule(obs: &Obs, id: &str, o: f64, pp: f64) {
     let trace = TraceContext::new(id);
     let tr = Some(&trace);
-    obs.record_sim_span_traced("download", "file", t(o), t(o + 10.0), tr, &[]);
+    obs.record_sim_span("download", "file", t(o), t(o + 10.0), tr, &[]);
     let pp_end = o + 12.0 + pp;
-    obs.record_sim_span_traced("preprocess", "granule", t(o + 12.0), t(pp_end), tr, &[]);
-    obs.record_sim_span_traced(
+    obs.record_sim_span("preprocess", "granule", t(o + 12.0), t(pp_end), tr, &[]);
+    obs.record_sim_span(
         "monitor",
         "trigger",
         t(pp_end + 1.0),
@@ -39,7 +39,7 @@ fn record_granule(obs: &Obs, id: &str, o: f64, pp: f64) {
         tr,
         &[],
     );
-    obs.record_sim_span_traced(
+    obs.record_sim_span(
         "inference",
         "infer",
         t(pp_end + 2.0),
@@ -47,7 +47,7 @@ fn record_granule(obs: &Obs, id: &str, o: f64, pp: f64) {
         tr,
         &[],
     );
-    obs.record_sim_span_traced(
+    obs.record_sim_span(
         "shipment",
         "file",
         t(pp_end + 11.0),

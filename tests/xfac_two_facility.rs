@@ -39,7 +39,7 @@ fn clean_shipment_verifies_acks_and_stitches_into_one_trace() {
     // Destination facility: its own obs hub and verifier.
     let dst_obs = Obs::shared();
     let mut ingestor = Ingestor::new(DEST).with_obs(Arc::clone(&dst_obs));
-    let mut faults = FaultInjector::new(FaultPlan::none());
+    let mut faults = FaultInjector::new(FaultPlan::none(), 0);
     let received = receive(manifest, &mut faults);
     let ingest = ingestor.ingest(manifest, &received, manifest.created_s + 5.0);
     assert!(ingest.ok(), "clean ingest failed: {:?}", ingest.errors);
@@ -133,7 +133,7 @@ fn corrupt_shipment_fails_loudly_and_degrades_facility_health() {
     };
     let dst_obs = Obs::shared();
     let mut ingestor = Ingestor::new(DEST).with_obs(Arc::clone(&dst_obs));
-    let received = receive(manifest, &mut FaultInjector::new(plan).with_seed(7));
+    let received = receive(manifest, &mut FaultInjector::new(plan, 7));
     let ingest = ingestor.ingest(manifest, &received, manifest.created_s + 5.0);
     assert!(!ingest.ok(), "corruption must not verify");
     assert!(!ingest.duplicate);
@@ -146,7 +146,7 @@ fn corrupt_shipment_fails_loudly_and_degrades_facility_health() {
         "unexpected error: {err:?}"
     );
     // The same seed reproduces the same failure set.
-    let received2 = receive(manifest, &mut FaultInjector::new(plan).with_seed(7));
+    let received2 = receive(manifest, &mut FaultInjector::new(plan, 7));
     let ingest2 = Ingestor::new(DEST).ingest(manifest, &received2, manifest.created_s + 5.0);
     let kinds =
         |r: &eoml::transfer::IngestReport| r.errors.iter().map(|e| e.kind()).collect::<Vec<_>>();
@@ -229,7 +229,7 @@ fn ingest_report_json_round_trips_for_ci_artifacts() {
     let (_src, report) = source_campaign();
     let manifest = report.manifest.as_ref().expect("manifest");
     let mut ingestor = Ingestor::new(DEST);
-    let received = receive(manifest, &mut FaultInjector::new(FaultPlan::none()));
+    let received = receive(manifest, &mut FaultInjector::new(FaultPlan::none(), 0));
     let ingest = ingestor.ingest(manifest, &received, manifest.created_s + 1.0);
     let json = ingest.to_json();
     assert_eq!(json["ok"].as_bool(), Some(true));
