@@ -13,8 +13,10 @@
 # per-crate non-test line counts ROADMAP wants to see fall. Spans live once,
 # in eoml-obs: no `struct Span` / `Vec<Span>` in any other crate's source
 # (core's Telemetry keeps only the Fig. 6 activity series and forwards every
-# interval to the hub); and library code reads no environment variable
-# (`EOML_*` knobs belong to examples, tests and binaries).
+# interval to the hub); library code reads no environment variable
+# (`EOML_*` knobs belong to examples, tests and binaries); and `unsafe` and
+# run-time CPU feature checks stay in the few files that own the byte path's
+# hardware kernels (DESIGN §23).
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -116,6 +118,20 @@ fi
 envs=$(callers 'env::var\(' crates/*/src || true)
 if [ -n "$envs" ]; then
   complain "env::var( in library code (read EOML_* in examples, tests or binaries) in:"$'\n'"$envs"
+fi
+
+# `unsafe` lives in an allowlist (DESIGN §23): the counting allocator, the
+# carry-less CRC, the little-endian byte views and the AVX2 conv twin; and
+# only the CRC and the conv ask the CPU what it has.
+unsafe_files=$(callers '(^|[^_[:alnum:]])unsafe([^_[:alnum:]]|$)' crates/*/src |
+  grep -vxE 'crates/(obs/src/resource|util/src/hash|util/src/bytes|ricc/src/tensor)\.rs' || true)
+if [ -n "$unsafe_files" ]; then
+  complain "unsafe outside the allowlist (DESIGN §23) in:"$'\n'"$unsafe_files"
+fi
+detect_files=$(callers 'is_x86_feature_detected!' crates/*/src |
+  grep -vxE 'crates/(util/src/hash|ricc/src/tensor)\.rs' || true)
+if [ -n "$detect_files" ]; then
+  complain "is_x86_feature_detected! outside hash.rs and tensor.rs in:"$'\n'"$detect_files"
 fi
 
 lines() {

@@ -23,6 +23,9 @@
 //!     data  (elem_size × Π dims bytes)
 //! ```
 
+use eoml_util::bytes::{self, le_bytes};
+use eoml_util::hash::crc32_chain;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -33,8 +36,8 @@ pub const MAGIC: &[u8; 4] = b"EOGR";
 /// Container format version.
 pub const VERSION: u16 = 1;
 
-/// Payload bytes serialized, checksummed or converted at a time (a multiple
-/// of every element size): small enough to stay in cache between the steps.
+/// Payload bytes handed to the sink, or read from the stream and checksummed,
+/// at a time: small enough to stay in cache between the read and the CRC.
 const PIECE_BYTES: usize = 32 * 1024;
 
 /// Errors produced when decoding a container.
@@ -160,52 +163,33 @@ impl DatasetData {
         }
     }
 
-    /// Hand the little-endian payload bytes to `f`, [`PIECE_BYTES`] at a
-    /// time, serialized through `stage`.
-    fn for_each_piece(
-        &self,
-        stage: &mut Vec<u8>,
-        f: impl FnMut(&[u8]) -> io::Result<()>,
-    ) -> io::Result<()> {
-        fn pieces<T: Copy>(
-            v: &[T],
-            to_le: impl Fn(T) -> [u8; 4],
-            stage: &mut Vec<u8>,
-            mut f: impl FnMut(&[u8]) -> io::Result<()>,
-        ) -> io::Result<()> {
-            for piece in v.chunks(PIECE_BYTES / 4) {
-                stage.resize(piece.len() * 4, 0);
-                for (dst, &x) in stage.chunks_exact_mut(4).zip(piece) {
-                    dst.copy_from_slice(&to_le(x));
-                }
-                f(stage)?;
-            }
-            Ok(())
-        }
+    /// The payload as serialized: the vector's own bytes on a
+    /// little-endian host.
+    fn le_bytes(&self) -> Cow<'_, [u8]> {
         match self {
-            DatasetData::U8(v) => v.chunks(PIECE_BYTES).try_for_each(f),
-            DatasetData::F32(v) => pieces(v, f32::to_le_bytes, stage, f),
-            DatasetData::I32(v) => pieces(v, i32::to_le_bytes, stage, f),
+            DatasetData::U8(v) => Cow::Borrowed(v),
+            DatasetData::F32(v) => le_bytes(v),
+            DatasetData::I32(v) => le_bytes(v),
         }
     }
 
-    /// An empty payload of type `tag` with room for `count` elements.
-    fn with_capacity(tag: u8, count: usize) -> Result<Self, ContainerError> {
+    /// A zero payload of type `tag` and `count` elements.
+    fn zeroed(tag: u8, count: usize) -> Result<Self, ContainerError> {
         match tag {
-            0 => Ok(DatasetData::F32(Vec::with_capacity(count))),
-            1 => Ok(DatasetData::U8(Vec::with_capacity(count))),
-            2 => Ok(DatasetData::I32(Vec::with_capacity(count))),
+            0 => Ok(DatasetData::F32(vec![0.0; count])),
+            1 => Ok(DatasetData::U8(vec![0; count])),
+            2 => Ok(DatasetData::I32(vec![0; count])),
             other => Err(ContainerError::BadDtype(other)),
         }
     }
 
-    /// Append the elements serialized little-endian in `bytes`.
-    fn extend_from_le(&mut self, bytes: &[u8]) {
-        let words = bytes.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]]);
+    /// Overwrite the payload with the little-endian bytes `fill` writes
+    /// into its own memory ([`bytes::fill_le`]).
+    fn fill_le<E>(&mut self, fill: impl FnOnce(&mut [u8]) -> Result<(), E>) -> Result<(), E> {
         match self {
-            DatasetData::F32(v) => v.extend(words.map(f32::from_le_bytes)),
-            DatasetData::U8(v) => v.extend_from_slice(bytes),
-            DatasetData::I32(v) => v.extend(words.map(i32::from_le_bytes)),
+            DatasetData::U8(v) => fill(v),
+            DatasetData::F32(v) => bytes::fill_le(v, fill),
+            DatasetData::I32(v) => bytes::fill_le(v, fill),
         }
     }
 
@@ -306,7 +290,6 @@ impl Container {
     /// than the largest dataset is ever staged.
     pub fn encode_into(&self, sink: &mut impl Write) -> io::Result<()> {
         let mut head = Vec::new();
-        let mut stage = Vec::with_capacity(PIECE_BYTES);
         head.extend_from_slice(MAGIC);
         head.extend_from_slice(&VERSION.to_le_bytes());
         head.extend_from_slice(&(self.attrs.len() as u16).to_le_bytes());
@@ -325,19 +308,15 @@ impl Container {
             for &d in &ds.dims {
                 head.extend_from_slice(&d.to_le_bytes());
             }
-            // The CRC goes in front of the payload, so the payload is
-            // serialized twice, a cache-sized piece at a time: once to
-            // checksum it, once into the sink. Nothing larger is staged.
-            let mut crc = 0;
-            ds.data.for_each_piece(&mut stage, |piece| {
-                crc = eoml_util::hash::crc32_chain(crc, piece);
-                Ok(())
-            })?;
-            head.extend_from_slice(&crc.to_le_bytes());
+            // The CRC goes in front of the payload: checksum the payload
+            // where it lies, then hand it to the sink a piece at a time.
+            let payload = ds.data.le_bytes();
+            head.extend_from_slice(&crc32_chain(0, &payload).to_le_bytes());
             sink.write_all(&head)?;
             head.clear();
-            ds.data
-                .for_each_piece(&mut stage, |piece| sink.write_all(piece))?;
+            for piece in payload.chunks(PIECE_BYTES) {
+                sink.write_all(piece)?;
+            }
         }
         sink.write_all(&head)
     }
@@ -411,16 +390,17 @@ impl Container {
             if nbytes as u64 > src.remaining {
                 return Err(ContainerError::Truncated.into());
             }
-            // Checksummed and converted a cache-sized piece at a time.
-            let mut data = DatasetData::with_capacity(dtype, count)?;
+            // Read into the payload's own bytes and checksummed there, a
+            // cache-sized piece at a time.
+            let mut data = DatasetData::zeroed(dtype, count)?;
             let mut crc = 0;
-            let mut left = nbytes;
-            while left > 0 {
-                let piece = src.take(left.min(PIECE_BYTES))?;
-                crc = eoml_util::hash::crc32_chain(crc, piece);
-                data.extend_from_le(piece);
-                left -= piece.len();
-            }
+            data.fill_le(|raw| {
+                for piece in raw.chunks_mut(PIECE_BYTES) {
+                    src.fill(piece)?;
+                    crc = crc32_chain(crc, piece);
+                }
+                Ok::<_, ReadError>(())
+            })?;
             if crc != expected_crc {
                 return Err(ContainerError::ChecksumMismatch { dataset: name }.into());
             }
@@ -450,6 +430,16 @@ impl<R: Read> Source<R> {
         self.reader.read_exact(&mut self.buf)?;
         self.remaining -= n as u64;
         Ok(&self.buf)
+    }
+
+    /// Fill `dst` with the next `dst.len()` bytes, like [`take`](Self::take).
+    fn fill(&mut self, dst: &mut [u8]) -> Result<(), ReadError> {
+        if dst.len() as u64 > self.remaining {
+            return Err(ContainerError::Truncated.into());
+        }
+        self.reader.read_exact(dst)?;
+        self.remaining -= dst.len() as u64;
+        Ok(())
     }
 
     fn string(&mut self, n: usize) -> Result<String, ReadError> {
@@ -640,6 +630,116 @@ mod tests {
                 assert_eq!(dataset, "radiance_b06");
             }
             other => panic!("expected checksum mismatch, got {other:?}"),
+        }
+    }
+
+    /// One two-dimensional dataset of each dtype, each over 64 KiB with a
+    /// ragged last piece, so the carry-less CRC path checks every payload.
+    fn large() -> Container {
+        let n: usize = 64 * 1024 / 4 + 13;
+        Container::new()
+            .with_attr("granule", "MOD.A2022001.0005")
+            .with_dataset(Dataset::new(
+                "radiance",
+                vec![1, n as u32],
+                DatasetData::F32((0..n).map(|i| (i as f32).sin() * 1e3).collect()),
+            ))
+            .with_dataset(Dataset::new(
+                "mask",
+                vec![4, n as u32],
+                DatasetData::U8((0..4 * n).map(|i| (i * 31 % 251) as u8).collect()),
+            ))
+            .with_dataset(Dataset::new(
+                "counts",
+                vec![n as u32, 1],
+                DatasetData::I32((0..n as i32).map(|i| i.wrapping_mul(-7919)).collect()),
+            ))
+    }
+
+    /// Each dataset's name, the offset of its dims in `bytes` and the byte
+    /// range of its payload, found by walking the encoded headers.
+    fn layout(c: &Container, bytes: &[u8]) -> Vec<(String, usize, std::ops::Range<usize>)> {
+        let mut at = 4 + 2 + 2;
+        at += c
+            .attrs
+            .iter()
+            .map(|(k, v)| 6 + k.len() + v.len())
+            .sum::<usize>();
+        at += 2;
+        let mut out = Vec::new();
+        for ds in &c.datasets {
+            at += 2 + ds.name.len() + 2;
+            let dims_at = at;
+            at += 4 * ds.dims.len() + 4;
+            let n = ds.data.le_bytes().len();
+            assert_eq!(&bytes[at..at + n], &*ds.data.le_bytes());
+            out.push((ds.name.clone(), dims_at, at..at + n));
+            at += n;
+        }
+        assert_eq!(at, bytes.len());
+        out
+    }
+
+    #[test]
+    fn fast_path_catches_a_single_flipped_bit_anywhere_in_a_payload() {
+        let c = large();
+        let bytes = c.encode();
+        assert_eq!(Container::decode(&bytes).unwrap(), c);
+        for (name, _, range) in layout(&c, &bytes) {
+            let n = range.len();
+            let mut offsets = vec![0, 1, 15, 16, 63, 64, 127, 128, n - 16, n - 15, n - 1];
+            offsets.extend([PIECE_BYTES - 1, PIECE_BYTES, PIECE_BYTES + 1]);
+            offsets.extend((0..40).map(|k| k * 7919 % n));
+            for (k, off) in offsets.into_iter().enumerate() {
+                let mut corrupted = bytes.clone();
+                corrupted[range.start + off] ^= 1 << (k % 8);
+                assert_eq!(
+                    Container::decode(&corrupted),
+                    Err(ContainerError::ChecksumMismatch {
+                        dataset: name.clone()
+                    }),
+                    "{name}: bit {} of byte {off}",
+                    k % 8
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_stream_ending_mid_payload_is_an_io_error() {
+        let c = large();
+        let bytes = c.encode();
+        let len = bytes.len() as u64;
+        for (name, _, range) in layout(&c, &bytes) {
+            for cut in [1, 127, PIECE_BYTES, range.len() / 2, range.len() - 1] {
+                let end = range.start + cut;
+                let read = Container::decode_from(&bytes[..end], len);
+                assert!(matches!(read, Err(ReadError::Io(_))), "{name} cut at {cut}");
+                assert_eq!(
+                    Container::decode(&bytes[..end]),
+                    Err(ContainerError::Truncated),
+                    "{name} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_forged_dims_product_is_truncation_before_any_allocation() {
+        let c = large();
+        let bytes = c.encode();
+        for (name, dims_at, _) in layout(&c, &bytes) {
+            // 2^31 × 2^29 elements: 2^62 bytes (2^60 for the u8 mask). Had
+            // the payload been sized before the length check, that
+            // allocation would have aborted the test.
+            let mut forged = bytes.clone();
+            forged[dims_at..dims_at + 4].copy_from_slice(&(1u32 << 31).to_le_bytes());
+            forged[dims_at + 4..dims_at + 8].copy_from_slice(&(1u32 << 29).to_le_bytes());
+            assert_eq!(
+                Container::decode(&forged),
+                Err(ContainerError::Truncated),
+                "{name}"
+            );
         }
     }
 

@@ -114,7 +114,49 @@ pub fn conv2d_fwd(x: &Tensor, w: &[f32], b: &[f32], c_out: usize, spec: ConvSpec
 
 /// [`conv2d_fwd`] over borrowed CHW data of shape `[c, h, w]`, so a caller
 /// that holds many samples in one buffer convolves them where they lie.
+///
+/// Runs [`conv2d_fwd_avx2`] on an x86-64 CPU with AVX2 (std caches the CPUID
+/// answer) and [`conv2d_fwd_portable`] everywhere else: one source, so the
+/// same IEEE operations in the same order, eight lanes at a time instead of
+/// four.
 pub(crate) fn conv2d_fwd_chw(
+    x: &[f32],
+    shape: [usize; 3],
+    w: &[f32],
+    b: &[f32],
+    c_out: usize,
+    spec: ConvSpec,
+) -> Tensor {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2, the one feature the twin is built for.
+        return unsafe { conv2d_fwd_avx2(x, shape, w, b, c_out, spec) };
+    }
+    conv2d_fwd_portable(x, shape, w, b, c_out, spec)
+}
+
+/// [`conv2d_fwd_portable`] compiled for AVX2. Rust never contracts a `mul`
+/// and an `add` into a fused multiply-add (and `fma` is not enabled here),
+/// so every lane rounds exactly as the portable build does.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv2d_fwd_avx2(
+    x: &[f32],
+    shape: [usize; 3],
+    w: &[f32],
+    b: &[f32],
+    c_out: usize,
+    spec: ConvSpec,
+) -> Tensor {
+    conv2d_fwd_portable(x, shape, w, b, c_out, spec)
+}
+
+/// The body of [`conv2d_fwd_chw`], inlined into each build of it.
+#[inline(always)]
+fn conv2d_fwd_portable(
     x: &[f32],
     [c_in, xh, xw]: [usize; 3],
     w: &[f32],
@@ -159,9 +201,10 @@ pub(crate) fn conv2d_fwd_chw(
                     continue;
                 }
                 let xrow = &x[(i * xh + sy) * xw..][..xw];
-                for (j, group) in xrow.chunks(stride).enumerate() {
-                    for (p, &v) in group.iter().enumerate() {
-                        phases[p * plen + j] = v;
+                for (p, phase) in phases.chunks_exact_mut(plen).enumerate() {
+                    let src = xrow.get(p..).unwrap_or_default().iter().step_by(stride);
+                    for (dst, &v) in phase.iter_mut().zip(src) {
+                        *dst = v;
                     }
                 }
                 for o in 0..c_out {
@@ -650,6 +693,54 @@ mod tests {
             &conv2d_fwd_reference(&x, &wt, &b, 3, spec).data,
             "1x1 input",
         );
+    }
+
+    #[test]
+    fn avx2_conv_twin_is_bit_identical_to_the_portable_body() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            let mut rng = Xoshiro256::seed_from(0xA2);
+            let down = ConvSpec {
+                k: 3,
+                stride: 2,
+                pad: 1,
+            };
+            let flat = ConvSpec {
+                k: 3,
+                stride: 1,
+                pad: 0,
+            };
+            let cases = [
+                // The encoder's two layers at the 128 px and 32 px tiles.
+                (6, 8, 128, 128, down),
+                (8, 16, 64, 64, down),
+                (6, 8, 32, 32, down),
+                (8, 16, 16, 16, down),
+                // Output rows that are not a multiple of eight lanes.
+                (3, 5, 13, 17, down),
+                (2, 3, 9, 31, down),
+                (4, 8, 21, 45, down),
+                (3, 4, 11, 23, flat),
+                (2, 6, 20, 37, flat),
+                (1, 2, 5, 3, flat),
+            ];
+            for (c_in, c_out, h, w, spec) in cases {
+                let x = rand_vec(&mut rng, c_in * h * w);
+                let wt = rand_vec(&mut rng, c_out * c_in * spec.k * spec.k);
+                let b = rand_vec(&mut rng, c_out);
+                let portable = conv2d_fwd_portable(&x, [c_in, h, w], &wt, &b, c_out, spec);
+                // SAFETY: the CPU has AVX2.
+                let twin = unsafe { conv2d_fwd_avx2(&x, [c_in, h, w], &wt, &b, c_out, spec) };
+                assert_eq!(
+                    (twin.c, twin.h, twin.w),
+                    (portable.c, portable.h, portable.w)
+                );
+                let what = format!("{c_in}->{c_out} @ {h}x{w} s{}", spec.stride);
+                assert_bits_eq(&twin.data, &portable.data, &what);
+            }
+            return;
+        }
+        eprintln!("no AVX2 on this host: the conv twin comparison was skipped");
     }
 
     #[test]

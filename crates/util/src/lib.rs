@@ -10,8 +10,11 @@
 //! * [`stats`] — streaming statistics (Welford), summaries with percentiles,
 //!   fixed-width histograms.
 //! * [`units`] — byte sizes and transfer rates with human-readable formatting.
-//! * [`hash`] — the one CRC-32 (slice-by-8) and the one FNV-1a 64 every
-//!   integrity check, content digest and shard placement goes through.
+//! * [`hash`] — the one CRC-32 (carry-less multiply where the CPU has it,
+//!   slice-by-8 elsewhere) and the one FNV-1a 64 every integrity check,
+//!   content digest and shard placement goes through.
+//! * [`bytes`] — little-endian byte views of `f32`/`i32` slices, so codecs
+//!   checksum and move payloads where they lie.
 //! * [`noise`] — lattice value noise and fractional Brownian motion used to
 //!   synthesize cloud and land fields.
 //! * [`timebase`] — civil dates, day-of-year arithmetic and UTC timestamps in
@@ -19,6 +22,7 @@
 //! * [`idgen`] — process-wide monotonic id generation for tasks, transfers
 //!   and flow runs.
 
+pub mod bytes;
 pub mod hash;
 pub mod idgen;
 pub mod noise;
