@@ -9,7 +9,8 @@
 # halt ledger creeps back into the non-test part of
 # crates/{transfer,executor,core}/src, when the executor or a driver starts
 # threads of its own, when realrun.rs grows a second pass or a directory
-# crawl, or when a by-name scan returns to the provenance log, and prints the
+# crawl or allocates a granule's buffers afresh, or when a by-name scan
+# returns to the provenance log, and prints the
 # per-crate non-test line counts ROADMAP wants to see fall. Spans live once,
 # in eoml-obs: no `struct Span` / `Vec<Span>` in any other crate's source
 # (core's Telemetry keeps only the Fig. 6 activity series and forwards every
@@ -100,6 +101,15 @@ if [ "$(hits 'executor\.run\(' "$realrun")" -ne 1 ]; then
 fi
 if [ "$(hits 'DirectoryCrawler' "$realrun")" -ne 0 ]; then
   complain "DirectoryCrawler in $realrun (a worker hands its own tile file to its flow)"
+fi
+
+# A worker carries each granule in the buffer set it keeps (DESIGN §24): the
+# non-test part of realrun.rs calls no form that allocates a granule's
+# planes, tiles or radiance afresh.
+per_granule='\.synthesize\(|decode_from\(|extract_tiles\(|write_tiles_nc\(|preprocess_granule_files\('
+per_granule+='|(radiance|slab|tile)[_[:alnum:]]*[[:space:]]*(:[^=]*)?=[[:space:]]*Vec::new\('
+if [ "$(hits "$per_granule" "$realrun")" -ne 0 ]; then
+  complain "$realrun allocates per granule (use the worker's buffer set):"$'\n'"$(nontest "$realrun" | grep -nE "$per_granule")"
 fi
 
 # The provenance log answers by-name queries from its index (DESIGN §19): a

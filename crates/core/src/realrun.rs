@@ -24,20 +24,20 @@ use eoml_executor::local::LocalExecutor;
 use eoml_flows::definition::FlowDefinition;
 use eoml_flows::runner::FlowRunner;
 use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
-use eoml_modis::files::into_products;
+use eoml_modis::files::{into_products, swath_from_containers};
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
-use eoml_modis::synth::{SwathDims, SwathSynthesizer};
+use eoml_modis::synth::{Swath, SwathDims, SwathSynthesizer};
 use eoml_obs::{Obs, TraceContext};
-use eoml_preprocess::pipeline::preprocess_granule_files;
+use eoml_preprocess::pipeline::{preprocess_granule_with, GranuleBuffers};
 use eoml_preprocess::tiles::TileCriteria;
-use eoml_preprocess::writer::{patch_labels, read_labels, read_radiance};
+use eoml_preprocess::writer::{for_each_radiance_tile, patch_labels, read_labels};
 use eoml_ricc::aicca::AiccaModel;
-use eoml_ricc::autoencoder::AeConfig;
+use eoml_ricc::autoencoder::{AeConfig, EncodeScratch};
 use eoml_transfer::manifest::{content_digest_of, ArtifactEntry, ShipmentManifest};
 use serde_json::json;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Journal label guarding real-run journals against cross-driver reuse.
@@ -151,6 +151,48 @@ struct Carried {
     ran: [Option<(Instant, Instant)>; 3],
 }
 
+/// What one worker keeps from granule to granule, and from run to run:
+/// every granule-sized byte it touches (the swath it synthesizes and decodes
+/// into), the one tile it cuts into and infers from, and the encoder's
+/// activations.
+#[derive(Default)]
+struct BufferSet {
+    granule: GranuleBuffers,
+    encoder: EncodeScratch,
+}
+
+/// A worker of one pass: the buffer set lent to it for the pass, the
+/// download endpoint that synthesizes into that set, and its inference flow.
+/// Dropped when the worker exits, it gives the set back to the pipeline.
+struct Worker<'p> {
+    buffers: Arc<Mutex<BufferSet>>,
+    downloader: ComputeEndpoint,
+    flow: FlowDefinition,
+    pipeline: &'p RealPipeline,
+}
+
+impl Drop for Worker<'_> {
+    fn drop(&mut self) {
+        // A worker that panicked may have left its planes half written.
+        if std::thread::panicking() {
+            return;
+        }
+        let set = std::mem::take(&mut *lock(&self.buffers));
+        let mut shelf = lock(&self.pipeline.shelf);
+        if shelf.len() < self.pipeline.executor.workers() {
+            shelf.push(set);
+        }
+    }
+}
+
+/// `mutex`'s value; a panic elsewhere poisons none of what it guards here
+/// (a panicking worker's set is not given back).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// The real pipeline: synthesizer + criteria + model + thread pool, rooted
 /// at a work directory with `incoming/`, `tiles/` and `outbox/` subdirs.
 pub struct RealPipeline {
@@ -161,6 +203,9 @@ pub struct RealPipeline {
     model: AiccaModel,
     executor: LocalExecutor,
     obs: Option<Arc<Obs>>,
+    /// The buffer sets between passes, at most one per worker: each pass
+    /// lends one to each of its workers (DESIGN §24).
+    shelf: Mutex<Vec<BufferSet>>,
 }
 
 impl RealPipeline {
@@ -203,6 +248,7 @@ impl RealPipeline {
             model: AiccaModel::pretrained(cfg, seed),
             executor: LocalExecutor::new(workers),
             obs: None,
+            shelf: Mutex::new(Vec::new()),
         })
     }
 
@@ -306,14 +352,13 @@ impl RealPipeline {
         // through every transition it still needs; the in-order callback
         // journals each granule's burst and tallies it, so workers never
         // touch the journal.
-        let endpoint = self.downloader();
         let pass = self.obs.as_ref().map(|o| o.span("monitor", "crawl"));
         let pass_id = pass.as_ref().map(|span| span.id());
         let mut extents: [Option<(Instant, Instant)>; 3] = [None; 3];
         self.executor.run(
             todo.clone(),
-            FlowDefinition::inference_flow,
-            |flow, (g, start)| self.carry(g, start, flow, &endpoint, pass_id),
+            || self.worker(),
+            |worker, (g, start)| self.carry(g, start, worker, pass_id),
             |i, carried| {
                 let g = todo[i].0;
                 for (extent, ran) in extents.iter_mut().zip(carried.ran) {
@@ -436,15 +481,27 @@ impl RealPipeline {
         })
     }
 
+    /// A worker for one pass, lent a buffer set: the one a worker of an
+    /// earlier pass gave back, or an empty one that its first granule sizes.
+    fn worker(&self) -> Worker<'_> {
+        let buffers = Arc::new(Mutex::new(lock(&self.shelf).pop().unwrap_or_default()));
+        Worker {
+            downloader: self.downloader(Arc::clone(&buffers)),
+            buffers,
+            flow: FlowDefinition::inference_flow(),
+            pipeline: self,
+        }
+    }
+
     /// Carry granule `g` from `start` to its shipped file (or its scan
-    /// record), on a worker of the pass. The radiance its flow reads is
-    /// freed before the worker takes its next granule.
+    /// record), on `worker`. Every step works in the worker's buffer set,
+    /// which its next granule overwrites: nothing granule-sized is allocated
+    /// once the set has held a granule of this shape.
     fn carry(
         &self,
         g: GranuleId,
         start: Start,
-        flow: &FlowDefinition,
-        endpoint: &ComputeEndpoint,
+        worker: &Worker<'_>,
         pass: Option<u64>,
     ) -> Result<Carried, RealRunError> {
         let trace = TraceContext::new(g.to_string());
@@ -467,20 +524,25 @@ impl RealPipeline {
             let _span = span("download", "synthesize");
             let began = Instant::now();
             let file = json!({ "file": g.file_name(ProductKind::Mod02) });
-            let task = endpoint.submit_by_name_traced("download_granule", file, Some(&trace));
+            let download = &worker.downloader;
+            let task = download.submit_by_name_traced("download_granule", file, Some(&trace));
             match task.expect("registered function").wait() {
                 TaskResult::Success(v) => out.downloaded = Some(v["bytes"].as_u64().unwrap_or(0)),
                 TaskResult::Failed(e) => return Err(format!("download failed: {e}").into()),
             }
             out.ran[0] = Some((began, Instant::now()));
         }
+        // Taken after the download, whose task locks the set itself.
+        let mut buffers = lock(&worker.buffers);
         if start <= Start::Preprocess {
             let _span = span("preprocess", "map");
             let began = Instant::now();
             let tiles_dir = self.workdir.join("tiles");
-            let done = preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
+            let criteria = &self.criteria;
+            let buffers = &mut buffers.granule;
+            let done = preprocess_granule_with(&p02, &p03, &p06, &tiles_dir, criteria, buffers)
                 .map_err(|e| format!("preprocess failed: {e}"))?;
-            // Only the count leaves: the pixels are freed here.
+            // Only the count leaves: the pixels are in the tile file.
             (out.tiles, out.tile_file) = (done.tiles.len(), done.output.is_some());
             out.ran[1] = Some((began, Instant::now()));
         }
@@ -491,7 +553,7 @@ impl RealPipeline {
             let _span = span("inference", "flow");
             let began = Instant::now();
             (out.labels, out.shipped_bytes) = self
-                .run_flow(flow, &name, &trace)
+                .run_flow(&worker.flow, &name, &trace, &mut buffers)
                 .map_err(|e| format!("inference flow failed for {name}: {e}"))?;
             out.ran[2] = Some((began, Instant::now()));
         } else {
@@ -512,24 +574,30 @@ impl RealPipeline {
     /// download function, registered on a real compute endpoint. Each
     /// invocation is asked for a granule's MOD02 file and materializes the
     /// granule's three product files. The endpoint has no threads of its
-    /// own: a download runs on the worker that submits it, which then cuts
-    /// the same granule, so its buffers are reused by that worker rather
-    /// than held by a second set of threads (DESIGN §21).
-    fn downloader(&self) -> ComputeEndpoint {
+    /// own: one is started for each worker of a pass, and a download runs on
+    /// that worker, synthesizing into the worker's `buffers` — the same
+    /// planes its preprocessing decodes into next (DESIGN §21, §24).
+    fn downloader(&self, buffers: Arc<Mutex<BufferSet>>) -> ComputeEndpoint {
         let registry = Arc::new(FunctionRegistry::new());
         let (synth, workdir) = (self.synth.clone(), self.workdir.clone());
         registry.register("download_granule", move |args| {
             let file = args["file"].as_str().and_then(GranuleId::parse_file_name);
             let (g, _) = file.ok_or("bad granule args")?;
-            // The swath's planes move into the product containers, and each
-            // container is encoded straight into its file.
-            let products = into_products(synth.synthesize(g));
+            let held = &mut lock(&buffers).granule.swath;
+            let mut swath = held.take().unwrap_or_else(|| Swath::empty(g));
+            synth.synthesize_into(g, &mut swath);
+            // The swath's planes move into the product containers, each
+            // container is encoded straight into its file, and the planes
+            // move back into the swath.
+            let products = into_products(swath);
             let mut bytes = 0u64;
-            for (path, product) in product_files(&workdir, g).iter().zip(products) {
+            for (path, product) in product_files(&workdir, g).iter().zip(&products) {
                 let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
                 product.encode_into(&mut file).map_err(|e| e.to_string())?;
                 bytes += file.metadata().map_err(|e| e.to_string())?.len();
             }
+            let [m02, m03, m06] = products;
+            *held = Some(swath_from_containers(m02, m03, m06).map_err(|e| e.to_string())?);
             Ok(json!({ "bytes": bytes }))
         });
         ComputeEndpoint::start_observed("laads-downloader", registry, 0, self.obs.clone())
@@ -542,16 +610,17 @@ impl RealPipeline {
         flow: &FlowDefinition,
         name: &str,
         trace: &TraceContext,
+        buffers: &mut BufferSet,
     ) -> Result<(Vec<i64>, u64), String> {
         use serde_json::Value;
         let (tiles_dir, outbox) = (self.workdir.join("tiles"), self.workdir.join("outbox"));
         fn file_of(params: &Value) -> Result<&str, &'static str> {
             params["file"].as_str().ok_or("missing file param")
         }
-        // The infer action reads the one variable it needs and predicts
-        // each tile where it lies in the buffer. The buffer lives as long
-        // as the flow.
-        let mut radiance = Vec::new();
+        // The infer action reads the one variable it needs a tile at a time
+        // into the worker's tile buffer and predicts it there, the encoder's
+        // activations in the worker's scratch.
+        let BufferSet { granule, encoder } = buffers;
         let mut infer = |_: &str, params: &Value, _: &Value| {
             let tile_file = std::fs::File::open(tiles_dir.join(file_of(params)?));
             let mut tile_file = tile_file.map_err(|e| e.to_string())?;
@@ -562,14 +631,22 @@ impl RealPipeline {
             if let Some(labels) = read_labels(&mut tile_file).map_err(|e| e.to_string())? {
                 return Ok(json!({ "labels": labels }));
             }
-            let tiles = read_radiance(&mut tile_file, &mut radiance).map_err(|e| e.to_string())?;
             let cfg = self.model.encoder.cfg;
-            let slab = cfg.in_ch * cfg.input * cfg.input;
-            if radiance.len() != tiles * slab {
-                return Err(format!("tiles are not the model's {slab}-float input"));
-            }
-            let tiles = radiance.chunks_exact(slab.max(1));
-            let labels: Vec<usize> = tiles.map(|t| self.model.predict_slice(t)).collect();
+            let input = cfg.in_ch * cfg.input * cfg.input;
+            let mut labels = Vec::new();
+            let predict = |tile: &[f32]| {
+                if tile.len() != input {
+                    let refused = format!("tiles are not the model's {input}-float input");
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        refused,
+                    ));
+                }
+                labels.push(self.model.predict_slice(tile, encoder));
+                Ok(())
+            };
+            for_each_radiance_tile(&mut tile_file, &mut granule.tile, predict)
+                .map_err(|e| e.to_string())?;
             Ok(json!({ "labels": labels }))
         };
         // The append action writes the labels into the file in place: the

@@ -1,8 +1,8 @@
 //! The wall-clock worker pool: the one place the real runtime starts threads.
 //!
-//! The virtual clock's counterpart is `eoml_simtime::pool`; the compute
-//! endpoint keeps its own long-lived threads because it is a service that
-//! outlives any one batch, not a batch runner.
+//! The virtual clock's counterpart is `eoml_simtime::pool`. The real
+//! driver's compute endpoints start no threads: each task runs on the pool
+//! worker that submits it.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,7 +12,7 @@ use std::sync::{mpsc, Mutex};
 ///
 /// Each thread builds its own `state` once, then claims the next unclaimed
 /// item until none is left, so a slow item delays only the thread holding
-/// it. Every outcome goes to `done` on the calling thread, in item order,
+/// it; the state is dropped when the thread exits. Every outcome goes to `done` on the calling thread, in item order,
 /// while the workers run. The first failure (`work`'s or `done`'s) is
 /// returned and stops items from being claimed; items already claimed
 /// finish, and every worker has exited when this returns, so nothing of

@@ -40,13 +40,13 @@ pub struct LandMask {
     scale: f64,
 }
 
-/// The planes [`LandMask::land_plane`] reads and the one it fills.
+/// The planes [`LandMask::land_plane_into`] reads and the one it fills.
 struct Raster<'a> {
     mask: &'a LandMask,
     lat: &'a [f32],
     lon: &'a [f32],
     pixels: usize,
-    land: Vec<u8>,
+    land: &'a mut [u8],
     cells: [FbmCells; 2],
 }
 
@@ -233,18 +233,30 @@ impl LandMask {
     /// the samples a coastline may cross — is evaluated one by one, reusing
     /// the noise lattice between neighbours.
     pub fn land_plane(&self, lat: &[f32], lon: &[f32], pixels: usize) -> Vec<u8> {
+        let mut land = Vec::new();
+        self.land_plane_into(lat, lon, pixels, &mut land);
+        land
+    }
+
+    /// [`land_plane`](Self::land_plane) into `land`, which is resized to the
+    /// raster and keeps its allocation: every flag is written where it lies.
+    pub fn land_plane_into(&self, lat: &[f32], lon: &[f32], pixels: usize, land: &mut Vec<u8>) {
         assert_eq!(lat.len(), lon.len(), "one longitude per latitude");
         if pixels == 0 {
-            return Vec::new();
+            land.clear();
+            return;
         }
         assert_eq!(lat.len() % pixels, 0, "whole lines only");
         let lines = lat.len() / pixels;
+        // Every cell below is flagged whole or sample by sample, so the
+        // resize need not clear what an earlier raster left.
+        land.resize(lat.len(), 0);
         let mut raster = Raster {
             mask: self,
             lat,
             lon,
             pixels,
-            land: vec![0u8; lat.len()],
+            land,
             cells: Default::default(),
         };
         for l0 in (0..lines).step_by(BLOCK) {
@@ -252,7 +264,6 @@ impl LandMask {
                 raster.classify(l0, (l0 + BLOCK).min(lines), p0, (p0 + BLOCK).min(pixels));
             }
         }
-        raster.land
     }
 
     /// Monte-Carlo estimate of the global land fraction using an

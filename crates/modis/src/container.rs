@@ -336,6 +336,25 @@ impl Container {
     /// container is never held whole. `len` bounds every length field, so a
     /// forged one is [`ContainerError::Truncated`], not a reservation.
     pub fn decode_from(reader: impl Read, len: u64) -> Result<Self, ReadError> {
+        let mut container = Container::new();
+        container.decode_into(reader, len)?;
+        Ok(container)
+    }
+
+    /// [`decode_from`](Self::decode_from) into this container, whose
+    /// datasets are the shells the stream's are read into: the `i`-th
+    /// dataset keeps the `i`-th shell's payload vector when the name, dtype
+    /// and element count all match, and gets a fresh one otherwise. Every
+    /// check `decode_from` makes is made, in the same order and with the
+    /// same error: the length checks before any payload is sized or
+    /// overwritten, the CRC over the bytes where they land. A caller that
+    /// decodes granule after granule into one container allocates its
+    /// payloads once.
+    ///
+    /// On error the container holds what was read so far and the shells not
+    /// reached; no shell is shrunk or dropped before its replacement is
+    /// known to fit.
+    pub fn decode_into(&mut self, reader: impl Read, len: u64) -> Result<(), ReadError> {
         let mut src = Source {
             reader,
             remaining: len,
@@ -349,39 +368,41 @@ impl Container {
             return Err(ContainerError::BadVersion(version).into());
         }
         let n_attrs = src.u16()?;
-        let mut attrs = BTreeMap::new();
+        self.attrs.clear();
         for _ in 0..n_attrs {
             let klen = src.u16()? as usize;
             let key = src.string(klen)?;
             let vlen = src.u32()? as usize;
             let value = src.string(vlen)?;
-            attrs.insert(key, value);
+            self.attrs.insert(key, value);
         }
-        let n_datasets = src.u16()? as u64;
+        let n_datasets = src.u16()? as usize;
         // A dataset header is at least nlen + dtype + ndims + crc = 8 bytes;
         // a count the remaining bytes cannot hold is a truncated file, and
         // nothing is reserved for it.
-        if n_datasets > src.remaining / 8 {
+        if n_datasets as u64 > src.remaining / 8 {
             return Err(ContainerError::Truncated.into());
         }
-        let mut datasets = Vec::with_capacity(n_datasets as usize);
-        for _ in 0..n_datasets {
+        for i in 0..n_datasets {
             let nlen = src.u16()? as usize;
-            let name = src.string(nlen)?;
+            let name = std::str::from_utf8(src.take(nlen)?).map_err(|_| ContainerError::BadUtf8)?;
+            // The shell at this position keeps its name if it has this one.
+            let named = self.datasets.get(i).is_some_and(|shell| shell.name == name);
+            let name = (!named).then(|| name.to_string());
             let dtype = src.u8()?;
             let elem = DatasetData::elem_size(dtype).ok_or(ContainerError::BadDtype(dtype))?;
             let ndims = src.u8()? as u64;
             if ndims > src.remaining / 4 {
                 return Err(ContainerError::Truncated.into());
             }
-            let mut dims = Vec::with_capacity(ndims as usize);
+            let mut dims = [0u32; u8::MAX as usize];
+            let dims = &mut dims[..ndims as usize];
             let mut count: usize = 1;
-            for _ in 0..ndims {
-                let d = src.u32()?;
+            for d in dims.iter_mut() {
+                *d = src.u32()?;
                 count = count
-                    .checked_mul(d as usize)
+                    .checked_mul(*d as usize)
                     .ok_or(ContainerError::ShapeOverflow)?;
-                dims.push(d);
             }
             let expected_crc = src.u32()?;
             let nbytes = count
@@ -390,11 +411,30 @@ impl Container {
             if nbytes as u64 > src.remaining {
                 return Err(ContainerError::Truncated.into());
             }
+            // The payload fits what is left: keep the shell's vector if it
+            // is this dataset's, or put a fresh one in its place.
+            let fits = |data: &DatasetData| data.dtype_tag() == dtype && data.len() == count;
+            if !(named && fits(&self.datasets[i].data)) {
+                let data = DatasetData::zeroed(dtype, count)?;
+                match self.datasets.get_mut(i) {
+                    Some(shell) => shell.data = data,
+                    None => self.datasets.push(Dataset {
+                        name: String::new(),
+                        dims: Vec::new(),
+                        data,
+                    }),
+                }
+            }
+            if let Some(name) = name {
+                self.datasets[i].name = name;
+            }
+            let ds = &mut self.datasets[i];
+            ds.dims.clear();
+            ds.dims.extend_from_slice(dims);
             // Read into the payload's own bytes and checksummed there, a
             // cache-sized piece at a time.
-            let mut data = DatasetData::zeroed(dtype, count)?;
             let mut crc = 0;
-            data.fill_le(|raw| {
+            ds.data.fill_le(|raw| {
                 for piece in raw.chunks_mut(PIECE_BYTES) {
                     src.fill(piece)?;
                     crc = crc32_chain(crc, piece);
@@ -402,11 +442,12 @@ impl Container {
                 Ok::<_, ReadError>(())
             })?;
             if crc != expected_crc {
-                return Err(ContainerError::ChecksumMismatch { dataset: name }.into());
+                let dataset = ds.name.clone();
+                return Err(ContainerError::ChecksumMismatch { dataset }.into());
             }
-            datasets.push(Dataset { name, dims, data });
         }
-        Ok(Self { attrs, datasets })
+        self.datasets.truncate(n_datasets);
+        Ok(())
     }
 }
 
@@ -740,6 +781,126 @@ mod tests {
                 Err(ContainerError::Truncated),
                 "{name}"
             );
+        }
+    }
+
+    /// [`large`]'s datasets holding other values: the shells a decode of
+    /// [`large`] may reuse.
+    fn shells() -> Container {
+        let mut c = large();
+        for ds in &mut c.datasets {
+            match &mut ds.data {
+                DatasetData::F32(v) => v.iter_mut().for_each(|x| *x = -*x - 1.0),
+                DatasetData::U8(v) => v.iter_mut().for_each(|x| *x = !*x),
+                DatasetData::I32(v) => v.iter_mut().for_each(|x| *x ^= 0x5a5a),
+            }
+        }
+        c
+    }
+
+    /// Where each dataset's payload lives and how much it may hold.
+    fn payloads(c: &Container) -> Vec<(usize, usize)> {
+        let at = |ds: &Dataset| match &ds.data {
+            DatasetData::F32(v) => (v.as_ptr() as usize, v.capacity()),
+            DatasetData::U8(v) => (v.as_ptr() as usize, v.capacity()),
+            DatasetData::I32(v) => (v.as_ptr() as usize, v.capacity()),
+        };
+        c.datasets.iter().map(at).collect()
+    }
+
+    #[test]
+    fn decoding_into_matching_shells_reuses_every_payload() {
+        let c = large();
+        let bytes = c.encode();
+        let mut into = shells();
+        assert_ne!(into, c);
+        let held = payloads(&into);
+        into.decode_into(&bytes[..], bytes.len() as u64).unwrap();
+        assert_eq!(into, c);
+        assert_eq!(payloads(&into), held, "a matching shell was reallocated");
+        // More shells than datasets: the extra ones go; fewer: fresh ones.
+        let mut extra = shells().with_dataset(Dataset::new("x", vec![1], DatasetData::U8(vec![7])));
+        extra.decode_into(&bytes[..], bytes.len() as u64).unwrap();
+        assert_eq!(extra, c);
+        let mut fewer = shells();
+        fewer.datasets.truncate(1);
+        fewer.decode_into(&bytes[..], bytes.len() as u64).unwrap();
+        assert_eq!(fewer, c);
+    }
+
+    #[test]
+    fn a_shell_of_another_name_dtype_or_length_gets_a_fresh_payload() {
+        let c = large();
+        let bytes = c.encode();
+        type Spoil = fn(&mut Dataset);
+        let spoils: [(&str, Spoil); 3] = [
+            ("name", |ds| ds.name.push('!')),
+            ("dtype", |ds| {
+                ds.data = match &ds.data {
+                    DatasetData::F32(v) => DatasetData::I32(vec![0; v.len()]),
+                    other => DatasetData::F32(vec![0.0; other.len()]),
+                }
+            }),
+            ("length", |ds| {
+                ds.data = match &ds.data {
+                    DatasetData::F32(v) => DatasetData::F32(vec![0.0; v.len() - 1]),
+                    DatasetData::U8(v) => DatasetData::U8(vec![0; v.len() + 1]),
+                    DatasetData::I32(v) => DatasetData::I32(vec![0; v.len() / 2]),
+                }
+            }),
+        ];
+        for k in 0..c.datasets.len() {
+            for (what, spoil) in spoils {
+                let mut into = shells();
+                spoil(&mut into.datasets[k]);
+                let held = payloads(&into);
+                into.decode_into(&bytes[..], bytes.len() as u64).unwrap();
+                assert_eq!(into, c, "{what} of dataset {k}");
+                for (j, (now, before)) in payloads(&into).iter().zip(&held).enumerate() {
+                    assert_eq!(now == before, j != k, "{what} of dataset {k}: payload {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_input_into_shells_fails_as_decode_from_does() {
+        let c = large();
+        let bytes = c.encode();
+        let len = bytes.len() as u64;
+        for (name, dims_at, range) in layout(&c, &bytes) {
+            // 2^62 bytes declared: refused before any shell is resized.
+            let mut forged = bytes.clone();
+            forged[dims_at..dims_at + 4].copy_from_slice(&(1u32 << 31).to_le_bytes());
+            forged[dims_at + 4..dims_at + 8].copy_from_slice(&(1u32 << 29).to_le_bytes());
+            let mut into = shells();
+            let held = payloads(&into);
+            let read = into.decode_into(&forged[..], len);
+            assert!(
+                matches!(read, Err(ReadError::Format(ContainerError::Truncated))),
+                "{name}: {read:?}"
+            );
+            assert_eq!(payloads(&into), held, "{name}: a shell was resized");
+
+            // One flipped bit in the payload.
+            for off in [0, range.len() / 2, range.len() - 1] {
+                let mut flipped = bytes.clone();
+                flipped[range.start + off] ^= 1 << (off % 8);
+                let read = shells().decode_into(&flipped[..], len);
+                let expected = ContainerError::ChecksumMismatch {
+                    dataset: name.clone(),
+                };
+                assert!(
+                    matches!(&read, Err(ReadError::Format(e)) if *e == expected),
+                    "{name} byte {off}: {read:?}"
+                );
+            }
+
+            // The stream ends mid-payload.
+            for cut in [1, PIECE_BYTES, range.len() - 1] {
+                let read = shells().decode_into(&bytes[..range.start + cut], len);
+                assert!(matches!(read, Err(ReadError::Io(_))), "{name} cut at {cut}");
+            }
         }
     }
 

@@ -333,6 +333,48 @@ mod tests {
     }
 
     #[test]
+    fn decoding_into_another_granules_planes_gives_the_same_swath() {
+        let sy = SwathSynthesizer::new(2022, SwathDims::small());
+        let date = CivilDate::new(2022, 1, 1).unwrap();
+        let terra = |slot| GranuleId::new(Platform::Terra, date, slot);
+        let day = (0..288).map(terra).find(|&g| sy.synthesize(g).day).unwrap();
+        let night = (0..288)
+            .map(terra)
+            .find(|&g| !sy.synthesize(g).day)
+            .unwrap();
+        let aqua = GranuleId::new(Platform::Aqua, date, day.slot);
+        let bits = |s: &Swath| -> Vec<Vec<u32>> {
+            let mut planes: Vec<&[f32]> = s.radiance.iter().map(Vec::as_slice).collect();
+            planes.extend([&s.lat[..], &s.lon[..], &s.cot[..], &s.ctp[..], &s.cer[..]]);
+            planes
+                .iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let mut held = sy.synthesize(day);
+        let planes: Vec<*const f32> = held.radiance.iter().map(|p| p.as_ptr()).collect();
+        for g in [night, day, aqua] {
+            let fresh = sy.synthesize(g);
+            let files = [to_mod02(&fresh), to_mod03(&fresh), to_mod06(&fresh)].map(|c| c.encode());
+            let mut shells = into_products(held);
+            for (shell, bytes) in shells.iter_mut().zip(&files) {
+                shell.decode_into(&bytes[..], bytes.len() as u64).unwrap();
+            }
+            let [m02, m03, m06] = shells;
+            held = swath_from_containers(m02, m03, m06).unwrap();
+            assert_eq!(
+                (held.id, held.dims, held.day),
+                (fresh.id, fresh.dims, fresh.day)
+            );
+            assert_eq!(held.bands, fresh.bands);
+            assert_eq!((&held.land, &held.cloud), (&fresh.land, &fresh.cloud));
+            assert!(bits(&held) == bits(&fresh), "{g}");
+        }
+        let kept: Vec<*const f32> = held.radiance.iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(kept, planes, "a radiance plane was allocated again");
+    }
+
+    #[test]
     fn round_trip_through_bytes() {
         let s = swath();
         let m02 = Container::decode(&to_mod02(&s).encode()).unwrap();

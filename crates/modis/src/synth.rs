@@ -21,7 +21,8 @@ use crate::product::{is_reflective_band, AICCA_BANDS};
 use eoml_geo::landmask::LandMask;
 use eoml_geo::latlon::LatLon;
 use eoml_geo::orbit::{OrbitParams, SunSyncOrbit, SwathGeometry};
-use eoml_util::noise::Fbm;
+use eoml_util::noise::{Fbm, FbmRows};
+use std::sync::Arc;
 
 /// Fill value for radiances that are unavailable (reflective bands at
 /// night) — mirrors the `_FillValue` convention of the real product.
@@ -103,6 +104,28 @@ pub struct Swath {
 }
 
 impl Swath {
+    /// A swath of granule `id` with no pixels, for
+    /// [`SwathSynthesizer::synthesize_into`] or a decode to fill.
+    pub fn empty(id: GranuleId) -> Swath {
+        Swath {
+            id,
+            dims: SwathDims {
+                lines: 0,
+                pixels: 0,
+            },
+            bands: Vec::new(),
+            radiance: Vec::new(),
+            lat: Vec::new(),
+            lon: Vec::new(),
+            land: Vec::new(),
+            cloud: Vec::new(),
+            cot: Vec::new(),
+            ctp: Vec::new(),
+            cer: Vec::new(),
+            day: false,
+        }
+    }
+
     /// Fraction of pixels flagged cloudy.
     pub fn cloud_fraction(&self) -> f64 {
         if self.cloud.is_empty() {
@@ -125,6 +148,10 @@ impl Swath {
     }
 }
 
+/// Cloud fields are sampled at one unit per [`CLOUD_SCALE`]⁻¹ pixels:
+/// structures of ~100 km, like real cloud decks.
+const CLOUD_SCALE: f64 = 1.0 / 96.0;
+
 /// Deterministic generator of [`Swath`]s.
 #[derive(Debug, Clone)]
 pub struct SwathSynthesizer {
@@ -133,25 +160,53 @@ pub struct SwathSynthesizer {
     terra: SwathGeometry,
     aqua: SwathGeometry,
     landmask: LandMask,
-    cloud_field: Fbm,
-    cot_field: Fbm,
-    ctp_field: Fbm,
-    cer_field: Fbm,
+    /// The four cloud fields' cross-track terms, the same for every granule.
+    cross_track: Arc<CrossTrack>,
+}
+
+/// The cloud, optical-thickness, cloud-top-pressure and effective-radius
+/// fields of `seed`.
+fn cloud_fields(seed: u64) -> [Fbm; 4] {
+    [
+        Fbm::new(seed ^ 0xC10D, 6),
+        Fbm::new(seed ^ 0x0C07, 5),
+        Fbm::new(seed ^ 0x0C79, 4),
+        Fbm::new(seed ^ 0x0CE6, 4),
+    ]
+}
+
+/// [`Fbm::rows`] of the cloud, optical-thickness, cloud-top-pressure and
+/// effective-radius fields over a scan line's cross-track coordinates.
+#[derive(Debug)]
+struct CrossTrack {
+    cloud: FbmRows,
+    cot: FbmRows,
+    ctp: FbmRows,
+    cer: FbmRows,
 }
 
 impl SwathSynthesizer {
     /// Synthesizer for `seed` producing granules of `dims`.
     pub fn new(seed: u64, dims: SwathDims) -> Self {
+        let [cloud, cot, ctp, cer] = cloud_fields(seed);
+        // Each field at its own multiple of the cross-track coordinate.
+        let xs = |k: f64| -> Vec<f64> {
+            let xs = (0..dims.pixels).map(|px| px as f64 * CLOUD_SCALE);
+            xs.map(|x| x * k).collect()
+        };
+        let cross_track = Arc::new(CrossTrack {
+            cloud: cloud.rows(&xs(1.0)),
+            cot: cot.rows(&xs(2.0)),
+            ctp: ctp.rows(&xs(1.5)),
+            cer: cer.rows(&xs(3.0)),
+        });
         Self {
             seed,
             dims,
             terra: SwathGeometry::modis_1km(SunSyncOrbit::new(OrbitParams::terra())),
             aqua: SwathGeometry::modis_1km(SunSyncOrbit::new(OrbitParams::aqua())),
             landmask: LandMask::earth_like(seed),
-            cloud_field: Fbm::new(seed ^ 0xC10D, 6),
-            cot_field: Fbm::new(seed ^ 0x0C07, 5),
-            ctp_field: Fbm::new(seed ^ 0x0C79, 4),
-            cer_field: Fbm::new(seed ^ 0x0CE6, 4),
+            cross_track,
         }
     }
 
@@ -179,14 +234,29 @@ impl SwathSynthesizer {
 
     /// Generate the full co-registered swath for `id`.
     pub fn synthesize(&self, id: GranuleId) -> Swath {
+        let mut swath = Swath::empty(id);
+        self.synthesize_into(id, &mut swath);
+        swath
+    }
+
+    /// [`synthesize`](Self::synthesize) into `out`, whatever granule it held
+    /// before: every plane is resized to this synthesizer's raster and each
+    /// of its pixels written once, where it lies. A caller that synthesizes
+    /// granule after granule into one swath allocates its planes once.
+    pub fn synthesize_into(&self, id: GranuleId, out: &mut Swath) {
         let dims = self.dims;
         let n = dims.len();
         let geom = self.geometry(&id);
+        out.id = id;
+        out.dims = dims;
 
-        let (lat, lon) = self.geolocate(id, geom);
+        self.geolocate_into(id, geom, &mut out.lat, &mut out.lon);
+        let (lat, lon) = (&out.lat, &out.lon);
 
         // Land mask from geolocation, decided a lattice cell at a time.
-        let land = self.landmask.land_plane(&lat, &lon, dims.pixels);
+        self.landmask
+            .land_plane_into(lat, lon, dims.pixels, &mut out.land);
+        let land = &out.land;
 
         // Day/night from the solar zenith angle at the swath center (the
         // real product's criterion; reflective bands need sunlight).
@@ -194,34 +264,36 @@ impl SwathSynthesizer {
         let center_pt = LatLon::new(lat[center] as f64, lon[center] as f64);
         let zenith = eoml_geo::solar::solar_zenith_deg(&center_pt, id.start_time());
         let day = zenith < 81.0;
+        out.day = day;
 
         // Cloud fields in along-track/cross-track coordinates. The
         // along-track coordinate advances with the granule slot so that
         // consecutive granules are spatially continuous.
         let along0 = id.orbit_time_s() * 6.7; // ≈ km along track
-        let scale = 1.0 / 96.0; // structures of ~100 km, like real cloud decks
-        let mut cloud = vec![0u8; n];
-        let mut cot = vec![0.0f32; n];
-        let mut ctp = vec![0.0f32; n];
-        let mut cer = vec![0.0f32; n];
+        out.cloud.resize(n, 0);
+        for plane in [&mut out.cot, &mut out.ctp, &mut out.cer] {
+            plane.resize(n, 0.0);
+        }
+        let (cloud, cot, ctp, cer) = (&mut out.cloud, &mut out.cot, &mut out.ctp, &mut out.cer);
         // The fields are sampled a scan line at a time (`FbmRows` reuses each
         // octave's lattice cell along the line): the cloud field over the
         // whole line, the three product fields over each run of cloudy
-        // pixels. Cross-track coordinates are the same for every line, so
-        // their share of the noise arithmetic is done once per granule.
-        let xs: Vec<f64> = (0..dims.pixels).map(|px| px as f64 * scale).collect();
-        let scaled = |k: f64| -> Vec<f64> { xs.iter().map(|x| x * k).collect() };
-        let cloud_rows = self.cloud_field.rows(&xs);
-        let cot_rows = self.cot_field.rows(&scaled(2.0));
-        let ctp_rows = self.ctp_field.rows(&scaled(1.5));
-        let cer_rows = self.cer_field.rows(&scaled(3.0));
+        // pixels (clear runs are zero). Cross-track coordinates are the same
+        // for every line of every granule, so their share of the noise
+        // arithmetic was done once, in `new`.
+        let CrossTrack {
+            cloud: cloud_rows,
+            cot: cot_rows,
+            ctp: ctp_rows,
+            cer: cer_rows,
+        } = &*self.cross_track;
         let mut cf_row = vec![0.0f64; dims.pixels];
         let mut strength = vec![0.0f32; dims.pixels];
         let mut cot_row = vec![0.0f64; dims.pixels];
         let mut ctp_row = vec![0.0f64; dims.pixels];
         let mut cer_row = vec![0.0f64; dims.pixels];
         for line in 0..dims.lines {
-            let y = (along0 + line as f64) * scale;
+            let y = (along0 + line as f64) * CLOUD_SCALE;
             let row = dims.idx(line, 0);
             cloud_rows.sample(y, 0..dims.pixels, &mut cf_row);
             for px in 0..dims.pixels {
@@ -232,8 +304,9 @@ impl SwathSynthesizer {
                 let climo = 0.52 + 0.13 * (2.0 * latr).cos().powi(2)
                     - 0.12 * (latr.abs().to_degrees() / 90.0 - 0.3).powi(2);
                 let threshold = 1.0 - climo.clamp(0.25, 0.75);
-                if cf > threshold {
-                    cloud[row + px] = 1;
+                let cloudy = cf > threshold;
+                cloud[row + px] = cloudy as u8;
+                if cloudy {
                     strength[px] = ((cf - threshold) / (1.0 - threshold)).clamp(0.0, 1.0) as f32;
                 }
             }
@@ -251,83 +324,78 @@ impl SwathSynthesizer {
                         ctp[i] = 950.0 - 650.0 * strength[px] - 100.0 * ctp_row[px] as f32;
                         cer[i] = 6.0 + 28.0 * cer_row[px] as f32;
                     }
+                } else {
+                    for plane in [&mut *cot, &mut *ctp, &mut *cer] {
+                        plane[row + a..row + b].fill(0.0);
+                    }
                 }
                 a = b;
             }
         }
 
-        // Radiances for the 6 AICCA bands. A band is a gain or an offset on
-        // one of two per-pixel quantities, each computed once.
-        let bands: Vec<u8> = AICCA_BANDS.to_vec();
-        let mut radiance = vec![vec![0.0f32; n]; bands.len()];
-        // Reflectance-like: surface albedo plus cloud albedo 1 − e^(−τ/10).
-        let reflectance: Vec<f32> = if day {
-            (0..n)
-                .map(|i| {
-                    let surf = if land[i] == 1 { 0.25 } else { 0.05 };
-                    let cloud_albedo = if cloud[i] == 1 {
-                        0.75 * (1.0 - (-cot[i] / 10.0).exp())
-                    } else {
-                        0.0
-                    };
-                    surf + cloud_albedo * (1.0 - surf)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Brightness-temperature-like (K): warm surface, cold cloud tops.
-        let brightness: Vec<f32> = (0..n)
-            .map(|i| {
-                let latr = (lat[i] as f64).to_radians();
-                let tsurf =
-                    300.0 - 45.0 * latr.sin().powi(2) as f32 + if land[i] == 1 { 3.0 } else { 0.0 };
-                if cloud[i] == 1 {
-                    // Cloud-top temperature from pressure: ~200 K at
-                    // 300 hPa up to ~285 K at 950 hPa.
-                    let tc = 160.0 + 0.13 * ctp[i];
-                    let emis = (1.0 - (-cot[i] / 5.0).exp()).clamp(0.0, 1.0);
-                    tsurf * (1.0 - emis) + tc * emis
-                } else {
-                    tsurf
-                }
-            })
-            .collect();
-        for (plane, &band) in radiance.iter_mut().zip(&bands) {
+        // Radiances for the 6 AICCA bands. A band is a gain on the pixel's
+        // reflectance or an offset on its brightness temperature; both are
+        // computed once per pixel and written straight into the planes.
+        out.bands.clear();
+        out.bands.extend_from_slice(&AICCA_BANDS);
+        out.radiance.resize_with(AICCA_BANDS.len(), Vec::new);
+        let mut reflective = Vec::new();
+        let mut thermal = Vec::new();
+        for (plane, &band) in out.radiance.iter_mut().zip(&AICCA_BANDS) {
+            plane.resize(n, 0.0);
             if !is_reflective_band(band) {
                 // Band-dependent small offsets.
-                let band_offset = (band as f32 - 28.0) * 0.4;
-                for (r, &t) in plane.iter_mut().zip(&brightness) {
-                    *r = t + band_offset;
-                }
+                thermal.push((&mut plane[..], (band as f32 - 28.0) * 0.4));
             } else if day {
-                let band_gain = if band == 6 { 1.0 } else { 0.8 };
-                for (r, &refl) in plane.iter_mut().zip(&reflectance) {
-                    *r = band_gain * refl;
-                }
+                reflective.push((&mut plane[..], if band == 6 { 1.0 } else { 0.8 }));
             } else {
                 plane.fill(RADIANCE_FILL);
             }
         }
-
-        Swath {
-            id,
-            dims,
-            bands,
-            radiance,
-            lat,
-            lon,
-            land,
-            cloud,
-            cot,
-            ctp,
-            cer,
-            day,
+        let (cloud, cot, ctp) = (&out.cloud, &out.cot, &out.ctp);
+        for i in 0..n {
+            if day {
+                // Reflectance-like: surface albedo plus cloud albedo
+                // 1 − e^(−τ/10).
+                let surf = if land[i] == 1 { 0.25 } else { 0.05 };
+                let cloud_albedo = if cloud[i] == 1 {
+                    0.75 * (1.0 - (-cot[i] / 10.0).exp())
+                } else {
+                    0.0
+                };
+                let refl: f32 = surf + cloud_albedo * (1.0 - surf);
+                for (plane, band_gain) in &mut reflective {
+                    plane[i] = *band_gain * refl;
+                }
+            }
+            // Brightness-temperature-like (K): warm surface, cold cloud tops.
+            let latr = (lat[i] as f64).to_radians();
+            let tsurf =
+                300.0 - 45.0 * latr.sin().powi(2) as f32 + if land[i] == 1 { 3.0 } else { 0.0 };
+            let t = if cloud[i] == 1 {
+                // Cloud-top temperature from pressure: ~200 K at 300 hPa up
+                // to ~285 K at 950 hPa.
+                let tc = 160.0 + 0.13 * ctp[i];
+                let emis = (1.0 - (-cot[i] / 5.0).exp()).clamp(0.0, 1.0);
+                tsurf * (1.0 - emis) + tc * emis
+            } else {
+                tsurf
+            };
+            for (plane, band_offset) in &mut thermal {
+                plane[i] = t + *band_offset;
+            }
         }
     }
 
-    /// Geolocation on a coarse lattice + unit-vector bilinear interpolation.
-    fn geolocate(&self, id: GranuleId, geom: &SwathGeometry) -> (Vec<f32>, Vec<f32>) {
+    /// Geolocation on a coarse lattice + unit-vector bilinear interpolation,
+    /// into `lat` and `lon` (resized to the raster, every sample written).
+    fn geolocate_into(
+        &self,
+        id: GranuleId,
+        geom: &SwathGeometry,
+        lat: &mut Vec<f32>,
+        lon: &mut Vec<f32>,
+    ) {
         let dims = self.dims;
         let n = dims.len();
         let t0 = id.orbit_time_s();
@@ -360,8 +428,8 @@ impl SwathSynthesizer {
             }
         }
 
-        let mut lat = vec![0.0f32; n];
-        let mut lon = vec![0.0f32; n];
+        lat.resize(n, 0.0);
+        lon.resize(n, 0.0);
         for line in 0..dims.lines {
             let gl = line / STEP;
             let fl = (line % STEP) as f64 / STEP as f64;
@@ -386,7 +454,6 @@ impl SwathSynthesizer {
                 lon[i] = y.atan2(x).to_degrees() as f32;
             }
         }
-        (lat, lon)
     }
 }
 
@@ -414,6 +481,7 @@ mod tests {
         let n = dims.len();
         let along0 = s.id.orbit_time_s() * 6.7;
         let scale = 1.0 / 96.0;
+        let [cloud_field, cot_field, ctp_field, cer_field] = cloud_fields(sy.seed);
         let mut cloud = vec![0u8; n];
         let mut cot = vec![0.0f32; n];
         let mut ctp = vec![0.0f32; n];
@@ -423,7 +491,7 @@ mod tests {
             for px in 0..dims.pixels {
                 let i = dims.idx(line, px);
                 let x = px as f64 * scale;
-                let cf = sy.cloud_field.sample(x, y);
+                let cf = cloud_field.sample(x, y);
                 // Latitude climatology: cloudier at the ITCZ (0°) and the
                 // mid-latitude storm tracks (±55°), drier in the subtropics.
                 let latr = (s.lat[i] as f64).to_radians();
@@ -434,12 +502,12 @@ mod tests {
                     cloud[i] = 1;
                     let strength = ((cf - threshold) / (1.0 - threshold)).clamp(0.0, 1.0);
                     cot[i] = (strength as f32).powi(2) * 60.0
-                        + 3.0 * sy.cot_field.sample(x * 2.0, y * 2.0) as f32;
+                        + 3.0 * cot_field.sample(x * 2.0, y * 2.0) as f32;
                     // Thicker clouds reach higher (lower pressure).
                     ctp[i] = 950.0
                         - 650.0 * strength as f32
-                        - 100.0 * sy.ctp_field.sample(x * 1.5, y * 1.5) as f32;
-                    cer[i] = 6.0 + 28.0 * sy.cer_field.sample(x * 3.0, y * 3.0) as f32;
+                        - 100.0 * ctp_field.sample(x * 1.5, y * 1.5) as f32;
+                    cer[i] = 6.0 + 28.0 * cer_field.sample(x * 3.0, y * 3.0) as f32;
                 }
             }
         }
@@ -515,6 +583,59 @@ mod tests {
         assert_matches_per_pixel_reference(&odd, &odd.synthesize(day));
     }
 
+    /// `a` and `b` are the same granule, every plane bit for bit.
+    fn assert_same_bits(a: &Swath, b: &Swath) {
+        assert_eq!((a.id, a.dims, a.day), (b.id, b.dims, b.day));
+        assert_eq!(a.bands, b.bands);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(a.radiance.len(), b.radiance.len());
+        for (p, q) in a.radiance.iter().zip(&b.radiance) {
+            assert_eq!(bits(p), bits(q), "radiance");
+        }
+        for (p, q) in [
+            (&a.lat, &b.lat),
+            (&a.lon, &b.lon),
+            (&a.cot, &b.cot),
+            (&a.ctp, &b.ctp),
+            (&a.cer, &b.cer),
+        ] {
+            assert_eq!(bits(p), bits(q));
+        }
+        assert_eq!(a.land, b.land, "land");
+        assert_eq!(a.cloud, b.cloud, "cloud");
+    }
+
+    #[test]
+    fn synthesizing_into_a_used_swath_equals_a_fresh_synthesis() {
+        let sy = synth();
+        let day = (0..288).map(gid).find(|&g| sy.synthesize(g).day).unwrap();
+        let night = (0..288).map(gid).find(|&g| !sy.synthesize(g).day).unwrap();
+        let aqua = GranuleId::new(Platform::Aqua, day.date, day.slot);
+        // Day → night → day → Aqua, all in one swath: no plane keeps a
+        // pixel of the granule before (night fill, cloud mask, land).
+        let mut held = sy.synthesize(day);
+        let planes = held.radiance.iter().map(|p| p.as_ptr()).collect::<Vec<_>>();
+        for g in [night, day, aqua] {
+            sy.synthesize_into(g, &mut held);
+            assert_same_bits(&held, &sy.synthesize(g));
+        }
+        let kept = held.radiance.iter().map(|p| p.as_ptr()).collect::<Vec<_>>();
+        assert_eq!(kept, planes, "the planes were allocated again");
+        // A swath of another shape takes this synthesizer's.
+        let odd = SwathSynthesizer::new(
+            77,
+            SwathDims {
+                lines: 37,
+                pixels: 101,
+            },
+        );
+        let mut other = odd.synthesize(day);
+        sy.synthesize_into(night, &mut other);
+        assert_same_bits(&other, &sy.synthesize(night));
+        odd.synthesize_into(aqua, &mut held);
+        assert_same_bits(&held, &odd.synthesize(aqua));
+    }
+
     /// `land_plane` against the per-pixel definition on 32 granules spread
     /// over a day for each of three seeds, the thresholds of
     /// `LandMask::with_threshold` included; the day must hold a polar granule
@@ -530,7 +651,8 @@ mod tests {
             ];
             for slot in (0..288).step_by(9) {
                 let id = gid(slot);
-                let (lat, lon) = sy.geolocate(id, sy.geometry(&id));
+                let (mut lat, mut lon) = (Vec::new(), Vec::new());
+                sy.geolocate_into(id, sy.geometry(&id), &mut lat, &mut lon);
                 let over_pole = lat.iter().any(|v| v.abs() > 80.0);
                 let over_seam = lon.iter().any(|&v| v > 179.0) && lon.iter().any(|&v| v < -179.0);
                 polar |= over_pole;

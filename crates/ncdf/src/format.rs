@@ -7,7 +7,8 @@
 //! the classic special case: a *single* record variable's records are
 //! packed without inter-record padding).
 
-use crate::model::{DimId, NcAttr, NcDim, NcFile, NcType, NcValues, NcVar};
+use crate::model::{DimId, NcAttr, NcDim, NcFile, NcType, NcValues, NcVar, VarId};
+use eoml_util::bytes;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// Magic bytes: `CDF`.
@@ -141,33 +142,41 @@ impl<W: Write> Writer<'_, W> {
         self.buf.extend_from_slice(s.as_bytes());
         self.zeros(pad4(s.len()) - s.len());
     }
+    /// `xs`, big-endian, unpadded; returns the byte count.
+    fn put_be<T: Copy, const N: usize>(
+        &mut self,
+        xs: &[T],
+        be: impl Fn(T) -> [u8; N],
+    ) -> io::Result<usize> {
+        let written = xs.len() * N;
+        let mut xs = xs;
+        while !xs.is_empty() {
+            // Each piece fills the stage at most to its size, so the stage
+            // keeps its first allocation and is handed on whole.
+            let room = (STAGE_BYTES.saturating_sub(self.buf.len()) / N).max(1);
+            let (piece, rest) = xs.split_at(room.min(xs.len()));
+            let at = self.buf.len();
+            self.buf.resize(at + piece.len() * N, 0);
+            for (dst, &x) in self.buf[at..].chunks_exact_mut(N).zip(piece) {
+                dst.copy_from_slice(&be(x));
+            }
+            if self.buf.len() >= STAGE_BYTES {
+                self.flush()?;
+            }
+            xs = rest;
+        }
+        Ok(written)
+    }
     /// Elements `start..end` of `v`, big-endian, unpadded; returns the byte
     /// count.
     fn slab(&mut self, v: &NcValues, start: usize, end: usize) -> io::Result<usize> {
-        fn put_be<W: Write, T: Copy, const N: usize>(
-            w: &mut Writer<'_, W>,
-            xs: &[T],
-            be: impl Fn(T) -> [u8; N],
-        ) -> io::Result<usize> {
-            for piece in xs.chunks(STAGE_BYTES / N) {
-                let at = w.buf.len();
-                w.buf.resize(at + piece.len() * N, 0);
-                for (dst, &x) in w.buf[at..].chunks_exact_mut(N).zip(piece) {
-                    dst.copy_from_slice(&be(x));
-                }
-                if w.buf.len() >= STAGE_BYTES {
-                    w.flush()?;
-                }
-            }
-            Ok(xs.len() * N)
-        }
         match v {
-            NcValues::Byte(xs) => put_be(self, &xs[start..end], i8::to_be_bytes),
-            NcValues::Char(xs) => put_be(self, &xs[start..end], u8::to_be_bytes),
-            NcValues::Short(xs) => put_be(self, &xs[start..end], i16::to_be_bytes),
-            NcValues::Int(xs) => put_be(self, &xs[start..end], i32::to_be_bytes),
-            NcValues::Float(xs) => put_be(self, &xs[start..end], f32::to_be_bytes),
-            NcValues::Double(xs) => put_be(self, &xs[start..end], f64::to_be_bytes),
+            NcValues::Byte(xs) => self.put_be(&xs[start..end], i8::to_be_bytes),
+            NcValues::Char(xs) => self.put_be(&xs[start..end], u8::to_be_bytes),
+            NcValues::Short(xs) => self.put_be(&xs[start..end], i16::to_be_bytes),
+            NcValues::Int(xs) => self.put_be(&xs[start..end], i32::to_be_bytes),
+            NcValues::Float(xs) => self.put_be(&xs[start..end], f32::to_be_bytes),
+            NcValues::Double(xs) => self.put_be(&xs[start..end], f64::to_be_bytes),
         }
     }
     /// All of `v`, zero-padded to a 4-byte boundary.
@@ -309,10 +318,10 @@ fn layout(file: &NcFile) -> Layout {
 
 /// Encode to classic bytes in memory: one allocation of the file's size.
 pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
-    validate(file)?;
+    validate(file, None)?;
     let layout = layout(file);
     let mut out = Vec::with_capacity(layout.total as usize);
-    write(file, &layout, &mut out).expect("writing to a Vec cannot fail");
+    write(file, &layout, &mut out, None).expect("writing to a Vec cannot fail");
     Ok(out)
 }
 
@@ -320,11 +329,60 @@ pub fn encode(file: &NcFile) -> Result<Vec<u8>, NcError> {
 /// no more than [`STAGE_BYTES`] of them at a time. A file that fails
 /// validation is an `InvalidData` error and nothing is written.
 pub fn encode_into<W: Write>(file: &NcFile, sink: &mut W) -> io::Result<()> {
-    validate(file).map_err(invalid)?;
-    write(file, &layout(file), sink)
+    validate(file, None).map_err(invalid)?;
+    write(file, &layout(file), sink, None)
 }
 
-fn write<W: Write>(file: &NcFile, layout: &Layout, sink: &mut W) -> io::Result<()> {
+/// One `float` record variable whose records are filled as they are written.
+struct Filled<'f> {
+    /// Index of the variable.
+    var: usize,
+    /// One record's values.
+    record: &'f mut [f32],
+    /// Fills `record` with record `rec`'s values.
+    fill: &'f mut dyn FnMut(usize, &mut [f32]),
+}
+
+/// [`encode_into`] of a file whose `float` record variable `var` holds no
+/// values: just before record `rec` of it is written, `fill(rec, record)`
+/// fills `record` (one record's values), so no more than one of its records
+/// is ever in memory. The bytes are those of [`encode_into`] on the file
+/// with the filled records as `var`'s values.
+pub fn encode_into_filling<W: Write>(
+    file: &NcFile,
+    sink: &mut W,
+    var: VarId,
+    record: &mut [f32],
+    fill: &mut dyn FnMut(usize, &mut [f32]),
+) -> io::Result<()> {
+    let v = file
+        .vars
+        .get(var.0)
+        .ok_or(NcError::UnknownVar)
+        .map_err(invalid)?;
+    validate(file, Some(var.0)).map_err(invalid)?;
+    if !is_record_var(file, v) || v.nc_type != NcType::Float || !v.data.is_empty() {
+        return Err(invalid(NcError::TypeMismatch));
+    }
+    let expected = slab_bytes(file, v) / NcType::Float.size();
+    if record.len() != expected {
+        let actual = record.len();
+        return Err(invalid(NcError::LengthMismatch { expected, actual }));
+    }
+    let filled = Filled {
+        var: var.0,
+        record,
+        fill,
+    };
+    write(file, &layout(file), sink, Some(filled))
+}
+
+fn write<W: Write>(
+    file: &NcFile,
+    layout: &Layout,
+    sink: &mut W,
+    mut filled: Option<Filled<'_>>,
+) -> io::Result<()> {
     let Layout {
         version,
         begins,
@@ -403,7 +461,13 @@ fn write<W: Write>(file: &NcFile, layout: &Layout, sink: &mut W) -> io::Result<(
         for &i in record {
             let v = &file.vars[i];
             let slab_elems = slab_bytes(file, v) / v.nc_type.size();
-            let written = w.slab(&v.data, rec * slab_elems, (rec + 1) * slab_elems)?;
+            let written = match &mut filled {
+                Some(f) if f.var == i => {
+                    (f.fill)(rec, f.record);
+                    w.put_be(f.record, f32::to_be_bytes)?
+                }
+                _ => w.slab(&v.data, rec * slab_elems, (rec + 1) * slab_elems)?,
+            };
             // A single record variable is packed: no padding between records.
             if record.len() > 1 {
                 w.zeros(pad4(written) - written);
@@ -415,16 +479,21 @@ fn write<W: Write>(file: &NcFile, layout: &Layout, sink: &mut W) -> io::Result<(
     w.flush()
 }
 
-fn validate(file: &NcFile) -> Result<(), NcError> {
+/// Check `file` is encodable; the values of variable `filled`, if any, are
+/// supplied as it is written and not checked here.
+fn validate(file: &NcFile, filled: Option<usize>) -> Result<(), NcError> {
     if file.dims.iter().filter(|d| d.is_record()).count() > 1 {
         return Err(NcError::MultipleRecordDims);
     }
-    for v in &file.vars {
+    for (index, v) in file.vars.iter().enumerate() {
         for (i, d) in v.dims.iter().enumerate() {
             let dim = file.dims.get(d.0).ok_or(NcError::UnknownDim)?;
             if dim.is_record() && i != 0 {
                 return Err(NcError::RecordDimNotFirst);
             }
+        }
+        if filled == Some(index) {
+            continue;
         }
         let expect = if is_record_var(file, v) {
             (slab_bytes(file, v) / v.nc_type.size()) * file.numrecs
@@ -847,6 +916,11 @@ impl RecordVarSpan {
         self.stride
     }
 
+    /// Values in one record of the variable.
+    pub fn record_len(&self) -> usize {
+        self.slab_len
+    }
+
     /// Records in the file.
     pub fn numrecs(&self) -> usize {
         self.numrecs
@@ -866,9 +940,11 @@ impl RecordVarSpan {
     }
 
     /// [`read`](Self::read) of a `float` variable into `out`, which is
-    /// cleared first and keeps its allocation: a caller that reads the same
-    /// variable of one file after another holds a single buffer. Any other
-    /// type is [`NcError::TypeMismatch`].
+    /// resized to the values and keeps its allocation: a caller that reads
+    /// the same variable of one file after another holds a single buffer.
+    /// Each record is read straight into its place in `out`; on error
+    /// `out`'s values are unspecified. Any other type is
+    /// [`NcError::TypeMismatch`].
     pub fn read_f32_into(
         &self,
         file: &mut (impl Read + Seek),
@@ -877,9 +953,53 @@ impl RecordVarSpan {
         if self.nc_type != NcType::Float {
             return Err(invalid(NcError::TypeMismatch));
         }
-        out.clear();
-        out.reserve_exact(self.numrecs * self.slab_len);
-        self.for_each_record(file, |raw| get_be(out, raw, f32::from_be_bytes))
+        let len = self.numrecs * self.slab_len;
+        out.reserve_exact(len.saturating_sub(out.len()));
+        out.resize(len, 0.0);
+        for (rec, values) in out.chunks_exact_mut(self.slab_len.max(1)).enumerate() {
+            self.read_f32_record(file, rec, values)?;
+        }
+        Ok(())
+    }
+
+    /// Each record of a `float` variable in turn, read into `record` (one
+    /// record's values) and handed to `each`, whose error stops the walk: a
+    /// caller holds one record, not the variable. Any other type is
+    /// [`NcError::TypeMismatch`].
+    pub fn for_each_f32_record(
+        &self,
+        file: &mut (impl Read + Seek),
+        record: &mut [f32],
+        mut each: impl FnMut(&[f32]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if self.nc_type != NcType::Float {
+            return Err(invalid(NcError::TypeMismatch));
+        }
+        if record.len() != self.slab_len {
+            let (expected, actual) = (self.slab_len, record.len());
+            return Err(invalid(NcError::LengthMismatch { expected, actual }));
+        }
+        for rec in 0..self.numrecs {
+            self.read_f32_record(file, rec, record)?;
+            each(record)?;
+        }
+        Ok(())
+    }
+
+    /// Record `rec` of a `float` variable into `values`, read straight into
+    /// them as little-endian words and swapped: big-endian floats.
+    fn read_f32_record(
+        &self,
+        file: &mut (impl Read + Seek),
+        rec: usize,
+        values: &mut [f32],
+    ) -> io::Result<()> {
+        file.seek(self.record_offset(rec))?;
+        bytes::fill_le(values, |raw| file.read_exact(raw))?;
+        for v in values.iter_mut() {
+            *v = f32::from_bits(v.to_bits().swap_bytes());
+        }
+        Ok(())
     }
 
     /// Hand each record's slab of the variable, still big-endian, to `each`.
@@ -1261,6 +1381,62 @@ mod tests {
         let err = f.encode_into(&mut sink).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(sink.0.is_empty());
+    }
+
+    #[test]
+    fn filled_records_encode_to_the_bytes_of_held_ones() {
+        let mut f = NcFile::new();
+        let t = f.add_record_dim("tile").unwrap();
+        let p = f.add_dim("pixel", 5);
+        let big = f.add_var("big", NcType::Float, vec![t, p]).unwrap();
+        let flag = f.add_var("flag", NcType::Byte, vec![t]).unwrap();
+        let value = |rec: usize, i: usize| (rec * 10 + i) as f32 * 0.5 - 3.0;
+        for r in 0..3 {
+            let slab = (0..5).map(|i| value(r, i)).collect();
+            let records = vec![
+                (big, NcValues::Float(slab)),
+                (flag, NcValues::Byte(vec![r as i8])),
+            ];
+            f.append_record(records).unwrap();
+        }
+        let whole = f.encode().unwrap();
+        let mut empty = f.clone();
+        empty.vars[big.0].data = NcValues::Float(Vec::new());
+        let mut fill = |rec: usize, r: &mut [f32]| {
+            r.iter_mut()
+                .enumerate()
+                .for_each(|(i, v)| *v = value(rec, i));
+        };
+        let (mut out, mut record) = (Vec::new(), [0.0f32; 5]);
+        empty
+            .encode_into_filling(&mut out, big, &mut record, &mut fill)
+            .unwrap();
+        assert_eq!(out, whole);
+
+        // Read back a record at a time.
+        let mut disk = io::Cursor::new(out);
+        let span = RecordVarSpan::locate(&mut disk, "big").unwrap();
+        assert_eq!(span.record_len(), 5);
+        let mut seen = Vec::new();
+        let each = |r: &[f32]| {
+            seen.extend_from_slice(r);
+            Ok(())
+        };
+        span.for_each_f32_record(&mut disk, &mut record, each)
+            .unwrap();
+        assert_eq!(NcValues::Float(seen), f.vars[big.0].data);
+
+        // A record of another length, or a variable that holds values, is
+        // refused before anything is written or read.
+        let mut out = Vec::new();
+        let short = empty.encode_into_filling(&mut out, big, &mut [0.0; 4], &mut fill);
+        let held = f.encode_into_filling(&mut out, big, &mut record, &mut fill);
+        let bytes = f.encode_into_filling(&mut out, flag, &mut record, &mut fill);
+        let read = span.for_each_f32_record(&mut disk, &mut [0.0; 4], |_| Ok(()));
+        for e in [short, held, bytes, read] {
+            assert_eq!(e.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -439,6 +439,21 @@ impl NcFile {
         format::encode_into(self, sink)
     }
 
+    /// [`encode_into`](Self::encode_into) with the `float` record variable
+    /// `var` holding no values: just before record `rec` of it is written,
+    /// `fill(rec, record)` fills `record` (one record's values), so no more
+    /// than one of its records is ever in memory. The bytes are those of
+    /// `encode_into` on the file with the filled records as `var`'s values.
+    pub fn encode_into_filling(
+        &self,
+        sink: &mut impl std::io::Write,
+        var: VarId,
+        record: &mut [f32],
+        fill: &mut dyn FnMut(usize, &mut [f32]),
+    ) -> std::io::Result<()> {
+        format::encode_into_filling(self, sink, var, record, fill)
+    }
+
     /// Encode and write to a file path (via a `.part` rename so monitors
     /// never observe a partial file).
     pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {

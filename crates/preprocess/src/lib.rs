@@ -18,6 +18,11 @@ pub mod pipeline;
 pub mod tiles;
 pub mod writer;
 
-pub use pipeline::{preprocess_granule_files, PipelineError};
-pub use tiles::{extract_tiles, Tile, TileCriteria, TileSet};
-pub use writer::{append_labels, patch_labels, read_labels, read_tiles_nc, write_tiles_nc};
+pub use pipeline::{
+    preprocess_granule_files, preprocess_granule_with, GranuleBuffers, PipelineError,
+};
+pub use tiles::{cut_tile, extract_tiles, select_tiles, Tile, TileCriteria, TileSet};
+pub use writer::{
+    append_labels, for_each_radiance_tile, patch_labels, read_labels, read_tiles_nc,
+    write_tiles_nc, write_tiles_nc_into,
+};

@@ -8,10 +8,11 @@
 //! "HDF read errors from partially reading files" concern, applied to our
 //! own outputs).
 
-use crate::tiles::{extract_tiles, TileCriteria, TileSet};
-use crate::writer::{write_tiles_nc, TileNcError};
-use eoml_modis::container::{Container, ContainerError, ReadError};
-use eoml_modis::files::{swath_from_containers, ProductFileError};
+use crate::tiles::{cut_tile, select_tiles, TileCriteria, TileSet};
+use crate::writer::{for_each_radiance_tile, write_tiles_nc_into, TileNcError};
+use eoml_modis::container::{ContainerError, ReadError};
+use eoml_modis::files::{into_products, swath_from_containers, ProductFileError};
+use eoml_modis::synth::Swath;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -81,6 +82,19 @@ pub struct PipelineOutcome {
     pub tiles: TileSet,
 }
 
+/// A worker's granule-sized memory, kept from one granule to the next so
+/// that carrying a granule allocates none of it: one swath, whose planes the
+/// three products are decoded into, and one tile's pixels, which each tile
+/// is cut into as the tile file is written.
+#[derive(Debug, Default)]
+pub struct GranuleBuffers {
+    /// The last granule's swath; `None` until one is held. Its planes are
+    /// the product shells the next decode fills.
+    pub swath: Option<Swath>,
+    /// One tile's `band × y × x` floats.
+    pub tile: Vec<f32>,
+}
+
 /// Preprocess one granule from its three product files on disk.
 pub fn preprocess_granule_files(
     mod02: &Path,
@@ -89,28 +103,58 @@ pub fn preprocess_granule_files(
     out_dir: &Path,
     criteria: &TileCriteria,
 ) -> Result<PipelineOutcome, PipelineError> {
-    // Files are decoded and encoded as streams, the decoded planes move into
-    // the swath, and the swath is dropped as soon as the tiles are cut.
-    let product = |path: &Path| -> Result<Container, PipelineError> {
+    let mut buffers = GranuleBuffers::default();
+    let mut done = preprocess_granule_with(mod02, mod03, mod06, out_dir, criteria, &mut buffers)?;
+    // Each tile gets its own copy of the pixels the file holds, read back
+    // once the swath is gone so the copies can take its memory.
+    drop(buffers.swath);
+    if let Some(path) = &done.output {
+        let mut tiles = done.tiles.tiles.iter_mut();
+        let mut give = |pixels: &[f32]| {
+            if let Some(tile) = tiles.next() {
+                tile.data = pixels.to_vec();
+            }
+            Ok(())
+        };
+        for_each_radiance_tile(&mut File::open(path)?, &mut buffers.tile, &mut give)?;
+    }
+    Ok(done)
+}
+
+/// [`preprocess_granule_files`] in `buffers`: the files are decoded as
+/// streams into the held swath's planes, and each selected tile is cut into
+/// `buffers.tile` just before its record of the tile file is written. The
+/// outcome's tiles have no `data` of their own.
+pub fn preprocess_granule_with(
+    mod02: &Path,
+    mod03: &Path,
+    mod06: &Path,
+    out_dir: &Path,
+    criteria: &TileCriteria,
+    buffers: &mut GranuleBuffers,
+) -> Result<PipelineOutcome, PipelineError> {
+    let mut shells = buffers.swath.take().map(into_products).unwrap_or_default();
+    for (shell, path) in shells.iter_mut().zip([mod02, mod03, mod06]) {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        Ok(Container::decode_from(BufReader::new(file), len)?)
-    };
-    let swath = swath_from_containers(product(mod02)?, product(mod03)?, product(mod06)?)?;
-    let set = extract_tiles(&swath, criteria);
-    let id = swath.id;
-    drop(swath);
+        shell.decode_into(BufReader::new(file), len)?;
+    }
+    let [m02, m03, m06] = shells;
+    let swath = buffers.swath.insert(swath_from_containers(m02, m03, m06)?);
+    let set = select_tiles(swath, criteria);
     if set.is_empty() {
         return Ok(PipelineOutcome {
             output: None,
             tiles: set,
         });
     }
-    let nc = write_tiles_nc(&set.tiles)?;
+    let id = swath.id;
     std::fs::create_dir_all(out_dir)?;
     let final_path = out_dir.join(format!("tiles-{id}.nc"));
     let part_path = out_dir.join(format!("tiles-{id}.nc.part"));
-    nc.encode_into(&mut File::create(&part_path)?)?;
+    let mut part = File::create(&part_path)?;
+    let cut = &mut |i, pixels: &mut [f32]| cut_tile(swath, &set.tiles[i], pixels);
+    write_tiles_nc_into(&set.tiles, &mut part, &mut buffers.tile, cut)?;
     std::fs::rename(&part_path, &final_path)?;
     Ok(PipelineOutcome {
         output: Some(final_path),
@@ -121,10 +165,12 @@ pub fn preprocess_granule_files(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiles::extract_tiles;
+    use crate::writer::write_tiles_nc;
     use eoml_modis::files::{to_mod02, to_mod03, to_mod06};
     use eoml_modis::granule::GranuleId;
     use eoml_modis::product::Platform;
-    use eoml_modis::synth::{Swath, SwathDims, SwathSynthesizer};
+    use eoml_modis::synth::{SwathDims, SwathSynthesizer};
     use eoml_util::timebase::CivilDate;
     use std::fs;
 
@@ -185,6 +231,65 @@ mod tests {
         let nc = eoml_ncdf::NcFile::decode(&fs::read(&out).unwrap()).unwrap();
         assert_eq!(nc.numrecs, outcome.tiles.len());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn buffered_granules_write_the_bytes_of_the_tile_writer() {
+        let sy = SwathSynthesizer::new(2022, SwathDims::small());
+        let date = CivilDate::new(2022, 1, 1).unwrap();
+        let swaths: Vec<Swath> = (0..288)
+            .map(|slot| sy.synthesize(GranuleId::new(Platform::Terra, date, slot)))
+            .filter(|s| s.day)
+            .step_by(7)
+            .take(4)
+            .collect();
+        let night = (0..288)
+            .map(|slot| sy.synthesize(GranuleId::new(Platform::Aqua, date, slot)))
+            .find(|s| !s.day)
+            .unwrap();
+        let all = TileCriteria {
+            tile_size: 32,
+            min_ocean_fraction: 0.0,
+            min_cloud_fraction: 0.0,
+        };
+        let paper = TileCriteria {
+            tile_size: 32,
+            ..TileCriteria::default()
+        };
+        let (mut written, mut none) = (0, 0);
+        for crit in [all, paper] {
+            let dir = tempdir("buffered");
+            let mut buffers = GranuleBuffers::default();
+            // Day, night, day: the buffers hold another granule each time.
+            for swath in swaths[..2].iter().chain([&night]).chain(&swaths[2..]) {
+                let (p02, p03, p06) = write_products(&dir, swath);
+                let out = dir.join("out");
+                let done = preprocess_granule_with(&p02, &p03, &p06, &out, &crit, &mut buffers);
+                let done = done.unwrap();
+                let expected = extract_tiles(swath, &crit);
+                let mut tiles = expected.tiles.clone();
+                tiles.iter_mut().for_each(|t| t.data.clear());
+                assert_eq!(done.tiles.tiles, tiles);
+                let file = preprocess_granule_files(&p02, &p03, &p06, &out, &crit).unwrap();
+                assert_eq!(file.tiles.tiles, expected.tiles);
+                match done.output {
+                    Some(path) => {
+                        let want = write_tiles_nc(&expected.tiles).unwrap().encode().unwrap();
+                        assert!(fs::read(path).unwrap() == want, "{}", swath.id);
+                        written += 1;
+                    }
+                    None => {
+                        assert!(expected.is_empty());
+                        none += 1;
+                    }
+                }
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(
+            written >= 5 && none >= 2,
+            "{written} files, {none} without tiles"
+        );
     }
 
     #[test]

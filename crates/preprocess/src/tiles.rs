@@ -102,6 +102,24 @@ impl TileSet {
 /// Extract and select tiles from a swath (rayon-parallel over the tile
 /// grid). Night granules yield an empty set flagged `skipped_night`.
 pub fn extract_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
+    let mut set = select_tiles(swath, criteria);
+    let n = swath.bands.len() * criteria.tile_size * criteria.tile_size;
+    let tiles: Vec<&mut Tile> = set.tiles.iter_mut().collect();
+    tiles
+        .into_par_iter()
+        .map(|tile| {
+            let mut pixels = vec![0.0; n];
+            cut_tile(swath, tile, &mut pixels);
+            tile.data = pixels;
+        })
+        .collect::<()>();
+    set
+}
+
+/// The windows of `swath` that meet `criteria`, as tiles whose `data` is
+/// empty (rayon-parallel over the tile grid): [`extract_tiles`] without the
+/// pixels, which [`cut_tile`] cuts wherever the caller wants them.
+pub fn select_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
     assert!(criteria.tile_size > 0);
     if !swath.day {
         return TileSet {
@@ -117,9 +135,8 @@ pub fn extract_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
         .collect();
     let candidates = windows.len();
 
-    #[derive(Debug)]
     enum Outcome {
-        Selected(Box<Tile>),
+        Selected(WindowStats),
         Land,
         Clear,
     }
@@ -134,7 +151,7 @@ pub fn extract_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
             if stats.cloud_fraction < criteria.min_cloud_fraction as f32 {
                 return Outcome::Clear;
             }
-            Outcome::Selected(Box::new(build_tile(swath, row, col, ts, stats)))
+            Outcome::Selected(stats)
         })
         .collect();
 
@@ -142,9 +159,23 @@ pub fn extract_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
         candidates,
         ..TileSet::default()
     };
-    for o in outcomes {
+    for (&(row, col), o) in windows.iter().zip(outcomes) {
         match o {
-            Outcome::Selected(t) => set.tiles.push(*t),
+            Outcome::Selected(stats) => set.tiles.push(Tile {
+                granule: swath.id,
+                row,
+                col,
+                data: Vec::new(),
+                bands: swath.bands.clone(),
+                size: ts,
+                center_lat: stats.center_lat,
+                center_lon: stats.center_lon,
+                ocean_fraction: stats.ocean_fraction,
+                cloud_fraction: stats.cloud_fraction,
+                mean_cot: stats.mean_cot,
+                mean_ctp: stats.mean_ctp,
+                mean_cer: stats.mean_cer,
+            }),
             Outcome::Land => set.rejected_land += 1,
             Outcome::Clear => set.rejected_clear += 1,
         }
@@ -209,12 +240,19 @@ fn window_stats(swath: &Swath, row: usize, col: usize, ts: usize) -> WindowStats
     }
 }
 
-fn build_tile(swath: &Swath, row: usize, col: usize, ts: usize, stats: WindowStats) -> Tile {
+/// Cut `tile`'s window of `swath` into `pixels` (`bands × size²` floats,
+/// band-major), each band standardized within the tile: the `data`
+/// [`extract_tiles`] gives it.
+pub fn cut_tile(swath: &Swath, tile: &Tile, pixels: &mut [f32]) {
+    let (row, col, ts) = (tile.row, tile.col, tile.size);
+    assert_eq!(
+        pixels.len(),
+        swath.bands.len() * ts * ts,
+        "one tile's pixels"
+    );
     let dims = swath.dims;
-    let nb = swath.bands.len();
     let npix = ts * ts;
-    let mut data = vec![0.0f32; nb * npix];
-    for (b, plane) in data.chunks_exact_mut(npix).enumerate() {
+    for (b, plane) in pixels.chunks_exact_mut(npix).enumerate() {
         let src = swath.band_plane(b);
         for y in 0..ts {
             let line = row * ts + y;
@@ -234,21 +272,6 @@ fn build_tile(swath: &Swath, row: usize, col: usize, ts: usize, stats: WindowSta
             debug_assert!(*v != RADIANCE_FILL, "night tile leaked through");
             *v = ((*v as f64 - mean) / std) as f32;
         }
-    }
-    Tile {
-        granule: swath.id,
-        row,
-        col,
-        data,
-        bands: swath.bands.clone(),
-        size: ts,
-        center_lat: stats.center_lat,
-        center_lon: stats.center_lon,
-        ocean_fraction: stats.ocean_fraction,
-        cloud_fraction: stats.cloud_fraction,
-        mean_cot: stats.mean_cot,
-        mean_ctp: stats.mean_ctp,
-        mean_cer: stats.mean_cer,
     }
 }
 

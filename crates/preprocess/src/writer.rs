@@ -11,7 +11,7 @@
 
 use crate::tiles::Tile;
 use eoml_modis::granule::GranuleId;
-use eoml_ncdf::{NcError, NcFile, NcType, NcValues, RecordVarSpan, NC_FILL_INT};
+use eoml_ncdf::{NcError, NcFile, NcType, NcValues, RecordVarSpan, VarId, NC_FILL_INT};
 use std::io::{self, Read, Seek, Write};
 
 /// The per-tile class label variable.
@@ -65,15 +65,48 @@ impl From<eoml_ncdf::NcError> for TileNcError {
 
 /// Build the NetCDF dataset for one granule's tiles.
 pub fn write_tiles_nc(tiles: &[Tile]) -> Result<NcFile, TileNcError> {
-    let first = tiles.first().ok_or(TileNcError::NoTiles)?;
+    let (mut f, rad) = tiles_nc_header(tiles)?;
+    let slab = tile_len(tiles)?;
+    let mut radiance = Vec::with_capacity(tiles.len() * slab);
+    for t in tiles {
+        if t.data.len() != slab {
+            return Err(TileNcError::Nc(eoml_ncdf::NcError::LengthMismatch {
+                expected: slab,
+                actual: t.data.len(),
+            }));
+        }
+        radiance.extend_from_slice(&t.data);
+    }
+    f.vars[rad.0].data = NcValues::Float(radiance);
+    Ok(f)
+}
+
+/// [`write_tiles_nc`] encoded straight into `sink`, each tile's pixels cut
+/// as its record is written: `cut(i, pixels)` fills tile `i`'s `band × y ×
+/// x` floats into `tile`, which is resized to one tile and keeps its
+/// allocation, so no more than one tile's pixels are ever in memory (the
+/// tiles' own `data` is not read). The bytes are those of `write_tiles_nc`
+/// on tiles holding those pixels, encoded. A tile list `write_tiles_nc`
+/// refuses is an `InvalidData` error carrying its [`TileNcError`].
+pub fn write_tiles_nc_into(
+    tiles: &[Tile],
+    sink: &mut impl Write,
+    tile: &mut Vec<f32>,
+    cut: &mut dyn FnMut(usize, &mut [f32]),
+) -> io::Result<()> {
+    let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+    let (f, rad) = tiles_nc_header(tiles).map_err(invalid)?;
+    tile.resize(tile_len(tiles).map_err(invalid)?, 0.0);
+    f.encode_into_filling(sink, rad, tile, cut)
+}
+
+/// The tile file of `tiles` with every variable filled but `radiance`,
+/// which is returned empty beside it.
+fn tiles_nc_header(tiles: &[Tile]) -> Result<(NcFile, VarId), TileNcError> {
+    tile_len(tiles)?;
+    let first = &tiles[0];
     let size = first.size;
     let bands = &first.bands;
-    if tiles
-        .iter()
-        .any(|t| t.size != size || &t.bands != bands || t.granule != first.granule)
-    {
-        return Err(TileNcError::InconsistentTiles);
-    }
 
     let mut f = NcFile::new();
     let tile_dim = f.add_record_dim("tile")?;
@@ -122,22 +155,10 @@ pub fn write_tiles_nc(tiles: &[Tile]) -> Result<NcFile, TileNcError> {
         NcValues::text("AICCA cloud class (0-41)"),
     )?;
 
-    // Fill each record variable whole (one exact allocation apiece) and set
-    // the record count.
+    // Fill each record variable but the radiance whole (one exact
+    // allocation apiece) and set the record count.
     let floats = |of: fn(&Tile) -> f32| NcValues::Float(tiles.iter().map(of).collect());
     let ints = |of: fn(&Tile) -> usize| NcValues::Int(tiles.iter().map(|t| of(t) as i32).collect());
-    let slab = bands.len() * size * size;
-    let mut radiance = Vec::with_capacity(tiles.len() * slab);
-    for t in tiles {
-        if t.data.len() != slab {
-            return Err(TileNcError::Nc(eoml_ncdf::NcError::LengthMismatch {
-                expected: slab,
-                actual: t.data.len(),
-            }));
-        }
-        radiance.extend_from_slice(&t.data);
-    }
-    f.vars[rad.0].data = NcValues::Float(radiance);
     f.vars[lat.0].data = floats(|t| t.center_lat);
     f.vars[lon.0].data = floats(|t| t.center_lon);
     f.vars[ocean.0].data = floats(|t| t.ocean_fraction);
@@ -149,7 +170,19 @@ pub fn write_tiles_nc(tiles: &[Tile]) -> Result<NcFile, TileNcError> {
     f.vars[col.0].data = ints(|t| t.col);
     f.vars[label.0].data = NcValues::Int(vec![NC_FILL_INT; tiles.len()]);
     f.numrecs = tiles.len();
-    Ok(f)
+    Ok((f, rad))
+}
+
+/// Floats per tile of a consistent, non-empty tile list.
+fn tile_len(tiles: &[Tile]) -> Result<usize, TileNcError> {
+    let first = tiles.first().ok_or(TileNcError::NoTiles)?;
+    if tiles
+        .iter()
+        .any(|t| t.size != first.size || t.bands != first.bands || t.granule != first.granule)
+    {
+        return Err(TileNcError::InconsistentTiles);
+    }
+    Ok(first.bands.len() * first.size * first.size)
 }
 
 /// The label values if every tile has one.
@@ -227,6 +260,22 @@ pub fn read_labels(file: &mut (impl Read + Seek)) -> io::Result<Option<Vec<i32>>
 pub fn read_radiance(file: &mut (impl Read + Seek), radiance: &mut Vec<f32>) -> io::Result<usize> {
     let span = RecordVarSpan::locate(file, RADIANCE_VAR)?;
     span.read_f32_into(file, radiance)?;
+    Ok(span.numrecs())
+}
+
+/// Each tile's radiance in an encoded tile file, in turn: its `band × y × x`
+/// floats are read from its record into `tile`, which is resized to one
+/// tile and keeps its allocation, and handed to `each`, whose error stops
+/// the walk. Nothing else of the file is decoded or held. Returns the number
+/// of tiles.
+pub fn for_each_radiance_tile(
+    file: &mut (impl Read + Seek),
+    tile: &mut Vec<f32>,
+    each: impl FnMut(&[f32]) -> io::Result<()>,
+) -> io::Result<usize> {
+    let span = RecordVarSpan::locate(file, RADIANCE_VAR)?;
+    tile.resize(span.record_len(), 0.0);
+    span.for_each_f32_record(file, tile, each)?;
     Ok(span.numrecs())
 }
 

@@ -14,7 +14,7 @@
 //! paths — encode, nearest centroid, append label — are identical either
 //! way.
 
-use crate::autoencoder::{AeConfig, ConvAutoencoder};
+use crate::autoencoder::{AeConfig, ConvAutoencoder, EncodeScratch};
 use crate::cluster::{agglomerate, assign, centroids, nearest};
 use crate::tensor::Tensor;
 use crate::AICCA_CLASSES;
@@ -84,9 +84,11 @@ impl AiccaModel {
     }
 
     /// [`predict`](Self::predict) for a tile of the model's input shape held
-    /// as borrowed CHW data, e.g. one tile's slice of a file's radiance.
-    pub fn predict_slice(&self, tile: &[f32]) -> usize {
-        nearest(&self.encoder.encode_slice(tile), &self.centroids)
+    /// as borrowed CHW data, e.g. one tile's slice of a file's radiance; the
+    /// encoder's activations go in `scratch` (see
+    /// [`ConvAutoencoder::encode_slice`]).
+    pub fn predict_slice(&self, tile: &[f32], scratch: &mut EncodeScratch) -> usize {
+        nearest(&self.encoder.encode_slice(tile, scratch), &self.centroids)
     }
 
     /// Predict a batch (rayon-parallel).
@@ -280,7 +282,9 @@ mod tests {
             assert!(l < 42);
         }
         assert_eq!(labels, m.predict_batch(&tiles));
-        let by_slice: Vec<usize> = tiles.iter().map(|t| m.predict_slice(&t.data)).collect();
+        let mut scratch = EncodeScratch::default();
+        let by_slice = tiles.iter().map(|t| m.predict_slice(&t.data, &mut scratch));
+        let by_slice: Vec<usize> = by_slice.collect();
         assert_eq!(labels, by_slice);
         // Same construction gives the same model.
         let m2 = tiny_model();

@@ -187,6 +187,14 @@ impl Grads {
     }
 }
 
+/// The two convolution outputs of an encoder pass, kept by a caller that
+/// encodes tile after tile ([`ConvAutoencoder::encode_slice`]).
+#[derive(Debug, Clone, Default)]
+pub struct EncodeScratch {
+    h1: Tensor,
+    h2: Tensor,
+}
+
 /// The model: all parameter buffers plus per-buffer Adam state.
 #[derive(Debug, Clone)]
 pub struct ConvAutoencoder {
@@ -322,20 +330,33 @@ impl ConvAutoencoder {
 
     /// Encode a tile to its latent vector.
     pub fn encode(&self, x: &Tensor) -> Vec<f32> {
-        self.encode_chw(&x.data, [x.c, x.h, x.w])
+        self.encode_chw(&x.data, [x.c, x.h, x.w], &mut EncodeScratch::default())
     }
 
     /// [`encode`](Self::encode) of a tile of the configured input shape held
-    /// as borrowed CHW data (`in_ch × input × input` floats).
-    pub fn encode_slice(&self, x: &[f32]) -> Vec<f32> {
-        self.encode_chw(x, [self.cfg.in_ch, self.cfg.input, self.cfg.input])
+    /// as borrowed CHW data (`in_ch × input × input` floats), the
+    /// convolutions' outputs in `scratch`, so that encoding tile after tile
+    /// allocates them once.
+    pub fn encode_slice(&self, x: &[f32], scratch: &mut EncodeScratch) -> Vec<f32> {
+        let shape = [self.cfg.in_ch, self.cfg.input, self.cfg.input];
+        self.encode_chw(x, shape, scratch)
     }
 
-    fn encode_chw(&self, x: &[f32], shape: [usize; 3]) -> Vec<f32> {
-        let mut h1 = conv2d_fwd_chw(x, shape, &self.w1, &self.b1, self.cfg.c1, DOWN);
-        leaky_relu_in_place(&mut h1);
-        let mut h2 = conv2d_fwd(&h1, &self.w2, &self.b2, self.cfg.c2, DOWN);
-        leaky_relu_in_place(&mut h2);
+    fn encode_chw(&self, x: &[f32], shape: [usize; 3], scratch: &mut EncodeScratch) -> Vec<f32> {
+        let EncodeScratch { h1, h2 } = scratch;
+        conv2d_fwd_chw(x, shape, &self.w1, &self.b1, self.cfg.c1, DOWN, h1);
+        leaky_relu_in_place(h1);
+        let h1_shape = [h1.c, h1.h, h1.w];
+        conv2d_fwd_chw(
+            &h1.data,
+            h1_shape,
+            &self.w2,
+            &self.b2,
+            self.cfg.c2,
+            DOWN,
+            h2,
+        );
+        leaky_relu_in_place(h2);
         dense_fwd_transposed(&h2.data, &self.we_t, &self.be)
     }
 
@@ -609,8 +630,10 @@ mod tests {
     fn encode_is_bit_identical_to_the_former_forward_pass() {
         use crate::aicca::synthetic_texture_tile;
         // The real pipeline's model at both benchmark tile sizes: every
-        // sample tile `pretrained` draws at 32 px, 40 of them at 128 px.
-        for (input, tiles) in [(32usize, 168usize), (128, 40)] {
+        // sample tile `pretrained` draws at 32 px, 40 of them at 128 px. One
+        // scratch serves every tile of both sizes.
+        let mut scratch = EncodeScratch::default();
+        for (input, tiles) in [(32usize, 168usize), (128, 40), (32, 8)] {
             let cfg = AeConfig {
                 in_ch: 6,
                 c1: 8,
@@ -625,7 +648,10 @@ mod tests {
                 let bits = |z: Vec<f32>| z.into_iter().map(f32::to_bits).collect::<Vec<_>>();
                 let expected = bits(encode_oracle(&m, &x));
                 assert_eq!(bits(m.encode(&x)), expected, "tile {i} at {input} px");
-                assert_eq!(bits(m.encode_slice(&x.data)), expected, "slice {i}");
+                let fresh = m.encode_slice(&x.data, &mut EncodeScratch::default());
+                assert_eq!(bits(fresh), expected, "slice {i}");
+                let reused = m.encode_slice(&x.data, &mut scratch);
+                assert_eq!(bits(reused), expected, "slice {i} in a used scratch");
             }
         }
     }

@@ -12,7 +12,7 @@
 #![allow(clippy::needless_range_loop)]
 
 /// A dense CHW tensor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
     /// Channels.
     pub c: usize,
@@ -109,11 +109,15 @@ impl ConvSpec {
 /// are consecutive elements of one phase), and the border is a range of `ox`
 /// per `kx` instead of a branch per tap.
 pub fn conv2d_fwd(x: &Tensor, w: &[f32], b: &[f32], c_out: usize, spec: ConvSpec) -> Tensor {
-    conv2d_fwd_chw(&x.data, [x.c, x.h, x.w], w, b, c_out, spec)
+    let mut y = Tensor::default();
+    conv2d_fwd_chw(&x.data, [x.c, x.h, x.w], w, b, c_out, spec, &mut y);
+    y
 }
 
-/// [`conv2d_fwd`] over borrowed CHW data of shape `[c, h, w]`, so a caller
-/// that holds many samples in one buffer convolves them where they lie.
+/// [`conv2d_fwd`] over borrowed CHW data of shape `[c, h, w]` into `y`, so a
+/// caller that holds many samples in one buffer convolves them where they
+/// lie; `y` takes the output's shape and keeps its allocation, so one output
+/// serves sample after sample.
 ///
 /// Runs [`conv2d_fwd_avx2`] on an x86-64 CPU with AVX2 (std caches the CPUID
 /// answer) and [`conv2d_fwd_portable`] everywhere else: one source, so the
@@ -126,13 +130,14 @@ pub(crate) fn conv2d_fwd_chw(
     b: &[f32],
     c_out: usize,
     spec: ConvSpec,
-) -> Tensor {
+    y: &mut Tensor,
+) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
         // SAFETY: the CPU has AVX2, the one feature the twin is built for.
-        return unsafe { conv2d_fwd_avx2(x, shape, w, b, c_out, spec) };
+        return unsafe { conv2d_fwd_avx2(x, shape, w, b, c_out, spec, y) };
     }
-    conv2d_fwd_portable(x, shape, w, b, c_out, spec)
+    conv2d_fwd_portable(x, shape, w, b, c_out, spec, y)
 }
 
 /// [`conv2d_fwd_portable`] compiled for AVX2. Rust never contracts a `mul`
@@ -150,8 +155,9 @@ unsafe fn conv2d_fwd_avx2(
     b: &[f32],
     c_out: usize,
     spec: ConvSpec,
-) -> Tensor {
-    conv2d_fwd_portable(x, shape, w, b, c_out, spec)
+    y: &mut Tensor,
+) {
+    conv2d_fwd_portable(x, shape, w, b, c_out, spec, y)
 }
 
 /// The body of [`conv2d_fwd_chw`], inlined into each build of it.
@@ -163,14 +169,17 @@ fn conv2d_fwd_portable(
     b: &[f32],
     c_out: usize,
     spec: ConvSpec,
-) -> Tensor {
+    y: &mut Tensor,
+) {
     assert_eq!(x.len(), c_in * xh * xw, "shape/data mismatch");
     let (k, stride) = (spec.k, spec.stride);
     assert_eq!(w.len(), c_out * c_in * k * k);
     assert_eq!(b.len(), c_out);
     let oh = spec.out_size(xh);
     let ow = spec.out_size(xw);
-    let mut y = Tensor::zeros(c_out, oh, ow);
+    (y.c, y.h, y.w) = (c_out, oh, ow);
+    // Every element is set to its channel's bias below.
+    y.data.resize(c_out * oh * ow, 0.0);
     for (plane, &bias) in y.data.chunks_exact_mut((oh * ow).max(1)).zip(b) {
         plane.fill(bias);
     }
@@ -219,7 +228,6 @@ fn conv2d_fwd_portable(
             }
         }
     }
-    y
 }
 
 /// Backward convolution: returns `(dx, dw, db)` for upstream gradient `dy`.
@@ -724,19 +732,24 @@ mod tests {
                 (2, 6, 20, 37, flat),
                 (1, 2, 5, 3, flat),
             ];
+            // Both outputs are reused from case to case, as an encoder's
+            // scratch is from tile to tile; the first is fresh each time.
+            let (mut portable, mut twin) = (Tensor::default(), Tensor::default());
             for (c_in, c_out, h, w, spec) in cases {
                 let x = rand_vec(&mut rng, c_in * h * w);
                 let wt = rand_vec(&mut rng, c_out * c_in * spec.k * spec.k);
                 let b = rand_vec(&mut rng, c_out);
-                let portable = conv2d_fwd_portable(&x, [c_in, h, w], &wt, &b, c_out, spec);
+                let mut fresh = Tensor::default();
+                conv2d_fwd_chw(&x, [c_in, h, w], &wt, &b, c_out, spec, &mut fresh);
+                conv2d_fwd_portable(&x, [c_in, h, w], &wt, &b, c_out, spec, &mut portable);
                 // SAFETY: the CPU has AVX2.
-                let twin = unsafe { conv2d_fwd_avx2(&x, [c_in, h, w], &wt, &b, c_out, spec) };
-                assert_eq!(
-                    (twin.c, twin.h, twin.w),
-                    (portable.c, portable.h, portable.w)
-                );
+                unsafe { conv2d_fwd_avx2(&x, [c_in, h, w], &wt, &b, c_out, spec, &mut twin) };
+                for out in [&twin, &fresh] {
+                    assert_eq!((out.c, out.h, out.w), (portable.c, portable.h, portable.w));
+                }
                 let what = format!("{c_in}->{c_out} @ {h}x{w} s{}", spec.stride);
                 assert_bits_eq(&twin.data, &portable.data, &what);
+                assert_bits_eq(&fresh.data, &portable.data, &what);
             }
             return;
         }

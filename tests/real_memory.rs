@@ -119,3 +119,61 @@ fn peak_live_bytes_of_a_resumable_run_do_not_depend_on_the_granule_count() {
     assert_flat("run_resumable", peak_8, peak_32);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A shape whose radiance plane is 1 MiB: 256 lines of 1024 pixels, 256
+/// tiles of 32 px per day granule.
+const WIDE: SwathDims = SwathDims {
+    lines: 256,
+    pixels: 1024,
+};
+
+fn wide_day_granules(n: usize) -> Vec<GranuleId> {
+    let sy = SwathSynthesizer::new(SEED, WIDE);
+    let date = CivilDate::new(2022, 1, 1).unwrap();
+    (0..288)
+        .map(|slot| GranuleId::new(Platform::Terra, date, slot))
+        .filter(|&g| sy.synthesize(g).day)
+        .take(n)
+        .collect()
+}
+
+#[test]
+fn a_warm_pipeline_allocates_no_granule_sized_buffer() {
+    let _exclusive = exclusive();
+    let plane = (WIDE.len() * std::mem::size_of::<f32>()) as u64;
+    assert!(plane >= MIB);
+    let dir = tempdir("warm");
+    // One worker, so the one buffer set the rehearsal sizes carries every
+    // granule of the measured runs.
+    let p = RealPipeline::new(&dir, SEED, WIDE, 32, 1)
+        .unwrap()
+        .with_thresholds(0.0, 0.0);
+    let granules = wide_day_granules(10);
+    assert_eq!(granules.len(), 10);
+    let tiles = (WIDE.lines / 32) * (WIDE.pixels / 32);
+    let allocated_per_granule = |granules: &[GranuleId], resumable: bool| {
+        empty_workdir(&dir);
+        let (mut journal, _) = Journal::open(MemStorage::new()).unwrap();
+        let guard = ResourceGuard::detached("real-run", "warm");
+        let report = if resumable {
+            p.run_resumable(granules, &mut journal).unwrap()
+        } else {
+            p.run(granules).unwrap()
+        };
+        let allocated = guard.finish().allocated_bytes;
+        assert_eq!(report.labeled_tiles, tiles * granules.len());
+        allocated / granules.len() as u64
+    };
+    allocated_per_granule(&granules[..2], false);
+    for (what, run, resumable) in [
+        ("run", &granules[2..6], false),
+        ("run_resumable", &granules[6..10], true),
+    ] {
+        let per_granule = allocated_per_granule(run, resumable);
+        assert!(
+            per_granule < plane,
+            "{what}: {per_granule} bytes allocated per granule, a radiance plane is {plane}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
