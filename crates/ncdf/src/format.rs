@@ -939,29 +939,6 @@ impl RecordVarSpan {
         Ok(values)
     }
 
-    /// [`read`](Self::read) of a `float` variable into `out`, which is
-    /// resized to the values and keeps its allocation: a caller that reads
-    /// the same variable of one file after another holds a single buffer.
-    /// Each record is read straight into its place in `out`; on error
-    /// `out`'s values are unspecified. Any other type is
-    /// [`NcError::TypeMismatch`].
-    pub fn read_f32_into(
-        &self,
-        file: &mut (impl Read + Seek),
-        out: &mut Vec<f32>,
-    ) -> io::Result<()> {
-        if self.nc_type != NcType::Float {
-            return Err(invalid(NcError::TypeMismatch));
-        }
-        let len = self.numrecs * self.slab_len;
-        out.reserve_exact(len.saturating_sub(out.len()));
-        out.resize(len, 0.0);
-        for (rec, values) in out.chunks_exact_mut(self.slab_len.max(1)).enumerate() {
-            self.read_f32_record(file, rec, values)?;
-        }
-        Ok(())
-    }
-
     /// Each record of a `float` variable in turn, read into `record` (one
     /// record's values) and handed to `each`, whose error stops the walk: a
     /// caller holds one record, not the variable. Any other type is
@@ -1152,19 +1129,25 @@ mod tests {
                 f.var_by_name(name).unwrap().data
             );
         }
-        // A float variable into a caller's buffer: cleared, refilled, and
-        // not reallocated once it is large enough; other types are refused.
+        // A float variable a record at a time into a caller's record;
+        // other types are refused.
         let rad = RecordVarSpan::locate(&mut disk, "rad").unwrap();
-        let mut floats = vec![9.0f32; 64];
-        let held = floats.as_ptr();
-        rad.read_f32_into(&mut disk, &mut floats).unwrap();
+        let mut record = vec![9.0f32; rad.record_len()];
+        let mut floats = Vec::new();
+        let each = |r: &[f32]| {
+            floats.extend_from_slice(r);
+            Ok(())
+        };
+        rad.for_each_f32_record(&mut disk, &mut record, each)
+            .unwrap();
         assert_eq!(
             Some(&floats[..]),
             f.var_by_name("rad").unwrap().data.as_f32()
         );
-        assert_eq!(floats.as_ptr(), held);
         let flag = RecordVarSpan::locate(&mut disk, "flag").unwrap();
-        let e = flag.read_f32_into(&mut disk, &mut floats).unwrap_err();
+        let e = flag
+            .for_each_f32_record(&mut disk, &mut record, |_| Ok(()))
+            .unwrap_err();
         assert_eq!(nc_error(&e), Some(&NcError::TypeMismatch));
 
         // Patching equals changing the values and encoding again.

@@ -8,8 +8,8 @@
 //! "HDF read errors from partially reading files" concern, applied to our
 //! own outputs).
 
-use crate::tiles::{cut_tile, select_tiles, TileCriteria, TileSet};
-use crate::writer::{for_each_radiance_tile, write_tiles_nc_into, TileNcError};
+use crate::tiles::{cut_tile, cut_tiles, select_tiles, TileCriteria, TileSet};
+use crate::writer::{write_tiles_nc_into, TileNcError};
 use eoml_modis::container::{ContainerError, ReadError};
 use eoml_modis::files::{into_products, swath_from_containers, ProductFileError};
 use eoml_modis::synth::Swath;
@@ -103,22 +103,8 @@ pub fn preprocess_granule_files(
     out_dir: &Path,
     criteria: &TileCriteria,
 ) -> Result<PipelineOutcome, PipelineError> {
-    let mut buffers = GranuleBuffers::default();
-    let mut done = preprocess_granule_with(mod02, mod03, mod06, out_dir, criteria, &mut buffers)?;
-    // Each tile gets its own copy of the pixels the file holds, read back
-    // once the swath is gone so the copies can take its memory.
-    drop(buffers.swath);
-    if let Some(path) = &done.output {
-        let mut tiles = done.tiles.tiles.iter_mut();
-        let mut give = |pixels: &[f32]| {
-            if let Some(tile) = tiles.next() {
-                tile.data = pixels.to_vec();
-            }
-            Ok(())
-        };
-        for_each_radiance_tile(&mut File::open(path)?, &mut buffers.tile, &mut give)?;
-    }
-    Ok(done)
+    let buffers = &mut GranuleBuffers::default();
+    preprocess(mod02, mod03, mod06, out_dir, criteria, buffers, true)
 }
 
 /// [`preprocess_granule_files`] in `buffers`: the files are decoded as
@@ -133,6 +119,20 @@ pub fn preprocess_granule_with(
     criteria: &TileCriteria,
     buffers: &mut GranuleBuffers,
 ) -> Result<PipelineOutcome, PipelineError> {
+    preprocess(mod02, mod03, mod06, out_dir, criteria, buffers, false)
+}
+
+/// The one body of both forms: with `hold_pixels` each selected tile is
+/// given its own pixels, cut once, and its record is written from them.
+fn preprocess(
+    mod02: &Path,
+    mod03: &Path,
+    mod06: &Path,
+    out_dir: &Path,
+    criteria: &TileCriteria,
+    buffers: &mut GranuleBuffers,
+    hold_pixels: bool,
+) -> Result<PipelineOutcome, PipelineError> {
     let mut shells = buffers.swath.take().map(into_products).unwrap_or_default();
     for (shell, path) in shells.iter_mut().zip([mod02, mod03, mod06]) {
         let file = File::open(path)?;
@@ -141,7 +141,10 @@ pub fn preprocess_granule_with(
     }
     let [m02, m03, m06] = shells;
     let swath = buffers.swath.insert(swath_from_containers(m02, m03, m06)?);
-    let set = select_tiles(swath, criteria);
+    let mut set = select_tiles(swath, criteria);
+    if hold_pixels {
+        cut_tiles(swath, &mut set.tiles);
+    }
     if set.is_empty() {
         return Ok(PipelineOutcome {
             output: None,
@@ -153,7 +156,10 @@ pub fn preprocess_granule_with(
     let final_path = out_dir.join(format!("tiles-{id}.nc"));
     let part_path = out_dir.join(format!("tiles-{id}.nc.part"));
     let mut part = File::create(&part_path)?;
-    let cut = &mut |i, pixels: &mut [f32]| cut_tile(swath, &set.tiles[i], pixels);
+    let cut = &mut |i: usize, pixels: &mut [f32]| match &set.tiles[i].data[..] {
+        [] => cut_tile(swath, &set.tiles[i], pixels),
+        held => pixels.copy_from_slice(held),
+    };
     write_tiles_nc_into(&set.tiles, &mut part, &mut buffers.tile, cut)?;
     std::fs::rename(&part_path, &final_path)?;
     Ok(PipelineOutcome {
@@ -270,11 +276,17 @@ mod tests {
                 let mut tiles = expected.tiles.clone();
                 tiles.iter_mut().for_each(|t| t.data.clear());
                 assert_eq!(done.tiles.tiles, tiles);
+                let buffered = done.output.as_ref().map(|path| fs::read(path).unwrap());
+                // The allocating form: the same file, and tiles that hold
+                // their pixels.
                 let file = preprocess_granule_files(&p02, &p03, &p06, &out, &crit).unwrap();
                 assert_eq!(file.tiles.tiles, expected.tiles);
-                match done.output {
-                    Some(path) => {
+                assert_eq!(file.output, done.output);
+                match buffered {
+                    Some(bytes) => {
                         let want = write_tiles_nc(&expected.tiles).unwrap().encode().unwrap();
+                        assert!(bytes == want, "{}", swath.id);
+                        let path = file.output.unwrap();
                         assert!(fs::read(path).unwrap() == want, "{}", swath.id);
                         written += 1;
                     }

@@ -103,17 +103,22 @@ impl TileSet {
 /// grid). Night granules yield an empty set flagged `skipped_night`.
 pub fn extract_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
     let mut set = select_tiles(swath, criteria);
-    let n = swath.bands.len() * criteria.tile_size * criteria.tile_size;
-    let tiles: Vec<&mut Tile> = set.tiles.iter_mut().collect();
+    cut_tiles(swath, &mut set.tiles);
+    set
+}
+
+/// Give each of `tiles` its own copy of its pixels, cut from `swath`
+/// (rayon-parallel over the tiles).
+pub(crate) fn cut_tiles(swath: &Swath, tiles: &mut [Tile]) {
+    let tiles: Vec<&mut Tile> = tiles.iter_mut().collect();
     tiles
         .into_par_iter()
         .map(|tile| {
-            let mut pixels = vec![0.0; n];
+            let mut pixels = vec![0.0; swath.bands.len() * tile.size * tile.size];
             cut_tile(swath, tile, &mut pixels);
             tile.data = pixels;
         })
         .collect::<()>();
-    set
 }
 
 /// The windows of `swath` that meet `criteria`, as tiles whose `data` is

@@ -253,16 +253,6 @@ pub fn read_labels(file: &mut (impl Read + Seek)) -> io::Result<Option<Vec<i32>>
     })
 }
 
-/// The radiance of an encoded tile file — each tile's `band × y × x` floats,
-/// tile after tile — read from the `radiance` records alone into `radiance`,
-/// which keeps its allocation from one file to the next; nothing else of the
-/// file is decoded or held. Returns the number of tiles.
-pub fn read_radiance(file: &mut (impl Read + Seek), radiance: &mut Vec<f32>) -> io::Result<usize> {
-    let span = RecordVarSpan::locate(file, RADIANCE_VAR)?;
-    span.read_f32_into(file, radiance)?;
-    Ok(span.numrecs())
-}
-
 /// Each tile's radiance in an encoded tile file, in turn: its `band × y × x`
 /// floats are read from its record into `tile`, which is resized to one
 /// tile and keeps its allocation, and handed to `each`, whose error stops
@@ -478,26 +468,31 @@ mod tests {
 
     #[test]
     fn radiance_is_read_from_its_records_alone_into_a_reused_buffer() {
-        let mut radiance = Vec::new();
+        let mut tile = Vec::new();
         let mut held = None;
-        // Largest first: the smaller file must fit the buffer it left.
+        // Largest first: the smaller file's tile must fit the buffer left.
         for tile_size in [128, 32] {
             let tiles = tiles_of(tile_size);
             let mut disk = io::Cursor::new(write_tiles_nc(&tiles).unwrap().encode().unwrap());
+            let mut radiance = Vec::new();
+            let each = |pixels: &[f32]| {
+                radiance.push(pixels.to_vec());
+                Ok(())
+            };
             assert_eq!(
-                read_radiance(&mut disk, &mut radiance).unwrap(),
+                for_each_radiance_tile(&mut disk, &mut tile, each).unwrap(),
                 tiles.len()
             );
-            let expected: Vec<f32> = tiles.iter().flat_map(|t| t.data.iter().copied()).collect();
+            let expected: Vec<Vec<f32>> = tiles.iter().map(|t| t.data.clone()).collect();
             assert!(radiance == expected, "tile size {tile_size}");
-            assert_eq!(*held.get_or_insert(radiance.as_ptr()), radiance.as_ptr());
+            assert_eq!(*held.get_or_insert(tile.as_ptr()), tile.as_ptr());
         }
         // Not a tile file: the header failure is the NetCDF error it was.
         let mut other = NcFile::new();
         let t = other.add_record_dim("tile").unwrap();
         other.add_var(LABEL_VAR, NcType::Int, vec![t]).unwrap();
         let mut disk = io::Cursor::new(other.encode().unwrap());
-        let e = read_radiance(&mut disk, &mut radiance).unwrap_err();
+        let e = for_each_radiance_tile(&mut disk, &mut tile, |_| Ok(())).unwrap_err();
         let typed: Option<&NcError> = e.get_ref().and_then(|inner| inner.downcast_ref());
         assert_eq!(typed, Some(&NcError::UnknownVar));
     }
