@@ -105,9 +105,11 @@ fi
 
 # A worker carries each granule in the buffer set it keeps (DESIGN §24): the
 # non-test part of realrun.rs calls no form that allocates a granule's
-# planes, tiles or radiance afresh.
+# planes, tiles or radiance afresh, and builds no synthesis scratch of its
+# own (the lattice-row caches and line buffers live in the set, DESIGN §25).
 per_granule='\.synthesize\(|decode_from\(|extract_tiles\(|write_tiles_nc\(|preprocess_granule_files\('
 per_granule+='|(radiance|slab|tile)[_[:alnum:]]*[[:space:]]*(:[^=]*)?=[[:space:]]*Vec::new\('
+per_granule+='|SynthScratch[[:space:]]*(::|\{)|synthesize_into\(.*(Default::default|::new)\('
 if [ "$(hits "$per_granule" "$realrun")" -ne 0 ]; then
   complain "$realrun allocates per granule (use the worker's buffer set):"$'\n'"$(nontest "$realrun" | grep -nE "$per_granule")"
 fi

@@ -27,7 +27,7 @@ use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::files::{into_products, swath_from_containers};
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
-use eoml_modis::synth::{Swath, SwathDims, SwathSynthesizer};
+use eoml_modis::synth::{Swath, SwathDims, SwathSynthesizer, SynthScratch};
 use eoml_obs::{Obs, TraceContext};
 use eoml_preprocess::pipeline::{preprocess_granule_with, GranuleBuffers};
 use eoml_preprocess::tiles::TileCriteria;
@@ -153,11 +153,12 @@ struct Carried {
 
 /// What one worker keeps from granule to granule, and from run to run:
 /// every granule-sized byte it touches (the swath it synthesizes and decodes
-/// into), the one tile it cuts into and infers from, and the encoder's
-/// activations.
+/// into), the one tile it cuts into and infers from, the synthesizer's
+/// lattice-row caches and line buffers, and the encoder's activations.
 #[derive(Default)]
 struct BufferSet {
     granule: GranuleBuffers,
+    synthesis: SynthScratch,
     encoder: EncodeScratch,
 }
 
@@ -583,9 +584,10 @@ impl RealPipeline {
         registry.register("download_granule", move |args| {
             let file = args["file"].as_str().and_then(GranuleId::parse_file_name);
             let (g, _) = file.ok_or("bad granule args")?;
-            let held = &mut lock(&buffers).granule.swath;
+            let set = &mut *lock(&buffers);
+            let held = &mut set.granule.swath;
             let mut swath = held.take().unwrap_or_else(|| Swath::empty(g));
-            synth.synthesize_into(g, &mut swath);
+            synth.synthesize_into(g, &mut swath, &mut set.synthesis);
             // The swath's planes move into the product containers, each
             // container is encoded straight into its file, and the planes
             // move back into the swath.
@@ -620,7 +622,9 @@ impl RealPipeline {
         // The infer action reads the one variable it needs a tile at a time
         // into the worker's tile buffer and predicts it there, the encoder's
         // activations in the worker's scratch.
-        let BufferSet { granule, encoder } = buffers;
+        let BufferSet {
+            granule, encoder, ..
+        } = buffers;
         let mut infer = |_: &str, params: &Value, _: &Value| {
             let tile_file = std::fs::File::open(tiles_dir.join(file_of(params)?));
             let mut tile_file = tile_file.map_err(|e| e.to_string())?;

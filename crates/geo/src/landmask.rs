@@ -47,7 +47,7 @@ struct Raster<'a> {
     lon: &'a [f32],
     pixels: usize,
     land: &'a mut [u8],
-    cells: [FbmCells; 2],
+    cells: &'a mut [FbmCells; 2],
 }
 
 impl Raster<'_> {
@@ -94,7 +94,7 @@ impl Raster<'_> {
                 for line in l0..l1 {
                     for i in self.row(line, p0, p1) {
                         let p = LatLon::new(self.lat[i] as f64, self.lon[i] as f64);
-                        self.land[i] = (self.mask.field_value_near(&p, &mut self.cells)
+                        self.land[i] = (self.mask.field_value_near(&p, self.cells)
                             >= self.mask.threshold) as u8;
                     }
                 }
@@ -234,13 +234,22 @@ impl LandMask {
     /// the noise lattice between neighbours.
     pub fn land_plane(&self, lat: &[f32], lon: &[f32], pixels: usize) -> Vec<u8> {
         let mut land = Vec::new();
-        self.land_plane_into(lat, lon, pixels, &mut land);
+        self.land_plane_into(lat, lon, pixels, &mut land, &mut Default::default());
         land
     }
 
     /// [`land_plane`](Self::land_plane) into `land`, which is resized to the
     /// raster and keeps its allocation: every flag is written where it lies.
-    pub fn land_plane_into(&self, lat: &[f32], lon: &[f32], pixels: usize, land: &mut Vec<u8>) {
+    /// `cells` is the noise lattice's working space; whatever it held is
+    /// forgotten first, so any mask's may be passed.
+    pub fn land_plane_into(
+        &self,
+        lat: &[f32],
+        lon: &[f32],
+        pixels: usize,
+        land: &mut Vec<u8>,
+        cells: &mut [FbmCells; 2],
+    ) {
         assert_eq!(lat.len(), lon.len(), "one longitude per latitude");
         if pixels == 0 {
             land.clear();
@@ -251,13 +260,14 @@ impl LandMask {
         // Every cell below is flagged whole or sample by sample, so the
         // resize need not clear what an earlier raster left.
         land.resize(lat.len(), 0);
+        cells.iter_mut().for_each(FbmCells::clear);
         let mut raster = Raster {
             mask: self,
             lat,
             lon,
             pixels,
             land,
-            cells: Default::default(),
+            cells,
         };
         for l0 in (0..lines).step_by(BLOCK) {
             for p0 in (0..pixels).step_by(BLOCK) {
@@ -521,5 +531,25 @@ mod tests {
             let v = m.field_value(&p);
             assert!((0.0..1.0).contains(&v), "{v}");
         }
+    }
+
+    #[test]
+    fn cells_used_by_another_mask_are_forgotten() {
+        // A raster of 4 × 4 samples 1e-4° apart, each mask's threshold the
+        // field value at one of them: no cell is decided whole, so both
+        // calls evaluate every sample in the same noise lattice cells.
+        let (lat0, lon0) = (10.3, 20.7);
+        let lat: Vec<f32> = (0..16).map(|i| lat0 + (i / 4) as f32 * 1e-4).collect();
+        let lon: Vec<f32> = (0..16).map(|i| lon0 + (i % 4) as f32 * 1e-4).collect();
+        let p = LatLon::new(lat[5] as f64, lon[5] as f64);
+        let at = |seed| LandMask::with_threshold(seed, LandMask::earth_like(seed).field_value(&p));
+        let (a, b) = (at(1), at(2));
+        let mut cells = Default::default();
+        let mut land = Vec::new();
+        a.land_plane_into(&lat, &lon, 4, &mut land, &mut cells);
+        b.land_plane_into(&lat, &lon, 4, &mut land, &mut cells);
+        let fresh = b.land_plane(&lat, &lon, 4);
+        assert!(fresh.contains(&0) && fresh.contains(&1), "{fresh:?}");
+        assert_eq!(land, fresh);
     }
 }

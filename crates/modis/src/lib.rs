@@ -38,4 +38,4 @@ pub use catalog::{Catalog, CatalogEntry};
 pub use container::{Container, Dataset, DatasetData};
 pub use granule::{GranuleId, SLOTS_PER_DAY};
 pub use product::{Platform, ProductKind, AICCA_BANDS};
-pub use synth::{Swath, SwathDims, SwathSynthesizer};
+pub use synth::{Swath, SwathDims, SwathSynthesizer, SynthScratch};

@@ -21,7 +21,7 @@ use crate::product::{is_reflective_band, AICCA_BANDS};
 use eoml_geo::landmask::LandMask;
 use eoml_geo::latlon::LatLon;
 use eoml_geo::orbit::{OrbitParams, SunSyncOrbit, SwathGeometry};
-use eoml_util::noise::{Fbm, FbmRows};
+use eoml_util::noise::{Fbm, FbmCells, FbmRowCache, FbmRows};
 use std::sync::Arc;
 
 /// Fill value for radiances that are unavailable (reflective bands at
@@ -185,6 +185,40 @@ struct CrossTrack {
     cer: FbmRows,
 }
 
+/// The working space of [`SwathSynthesizer::synthesize_into`], kept by a
+/// caller that synthesizes granule after granule so that none of it is
+/// allocated again: the four cloud fields' lattice-row caches, the land
+/// mask's noise cells, the scan-line buffers and the geolocation lattice.
+/// Any synthesizer's scratch may be passed to any other: what a cache holds
+/// for another table is refilled, never read.
+#[derive(Debug, Clone, Default)]
+pub struct SynthScratch {
+    cloud: FbmRowCache,
+    cot: FbmRowCache,
+    ctp: FbmRowCache,
+    cer: FbmRowCache,
+    land: [FbmCells; 2],
+    /// One scan line of the cloud field, its cloud strength and the three
+    /// product fields.
+    cf_row: Vec<f64>,
+    strength: Vec<f32>,
+    cot_row: Vec<f64>,
+    ctp_row: Vec<f64>,
+    cer_row: Vec<f64>,
+    /// One scan line of reflectance and of brightness temperature.
+    refl: Vec<f32>,
+    temp: Vec<f32>,
+    /// The geolocation lattice's unit vectors `[x, y, z]`.
+    lattice: [Vec<f64>; 3],
+}
+
+/// `buffer` resized to `len` (keeping its allocation), as a slice: the hot
+/// loops index slices, whose bounds stay in registers.
+fn resized<T: Clone + Default>(buffer: &mut Vec<T>, len: usize) -> &mut [T] {
+    buffer.resize(len, T::default());
+    buffer
+}
+
 impl SwathSynthesizer {
     /// Synthesizer for `seed` producing granules of `dims`.
     pub fn new(seed: u64, dims: SwathDims) -> Self {
@@ -235,27 +269,43 @@ impl SwathSynthesizer {
     /// Generate the full co-registered swath for `id`.
     pub fn synthesize(&self, id: GranuleId) -> Swath {
         let mut swath = Swath::empty(id);
-        self.synthesize_into(id, &mut swath);
+        self.synthesize_into(id, &mut swath, &mut SynthScratch::default());
         swath
     }
 
     /// [`synthesize`](Self::synthesize) into `out`, whatever granule it held
     /// before: every plane is resized to this synthesizer's raster and each
     /// of its pixels written once, where it lies. A caller that synthesizes
-    /// granule after granule into one swath allocates its planes once.
-    pub fn synthesize_into(&self, id: GranuleId, out: &mut Swath) {
+    /// granule after granule into one swath with one `scratch` allocates
+    /// nothing after the first.
+    pub fn synthesize_into(&self, id: GranuleId, out: &mut Swath, scratch: &mut SynthScratch) {
         let dims = self.dims;
         let n = dims.len();
         let geom = self.geometry(&id);
         out.id = id;
         out.dims = dims;
 
-        self.geolocate_into(id, geom, &mut out.lat, &mut out.lon);
+        let SynthScratch {
+            cloud: cloud_cache,
+            cot: cot_cache,
+            ctp: ctp_cache,
+            cer: cer_cache,
+            land: land_cells,
+            cf_row,
+            strength,
+            cot_row,
+            ctp_row,
+            cer_row,
+            refl,
+            temp,
+            lattice,
+        } = scratch;
+        self.geolocate_into(id, geom, lattice, &mut out.lat, &mut out.lon);
         let (lat, lon) = (&out.lat, &out.lon);
 
         // Land mask from geolocation, decided a lattice cell at a time.
         self.landmask
-            .land_plane_into(lat, lon, dims.pixels, &mut out.land);
+            .land_plane_into(lat, lon, dims.pixels, &mut out.land, land_cells);
         let land = &out.land;
 
         // Day/night from the solar zenith angle at the swath center (the
@@ -274,28 +324,31 @@ impl SwathSynthesizer {
         for plane in [&mut out.cot, &mut out.ctp, &mut out.cer] {
             plane.resize(n, 0.0);
         }
-        let (cloud, cot, ctp, cer) = (&mut out.cloud, &mut out.cot, &mut out.ctp, &mut out.cer);
-        // The fields are sampled a scan line at a time (`FbmRows` reuses each
-        // octave's lattice cell along the line): the cloud field over the
-        // whole line, the three product fields over each run of cloudy
-        // pixels (clear runs are zero). Cross-track coordinates are the same
-        // for every line of every granule, so their share of the noise
-        // arithmetic was done once, in `new`.
+        let (cloud, cot, ctp, cer) = (
+            &mut out.cloud[..],
+            &mut out.cot[..],
+            &mut out.ctp[..],
+            &mut out.cer[..],
+        );
+        // The fields are sampled a scan line at a time (`FbmRows` blends each
+        // octave's lattice row along the line once, when a line enters it):
+        // the cloud field over the whole line, the three product fields over
+        // each run of cloudy pixels (clear runs are zero). Cross-track
+        // coordinates are the same for every line of every granule, so their
+        // share of the noise arithmetic was done once, in `new`.
         let CrossTrack {
             cloud: cloud_rows,
             cot: cot_rows,
             ctp: ctp_rows,
             cer: cer_rows,
         } = &*self.cross_track;
-        let mut cf_row = vec![0.0f64; dims.pixels];
-        let mut strength = vec![0.0f32; dims.pixels];
-        let mut cot_row = vec![0.0f64; dims.pixels];
-        let mut ctp_row = vec![0.0f64; dims.pixels];
-        let mut cer_row = vec![0.0f64; dims.pixels];
+        let (cf_row, strength) = (resized(cf_row, dims.pixels), resized(strength, dims.pixels));
+        let (cot_row, ctp_row) = (resized(cot_row, dims.pixels), resized(ctp_row, dims.pixels));
+        let cer_row = resized(cer_row, dims.pixels);
         for line in 0..dims.lines {
             let y = (along0 + line as f64) * CLOUD_SCALE;
             let row = dims.idx(line, 0);
-            cloud_rows.sample(y, 0..dims.pixels, &mut cf_row);
+            cloud_rows.sample(y, 0..dims.pixels, cf_row, cloud_cache);
             for px in 0..dims.pixels {
                 let cf = cf_row[px];
                 // Latitude climatology: cloudier at the ITCZ (0°) and the
@@ -314,9 +367,9 @@ impl SwathSynthesizer {
             for run in cloud[row..row + dims.pixels].chunk_by(|p, q| p == q) {
                 let b = a + run.len();
                 if run[0] == 1 {
-                    cot_rows.sample(y * 2.0, a..b, &mut cot_row[a..b]);
-                    ctp_rows.sample(y * 1.5, a..b, &mut ctp_row[a..b]);
-                    cer_rows.sample(y * 3.0, a..b, &mut cer_row[a..b]);
+                    cot_rows.sample(y * 2.0, a..b, &mut cot_row[a..b], cot_cache);
+                    ctp_rows.sample(y * 1.5, a..b, &mut ctp_row[a..b], ctp_cache);
+                    cer_rows.sample(y * 3.0, a..b, &mut cer_row[a..b], cer_cache);
                     for px in a..b {
                         let i = row + px;
                         cot[i] = strength[px].powi(2) * 60.0 + 3.0 * cot_row[px] as f32;
@@ -335,64 +388,73 @@ impl SwathSynthesizer {
 
         // Radiances for the 6 AICCA bands. A band is a gain on the pixel's
         // reflectance or an offset on its brightness temperature; both are
-        // computed once per pixel and written straight into the planes.
+        // computed once per pixel, a scan line at a time, and each band's
+        // line is written straight into its plane.
         out.bands.clear();
         out.bands.extend_from_slice(&AICCA_BANDS);
         out.radiance.resize_with(AICCA_BANDS.len(), Vec::new);
-        let mut reflective = Vec::new();
-        let mut thermal = Vec::new();
-        for (plane, &band) in out.radiance.iter_mut().zip(&AICCA_BANDS) {
+        for plane in &mut out.radiance {
             plane.resize(n, 0.0);
-            if !is_reflective_band(band) {
-                // Band-dependent small offsets.
-                thermal.push((&mut plane[..], (band as f32 - 28.0) * 0.4));
-            } else if day {
-                reflective.push((&mut plane[..], if band == 6 { 1.0 } else { 0.8 }));
-            } else {
-                plane.fill(RADIANCE_FILL);
-            }
         }
-        let (cloud, cot, ctp) = (&out.cloud, &out.cot, &out.ctp);
-        for i in 0..n {
-            if day {
-                // Reflectance-like: surface albedo plus cloud albedo
-                // 1 − e^(−τ/10).
-                let surf = if land[i] == 1 { 0.25 } else { 0.05 };
-                let cloud_albedo = if cloud[i] == 1 {
-                    0.75 * (1.0 - (-cot[i] / 10.0).exp())
-                } else {
-                    0.0
-                };
-                let refl: f32 = surf + cloud_albedo * (1.0 - surf);
-                for (plane, band_gain) in &mut reflective {
-                    plane[i] = *band_gain * refl;
+        let (refl, temp) = (resized(refl, dims.pixels), resized(temp, dims.pixels));
+        let (cloud, cot, ctp) = (&out.cloud[..], &out.cot[..], &out.ctp[..]);
+        for line in 0..dims.lines {
+            let row = dims.idx(line, 0)..dims.idx(line + 1, 0);
+            for (px, i) in row.clone().enumerate() {
+                if day {
+                    // Reflectance-like: surface albedo plus cloud albedo
+                    // 1 − e^(−τ/10).
+                    let surf = if land[i] == 1 { 0.25 } else { 0.05 };
+                    let cloud_albedo = if cloud[i] == 1 {
+                        0.75 * (1.0 - (-cot[i] / 10.0).exp())
+                    } else {
+                        0.0
+                    };
+                    refl[px] = surf + cloud_albedo * (1.0 - surf);
                 }
+                // Brightness-temperature-like (K): warm surface, cold cloud
+                // tops.
+                let latr = (lat[i] as f64).to_radians();
+                let tsurf =
+                    300.0 - 45.0 * latr.sin().powi(2) as f32 + if land[i] == 1 { 3.0 } else { 0.0 };
+                temp[px] = if cloud[i] == 1 {
+                    // Cloud-top temperature from pressure: ~200 K at 300 hPa
+                    // up to ~285 K at 950 hPa.
+                    let tc = 160.0 + 0.13 * ctp[i];
+                    let emis = (1.0 - (-cot[i] / 5.0).exp()).clamp(0.0, 1.0);
+                    tsurf * (1.0 - emis) + tc * emis
+                } else {
+                    tsurf
+                };
             }
-            // Brightness-temperature-like (K): warm surface, cold cloud tops.
-            let latr = (lat[i] as f64).to_radians();
-            let tsurf =
-                300.0 - 45.0 * latr.sin().powi(2) as f32 + if land[i] == 1 { 3.0 } else { 0.0 };
-            let t = if cloud[i] == 1 {
-                // Cloud-top temperature from pressure: ~200 K at 300 hPa up
-                // to ~285 K at 950 hPa.
-                let tc = 160.0 + 0.13 * ctp[i];
-                let emis = (1.0 - (-cot[i] / 5.0).exp()).clamp(0.0, 1.0);
-                tsurf * (1.0 - emis) + tc * emis
-            } else {
-                tsurf
-            };
-            for (plane, band_offset) in &mut thermal {
-                plane[i] = t + *band_offset;
+            for (plane, &band) in out.radiance.iter_mut().zip(&AICCA_BANDS) {
+                let plane = &mut plane[row.clone()];
+                if !is_reflective_band(band) {
+                    // Band-dependent small offsets.
+                    let band_offset = (band as f32 - 28.0) * 0.4;
+                    for (r, &t) in plane.iter_mut().zip(&*temp) {
+                        *r = t + band_offset;
+                    }
+                } else if day {
+                    let band_gain: f32 = if band == 6 { 1.0 } else { 0.8 };
+                    for (r, &v) in plane.iter_mut().zip(&*refl) {
+                        *r = band_gain * v;
+                    }
+                } else {
+                    plane.fill(RADIANCE_FILL);
+                }
             }
         }
     }
 
     /// Geolocation on a coarse lattice + unit-vector bilinear interpolation,
-    /// into `lat` and `lon` (resized to the raster, every sample written).
+    /// into `lat` and `lon` (resized to the raster, every sample written),
+    /// the lattice's unit vectors in `lattice`.
     fn geolocate_into(
         &self,
         id: GranuleId,
         geom: &SwathGeometry,
+        lattice: &mut [Vec<f64>; 3],
         lat: &mut Vec<f32>,
         lon: &mut Vec<f32>,
     ) {
@@ -405,9 +467,7 @@ impl SwathSynthesizer {
         // Coarse lattice of unit vectors, inclusive of the far edges.
         let glines = dims.lines.div_ceil(STEP) + 1;
         let gpix = dims.pixels.div_ceil(STEP) + 1;
-        let mut gx = vec![0.0f64; glines * gpix];
-        let mut gy = vec![0.0f64; glines * gpix];
-        let mut gz = vec![0.0f64; glines * gpix];
+        let [gx, gy, gz] = lattice.each_mut().map(|g| resized(g, glines * gpix));
         for gl in 0..glines {
             // Lattice points may extend past the raster edge; the orbit and
             // swath geometry extrapolate smoothly, which keeps the cell
@@ -428,8 +488,7 @@ impl SwathSynthesizer {
             }
         }
 
-        lat.resize(n, 0.0);
-        lon.resize(n, 0.0);
+        let (lat, lon) = (resized(lat, n), resized(lon, n));
         for line in 0..dims.lines {
             let gl = line / STEP;
             let fl = (line % STEP) as f64 / STEP as f64;
@@ -447,7 +506,7 @@ impl SwathSynthesizer {
                     let b = v[i10] * (1.0 - fp) + v[i11] * fp;
                     a * (1.0 - fl) + b * fl
                 };
-                let (x, y, z) = (bilerp(&gx), bilerp(&gy), bilerp(&gz));
+                let (x, y, z) = (bilerp(gx), bilerp(gy), bilerp(gz));
                 let norm = (x * x + y * y + z * z).sqrt().max(1e-12);
                 let i = dims.idx(line, px);
                 lat[i] = (z / norm).asin().to_degrees() as f32;
@@ -614,9 +673,10 @@ mod tests {
         // Day → night → day → Aqua, all in one swath: no plane keeps a
         // pixel of the granule before (night fill, cloud mask, land).
         let mut held = sy.synthesize(day);
+        let mut scratch = SynthScratch::default();
         let planes = held.radiance.iter().map(|p| p.as_ptr()).collect::<Vec<_>>();
         for g in [night, day, aqua] {
-            sy.synthesize_into(g, &mut held);
+            sy.synthesize_into(g, &mut held, &mut scratch);
             assert_same_bits(&held, &sy.synthesize(g));
         }
         let kept = held.radiance.iter().map(|p| p.as_ptr()).collect::<Vec<_>>();
@@ -630,10 +690,48 @@ mod tests {
             },
         );
         let mut other = odd.synthesize(day);
-        sy.synthesize_into(night, &mut other);
+        sy.synthesize_into(night, &mut other, &mut scratch);
         assert_same_bits(&other, &sy.synthesize(night));
-        odd.synthesize_into(aqua, &mut held);
+        odd.synthesize_into(aqua, &mut held, &mut scratch);
         assert_same_bits(&held, &odd.synthesize(aqua));
+    }
+
+    #[test]
+    fn a_scratch_from_another_synthesizer_is_refilled_not_read() {
+        let sy = synth();
+        let day = (0..288).map(gid).find(|&g| sy.synthesize(g).day).unwrap();
+        let odd = SwathSynthesizer::new(
+            77,
+            SwathDims {
+                lines: 37,
+                pixels: 101,
+            },
+        );
+        // Another seed at the same shape: every table differs, yet a first
+        // line can fall in a lattice row the caches already hold.
+        let twin = SwathSynthesizer::new(2023, SwathDims::small());
+        // The next granule along track, and clones, which share their
+        // synthesizer's tables.
+        let next = GranuleId::new(day.platform, day.date, day.slot + 1);
+        let mut held = Swath::empty(day);
+        let mut scratch = SynthScratch::default();
+        for (s, g) in [
+            (&sy, day),
+            (&odd, day),
+            (&sy, day),
+            (&twin, day),
+            (&sy, next),
+            (&sy.clone(), next),
+            (&twin, day),
+            (&odd, next),
+        ] {
+            s.synthesize_into(g, &mut held, &mut scratch);
+            assert_matches_per_pixel_reference(s, &held);
+            let land = s
+                .landmask
+                .land_plane(&held.lat, &held.lon, held.dims.pixels);
+            assert!(held.land == land, "land mask of {g:?}");
+        }
     }
 
     /// `land_plane` against the per-pixel definition on 32 granules spread
@@ -652,7 +750,8 @@ mod tests {
             for slot in (0..288).step_by(9) {
                 let id = gid(slot);
                 let (mut lat, mut lon) = (Vec::new(), Vec::new());
-                sy.geolocate_into(id, sy.geometry(&id), &mut lat, &mut lon);
+                let lattice = &mut Default::default();
+                sy.geolocate_into(id, sy.geometry(&id), lattice, &mut lat, &mut lon);
                 let over_pole = lat.iter().any(|v| v.abs() > 80.0);
                 let over_seam = lon.iter().any(|&v| v > 179.0) && lon.iter().any(|&v| v < -179.0);
                 polar |= over_pole;

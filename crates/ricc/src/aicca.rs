@@ -18,7 +18,7 @@ use crate::autoencoder::{AeConfig, ConvAutoencoder, EncodeScratch};
 use crate::cluster::{agglomerate, assign, centroids, nearest};
 use crate::tensor::Tensor;
 use crate::AICCA_CLASSES;
-use eoml_util::noise::{ridge, Fbm};
+use eoml_util::noise::{ridge, Fbm, FbmRowCache};
 use rayon::prelude::*;
 
 /// Encoder + centroids.
@@ -131,6 +131,7 @@ pub fn synthetic_texture_tile(cfg: AeConfig, seed: u64, i: usize) -> Tensor {
     let mut t = Tensor::zeros(cfg.in_ch, edge, edge);
     let mut xs = vec![0.0f64; edge];
     let mut line = vec![0.0f64; edge];
+    let mut cache = FbmRowCache::default();
     for (c, plane) in t.data.chunks_exact_mut((edge * edge).max(1)).enumerate() {
         let off = c as f64 * 31.7;
         for (x, fx) in xs.iter_mut().enumerate() {
@@ -138,7 +139,7 @@ pub fn synthetic_texture_tile(cfg: AeConfig, seed: u64, i: usize) -> Tensor {
         }
         let rows = f.rows(&xs);
         for (y, out) in plane.chunks_exact_mut(edge).enumerate() {
-            rows.sample(y as f64 * scale - off, 0..edge, &mut line);
+            rows.sample(y as f64 * scale - off, 0..edge, &mut line, &mut cache);
             for (o, &n) in out.iter_mut().zip(&line) {
                 let v = if ridged { ridge(n) } else { n };
                 *o = (v as f32 - 0.5) * 2.0;

@@ -7,6 +7,7 @@
 //! without storing any state.
 
 use crate::rng::SplitMix64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `x.floor() as i64` without the call into libm that `floor` costs on
 /// baseline x86-64: truncate (one instruction), then step down where
@@ -47,8 +48,8 @@ impl ValueNoise {
 
     /// Sample the noise at continuous coordinates; output in `[0, 1)`.
     pub fn sample(&self, x: f64, y: f64) -> f64 {
-        let ix = x.floor() as i64;
-        let iy = y.floor() as i64;
+        let ix = floor_i64(x);
+        let iy = floor_i64(y);
         let fx = x - ix as f64;
         let fy = y - iy as f64;
         Self::blend(self.cell(ix, iy), Self::fade(fx), Self::fade(fy))
@@ -89,48 +90,108 @@ pub struct Fbm {
 }
 
 /// [`Fbm::sample`] along lines that share their `x` coordinates, bit-identical
-/// to the per-point call. What depends on `x` alone — each octave's lattice
-/// column and faded offset at every point — is worked out once, in
-/// [`Fbm::rows`]; a line then computes its `y` terms once per octave and
-/// re-hashes the four lattice values only when a point leaves the current
-/// cell, while each output still accumulates its octaves in order.
+/// to the per-point call. What depends on `x` alone is worked out once, in
+/// [`Fbm::rows`]: each octave's runs of points that share a lattice column,
+/// and every point's faded offset. What depends on the lattice row as well —
+/// the four corner values blended along `x` — is kept in an [`FbmRowCache`]
+/// and worked out again only when a line enters another lattice row, so a
+/// line costs one blend along `y` per point and octave.
 #[derive(Debug, Clone)]
 pub struct FbmRows {
     fbm: Fbm,
     points: usize,
-    /// `(ix, fade(fx))` of point `i` in octave `o`, at `o * points + i`.
-    columns: Vec<(i64, f64)>,
+    /// Taken when [`Fbm::rows`] builds the table and shared by its clones:
+    /// which table a cache was filled from.
+    id: u64,
+    /// `fade(fx)` of point `i` in octave `o`, at `o * points + i`.
+    fades: Vec<f64>,
+    /// Octave `o`'s runs are `runs[run_starts[o]..run_starts[o + 1]]`.
+    run_starts: Vec<usize>,
+    /// `(ix, end)`: the points of an octave from the previous run's `end`
+    /// (0 for its first run) up to `end` share lattice column `ix`.
+    runs: Vec<(i64, usize)>,
+}
+
+/// The lattice row each octave of an [`FbmRows`] last visited and its x-blends
+/// there, carried between [`FbmRows::sample`] calls. A cache filled from one
+/// table is refilled, never read, when it is handed to another.
+#[derive(Debug, Clone, Default)]
+pub struct FbmRowCache {
+    /// The id of the [`FbmRows`] the cache was filled from; 0 for none.
+    owner: u64,
+    /// Octave `o`'s lattice row, `None` before it is filled.
+    rows: Vec<Option<i64>>,
+    /// Octave `o`'s x-blends on its row: `a[i] = v00(1−u) + v10·u` of point
+    /// `i` at `2o * points + i`, `b[i] = v01(1−u) + v11·u` right after all
+    /// of its `a`, at `(2o + 1) * points + i`.
+    blends: Vec<f64>,
 }
 
 impl FbmRows {
-    /// `sample(xs[i], y)` for every `i` in `range`, into `out[i - range.start]`.
-    pub fn sample(&self, y: f64, range: std::ops::Range<usize>, out: &mut [f64]) {
+    /// `sample(xs[i], y)` for every `i` in `range`, into `out[i - range.start]`,
+    /// each octave's x-blends taken from `cache` (refilled for the whole
+    /// line when `y` lies in another lattice row than the cache holds).
+    pub fn sample(
+        &self,
+        y: f64,
+        range: std::ops::Range<usize>,
+        out: &mut [f64],
+        cache: &mut FbmRowCache,
+    ) {
         assert_eq!(range.len(), out.len());
         assert!(range.end <= self.points);
+        let points = self.points;
+        if cache.owner != self.id {
+            cache.owner = self.id;
+            cache.rows.clear();
+            cache.rows.resize(self.fbm.octaves as usize, None);
+            cache.blends.resize(2 * self.fades.len(), 0.0);
+        }
         out.fill(0.0);
         let mut norm = 0.0;
-        // One chunk of columns per octave, in order.
-        let per_octave = self.columns.chunks_exact(self.points.max(1));
-        for ((amp, freq, off), columns) in self.fbm.octave_terms().zip(per_octave) {
+        for (o, (amp, freq, off)) in self.fbm.octave_terms().enumerate() {
             let yo = y * freq - off;
             let iy = floor_i64(yo);
             let v = ValueNoise::fade(yo - iy as f64);
-            let mut held: Option<(i64, [f64; 4])> = None;
-            for (o, &(ix, u)) in out.iter_mut().zip(&columns[range.clone()]) {
-                let cell = match held {
-                    Some((hx, cell)) if hx == ix => cell,
-                    _ => {
-                        let cell = self.fbm.base.cell(ix, iy);
-                        held = Some((ix, cell));
-                        cell
-                    }
-                };
-                *o += amp * ValueNoise::blend(cell, u, v);
+            let (a, b) = cache.blends[2 * o * points..][..2 * points].split_at_mut(points);
+            if cache.rows[o] != Some(iy) {
+                self.fill_row(o, iy, a, b);
+                cache.rows[o] = Some(iy);
+            }
+            // `ValueNoise::blend`'s last step, on the cached first two.
+            let (a, b) = (&a[range.clone()], &b[range.clone()]);
+            for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                *o += amp * (a * (1.0 - v) + b * v);
             }
             norm += amp;
         }
         for o in out.iter_mut() {
             *o /= norm;
+        }
+    }
+
+    /// Octave `o`'s x-blends on lattice row `iy` for every point, into `a`
+    /// and `b`. A column shared by two neighbouring cells is hashed once.
+    fn fill_row(&self, o: usize, iy: i64, a: &mut [f64], b: &mut [f64]) {
+        let base = &self.fbm.base;
+        let fades = &self.fades[o * self.points..(o + 1) * self.points];
+        let column = |ix: i64| [base.lattice(ix, iy), base.lattice(ix, iy + 1)];
+        let mut right: Option<(i64, [f64; 2])> = None;
+        let mut start = 0;
+        for &(ix, end) in &self.runs[self.run_starts[o]..self.run_starts[o + 1]] {
+            let [v00, v01] = match right {
+                Some((hx, edge)) if hx == ix => edge,
+                _ => column(ix),
+            };
+            let [v10, v11] = column(ix + 1);
+            right = Some((ix + 1, [v10, v11]));
+            let run = a[start..end].iter_mut().zip(&mut b[start..end]);
+            for ((a, b), &u) in run.zip(&fades[start..end]) {
+                // `ValueNoise::blend`'s first two steps.
+                *a = v00 * (1.0 - u) + v10 * u;
+                *b = v01 * (1.0 - u) + v11 * u;
+            }
+            start = end;
         }
     }
 }
@@ -139,6 +200,14 @@ impl FbmRows {
 /// visited, carried between [`Fbm::sample_near`] calls.
 #[derive(Debug, Clone, Default)]
 pub struct FbmCells(Vec<Option<(i64, i64, [f64; 4])>>);
+
+impl FbmCells {
+    /// Forget every held cell, keeping the allocation: the cells may then be
+    /// used with any [`Fbm`].
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
 
 impl Fbm {
     /// Standard fBm with lacunarity 2 and gain 0.5.
@@ -194,18 +263,30 @@ impl Fbm {
     /// A sampler for lines that share the `x` coordinates `xs` (the scan
     /// lines of a raster); see [`FbmRows`].
     pub fn rows(&self, xs: &[f64]) -> FbmRows {
-        let mut columns = Vec::with_capacity(self.octaves as usize * xs.len());
+        static IDS: AtomicU64 = AtomicU64::new(1);
+        let mut fades = Vec::with_capacity(self.octaves as usize * xs.len());
+        let mut run_starts = vec![0];
+        let mut runs: Vec<(i64, usize)> = Vec::new();
         for (_, freq, off) in self.octave_terms() {
-            columns.extend(xs.iter().map(|&x| {
+            let first = runs.len();
+            for (i, &x) in xs.iter().enumerate() {
                 let xo = x * freq + off;
                 let ix = floor_i64(xo);
-                (ix, ValueNoise::fade(xo - ix as f64))
-            }));
+                fades.push(ValueNoise::fade(xo - ix as f64));
+                match runs[first..].last_mut() {
+                    Some((hx, end)) if *hx == ix => *end = i + 1,
+                    _ => runs.push((ix, i + 1)),
+                }
+            }
+            run_starts.push(runs.len());
         }
         FbmRows {
             fbm: *self,
             points: xs.len(),
-            columns,
+            id: IDS.fetch_add(1, Ordering::Relaxed),
+            fades,
+            run_starts,
+            runs,
         }
     }
 
@@ -410,7 +491,7 @@ mod tests {
             let rows = f.rows(&xs);
             for range in [0..301, 17..18, 100..300, 7..7] {
                 let mut out = vec![f64::NAN; range.len()];
-                rows.sample(y, range.clone(), &mut out);
+                rows.sample(y, range.clone(), &mut out, &mut FbmRowCache::default());
                 for (o, &x) in out.iter().zip(&xs[range]) {
                     assert_eq!(
                         o.to_bits(),
@@ -423,11 +504,99 @@ mod tests {
         let f = Fbm::with_params(9, 3, 2.7, 0.8);
         let xs = [5.5, -3.25, 5.5, 0.0, 1e6 + 0.5];
         let mut row = [0.0; 5];
-        f.rows(&xs).sample(4.75, 0..5, &mut row);
+        f.rows(&xs)
+            .sample(4.75, 0..5, &mut row, &mut FbmRowCache::default());
         for (r, &x) in row.iter().zip(&xs) {
             assert_eq!(r.to_bits(), f.sample(x, 4.75).to_bits());
         }
-        f.rows(&[]).sample(1.0, 0..0, &mut []);
+        f.rows(&[])
+            .sample(1.0, 0..0, &mut [], &mut FbmRowCache::default());
+    }
+
+    /// `rows.sample` of `range` at `y` through `cache` against `f.sample`
+    /// at every point, bit for bit.
+    fn assert_cached_line(
+        f: &Fbm,
+        xs: &[f64],
+        rows: &FbmRows,
+        y: f64,
+        range: std::ops::Range<usize>,
+        cache: &mut FbmRowCache,
+    ) {
+        let mut out = vec![f64::NAN; range.len()];
+        rows.sample(y, range.clone(), &mut out, cache);
+        for (o, &x) in out.iter().zip(&xs[range]) {
+            assert_eq!(o.to_bits(), f.sample(x, y).to_bits(), "x {x} y {y}");
+        }
+    }
+
+    #[test]
+    fn a_held_row_cache_follows_lines_up_down_and_in_place() {
+        let f = Fbm::new(3, 6);
+        let xs: Vec<f64> = (0..400).map(|i| -2.0 + i as f64 / 96.0).collect();
+        let rows = f.rows(&xs);
+        let mut cache = FbmRowCache::default();
+        let ascending = (0..300).map(|l| -1.5 + l as f64 / 96.0);
+        let descending = (0..300).rev().map(|l| -1.5 + l as f64 / 96.0);
+        // The same line twice in a row, then a lattice row left and entered
+        // again, then jumps across many rows both ways.
+        let repeated = [0.5, 0.5, 0.49, 0.51, 0.5, 0.5, -7.25, 12.0, 12.0, -7.25];
+        for y in ascending.chain(descending).chain(repeated) {
+            assert_cached_line(&f, &xs, &rows, y, 0..xs.len(), &mut cache);
+        }
+    }
+
+    #[test]
+    fn a_held_row_cache_serves_sub_ranges_after_full_lines() {
+        let f = Fbm::with_params(9, 4, 2.7, 0.8);
+        let xs: Vec<f64> = (0..257).map(|i| 3.0 - i as f64 * 0.021).collect();
+        let rows = f.rows(&xs);
+        let mut cache = FbmRowCache::default();
+        for (l, range) in [0..257, 10..11, 0..0, 200..257, 0..257, 30..90]
+            .into_iter()
+            .cycle()
+            .take(60)
+            .enumerate()
+        {
+            let y = 4.0 + l as f64 * 0.07;
+            assert_cached_line(&f, &xs, &rows, y, 0..xs.len(), &mut cache);
+            assert_cached_line(&f, &xs, &rows, y, range.clone(), &mut cache);
+            // A sub-range first on a line the cache has not seen.
+            assert_cached_line(&f, &xs, &rows, y + 0.5, range, &mut cache);
+        }
+    }
+
+    #[test]
+    fn one_row_cache_between_two_tables_is_refilled_not_read() {
+        let xs: Vec<f64> = (0..300).map(|i| i as f64 / 96.0).collect();
+        let f = Fbm::new(5, 5);
+        let rows = f.rows(&xs);
+        // Another seed over the same points, the same field over other
+        // points, the same field over fewer points, and a second table of
+        // the very same field and points: each starts in a lattice row the
+        // cache already holds for `rows`.
+        let g = Fbm::new(6, 5);
+        let shifted: Vec<f64> = xs.iter().map(|x| x + 0.3).collect();
+        let others = [
+            (g, xs.clone()),
+            (f, shifted),
+            (f, xs[..120].to_vec()),
+            (f, xs.clone()),
+            (Fbm::new(5, 3), xs.clone()),
+        ];
+        for (h, hxs) in &others {
+            let mut cache = FbmRowCache::default();
+            let hrows = h.rows(hxs);
+            for y in [0.25, 0.26, 0.25] {
+                assert_cached_line(&f, &xs, &rows, y, 0..xs.len(), &mut cache);
+                assert_cached_line(h, hxs, &hrows, y, 0..hxs.len(), &mut cache);
+                assert_cached_line(h, hxs, &hrows, y, 7..9, &mut cache);
+                assert_cached_line(&f, &xs, &rows, y, 100..120, &mut cache);
+            }
+            // A clone shares its table's cache.
+            let again = rows.clone();
+            assert_cached_line(&f, &xs, &again, 0.27, 0..xs.len(), &mut cache);
+        }
     }
 
     #[test]

@@ -13,19 +13,18 @@ use eoml::executor::local::LocalExecutor;
 use eoml::flows::definition::FlowDefinition;
 use eoml::flows::runner::FlowRunner;
 use eoml::flows::trigger::DirectoryCrawler;
-use eoml::modis::files::{to_mod02, to_mod03, to_mod06};
+use eoml::modis::files::into_products;
 use eoml::modis::granule::GranuleId;
-use eoml::modis::product::Platform;
-use eoml::modis::synth::{SwathDims, SwathSynthesizer};
-use eoml::ncdf::NcFile;
-use eoml::preprocess::pipeline::preprocess_granule_files;
+use eoml::modis::product::{Platform, ProductKind};
+use eoml::modis::synth::{Swath, SwathDims, SwathSynthesizer, SynthScratch};
+use eoml::preprocess::pipeline::{preprocess_granule_with, GranuleBuffers};
 use eoml::preprocess::tiles::TileCriteria;
-use eoml::preprocess::writer::{append_labels, read_tiles_nc};
+use eoml::preprocess::writer::{for_each_radiance_tile, patch_labels};
 use eoml::ricc::aicca::AiccaModel;
-use eoml::ricc::autoencoder::AeConfig;
-use eoml::ricc::tensor::Tensor;
+use eoml::ricc::autoencoder::{AeConfig, EncodeScratch};
 use eoml::util::timebase::CivilDate;
 use serde_json::json;
+use std::fs::{File, OpenOptions};
 
 const TILE: usize = 32;
 
@@ -77,19 +76,33 @@ fn main() {
             wave + 1,
             chunk.len()
         );
-        // Preprocess the wave in parallel (stages 1–2).
-        let outcomes = executor.map(chunk.to_vec(), |g| {
-            let swath = synth.synthesize(g);
-            let p02 = incoming.join("m02.eogr.tmp");
-            // Per-granule unique names to avoid collisions across workers.
-            let p02 = p02.with_file_name(format!("{g}-02.eogr"));
-            let p03 = incoming.join(format!("{g}-03.eogr"));
-            let p06 = incoming.join(format!("{g}-06.eogr"));
-            std::fs::write(&p02, to_mod02(&swath).encode()).expect("write");
-            std::fs::write(&p03, to_mod03(&swath).encode()).expect("write");
-            std::fs::write(&p06, to_mod06(&swath).encode()).expect("write");
-            preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &criteria).expect("preprocess")
-        });
+        // Download and preprocess the wave in parallel (stages 1–2), as the
+        // real driver does: each worker synthesizes into the swath and
+        // scratch it keeps, streams each product container into its file,
+        // and decodes the files back into the same planes to cut tiles.
+        let mut outcomes = Vec::new();
+        let worker = || (GranuleBuffers::default(), SynthScratch::default());
+        executor
+            .run(
+                chunk.to_vec(),
+                worker,
+                |(buffers, scratch), g| {
+                    let mut swath = buffers.swath.take().unwrap_or_else(|| Swath::empty(g));
+                    synth.synthesize_into(g, &mut swath, scratch);
+                    let paths = ProductKind::all().map(|kind| incoming.join(g.file_name(kind)));
+                    for (path, product) in paths.iter().zip(into_products(swath)) {
+                        product.encode_into(&mut File::create(path)?)?;
+                    }
+                    let [p02, p03, p06] = &paths;
+                    preprocess_granule_with(p02, p03, p06, &tiles_dir, &criteria, buffers)
+                        .map_err(|e| std::io::Error::other(e.to_string()))
+                },
+                |_, outcome| {
+                    outcomes.push(outcome);
+                    Ok(())
+                },
+            )
+            .expect("download and preprocess");
         let produced: usize = outcomes.iter().filter(|o| o.output.is_some()).count();
         println!("  preprocessing produced {produced} tile file(s)");
 
@@ -97,18 +110,22 @@ fn main() {
         let fresh = crawler.crawl().expect("crawl");
         println!("  monitor discovered {} new file(s)", fresh.len());
 
-        // Stage 4: run the inference flow per file.
+        // Stage 4: run the inference flow per file. Inference reads the
+        // tile file's radiance a tile at a time and predicts each tile where
+        // it lies; the labels are then written into the variable the file
+        // reserved for them, in place.
+        let mut encoder = EncodeScratch::default();
+        let mut tile = Vec::new();
         let mut infer = |_: &str, params: &serde_json::Value, _: &serde_json::Value| {
             let name = params["file"].as_str().ok_or("missing file")?;
-            let nc =
-                NcFile::decode(&std::fs::read(tiles_dir.join(name)).map_err(|e| e.to_string())?)
-                    .map_err(|e| e.to_string())?;
-            let (tiles, _) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
-            let tensors: Vec<Tensor> = tiles
-                .iter()
-                .map(|t| Tensor::from_data(t.bands.len(), t.size, t.size, t.data.clone()))
-                .collect();
-            Ok(json!({ "labels": model.predict_batch(&tensors) }))
+            let mut file = File::open(tiles_dir.join(name)).map_err(|e| e.to_string())?;
+            let mut labels = Vec::new();
+            for_each_radiance_tile(&mut file, &mut tile, |pixels| {
+                labels.push(model.predict_slice(pixels, &mut encoder));
+                Ok(())
+            })
+            .map_err(|e| e.to_string())?;
+            Ok(json!({ "labels": labels }))
         };
         let mut append = |_: &str, params: &serde_json::Value, _: &serde_json::Value| {
             let name = params["file"].as_str().ok_or("missing file")?;
@@ -118,11 +135,11 @@ fn main() {
                 .iter()
                 .map(|v| v.as_i64().unwrap_or(-1) as i32)
                 .collect();
-            let path = tiles_dir.join(name);
-            let mut nc = NcFile::decode(&std::fs::read(&path).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-            append_labels(&mut nc, &labels).map_err(|e| e.to_string())?;
-            std::fs::write(&path, nc.encode().map_err(|e| e.to_string())?)
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(tiles_dir.join(name))
+                .and_then(|mut file| patch_labels(&mut file, &labels))
                 .map_err(|e| e.to_string())?;
             Ok(json!({ "count": labels.len() }))
         };

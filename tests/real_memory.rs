@@ -1,13 +1,13 @@
 //! The real driver's working set is one granule per worker: the peak of
 //! live heap bytes over a run must not depend on how many granules the run
-//! processes. Spans `eoml-obs` (the counting allocator and its scope guard),
+//! processes, and a warm synthesis allocates nothing. Spans `eoml-obs` (the counting allocator and its scope guard),
 //! `eoml-journal` and `eoml-core` (the real pipeline, plain and resumable).
 
 use eoml::core::realrun::RealPipeline;
 use eoml::journal::{Journal, MemStorage};
 use eoml::modis::granule::GranuleId;
 use eoml::modis::product::Platform;
-use eoml::modis::synth::{SwathDims, SwathSynthesizer};
+use eoml::modis::synth::{Swath, SwathDims, SwathSynthesizer, SynthScratch};
 use eoml::obs::resource::{self, CountingAlloc, ResourceGuard};
 use eoml::util::timebase::CivilDate;
 use std::path::{Path, PathBuf};
@@ -176,4 +176,29 @@ fn a_warm_pipeline_allocates_no_granule_sized_buffer() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_warm_synthesis_into_a_held_swath_and_scratch_allocates_nothing() {
+    let _exclusive = exclusive();
+    let sy = SwathSynthesizer::new(SEED, WIDE);
+    let date = CivilDate::new(2022, 1, 1).unwrap();
+    let terra = |slot| GranuleId::new(Platform::Terra, date, slot);
+    let night = (0..288).map(terra).find(|&g| !sy.synthesize(g).day);
+    let mut granules = wide_day_granules(3);
+    granules.push(night.unwrap());
+    granules.push(GranuleId::new(Platform::Aqua, date, granules[0].slot));
+    let mut swath = Swath::empty(granules[0]);
+    let mut scratch = SynthScratch::default();
+    sy.synthesize_into(granules[0], &mut swath, &mut scratch);
+    for &g in &granules {
+        // Read the counters directly: a guard's report allocates itself.
+        let before = resource::snapshot().allocated_bytes;
+        sy.synthesize_into(g, &mut swath, &mut scratch);
+        let allocated = resource::snapshot().allocated_bytes - before;
+        assert_eq!(
+            allocated, 0,
+            "{g:?}: a warm synthesis allocated {allocated} bytes"
+        );
+    }
 }
