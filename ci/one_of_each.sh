@@ -7,17 +7,18 @@
 # worker carrying each granule from download to shipped file. Fails when a
 # second copy of the slot/queue/retry loop or of the append / already-done /
 # halt ledger creeps back into the non-test part of
-# crates/{transfer,executor,core}/src, when the executor or a driver starts
-# threads of its own, when realrun.rs grows a second pass or a directory
-# crawl or allocates a granule's buffers afresh, or when a by-name scan
-# returns to the provenance log, and prints the
+# crates/{transfer,executor,core}/src, when the executor, a driver or the
+# compute endpoint starts threads of its own, when realrun.rs grows a second
+# pass or a directory crawl or allocates a granule's buffers afresh, or when
+# a by-name scan returns to the provenance log, and prints the
 # per-crate non-test line counts ROADMAP wants to see fall. Spans live once,
 # in eoml-obs: no `struct Span` / `Vec<Span>` in any other crate's source
 # (core's Telemetry keeps only the Fig. 6 activity series and forwards every
 # interval to the hub); library code reads no environment variable
 # (`EOML_*` knobs belong to examples, tests and binaries); and `unsafe` and
 # run-time CPU feature checks stay in the few files that own the byte path's
-# hardware kernels (DESIGN §23).
+# hardware kernels (DESIGN §23). No Cargo.toml names crossbeam or
+# parking_lot: std's channel and locks are all the one pool needs.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -75,8 +76,8 @@ if [ -n "$counters" ]; then
 fi
 
 # Starting threads anywhere but executor/src/pool.rs is a second wall-clock
-# pool. (The compute endpoint's service threads live in crates/compute.)
-threads=$(callers 'thread::(scope\(|spawn\(|Builder)' crates/executor/src crates/core/src |
+# pool. The compute endpoint runs each task on the submitting thread.
+threads=$(callers 'thread::(scope\(|spawn\(|Builder)' crates/executor/src crates/core/src crates/compute/src |
   grep -v '^crates/executor/src/pool\.rs$' || true)
 if [ -n "$threads" ]; then
   complain "threads started outside executor/src/pool.rs in:"$'\n'"$threads"
@@ -146,6 +147,13 @@ if [ -n "$detect_files" ]; then
   complain "is_x86_feature_detected! outside hash.rs and tensor.rs in:"$'\n'"$detect_files"
 fi
 
+# Channels and locks come from std (the pool's mpsc, the registry's RwLock).
+manifests=$(find . -name Cargo.toml -not -path '*/target/*' | sort |
+  xargs grep -lE '(^|[^_[:alnum:]])(crossbeam|parking_lot)([^_[:alnum:]]|$)' || true)
+if [ -n "$manifests" ]; then
+  complain "crossbeam or parking_lot named in:"$'\n'"$manifests"
+fi
+
 lines() {
   local n=0 f
   while read -r f; do
@@ -165,5 +173,8 @@ printf '  %-9s %6d\n' total "$total"
 printf '  %-9s %6d\n' realrun "$(nontest "$realrun" | wc -l)"
 printf '  %-9s %6d\n' telemetry "$(nontest crates/core/src/telemetry.rs | wc -l)"
 printf '  %-9s %6d\n' journal "$(lines journal)"
+printf '  %-9s %6d\n' compute "$(lines compute)"
+printf 'workspace lines (every *.rs outside target/): %d\n' \
+  "$(find . -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)"
 
 exit "$fail"

@@ -1,18 +1,18 @@
-//! A compute endpoint: a real worker pool executing registered functions.
+//! A compute endpoint: registered functions run on the thread that submits
+//! them.
 //!
-//! Submissions return a [`TaskHandle`] future; workers are OS threads fed
-//! by a crossbeam channel, or — for an endpoint started without workers —
-//! the submitting thread itself. Panics inside functions are captured and
-//! reported as task failures rather than poisoning the pool.
+//! The endpoint starts no threads of its own: the caller's threads are its
+//! workers (in the real driver, the wall-clock pool's, `eoml_executor::pool`),
+//! so a task's allocations stay with the thread that goes on to use its
+//! output. A submission returns a [`TaskHandle`] that already holds the
+//! task's result. Panics inside functions are captured and reported as task
+//! failures, and the endpoint keeps serving.
 
 use crate::registry::{FunctionId, FunctionRegistry};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use eoml_obs::{Obs, TraceContext};
-use parking_lot::{Condvar, Mutex};
 use serde_json::Value;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Terminal state of a submitted task.
@@ -31,75 +31,38 @@ impl TaskResult {
     }
 }
 
-struct Slot {
-    state: Mutex<Option<TaskResult>>,
-    cond: Condvar,
-}
-
-/// A future for one submitted task.
-#[derive(Clone)]
+/// The future of one submitted task, Globus Compute style; the task has run
+/// to the end by the time the handle is returned.
+#[derive(Debug, Clone)]
 pub struct TaskHandle {
-    slot: Arc<Slot>,
+    result: TaskResult,
 }
 
 impl TaskHandle {
-    fn new() -> Self {
-        Self {
-            slot: Arc::new(Slot {
-                state: Mutex::new(None),
-                cond: Condvar::new(),
-            }),
-        }
-    }
-
-    fn fulfill(&self, result: TaskResult) {
-        let mut guard = self.slot.state.lock();
-        *guard = Some(result);
-        self.slot.cond.notify_all();
-    }
-
-    /// Block until the task completes and return its result.
+    /// The task's result.
     pub fn wait(&self) -> TaskResult {
-        let mut guard = self.slot.state.lock();
-        while guard.is_none() {
-            self.slot.cond.wait(&mut guard);
-        }
-        guard.clone().expect("fulfilled")
+        self.result.clone()
     }
 }
 
-struct Task {
-    func: FunctionId,
-    args: Value,
-    handle: TaskHandle,
-    submitted: Instant,
-    trace: Option<TraceContext>,
-}
-
-enum Job {
-    Run(Task),
-    Shutdown,
-}
-
-/// A compute endpoint with `workers` OS threads sharing a registry.
-///
-/// With no workers, [`ComputeEndpoint::submit`] runs each task to the end on
-/// the thread that submits it, with the same accounting, and returns a
-/// fulfilled handle: for a caller whose own threads are the workers, so a
-/// task's allocations stay with the thread that goes on to use its output.
+/// A named compute endpoint over a shared function registry, counting and
+/// timing its tasks when observed.
 pub struct ComputeEndpoint {
     name: String,
-    tx: Sender<Job>,
-    workers: Vec<JoinHandle<()>>,
     registry: Arc<FunctionRegistry>,
     obs: Option<Arc<Obs>>,
 }
 
 impl ComputeEndpoint {
-    /// Start an endpoint with the given worker count (0: tasks run on the
-    /// submitting thread).
-    pub fn start(name: impl Into<String>, registry: Arc<FunctionRegistry>, workers: usize) -> Self {
-        Self::start_observed(name, registry, workers, None)
+    /// Start an endpoint. The worker count has no effect: every task runs on
+    /// the thread that submits it. The argument goes once the wall-clock
+    /// benchmark's endpoint probe stops passing it (ROADMAP item 1(e)).
+    pub fn start(
+        name: impl Into<String>,
+        registry: Arc<FunctionRegistry>,
+        _workers: usize,
+    ) -> Self {
+        Self::start_observed(name, registry, None)
     }
 
     /// [`ComputeEndpoint::start`] with an observability hub: submissions,
@@ -109,26 +72,10 @@ impl ComputeEndpoint {
     pub fn start_observed(
         name: impl Into<String>,
         registry: Arc<FunctionRegistry>,
-        workers: usize,
         obs: Option<Arc<Obs>>,
     ) -> Self {
-        let (tx, rx) = unbounded::<Job>();
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let rx: Receiver<Job> = rx.clone();
-            let registry = Arc::clone(&registry);
-            let obs = obs.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("compute-worker-{w}"))
-                    .spawn(move || worker_loop(rx, registry, obs))
-                    .expect("spawn worker"),
-            );
-        }
         Self {
             name: name.into(),
-            tx,
-            workers: handles,
             registry,
             obs,
         }
@@ -144,38 +91,24 @@ impl ComputeEndpoint {
         &self.registry
     }
 
-    /// Submit an invocation; returns immediately with a future.
+    /// Submit an invocation; returns the finished task's handle.
     pub fn submit(&self, func: FunctionId, args: Value) -> TaskHandle {
         self.submit_traced(func, args, None)
     }
 
     /// [`ComputeEndpoint::submit`] carrying a per-granule trace identity:
-    /// when the endpoint is observed, the worker records a wall-clock
-    /// `compute` span for the execution stamped with the trace, so the
-    /// task joins that granule's end-to-end trace.
+    /// when the endpoint is observed, the task's execution is recorded as a
+    /// wall-clock `compute` span stamped with the trace, so the task joins
+    /// that granule's end-to-end trace.
     pub fn submit_traced(
         &self,
         func: FunctionId,
         args: Value,
         trace: Option<&TraceContext>,
     ) -> TaskHandle {
-        let handle = TaskHandle::new();
-        if let Some(obs) = &self.obs {
-            obs.counter_add("tasks_submitted", "compute", 1);
+        TaskHandle {
+            result: self.run(func, args, trace),
         }
-        let task = Task {
-            func,
-            args,
-            handle: handle.clone(),
-            submitted: Instant::now(),
-            trace: trace.cloned(),
-        };
-        if self.workers.is_empty() {
-            run(&self.registry, self.obs.as_deref(), task);
-        } else {
-            self.tx.send(Job::Run(task)).expect("endpoint alive");
-        }
-        handle
     }
 
     /// Submit by function name (latest version).
@@ -198,90 +131,68 @@ impl ComputeEndpoint {
         Ok(self.submit_traced(id, args, trace))
     }
 
-    /// Drain and stop all workers (waits for in-flight tasks).
-    pub fn shutdown(self) {
-        drop(self);
-    }
-}
+    /// Stop the endpoint. Every task has finished by the time its
+    /// submission returns, so there is nothing to wait for.
+    pub fn shutdown(self) {}
 
-impl Drop for ComputeEndpoint {
-    fn drop(&mut self) {
-        for _ in 0..self.workers.len() {
-            let _ = self.tx.send(Job::Shutdown);
+    /// Run one task on this thread.
+    fn run(&self, func: FunctionId, args: Value, trace: Option<&TraceContext>) -> TaskResult {
+        let (registry, obs, submitted) = (&self.registry, self.obs.as_deref(), Instant::now());
+        if let Some(obs) = obs {
+            obs.counter_add("tasks_submitted", "compute", 1);
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(rx: Receiver<Job>, registry: Arc<FunctionRegistry>, obs: Option<Arc<Obs>>) {
-    while let Ok(Job::Run(task)) = rx.recv() {
-        run(&registry, obs.as_deref(), task);
-    }
-}
-
-/// Run one task on this thread and fulfill its handle.
-fn run(registry: &FunctionRegistry, obs: Option<&Obs>, task: Task) {
-    let Task {
-        func,
-        args,
-        handle,
-        submitted,
-        trace,
-    } = task;
-    // A traced task gets a wall-clock span so it joins the granule's
-    // end-to-end trace; untraced tasks keep the histogram-only footprint
-    // they always had.
-    let guard = match (obs, &trace) {
-        (Some(obs), Some(trace)) => {
-            let name = registry
-                .describe(func)
-                .map(|(n, _)| n)
-                .unwrap_or_else(|| "task".to_string());
-            let mut g = obs.span("compute", &name);
-            g.set_trace(trace);
-            Some(g)
-        }
-        _ => None,
-    };
-    let started = Instant::now();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| registry.invoke(func, args)));
-    drop(guard);
-    let result = match outcome {
-        Ok(Ok(v)) => TaskResult::Success(v),
-        Ok(Err(e)) => TaskResult::Failed(e),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "function panicked".into());
-            TaskResult::Failed(format!("panic: {msg}"))
-        }
-    };
-    if let Some(obs) = obs {
-        obs.observe(
-            "queue_seconds",
-            "compute",
-            (started - submitted).as_secs_f64(),
-        );
-        obs.observe("task_seconds", "compute", started.elapsed().as_secs_f64());
-        let counter = if result.is_success() {
-            "tasks_completed"
-        } else {
-            "tasks_failed"
+        // A traced task gets a wall-clock span so it joins the granule's
+        // end-to-end trace; untraced tasks keep the histogram-only footprint
+        // they always had.
+        let guard = match (obs, trace) {
+            (Some(obs), Some(trace)) => {
+                let name = registry
+                    .describe(func)
+                    .map(|(n, _)| n)
+                    .unwrap_or_else(|| "task".to_string());
+                let mut g = obs.span("compute", &name);
+                g.set_trace(trace);
+                Some(g)
+            }
+            _ => None,
         };
-        obs.counter_add(counter, "compute", 1);
+        let started = Instant::now();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| registry.invoke(func, args)));
+        drop(guard);
+        let result = match outcome {
+            Ok(Ok(v)) => TaskResult::Success(v),
+            Ok(Err(e)) => TaskResult::Failed(e),
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "function panicked".into());
+                TaskResult::Failed(format!("panic: {msg}"))
+            }
+        };
+        if let Some(obs) = obs {
+            obs.observe(
+                "queue_seconds",
+                "compute",
+                (started - submitted).as_secs_f64(),
+            );
+            obs.observe("task_seconds", "compute", started.elapsed().as_secs_f64());
+            let counter = if result.is_success() {
+                "tasks_completed"
+            } else {
+                "tasks_failed"
+            };
+            obs.counter_add(counter, "compute", 1);
+        }
+        result
     }
-    handle.fulfill(result);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde_json::json;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn registry_with_basics() -> Arc<FunctionRegistry> {
         let reg = Arc::new(FunctionRegistry::new());
@@ -325,7 +236,7 @@ mod tests {
             TaskResult::Failed(msg) => assert!(msg.contains("kaboom"), "{msg}"),
             other => panic!("expected failure, got {other:?}"),
         }
-        // Pool still works after a panic.
+        // The endpoint still serves after a panic.
         let ok = ep.submit_by_name("square", json!(3)).unwrap();
         assert_eq!(ok.wait(), TaskResult::Success(json!(9)));
         ep.shutdown();
@@ -339,60 +250,31 @@ mod tests {
     }
 
     #[test]
-    fn tasks_really_run_in_parallel() {
-        // Two tasks that each wait for the other's side effect can only
-        // finish if two workers run them concurrently.
-        let reg = Arc::new(FunctionRegistry::new());
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        reg.register("rendezvous", move |_| {
-            c.fetch_add(1, Ordering::AcqRel);
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while c.load(Ordering::Acquire) < 2 {
-                if std::time::Instant::now() > deadline {
-                    return Err("deadlock: tasks did not overlap".into());
-                }
-                std::thread::yield_now();
-            }
-            Ok(json!("met"))
-        });
-        let ep = ComputeEndpoint::start("test", reg, 2);
-        let a = ep.submit_by_name("rendezvous", json!(null)).unwrap();
-        let b = ep.submit_by_name("rendezvous", json!(null)).unwrap();
-        assert!(a.wait().is_success());
-        assert!(b.wait().is_success());
-        ep.shutdown();
-    }
-
-    #[test]
-    fn an_endpoint_without_workers_runs_tasks_on_the_submitting_thread() {
+    fn every_endpoint_runs_tasks_on_the_submitting_thread() {
         let reg = registry_with_basics();
         let submitter = std::thread::current().id();
         reg.register("where", move |_| {
             Ok(json!(std::thread::current().id() == submitter))
         });
         let obs = Obs::shared();
-        let ep = ComputeEndpoint::start_observed("inline", reg, 0, Some(Arc::clone(&obs)));
+        let observed =
+            ComputeEndpoint::start_observed("inline", Arc::clone(&reg), Some(Arc::clone(&obs)));
         let trace = TraceContext::new("MOD.A2022001.0610");
-        let here = ep.submit_by_name_traced("where", json!(null), Some(&trace));
+        let here = observed.submit_by_name_traced("where", json!(null), Some(&trace));
         assert_eq!(here.unwrap().wait(), TaskResult::Success(json!(true)));
-        let panicked = ep.submit_by_name("panic", json!(null)).unwrap();
+        let panicked = observed.submit_by_name("panic", json!(null)).unwrap();
         assert!(!panicked.wait().is_success(), "a panic is a failed task");
-        drop(ep);
+        drop(observed);
         let m = obs.metrics();
         assert_eq!(m.counter_value("tasks_submitted", "compute"), Some(2));
         assert_eq!(m.counter_value("tasks_completed", "compute"), Some(1));
         assert_eq!(m.counter_value("tasks_failed", "compute"), Some(1));
         let traced = obs.spans().into_iter().filter(|s| s.stage == "compute");
         assert_eq!(traced.count(), 1, "the traced task's span");
-    }
-
-    #[test]
-    fn drop_shuts_down_cleanly() {
-        let ep = ComputeEndpoint::start("test", registry_with_basics(), 3);
-        let h = ep.submit_by_name("square", json!(4)).unwrap();
-        assert_eq!(h.wait(), TaskResult::Success(json!(16)));
-        drop(ep); // must not hang
+        // A worker count asks for no threads: the submitter still runs it.
+        let counted = ComputeEndpoint::start("counted", reg, 2);
+        let here = counted.submit_by_name("where", json!(null)).unwrap();
+        assert_eq!(here.wait(), TaskResult::Success(json!(true)));
     }
 
     #[test]
@@ -406,12 +288,8 @@ mod tests {
     #[test]
     fn traced_submissions_record_spans_joining_the_granule_trace() {
         let obs = Obs::shared();
-        let ep = ComputeEndpoint::start_observed(
-            "ace",
-            registry_with_basics(),
-            2,
-            Some(Arc::clone(&obs)),
-        );
+        let ep =
+            ComputeEndpoint::start_observed("ace", registry_with_basics(), Some(Arc::clone(&obs)));
         let trace = TraceContext::new("MOD.A2022001.0610");
         let traced = ep
             .submit_by_name_traced("square", json!(7), Some(&trace))
@@ -432,12 +310,8 @@ mod tests {
     #[test]
     fn observed_endpoint_counts_and_times_tasks() {
         let obs = Obs::shared();
-        let ep = ComputeEndpoint::start_observed(
-            "ace",
-            registry_with_basics(),
-            2,
-            Some(Arc::clone(&obs)),
-        );
+        let ep =
+            ComputeEndpoint::start_observed("ace", registry_with_basics(), Some(Arc::clone(&obs)));
         let handles: Vec<_> = (0..5)
             .map(|i| ep.submit_by_name("square", json!(i)).unwrap())
             .collect();

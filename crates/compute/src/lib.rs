@@ -7,9 +7,10 @@
 //!
 //! * [`registry`] — named, versioned functions over JSON payloads
 //!   (mirroring Globus Compute's serialized-callable registry);
-//! * [`endpoint`] — a compute endpoint executing registered functions on a
-//!   real worker pool (crossbeam channels + threads), with futures,
-//!   failure capture and graceful shutdown;
+//! * [`endpoint`] — a compute endpoint executing registered functions on
+//!   the thread that submits them (it starts no threads: the caller's are
+//!   its workers), with future-shaped handles, failure capture and
+//!   per-task accounting;
 //! * [`launch`] — the latency model of *starting* remote workers
 //!   (authenticate, provision, connect), the component measured at 5.63 s
 //!   in the paper's Fig. 7.

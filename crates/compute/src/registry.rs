@@ -5,12 +5,12 @@
 //! addressed by a [`FunctionId`] returned at registration. Registration is
 //! append-only (re-registering a name yields a new id/version, and old ids
 //! keep working), matching the immutability of registered functions in the
-//! real service.
+//! real service. Callables are cloned out of the registry before they are
+//! invoked, so its lock is never held across user code.
 
-use parking_lot::RwLock;
 use serde_json::Value;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 eoml_util::typed_id!(
     /// Identifier of a registered function (stable across re-registration).
@@ -53,7 +53,7 @@ impl FunctionRegistry {
         func: impl Fn(Value) -> Result<Value, String> + Send + Sync + 'static,
     ) -> FunctionId {
         let name = name.into();
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let version = inner
             .entries
             .iter()
@@ -74,8 +74,7 @@ impl FunctionRegistry {
 
     /// Resolve the latest version of `name`.
     pub fn lookup(&self, name: &str) -> Option<FunctionId> {
-        let inner = self.inner.read();
-        inner
+        self.read()
             .latest_by_name
             .get(name)
             .map(|&i| FunctionId::from_raw(i as u64 + 1))
@@ -83,20 +82,14 @@ impl FunctionRegistry {
 
     /// The `(name, version)` of a function id.
     pub fn describe(&self, id: FunctionId) -> Option<(String, u32)> {
-        let inner = self.inner.read();
-        inner
-            .entries
-            .get((id.raw() - 1) as usize)
-            .map(|e| (e.name.clone(), e.version))
+        let inner = self.read();
+        let e = inner.entries.get(index(id)?)?;
+        Some((e.name.clone(), e.version))
     }
 
     /// Fetch the callable for an id (cheap Arc clone).
     pub fn get(&self, id: FunctionId) -> Option<BoxedFn> {
-        let inner = self.inner.read();
-        inner
-            .entries
-            .get((id.raw() - 1) as usize)
-            .map(|e| Arc::clone(&e.func))
+        Some(Arc::clone(&self.read().entries.get(index(id)?)?.func))
     }
 
     /// Invoke a function synchronously in the caller's thread.
@@ -109,13 +102,23 @@ impl FunctionRegistry {
 
     /// Number of registered entries (all versions).
     pub fn len(&self) -> usize {
-        self.inner.read().entries.len()
+        self.read().entries.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    fn read(&self) -> RwLockReadGuard<'_, RegistryInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The entry index of `id`: ids count from 1, so id 0 is unknown like any
+/// unregistered id.
+fn index(id: FunctionId) -> Option<usize> {
+    usize::try_from(id.raw().checked_sub(1)?).ok()
 }
 
 #[cfg(test)]
@@ -139,10 +142,12 @@ mod tests {
         let reg = FunctionRegistry::new();
         let id = reg.register("fail", |_| Err("boom".into()));
         assert_eq!(reg.invoke(id, json!({})), Err("boom".to_string()));
-        assert!(reg
-            .invoke(FunctionId::from_raw(99), json!({}))
-            .unwrap_err()
-            .contains("unknown function"));
+        for unknown in [0, 99] {
+            let id = FunctionId::from_raw(unknown);
+            let err = reg.invoke(id, json!({})).unwrap_err();
+            assert!(err.contains("unknown function"), "{err}");
+            assert_eq!(reg.describe(id), None);
+        }
     }
 
     #[test]

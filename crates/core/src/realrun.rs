@@ -602,7 +602,7 @@ impl RealPipeline {
             *held = Some(swath_from_containers(m02, m03, m06).map_err(|e| e.to_string())?);
             Ok(json!({ "bytes": bytes }))
         });
-        ComputeEndpoint::start_observed("laads-downloader", registry, 0, self.obs.clone())
+        ComputeEndpoint::start_observed("laads-downloader", registry, self.obs.clone())
     }
 
     /// One whole flow of tile file `name`: infer, write the labels into the

@@ -1,9 +1,10 @@
 //! Property-based tests (proptest) of the data-format substrates: the
-//! NetCDF-3 classic codec, the EOGR granule container, and the YAML-subset
-//! parser. These are the invariants the pipeline's integrity rests on:
+//! NetCDF-3 classic codec, the EOGR granule container, the YAML-subset
+//! parser and the JSON parser's nesting bound. These are the invariants the pipeline's integrity rests on:
 //! whatever is written can be read back, byte-identically interpreted.
 
 use eoml::config::parse_yaml;
+use eoml::journal::JournalEvent;
 use eoml::modis::container::{Container, Dataset, DatasetData};
 use eoml::ncdf::{NcFile, NcType, NcValues};
 use proptest::prelude::*;
@@ -225,4 +226,23 @@ proptest! {
         let doc = parse_yaml(&quoted).expect("valid document");
         prop_assert_eq!(doc.get("key").and_then(|v| v.as_str()), Some(s.as_str()));
     }
+}
+
+// ------------------------------------------------------------------ JSON
+
+/// The JSON parser bounds nesting at 128 levels, as upstream serde_json
+/// does: journal frames, run archives and ops logs feed it file bytes, and a
+/// file of 50 000 `[` is an error, not a stack overflow.
+#[test]
+fn json_nesting_is_bounded() {
+    let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(serde_json::from_str(&arrays(128)).is_ok());
+    let objects = format!("{}1{}", r#"{"a":"#.repeat(128), "}".repeat(128));
+    assert!(serde_json::from_str(&objects).is_ok());
+    assert!(serde_json::from_str(&arrays(129)).is_err());
+    let hostile = "[".repeat(50_000);
+    let err = serde_json::from_str(&hostile).unwrap_err().to_string();
+    assert_eq!(err, "recursion limit exceeded at byte 128");
+    let err = JournalEvent::decode(hostile.as_bytes()).unwrap_err();
+    assert!(err.contains("recursion limit exceeded"), "{err}");
 }
