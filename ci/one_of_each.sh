@@ -18,7 +18,8 @@
 # (`EOML_*` knobs belong to examples, tests and binaries); and `unsafe` and
 # run-time CPU feature checks stay in the few files that own the byte path's
 # hardware kernels (DESIGN §23). No Cargo.toml names crossbeam or
-# parking_lot: std's channel and locks are all the one pool needs.
+# parking_lot: std's channel and locks are all the one pool needs. The hub
+# records one way (DESIGN §8): no live event sink subscribes to it.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -127,6 +128,13 @@ if [ -n "$spans" ]; then
   complain "a span list outside crates/obs/src (record into the hub) in:"$'\n'"$spans"
 fi
 
+# The hub records one way (DESIGN §8): spans and metrics go into the
+# collector and the registry, and readers take snapshots.
+sinks=$(callers '(add_sink\(|EventSink|ProgressSink)' crates/*/src || true)
+if [ -n "$sinks" ]; then
+  complain "a live event sink on the hub (read a snapshot instead) in:"$'\n'"$sinks"
+fi
+
 # Library code takes its settings as arguments, never from the environment.
 envs=$(callers 'env::var\(' crates/*/src || true)
 if [ -n "$envs" ]; then
@@ -174,6 +182,7 @@ printf '  %-9s %6d\n' realrun "$(nontest "$realrun" | wc -l)"
 printf '  %-9s %6d\n' telemetry "$(nontest crates/core/src/telemetry.rs | wc -l)"
 printf '  %-9s %6d\n' journal "$(lines journal)"
 printf '  %-9s %6d\n' compute "$(lines compute)"
+printf '  %-9s %6d\n' obs "$(lines obs)"
 printf 'workspace lines (every *.rs outside target/): %d\n' \
   "$(find . -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)"
 

@@ -314,11 +314,6 @@ impl TraceAnalysis {
         self.traces.is_empty()
     }
 
-    /// Sorted trace ids.
-    pub fn trace_ids(&self) -> Vec<&str> {
-        self.traces.keys().map(|k| k.as_str()).collect()
-    }
-
     /// One item's trace, if recorded.
     pub fn trace(&self, id: &str) -> Option<&GranuleTrace> {
         self.traces.get(id)

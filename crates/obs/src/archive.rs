@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 use serde_json::{Map, Value};
 
@@ -195,6 +195,14 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Whether a manifest member name stays inside the archive directory: a
+/// relative path made only of normal components (no root, drive prefix,
+/// `.` or `..`).
+fn is_member_name(rel: &str) -> bool {
+    let mut parts = Path::new(rel).components().peekable();
+    parts.peek().is_some() && parts.all(|c| matches!(c, Component::Normal(_)))
+}
+
 impl RunArchive {
     /// Record an archive under `dir` (created if absent, members
     /// overwritten) and reopen it from disk — what you get back is
@@ -267,6 +275,9 @@ impl RunArchive {
 
     /// Load an archive directory: parse the manifest, verify every
     /// member's content digest, and reload spans/metrics/tables/ops.
+    /// The manifest is outside input: a member name that could leave the
+    /// directory (absolute, or with a `..` or `.` component) is refused
+    /// with `InvalidData` before any member is read.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<RunArchive> {
         let dir = dir.as_ref();
         let manifest_body = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
@@ -288,6 +299,11 @@ impl RunArchive {
             .get("files")
             .and_then(Value::as_object)
             .ok_or_else(|| invalid("manifest missing 'files'"))?;
+        if let Some(rel) = files.keys().find(|rel| !is_member_name(rel)) {
+            return Err(invalid(format!(
+                "{rel:?}: member name must be a relative path inside the archive"
+            )));
+        }
         let mut bodies: BTreeMap<String, String> = BTreeMap::new();
         for (rel, digest) in files.iter() {
             let body = std::fs::read_to_string(dir.join(rel))?;
@@ -477,6 +493,31 @@ mod tests {
         assert!(err.to_string().contains("digest mismatch"), "{err}");
         assert!(err.to_string().contains(SPANS_FILE), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn member_names_outside_the_archive_are_refused() {
+        let root = tmpdir("hostile");
+        let dir = root.join("archive");
+        RunArchive::record_obs(&dir, &RunMeta::new("h", "cfg", 1), &Obs::new(), &[], &[])
+            .expect("record");
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let manifest: Value =
+            serde_json::from_str(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
+        // Each planted file carries the digest the manifest claims, so only
+        // the name check stands between `open` and reading it.
+        std::fs::write(root.join("x"), "outside").unwrap();
+        let hostname = std::fs::read("/etc/hostname").unwrap_or_default();
+        for (rel, body) in [("/etc/hostname", hostname), ("../x", b"outside".to_vec())] {
+            let mut planted = manifest.clone();
+            planted["files"][rel] = Value::from(content_digest(&body));
+            std::fs::write(&manifest_path, serde_json::to_string(&planted).unwrap()).unwrap();
+            let err = RunArchive::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{rel}: {err}");
+            assert!(err.to_string().contains("member name"), "{rel}: {err}");
+            assert!(err.to_string().contains(rel), "{rel}: {err}");
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

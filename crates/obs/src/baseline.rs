@@ -292,11 +292,6 @@ impl BaselineStore {
         self.baselines.keys().map(String::as_str)
     }
 
-    /// Number of committed baselines.
-    pub fn len(&self) -> usize {
-        self.baselines.len()
-    }
-
     /// Whether the store holds no baselines.
     pub fn is_empty(&self) -> bool {
         self.baselines.is_empty()
@@ -521,7 +516,7 @@ mod tests {
         assert!(paths[0].ends_with("BENCH_fig_demo.json"));
 
         let store = BaselineStore::load(&dir).unwrap();
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.names().count(), 1);
         let baseline = store.get("fig_demo").unwrap();
         assert_eq!(baseline.tolerance, tol);
         assert_eq!(store.compare(&sample_table(1.0)).verdict, Verdict::Ok);

@@ -70,13 +70,6 @@ pub struct SelfTimeDelta {
     pub cur_s: f64,
 }
 
-impl SelfTimeDelta {
-    /// Signed shift, seconds (positive = current is slower).
-    pub fn delta_s(&self) -> f64 {
-        self.cur_s - self.base_s
-    }
-}
-
 /// One per-stage allocation delta that cleared the byte gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocDelta {

@@ -129,18 +129,6 @@ pub struct ParsedJsonl {
     pub gauges: Vec<(MetricKey, f64)>,
 }
 
-impl ParsedJsonl {
-    /// Rebuild a [`MetricsSnapshot`] (histograms empty) — enough for the
-    /// memory/alloc accounting that rides on counters and gauges.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: Vec::new(),
-        }
-    }
-}
-
 fn parse_span(obj: &Map, lineno: usize) -> Result<SpanRecord, String> {
     let err = |what: &str| format!("line {lineno}: span missing {what}");
     let num = |key: &str| obj.get(key).and_then(Value::as_f64);
@@ -349,12 +337,11 @@ mod tests {
         for (a, b) in originals.iter().zip(&parsed.spans) {
             assert!((a.duration_seconds() - b.duration_seconds()).abs() < 1e-8);
         }
-        let snap = parsed.metrics_snapshot();
-        assert!(snap
+        assert!(parsed
             .counters
             .iter()
             .any(|(k, v)| k.name == "alloc_bytes" && k.stage == "preprocess" && *v == 4096));
-        assert!(snap
+        assert!(parsed
             .gauges
             .iter()
             .any(|(k, v)| k.name == "alloc_peak_bytes" && *v == 2048.0));

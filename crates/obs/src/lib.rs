@@ -13,8 +13,8 @@
 //!   trace without contending.
 //! - **Metrics** ([`MetricsRegistry`]) — counters, gauges, and
 //!   log-bucketed histograms (p50/p90/p99/max) keyed by `(name, stage)`.
-//! - **Sinks** ([`EventSink`]) — live subscription to the event stream
-//!   for progress snapshots and stage health, not just post-hoc dumps.
+//! - **Stage health** ([`Obs::stage_health`]) — per-stage workers, closed
+//!   spans and busy seconds read back from the registry mid-run.
 //! - **Exporters** — Chrome `trace_event` JSON (open in Perfetto or
 //!   `chrome://tracing`), Prometheus text exposition, and JSON-lines.
 //!
@@ -49,7 +49,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alert;
 pub mod analysis;
 pub mod archive;
 pub mod baseline;
@@ -61,13 +60,11 @@ pub mod ops;
 pub mod profile;
 pub mod report;
 pub mod resource;
-pub mod sink;
 pub mod span;
 pub mod table;
 pub mod trace;
 pub mod xfac;
 
-pub use alert::{Alert, AlertRule, AlertTransition, AlertTransitionKind, ProgressSink};
 pub use analysis::{
     GranuleTrace, PathSegment, SegmentKind, StageAttribution, StageTimeline, Straggler,
     StragglerConfig, TraceAnalysis,
@@ -81,9 +78,9 @@ pub use diff::{
     HeadlineDelta, SelfTimeDelta, DEFAULT_DIFF_TOLERANCE,
 };
 pub use metrics::{
-    stage_matches_prefix, LogHistogram, MergeError, MetricKey, MetricsRegistry, MetricsSnapshot,
+    stage_matches_prefix, LogHistogram, MetricKey, MetricsRegistry, MetricsSnapshot,
 };
-pub use ops::audit::{AuditRecord, AuditRing};
+pub use ops::audit::AuditRecord;
 pub use ops::health::{FacilityStatus, HealthPolicy, HealthReport, HealthState};
 pub use ops::oplog::{read_all as read_ops_log, replay_final_health, OpsEvent, OpsLog};
 pub use ops::slo::{SloKind, SloSpec, SloStatus, SloTracker, SloWindowResult};
@@ -92,7 +89,6 @@ pub use ops::{OpsConfig, OpsPlane};
 pub use profile::{parse_folded, HotPathEntry, SpanProfile};
 pub use report::ObsReport;
 pub use resource::{AllocSnapshot, CountingAlloc, ResourceGuard, ResourceReport};
-pub use sink::{EventSink, MemorySink, ObsEvent, StageHealth};
 pub use span::{SpanGuard, SpanRecord};
 pub use table::{Cell, Table};
 pub use trace::TraceContext;
@@ -103,7 +99,7 @@ use eoml_simtime::SimTime;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Process-wide dense thread ids (Chrome-trace `tid`s): the first thread
@@ -122,25 +118,35 @@ fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
-/// One subscribed sink plus its liveness flag: a sink that panics is
-/// disabled in place rather than removed, so slot indices stay stable.
-struct SinkSlot {
-    sink: Box<dyn EventSink>,
-    dead: bool,
+/// Point-in-time health summary for one stage, derived from the standard
+/// instrumentation (`active_workers` gauge, `spans_closed` counter).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageHealth {
+    /// Stage label.
+    pub stage: String,
+    /// Workers currently active (latest `active_workers` gauge), if known.
+    pub active_workers: Option<f64>,
+    /// Spans closed in this stage so far.
+    pub spans_closed: u64,
+    /// Seconds of span time accumulated in this stage so far.
+    pub busy_seconds: f64,
 }
 
-/// The observability hub: span collector + metrics registry + sink list.
+/// The observability hub: span collector + metrics registry. It only
+/// records: nothing subscribes to what goes in, and readers take
+/// snapshots.
 ///
-/// Thread-safe; shared as `Arc<Obs>` across the pipeline. All recording
-/// paths are cheap (an atomic id, one sharded lock push); exporting
-/// ([`Obs::chrome_trace_json`], [`Obs::prometheus_text`]) is the slow
-/// path and snapshots under the locks.
+/// Thread-safe; shared as `Arc<Obs>` across the pipeline. Closing a span
+/// costs an atomic id, the registry's histogram and counter locks (one
+/// each) and one sharded collector push; a counter, gauge or observation
+/// is one registry lock. Exporting ([`Obs::chrome_trace_json`],
+/// [`Obs::prometheus_text`]) is the slow path and snapshots under the
+/// locks.
 pub struct Obs {
     epoch: Instant,
     next_span_id: AtomicU64,
     collector: Collector,
     metrics: MetricsRegistry,
-    sinks: Mutex<Vec<SinkSlot>>,
 }
 
 impl std::fmt::Debug for Obs {
@@ -165,7 +171,6 @@ impl Obs {
             next_span_id: AtomicU64::new(1),
             collector: Collector::new(),
             metrics: MetricsRegistry::default(),
-            sinks: Mutex::new(Vec::new()),
         }
     }
 
@@ -290,86 +295,28 @@ impl Obs {
         id
     }
 
-    /// Every span lands here: collector push, duration histogram, stage
-    /// accounting, sink fan-out.
+    /// Every span lands here: duration histogram, stage accounting,
+    /// collector push.
     fn commit(&self, record: SpanRecord) {
         self.metrics
             .observe(&record.name, &record.stage, record.duration_seconds());
         self.metrics.counter_add("spans_closed", &record.stage, 1);
-        self.collector.push(record.clone());
-        self.emit(&ObsEvent::SpanClosed(record));
+        self.collector.push(record);
     }
 
-    /// Increment a counter (also fans out to sinks).
+    /// Increment a counter.
     pub fn counter_add(&self, name: &str, stage: &str, delta: u64) {
-        let total = self.metrics.counter_add(name, stage, delta);
-        self.emit(&ObsEvent::Counter {
-            name: name.to_string(),
-            stage: stage.to_string(),
-            delta,
-            total,
-        });
+        self.metrics.counter_add(name, stage, delta);
     }
 
-    /// Set a gauge (also fans out to sinks).
+    /// Set a gauge.
     pub fn gauge_set(&self, name: &str, stage: &str, value: f64) {
         self.metrics.gauge_set(name, stage, value);
-        self.emit(&ObsEvent::Gauge {
-            name: name.to_string(),
-            stage: stage.to_string(),
-            value,
-        });
     }
 
     /// Record a histogram observation.
     pub fn observe(&self, name: &str, stage: &str, value: f64) {
         self.metrics.observe(name, stage, value);
-    }
-
-    /// Subscribe a sink to the live event stream.
-    pub fn add_sink(&self, sink: Box<dyn EventSink>) {
-        self.sinks
-            .lock()
-            .expect("sink list poisoned")
-            .push(SinkSlot { sink, dead: false });
-    }
-
-    /// Sinks still receiving events (subscribed minus panicked).
-    pub fn live_sink_count(&self) -> usize {
-        self.sinks
-            .lock()
-            .expect("sink list poisoned")
-            .iter()
-            .filter(|s| !s.dead)
-            .count()
-    }
-
-    /// Fan an event out to every live sink. A panicking sink must not
-    /// poison the lock or abort the recording thread: each dispatch is
-    /// wrapped in `catch_unwind`, the offending sink is disabled, and the
-    /// `(sink_panics, obs)` counter records it.
-    fn emit(&self, event: &ObsEvent) {
-        let mut panicked = 0u64;
-        {
-            let mut sinks = self.sinks.lock().expect("sink list poisoned");
-            for slot in sinks.iter_mut() {
-                if slot.dead {
-                    continue;
-                }
-                let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    slot.sink.on_event(event)
-                }));
-                if hit.is_err() {
-                    slot.dead = true;
-                    panicked += 1;
-                }
-            }
-        }
-        if panicked > 0 {
-            // Straight into the registry: Obs::counter_add would re-emit
-            // to the sinks we still hold disabled state for.
-            self.metrics.counter_add("sink_panics", "obs", panicked);
-        }
     }
 
     /// Snapshot of every recorded span, in open order.
@@ -542,60 +489,6 @@ mod tests {
             obs.metrics().counter_value("spans_closed", "download"),
             Some(1)
         );
-    }
-
-    #[test]
-    fn sinks_see_live_events() {
-        let obs = Obs::new();
-        let sink = MemorySink::new();
-        let events = sink.handle();
-        obs.add_sink(Box::new(sink));
-        obs.counter_add("files", "download", 2);
-        obs.gauge_set("active_workers", "download", 3.0);
-        obs.record_sim_span(
-            "download",
-            "transfer",
-            SimTime::ZERO,
-            SimTime::from_secs_f64(1.0),
-            None,
-            &[],
-        );
-        let seen = events.lock().unwrap();
-        assert_eq!(seen.len(), 3);
-        assert!(matches!(
-            seen[0],
-            ObsEvent::Counter {
-                delta: 2,
-                total: 2,
-                ..
-            }
-        ));
-        assert!(matches!(seen[1], ObsEvent::Gauge { value, .. } if value == 3.0));
-        assert!(matches!(seen[2], ObsEvent::SpanClosed(_)));
-    }
-
-    #[test]
-    fn panicking_sink_is_disabled_without_poisoning() {
-        struct PanicSink;
-        impl EventSink for PanicSink {
-            fn on_event(&mut self, _event: &ObsEvent) {
-                panic!("sink blew up");
-            }
-        }
-        let obs = Obs::new();
-        let healthy = MemorySink::new();
-        let seen = healthy.handle();
-        obs.add_sink(Box::new(PanicSink));
-        obs.add_sink(Box::new(healthy));
-        assert_eq!(obs.live_sink_count(), 2);
-
-        obs.counter_add("files", "download", 1);
-        // The panicking sink is disabled; later events still flow.
-        assert_eq!(obs.live_sink_count(), 1);
-        obs.counter_add("files", "download", 1);
-        obs.gauge_set("active_workers", "download", 1.0);
-        assert_eq!(seen.lock().unwrap().len(), 3);
-        assert_eq!(obs.metrics().counter_value("sink_panics", "obs"), Some(1));
     }
 
     #[test]

@@ -42,55 +42,11 @@ const BUCKETS: usize = 160;
 /// the ≤ 19 % log-bucket approximation.
 const EXACT_SAMPLE_CAP: usize = 1024;
 
-/// Error merging metrics whose histogram bucket layouts differ.
-///
-/// Every histogram built by this module shares the compile-time layout,
-/// but snapshots can cross process or serialization boundaries (and the
-/// layout constants have changed before); a mismatch means an exact
-/// bucket-wise sum is impossible and resampling would silently skew
-/// quantiles, so the merge is rejected instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeError {
-    /// Metric the mismatch was found under (empty for bare-histogram merges).
-    pub key: Option<MetricKey>,
-    /// Bucket count on the receiving side.
-    pub ours: usize,
-    /// Bucket count on the incoming side.
-    pub theirs: usize,
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.key {
-            Some(key) => write!(
-                f,
-                "histogram '{}'/'{}' has {} buckets, incoming snapshot has {}: \
-                 layouts must match exactly (refusing to resample)",
-                key.name, key.stage, self.ours, self.theirs
-            ),
-            None => write!(
-                f,
-                "histogram has {} buckets, incoming has {}: layouts must match",
-                self.ours, self.theirs
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
 /// Log-bucketed histogram with approximate quantiles and an exact max.
 ///
 /// Up to [`EXACT_SAMPLE_CAP`] raw observations are retained on the side,
 /// so small histograms answer [`LogHistogram::exact_summary`] with exact
 /// order statistics; larger ones keep only the buckets.
-///
-/// **Bucket-alignment invariant:** every `LogHistogram` shares the same
-/// compile-time bucket layout (`FIRST_BOUND`, `SUB_BUCKETS`, `BUCKETS`),
-/// so [`LogHistogram::merge`] is an exact element-wise sum of bucket
-/// counts. Histograms from a foreign layout (a snapshot taken under
-/// different constants) are rejected by [`LogHistogram::try_merge`] with
-/// a [`MergeError`] rather than resampled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     counts: Vec<u64>,
@@ -146,12 +102,6 @@ impl LogHistogram {
         }
     }
 
-    /// Every raw observation, while `count ≤ 1024`; `None` once the
-    /// sample buffer has been dropped.
-    pub fn exact_samples(&self) -> Option<&[f64]> {
-        self.samples.as_deref()
-    }
-
     /// Exact order statistics over the retained samples, or `None` when
     /// the histogram outgrew the sample buffer (fall back to
     /// [`LogHistogram::quantile`]).
@@ -160,50 +110,6 @@ impl LogHistogram {
             Some([]) | None => None,
             Some(samples) => Some(Summary::from_samples(samples.to_vec())),
         }
-    }
-
-    /// Bucket count of this histogram's layout.
-    pub fn bucket_len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Fold `other` into `self`, rejecting mismatched bucket layouts.
-    /// Exact for counts/sum/max when the layouts agree; the exact-sample
-    /// buffer survives only if the union still fits.
-    pub fn try_merge(&mut self, other: &LogHistogram) -> Result<(), MergeError> {
-        if self.counts.len() != other.counts.len() {
-            return Err(MergeError {
-                key: None,
-                ours: self.counts.len(),
-                theirs: other.counts.len(),
-            });
-        }
-        self.merge(other);
-        Ok(())
-    }
-
-    /// Fold `other` into `self`. Exact for counts/sum/max because every
-    /// histogram shares the fixed global bucket layout (see type docs);
-    /// the exact-sample buffer survives only if the union still fits.
-    /// Callers holding histograms of unknown provenance should use
-    /// [`LogHistogram::try_merge`] — this method silently truncates a
-    /// mismatched layout.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.max > self.max {
-            self.max = other.max;
-        }
-        self.samples = match (self.samples.take(), other.samples.as_ref()) {
-            (Some(mut a), Some(b)) if a.len() + b.len() <= EXACT_SAMPLE_CAP => {
-                a.extend_from_slice(b);
-                Some(a)
-            }
-            _ => None,
-        };
     }
 
     /// Total observations.
@@ -356,12 +262,14 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Add `delta` to the `(name, stage)` counter, returning the new total.
-    pub fn counter_add(&self, name: &str, stage: &str, delta: u64) -> u64 {
-        let mut map = self.counters.lock().expect("counters poisoned");
-        let slot = map.entry(MetricKey::new(name, stage)).or_insert(0);
-        *slot += delta;
-        *slot
+    /// Add `delta` to the `(name, stage)` counter.
+    pub fn counter_add(&self, name: &str, stage: &str, delta: u64) {
+        *self
+            .counters
+            .lock()
+            .expect("counters poisoned")
+            .entry(MetricKey::new(name, stage))
+            .or_insert(0) += delta;
     }
 
     /// Current value of a counter, if it exists.
@@ -471,57 +379,6 @@ impl MetricsRegistry {
             histograms,
         }
     }
-
-    /// Fold another registry's snapshot into this registry, so per-worker
-    /// or per-facility `Obs` instances aggregate into one campaign view:
-    /// counters add, gauges take the incoming value (last write wins),
-    /// histograms merge bucket-wise (see [`LogHistogram::try_merge`]).
-    ///
-    /// A snapshot whose histogram bucket layout differs from ours (e.g.
-    /// taken under different layout constants across a process boundary)
-    /// is rejected with [`MergeError`] *before* anything is applied — a
-    /// failed merge leaves this registry untouched.
-    pub fn merge_snapshot(&self, other: &MetricsSnapshot) -> Result<(), MergeError> {
-        let mut histograms = self.histograms.lock().expect("histograms poisoned");
-        // Validate every histogram pair up front so rejection is atomic.
-        for (key, theirs) in &other.histograms {
-            if let Some(ours) = histograms.get(key) {
-                if ours.bucket_len() != theirs.bucket_len() {
-                    return Err(MergeError {
-                        key: Some(key.clone()),
-                        ours: ours.bucket_len(),
-                        theirs: theirs.bucket_len(),
-                    });
-                }
-            } else if theirs.bucket_len() != BUCKETS {
-                return Err(MergeError {
-                    key: Some(key.clone()),
-                    ours: BUCKETS,
-                    theirs: theirs.bucket_len(),
-                });
-            }
-        }
-        {
-            let mut counters = self.counters.lock().expect("counters poisoned");
-            for (key, v) in &other.counters {
-                *counters.entry(key.clone()).or_insert(0) += v;
-            }
-        }
-        {
-            let mut gauges = self.gauges.lock().expect("gauges poisoned");
-            for (key, v) in &other.gauges {
-                gauges.insert(key.clone(), *v);
-            }
-        }
-        for (key, h) in &other.histograms {
-            histograms
-                .entry(key.clone())
-                .or_default()
-                .try_merge(h)
-                .expect("layouts validated above");
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -578,107 +435,8 @@ mod tests {
         assert_eq!(s.len(), EXACT_SAMPLE_CAP);
         assert_eq!(s.max(), (EXACT_SAMPLE_CAP - 1) as f64);
         h.observe(5.0);
-        assert!(h.exact_samples().is_none());
         assert!(h.exact_summary().is_none());
         assert_eq!(h.count(), EXACT_SAMPLE_CAP as u64 + 1);
-    }
-
-    #[test]
-    fn merge_is_exact_bucketwise_sum() {
-        let mut a = LogHistogram::default();
-        let mut b = LogHistogram::default();
-        let mut whole = LogHistogram::default();
-        for v in [0.001, 0.02, 0.3] {
-            a.observe(v);
-            whole.observe(v);
-        }
-        for v in [4.0, 50.0] {
-            b.observe(v);
-            whole.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.max(), 50.0);
-        let s = a.exact_summary().unwrap();
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.min(), 0.001);
-    }
-
-    #[test]
-    fn merge_snapshot_aggregates_two_registries() {
-        let a = MetricsRegistry::default();
-        let b = MetricsRegistry::default();
-        a.counter_add("files", "download", 3);
-        b.counter_add("files", "download", 4);
-        b.counter_add("granules", "preprocess", 2);
-        a.gauge_set("active_workers", "download", 1.0);
-        b.gauge_set("active_workers", "download", 7.0);
-        a.observe("file_seconds", "download", 1.0);
-        b.observe("file_seconds", "download", 3.0);
-        a.merge_snapshot(&b.snapshot()).expect("aligned layouts");
-        assert_eq!(a.counter_value("files", "download"), Some(7));
-        assert_eq!(a.counter_value("granules", "preprocess"), Some(2));
-        assert_eq!(a.gauge_value("active_workers", "download"), Some(7.0));
-        let h = a.histogram("file_seconds", "download").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 4.0);
-    }
-
-    /// A histogram whose layout predates (or postdates) ours: fewer
-    /// buckets, as if `BUCKETS` differed across a process boundary.
-    fn foreign_layout_histogram() -> LogHistogram {
-        let mut h = LogHistogram {
-            counts: vec![0; BUCKETS / 2],
-            ..LogHistogram::default()
-        };
-        h.observe(0.5);
-        h
-    }
-
-    #[test]
-    fn try_merge_rejects_misaligned_layouts() {
-        let mut ours = LogHistogram::default();
-        ours.observe(1.0);
-        let theirs = foreign_layout_histogram();
-        let err = ours.try_merge(&theirs).unwrap_err();
-        assert_eq!(err.ours, BUCKETS);
-        assert_eq!(err.theirs, BUCKETS / 2);
-        assert!(err.to_string().contains("layouts must match"));
-        // The receiving histogram is untouched by the failed merge.
-        assert_eq!(ours.count(), 1);
-    }
-
-    #[test]
-    fn merge_snapshot_rejects_misaligned_histograms_atomically() {
-        let reg = MetricsRegistry::default();
-        reg.counter_add("files", "download", 3);
-        reg.observe("file_seconds", "download", 1.0);
-
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.push((MetricKey::new("files", "download"), 4));
-        snap.gauges
-            .push((MetricKey::new("active_workers", "download"), 9.0));
-        snap.histograms.push((
-            MetricKey::new("file_seconds", "download"),
-            foreign_layout_histogram(),
-        ));
-
-        let err = reg.merge_snapshot(&snap).unwrap_err();
-        assert_eq!(err.key, Some(MetricKey::new("file_seconds", "download")));
-        assert!(err.to_string().contains("file_seconds"));
-        // Atomic rejection: counters and gauges were not applied either.
-        assert_eq!(reg.counter_value("files", "download"), Some(3));
-        assert_eq!(reg.gauge_value("active_workers", "download"), None);
-        assert_eq!(
-            reg.histogram("file_seconds", "download").unwrap().count(),
-            1
-        );
-
-        // A misaligned histogram under a *new* key is also rejected.
-        let reg2 = MetricsRegistry::default();
-        let err2 = reg2.merge_snapshot(&snap).unwrap_err();
-        assert_eq!(err2.ours, BUCKETS);
     }
 
     #[test]
@@ -747,7 +505,7 @@ mod tests {
         assert!(delta.p50() >= 0.1 * 0.8, "p50={}", delta.p50());
         // The delta carries no sample buffer and diffing against a newer
         // snapshot saturates at zero instead of underflowing.
-        assert!(delta.exact_samples().is_none());
+        assert!(delta.exact_summary().is_none());
         let empty = baseline.saturating_diff(&h);
         assert_eq!(empty.count(), 0);
         assert_eq!(empty.sum(), 0.0);
@@ -771,8 +529,9 @@ mod tests {
     #[test]
     fn registry_counters_gauges_histograms() {
         let reg = MetricsRegistry::default();
-        assert_eq!(reg.counter_add("files", "download", 3), 3);
-        assert_eq!(reg.counter_add("files", "download", 2), 5);
+        reg.counter_add("files", "download", 3);
+        assert_eq!(reg.counter_value("files", "download"), Some(3));
+        reg.counter_add("files", "download", 2);
         assert_eq!(reg.counter_value("files", "download"), Some(5));
         assert_eq!(reg.counter_value("files", "preprocess"), None);
         reg.gauge_set("active_workers", "download", 6.0);

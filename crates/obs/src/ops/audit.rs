@@ -1,14 +1,14 @@
-//! Scheduler audit ring and live fairness index.
+//! Scheduler audit records and live fairness index.
 //!
 //! Every WRR admission and budget lease the service performs is recorded
-//! as an [`AuditRecord`]. The ring itself is bounded (recent forensics);
-//! the per-tenant tallies are cumulative and drive a live Jain's
-//! fairness index over *weighted* admissions: with `x_i = admissions_i /
-//! weight_i`, `J = (Σx)² / (n · Σx²)` — 1.0 when every tenant gets
+//! as an [`AuditRecord`] in the ops log, which is the forensic trail. The
+//! [`AdmissionTallies`] keep only cumulative per-tenant admission counts;
+//! they drive a live Jain's fairness index over *weighted* admissions:
+//! with `x_i = admissions_i / weight_i`, `J = (Σx)² / (n · Σx²)` — 1.0 when every tenant gets
 //! service exactly proportional to its weight, approaching `1/n` when a
 //! single tenant monopolises the scheduler.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
 
@@ -55,15 +55,6 @@ pub enum AuditRecord {
 }
 
 impl AuditRecord {
-    /// The tenant this record concerns.
-    pub fn tenant(&self) -> &str {
-        match self {
-            AuditRecord::Admission { tenant, .. }
-            | AuditRecord::LeaseAcquired { tenant, .. }
-            | AuditRecord::LeaseReleased { tenant, .. } => tenant,
-        }
-    }
-
     /// Durable JSON form (this is also the ops-log event payload).
     pub fn to_json(&self) -> Value {
         match self {
@@ -146,58 +137,29 @@ impl AuditRecord {
     }
 }
 
-/// Bounded ring of recent scheduler actions plus cumulative per-tenant
-/// admission tallies for the fairness index.
-#[derive(Debug)]
-pub struct AuditRing {
-    cap: usize,
-    ring: VecDeque<AuditRecord>,
+/// Cumulative per-tenant admission tallies for the fairness index.
+#[derive(Debug, Default)]
+pub(crate) struct AdmissionTallies {
     /// Per tenant: (admissions, last observed weight).
     tallies: BTreeMap<String, (u64, u64)>,
 }
 
-impl AuditRing {
-    /// Ring keeping the most recent `cap` records.
-    pub fn new(cap: usize) -> AuditRing {
-        AuditRing {
-            cap: cap.max(1),
-            ring: VecDeque::new(),
-            tallies: BTreeMap::new(),
-        }
-    }
-
-    /// Record one action; admissions update the fairness tallies even
-    /// after the record itself ages out of the ring.
-    pub fn record(&mut self, record: AuditRecord) {
-        if let AuditRecord::Admission { tenant, weight, .. } = &record {
-            let entry = self.tallies.entry(tenant.clone()).or_insert((0, *weight));
-            entry.0 += 1;
-            entry.1 = (*weight).max(1);
-        }
-        self.ring.push_back(record);
-        while self.ring.len() > self.cap {
-            self.ring.pop_front();
-        }
-    }
-
-    /// Recent records, oldest first.
-    pub fn recent(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.ring.iter()
-    }
-
-    /// Cumulative admissions per tenant (tenant → (admissions, weight)).
-    pub fn tallies(&self) -> &BTreeMap<String, (u64, u64)> {
-        &self.tallies
+impl AdmissionTallies {
+    /// Count one admission of `tenant` at its current WRR `weight`.
+    pub(crate) fn admit(&mut self, tenant: &str, weight: u64) {
+        let entry = self.tallies.entry(tenant.to_string()).or_insert((0, 1));
+        entry.0 += 1;
+        entry.1 = weight.max(1);
     }
 
     /// Total admissions recorded across all tenants.
-    pub fn total_admissions(&self) -> u64 {
+    pub(crate) fn total_admissions(&self) -> u64 {
         self.tallies.values().map(|(n, _)| *n).sum()
     }
 
     /// Jain's fairness index over weight-normalised admissions, or `None`
     /// until at least one tenant has been admitted.
-    pub fn fairness_jain(&self) -> Option<f64> {
+    pub(crate) fn fairness_jain(&self) -> Option<f64> {
         let xs: Vec<f64> = self
             .tallies
             .values()
@@ -220,56 +182,44 @@ impl AuditRing {
 mod tests {
     use super::*;
 
-    fn admission(tenant: &str, weight: u64) -> AuditRecord {
-        AuditRecord::Admission {
-            tenant: tenant.to_string(),
-            campaign: format!("{tenant}-c"),
-            day_index: 0,
-            shard: 0,
-            workers: 4,
-            weight,
-        }
-    }
-
     #[test]
     fn jain_index_is_one_for_weight_proportional_service() {
-        let mut ring = AuditRing::new(8);
-        assert_eq!(ring.fairness_jain(), None);
+        let mut tallies = AdmissionTallies::default();
+        assert_eq!(tallies.fairness_jain(), None);
         // Weight 1 gets 2 admissions, weight 2 gets 4: x = 2 for both.
         for _ in 0..2 {
-            ring.record(admission("a", 1));
+            tallies.admit("a", 1);
         }
         for _ in 0..4 {
-            ring.record(admission("b", 2));
+            tallies.admit("b", 2);
         }
-        let j = ring.fairness_jain().unwrap();
+        let j = tallies.fairness_jain().unwrap();
         assert!((j - 1.0).abs() < 1e-9, "J = {j}");
-        assert_eq!(ring.total_admissions(), 6);
+        assert_eq!(tallies.total_admissions(), 6);
     }
 
     #[test]
     fn monopoly_drags_the_index_toward_one_over_n() {
-        let mut ring = AuditRing::new(64);
-        ring.record(admission("starved", 1));
+        let mut tallies = AdmissionTallies::default();
+        tallies.admit("starved", 1);
         for _ in 0..50 {
-            ring.record(admission("hog", 1));
+            tallies.admit("hog", 1);
         }
-        let j = ring.fairness_jain().unwrap();
+        let j = tallies.fairness_jain().unwrap();
         assert!(j < 0.6, "J = {j}");
-        // Tallies survive the ring aging records out (cap 64 > 51 here,
-        // so shrink the cap instead to prove it).
-        let mut tiny = AuditRing::new(2);
-        for _ in 0..10 {
-            tiny.record(admission("a", 1));
-        }
-        assert_eq!(tiny.recent().count(), 2);
-        assert_eq!(tiny.tallies()["a"].0, 10);
     }
 
     #[test]
     fn records_round_trip_through_json() {
         let records = vec![
-            admission("t-1", 3),
+            AuditRecord::Admission {
+                tenant: "t-1".to_string(),
+                campaign: "t-1-c".to_string(),
+                day_index: 0,
+                shard: 0,
+                workers: 4,
+                weight: 3,
+            },
             AuditRecord::LeaseAcquired {
                 tenant: "t-1".to_string(),
                 campaign: "c".to_string(),
@@ -285,7 +235,6 @@ mod tests {
         ];
         for r in records {
             assert_eq!(AuditRecord::from_json(&r.to_json()).unwrap(), r);
-            assert_eq!(r.tenant(), "t-1");
         }
         assert!(AuditRecord::from_json(&json!({"kind": "bogus"})).is_err());
     }

@@ -1,5 +1,5 @@
-//! Health verdicts: alerts + SLO burn + fairness + recovery state rolled
-//! into one machine-readable report.
+//! Health verdicts: SLO burn + fairness + recovery state + abandoned
+//! downloads + facility ingest rolled into one machine-readable report.
 //!
 //! [`evaluate`] is a pure function from observed signals to a
 //! [`HealthReport`], so the same code path produces the live verdict and
@@ -142,8 +142,6 @@ pub struct HealthReport {
     pub fairness: Option<f64>,
     /// Per `(slo, stage)` burn statuses at evaluation time.
     pub slos: Vec<SloStatus>,
-    /// Alerts currently in the firing state.
-    pub alerts_active: usize,
     /// Whether the service is still re-running work recovered from the
     /// journal after a restart.
     pub recovering: bool,
@@ -167,7 +165,6 @@ impl HealthReport {
                 None => Value::Null,
             },
             "slos": self.slos.iter().map(|s| s.to_json()).collect::<Vec<_>>(),
-            "alerts_active": self.alerts_active as u64,
             "recovering": self.recovering,
             "downloads_abandoned": self.downloads_abandoned,
             "facilities": self.facilities.iter().map(|f| f.to_json()).collect::<Vec<_>>(),
@@ -212,7 +209,6 @@ impl HealthReport {
             windows: v["windows"].as_u64().unwrap_or(0),
             fairness: v["fairness"].as_f64(),
             slos,
-            alerts_active: v["alerts_active"].as_u64().unwrap_or(0) as usize,
             recovering: v["recovering"].as_bool().unwrap_or(false),
             // Reports logged before the abandonment signal existed parse
             // to zero.
@@ -232,7 +228,6 @@ pub fn evaluate(
     fairness: Option<f64>,
     total_admissions: u64,
     slos: Vec<SloStatus>,
-    alerts_active: usize,
     recovering: bool,
     downloads_abandoned: u64,
     facilities: Vec<FacilityStatus>,
@@ -260,9 +255,6 @@ pub fn evaluate(
                 j, policy.min_fairness
             ));
         }
-    }
-    if alerts_active > 0 {
-        degraded.push(format!("{alerts_active} alert(s) firing"));
     }
     if recovering {
         degraded.push("recovery in progress".to_string());
@@ -312,7 +304,6 @@ pub fn evaluate(
         windows,
         fairness,
         slos,
-        alerts_active,
         recovering,
         downloads_abandoned,
         facilities,
@@ -352,7 +343,6 @@ mod tests {
             Some(0.99),
             20,
             vec![slo(0.2)],
-            0,
             false,
             0,
             Vec::new(),
@@ -366,12 +356,12 @@ mod tests {
             Some(0.3),
             20,
             vec![slo(1.5)],
-            1,
             true,
-            0,
+            1,
             Vec::new(),
         );
         match &degraded.state {
+            // burn + fairness + recovery + one abandoned download
             HealthState::Degraded { reasons } => assert_eq!(reasons.len(), 4),
             other => panic!("expected degraded, got {other:?}"),
         }
@@ -383,15 +373,14 @@ mod tests {
             Some(0.99),
             20,
             vec![slo(5.0)],
-            1,
-            false,
+            true,
             0,
             Vec::new(),
         );
         match &unhealthy.state {
             HealthState::Unhealthy { reasons } => {
                 assert!(reasons[0].contains("burn 5.00"));
-                assert_eq!(reasons.len(), 2); // burn + firing alert
+                assert_eq!(reasons.len(), 2); // burn + recovery
             }
             other => panic!("expected unhealthy, got {other:?}"),
         }
@@ -400,42 +389,20 @@ mod tests {
     #[test]
     fn fairness_is_not_judged_before_enough_admissions() {
         let p = HealthPolicy::default();
-        let early = evaluate(
-            &p,
-            0.0,
-            0,
-            Some(0.1),
-            2,
-            Vec::new(),
-            0,
-            false,
-            0,
-            Vec::new(),
-        );
+        let early = evaluate(&p, 0.0, 0, Some(0.1), 2, Vec::new(), false, 0, Vec::new());
         assert_eq!(early.state, HealthState::Healthy);
-        let later = evaluate(
-            &p,
-            0.0,
-            0,
-            Some(0.1),
-            100,
-            Vec::new(),
-            0,
-            false,
-            0,
-            Vec::new(),
-        );
+        let later = evaluate(&p, 0.0, 0, Some(0.1), 100, Vec::new(), false, 0, Vec::new());
         assert_eq!(later.state.label(), "degraded");
     }
 
     #[test]
     fn abandoned_downloads_degrade_past_the_policy_allowance() {
         let p = HealthPolicy::default();
-        let ok = evaluate(&p, 0.0, 0, None, 0, Vec::new(), 0, false, 0, Vec::new());
+        let ok = evaluate(&p, 0.0, 0, None, 0, Vec::new(), false, 0, Vec::new());
         assert_eq!(ok.state, HealthState::Healthy);
         // Default policy tolerates zero abandonments: a single file given up
         // on after retry exhaustion is lost science, and must be visible.
-        let bad = evaluate(&p, 0.0, 0, None, 0, Vec::new(), 0, false, 2, Vec::new());
+        let bad = evaluate(&p, 0.0, 0, None, 0, Vec::new(), false, 2, Vec::new());
         assert_eq!(bad.state.label(), "degraded");
         assert!(bad.state.reasons()[0].contains("abandoned"));
         assert_eq!(bad.downloads_abandoned, 2);
@@ -444,18 +411,7 @@ mod tests {
             max_abandoned_files: 5,
             ..HealthPolicy::default()
         };
-        let tolerated = evaluate(
-            &lenient,
-            0.0,
-            0,
-            None,
-            0,
-            Vec::new(),
-            0,
-            false,
-            5,
-            Vec::new(),
-        );
+        let tolerated = evaluate(&lenient, 0.0, 0, None, 0, Vec::new(), false, 5, Vec::new());
         assert_eq!(tolerated.state, HealthState::Healthy);
     }
 
@@ -470,7 +426,6 @@ mod tests {
             None,
             0,
             Vec::new(),
-            0,
             false,
             0,
             vec![facility(30.0, 10, 0)],
@@ -485,7 +440,6 @@ mod tests {
             None,
             0,
             Vec::new(),
-            0,
             false,
             0,
             vec![facility(30.0, 10, 1)],
@@ -500,7 +454,6 @@ mod tests {
             None,
             0,
             Vec::new(),
-            0,
             false,
             0,
             vec![facility(30.0, 1, 3)],
@@ -514,7 +467,6 @@ mod tests {
             None,
             0,
             Vec::new(),
-            0,
             false,
             0,
             vec![facility(2000.0, 10, 0)],
@@ -536,12 +488,11 @@ mod tests {
                 Some(0.93),
                 12,
                 vec![slo(0.5)],
-                0,
                 false,
                 0,
                 Vec::new(),
             ),
-            evaluate(&p, 7.5, 4, None, 0, vec![slo(2.0)], 2, true, 3, Vec::new()),
+            evaluate(&p, 7.5, 4, None, 0, vec![slo(2.0)], true, 3, Vec::new()),
             evaluate(
                 &p,
                 7.5,
@@ -549,7 +500,6 @@ mod tests {
                 Some(0.2),
                 50,
                 vec![slo(9.0)],
-                0,
                 false,
                 0,
                 vec![facility(12.0, 8, 2)],

@@ -12,17 +12,18 @@
 //!   of per-window deltas (rates per stage / tenant).
 //! - [`slo::SloTracker`] — declarative [`slo::SloSpec`]s evaluated per
 //!   window per active stage, with error-budget burn.
-//! - [`audit::AuditRing`] — WRR admissions and budget leases, live
+//! - `audit::AdmissionTallies` — per-tenant WRR admission tallies, live
 //!   Jain's fairness index.
 //! - [`oplog::OpsLog`] — size-rotated JSONL wide-event log written next
 //!   to the ledger root; a restarted service appends to the same history
 //!   and the plane **rehydrates** its windows, SLO state, and audit
 //!   tallies from it.
 //!
-//! [`health::evaluate`] folds alerts + SLO burn + fairness + recovery
-//! state into one [`health::HealthReport`]; because it is pure and every
-//! input is logged, replaying the ops log reproduces the same verdict —
-//! the property the service soak test asserts.
+//! [`health::evaluate`] folds SLO burn + fairness + recovery state +
+//! abandoned downloads + facility ingest into one
+//! [`health::HealthReport`]; because it is pure and every input is
+//! logged, replaying the ops log reproduces the same verdict — the
+//! property the service soak test asserts.
 
 pub mod audit;
 pub mod health;
@@ -32,18 +33,15 @@ pub mod window;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use serde_json::{Map, Value};
 
-use crate::alert::{Alert, AlertRule, AlertTransition, AlertTransitionKind, ProgressSink};
 use crate::metrics::MetricsRegistry;
-use crate::Obs;
 
-use audit::{AuditRecord, AuditRing};
+use audit::{AdmissionTallies, AuditRecord};
 use health::{FacilityStatus, HealthPolicy, HealthReport, HealthState};
 use oplog::{OpsEvent, OpsLog};
-use slo::{SloSpec, SloStatus, SloTracker};
+use slo::{SloSpec, SloTracker};
 use window::{WindowDelta, WindowSpec, WindowedMetrics};
 
 /// Configuration for an [`OpsPlane`].
@@ -63,18 +61,14 @@ pub struct OpsConfig {
     pub oplog_max_bytes: u64,
     /// Rotated ops-log segments retained.
     pub oplog_keep: usize,
-    /// Audit-ring capacity (recent records; tallies are cumulative).
-    pub audit_ring: usize,
     /// Health thresholds.
     pub policy: HealthPolicy,
-    /// Alert rules attached to the hub via [`OpsPlane::attach_alerts`].
-    pub alert_rules: Vec<AlertRule>,
 }
 
 impl OpsConfig {
     /// Small defaults matching `ServiceConfig::small()`: hourly windows,
-    /// no SLOs or alert rules (tests declare their own), lease-wait and
-    /// quantum-makespan histograms opted in.
+    /// no SLOs (tests declare their own), lease-wait and quantum-makespan
+    /// histograms opted in.
     pub fn small() -> OpsConfig {
         OpsConfig {
             window_s: 3600.0,
@@ -87,9 +81,7 @@ impl OpsConfig {
             slos: Vec::new(),
             oplog_max_bytes: 1 << 20,
             oplog_keep: 4,
-            audit_ring: 256,
             policy: HealthPolicy::default(),
-            alert_rules: Vec::new(),
         }
     }
 }
@@ -100,8 +92,8 @@ impl Default for OpsConfig {
     }
 }
 
-/// The live ops plane: owns the window ring, SLO tracker, audit ring,
-/// and ops log, and produces [`HealthReport`]s.
+/// The live ops plane: owns the window ring, SLO tracker, admission
+/// tallies and ops log, and produces [`HealthReport`]s.
 ///
 /// Not internally synchronised — the owner (the campaign service) wraps
 /// it in its own mutex.
@@ -110,7 +102,7 @@ pub struct OpsPlane {
     config: OpsConfig,
     windows: WindowedMetrics,
     slos: SloTracker,
-    audit: AuditRing,
+    audit: AdmissionTallies,
     log: OpsLog,
     /// Latest per-destination-facility ingest signals, keyed by facility.
     facilities: BTreeMap<String, FacilityStatus>,
@@ -119,8 +111,6 @@ pub struct OpsPlane {
     downloads_abandoned: u64,
     last_health_state: Option<HealthState>,
     recovering: bool,
-    alerts: Option<Arc<Mutex<Vec<Alert>>>>,
-    transitions: Option<Arc<Mutex<Vec<AlertTransition>>>>,
 }
 
 impl OpsPlane {
@@ -135,7 +125,7 @@ impl OpsPlane {
             histogram_names: config.histogram_names.clone(),
         });
         let mut slos = SloTracker::new(config.slos.clone(), config.slo_lookback);
-        let mut audit = AuditRing::new(config.audit_ring);
+        let mut audit = AdmissionTallies::default();
         let mut facilities = BTreeMap::new();
         let mut downloads_abandoned = 0u64;
         for event in oplog::read_all(dir) {
@@ -152,9 +142,11 @@ impl OpsPlane {
                         }
                     }
                 }
-                "admission" | "lease_acquired" | "lease_released" => {
-                    if let Ok(record) = AuditRecord::from_json(&event.data) {
-                        audit.record(record);
+                "admission" => {
+                    if let Ok(AuditRecord::Admission { tenant, weight, .. }) =
+                        AuditRecord::from_json(&event.data)
+                    {
+                        audit.admit(&tenant, weight);
                     }
                 }
                 "facility" => {
@@ -181,22 +173,7 @@ impl OpsPlane {
             // across the restart.
             last_health_state: None,
             recovering: false,
-            alerts: None,
-            transitions: None,
         })
-    }
-
-    /// Build a [`ProgressSink`] from the configured alert rules, attach
-    /// it to `obs`, and keep the alert/transition handles. Idempotent
-    /// per plane (later calls replace the handles).
-    pub fn attach_alerts(&mut self, obs: &Obs) {
-        let mut sink = ProgressSink::new();
-        for rule in &self.config.alert_rules {
-            sink = sink.with_rule(rule.clone());
-        }
-        self.alerts = Some(sink.alerts());
-        self.transitions = Some(sink.transitions());
-        obs.add_sink(Box::new(sink));
     }
 
     /// Mark whether the service is replaying journal-recovered work;
@@ -205,34 +182,14 @@ impl OpsPlane {
         self.recovering = recovering;
     }
 
-    /// Whether the plane currently reports recovery in progress.
-    pub fn recovering(&self) -> bool {
-        self.recovering
-    }
-
-    /// The ops-clock position, seconds.
-    pub fn now_s(&self) -> f64 {
-        self.windows.now_s()
-    }
-
     /// The window ring.
     pub fn windows(&self) -> &WindowedMetrics {
         &self.windows
     }
 
-    /// The audit ring.
-    pub fn audit(&self) -> &AuditRing {
-        &self.audit
-    }
-
     /// Live Jain's fairness index over weighted admissions.
     pub fn fairness(&self) -> Option<f64> {
         self.audit.fairness_jain()
-    }
-
-    /// Current per-`(slo, stage)` burn statuses.
-    pub fn slo_statuses(&self) -> Vec<SloStatus> {
-        self.slos.statuses()
     }
 
     /// Record (or refresh) one destination facility's ingest signals —
@@ -244,11 +201,6 @@ impl OpsPlane {
         self.facilities.insert(status.facility.clone(), status);
         let at = self.windows.now_s();
         let _ = self.log.append("facility", at, data);
-    }
-
-    /// Latest per-facility signals, in facility order.
-    pub fn facilities(&self) -> Vec<&FacilityStatus> {
-        self.facilities.values().collect()
     }
 
     /// Record `count` files abandoned by the download pool after retry
@@ -266,25 +218,6 @@ impl OpsPlane {
             at,
             serde_json::json!({ "count": count, "total": self.downloads_abandoned }),
         );
-    }
-
-    /// Running count of abandoned downloads (rehydrated across restarts).
-    pub fn downloads_abandoned(&self) -> u64 {
-        self.downloads_abandoned
-    }
-
-    /// Alerts currently in the firing state.
-    pub fn alerts_active(&self) -> usize {
-        self.alerts
-            .as_ref()
-            .map(|a| {
-                a.lock()
-                    .expect("alert list poisoned")
-                    .iter()
-                    .filter(|al| al.is_active())
-                    .count()
-            })
-            .unwrap_or(0)
     }
 
     /// Append one lifecycle event (`submit`, `pause`, …) at the current
@@ -317,44 +250,20 @@ impl OpsPlane {
         self.event("archive_recorded", Value::Object(data));
     }
 
-    /// Record one scheduler action into the audit ring and the ops log.
+    /// Record one scheduler action into the ops log; admissions also
+    /// move the fairness tallies.
     pub fn record_audit(&mut self, record: AuditRecord) {
         let kind = match &record {
-            AuditRecord::Admission { .. } => "admission",
+            AuditRecord::Admission { tenant, weight, .. } => {
+                self.audit.admit(tenant, *weight);
+                "admission"
+            }
             AuditRecord::LeaseAcquired { .. } => "lease_acquired",
             AuditRecord::LeaseReleased { .. } => "lease_released",
         };
         let data = record.to_json();
-        self.audit.record(record);
         let at = self.windows.now_s();
         let _ = self.log.append(kind, at, data);
-    }
-
-    /// Move alert edges accumulated by the attached sink into the ops
-    /// log as `alert_fired` / `alert_cleared` events.
-    pub fn drain_alert_transitions(&mut self) {
-        let Some(handle) = self.transitions.as_ref() else {
-            return;
-        };
-        let drained: Vec<AlertTransition> = {
-            let mut t = handle.lock().expect("transition list poisoned");
-            std::mem::take(&mut *t)
-        };
-        for tr in drained {
-            let kind = match tr.kind {
-                AlertTransitionKind::Fired => "alert_fired",
-                AlertTransitionKind::Cleared => "alert_cleared",
-            };
-            let _ = self.log.append(
-                kind,
-                tr.at_s,
-                serde_json::json!({
-                    "rule": tr.rule,
-                    "stage": tr.stage,
-                    "message": tr.message,
-                }),
-            );
-        }
     }
 
     /// Advance the ops clock by `dt_s` and roll a window if due. On a
@@ -386,7 +295,6 @@ impl OpsPlane {
         delta: WindowDelta,
         active_stages: &BTreeSet<String>,
     ) -> Option<WindowDelta> {
-        self.drain_alert_transitions();
         let results = self.slos.observe_window(&delta, active_stages);
         let mut data = delta.to_json();
         if let Some(map) = data.as_object_mut() {
@@ -404,7 +312,6 @@ impl OpsPlane {
     /// from the last logged one (or on the first call after open), so
     /// the log records transitions, not heartbeats.
     pub fn health(&mut self) -> HealthReport {
-        self.drain_alert_transitions();
         let report = health::evaluate(
             &self.config.policy,
             self.windows.now_s(),
@@ -412,7 +319,6 @@ impl OpsPlane {
             self.audit.fairness_jain(),
             self.audit.total_admissions(),
             self.slos.statuses(),
-            self.alerts_active(),
             self.recovering,
             self.downloads_abandoned,
             self.facilities.values().cloned().collect(),
@@ -533,33 +439,51 @@ mod tests {
     fn reopened_plane_rehydrates_windows_slos_and_audit() {
         let dir = tempdir("rehydrate");
         let reg = MetricsRegistry::default();
-        let admission = AuditRecord::Admission {
-            tenant: "a".to_string(),
+        let admission = |tenant: &str, weight: u64| AuditRecord::Admission {
+            tenant: tenant.to_string(),
             campaign: "c".to_string(),
             day_index: 0,
             shard: 0,
             workers: 4,
-            weight: 2,
+            weight,
         };
-        {
+        let fairness_before = {
             let mut plane = OpsPlane::open(&dir, config()).unwrap();
             let active: BTreeSet<String> = ["tenant:a".to_string()].into();
-            plane.record_audit(admission.clone());
+            // Weight 2 admitted twice, weight 1 three times: x = (1, 3),
+            // J = 16 / 20. Rebuilt with weight 1 for `a`, J would be 25 / 26.
+            for _ in 0..2 {
+                plane.record_audit(admission("a", 2));
+            }
+            for _ in 0..3 {
+                plane.record_audit(admission("b", 1));
+            }
+            plane.record_audit(AuditRecord::LeaseReleased {
+                tenant: "b".to_string(),
+                campaign: "c".to_string(),
+                workers: 4,
+            });
             reg.counter_add("granules", "tenant:a", 3);
             plane.tick(5.0, &reg, &active).unwrap();
             plane.tick(5.0, &reg, &active).unwrap(); // idle window
             let _ = plane.health();
-        }
+            plane.fairness()
+        };
+        assert!((fairness_before.unwrap() - 0.8).abs() < 1e-12);
         // Fresh registry, fresh plane: state must come from the log.
         let mut plane = OpsPlane::open(&dir, config()).unwrap();
         assert_eq!(plane.windows().windows_rolled(), 2);
-        assert_eq!(plane.now_s(), 10.0);
-        assert_eq!(
-            plane.windows().trailing_rate("granules", "tenant:a", 8),
-            3.0 / 10.0
-        );
-        assert_eq!(plane.audit().tallies()["a"], (1, 2));
-        let statuses = plane.slo_statuses();
+        assert_eq!(plane.windows.now_s(), 10.0);
+        let (granules, span_s) = plane.windows().windows().fold((0u64, 0.0), |(g, s), w| {
+            (
+                g + w.counter("granules", "tenant:a"),
+                s + (w.end_s - w.start_s),
+            )
+        });
+        assert_eq!((granules, span_s), (3, 10.0));
+        assert_eq!(plane.audit.total_admissions(), 5);
+        assert_eq!(plane.fairness(), fairness_before);
+        let statuses = plane.slos.statuses();
         assert_eq!(statuses.len(), 1);
         assert_eq!((statuses[0].windows, statuses[0].bad), (2, 1));
         // Window indices continue, not restart.
@@ -599,61 +523,58 @@ mod tests {
         }
         // Reopen: the last-written facility status survives the restart.
         let mut plane = OpsPlane::open(&dir, config()).unwrap();
-        let facs = plane.facilities();
-        assert_eq!(facs.len(), 1);
-        assert_eq!(facs[0].verified, 10);
-        assert_eq!(facs[0].verify_failures, 0);
-        assert_eq!(plane.health().state, HealthState::Healthy);
+        let report = plane.health();
+        assert_eq!(report.state, HealthState::Healthy);
+        assert_eq!(report.facilities.len(), 1);
+        assert_eq!(report.facilities[0].verified, 10);
+        assert_eq!(report.facilities[0].verify_failures, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn attached_alert_edges_land_in_the_ops_log() {
-        let dir = tempdir("alerts");
-        let mut cfg = config();
-        cfg.alert_rules = vec![AlertRule::StageStalled {
-            stage: "preprocess".to_string(),
-            idle_s: 60.0,
-        }];
-        let mut plane = OpsPlane::open(&dir, cfg).unwrap();
-        let obs = Obs::new();
-        plane.attach_alerts(&obs);
-        assert_eq!(plane.alerts_active(), 0);
+    fn a_log_written_with_alerts_still_opens_and_replays() {
+        // An ops log as written when the plane still carried alerts: health
+        // reports with an `alerts_active` field and an `alert_fired` event.
+        let dir = tempdir("alert-era");
+        let health = |at: f64, state: &str, reasons: &str, alerts: u64| {
+            format!(
+                r#"{{"at_s":{at:?},"data":{{"alerts_active":{alerts},"at_s":{at:?},"downloads_abandoned":0,"facilities":[],"fairness":null,"reasons":[{reasons}],"recovering":false,"slos":[],"state":"{state}","windows":1}},"kind":"health","seq":SEQ}}"#
+            )
+        };
+        let lines = [
+            r#"{"at_s":0.0,"data":{"requeued":0},"kind":"service_open","seq":SEQ}"#.to_string(),
+            health(0.0, "healthy", "", 0),
+            r#"{"at_s":120.0,"data":{"message":"stage preprocess idle for 110.0s","rule":"stage_stalled","stage":"preprocess"},"kind":"alert_fired","seq":SEQ}"#.to_string(),
+            health(120.0, "degraded", r#""1 alert(s) firing""#, 1),
+        ];
+        let body: String = lines
+            .iter()
+            .enumerate()
+            .map(|(i, l)| l.replace("SEQ", &i.to_string()) + "\n")
+            .collect();
+        std::fs::write(dir.join(oplog::OPS_LOG_FILE), body).unwrap();
 
-        obs.record_sim_span(
-            "preprocess",
-            "work",
-            eoml_simtime::SimTime::ZERO,
-            eoml_simtime::SimTime::from_secs_f64(10.0),
-            None,
-            &[],
+        let mut plane = OpsPlane::open(&dir, config()).unwrap();
+        let events = plane.events();
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[2].kind, "alert_fired");
+        let replayed = oplog::replay_final_health(&events).expect("last health parses");
+        assert_eq!(replayed.at_s, 120.0);
+        assert_eq!(
+            replayed.state,
+            HealthState::Degraded {
+                reasons: vec!["1 alert(s) firing".to_string()]
+            }
         );
-        obs.record_sim_span(
-            "download",
-            "work",
-            eoml_simtime::SimTime::from_secs_f64(10.0),
-            eoml_simtime::SimTime::from_secs_f64(120.0),
-            None,
-            &[],
-        );
-        assert_eq!(plane.alerts_active(), 1);
-        let report = plane.health();
-        assert_eq!(report.alerts_active, 1);
-        assert_eq!(report.state.label(), "degraded");
-
-        obs.record_sim_span(
-            "preprocess",
-            "work",
-            eoml_simtime::SimTime::from_secs_f64(120.0),
-            eoml_simtime::SimTime::from_secs_f64(125.0),
-            None,
-            &[],
-        );
-        assert_eq!(plane.alerts_active(), 0);
+        // The reopened plane has no alert input: its own first verdict is
+        // healthy and continues the sequence after the old history.
         assert_eq!(plane.health().state, HealthState::Healthy);
-        let kinds: Vec<String> = plane.events().into_iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&"alert_fired".to_string()));
-        assert!(kinds.contains(&"alert_cleared".to_string()));
+        let events = plane.events();
+        assert_eq!(events.last().unwrap().seq, 4);
+        assert_eq!(
+            oplog::replay_final_health(&events).unwrap().state,
+            HealthState::Healthy
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,10 +7,14 @@
 //! [`read_all`] returns rotations oldest-first so the event order
 //! replays the service's whole operational life.
 //!
-//! Event kinds written by the service layer: `service_open`,
-//! `tenant_registered`, `submit`, `pause`, `resume`, `cancel`,
-//! `admission`, `lease_acquired`, `lease_released`, `window_roll`,
-//! `alert_fired`, `alert_cleared`, `health`, `idle`. The log is
+//! Event kinds written by the service layer and the ops plane:
+//! `service_open`, `tenant_registered`, `submit`, `pause`, `resume`,
+//! `cancel`, `admission`, `lease_acquired`, `lease_released`,
+//! `window_roll`, `facility`, `downloads_abandoned`, `archive_recorded`,
+//! `health`, `idle`; the chaos harness adds `chaos_injection` and
+//! `chaos_summary`. A log written before alerting was removed may also
+//! hold `alert_fired` / `alert_cleared` lines: they are read like any
+//! other event and ignored by rehydration. The log is
 //! *advisory*: torn or unparseable trailing lines are skipped, never
 //! fatal — the control journal, not this log, is the source of truth for
 //! service state.
@@ -92,11 +96,6 @@ impl OpsLog {
     /// Directory the log lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The sequence number the next appended event will get.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Append one event, rotating first if the active segment is full.
@@ -218,8 +217,8 @@ mod tests {
             }
         }
         let mut log = OpsLog::open(&dir, 1 << 20, 2).unwrap();
-        assert_eq!(log.next_seq(), 5);
-        log.append("tick", 5.0, json!({"i": 5})).unwrap();
+        let appended = log.append("tick", 5.0, json!({"i": 5})).unwrap();
+        assert_eq!(appended.seq, 5);
         let events = read_all(&dir);
         assert_eq!(events.len(), 6);
         for (i, e) in events.iter().enumerate() {
@@ -269,9 +268,9 @@ mod tests {
         // highest across *all* segments, not just the active one.
         {
             let mut log = OpsLog::open(&dir, 1, 10).unwrap();
-            assert_eq!(log.next_seq(), 60);
             for i in 60..120u64 {
-                log.append("tick", i as f64, json!({"i": i})).unwrap();
+                let appended = log.append("tick", i as f64, json!({"i": i})).unwrap();
+                assert_eq!(appended.seq, i);
             }
         }
         let events = read_all(&dir);
@@ -293,8 +292,7 @@ mod tests {
             None,
             0,
             Vec::new(),
-            1, // firing alert → degraded
-            false,
+            true, // recovering → degraded
             0,
             Vec::new(),
         );
@@ -305,7 +303,6 @@ mod tests {
             None,
             0,
             Vec::new(),
-            0,
             false,
             0,
             Vec::new(),
@@ -341,7 +338,6 @@ mod tests {
             Some(0.9),
             10,
             Vec::new(),
-            0,
             false,
             0,
             Vec::new(),
@@ -360,8 +356,8 @@ mod tests {
         let replayed = replay_final_health(&events).unwrap();
         assert_eq!(replayed, report);
         // Reopen continues after the torn line without inheriting it.
-        let log = OpsLog::open(&dir, 1 << 20, 2).unwrap();
-        assert_eq!(log.next_seq(), 2);
+        let mut log = OpsLog::open(&dir, 1 << 20, 2).unwrap();
+        assert_eq!(log.append("tick", 4.0, json!({})).unwrap().seq, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -165,11 +165,6 @@ impl SloTracker {
         }
     }
 
-    /// The declared specs.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
     /// Evaluate every spec against every active stage for one rolled
     /// window, updating the histories. Returns the per-pair results.
     ///
@@ -244,14 +239,6 @@ impl SloTracker {
             })
             .collect()
     }
-
-    /// The highest burn across all pairs, if any history exists.
-    pub fn max_burn(&self) -> Option<f64> {
-        self.statuses()
-            .into_iter()
-            .map(|s| s.burn)
-            .fold(None, |acc, b| Some(acc.map_or(b, |a: f64| a.max(b))))
-    }
 }
 
 /// Evaluate one condition against one window and stage.
@@ -319,7 +306,6 @@ mod tests {
         let s = &slo.statuses()[0];
         assert_eq!((s.windows, s.bad), (2, 2));
         assert!((s.burn - 2.0).abs() < 1e-9);
-        assert_eq!(slo.max_burn(), Some(s.burn));
 
         // Six productive windows dilute the history below burn 1.0.
         for _ in 0..6 {

@@ -12,7 +12,8 @@
 //! quantum's makespan, and a window rolls at the first quantum boundary
 //! on or after `window_s` elapsed. One roll covers the whole elapsed
 //! interval (windows are variable-length, never empty-by-construction),
-//! so trailing rates divide real deltas by real durations.
+//! so each window's `counter`/`counter_prefix` deltas cover its real
+//! `start_s..end_s` span.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -63,11 +64,6 @@ pub struct WindowDelta {
 }
 
 impl WindowDelta {
-    /// Window length, seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.end_s - self.start_s
-    }
-
     /// One counter's delta in this window.
     pub fn counter(&self, name: &str, stage: &str) -> u64 {
         self.counters
@@ -175,7 +171,7 @@ impl WindowedMetrics {
 
     /// Re-adopt a window recovered from the ops log, in index order. The
     /// clock fast-forwards to the window's end and later live windows
-    /// continue the index sequence, so trailing rates span the restart.
+    /// continue the index sequence, so the ring spans the restart.
     pub fn seed(&mut self, delta: WindowDelta) {
         self.next_index = self.next_index.max(delta.index + 1);
         self.now_s = self.now_s.max(delta.end_s);
@@ -253,38 +249,6 @@ impl WindowedMetrics {
             self.ring.pop_front();
         }
     }
-
-    /// Rate of one counter over the trailing `n` windows: total delta
-    /// divided by the windows' combined duration, per second. Zero when
-    /// nothing has rolled yet.
-    pub fn trailing_rate(&self, name: &str, stage: &str, n: usize) -> f64 {
-        self.trailing(n, |w| w.counter(name, stage))
-    }
-
-    /// [`WindowedMetrics::trailing_rate`] summed over every stage
-    /// matching `prefix` — the per-tenant throughput view.
-    pub fn trailing_prefix_rate(&self, name: &str, prefix: &str, n: usize) -> f64 {
-        self.trailing(n, |w| w.counter_prefix(name, prefix))
-    }
-
-    fn trailing(&self, n: usize, count: impl Fn(&WindowDelta) -> u64) -> f64 {
-        let take = n.max(1).min(self.ring.len());
-        if take == 0 {
-            return 0.0;
-        }
-        let windows = self.ring.iter().rev().take(take);
-        let mut total = 0u64;
-        let mut seconds = 0.0;
-        for w in windows {
-            total += count(w);
-            seconds += w.duration_s();
-        }
-        if seconds > 0.0 {
-            total as f64 / seconds
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -331,21 +295,6 @@ mod tests {
         assert!(w.advance(2.5, &reg).is_some());
         assert!(w.force_roll(&reg).is_none(), "nothing pending after roll");
         assert_eq!(w.windows_rolled(), 2);
-    }
-
-    #[test]
-    fn trailing_rates_use_prefix_boundaries() {
-        let reg = MetricsRegistry::default();
-        let mut w = WindowedMetrics::new(spec(0.0, 8));
-        reg.counter_add("granules", "tenant:t1", 4);
-        reg.counter_add("granules", "tenant:t10", 400);
-        w.advance(2.0, &reg);
-        reg.counter_add("granules", "tenant:t1", 2);
-        w.advance(1.0, &reg);
-        // 6 granules over 3 seconds; t10's 400 never leak into t1.
-        assert!((w.trailing_prefix_rate("granules", "tenant:t1", 8) - 2.0).abs() < 1e-9);
-        assert!((w.trailing_rate("granules", "tenant:t1", 1) - 2.0).abs() < 1e-9);
-        assert!(w.trailing_prefix_rate("granules", "tenant:t10", 8) > 100.0);
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl SpanProfile {
         }
         out
     }
-
-    /// Write the collapsed-stack rendering to `path`.
-    pub fn write_folded(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.folded())
-    }
 }
 
 /// One collapsed-stack frame: `stage:name`, with the structural

@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 
 use eoml_util::stats::Summary;
-use serde_json::{Map, Value};
 
 use crate::analysis::{stage_timelines, StageTimeline};
 use crate::metrics::MetricsSnapshot;
@@ -51,12 +50,6 @@ impl ObsReport {
     /// including the memory breakdown from its metrics registry.
     pub fn from_obs(obs: &Obs) -> ObsReport {
         ObsReport::from_parts(&obs.spans(), &obs.metrics().snapshot())
-    }
-
-    /// Build the report from a span snapshot alone (the memory table
-    /// stays empty — resource counters live in the registry).
-    pub fn from_spans(spans: &[SpanRecord]) -> ObsReport {
-        ObsReport::from_parts(spans, &MetricsSnapshot::default())
     }
 
     /// The per-tenant slice of a shared hub: the report built only from
@@ -143,19 +136,6 @@ impl ObsReport {
             ));
         }
         out
-    }
-
-    /// One JSON document holding every table.
-    pub fn to_json(&self) -> Value {
-        let mut obj = Map::new();
-        obj.insert("fig6_timeline".to_string(), self.fig6_timeline.to_json());
-        obj.insert("fig7_breakdown".to_string(), self.fig7_breakdown.to_json());
-        obj.insert("stage_stats".to_string(), self.stage_stats.to_json());
-        obj.insert("profile_hot".to_string(), self.profile_hot.to_json());
-        if !self.memory.rows.is_empty() {
-            obj.insert("memory".to_string(), self.memory.to_json());
-        }
-        Value::Object(obj)
     }
 
     /// Write `BENCH_<table>.json` for each table into `dir`; returns the
@@ -293,6 +273,7 @@ mod tests {
     use super::*;
     use crate::TraceContext;
     use eoml_simtime::SimTime;
+    use serde_json::Value;
 
     fn build_obs() -> Obs {
         let obs = Obs::new();

@@ -73,13 +73,6 @@ pub struct WanBreakdown {
     pub verify_s: f64,
 }
 
-impl WanBreakdown {
-    /// Total WAN-attributed seconds on the critical path.
-    pub fn total_s(&self) -> f64 {
-        self.queue_s + self.wire_s + self.verify_s
-    }
-}
-
 /// Source and destination span stores joined on trace id.
 #[derive(Debug)]
 pub struct XfacAnalysis {
@@ -107,21 +100,6 @@ impl XfacAnalysis {
         }
     }
 
-    /// Facility lane names, in stitch order.
-    pub fn facilities(&self) -> &[String] {
-        &self.facilities
-    }
-
-    /// The merged, facility-tagged span store.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
-    }
-
-    /// Per-granule analysis over the stitched store.
-    pub fn analysis(&self) -> &TraceAnalysis {
-        &self.analysis
-    }
-
     /// Trace ids whose spans appear in **more than one** facility — the
     /// granules that actually crossed the WAN.
     pub fn stitched_trace_ids(&self) -> Vec<&str> {
@@ -137,36 +115,6 @@ impl XfacAnalysis {
         }
         seen.into_iter()
             .filter(|(_, facs)| facs.len() > 1)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Trace ids that were **shipped but never ingested**: a
-    /// `shipment`-stage span exists but the trace's spans sit in a single
-    /// facility — the destination never recorded the granule. These are
-    /// exactly the granules a WAN audit must flag; they still have a
-    /// [`XfacAnalysis::wan_breakdown`] (wire + source-side queue, zero
-    /// verify) rather than silently vanishing from the stitched view.
-    pub fn orphaned_shipments(&self) -> Vec<&str> {
-        let mut facs: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        let mut shipped: BTreeMap<&str, bool> = BTreeMap::new();
-        for s in &self.spans {
-            let Some(id) = s.trace_id.as_deref() else {
-                continue;
-            };
-            if s.stage == "shipment" {
-                shipped.insert(id, true);
-            }
-            if let Some(fac) = s.attr(FACILITY_ATTR) {
-                let lanes = facs.entry(id).or_default();
-                if !lanes.contains(&fac) {
-                    lanes.push(fac);
-                }
-            }
-        }
-        shipped
-            .into_iter()
-            .filter(|(id, _)| facs.get(id).map(Vec::len).unwrap_or(0) <= 1)
             .map(|(id, _)| id)
             .collect()
     }
@@ -255,14 +203,14 @@ mod tests {
     #[test]
     fn stitch_joins_facilities_on_trace_id() {
         let x = two_facility_fixture();
-        assert_eq!(x.facilities(), ["ace-defiant", "frontier-orion"]);
+        assert_eq!(x.facilities, ["ace-defiant", "frontier-orion"]);
         assert_eq!(x.stitched_trace_ids(), vec!["g1"]);
-        let trace = x.analysis().trace("g1").unwrap();
+        let trace = x.analysis.trace("g1").unwrap();
         assert_eq!(trace.spans.len(), 4);
         // End-to-end now spans both facilities: 0 → 35.
         assert!((trace.e2e_seconds() - 35.0).abs() < 1e-9);
         // Every stitched span knows its facility.
-        for s in x.spans() {
+        for s in &x.spans {
             assert!(s.attr(FACILITY_ATTR).is_some());
         }
     }
@@ -275,12 +223,11 @@ mod tests {
         assert!((wan.verify_s - 2.0).abs() < 1e-9, "ingest 33..35");
         // queue: 20..22 waiting on shipment + 30..33 waiting on ingest.
         assert!((wan.queue_s - 5.0).abs() < 1e-9);
-        assert!((wan.total_s() - 15.0).abs() < 1e-9);
         assert!(x.wan_breakdown("nope").is_none());
     }
 
     #[test]
-    fn shipped_but_never_ingested_granule_is_reported_as_orphan() {
+    fn shipped_but_never_ingested_granule_keeps_a_source_side_breakdown() {
         // g1 completes the WAN hop; g2 ships but the destination never
         // records an ingest span — a lost/failed transfer.
         let src = Obs::new();
@@ -300,17 +247,14 @@ mod tests {
                 spans: dst.spans(),
             },
         ]);
-        // The orphan is reported, not dropped.
-        assert_eq!(x.orphaned_shipments(), vec!["g2"]);
+        // g2 sits in one facility only, so it is not stitched.
         assert_eq!(x.stitched_trace_ids(), vec!["g1"]);
-        // And its WAN breakdown still attributes the source side: wire
+        // Its WAN breakdown still attributes the source side: wire
         // 13..21, queue 11..13, verify necessarily zero.
         let wan = x.wan_breakdown("g2").expect("orphan keeps a breakdown");
         assert!((wan.wire_s - 8.0).abs() < 1e-9);
         assert!((wan.queue_s - 2.0).abs() < 1e-9);
         assert_eq!(wan.verify_s, 0.0);
-        // A fully-stitched store reports no orphans.
-        assert!(two_facility_fixture().orphaned_shipments().is_empty());
     }
 
     #[test]
@@ -364,7 +308,7 @@ mod tests {
             spans: src.spans(),
         }]);
         assert!(x.stitched_trace_ids().is_empty());
-        assert!(x.analysis().trace("solo").is_some(), "still analysable");
+        assert!(x.analysis.trace("solo").is_some(), "still analysable");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! assert nothing is lost: every span, every counter increment, every
 //! histogram observation must be accounted for.
 
-use eoml_obs::{MemorySink, Obs, ObsEvent};
+use eoml_obs::Obs;
 use std::sync::Arc;
 
 const THREADS: usize = 16;
@@ -11,9 +11,6 @@ const SPANS_PER_THREAD: usize = 500;
 #[test]
 fn no_events_lost_under_contention() {
     let obs = Arc::new(Obs::new());
-    let sink = MemorySink::new();
-    let events = sink.handle();
-    obs.add_sink(Box::new(sink));
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -64,19 +61,6 @@ fn no_events_lost_under_contention() {
         .histogram("unit_seconds", "preprocess")
         .unwrap();
     assert_eq!(h_dl.count() + h_pp.count(), total as u64);
-
-    // The sink saw one SpanClosed and one Counter event per iteration.
-    let seen = events.lock().unwrap();
-    let closed = seen
-        .iter()
-        .filter(|e| matches!(e, ObsEvent::SpanClosed(_)))
-        .count();
-    let counts = seen
-        .iter()
-        .filter(|e| matches!(e, ObsEvent::Counter { .. }))
-        .count();
-    assert_eq!(closed, total, "sink missed span events");
-    assert_eq!(counts, total, "sink missed counter events");
 
     // Exporters stay consistent after the stampede.
     let doc = serde_json::from_str(&obs.chrome_trace_json()).expect("trace parses");

@@ -447,7 +447,6 @@ impl CampaignService {
             Some(cfg) => {
                 let mut plane = OpsPlane::open(&root.join("ops"), cfg)
                     .map_err(|e| ServiceError::Invalid(format!("ops plane: {e}")))?;
-                plane.attach_alerts(&obs);
                 plane.set_recovering(recovery.requeued > 0);
                 plane.event(
                     "service_open",

@@ -809,17 +809,20 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{08}'),
                         Some(b'f') => out.push('\u{0c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Unpaired surrogates degrade to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            let c = match code {
+                                // A high surrogate followed by an escaped low
+                                // one is a single character (how UTF-16 based
+                                // writers spell anything above U+FFFF).
+                                0xD800..=0xDBFF => self.low_surrogate().map(|low| {
+                                    self.pos += 6;
+                                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                                }),
+                                _ => Some(code),
+                            };
+                            // Unpaired surrogates degrade to U+FFFD.
+                            out.push(c.and_then(char::from_u32).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -839,6 +842,31 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("bad \\u escape"));
+        }
+        Ok(hex
+            .iter()
+            .fold(0, |n, &d| n * 16 + (d as char).to_digit(16).unwrap()))
+    }
+
+    /// The low surrogate of a `\\uDC00`..`\\uDFFF` escape right after the
+    /// one ending at the current byte, if that is what follows.
+    fn low_surrogate(&self) -> Option<u32> {
+        if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+            return None;
+        }
+        self.hex4(self.pos + 3)
+            .ok()
+            .filter(|low| (0xDC00..=0xDFFF).contains(low))
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -877,9 +905,12 @@ impl Parser<'_> {
                 return Ok(Value::Number(Number::U64(u)));
             }
         }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::F64(f)))
-            .map_err(|_| self.err("bad number"))
+        let f = text.parse::<f64>().map_err(|_| self.err("bad number"))?;
+        // `1e999` overflows to infinity, which JSON cannot carry back out.
+        if !f.is_finite() {
+            return Err(self.err("number out of range"));
+        }
+        Ok(Value::Number(Number::F64(f)))
     }
 }
 
@@ -939,6 +970,30 @@ mod tests {
         assert!(e.to_string().contains("at byte"));
         assert!(from_str("[1, 2").is_err());
         assert!(from_str("[1] junk").is_err());
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_character() {
+        // What Python's `json.dumps("😀")` writes.
+        assert_eq!(from_str(r#""\ud83d\ude00""#).unwrap(), "\u{1F600}");
+        assert_eq!(from_str(r#""a\uD83D\uDE00b""#).unwrap(), "a\u{1F600}b");
+        // Only unpaired halves degrade to U+FFFD, one each.
+        assert_eq!(from_str(r#""\ud83dx""#).unwrap(), "\u{fffd}x");
+        assert_eq!(from_str(r#""\ude00\ud83d""#).unwrap(), "\u{fffd}\u{fffd}");
+        assert_eq!(from_str(r#""\ud83d\u0041""#).unwrap(), "\u{fffd}A");
+        assert!(
+            from_str(r#""\ud83d\u00""#).is_err(),
+            "truncated second escape"
+        );
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_out_of_range() {
+        for text in ["1e999", "-1e999", "[1, 2e400]"] {
+            let e = from_str(text).unwrap_err();
+            assert!(e.to_string().contains("number out of range"), "{text}: {e}");
+        }
+        assert_eq!(from_str("1e308").unwrap(), 1e308);
     }
 
     #[test]

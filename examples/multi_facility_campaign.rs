@@ -490,7 +490,6 @@ fn main() {
         None,
         0,
         Vec::new(),
-        0,
         false,
         0,
         vec![status],

@@ -190,7 +190,6 @@ fn corrupt_shipment_fails_loudly_and_degrades_facility_health() {
         None,
         0,
         Vec::new(),
-        0,
         false,
         0,
         vec![status],
