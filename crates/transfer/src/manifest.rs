@@ -13,8 +13,9 @@
 //! `ProvRecord`) and takes the journal digest as plain numbers; the
 //! drivers convert when they build the manifest at shipment time.
 
-use eoml_util::hash::{fnv1a64, fnv1a64_chain, FNV_PRIME};
+use eoml_util::hash::{fnv1a64, fnv1a64_chain, fnv1a64_chain4, FNV_PRIME};
 use serde_json::{json, Value};
+use std::io::{self, Read};
 
 /// FNV-1a 64-bit digest of a byte payload — the content digest used for
 /// real artifacts (the on-disk pipeline hashes actual file bytes).
@@ -22,21 +23,121 @@ pub fn content_digest(bytes: &[u8]) -> u64 {
     fnv1a64(bytes)
 }
 
-/// [`content_digest`] of everything `reader` yields, with the byte count,
-/// through a fixed 64 KiB window: hashing a shipped file never holds it in
-/// memory.
-pub fn content_digest_of(mut reader: impl std::io::Read) -> std::io::Result<(u64, u64)> {
-    let mut window = vec![0u8; 64 * 1024];
-    let (mut digest, mut bytes) = (fnv1a64(&[]), 0u64);
+/// [`content_digest`] of everything `reader` yields, with the byte count:
+/// [`content_digests_of`] for one reader.
+pub fn content_digest_of(reader: impl Read) -> io::Result<(u64, u64)> {
+    content_digests_of([Ok(reader)]).remove(0)
+}
+
+/// Window of one digest lane; four lanes hold 64 KiB.
+const LANE_WINDOW: usize = 16 * 1024;
+
+/// [`content_digest_of`] for each reader in turn, in their order: an
+/// `Err` reader (a failed open) or a failed read is that reader's result
+/// and nobody else's.
+///
+/// Four readers are hashed at once in lockstep ([`fnv1a64_chain4`]), each
+/// through a 16 KiB window, so a shipped file is never held in memory. A
+/// lane whose reader ends takes the next one; while fewer than four are
+/// left, the idle lanes repeat a live lane's bytes into a discarded state.
+pub fn content_digests_of<R: Read>(
+    readers: impl IntoIterator<Item = io::Result<R>>,
+) -> Vec<io::Result<(u64, u64)>> {
+    let mut readers = readers.into_iter();
+    let mut results = Vec::new();
+    let mut buffer = vec![0u8; 4 * LANE_WINDOW];
+    let mut lanes = buffer
+        .chunks_exact_mut(LANE_WINDOW)
+        .map(|window| Lane { window, file: None })
+        .collect::<Vec<_>>();
     loop {
-        match reader.read(&mut window) {
-            Ok(0) => return Ok((digest, bytes)),
-            Ok(n) => {
-                digest = fnv1a64_chain(digest, &window[..n]);
-                bytes += n as u64;
+        for lane in &mut lanes {
+            lane.fill(&mut readers, &mut results);
+        }
+        let pending = [0, 1, 2, 3].map(|k| lanes[k].pending());
+        let live = || pending.iter().flatten();
+        let (Some(pad), Some(n)) = (live().next(), live().map(|p| p.len()).min()) else {
+            break;
+        };
+        let bytes = pending.map(|p| &p.unwrap_or(pad)[..n]);
+        let mut states = [0, 1, 2, 3].map(|k| lanes[k].file.as_ref().map_or(0, |f| f.digest));
+        fnv1a64_chain4(&mut states, bytes);
+        for (lane, state) in lanes.iter_mut().zip(states) {
+            if let Some(file) = &mut lane.file {
+                file.digest = state;
+                file.pending.start += n;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every reader taken is run to its end"))
+        .collect()
+}
+
+/// One of [`content_digests_of`]'s four lanes: its window and the reader
+/// it is hashing, if any.
+struct Lane<'w, R> {
+    window: &'w mut [u8],
+    file: Option<LaneFile<R>>,
+}
+
+/// The reader a lane is hashing, with the window range read but not hashed.
+struct LaneFile<R> {
+    slot: usize,
+    reader: R,
+    digest: u64,
+    bytes: u64,
+    pending: std::ops::Range<usize>,
+}
+
+impl<R: Read> Lane<'_, R> {
+    /// The bytes read but not yet hashed; `None` on an idle lane.
+    fn pending(&self) -> Option<&[u8]> {
+        self.file.as_ref().map(|f| &self.window[f.pending.clone()])
+    }
+
+    /// Give the lane unhashed bytes: read its reader once its window is
+    /// hashed, and when the reader ends or fails, record its result in its
+    /// slot and take the next reader. Leaves the lane idle when none is left.
+    fn fill(
+        &mut self,
+        readers: &mut impl Iterator<Item = io::Result<R>>,
+        results: &mut Vec<Option<io::Result<(u64, u64)>>>,
+    ) {
+        loop {
+            let Some(file) = &mut self.file else {
+                match readers.next() {
+                    None => return,
+                    Some(Err(e)) => results.push(Some(Err(e))),
+                    Some(Ok(reader)) => {
+                        self.file = Some(LaneFile {
+                            slot: results.len(),
+                            reader,
+                            digest: fnv1a64(&[]),
+                            bytes: 0,
+                            pending: 0..0,
+                        });
+                        results.push(None);
+                    }
+                }
+                continue;
+            };
+            if !file.pending.is_empty() {
+                return;
+            }
+            let outcome = match file.reader.read(self.window) {
+                Ok(0) => Ok((file.digest, file.bytes)),
+                Ok(n) => {
+                    file.pending = 0..n;
+                    file.bytes += n as u64;
+                    continue;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => Err(e),
+            };
+            results[file.slot] = Some(outcome);
+            self.file = None;
         }
     }
 }
@@ -330,6 +431,108 @@ mod tests {
             content_digest_of(std::io::empty()).unwrap(),
             (content_digest(b""), 0)
         );
+    }
+
+    /// A reader over `bytes` that yields at most `step` bytes a call, can
+    /// be interrupted once before its first byte, and can fail for good once
+    /// `fail_at` bytes are out.
+    struct Flaky<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        interrupt: bool,
+        fail_at: Option<usize>,
+        out: usize,
+    }
+
+    impl<'a> Flaky<'a> {
+        fn new(bytes: &'a [u8]) -> Self {
+            Flaky {
+                bytes,
+                step: usize::MAX,
+                interrupt: false,
+                fail_at: None,
+                out: 0,
+            }
+        }
+    }
+
+    impl std::io::Read for Flaky<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if std::mem::take(&mut self.interrupt) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            if self.fail_at.is_some_and(|at| self.out >= at) {
+                return Err(io::Error::other("disk went away"));
+            }
+            let n = self.bytes.len().min(buf.len()).min(self.step);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.out += n;
+            Ok(n)
+        }
+    }
+
+    fn payloads(count: usize) -> Vec<Vec<u8>> {
+        use eoml_util::rng::{Rng64, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(count as u64);
+        let lens = [200_003, 0, LANE_WINDOW, 1, 3 * LANE_WINDOW + 5, 40_000];
+        (0..count)
+            .map(|i| {
+                (0..lens[i % lens.len()])
+                    .map(|_| rng.next_u64() as u8)
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn expected(payload: &[u8]) -> (u64, u64) {
+        (content_digest(payload), payload.len() as u64)
+    }
+
+    #[test]
+    fn lockstep_digests_equal_one_reader_at_a_time() {
+        for count in [0, 1, 3, 4, 5, 9] {
+            let payloads = payloads(count);
+            // Whole reads, dribbles of odd sizes, and an interruption first.
+            let readers = payloads.iter().enumerate().map(|(i, p)| {
+                let mut r = Flaky::new(p);
+                match i % 3 {
+                    0 => {}
+                    1 => r.step = 977 + 1_000 * i,
+                    _ => r.interrupt = true,
+                }
+                Ok(r)
+            });
+            let got: Vec<_> = content_digests_of(readers)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            let want: Vec<_> = payloads.iter().map(|p| expected(p)).collect();
+            assert_eq!(got, want, "{count} readers");
+        }
+    }
+
+    #[test]
+    fn a_failed_open_or_read_is_its_own_readers_result_only() {
+        let payloads = payloads(7);
+        let readers = payloads.iter().enumerate().map(|(i, p)| match i {
+            1 => Err(io::Error::new(io::ErrorKind::NotFound, "no such file")),
+            4 => {
+                let mut r = Flaky::new(p);
+                (r.step, r.fail_at) = (1_000, Some(20_000));
+                Ok(r)
+            }
+            _ => Ok(Flaky::new(p)),
+        });
+        let got = content_digests_of(readers);
+        assert_eq!(got.len(), payloads.len());
+        for (i, (got, payload)) in got.into_iter().zip(&payloads).enumerate() {
+            match i {
+                1 => assert_eq!(got.unwrap_err().kind(), io::ErrorKind::NotFound),
+                4 => assert_eq!(got.unwrap_err().to_string(), "disk went away"),
+                _ => assert_eq!(got.unwrap(), expected(payload), "reader {i}"),
+            }
+        }
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! `eoml-flows`, `eoml-ricc`, `eoml-ncdf`, `eoml-executor` and `eoml-core`.
 
 use eoml::core::realrun::RealPipeline;
+use eoml::journal::{Journal, JournalEvent, MemStorage};
 use eoml::modis::granule::GranuleId;
 use eoml::modis::product::Platform;
 use eoml::modis::synth::{SwathDims, SwathSynthesizer};
-use eoml::ncdf::NcFile;
+use eoml::ncdf::{NcFile, RecordVarSpan};
 use eoml::preprocess::writer::read_tiles_nc;
 use eoml::transfer::manifest::content_digest;
 use eoml::util::timebase::CivilDate;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -235,5 +237,121 @@ fn mixed_day_night_input_processes_only_day() {
     let report = pipeline.run(&granules).unwrap();
     assert_eq!(report.granules, 4);
     assert_eq!(report.tile_files, 2, "only day granules yield tiles");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn manifest_of_unequal_files_is_the_same_at_one_two_and_three_workers() {
+    // The paper's criteria keep a different number of tiles per granule, so
+    // the shipped files differ in size: the lockstep digests refill lanes
+    // at different times and pad the idle ones near the end of each run.
+    let granules = day_granules(10);
+    let manifests: Vec<_> = [1usize, 2, 3]
+        .into_iter()
+        .map(|workers| {
+            let dir = tempdir(&format!("unequal-{workers}w"));
+            let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, workers).unwrap();
+            let report = pipeline.run(&granules).unwrap();
+            let manifest = report.manifest.expect("manifest");
+            assert_eq!(manifest.len(), report.outbox.len());
+            for (entry, path) in manifest.artifacts.iter().zip(&report.outbox) {
+                let bytes = std::fs::read(path).unwrap();
+                assert_eq!(
+                    Some(entry.name.as_str()),
+                    path.file_name().unwrap().to_str()
+                );
+                assert_eq!(
+                    (entry.digest, entry.bytes),
+                    (content_digest(&bytes), bytes.len() as u64)
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            manifest
+        })
+        .collect();
+    let sizes: std::collections::BTreeSet<u64> =
+        manifests[0].artifacts.iter().map(|a| a.bytes).collect();
+    assert!(manifests[0].len() > 4, "more files than one worker's lanes");
+    assert!(sizes.len() > 1, "the shipped files are all one size");
+    for m in &manifests[1..] {
+        assert_eq!(m.artifacts, manifests[0].artifacts);
+        assert_eq!(m.id(), manifests[0].id());
+    }
+}
+
+#[test]
+fn a_resume_hashes_the_shipped_bytes_on_disk_not_the_journal() {
+    let dir = tempdir("rehash");
+    let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 2)
+        .unwrap()
+        .with_thresholds(0.0, 0.0);
+    let granules = day_granules(3);
+    let store = MemStorage::new();
+    let (mut journal, _) = Journal::open(store.clone()).unwrap();
+    let before = pipeline.run_resumable(&granules, &mut journal).unwrap();
+    let before = before.manifest.expect("manifest");
+    assert_eq!(before.len(), 3);
+
+    // One radiance byte of the middle file's first tile; its labels stay.
+    let path = dir.join("outbox").join(&before.artifacts[1].name);
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .unwrap();
+    let at = RecordVarSpan::locate(&mut file, "radiance")
+        .unwrap()
+        .begin();
+    let mut byte = [0u8];
+    file.seek(SeekFrom::Start(at)).unwrap();
+    file.read_exact(&mut byte).unwrap();
+    file.seek(SeekFrom::Start(at)).unwrap();
+    file.write_all(&[byte[0] ^ 0x5a]).unwrap();
+    drop(file);
+
+    let (mut journal, _) = Journal::open(store).unwrap();
+    let events = journal.len();
+    let after = pipeline.run_resumable(&granules, &mut journal).unwrap();
+    assert_eq!(journal.len(), events, "the resume had nothing left to do");
+    let after = after.manifest.expect("manifest");
+    for (i, (a, b)) in after.artifacts.iter().zip(&before.artifacts).enumerate() {
+        assert_eq!((&a.name, a.bytes), (&b.name, b.bytes));
+        assert_eq!(a.digest != b.digest, i == 1, "{}", a.name);
+    }
+    assert_eq!(
+        after.artifacts[1].digest,
+        content_digest(&std::fs::read(&path).unwrap())
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn an_unreadable_shipped_file_fails_the_run_before_the_shipment_is_journaled() {
+    let dir = tempdir("dangling");
+    let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 2)
+        .unwrap()
+        .with_thresholds(0.0, 0.0);
+    std::os::unix::fs::symlink(
+        dir.join("nowhere.nc"),
+        dir.join("outbox").join("tiles-x.nc"),
+    )
+    .unwrap();
+    let store = MemStorage::new();
+    let (mut journal, _) = Journal::open(store.clone()).unwrap();
+    let err = pipeline
+        .run_resumable(&day_granules(1), &mut journal)
+        .unwrap_err();
+    assert!(err.to_string().contains("tiles-x.nc"), "{err}");
+    let (journal, _) = Journal::open(store).unwrap();
+    let journaled = |f: fn(&JournalEvent) -> bool| journal.events().iter().any(f);
+    assert!(
+        journaled(|e| matches!(e, JournalEvent::LabelsAppended { .. })),
+        "the granule was shipped and journaled before the shipment failed"
+    );
+    assert!(
+        !journaled(|e| matches!(e, JournalEvent::ShipmentFinished { .. })),
+        "a shipment with an unreadable file was journaled"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
