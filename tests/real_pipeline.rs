@@ -10,7 +10,10 @@ use eoml::modis::product::Platform;
 use eoml::modis::synth::{SwathDims, SwathSynthesizer};
 use eoml::ncdf::{NcFile, RecordVarSpan};
 use eoml::preprocess::writer::read_tiles_nc;
+use eoml::ricc::aicca::AiccaModel;
+use eoml::ricc::autoencoder::{AeConfig, EncodeScratch};
 use eoml::transfer::manifest::content_digest;
+use eoml::util::hash::fnv1a64;
 use eoml::util::timebase::CivilDate;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -133,6 +136,72 @@ fn artifacts_are_byte_identical_to_the_recorded_golden_run() {
     pipeline.run(&day_granules(2)).unwrap();
     assert_eq!(dir_digests(&dir.join("incoming")), INCOMING);
     assert_eq!(dir_digests(&dir.join("outbox")), OUTBOX);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn paper_shape_artifacts_are_byte_identical_to_the_recorded_golden_run() {
+    // The paper's tile geometry: a 384 × 1 280 px day granule cut into 30
+    // tiles of 128 px, every one kept, so each goes through the 128 px
+    // convolutions. Recorded before the encoder's convolutions were
+    // register-blocked. A change to one bit of a radiance or a checksum, or a
+    // latent that moves a tile to another class, moves these digests.
+    const INCOMING: [&str; 3] = [
+        "MOD021KM.A2022001.0015.061.2022003141500.eogr 246e42ecc5860e5d",
+        "MOD03.A2022001.0015.061.2022003141500.eogr dfa6bf1bf750a9f0",
+        "MOD06_L2.A2022001.0015.061.2022003141500.eogr 701100958fa2751d",
+    ];
+    const OUTBOX: [&str; 1] = ["tiles-MOD.A2022001.0015.nc 5a2d597a4ef317a4"];
+    const LATENTS: &str = "86fea69617df77f0";
+    let dims = SwathDims {
+        lines: 384,
+        pixels: 1280,
+    };
+    // Day or night depends on the line count, not the width.
+    let thin = SwathSynthesizer::new(
+        2022,
+        SwathDims {
+            lines: 384,
+            pixels: 16,
+        },
+    );
+    let date = CivilDate::new(2022, 1, 1).unwrap();
+    let day = (0..288)
+        .map(|slot| GranuleId::new(Platform::Terra, date, slot))
+        .find(|&g| thin.synthesize(g).day)
+        .unwrap();
+    let dir = tempdir("golden-paper");
+    let pipeline = RealPipeline::new(&dir, 2022, dims, 128, 2)
+        .unwrap()
+        .with_thresholds(0.0, 0.0);
+    let report = pipeline.run(&[day]).unwrap();
+    assert_eq!(report.labeled_tiles, 30);
+    assert_eq!(dir_digests(&dir.join("incoming")), INCOMING);
+    assert_eq!(dir_digests(&dir.join("outbox")), OUTBOX);
+    // A label moves only when its latent crosses a class boundary, so the
+    // shipped tiles' latents are pinned as well: one bit of a conv moves
+    // them.
+    let nc = NcFile::decode(&std::fs::read(&report.outbox[0]).unwrap()).unwrap();
+    let (tiles, _) = read_tiles_nc(&nc).unwrap();
+    let cfg = AeConfig {
+        in_ch: 6,
+        c1: 8,
+        c2: 16,
+        latent: 24,
+        input: 128,
+        lr: 1e-3,
+        lambda: 0.1,
+    };
+    let model = AiccaModel::pretrained(cfg, 2022);
+    let mut scratch = EncodeScratch::default();
+    let mut bits = Vec::new();
+    for tile in &tiles {
+        for z in model.encoder.encode_slice(&tile.data, &mut scratch) {
+            bits.extend(z.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(bits.len(), 30 * 24 * 4);
+    assert_eq!(format!("{:016x}", fnv1a64(&bits)), LATENTS);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
