@@ -88,7 +88,7 @@ impl AiccaModel {
     /// encoder's activations go in `scratch` (see
     /// [`ConvAutoencoder::encode_slice`]).
     pub fn predict_slice(&self, tile: &[f32], scratch: &mut EncodeScratch) -> usize {
-        nearest(&self.encoder.encode_slice(tile, scratch), &self.centroids)
+        nearest(self.encoder.encode_in(tile, scratch), &self.centroids)
     }
 
     /// Predict a batch (rayon-parallel).

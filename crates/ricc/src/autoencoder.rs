@@ -18,7 +18,7 @@
 
 use crate::rotation::{min_rotation_mse, rot90};
 use crate::tensor::{
-    conv2d_bwd, conv2d_fwd, conv2d_fwd_chw, dense_bwd, dense_fwd, dense_fwd_transposed,
+    conv2d_bwd, conv2d_fwd, conv2d_fwd_chw, dense_bwd, dense_fwd, dense_fwd_transposed_into,
     leaky_relu_bwd, leaky_relu_fwd, leaky_relu_in_place, tconv2d_bwd, tconv2d_fwd, transpose, Adam,
     ConvSpec, Tensor,
 };
@@ -187,12 +187,15 @@ impl Grads {
     }
 }
 
-/// The two convolution outputs of an encoder pass, kept by a caller that
-/// encodes tile after tile ([`ConvAutoencoder::encode_slice`]).
+/// The two convolution outputs of an encoder pass and its latent, kept by a
+/// caller that encodes tile after tile ([`ConvAutoencoder::encode_slice`]).
+/// Each convolution output also keeps the room its call splits input rows
+/// in, so a warm pass allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
     h1: Tensor,
     h2: Tensor,
+    z: Vec<f32>,
 }
 
 /// The model: all parameter buffers plus per-buffer Adam state.
@@ -330,7 +333,9 @@ impl ConvAutoencoder {
 
     /// Encode a tile to its latent vector.
     pub fn encode(&self, x: &Tensor) -> Vec<f32> {
-        self.encode_chw(&x.data, [x.c, x.h, x.w], &mut EncodeScratch::default())
+        let mut scratch = EncodeScratch::default();
+        self.encode_chw(&x.data, [x.c, x.h, x.w], &mut scratch);
+        scratch.z
     }
 
     /// [`encode`](Self::encode) of a tile of the configured input shape held
@@ -338,12 +343,23 @@ impl ConvAutoencoder {
     /// convolutions' outputs in `scratch`, so that encoding tile after tile
     /// allocates them once.
     pub fn encode_slice(&self, x: &[f32], scratch: &mut EncodeScratch) -> Vec<f32> {
+        self.encode_in(x, scratch).to_vec()
+    }
+
+    /// [`encode_slice`](Self::encode_slice) that leaves the latent in
+    /// `scratch` too, so a warm call allocates nothing.
+    pub(crate) fn encode_in<'s>(&self, x: &[f32], scratch: &'s mut EncodeScratch) -> &'s [f32] {
         let shape = [self.cfg.in_ch, self.cfg.input, self.cfg.input];
         self.encode_chw(x, shape, scratch)
     }
 
-    fn encode_chw(&self, x: &[f32], shape: [usize; 3], scratch: &mut EncodeScratch) -> Vec<f32> {
-        let EncodeScratch { h1, h2 } = scratch;
+    fn encode_chw<'s>(
+        &self,
+        x: &[f32],
+        shape: [usize; 3],
+        scratch: &'s mut EncodeScratch,
+    ) -> &'s [f32] {
+        let EncodeScratch { h1, h2, z } = scratch;
         conv2d_fwd_chw(x, shape, &self.w1, &self.b1, self.cfg.c1, DOWN, h1);
         leaky_relu_in_place(h1);
         let h1_shape = [h1.c, h1.h, h1.w];
@@ -357,7 +373,8 @@ impl ConvAutoencoder {
             h2,
         );
         leaky_relu_in_place(h2);
-        dense_fwd_transposed(&h2.data, &self.we_t, &self.be)
+        dense_fwd_transposed_into(&h2.data, &self.we_t, &self.be, z);
+        z
     }
 
     /// Decode a latent vector back to a tile.
