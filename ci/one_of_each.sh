@@ -2,16 +2,16 @@
 # "One of each, on both clocks": the virtual-time worker pool lives once, in
 # eoml-simtime, with one file mover (eoml-transfer) and one task batch
 # (eoml-executor) on top of it; the wall-clock worker pool lives once, in
-# eoml-executor's pool.rs; what a driver remembers lives once, in
-# eoml-core's run journal; and the real driver is one pass of that pool, a
-# worker carrying each granule from download to shipped file. Fails when a
-# second copy of the slot/queue/retry loop or of the append / already-done /
-# halt ledger creeps back into the non-test part of
-# crates/{transfer,executor,core}/src, when the executor, a driver or the
-# compute endpoint starts threads of its own, when realrun.rs grows a second
-# pass or a directory crawl or allocates a granule's buffers afresh, or when
-# a by-name scan returns to the provenance log, and prints the
-# per-crate non-test line counts ROADMAP wants to see fall. Spans live once,
+# eoml-util's pool.rs, and is the one thread source; what a driver
+# remembers lives once, in eoml-core's run journal; and the real driver is
+# one pass of that pool, a worker carrying each granule from download to
+# shipped file. Fails when a second copy of the slot/queue/retry loop or of
+# the append / already-done / halt ledger creeps back into the non-test part
+# of crates/{transfer,executor,core}/src, when the non-test part of any
+# crates/*/src file but util/src/pool.rs starts threads, when realrun.rs
+# grows a second pass or a directory crawl or allocates a granule's buffers
+# afresh, or when a by-name scan returns to the provenance log, and prints
+# the per-crate non-test line counts ROADMAP wants to see fall. Spans live once,
 # in eoml-obs: no `struct Span` / `Vec<Span>` in any other crate's source
 # (core's Telemetry keeps only the Fig. 6 activity series and forwards every
 # interval to the hub); library code reads no environment variable
@@ -19,7 +19,8 @@
 # run-time CPU feature checks stay in the few files that own the byte path's
 # hardware kernels (DESIGN §23). No Cargo.toml names crossbeam or
 # parking_lot: std's channel and locks are all the one pool needs. The hub
-# records one way (DESIGN §8): no live event sink subscribes to it.
+# records one way (DESIGN §8): no live event sink subscribes to it. No
+# manifest under crates/ but the rayon shim's own names rayon.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -76,12 +77,14 @@ if [ -n "$counters" ]; then
   complain "hand-rolled worker counter (active/in_flight/_active += 1) in:"$'\n'"$counters"
 fi
 
-# Starting threads anywhere but executor/src/pool.rs is a second wall-clock
-# pool. The compute endpoint runs each task on the submitting thread.
-threads=$(callers 'thread::(scope\(|spawn\(|Builder)' crates/executor/src crates/core/src crates/compute/src |
-  grep -v '^crates/executor/src/pool\.rs$' || true)
+# Starting threads anywhere but util/src/pool.rs is a second wall-clock
+# pool (DESIGN §17): the executor, the model's batch calls and the
+# service's shards all run on it, and the compute endpoint runs each task
+# on the submitting thread.
+threads=$(callers 'thread::(scope\(|spawn\(|Builder)' crates/*/src |
+  grep -v '^crates/util/src/pool\.rs$' || true)
 if [ -n "$threads" ]; then
-  complain "threads started outside executor/src/pool.rs in:"$'\n'"$threads"
+  complain "threads started outside util/src/pool.rs in:"$'\n'"$threads"
 fi
 
 # The run journal (core/src/run_journal.rs) is the only thing in core's
@@ -160,6 +163,15 @@ manifests=$(find . -name Cargo.toml -not -path '*/target/*' | sort |
   xargs grep -lE '(^|[^_[:alnum:]])(crossbeam|parking_lot)([^_[:alnum:]]|$)' || true)
 if [ -n "$manifests" ]; then
   complain "crossbeam or parking_lot named in:"$'\n'"$manifests"
+fi
+
+# Threads come from the one pool, not from a data-parallel library: only the
+# rayon shim's own manifest names rayon (the benchmark's extraction probe
+# still calls its inline `install`).
+manifests=$(find crates -name Cargo.toml -not -path '*/target/*' -not -path 'crates/shims/rayon/*' |
+  sort | xargs grep -lE '(^|[^_[:alnum:]])rayon([^_[:alnum:]]|$)' || true)
+if [ -n "$manifests" ]; then
+  complain "rayon named in:"$'\n'"$manifests"
 fi
 
 lines() {

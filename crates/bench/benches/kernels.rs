@@ -1,7 +1,6 @@
 //! Criterion microbenchmarks of the computational kernels, plus the
 //! ablation benches DESIGN.md calls out:
 //!
-//! * tile extraction: scalar-equivalent (1 thread) vs rayon data-parallel;
 //! * contention model on vs off (why worker scaling saturates);
 //! * transfer parallel streams 1/2/4/8;
 //! * NetCDF encode/decode and label append;
@@ -50,27 +49,6 @@ fn day_swath() -> eoml_modis::synth::Swath {
         .map(|slot| sy.synthesize(GranuleId::new(Platform::Terra, date, slot)))
         .find(|s| s.day)
         .expect("day granule")
-}
-
-fn bench_tile_extraction(c: &mut Criterion) {
-    let swath = day_swath();
-    let crit = TileCriteria {
-        tile_size: 32,
-        min_ocean_fraction: 0.0,
-        min_cloud_fraction: 0.0,
-    };
-    let mut g = c.benchmark_group("tile_extraction");
-    g.sample_size(10);
-    for threads in [1usize, 2] {
-        g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .unwrap();
-            b.iter(|| pool.install(|| black_box(extract_tiles(&swath, &crit)).len()));
-        });
-    }
-    g.finish();
 }
 
 fn bench_swath_synthesis(c: &mut Criterion) {
@@ -474,7 +452,6 @@ fn bench_crc_and_container(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_tile_extraction,
     bench_swath_synthesis,
     bench_landmask,
     bench_label_writeback,

@@ -2,7 +2,7 @@
 //! them.
 //!
 //! The endpoint starts no threads of its own: the caller's threads are its
-//! workers (in the real driver, the wall-clock pool's, `eoml_executor::pool`),
+//! workers (in the real driver, the wall-clock pool's, `eoml_util::pool`),
 //! so a task's allocations stay with the thread that goes on to use its
 //! output. A submission returns a [`TaskHandle`] that already holds the
 //! task's result. Panics inside functions are captured and reported as task

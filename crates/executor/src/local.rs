@@ -1,9 +1,8 @@
 //! The observed handle on the wall-clock pool: a worker count and an
-//! optional observability hub in front of [`crate::pool::run`].
+//! optional observability hub in front of [`eoml_util::pool`].
 
-use crate::pool;
 use eoml_obs::Obs;
-use std::convert::Infallible;
+use eoml_util::pool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,37 +42,24 @@ impl LocalExecutor {
         work: impl Fn(&mut S, T) -> Result<R, E> + Sync,
         done: impl FnMut(usize, R) -> Result<(), E>,
     ) -> Result<(), E> {
-        let obs = self.obs.as_deref();
-        let observed = |state: &mut S, item: T| {
-            let t0 = Instant::now();
-            let outcome = work(state, item);
-            if let Some(obs) = obs {
-                obs.counter_add("tasks", "executor", 1);
-                obs.observe("task_seconds", "executor", t0.elapsed().as_secs_f64());
-            }
-            outcome
-        };
+        let observed = |state: &mut S, item: T| self.observe(|| work(state, item));
         pool::run(self.workers, items, state, observed, done)
     }
 
-    /// Parallel map preserving input order.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        let Ok(()) = self.run(
-            items,
-            || (),
-            |(), item| Ok::<R, Infallible>(f(item)),
-            |_, r| {
-                out.push(r);
-                Ok(())
-            },
-        );
-        out
+    /// [`pool::map`] on this executor's workers, each item observed.
+    pub fn map<T: Send, R: Send>(&self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        pool::map(self.workers, items, |item| self.observe(|| f(item)))
+    }
+
+    /// Run one item, counted and timed into the hub when one is attached.
+    fn observe<R>(&self, item: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let outcome = item();
+        if let Some(obs) = &self.obs {
+            obs.counter_add("tasks", "executor", 1);
+            obs.observe("task_seconds", "executor", t0.elapsed().as_secs_f64());
+        }
+        outcome
     }
 }
 

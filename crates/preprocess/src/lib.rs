@@ -7,7 +7,7 @@
 //!
 //! * [`tiles`] — tile extraction with the AICCA selection criteria
 //!   (ocean-only, ≥ 30 % cloud), per-tile physical summaries from the MOD06
-//!   fields, and rayon-parallel extraction;
+//!   fields; extraction is serial, one granule per pool worker above it;
 //! * [`writer`] — tiles to NetCDF (record dimension `tile`) and the
 //!   label-append operation stage 4 performs;
 //! * [`pipeline`] — the file-level pipeline: read the three `.eogr` product

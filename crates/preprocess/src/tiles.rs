@@ -2,7 +2,6 @@
 
 use eoml_modis::granule::GranuleId;
 use eoml_modis::synth::{Swath, RADIANCE_FILL};
-use rayon::prelude::*;
 
 /// Tile-selection thresholds (paper defaults: ocean-only tiles with at
 /// least 30 % cloud pixels).
@@ -99,31 +98,26 @@ impl TileSet {
     }
 }
 
-/// Extract and select tiles from a swath (rayon-parallel over the tile
-/// grid). Night granules yield an empty set flagged `skipped_night`.
+/// Extract and select tiles from a swath. Night granules yield an empty set
+/// flagged `skipped_night`.
 pub fn extract_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
     let mut set = select_tiles(swath, criteria);
     cut_tiles(swath, &mut set.tiles);
     set
 }
 
-/// Give each of `tiles` its own copy of its pixels, cut from `swath`
-/// (rayon-parallel over the tiles).
+/// Give each of `tiles` its own copy of its pixels, cut from `swath`.
 pub(crate) fn cut_tiles(swath: &Swath, tiles: &mut [Tile]) {
-    let tiles: Vec<&mut Tile> = tiles.iter_mut().collect();
-    tiles
-        .into_par_iter()
-        .map(|tile| {
-            let mut pixels = vec![0.0; swath.bands.len() * tile.size * tile.size];
-            cut_tile(swath, tile, &mut pixels);
-            tile.data = pixels;
-        })
-        .collect::<()>();
+    for tile in tiles {
+        let mut pixels = vec![0.0; swath.bands.len() * tile.size * tile.size];
+        cut_tile(swath, tile, &mut pixels);
+        tile.data = pixels;
+    }
 }
 
 /// The windows of `swath` that meet `criteria`, as tiles whose `data` is
-/// empty (rayon-parallel over the tile grid): [`extract_tiles`] without the
-/// pixels, which [`cut_tile`] cuts wherever the caller wants them.
+/// empty: [`extract_tiles`] without the pixels, which [`cut_tile`] cuts
+/// wherever the caller wants them.
 pub fn select_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
     assert!(criteria.tile_size > 0);
     if !swath.day {
@@ -135,54 +129,34 @@ pub fn select_tiles(swath: &Swath, criteria: &TileCriteria) -> TileSet {
     let ts = criteria.tile_size;
     let rows = swath.dims.lines / ts;
     let cols = swath.dims.pixels / ts;
-    let windows: Vec<(usize, usize)> = (0..rows)
-        .flat_map(|r| (0..cols).map(move |c| (r, c)))
-        .collect();
-    let candidates = windows.len();
-
-    enum Outcome {
-        Selected(WindowStats),
-        Land,
-        Clear,
-    }
-
-    let outcomes: Vec<Outcome> = windows
-        .par_iter()
-        .map(|&(row, col)| {
-            let stats = window_stats(swath, row, col, ts);
-            if stats.ocean_fraction < criteria.min_ocean_fraction as f32 {
-                return Outcome::Land;
-            }
-            if stats.cloud_fraction < criteria.min_cloud_fraction as f32 {
-                return Outcome::Clear;
-            }
-            Outcome::Selected(stats)
-        })
-        .collect();
-
     let mut set = TileSet {
-        candidates,
+        candidates: rows * cols,
         ..TileSet::default()
     };
-    for (&(row, col), o) in windows.iter().zip(outcomes) {
-        match o {
-            Outcome::Selected(stats) => set.tiles.push(Tile {
-                granule: swath.id,
-                row,
-                col,
-                data: Vec::new(),
-                bands: swath.bands.clone(),
-                size: ts,
-                center_lat: stats.center_lat,
-                center_lon: stats.center_lon,
-                ocean_fraction: stats.ocean_fraction,
-                cloud_fraction: stats.cloud_fraction,
-                mean_cot: stats.mean_cot,
-                mean_ctp: stats.mean_ctp,
-                mean_cer: stats.mean_cer,
-            }),
-            Outcome::Land => set.rejected_land += 1,
-            Outcome::Clear => set.rejected_clear += 1,
+    for row in 0..rows {
+        for col in 0..cols {
+            let stats = window_stats(swath, row, col, ts);
+            if stats.ocean_fraction < criteria.min_ocean_fraction as f32 {
+                set.rejected_land += 1;
+            } else if stats.cloud_fraction < criteria.min_cloud_fraction as f32 {
+                set.rejected_clear += 1;
+            } else {
+                set.tiles.push(Tile {
+                    granule: swath.id,
+                    row,
+                    col,
+                    data: Vec::new(),
+                    bands: swath.bands.clone(),
+                    size: ts,
+                    center_lat: stats.center_lat,
+                    center_lon: stats.center_lon,
+                    ocean_fraction: stats.ocean_fraction,
+                    cloud_fraction: stats.cloud_fraction,
+                    mean_cot: stats.mean_cot,
+                    mean_ctp: stats.mean_ctp,
+                    mean_cer: stats.mean_cer,
+                });
+            }
         }
     }
     set

@@ -19,7 +19,7 @@ use crate::cluster::{agglomerate, assign, centroids, nearest};
 use crate::tensor::Tensor;
 use crate::AICCA_CLASSES;
 use eoml_util::noise::{ridge, Fbm, FbmRowCache};
-use rayon::prelude::*;
+use eoml_util::pool;
 
 /// Encoder + centroids.
 #[derive(Debug, Clone)]
@@ -37,10 +37,14 @@ impl AiccaModel {
         self.centroids.len()
     }
 
-    /// Fit centroids by encoding `sample` tiles, agglomerating to `k`
-    /// clusters (Ward) and taking cluster means.
+    /// Fit centroids by encoding `sample` tiles on the pool, agglomerating
+    /// to `k` clusters (Ward) and taking cluster means.
     pub fn fit(encoder: ConvAutoencoder, sample: &[Tensor], k: usize) -> Self {
-        let latents: Vec<Vec<f32>> = sample.par_iter().map(|t| encoder.encode(t)).collect();
+        Self::fit_on(crate::workers(), encoder, sample, k)
+    }
+
+    fn fit_on(workers: usize, encoder: ConvAutoencoder, sample: &[Tensor], k: usize) -> Self {
+        let latents = pool::map(workers, sample.iter().collect(), |t| encoder.encode(t));
         Self::from_latents(encoder, &latents, k)
     }
 
@@ -48,18 +52,20 @@ impl AiccaModel {
     /// encoder + centroids fitted on `4 × AICCA_CLASSES` synthetic texture
     /// tiles spanning a range of cloud morphologies.
     ///
-    /// Each worker makes a tile, encodes it and keeps only the latent, so
-    /// no more than one sample tile per thread is alive at a time; the
-    /// latents come back in tile order however the indices were split, so
-    /// the model does not depend on the thread count.
+    /// Each pool worker makes a tile, encodes it and keeps only the
+    /// latent, so no more than one sample tile per thread is alive at a
+    /// time; the latents come back in tile order however the workers
+    /// claimed the indices, so the model does not depend on their count.
     pub fn pretrained(cfg: AeConfig, seed: u64) -> Self {
+        Self::pretrained_on(crate::workers(), cfg, seed)
+    }
+
+    fn pretrained_on(workers: usize, cfg: AeConfig, seed: u64) -> Self {
         let encoder = ConvAutoencoder::new(cfg, seed);
         let sample_seed = seed ^ 0x7117E5;
-        let indices: Vec<usize> = (0..4 * AICCA_CLASSES).collect();
-        let latents: Vec<Vec<f32>> = indices
-            .par_iter()
-            .map(|&i| encoder.encode(&synthetic_texture_tile(cfg, sample_seed, i)))
-            .collect();
+        let latents = pool::map(workers, (0..4 * AICCA_CLASSES).collect(), |i| {
+            encoder.encode(&synthetic_texture_tile(cfg, sample_seed, i))
+        });
         Self::from_latents(encoder, &latents, AICCA_CLASSES)
     }
 
@@ -91,9 +97,11 @@ impl AiccaModel {
         nearest(self.encoder.encode_in(tile, scratch), &self.centroids)
     }
 
-    /// Predict a batch (rayon-parallel).
+    /// Predict a batch on the pool, labels in tile order.
     pub fn predict_batch(&self, tiles: &[Tensor]) -> Vec<usize> {
-        tiles.par_iter().map(|t| self.predict(t)).collect()
+        pool::map(crate::workers(), tiles.iter().collect(), |t| {
+            self.predict(t)
+        })
     }
 
     /// Latent representation of one tile.
@@ -244,21 +252,22 @@ mod tests {
         };
         for seed in [0u64, 2022, u64::MAX] {
             let sample = oracle_sample(cfg, 4 * AICCA_CLASSES, seed ^ 0x7117E5);
-            let reference = save_model(&AiccaModel::fit(
-                ConvAutoencoder::new(cfg, seed),
-                &sample,
-                AICCA_CLASSES,
-            ));
+            let encoder = ConvAutoencoder::new(cfg, seed);
+            let reference = save_model(&AiccaModel::fit(encoder.clone(), &sample, AICCA_CLASSES));
             assert!(reference == save_model(&AiccaModel::pretrained(cfg, seed)));
             // The latents must come back in tile order however the 168
-            // indices are chunked over the workers.
-            for threads in [1, 2, 3] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool");
-                let bytes = pool.install(|| save_model(&AiccaModel::pretrained(cfg, seed)));
-                assert!(reference == bytes, "seed {seed}, {threads} threads");
+            // tiles are claimed by the pool's workers.
+            for workers in [1, 2, 3] {
+                let pretrained = AiccaModel::pretrained_on(workers, cfg, seed);
+                assert!(
+                    reference == save_model(&pretrained),
+                    "pretrained, seed {seed}, {workers} workers"
+                );
+                let fit = AiccaModel::fit_on(workers, encoder.clone(), &sample, AICCA_CLASSES);
+                assert!(
+                    reference == save_model(&fit),
+                    "fit, seed {seed}, {workers} workers"
+                );
             }
         }
     }

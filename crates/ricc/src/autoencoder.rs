@@ -13,8 +13,10 @@
 //! are multiples of 4 reconstruct at full size.
 //!
 //! Training minimizes the rotation-invariant loss of [`crate::rotation`]
-//! with Adam; batches are processed sample-parallel with rayon and
-//! gradients reduced before each optimizer step.
+//! with Adam; a batch's samples run on the wall-clock pool
+//! (`eoml_util::pool`) and their gradients are reduced in sample order
+//! before each optimizer step, so the step does not depend on the worker
+//! count.
 
 use crate::rotation::{min_rotation_mse, rot90};
 use crate::tensor::{
@@ -22,8 +24,8 @@ use crate::tensor::{
     leaky_relu_bwd, leaky_relu_fwd, leaky_relu_in_place, tconv2d_bwd, tconv2d_fwd, transpose, Adam,
     ConvSpec, Tensor,
 };
+use eoml_util::pool;
 use eoml_util::rng::{Rng64, Xoshiro256};
-use rayon::prelude::*;
 
 /// Autoencoder hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -503,13 +505,10 @@ impl ConvAutoencoder {
     /// One Adam step over a batch; returns the mean loss.
     pub fn train_batch(&mut self, batch: &[Tensor]) -> f32 {
         assert!(!batch.is_empty());
-        let results: Vec<(f32, Grads)> = batch
-            .par_iter()
-            .map(|x| {
-                let cache = self.forward(x);
-                self.backward(&cache)
-            })
-            .collect();
+        let results = pool::map(crate::workers(), batch.iter().collect(), |x| {
+            let cache = self.forward(x);
+            self.backward(&cache)
+        });
         let mut total = Grads::zeros_like(self);
         let mut loss = 0.0f32;
         for (l, g) in &results {
@@ -537,14 +536,11 @@ impl ConvAutoencoder {
 
     /// Evaluate the mean rotation-invariant loss without training.
     pub fn eval_loss(&self, batch: &[Tensor]) -> f32 {
-        batch
-            .par_iter()
-            .map(|x| {
-                let cache = self.forward(x);
-                self.backward(&cache).0
-            })
-            .sum::<f32>()
-            / batch.len() as f32
+        let losses = pool::map(crate::workers(), batch.iter().collect(), |x| {
+            let cache = self.forward(x);
+            self.backward(&cache).0
+        });
+        losses.into_iter().sum::<f32>() / batch.len() as f32
     }
 }
 

@@ -48,3 +48,12 @@ pub use tensor::Tensor;
 
 /// Number of AICCA cloud classes.
 pub const AICCA_CLASSES: usize = 42;
+
+/// Worker count of the batch calls that run on the wall-clock pool
+/// (`AiccaModel::{pretrained, fit, predict_batch}`,
+/// `ConvAutoencoder::{train_batch, eval_loss}`): the machine's available
+/// parallelism. Their outcomes come back in item order, so no result
+/// depends on it.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

@@ -2,7 +2,7 @@
 //! passes.
 //!
 //! Everything operates on a single sample (channels × height × width);
-//! batching is a loop at the training level (rayon-parallel there). Ops are
+//! batching is at the training level (on the wall-clock pool there). Ops are
 //! written for clarity and verified by finite-difference gradient checks in
 //! the test suite — correctness over peak speed, with the hot inner loops
 //! kept allocation-free.

@@ -39,6 +39,7 @@ use eoml_journal::{JournalError, JournalEvent, Ledger, LedgerLock};
 use eoml_obs::{
     AuditRecord, HealthReport, Obs, ObsReport, OpsConfig, OpsEvent, OpsPlane, WindowDelta,
 };
+use eoml_util::pool;
 use eoml_util::timebase::CivilDate;
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -816,7 +817,7 @@ impl CampaignService {
         report
     }
 
-    /// Drain every shard: one worker thread per shard admits quanta by
+    /// Drain every shard on as many pool workers: each admits quanta by
     /// weighted round-robin until no runnable campaign remains (paused
     /// campaigns park; cancelled ones are skipped). Returns the aggregate
     /// report, or [`ServiceError::Killed`] when the configured kill point
@@ -825,39 +826,31 @@ impl CampaignService {
         if self.halted() {
             return Err(ServiceError::Killed);
         }
-        let worker_errors: Mutex<Vec<ServiceError>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for shard in 0..self.config.shards {
-                let errors = &worker_errors;
-                scope.spawn(move || {
-                    if let Err(e) = self.drain_shard(shard) {
-                        errors.lock().expect("errors poisoned").push(e);
-                    }
-                });
-            }
-        });
+        let shards = self.config.shards;
+        let drained = pool::run(
+            shards,
+            (0..shards).collect(),
+            || (),
+            |(), shard| self.drain_shard(shard),
+            |_, ()| Ok(()),
+        );
         if self.halted() {
             return Err(ServiceError::Killed);
         }
-        let mut errors = worker_errors.into_inner().expect("errors poisoned");
-        match errors.pop() {
-            Some(e) => Err(e),
-            None => {
-                // Quiesced cleanly: close out the partial window, clear
-                // the recovery flag, and log the (possibly transitioned)
-                // health verdict plus an idle marker.
-                if self.ops.is_some() {
-                    let active = self.active_stages();
-                    self.with_ops(|ops| {
-                        ops.force_roll(self.obs.metrics(), &active);
-                        ops.set_recovering(false);
-                        let _ = ops.health();
-                        ops.event("idle", json!({}));
-                    });
-                }
-                Ok(self.service_report())
-            }
+        drained?;
+        // Quiesced cleanly: close out the partial window, clear the
+        // recovery flag, and log the (possibly transitioned) health verdict
+        // plus an idle marker.
+        if self.ops.is_some() {
+            let active = self.active_stages();
+            self.with_ops(|ops| {
+                ops.force_roll(self.obs.metrics(), &active);
+                ops.set_recovering(false);
+                let _ = ops.health();
+                ops.event("idle", json!({}));
+            });
         }
+        Ok(self.service_report())
     }
 
     // ------------------------------------------------------------ internals

@@ -1,299 +1,51 @@
-//! Hermetic shim for `rayon`: `par_iter`/`into_par_iter` + `map` +
-//! `collect`/`sum`, executed on real OS threads via `std::thread::scope`.
+//! Hermetic shim for the slice of `rayon` the wall-clock benchmark's
+//! extraction probe names: `ThreadPoolBuilder::new().num_threads(n).build()`
+//! and `ThreadPool::install`.
 //!
-//! Unlike a sequential stand-in, this shim genuinely parallelises: work is
-//! split into at most `num_threads` order-preserving chunks, one scoped
-//! thread each. `ThreadPool::install` bounds the worker count for every
-//! parallel operation run inside it (thread-local, like rayon's registry),
-//! which is what keeps executor concurrency tests meaningful.
+//! Nothing in the library is rayon-parallel (its threads all come from
+//! `eoml_util::pool`), so `install` runs its closure inline on the calling
+//! thread. The shim stays only for that probe, until the benchmark's walk is
+//! re-based on the library's own API.
 
-use std::cell::Cell;
-use std::fmt;
-
-thread_local! {
-    static POOL_SIZE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-fn current_threads() -> usize {
-    POOL_SIZE
-        .with(|c| c.get())
-        .unwrap_or_else(default_threads)
-        .max(1)
-}
-
-/// Error from [`ThreadPoolBuilder::build`] (never produced by this shim,
-/// kept so `.build().expect(..)` call sites compile unchanged).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "failed to build thread pool")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder for a bounded [`ThreadPool`].
+/// Builder for a [`ThreadPool`].
 #[derive(Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
+pub struct ThreadPoolBuilder;
 
 impl ThreadPoolBuilder {
-    /// Fresh builder with the default (machine) parallelism.
+    /// Fresh builder.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Cap worker count; `0` means "use the default".
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
+    /// Worker count, accepted for API parity: `install` runs inline.
+    pub fn num_threads(self, _n: usize) -> Self {
         self
     }
 
-    /// Naming hook, accepted for API parity. Scoped shim threads are
-    /// short-lived and unnamed.
-    pub fn thread_name<F: FnMut(usize) -> String>(self, _f: F) -> Self {
-        self
-    }
-
-    /// Finalise the pool.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = if self.num_threads == 0 {
-            default_threads()
-        } else {
-            self.num_threads
-        };
-        Ok(ThreadPool { threads })
+    /// Finalise the pool; never fails.
+    pub fn build(self) -> Result<ThreadPool, std::convert::Infallible> {
+        Ok(ThreadPool)
     }
 }
 
-/// A bounded worker pool. Threads are not kept alive between operations;
-/// the pool records the bound that `install` applies to parallel ops.
-pub struct ThreadPool {
-    threads: usize,
-}
+/// A pool under which nothing runs in parallel.
+pub struct ThreadPool;
 
 impl ThreadPool {
-    /// Run `op` with this pool's thread bound in effect for any parallel
-    /// iterator work it performs.
+    /// Run `op` on the calling thread.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let prev = POOL_SIZE.with(|c| c.replace(Some(self.threads)));
-        let out = op();
-        POOL_SIZE.with(|c| c.set(prev));
-        out
+        op()
     }
-
-    /// The configured worker bound.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
-}
-
-/// A parallel iterator over owned items (materialised up front — fine for
-/// the modest batch sizes this workspace processes).
-pub struct ParIter<T> {
-    items: Vec<T>,
-}
-
-/// A mapped parallel iterator; consumed by [`ParMap::collect`] / [`ParMap::sum`].
-pub struct ParMap<T, F> {
-    items: Vec<T>,
-    f: F,
-}
-
-impl<T: Send> ParIter<T> {
-    /// Apply `f` to every item in parallel.
-    pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> ParMap<T, F> {
-        ParMap {
-            items: self.items,
-            f,
-        }
-    }
-}
-
-impl<T: Send, R: Send, F: Fn(T) -> R + Sync> ParMap<T, F> {
-    fn run(self) -> Vec<R> {
-        let ParMap { items, f } = self;
-        let len = items.len();
-        if len == 0 {
-            return Vec::new();
-        }
-        let budget = current_threads();
-        let workers = budget.min(len);
-        if workers == 1 {
-            return items.into_iter().map(&f).collect();
-        }
-        // Nested parallel ops inside a worker share the pool rather than
-        // escaping to full machine parallelism (rayon's pool semantics):
-        // split the thread budget across the workers we spawn.
-        let nested = (budget / workers).max(1);
-        let chunk = len.div_ceil(workers);
-        let mut out: Vec<Vec<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut iter = items.into_iter();
-            loop {
-                let chunk_items: Vec<T> = iter.by_ref().take(chunk).collect();
-                if chunk_items.is_empty() {
-                    break;
-                }
-                let f = &f;
-                handles.push(s.spawn(move || {
-                    POOL_SIZE.with(|c| c.set(Some(nested)));
-                    chunk_items.into_iter().map(f).collect::<Vec<R>>()
-                }));
-            }
-            for h in handles {
-                out.push(h.join().expect("parallel worker panicked"));
-            }
-        });
-        out.into_iter().flatten().collect()
-    }
-
-    /// Gather mapped results, preserving input order.
-    pub fn collect<C: FromIterator<R>>(self) -> C {
-        self.run().into_iter().collect()
-    }
-
-    /// Sum mapped results.
-    pub fn sum<S: std::iter::Sum<R>>(self) -> S {
-        self.run().into_iter().sum()
-    }
-}
-
-/// `par_iter` over anything sliceable (shared references).
-pub trait IntoParallelRefIterator<'a> {
-    /// Borrowed item type.
-    type Item: Send + 'a;
-    /// Parallel iterator over `&self`'s items.
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-/// `into_par_iter` over owned collections.
-pub trait IntoParallelIterator {
-    /// Owned item type.
-    type Item: Send;
-    /// Parallel iterator that takes ownership of the items.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
-/// Glob-import surface matching `rayon::prelude`.
-pub mod prelude {
-    pub use super::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn map_collect_preserves_order() {
-        let v: Vec<u64> = (0..1000).collect();
-        let doubled: Vec<u64> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        let v: Vec<u64> = (1..=100).collect();
-        let s: u64 = v.into_par_iter().map(|x| x).sum();
-        assert_eq!(s, 5050);
-    }
-
-    #[test]
-    fn install_bounds_concurrency() {
+    fn install_runs_the_closure_on_the_calling_thread() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..64).collect();
-        pool.install(|| {
-            let _: Vec<u32> = items
-                .par_iter()
-                .map(|&x| {
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    x
-                })
-                .collect();
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2);
-    }
-
-    #[test]
-    fn nested_par_iter_shares_the_pool_budget() {
-        // A nested par_iter inside a 1-thread pool must not fan out to
-        // machine parallelism; total live workers stays at 1.
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let outer: Vec<u32> = (0..4).collect();
-        pool.install(|| {
-            let _: Vec<u32> = outer
-                .par_iter()
-                .map(|&x| {
-                    let inner: Vec<u32> = (0..8).collect();
-                    inner
-                        .par_iter()
-                        .map(|&y| {
-                            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                            peak.fetch_max(now, Ordering::SeqCst);
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                            live.fetch_sub(1, Ordering::SeqCst);
-                            y
-                        })
-                        .sum::<u32>()
-                        + x
-                })
-                .collect();
-        });
-        assert_eq!(
-            peak.load(Ordering::SeqCst),
-            1,
-            "nested work escaped the pool"
-        );
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let v: Vec<u32> = Vec::new();
-        let out: Vec<u32> = v.into_par_iter().map(|x| x).collect();
-        assert!(out.is_empty());
+        let caller = std::thread::current().id();
+        assert_eq!(pool.install(|| std::thread::current().id()), caller);
     }
 }

@@ -21,11 +21,15 @@
 //!   the range MODIS operates in (2000‒present).
 //! * [`idgen`] — process-wide monotonic id generation for tasks, transfers
 //!   and flow runs.
+//! * [`pool`] — the wall-clock worker pool, the one place the library
+//!   starts threads: dynamic claiming, per-worker state, outcomes delivered
+//!   in item order while the workers run, first failure stops the batch.
 
 pub mod bytes;
 pub mod hash;
 pub mod idgen;
 pub mod noise;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod timebase;

@@ -1,9 +1,13 @@
-//! The wall-clock worker pool: the one place the real runtime starts threads.
+//! The wall-clock worker pool: the one place the library starts threads.
 //!
-//! The virtual clock's counterpart is `eoml_simtime::pool`. The real
-//! driver's compute endpoints start no threads: each task runs on the pool
-//! worker that submits it.
+//! Everything that runs on more than one thread goes through [`run`] or
+//! its stateless form [`map`]: the real driver's granules (through
+//! `eoml_executor::LocalExecutor`), the model bootstrap's sample tiles,
+//! the autoencoder's batches and the campaign service's shards. The virtual
+//! clock's counterpart is `eoml_simtime::pool`. The compute endpoints start
+//! no threads: each task runs on the pool worker that submits it.
 
+use std::convert::Infallible;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -12,16 +16,12 @@ use std::sync::{mpsc, Mutex};
 ///
 /// Each thread builds its own `state` once, then claims the next unclaimed
 /// item until none is left, so a slow item delays only the thread holding
-/// it; the state is dropped when the thread exits. Every outcome goes to `done` on the calling thread, in item order,
-/// while the workers run. The first failure (`work`'s or `done`'s) is
-/// returned and stops items from being claimed; items already claimed
-/// finish, and every worker has exited when this returns, so nothing of
-/// `work` runs after. A panic in a worker is re-raised here once the others
-/// have exited.
-///
-/// A `par_iter` nested in `work` runs under a rayon budget of
-/// `max(1, workers / threads)`: the batch as a whole never has more than
-/// `workers` threads busy, and an item that runs alone gets all of them.
+/// it; the state is dropped when the thread exits. Every outcome goes to
+/// `done` on the calling thread, in item order, while the workers run. The
+/// first failure (`work`'s or `done`'s) is returned and stops items from
+/// being claimed; items already claimed finish, and every worker has exited
+/// when this returns, so nothing of `work` runs after. A panic in a worker
+/// is re-raised here once the others have exited.
 pub fn run<T: Send, S, R: Send, E: Send>(
     workers: usize,
     items: Vec<T>,
@@ -35,10 +35,6 @@ pub fn run<T: Send, S, R: Send, E: Send>(
     if threads == 0 {
         return Ok(());
     }
-    let nested = rayon::ThreadPoolBuilder::new()
-        .num_threads((workers / threads).max(1))
-        .build()
-        .expect("a thread bound always builds");
     let unclaimed = Mutex::new(items.into_iter().enumerate());
     // Publishes no data: it only ends the claiming.
     let stop = AtomicBool::new(false);
@@ -46,20 +42,18 @@ pub fn run<T: Send, S, R: Send, E: Send>(
     std::thread::scope(|pool| {
         let spawned: Vec<_> = (0..threads)
             .map(|_| {
-                let (tx, nested, unclaimed, stop) = (tx.clone(), &nested, &unclaimed, &stop);
+                let (tx, unclaimed, stop) = (tx.clone(), &unclaimed, &stop);
                 let (state, work) = (&state, &work);
                 pool.spawn(move || {
-                    nested.install(|| {
-                        let mut state = state();
-                        while !stop.load(Ordering::Relaxed) {
-                            // `work` runs outside the lock, so a panic in it
-                            // cannot poison the queue.
-                            let claimed = unclaimed.lock().expect("claiming never panics").next();
-                            let Some((i, item)) = claimed else { break };
-                            tx.send((i, work(&mut state, item)))
-                                .expect("the receiver outlives the pool");
-                        }
-                    })
+                    let mut state = state();
+                    while !stop.load(Ordering::Relaxed) {
+                        // `work` runs outside the lock, so a panic in it
+                        // cannot poison the queue.
+                        let claimed = unclaimed.lock().expect("claiming never panics").next();
+                        let Some((i, item)) = claimed else { break };
+                        tx.send((i, work(&mut state, item)))
+                            .expect("the receiver outlives the pool");
+                    }
                 })
             })
             .collect();
@@ -91,12 +85,29 @@ pub fn run<T: Send, S, R: Send, E: Send>(
     })
 }
 
+/// `f` over `items` on `workers` threads of [`run`], outcomes in item
+/// order: a reduction over them in that order has the same bits whatever
+/// the worker count.
+pub fn map<T: Send, R: Send>(workers: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut out = Vec::with_capacity(items.len());
+    let Ok(()) = run(
+        workers,
+        items,
+        || (),
+        |(), item| Ok::<R, Infallible>(f(item)),
+        |_, r| {
+            out.push(r);
+            Ok(())
+        },
+    );
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     const PATIENCE: Duration = Duration::from_secs(10);
 
@@ -212,72 +223,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(built.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn nested_par_iter_stays_within_the_workers() {
-        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let inner: Vec<u32> = (0..8).collect();
-        let work = |(): &mut (), _: u32| {
-            let sum: u32 = inner
-                .par_iter()
-                .map(|&x| {
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(1));
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    x
-                })
-                .sum();
-            Ok::<u32, ()>(sum)
-        };
-        run(
-            2,
-            (0..8).collect(),
-            || (),
-            work,
-            |_, sum| {
-                assert_eq!(sum, 28);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "nested work left the pool"
-        );
-    }
-
-    #[test]
-    fn an_item_running_alone_gets_the_whole_budget() {
-        // Two nested items that each wait for the other can only both
-        // finish if the lone worker's `par_iter` may use both threads.
-        let arrived = AtomicUsize::new(0);
-        let work = |(): &mut (), _: u32| {
-            let met: Vec<bool> = vec![(), ()]
-                .par_iter()
-                .map(|()| {
-                    arrived.fetch_add(1, Ordering::SeqCst);
-                    let deadline = Instant::now() + PATIENCE;
-                    while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
-                        std::thread::yield_now();
-                    }
-                    arrived.load(Ordering::SeqCst) == 2
-                })
-                .collect();
-            Ok::<bool, ()>(met == [true, true])
-        };
-        run(
-            2,
-            vec![0],
-            || (),
-            work,
-            |_, met| {
-                assert!(met, "the nested items ran one after the other");
-                Ok(())
-            },
-        )
-        .unwrap();
     }
 
     #[test]
