@@ -31,7 +31,7 @@ use eoml_util::rng::{Rng64, SplitMix64, Xoshiro256};
 use eoml_util::timebase::CivilDate;
 use eoml_util::units::ByteSize;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -556,15 +556,14 @@ fn finish_download(
         let now_s = now.as_secs_f64();
         let prov = &mut sim.state_mut().provenance;
         for f in &report.files {
-            let attrs = prov.record(
-                format!("defiant:{}", f.name),
+            prov.record(
+                format_args!("defiant:{}", f.name),
                 "download",
-                vec![format!("laads:{}", f.name)],
+                [format_args!("laads:{}", f.name)],
                 "download-pool",
                 now_s,
+                &[("bytes", f.size.as_u64()), ("attempts", f.attempts as u64)],
             );
-            attrs.insert("bytes".into(), f.size.as_u64().to_string());
-            attrs.insert("attempts".into(), f.attempts.to_string());
         }
     }
     {
@@ -710,9 +709,9 @@ fn granule_preprocessed(
     {
         // The granule's own trace interval: submission → completion,
         // so queueing on the node block is visible to trace analysis.
-        let trace = TraceContext::new(granule.to_string());
         let tel = &mut sim.state_mut().telemetry;
-        tel.span("preprocess", "granule", submitted, now, Some(&trace));
+        let trace = tel.obs().map(|_| TraceContext::new(granule.to_string()));
+        tel.span("preprocess", "granule", submitted, now, trace.as_ref());
         tel.count("granules", "preprocess", 1);
     }
     {
@@ -726,18 +725,17 @@ fn granule_preprocessed(
         let file = format!("tiles-{granule}.nc");
         let inputs = ProductKind::all()
             .into_iter()
-            .map(|p| format!("defiant:{}", granule.file_name(p)))
-            .collect();
-        sim.state_mut()
-            .provenance
-            .record(
-                file.clone(),
-                "preprocess",
-                inputs,
-                "parsl-worker",
-                now.as_secs_f64(),
-            )
-            .insert("tiles".into(), format!("{tiles:.0}"));
+            .map(|p| format!("defiant:{}", granule.file_name(p)));
+        // Rounded as `{tiles:.0}` prints it: half to even.
+        let rounded = tiles.round_ties_even() as u64;
+        sim.state_mut().provenance.record(
+            &file,
+            "preprocess",
+            inputs,
+            "parsl-worker",
+            now.as_secs_f64(),
+            &[("tiles", rounded)],
+        );
         sim.state_mut().crawler.announce(file);
     }
 }
@@ -792,8 +790,8 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P, inference: &Inference
         // a counter, so the monitor shows up in traces alongside the four
         // throughput stages.
         let now = sim.now();
-        let trace = granule_trace_id(&file).map(TraceContext::new);
         let tel = &mut sim.state_mut().telemetry;
+        let trace = granule_trace(tel, &file);
         tel.span("monitor", "trigger", now, now, trace.as_ref());
         tel.count("triggers", "monitor", 1);
         let tiles = tile_file_tiles(p.params.seed, &file);
@@ -834,6 +832,13 @@ pub fn granule_trace_id(artifact: &str) -> Option<String> {
         return parse_granule_display(inner).map(|g| g.to_string());
     }
     GranuleId::parse_file_name(name).map(|(g, _)| g.to_string())
+}
+
+/// The trace context of `artifact`'s granule, built only when a hub is
+/// attached: without one [`Telemetry::span`] records nothing.
+pub(crate) fn granule_trace(tel: &Telemetry, artifact: &str) -> Option<TraceContext> {
+    tel.obs()?;
+    granule_trace_id(artifact).map(TraceContext::new)
 }
 
 /// Join provenance lineage with trace analysis: the end-to-end granule
@@ -888,7 +893,7 @@ fn inference_pool(sim: &mut Simulation<World>, progress: &P) -> InferencePool {
             // Each hop pays the Globus-Flows action overhead (~50 ms) and
             // carries the file's granule trace so the flow joins its
             // end-to-end timeline.
-            let (now, trace) = (sim.now(), granule_trace_id(&file).map(TraceContext::new));
+            let (now, trace) = (sim.now(), granule_trace(&sim.state().telemetry, &file));
             let mut overhead = Duration::ZERO;
             for _ in 0..4 {
                 let hop = sim.state_mut().flow_overhead.sample().total();
@@ -922,11 +927,12 @@ fn inference_pool(sim: &mut Simulation<World>, progress: &P) -> InferencePool {
                     .push((file.clone(), ByteSize::bytes(bytes)));
                 let now_s = sim.now().as_secs_f64();
                 sim.state_mut().provenance.record(
-                    format!("labeled:{file}"),
+                    format_args!("labeled:{file}"),
                     "inference",
-                    vec![file],
+                    [&file],
                     "globus-flow",
                     now_s,
+                    &[],
                 );
                 pool.complete(sim, slot, Verdict::Done);
                 // The monitor loop handles the stop/ship decision; but if
@@ -960,30 +966,28 @@ pub(crate) fn build_shipment_manifest(
     // the same id — the destination's idempotency key.
     let mut files: Vec<&(String, ByteSize)> = files.iter().collect();
     files.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut seen: HashSet<(&str, &str)> = HashSet::new();
-    for (name, bytes) in files {
+    for (name, bytes) in &files {
         manifest.artifacts.push(ArtifactEntry {
             name: name.clone(),
             bytes: bytes.as_u64(),
             digest: synthetic_digest(name, bytes.as_u64()),
             trace_id: granule_trace_id(name),
         });
-        // The lineage slice: the destination-side record plus everything
-        // upstream of it, deduplicated — shared ancestors (a granule's
-        // three MODIS products, say) appear once. A re-shipped granule
-        // has two shipment records: the first per (artifact, activity) wins.
-        for rec in prov.upstream_records(&format!("orion:{name}")) {
-            if seen.insert((&rec.artifact, &rec.activity)) {
-                manifest.lineage.push(LineageRecord {
-                    artifact: rec.artifact.clone(),
-                    activity: rec.activity.clone(),
-                    inputs: rec.inputs.clone(),
-                    agent: rec.agent.clone(),
-                    at_s: rec.at_s,
-                });
-            }
-        }
     }
+    // The lineage slice: each destination-side record plus everything
+    // upstream of it, deduplicated — shared ancestors (a granule's three
+    // MODIS products, say) appear once. A re-shipped granule has two
+    // shipment records: the first per (artifact, activity) wins.
+    let shipped = files.iter().map(|(name, _)| format!("orion:{name}"));
+    prov.upstream_records(shipped, |rec| {
+        manifest.lineage.push(LineageRecord {
+            artifact: rec.artifact.to_string(),
+            activity: rec.activity.to_string(),
+            inputs: rec.inputs.iter().map(String::from).collect(),
+            agent: rec.agent.to_string(),
+            at_s: rec.at_s,
+        });
+    });
     manifest
 }
 
@@ -1048,7 +1052,7 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
                 // Per-file traced shipment windows close each granule's
                 // end-to-end trace (download → … → shipment).
                 for (name, from, to) in &report.file_windows {
-                    let trace = granule_trace_id(name).map(TraceContext::new);
+                    let trace = granule_trace(tel, name);
                     tel.span("shipment", "file", *from, *to, trace.as_ref());
                 }
                 tel.count("files_shipped", "shipment", report.files_ok as u64);
@@ -1059,11 +1063,12 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
                 let prov = &mut sim.state_mut().provenance;
                 for (name, ..) in &report.file_windows {
                     prov.record(
-                        format!("orion:{name}"),
+                        format_args!("orion:{name}"),
                         "shipment",
-                        vec![format!("labeled:{name}")],
+                        [format_args!("labeled:{name}")],
                         "globus-transfer",
                         now_s,
+                        &[],
                     );
                 }
             }
@@ -1259,10 +1264,9 @@ mod tests {
         let shipped = r
             .provenance
             .records()
-            .iter()
             .find(|rec| rec.activity == "shipment")
             .expect("shipment recorded");
-        let lineage = r.provenance.lineage(&shipped.artifact);
+        let lineage = r.provenance.lineage(shipped.artifact);
         assert!(
             lineage.iter().any(|a| a.starts_with("laads:MOD021KM")),
             "lineage should reach the MOD02 archive file: {lineage:?}"
@@ -1274,10 +1278,7 @@ mod tests {
         // download + preprocess + inference + shipment records all exist.
         for activity in ["download", "preprocess", "inference", "shipment"] {
             assert!(
-                r.provenance
-                    .records()
-                    .iter()
-                    .any(|x| x.activity == activity),
+                r.provenance.records().any(|x| x.activity == activity),
                 "missing {activity} records"
             );
         }
@@ -1394,12 +1395,12 @@ mod tests {
             chain.extend(scan::lineage(prov, &shipped));
             for artifact in &chain {
                 for rec in scan::producers(prov, artifact) {
-                    if seen.insert((rec.artifact.clone(), rec.activity.clone())) {
+                    if seen.insert((rec.artifact.to_string(), rec.activity.to_string())) {
                         slice.push(LineageRecord {
-                            artifact: rec.artifact.clone(),
-                            activity: rec.activity.clone(),
-                            inputs: rec.inputs.clone(),
-                            agent: rec.agent.clone(),
+                            artifact: rec.artifact.to_string(),
+                            activity: rec.activity.to_string(),
+                            inputs: rec.inputs.iter().map(String::from).collect(),
+                            agent: rec.agent.to_string(),
                             at_s: rec.at_s,
                         });
                     }
@@ -1444,22 +1445,17 @@ mod tests {
                     archive,
                     "pool",
                     1.0,
+                    &[],
                 );
             }
-            let downloaded = products.iter().map(|p| format!("defiant:{p}")).collect();
-            prov.record(tile_file.clone(), "preprocess", downloaded, "worker", 2.0);
+            let downloaded = products.iter().map(|p| format!("defiant:{p}"));
+            prov.record(&tile_file, "preprocess", downloaded, "worker", 2.0, &[]);
             let labeled = format!("labeled:{tile_file}");
-            prov.record(
-                labeled.clone(),
-                "inference",
-                vec![tile_file.clone()],
-                "flow",
-                3.0,
-            );
+            prov.record(&labeled, "inference", [&tile_file], "flow", 3.0, &[]);
             for ship in 0..ships {
                 let at_s = 4.0 + ship as f64;
                 let shipped = format!("orion:{tile_file}");
-                prov.record(shipped, "shipment", vec![labeled.clone()], "transfer", at_s);
+                prov.record(shipped, "shipment", [&labeled], "transfer", at_s, &[]);
             }
             files.push((tile_file, ByteSize::bytes(10)));
         }
@@ -1665,7 +1661,7 @@ mod tests {
             if !rec.artifact.starts_with("orion:") {
                 continue;
             }
-            let trace = trace_for_artifact(&analysis, &rec.artifact)
+            let trace = trace_for_artifact(&analysis, rec.artifact)
                 .unwrap_or_else(|| panic!("no trace behind {}", rec.artifact));
             let stages = trace.stages();
             for stage in ["download", "preprocess", "monitor", "inference", "shipment"] {
@@ -1682,7 +1678,6 @@ mod tests {
         let shipped = r
             .provenance
             .records()
-            .iter()
             .filter(|rec| rec.artifact.starts_with("orion:"))
             .count();
         assert_eq!(shipped, r.labeled_files);

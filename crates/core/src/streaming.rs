@@ -19,8 +19,8 @@
 //! queue.
 
 use crate::campaign::{
-    build_shipment_manifest, granule_tiles, granule_trace_id, preprocess_key, tile_file_tiles,
-    CampaignParams, InferencePool, StageReport, DOWNLOAD_RETRIES,
+    build_shipment_manifest, granule_tiles, granule_trace, granule_trace_id, preprocess_key,
+    tile_file_tiles, CampaignParams, InferencePool, StageReport, DOWNLOAD_RETRIES,
 };
 use crate::run_journal::RunJournal;
 use crate::world::{stage_activity, World};
@@ -577,12 +577,12 @@ fn preprocess_batch(
             }
             let now = sim.now();
             {
-                let trace = TraceContext::new(granule.to_string());
                 let tel = &mut sim.state_mut().telemetry;
-                tel.span("preprocess", "granule", task.started, now, Some(&trace));
+                let trace = tel.obs().map(|_| TraceContext::new(granule.to_string()));
+                tel.span("preprocess", "granule", task.started, now, trace.as_ref());
                 tel.count("granules", "preprocess", 1);
                 if tiles > 0.0 {
-                    tel.span("monitor", "trigger", now, now, Some(&trace));
+                    tel.span("monitor", "trigger", now, now, trace.as_ref());
                     tel.count("triggers", "monitor", 1);
                 }
             }
@@ -618,7 +618,7 @@ fn inference_pool(
             let (pool, labeled) = (pool.clone(), labeled.clone());
             let inf_start = sim.now();
             sim.schedule_in(overhead + compute, move |sim| {
-                let (now, trace) = (sim.now(), granule_trace_id(&file).map(TraceContext::new));
+                let (now, trace) = (sim.now(), granule_trace(&sim.state().telemetry, &file));
                 let tel = &mut sim.state_mut().telemetry;
                 tel.span("inference", "infer", inf_start, now, trace.as_ref());
                 // Ship this labeled file immediately (streaming shipment).
@@ -666,8 +666,8 @@ fn shipment_mover(sim: &mut Simulation<World>, st: &S) -> FileMover<World> {
                 s.ship_log.push((file.name.clone(), file.size));
                 s.last_ship = file.finished;
             }
-            let trace = granule_trace_id(&file.name).map(TraceContext::new);
             let tel = &mut sim.state_mut().telemetry;
+            let trace = granule_trace(tel, &file.name);
             tel.span(
                 "shipment",
                 "ship",

@@ -84,20 +84,25 @@ impl Telemetry {
             .map(|obs| eoml_obs::ResourceGuard::enter(Arc::clone(obs), stage, name))
     }
 
+    /// `stage`'s series; its key is allocated only when the stage is new.
+    fn series(&mut self, stage: &str) -> &mut Vec<(SimTime, usize)> {
+        if !self.activity.contains_key(stage) {
+            self.activity.insert(stage.to_string(), Vec::new());
+        }
+        self.activity.get_mut(stage).expect("inserted above")
+    }
+
     /// Record a worker-count change for a stage.
     pub fn activity_change(&mut self, stage: &str, t: SimTime, active: usize) {
         if let Some(obs) = &self.obs {
             obs.gauge_set("active_workers", stage, active as f64);
         }
-        self.activity
-            .entry(stage.to_string())
-            .or_default()
-            .push((t, active));
+        self.series(stage).push((t, active));
     }
 
     /// Merge a whole activity series (e.g. a batch report's) into a stage.
     pub fn merge_activity(&mut self, stage: &str, series: &[(SimTime, usize)]) {
-        let entry = self.activity.entry(stage.to_string()).or_default();
+        let entry = self.series(stage);
         entry.extend_from_slice(series);
         entry.sort_by_key(|&(t, _)| t);
     }

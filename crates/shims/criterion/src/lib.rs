@@ -104,11 +104,6 @@ impl BenchmarkGroup<'_> {
 pub struct Criterion {}
 
 impl Criterion {
-    /// Default-configured driver.
-    pub fn default() -> Self {
-        Self {}
-    }
-
     /// No-op configuration hook kept for `criterion_group!` parity.
     pub fn configure_from_args(self) -> Self {
         self

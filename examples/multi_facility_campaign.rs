@@ -257,15 +257,13 @@ fn main() {
     let shipped = observed
         .provenance
         .records()
-        .iter()
         .filter(|rec| rec.artifact.starts_with("orion:"))
         .count();
     let covered = observed
         .provenance
         .records()
-        .iter()
         .filter(|rec| rec.artifact.starts_with("orion:"))
-        .filter(|rec| eoml::core::campaign::trace_for_artifact(&analysis, &rec.artifact).is_some())
+        .filter(|rec| eoml::core::campaign::trace_for_artifact(&analysis, rec.artifact).is_some())
         .count();
     println!(
         "  {} end-to-end traces; {covered}/{shipped} shipped files covered",

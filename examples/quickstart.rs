@@ -68,11 +68,10 @@ fn main() {
     if let Some(shipped) = report
         .provenance
         .records()
-        .iter()
         .find(|r| r.activity == "shipment")
     {
         println!("lineage of {}:", shipped.artifact);
-        for ancestor in report.provenance.lineage(&shipped.artifact).iter().take(6) {
+        for ancestor in report.provenance.lineage(shipped.artifact).iter().take(6) {
             println!("  ← {ancestor}");
         }
         println!();

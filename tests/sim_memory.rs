@@ -1,0 +1,51 @@
+//! What a virtual-time campaign keeps: the bytes a finished
+//! `CampaignReport` holds per granule, and the bytes its provenance log
+//! holds per record, have a ceiling (DESIGN §19). Spans `eoml-obs` (the
+//! counting allocator) and `eoml-core` (the campaign and its provenance
+//! log).
+
+use eoml::core::campaign::{run_campaign, CampaignParams};
+use eoml::obs::resource::{self, CountingAlloc};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Live heap bytes a finished 4-day report keeps per granule.
+const REPORT_BYTES_PER_GRANULE: u64 = 3_300;
+/// Live heap bytes its provenance log keeps per record.
+const LOG_BYTES_PER_RECORD: u64 = 335;
+
+#[test]
+fn a_campaign_report_keeps_a_bounded_number_of_bytes_per_granule_and_record() {
+    assert!(resource::counting_active());
+    let params = |days| CampaignParams {
+        days,
+        files_per_day: 288,
+        ..CampaignParams::paper_demo()
+    };
+    // A rehearsal first, so lazy set-up is not charged to the measured run.
+    drop(run_campaign(params(1)));
+    let live = || resource::snapshot().in_use_bytes;
+
+    let before = live();
+    let mut report = run_campaign(params(4));
+    let retained = live() - before;
+    assert_eq!(report.granules, 4 * 288);
+    let per_granule = retained / report.granules as u64;
+
+    let records = report.provenance.len() as u64;
+    let log = std::mem::take(&mut report.provenance);
+    let with_log = live();
+    drop(log);
+    let per_record = (with_log - live()) / records;
+
+    eprintln!("report {per_granule} B/granule, provenance log {per_record} B/record");
+    assert!(
+        per_granule <= REPORT_BYTES_PER_GRANULE,
+        "the report keeps {per_granule} B per granule (ceiling {REPORT_BYTES_PER_GRANULE})"
+    );
+    assert!(
+        per_record <= LOG_BYTES_PER_RECORD,
+        "the provenance log keeps {per_record} B per record (ceiling {LOG_BYTES_PER_RECORD})"
+    );
+}

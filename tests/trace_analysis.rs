@@ -207,9 +207,8 @@ fn campaign_report_agrees_with_registry_and_healthy_run_stays_quiet() {
     let shipped: Vec<&str> = report
         .provenance
         .records()
-        .iter()
         .filter(|r| r.artifact.starts_with("orion:"))
-        .map(|r| r.artifact.as_str())
+        .map(|r| r.artifact)
         .collect();
     assert!(!shipped.is_empty());
     for artifact in shipped {
