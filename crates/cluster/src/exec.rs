@@ -6,12 +6,15 @@
 //! starts or finishes anywhere on the cluster — so, exactly like the
 //! transfer flow network, progress is advanced and rates recomputed on
 //! every change, and a single "next completion" event is kept scheduled.
+//!
+//! Active tasks are kept in the order they were submitted, and tasks that
+//! finish in the same event fire their callbacks in that order. All tasks
+//! on a node share one rate, so it is computed once per node per change.
 
 use crate::contention::ContentionModel;
 use crate::spec::ClusterSpec;
 use eoml_simtime::{EventHandle, SimTime, Simulation};
 use eoml_util::rng::{Rng64, Xoshiro256};
-use std::collections::HashMap;
 
 eoml_util::typed_id!(
     /// Identifier of a running cluster task.
@@ -31,7 +34,7 @@ struct Task<S> {
     node: usize,
     remaining: f64, // tiles
     rate: f64,      // tiles/s
-    on_complete: Option<DoneFn<S>>,
+    on_complete: DoneFn<S>,
 }
 
 /// The running cluster: occupancy, active tasks, statistics.
@@ -40,12 +43,17 @@ pub struct ClusterModel<S> {
     model: ContentionModel,
     /// Active workers per node.
     occupancy: Vec<usize>,
-    tasks: HashMap<u64, Task<S>>,
+    /// Active tasks, in submission order.
+    tasks: Vec<Task<S>>,
     next_id: u64,
     completion_event: Option<EventHandle>,
     last_progress: SimTime,
     rng: Xoshiro256,
     tiles_done: f64,
+    /// Per-worker rate of each node, refreshed on every change.
+    node_rate: Vec<f64>,
+    /// Callbacks of the tasks ending in one completion event.
+    done: Vec<DoneFn<S>>,
 }
 
 impl<S> std::fmt::Debug for ClusterModel<S> {
@@ -66,12 +74,14 @@ impl<S> ClusterModel<S> {
             spec,
             model,
             occupancy: vec![0; nodes],
-            tasks: HashMap::new(),
+            tasks: Vec::new(),
             next_id: 1,
             completion_event: None,
             last_progress: SimTime::ZERO,
             rng: Xoshiro256::seed_from(seed ^ 0x0C10_57E2),
             tiles_done: 0.0,
+            node_rate: vec![0.0; nodes],
+            done: Vec::new(),
         }
     }
 
@@ -109,7 +119,7 @@ impl<S> ClusterModel<S> {
     fn progress_to(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_progress).as_secs_f64();
         if dt > 0.0 {
-            for t in self.tasks.values_mut() {
+            for t in &mut self.tasks {
                 t.remaining = (t.remaining - t.rate * dt).max(0.0);
             }
         }
@@ -118,16 +128,19 @@ impl<S> ClusterModel<S> {
 
     fn recompute_rates(&mut self) {
         let active_nodes = self.active_nodes();
-        for t in self.tasks.values_mut() {
-            t.rate = self
-                .model
-                .per_worker_rate(self.occupancy[t.node], active_nodes);
+        for (rate, &workers) in self.node_rate.iter_mut().zip(&self.occupancy) {
+            if workers > 0 {
+                *rate = self.model.per_worker_rate(workers, active_nodes);
+            }
+        }
+        for t in &mut self.tasks {
+            t.rate = self.node_rate[t.node];
         }
     }
 
     fn next_completion_in(&self) -> Option<std::time::Duration> {
         self.tasks
-            .values()
+            .iter()
             .filter(|t| t.rate > 0.0)
             .map(|t| t.remaining / t.rate)
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
@@ -139,6 +152,7 @@ const COMPLETE_EPS: f64 = 1e-6;
 
 /// Start a task of `work_tiles` tiles on `node`, occupying one worker slot.
 /// Per-task work jitter (the contention model's `work_cv`) is applied here.
+/// Tasks ending in the same event fire `on_complete` in submission order.
 /// Panics if the node is out of range or already fully occupied (one worker
 /// per core).
 pub fn submit_task<S: HasCluster>(
@@ -163,15 +177,12 @@ pub fn submit_task<S: HasCluster>(
     };
     cl.progress_to(now);
     cl.occupancy[node] += 1;
-    cl.tasks.insert(
-        id,
-        Task {
-            node,
-            remaining: work.max(1e-9),
-            rate: 0.0,
-            on_complete: Some(Box::new(on_complete)),
-        },
-    );
+    cl.tasks.push(Task {
+        node,
+        remaining: work.max(1e-9),
+        rate: 0.0,
+        on_complete: Box::new(on_complete),
+    });
     cl.recompute_rates();
     reschedule::<S>(sim);
     TaskId::from_raw(id)
@@ -195,22 +206,22 @@ fn complete_due<S: HasCluster>(sim: &mut Simulation<S>) {
     let cl = sim.state_mut().cluster();
     cl.completion_event = None;
     cl.progress_to(now);
-    let done: Vec<u64> = cl
-        .tasks
-        .iter()
-        .filter(|(_, t)| t.remaining <= COMPLETE_EPS)
-        .map(|(&id, _)| id)
-        .collect();
-    let mut callbacks = Vec::with_capacity(done.len());
-    for id in done {
-        let mut task = cl.tasks.remove(&id).expect("due task");
-        cl.occupancy[task.node] -= 1;
-        callbacks.push(task.on_complete.take().expect("callback"));
+    let mut done = std::mem::take(&mut cl.done);
+    let mut i = 0;
+    while i < cl.tasks.len() {
+        if cl.tasks[i].remaining <= COMPLETE_EPS {
+            let task = cl.tasks.remove(i);
+            cl.occupancy[task.node] -= 1;
+            done.push(task.on_complete);
+        } else {
+            i += 1;
+        }
     }
     cl.recompute_rates();
-    for cb in callbacks {
+    for cb in done.drain(..) {
         cb(sim);
     }
+    sim.state_mut().cluster().done = done;
     reschedule::<S>(sim);
 }
 
@@ -352,6 +363,28 @@ mod tests {
         let f = done.borrow();
         let a = f.iter().find(|(n, _)| *n == "A").unwrap().1;
         assert!((a - expect_a).abs() < 0.05, "A at {a}, expected {expect_a}");
+    }
+
+    #[test]
+    fn simultaneous_completions_fire_in_start_order() {
+        // Four tasks of equal work on one node, no work jitter: all four
+        // end in the same completion event, and their callbacks fire in
+        // the order the tasks were submitted, in every repetition.
+        for _ in 0..30 {
+            let mut s = sim(1, no_jitter());
+            let order = Rc::new(RefCell::new(Vec::new()));
+            for i in 0..4 {
+                let order = Rc::clone(&order);
+                submit_task(&mut s, 0, 150.0, move |sim| {
+                    order.borrow_mut().push((i, sim.now()));
+                });
+            }
+            s.run();
+            let order = order.borrow();
+            let starts: Vec<u32> = order.iter().map(|&(i, _)| i).collect();
+            assert_eq!(starts, [0, 1, 2, 3]);
+            assert!(order.iter().all(|&(_, t)| t == order[0].1));
+        }
     }
 
     #[test]

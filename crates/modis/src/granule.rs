@@ -45,12 +45,6 @@ impl GranuleId {
         UtcTime::from_date(self.date) + Duration::from_secs(self.slot as u64 * 300)
     }
 
-    /// `HHMM` string of the slot start.
-    pub fn hhmm(&self) -> String {
-        let mins = self.slot as u32 * 5;
-        format!("{:02}{:02}", mins / 60, mins % 60)
-    }
-
     /// Seconds since the platform's epoch-of-day 0 — used by the
     /// synthesizer to phase the orbit (continuous across days).
     pub fn orbit_time_s(&self) -> f64 {
@@ -63,16 +57,27 @@ impl GranuleId {
         // Production timestamp: deterministic fiction two days after
         // acquisition, as LAADS production lags acquisition.
         let prod_date = CivilDate::from_days_from_epoch(self.date.days_from_epoch() + 2);
-        format!(
-            "{}.A{:04}{:03}.{}.{}.{:04}{:03}141500.eogr",
-            product.short_name(self.platform),
-            self.date.year(),
-            self.date.ordinal(),
-            self.hhmm(),
-            COLLECTION,
-            prod_date.year(),
-            prod_date.ordinal(),
-        )
+        let mut name = NameBuf::default();
+        name.push(product.short_name(self.platform));
+        self.push_acquisition(&mut name);
+        name.push(".");
+        name.push(COLLECTION);
+        name.push(".");
+        name.push_padded(prod_date.year(), 4);
+        name.push_padded(prod_date.ordinal().into(), 3);
+        name.push("141500.eogr");
+        String::from(name.as_str())
+    }
+
+    /// Append `.A<YYYY><DDD>.<HHMM>`, the acquisition part of both names.
+    fn push_acquisition(&self, name: &mut NameBuf) {
+        let mins = i32::from(self.slot) * 5;
+        name.push(".A");
+        name.push_padded(self.date.year(), 4);
+        name.push_padded(self.date.ordinal().into(), 3);
+        name.push(".");
+        name.push_padded(mins / 60, 2);
+        name.push_padded(mins % 60, 2);
     }
 
     /// Parse a file name produced by [`file_name`](Self::file_name).
@@ -109,14 +114,66 @@ impl GranuleId {
 
 impl fmt::Display for GranuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}.A{:04}{:03}.{}",
-            self.platform.prefix(),
-            self.date.year(),
-            self.date.ordinal(),
-            self.hhmm()
-        )
+        let mut name = NameBuf::default();
+        name.push(self.platform.prefix());
+        self.push_acquisition(&mut name);
+        f.write_str(name.as_str())
+    }
+}
+
+/// A granule name assembled on the stack, so that it reaches its `String`
+/// or `Formatter` in one write of its final length. 64 bytes hold the
+/// longest file name even with 11-character years.
+struct NameBuf {
+    bytes: [u8; 64],
+    len: usize,
+}
+
+impl Default for NameBuf {
+    fn default() -> Self {
+        Self {
+            bytes: [0; 64],
+            len: 0,
+        }
+    }
+}
+
+impl NameBuf {
+    fn push(&mut self, s: &str) {
+        self.push_bytes(s.as_bytes());
+    }
+
+    fn push_bytes(&mut self, b: &[u8]) {
+        self.bytes[self.len..self.len + b.len()].copy_from_slice(b);
+        self.len += b.len();
+    }
+
+    /// Append `v` as `format!("{v:0width$}")` prints it: the sign, then
+    /// zeros up to `width` characters, then the digits.
+    fn push_padded(&mut self, v: i32, width: usize) {
+        // Filled with '0' first, so starting the slice early pads it.
+        let mut digits = [b'0'; 11];
+        let mut n = v.unsigned_abs();
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if v < 0 {
+            self.push("-");
+            at = at.min(digits.len() + 1 - width.max(1));
+        } else {
+            at = at.min(digits.len() - width);
+        }
+        self.push_bytes(&digits[at..]);
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("ASCII name")
     }
 }
 
@@ -132,11 +189,11 @@ mod tests {
     fn slot_times() {
         let g = GranuleId::new(Platform::Terra, day1(), 0);
         assert_eq!(g.start_time().iso8601(), "2022-01-01T00:00:00Z");
-        assert_eq!(g.hhmm(), "0000");
+        assert_eq!(g.to_string(), "MOD.A2022001.0000");
         let g = GranuleId::new(Platform::Terra, day1(), 1);
-        assert_eq!(g.hhmm(), "0005");
+        assert_eq!(g.to_string(), "MOD.A2022001.0005");
         let g = GranuleId::new(Platform::Terra, day1(), 287);
-        assert_eq!(g.hhmm(), "2355");
+        assert_eq!(g.to_string(), "MOD.A2022001.2355");
         assert_eq!(g.start_time().iso8601(), "2022-01-01T23:55:00Z");
     }
 
@@ -188,8 +245,8 @@ mod tests {
     fn day_granules_covers_day() {
         let all: Vec<_> = GranuleId::day_granules(Platform::Aqua, day1()).collect();
         assert_eq!(all.len(), 288);
-        assert_eq!(all[0].hhmm(), "0000");
-        assert_eq!(all[287].hhmm(), "2355");
+        assert_eq!(all[0].to_string(), "MYD.A2022001.0000");
+        assert_eq!(all[287].to_string(), "MYD.A2022001.2355");
         // Unique and sorted.
         for w in all.windows(2) {
             assert!(w[0] < w[1]);
@@ -201,6 +258,70 @@ mod tests {
         let g1 = GranuleId::new(Platform::Terra, day1(), 287);
         let g2 = GranuleId::new(Platform::Terra, day1().succ(), 0);
         assert!((g2.orbit_time_s() - g1.orbit_time_s() - 300.0).abs() < 1e-9);
+    }
+
+    /// The names as `format!` wrote them before they were assembled on the
+    /// stack; kept here as the oracle.
+    fn oracle_names(g: GranuleId, product: ProductKind) -> (String, String) {
+        let short = match product {
+            ProductKind::Mod02 => format!("{}021KM", g.platform.prefix()),
+            ProductKind::Mod03 => format!("{}03", g.platform.prefix()),
+            ProductKind::Mod06 => format!("{}06_L2", g.platform.prefix()),
+        };
+        let mins = g.slot as u32 * 5;
+        let hhmm = format!("{:02}{:02}", mins / 60, mins % 60);
+        let prod_date = CivilDate::from_days_from_epoch(g.date.days_from_epoch() + 2);
+        let file = format!(
+            "{}.A{:04}{:03}.{}.{}.{:04}{:03}141500.eogr",
+            short,
+            g.date.year(),
+            g.date.ordinal(),
+            hhmm,
+            COLLECTION,
+            prod_date.year(),
+            prod_date.ordinal(),
+        );
+        let display = format!(
+            "{}.A{:04}{:03}.{}",
+            g.platform.prefix(),
+            g.date.year(),
+            g.date.ordinal(),
+            hhmm
+        );
+        (file, display)
+    }
+
+    #[test]
+    fn names_equal_the_format_oracle_on_every_slot() {
+        let dates = [
+            (2022, 1, 1),
+            (2020, 2, 28),
+            (2020, 2, 29),
+            (2020, 12, 30),
+            (2020, 12, 31),
+            (2021, 12, 31),
+            (999, 3, 4),
+            (12345, 6, 7),
+            (-5, 12, 31),
+        ];
+        for (y, m, d) in dates {
+            let date = CivilDate::new(y, m, d).unwrap();
+            for platform in Platform::all() {
+                for g in GranuleId::day_granules(platform, date) {
+                    for product in ProductKind::all() {
+                        let (file, display) = oracle_names(g, product);
+                        let name = g.file_name(product);
+                        assert_eq!(name, file);
+                        assert_eq!(name.capacity(), name.len(), "{name}");
+                        assert_eq!(g.to_string(), display);
+                    }
+                }
+            }
+        }
+        // The production date crosses into the next year.
+        let g = GranuleId::new(Platform::Aqua, CivilDate::new(2020, 12, 30).unwrap(), 0);
+        let name = g.file_name(ProductKind::Mod06);
+        assert!(name.ends_with(".2021001141500.eogr"), "{name}");
     }
 
     #[test]

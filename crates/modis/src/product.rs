@@ -57,12 +57,14 @@ pub enum ProductKind {
 
 impl ProductKind {
     /// LAADS short name for the product on `platform`.
-    pub fn short_name(&self, platform: Platform) -> String {
-        let p = platform.prefix();
-        match self {
-            ProductKind::Mod02 => format!("{p}021KM"),
-            ProductKind::Mod03 => format!("{p}03"),
-            ProductKind::Mod06 => format!("{p}06_L2"),
+    pub fn short_name(&self, platform: Platform) -> &'static str {
+        match (self, platform) {
+            (ProductKind::Mod02, Platform::Terra) => "MOD021KM",
+            (ProductKind::Mod02, Platform::Aqua) => "MYD021KM",
+            (ProductKind::Mod03, Platform::Terra) => "MOD03",
+            (ProductKind::Mod03, Platform::Aqua) => "MYD03",
+            (ProductKind::Mod06, Platform::Terra) => "MOD06_L2",
+            (ProductKind::Mod06, Platform::Aqua) => "MYD06_L2",
         }
     }
 
@@ -153,7 +155,7 @@ mod tests {
         for kind in ProductKind::all() {
             for platform in Platform::all() {
                 let name = kind.short_name(platform);
-                assert_eq!(ProductKind::parse_short_name(&name), Some((kind, platform)));
+                assert_eq!(ProductKind::parse_short_name(name), Some((kind, platform)));
             }
         }
         assert_eq!(ProductKind::parse_short_name("MOD35"), None);

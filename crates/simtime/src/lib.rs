@@ -31,7 +31,10 @@
 //!
 //! * **Determinism** — ties at the same timestamp fire in scheduling order
 //!   (a monotone sequence number breaks ties), so a simulation is a pure
-//!   function of its inputs and seed.
+//!   function of its inputs and seed. The fluid models built on the engine
+//!   keep the rule: flows (`eoml-transfer`) and tasks (`eoml-cluster`) that
+//!   finish in the same event fire their callbacks in the order they
+//!   started, never in a hash order.
 //! * **Cancelability** — [`Simulation::cancel`] revokes a scheduled event;
 //!   the fair-share network model reschedules completion events whenever the
 //!   set of active flows changes.
@@ -47,7 +50,7 @@ pub use clock::{Clock, RealClock, VirtualClock};
 pub use pool::{Pool, PoolSummary, Verdict};
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
@@ -159,7 +162,10 @@ impl<S> Ord for Scheduled<S> {
 pub struct Simulation<S> {
     now: SimTime,
     queue: BinaryHeap<Scheduled<S>>,
-    cancelled: HashSet<u64>,
+    /// Sequence numbers of cancelled events still in the queue: a handful
+    /// at most, since a model cancels only the one completion event it
+    /// replaces.
+    cancelled: Vec<u64>,
     next_seq: u64,
     executed: u64,
     state: S,
@@ -171,7 +177,7 @@ impl<S> Simulation<S> {
         Self {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            cancelled: Vec::new(),
             next_seq: 0,
             executed: 0,
             state,
@@ -249,7 +255,7 @@ impl<S> Simulation<S> {
             return false;
         }
         if self.queue.iter().any(|e| e.seq == handle.0) {
-            self.cancelled.insert(handle.0);
+            self.cancelled.push(handle.0);
             true
         } else {
             false
@@ -260,7 +266,7 @@ impl<S> Simulation<S> {
     /// queue is exhausted.
     pub fn step(&mut self) -> bool {
         while let Some(ev) = self.queue.pop() {
-            if self.cancelled.remove(&ev.seq) {
+            if self.forget_cancelled(ev.seq) {
                 continue;
             }
             debug_assert!(ev.time >= self.now, "event queue went backwards");
@@ -270,6 +276,17 @@ impl<S> Simulation<S> {
             return true;
         }
         false
+    }
+
+    /// Drop `seq` from the cancelled list; whether it was there.
+    fn forget_cancelled(&mut self, seq: u64) -> bool {
+        match self.cancelled.iter().position(|&s| s == seq) {
+            Some(i) => {
+                self.cancelled.swap_remove(i);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Run until no events remain.
@@ -287,7 +304,7 @@ impl<S> Simulation<S> {
                 match self.queue.peek() {
                     Some(ev) if self.cancelled.contains(&ev.seq) => {
                         let seq = self.queue.pop().expect("peeked").seq;
-                        self.cancelled.remove(&seq);
+                        self.forget_cancelled(seq);
                     }
                     other => break other.map(|e| e.time),
                 }

@@ -9,6 +9,12 @@
 //! the standard fluid-flow network technique, exact for piecewise-constant
 //! rates.
 //!
+//! Active flows are kept in the order they started moving bytes, and flows
+//! that finish in the same event fire their callbacks in that order, so a
+//! run does not depend on hashing. Each flow's stream cap is fixed when it
+//! starts, and the filling scratch and the due-callback buffer are kept
+//! across events, so a rate change allocates nothing.
+//!
 //! The network is generic over the simulation state `S`; the host state
 //! implements [`HasNetwork`] to expose its embedded [`FlowNetwork`], which
 //! lets one simulation compose the network with the cluster and workflow
@@ -19,7 +25,6 @@ use crate::faults::{FaultPlan, FlowOutcome};
 use eoml_simtime::{EventHandle, SimTime, Simulation};
 use eoml_util::rng::{Rng64, Xoshiro256};
 use eoml_util::units::ByteSize;
-use std::collections::HashMap;
 use std::time::Duration;
 
 eoml_util::typed_id!(
@@ -39,26 +44,38 @@ type CompletionFn<S> = Box<dyn FnOnce(&mut Simulation<S>, FlowOutcome)>;
 struct Flow<S> {
     src: usize,
     dst: usize,
+    /// Per-flow stream cap, bytes/s: the smaller of the two endpoints'.
+    cap: f64,
     /// Bytes still to move before this attempt ends.
     remaining: f64,
     /// Current fair-share rate, bytes/s.
     rate: f64,
     /// Outcome to report when the attempt ends (pre-sampled).
     outcome: FlowOutcome,
-    on_complete: Option<CompletionFn<S>>,
+    on_complete: CompletionFn<S>,
 }
 
 /// The flow network: endpoints plus currently active flows.
 pub struct FlowNetwork<S> {
     endpoints: Vec<Endpoint>,
-    by_name: HashMap<String, usize>,
-    flows: HashMap<u64, Flow<S>>,
+    /// Active flows, in the order they started moving bytes.
+    flows: Vec<Flow<S>>,
     next_id: u64,
     completion_event: Option<EventHandle>,
     last_progress: SimTime,
     fault_plan: FaultPlan,
     rng: Xoshiro256,
     bytes_delivered: f64,
+    /// Progressive-filling scratch, kept across events: remaining egress
+    /// and ingress capacity per endpoint, their unassigned users this
+    /// round, and whether each flow has its rate yet.
+    egress: Vec<f64>,
+    ingress: Vec<f64>,
+    egress_users: Vec<usize>,
+    ingress_users: Vec<usize>,
+    assigned: Vec<bool>,
+    /// Callbacks of the flows ending in one completion event.
+    due: Vec<(CompletionFn<S>, FlowOutcome)>,
 }
 
 impl<S> std::fmt::Debug for FlowNetwork<S> {
@@ -76,31 +93,40 @@ impl<S> FlowNetwork<S> {
     pub fn new(seed: u64, fault_plan: FaultPlan) -> Self {
         Self {
             endpoints: Vec::new(),
-            by_name: HashMap::new(),
-            flows: HashMap::new(),
+            flows: Vec::new(),
             next_id: 1,
             completion_event: None,
             last_progress: SimTime::ZERO,
             fault_plan,
             rng: Xoshiro256::seed_from(seed ^ 0x7AAF_F10A),
             bytes_delivered: 0.0,
+            egress: Vec::new(),
+            ingress: Vec::new(),
+            egress_users: Vec::new(),
+            ingress_users: Vec::new(),
+            assigned: Vec::new(),
+            due: Vec::new(),
         }
     }
 
     /// Register an endpoint; names must be unique.
     pub fn add_endpoint(&mut self, ep: Endpoint) {
         assert!(
-            !self.by_name.contains_key(&ep.name),
+            self.index_of(&ep.name).is_none(),
             "duplicate endpoint {:?}",
             ep.name
         );
-        self.by_name.insert(ep.name.clone(), self.endpoints.len());
         self.endpoints.push(ep);
+    }
+
+    /// Position of the endpoint called `name` (a network has a handful).
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.endpoints.iter().position(|e| e.name == name)
     }
 
     /// Look up an endpoint by name.
     pub fn endpoint(&self, name: &str) -> Option<&Endpoint> {
-        self.by_name.get(name).map(|&i| &self.endpoints[i])
+        self.index_of(name).map(|i| &self.endpoints[i])
     }
 
     /// Number of currently active flows.
@@ -117,7 +143,7 @@ impl<S> FlowNetwork<S> {
     fn progress_to(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_progress).as_secs_f64();
         if dt > 0.0 {
-            for flow in self.flows.values_mut() {
+            for flow in &mut self.flows {
                 flow.remaining = (flow.remaining - flow.rate * dt).max(0.0);
             }
         }
@@ -125,90 +151,89 @@ impl<S> FlowNetwork<S> {
     }
 
     /// Max-min fair share (progressive filling) over egress, ingress and
-    /// per-flow caps.
+    /// per-flow caps, visiting flows in start order.
     fn recompute_rates(&mut self) {
-        let ids: Vec<u64> = self.flows.keys().copied().collect();
-        if ids.is_empty() {
+        if self.flows.is_empty() {
             return;
         }
+        let links = self.endpoints.len();
         // Remaining capacity per endpoint link.
-        let mut egress: Vec<f64> = self
-            .endpoints
-            .iter()
-            .map(|e| e.egress.as_bytes_per_sec())
-            .collect();
-        let mut ingress: Vec<f64> = self
-            .endpoints
-            .iter()
-            .map(|e| e.ingress.as_bytes_per_sec())
-            .collect();
-        let mut unassigned: Vec<u64> = ids.clone();
-        // Per-flow cap: min of the two endpoints' stream caps.
-        let cap_of = |net: &Self, id: u64| -> (usize, usize, f64) {
-            let f = &net.flows[&id];
-            let cap = net.endpoints[f.src]
-                .stream_cap
-                .as_bytes_per_sec()
-                .min(net.endpoints[f.dst].stream_cap.as_bytes_per_sec());
-            (f.src, f.dst, cap)
-        };
+        self.egress.clear();
+        self.egress
+            .extend(self.endpoints.iter().map(|e| e.egress.as_bytes_per_sec()));
+        self.ingress.clear();
+        self.ingress
+            .extend(self.endpoints.iter().map(|e| e.ingress.as_bytes_per_sec()));
+        self.assigned.clear();
+        self.assigned.resize(self.flows.len(), false);
+        let (egress, ingress) = (&mut self.egress, &mut self.ingress);
+        let mut unassigned = self.flows.len();
 
-        while !unassigned.is_empty() {
+        while unassigned > 0 {
             // Fair share offered by each saturating constraint.
-            let mut egress_users = vec![0usize; self.endpoints.len()];
-            let mut ingress_users = vec![0usize; self.endpoints.len()];
-            for &id in &unassigned {
-                let (s, d, _) = cap_of(self, id);
-                egress_users[s] += 1;
-                ingress_users[d] += 1;
+            self.egress_users.clear();
+            self.egress_users.resize(links, 0);
+            self.ingress_users.clear();
+            self.ingress_users.resize(links, 0);
+            let (egress_users, ingress_users) = (&mut self.egress_users, &mut self.ingress_users);
+            let open = || {
+                self.flows
+                    .iter()
+                    .zip(self.assigned.iter())
+                    .filter(|(_, &done)| !done)
+                    .map(|(f, _)| f)
+            };
+            for f in open() {
+                egress_users[f.src] += 1;
+                ingress_users[f.dst] += 1;
             }
             // The binding increment: the smallest of (a) any flow's own cap,
             // (b) any link's equal share among its unassigned flows.
             let mut limit = f64::INFINITY;
-            for &id in &unassigned {
-                let (s, d, cap) = cap_of(self, id);
+            for f in open() {
                 limit = limit
-                    .min(cap)
-                    .min(egress[s] / egress_users[s] as f64)
-                    .min(ingress[d] / ingress_users[d] as f64);
+                    .min(f.cap)
+                    .min(egress[f.src] / egress_users[f.src] as f64)
+                    .min(ingress[f.dst] / ingress_users[f.dst] as f64);
             }
             debug_assert!(limit.is_finite() && limit >= 0.0);
             // Assign `limit` to every flow whose constraint binds at it;
             // others keep waiting for the next round with reduced links.
-            let mut still = Vec::with_capacity(unassigned.len());
-            for &id in &unassigned {
-                let (s, d, cap) = cap_of(self, id);
-                let binds = cap <= limit + 1e-9
+            let mut fixed = 0;
+            for (f, done) in self.flows.iter_mut().zip(self.assigned.iter_mut()) {
+                if *done {
+                    continue;
+                }
+                let (s, d) = (f.src, f.dst);
+                let binds = f.cap <= limit + 1e-9
                     || egress[s] / egress_users[s] as f64 <= limit + 1e-9
                     || ingress[d] / ingress_users[d] as f64 <= limit + 1e-9;
                 if binds {
-                    let rate = limit.min(cap);
-                    self.flows.get_mut(&id).expect("flow exists").rate = rate;
-                    egress[s] = (egress[s] - rate).max(0.0);
-                    ingress[d] = (ingress[d] - rate).max(0.0);
-                } else {
-                    still.push(id);
+                    f.rate = limit.min(f.cap);
+                    egress[s] = (egress[s] - f.rate).max(0.0);
+                    ingress[d] = (ingress[d] - f.rate).max(0.0);
+                    *done = true;
+                    fixed += 1;
                 }
             }
-            if still.len() == unassigned.len() {
+            if fixed == 0 {
                 // Numerical fallback: assign the limit to everything left.
-                for &id in &still {
-                    let (s, d, cap) = cap_of(self, id);
-                    let rate = limit.min(cap);
-                    self.flows.get_mut(&id).expect("flow exists").rate = rate;
-                    egress[s] = (egress[s] - rate).max(0.0);
-                    ingress[d] = (ingress[d] - rate).max(0.0);
+                let left = self.flows.iter_mut().zip(&self.assigned);
+                for (f, _) in left.filter(|(_, &done)| !done) {
+                    f.rate = limit.min(f.cap);
+                    egress[f.src] = (egress[f.src] - f.rate).max(0.0);
+                    ingress[f.dst] = (ingress[f.dst] - f.rate).max(0.0);
                 }
                 break;
             }
-            unassigned = still;
+            unassigned -= fixed;
         }
     }
 
     /// Earliest completion among active flows.
     fn next_completion_in(&self) -> Option<Duration> {
         self.flows
-            .values()
+            .iter()
             .filter(|f| f.rate > 0.0)
             .map(|f| f.remaining / f.rate)
             .min_by(|a, b| a.partial_cmp(b).expect("finite"))
@@ -221,7 +246,8 @@ const COMPLETE_EPS: f64 = 0.5; // half a byte
 /// Start a flow of `size` bytes from endpoint `src` to endpoint `dst`.
 /// The source's `request_overhead` (with ±15 % jitter) elapses before bytes
 /// move. `on_complete` fires when the attempt ends (success or injected
-/// fault).
+/// fault); flows ending in the same event fire in the order they started
+/// moving bytes.
 pub fn start_flow<S: HasNetwork>(
     sim: &mut Simulation<S>,
     src: &str,
@@ -230,13 +256,11 @@ pub fn start_flow<S: HasNetwork>(
     on_complete: impl FnOnce(&mut Simulation<S>, FlowOutcome) + 'static,
 ) -> FlowId {
     let net = sim.state_mut().network();
-    let src_i = *net
-        .by_name
-        .get(src)
+    let src_i = net
+        .index_of(src)
         .unwrap_or_else(|| panic!("unknown endpoint {src:?}"));
-    let dst_i = *net
-        .by_name
-        .get(dst)
+    let dst_i = net
+        .index_of(dst)
         .unwrap_or_else(|| panic!("unknown endpoint {dst:?}"));
     let id = net.next_id;
     net.next_id += 1;
@@ -253,22 +277,24 @@ pub fn start_flow<S: HasNetwork>(
     let overhead_s =
         net.endpoints[src_i].request_overhead.as_secs_f64() * net.rng.lognormal_mean_cv(1.0, 0.15);
     let overhead = Duration::from_secs_f64(overhead_s);
+    let cap = net.endpoints[src_i]
+        .stream_cap
+        .as_bytes_per_sec()
+        .min(net.endpoints[dst_i].stream_cap.as_bytes_per_sec());
 
     sim.schedule_in(overhead, move |sim| {
         let now = sim.now();
         let net = sim.state_mut().network();
         net.progress_to(now);
-        net.flows.insert(
-            id,
-            Flow {
-                src: src_i,
-                dst: dst_i,
-                remaining: effective,
-                rate: 0.0,
-                outcome,
-                on_complete: Some(Box::new(on_complete)),
-            },
-        );
+        net.flows.push(Flow {
+            src: src_i,
+            dst: dst_i,
+            cap,
+            remaining: effective,
+            rate: 0.0,
+            outcome,
+            on_complete: Box::new(on_complete),
+        });
         net.recompute_rates();
         reschedule::<S>(sim);
     });
@@ -294,23 +320,23 @@ fn complete_due<S: HasNetwork>(sim: &mut Simulation<S>) {
     let net = sim.state_mut().network();
     net.completion_event = None;
     net.progress_to(now);
-    let done: Vec<u64> = net
-        .flows
-        .iter()
-        .filter(|(_, f)| f.remaining <= COMPLETE_EPS)
-        .map(|(&id, _)| id)
-        .collect();
-    let mut callbacks = Vec::with_capacity(done.len());
-    for id in done {
-        let mut flow = net.flows.remove(&id).expect("due flow");
-        callbacks.push((flow.on_complete.take().expect("callback"), flow.outcome));
+    let mut due = std::mem::take(&mut net.due);
+    let mut i = 0;
+    while i < net.flows.len() {
+        if net.flows[i].remaining <= COMPLETE_EPS {
+            let flow = net.flows.remove(i);
+            due.push((flow.on_complete, flow.outcome));
+        } else {
+            i += 1;
+        }
     }
     net.recompute_rates();
     // Delivered-byte accounting happens in the service layer via
     // `note_delivered`, which knows the logical file sizes.
-    for (cb, outcome) in callbacks {
+    for (cb, outcome) in due.drain(..) {
         cb(sim, outcome);
     }
+    sim.state_mut().network().due = due;
     reschedule::<S>(sim);
 }
 
@@ -551,6 +577,32 @@ mod tests {
             v
         }
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn simultaneous_completions_fire_in_start_order() {
+        // Four equal flows over one 40 MB/s egress, no request overhead:
+        // all four end in the same completion event, and their callbacks
+        // fire in the order the flows started, in every repetition.
+        for _ in 0..30 {
+            let mut sim = sim_with(vec![
+                ep("a", 40.0, 40.0, 1000.0),
+                ep("b", 1000.0, 1000.0, 1000.0),
+            ]);
+            let order = Rc::new(RefCell::new(Vec::new()));
+            for i in 0..4 {
+                let order = Rc::clone(&order);
+                start_flow(&mut sim, "a", "b", ByteSize::mb(10), move |sim, out| {
+                    assert!(out.is_success());
+                    order.borrow_mut().push((i, sim.now()));
+                });
+            }
+            sim.run();
+            let order = order.borrow();
+            let starts: Vec<u32> = order.iter().map(|&(i, _)| i).collect();
+            assert_eq!(starts, [0, 1, 2, 3]);
+            assert!(order.iter().all(|&(_, t)| t == SimTime::from_secs_f64(1.0)));
+        }
     }
 
     #[test]

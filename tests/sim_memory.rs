@@ -1,8 +1,10 @@
-//! What a virtual-time campaign keeps: the bytes a finished
-//! `CampaignReport` holds per granule, and the bytes its provenance log
-//! holds per record, have a ceiling (DESIGN §19). Spans `eoml-obs` (the
-//! counting allocator) and `eoml-core` (the campaign and its provenance
-//! log).
+//! What a virtual-time campaign keeps and what it costs the allocator: the
+//! bytes a finished `CampaignReport` holds per granule, the bytes its
+//! provenance log holds per record (DESIGN §19), and the allocator calls
+//! the run makes per granule (DESIGN §28) each have a ceiling. Spans
+//! `eoml-obs` (the counting allocator) and `eoml-core` (the campaign, its
+//! provenance log and the simulator engines under it). The counters are
+//! process-wide, so every reading stays in the one test function.
 
 use eoml::core::campaign::{run_campaign, CampaignParams};
 use eoml::obs::resource::{self, CountingAlloc};
@@ -14,6 +16,9 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 const REPORT_BYTES_PER_GRANULE: u64 = 3_300;
 /// Live heap bytes its provenance log keeps per record.
 const LOG_BYTES_PER_RECORD: u64 = 335;
+/// Allocator calls (reallocations included) the 4-day run makes per
+/// granule.
+const ALLOCATIONS_PER_GRANULE: u64 = 56;
 
 #[test]
 fn a_campaign_report_keeps_a_bounded_number_of_bytes_per_granule_and_record() {
@@ -27,11 +32,13 @@ fn a_campaign_report_keeps_a_bounded_number_of_bytes_per_granule_and_record() {
     drop(run_campaign(params(1)));
     let live = || resource::snapshot().in_use_bytes;
 
-    let before = live();
+    let (before, calls_before) = (live(), resource::snapshot().allocation_count);
     let mut report = run_campaign(params(4));
     let retained = live() - before;
+    let calls = resource::snapshot().allocation_count - calls_before;
     assert_eq!(report.granules, 4 * 288);
     let per_granule = retained / report.granules as u64;
+    let calls_per_granule = calls / report.granules as u64;
 
     let records = report.provenance.len() as u64;
     let log = std::mem::take(&mut report.provenance);
@@ -39,7 +46,10 @@ fn a_campaign_report_keeps_a_bounded_number_of_bytes_per_granule_and_record() {
     drop(log);
     let per_record = (with_log - live()) / records;
 
-    eprintln!("report {per_granule} B/granule, provenance log {per_record} B/record");
+    eprintln!(
+        "report {per_granule} B/granule, provenance log {per_record} B/record, \
+         {calls_per_granule} allocations/granule"
+    );
     assert!(
         per_granule <= REPORT_BYTES_PER_GRANULE,
         "the report keeps {per_granule} B per granule (ceiling {REPORT_BYTES_PER_GRANULE})"
@@ -47,5 +57,10 @@ fn a_campaign_report_keeps_a_bounded_number_of_bytes_per_granule_and_record() {
     assert!(
         per_record <= LOG_BYTES_PER_RECORD,
         "the provenance log keeps {per_record} B per record (ceiling {LOG_BYTES_PER_RECORD})"
+    );
+    assert!(
+        calls_per_granule <= ALLOCATIONS_PER_GRANULE,
+        "the campaign makes {calls_per_granule} allocations per granule \
+         (ceiling {ALLOCATIONS_PER_GRANULE})"
     );
 }
