@@ -21,9 +21,7 @@ use eoml_obs::{GranuleTrace, Obs, TraceAnalysis, TraceContext};
 use eoml_simtime::{Pool, SimTime, Simulation, Verdict};
 use eoml_transfer::backoff::BackoffPolicy;
 use eoml_transfer::faults::FaultPlan;
-use eoml_transfer::manifest::{
-    synthetic_digest, ArtifactEntry, JournalDigest, LineageRecord, ShipmentManifest,
-};
+use eoml_transfer::manifest::{synthetic_digest, ArtifactEntry, JournalDigest, ShipmentManifest};
 use eoml_transfer::pool::{DownloadPool, DownloadReport, FileTiming};
 use eoml_transfer::service::{submit_transfer, TransferOptions, TransferReport, TransferTaskId};
 use eoml_transfer::sync::JournalSync;
@@ -192,6 +190,9 @@ pub struct CampaignReport {
     pub labeled_files: usize,
     /// End-to-end makespan, seconds.
     pub makespan_s: f64,
+    /// Events the simulator executed: its work, which a linear simulator
+    /// does a fixed amount of per granule.
+    pub events: u64,
     /// Artifact lineage across all five stages.
     pub provenance: crate::provenance::ProvenanceLog,
     /// The stage-5 shipment manifest the destination facility verifies
@@ -399,6 +400,7 @@ fn run_inner(
     while progress.borrow().journal.check().is_ok() && sim.step() {}
     progress.borrow().journal.check()?;
 
+    let events = sim.events_executed();
     let world = sim.into_state();
     let p = Rc::try_unwrap(progress)
         .unwrap_or_else(|_| panic!("campaign closures leaked"))
@@ -423,6 +425,7 @@ fn run_inner(
         stages: p.stages,
         telemetry: world.telemetry,
         makespan_s,
+        events,
     })
 }
 
@@ -453,7 +456,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             }
             (files, p.params.download_workers)
         };
-        let starting = JournalEvent::stage_started("download");
+        let starting = || JournalEvent::stage_started("download");
         if progress.borrow_mut().journal.once(starting).is_err() {
             return;
         }
@@ -511,7 +514,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             obs,
             |file| granule_trace_id(file).map(TraceContext::new),
             move |_sim, timing: &FileTiming| {
-                let downloaded = JournalEvent::FileDownloaded {
+                let downloaded = || JournalEvent::FileDownloaded {
                     file: timing.name.clone(),
                     bytes: timing.size.as_u64(),
                 };
@@ -519,7 +522,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
                 let _ = hook_progress.borrow_mut().journal.record(downloaded);
             },
             move |sim, mut report| {
-                let finished = JournalEvent::stage_finished("download");
+                let finished = || JournalEvent::stage_finished("download");
                 if progress2.borrow_mut().journal.record(finished).is_err() {
                     return;
                 }
@@ -583,7 +586,7 @@ fn finish_download(
 // ------------------------------------------------------- stage 2: preprocess
 
 fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
-    let starting = JournalEvent::stage_started("preprocess");
+    let starting = || JournalEvent::stage_started("preprocess");
     if progress.borrow_mut().journal.once(starting).is_err() {
         return;
     }
@@ -608,11 +611,15 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
         let mut pending = Vec::new();
         let mut announce = Vec::new();
         for (granule, tiles) in work {
-            let key = preprocess_key(granule, tiles);
-            if !p.journal.resume().has_tile_file(&key) {
+            // Only a journaled run has work to replay, so only it names it.
+            let key = p
+                .journal
+                .is_journaled()
+                .then(|| preprocess_key(granule, tiles));
+            let Some(key) = key.filter(|key| p.journal.resume().has_tile_file(key)) else {
                 pending.push((granule, tiles));
                 continue;
-            }
+            };
             p.granules_done += 1;
             if tiles > 0.0 {
                 p.day_tiles.insert(granule, tiles);
@@ -698,7 +705,7 @@ fn granule_preprocessed(
         .resource_scope("preprocess", "granule");
     // The completion record must be durable before the counters move:
     // a crash between the two re-runs this granule, never loses it.
-    let written = JournalEvent::TileFileWritten {
+    let written = || JournalEvent::TileFileWritten {
         file: preprocess_key(granule, tiles),
         tiles: tiles.round() as u64,
     };
@@ -723,9 +730,7 @@ fn granule_preprocessed(
     }
     if tiles > 0.0 {
         let file = format!("tiles-{granule}.nc");
-        let inputs = ProductKind::all()
-            .into_iter()
-            .map(|p| format!("defiant:{}", granule.file_name(p)));
+        let inputs = ProductKind::all().map(|p| Sited("defiant", granule.file(p)));
         // Rounded as `{tiles:.0}` prints it: half to even.
         let rounded = tiles.round_ties_even() as u64;
         sim.state_mut().provenance.record(
@@ -740,11 +745,21 @@ fn granule_preprocessed(
     }
 }
 
+/// A file name as a facility's disk knows it, `<site>:<name>`, printed
+/// straight into the provenance log.
+struct Sited<T>(&'static str, T);
+
+impl<T: std::fmt::Display> std::fmt::Display for Sited<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}", self.0, self.1)
+    }
+}
+
 /// The preprocessing batch drained: close the stage and ship if inference
 /// has already caught up.
 fn finish_preprocess(sim: &mut Simulation<World>, progress: &P, started: SimTime) {
     progress.borrow_mut().preprocess_done = true;
-    let finished = JournalEvent::stage_finished("preprocess");
+    let finished = || JournalEvent::stage_finished("preprocess");
     if progress.borrow_mut().journal.once(finished).is_err() {
         return;
     }
@@ -782,7 +797,7 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P, inference: &Inference
             // completed for this file; its labels were replayed at resume.
             continue;
         }
-        let trigger = JournalEvent::MonitorTriggered { file: file.clone() };
+        let trigger = || JournalEvent::MonitorTriggered { file: file.clone() };
         if p.journal.once(trigger).is_err() {
             return;
         }
@@ -910,7 +925,7 @@ fn inference_pool(sim: &mut Simulation<World>, progress: &P) -> InferencePool {
             let (progress, pool) = (Rc::clone(&progress), pool.clone());
             sim.schedule_in(overhead + compute, move |sim| {
                 let bytes = (tiles * progress.borrow().params.tile_nc_bytes as f64) as u64;
-                let labeled = JournalEvent::LabelsAppended {
+                let labeled = || JournalEvent::LabelsAppended {
                     file: file.clone(),
                     labels: tiles.round() as u64,
                     bytes,
@@ -978,16 +993,9 @@ pub(crate) fn build_shipment_manifest(
     // upstream of it, deduplicated — shared ancestors (a granule's three
     // MODIS products, say) appear once. A re-shipped granule has two
     // shipment records: the first per (artifact, activity) wins.
-    let shipped = files.iter().map(|(name, _)| format!("orion:{name}"));
-    prov.upstream_records(shipped, |rec| {
-        manifest.lineage.push(LineageRecord {
-            artifact: rec.artifact.to_string(),
-            activity: rec.activity.to_string(),
-            inputs: rec.inputs.iter().map(String::from).collect(),
-            agent: rec.agent.to_string(),
-            at_s: rec.at_s,
-        });
-    });
+    // The records name their artifacts by id in the log's own name table.
+    let shipped = files.iter().map(|(name, _)| Sited("orion", name));
+    manifest.lineage = prov.shipment_lineage(shipped);
     manifest
 }
 
@@ -1003,7 +1011,7 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
         (p.labeled.clone(), replay)
     };
     let started = sim.now();
-    let starting = JournalEvent::stage_started("shipment");
+    let starting = || JournalEvent::stage_started("shipment");
     if progress.borrow_mut().journal.once(starting).is_err() {
         return;
     }
@@ -1034,14 +1042,14 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
         files,
         TransferOptions::default(),
         move |sim, report| {
-            let shipped = JournalEvent::ShipmentFinished {
+            let shipped = || JournalEvent::ShipmentFinished {
                 files: report.files_ok as u64,
                 bytes: report.bytes.as_u64(),
             };
             if progress2.borrow_mut().journal.record(shipped).is_err() {
                 return;
             }
-            let finished = JournalEvent::stage_finished("shipment");
+            let finished = || JournalEvent::stage_finished("shipment");
             if progress2.borrow_mut().journal.record(finished).is_err() {
                 return;
             }
@@ -1113,6 +1121,7 @@ fn close_shipment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eoml_transfer::manifest::Lineage;
 
     fn small_report() -> CampaignReport {
         run_campaign(CampaignParams::small())
@@ -1367,11 +1376,7 @@ mod tests {
             .iter()
             .any(|l| l.activity == "download" && l.inputs.iter().any(|i| i.starts_with("laads:"))));
         // Shared ancestors appear once.
-        let mut keys: Vec<_> = m
-            .lineage
-            .iter()
-            .map(|l| (l.artifact.clone(), l.activity.clone()))
-            .collect();
+        let mut keys: Vec<_> = m.lineage.iter().map(|l| (l.artifact, l.activity)).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), m.lineage.len(), "duplicate lineage records");
@@ -1379,16 +1384,17 @@ mod tests {
 
     /// The manifest's lineage slice as `build_shipment_manifest` built it
     /// before the provenance index: a scan per artifact of each file's chain,
-    /// deduplicated on cloned `(artifact, activity)` pairs. The reference.
+    /// deduplicated on cloned `(artifact, activity)` pairs, its names copied
+    /// into a table of its own. The reference.
     fn scanned_lineage_slice(
         files: &[(String, ByteSize)],
         prov: &crate::provenance::ProvenanceLog,
-    ) -> Vec<LineageRecord> {
+    ) -> Lineage {
         use crate::provenance::scan;
         let mut names: Vec<&String> = files.iter().map(|f| &f.0).collect();
         names.sort();
         let mut seen = std::collections::BTreeSet::new();
-        let mut slice = Vec::new();
+        let mut slice = Lineage::default();
         for name in names {
             let shipped = format!("orion:{name}");
             let mut chain = vec![shipped.clone()];
@@ -1396,13 +1402,9 @@ mod tests {
             for artifact in &chain {
                 for rec in scan::producers(prov, artifact) {
                     if seen.insert((rec.artifact.to_string(), rec.activity.to_string())) {
-                        slice.push(LineageRecord {
-                            artifact: rec.artifact.to_string(),
-                            activity: rec.activity.to_string(),
-                            inputs: rec.inputs.iter().map(String::from).collect(),
-                            agent: rec.agent.to_string(),
-                            at_s: rec.at_s,
-                        });
+                        let artifact = slice.intern(rec.artifact);
+                        let inputs: Vec<u32> = rec.inputs.iter().map(|i| slice.intern(i)).collect();
+                        slice.push(artifact, rec.activity, inputs, rec.agent, rec.at_s);
                     }
                 }
             }
@@ -1467,7 +1469,8 @@ mod tests {
             "six records per granule, re-ship or not"
         );
         assert_eq!(
-            m.lineage[0].artifact, "orion:tiles-a.nc",
+            m.lineage.iter().next().map(|l| l.artifact),
+            Some("orion:tiles-a.nc"),
             "files in name order"
         );
         let reshipped: Vec<f64> = m
@@ -1477,6 +1480,62 @@ mod tests {
             .map(|l| l.at_s)
             .collect();
         assert_eq!(reshipped, [4.0], "the first shipment record wins");
+    }
+
+    #[test]
+    fn the_manifest_shares_the_logs_names_and_keeps_its_own_when_the_log_grows() {
+        let mut prov = crate::provenance::ProvenanceLog::new();
+        prov.record("defiant:a", "download", ["laads:a"], "pool", 1.0, &[]);
+        prov.record("a.nc", "preprocess", ["defiant:a"], "worker", 2.0, &[]);
+        prov.record("orion:a.nc", "shipment", ["a.nc"], "xfer", 3.0, &[]);
+        let files = [("a.nc".to_string(), ByteSize::bytes(10))];
+        let m = build_shipment_manifest("src", "dst", &files, &prov, None, 9.0);
+        assert!(Arc::ptr_eq(m.lineage.names(), prov.names()), "one table");
+        assert_eq!(m.lineage.len(), 3);
+        let text = m.to_json().to_string();
+        // Known names only: the table is still shared.
+        prov.record("orion:a.nc", "shipment", ["a.nc"], "xfer", 4.0, &[]);
+        assert!(Arc::ptr_eq(m.lineage.names(), prov.names()));
+        // A new name copies the log's table; the manifest keeps the old one.
+        prov.record("b.nc", "preprocess", ["defiant:b"], "worker", 5.0, &[]);
+        assert!(!Arc::ptr_eq(m.lineage.names(), prov.names()));
+        assert_eq!(m.lineage.names().len(), 4);
+        assert_eq!(prov.names().len(), 6);
+        assert_eq!(m.to_json().to_string(), text);
+        let back = ShipmentManifest::from_json(&m.to_json()).unwrap();
+        assert_eq!(back, m, "equal by name, whatever the table");
+        assert!(!Arc::ptr_eq(back.lineage.names(), m.lineage.names()));
+        assert_eq!(back.id(), m.id());
+    }
+
+    #[test]
+    fn events_and_names_reached_per_granule_are_flat_from_4_to_16_days() {
+        // The count twins of CI's wall-clock scaling exponent: a simulator
+        // linear in days executes a fixed number of events per granule, and
+        // the manifest's lineage walk reaches a fixed number of names per
+        // granule. A per-artifact scan of the provenance log (the quadratic
+        // simulator) makes the second grow with the campaign.
+        let per_granule = [4, 8, 16].map(|days| {
+            let r = run_campaign(CampaignParams {
+                days,
+                files_per_day: 288,
+                ..CampaignParams::paper_demo()
+            });
+            let m = r.manifest.as_ref().expect("campaign produced a manifest");
+            let shipped = m.artifacts.iter().map(|a| format!("orion:{}", a.name));
+            let reached = r.provenance.upstream_records(shipped, |_| {});
+            let granules = r.granules as f64;
+            [r.events as f64 / granules, reached as f64 / granules]
+        });
+        for (k, count) in ["events", "names reached"].iter().enumerate() {
+            let series = per_granule.map(|c| c[k]);
+            let lo = series.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = series.iter().copied().fold(0.0, f64::max);
+            assert!(
+                lo > 0.0 && hi <= 1.02 * lo,
+                "{count} per granule: {series:?}"
+            );
+        }
     }
 
     #[test]

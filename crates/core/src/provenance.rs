@@ -9,7 +9,8 @@
 //! this labeled file come from?" (full upstream lineage) — and exports JSON
 //! for external tooling.
 //!
-//! Every name is stored once and records refer to names by id (DESIGN §19).
+//! Every name is stored once, in a [`NameTable`] that the shipment manifests
+//! built from the log share, and records refer to names by id (DESIGN §19).
 //! What each query costs, with N records in the log:
 //! [`record`](ProvenanceLog::record) is O(1) per name it is given — one
 //! hash lookup each, and a name already seen costs no memory;
@@ -20,9 +21,11 @@
 //! edges); [`records`](ProvenanceLog::records) hands out borrowed views
 //! and copies nothing.
 
-use eoml_util::hash::fnv1a64;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use eoml_transfer::manifest::Lineage;
+use eoml_util::names::{NameList, NameTable};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// One provenance record, borrowed from its log: `activity` produced
 /// `artifact` from `inputs`.
@@ -32,8 +35,8 @@ pub struct ProvRecord<'a> {
     pub artifact: &'a str,
     /// The producing activity (e.g. `"preprocess"`).
     pub activity: &'static str,
-    /// Input artifacts consumed.
-    pub inputs: Inputs<'a>,
+    /// Input artifacts consumed, in the order recorded.
+    pub inputs: NameList<'a>,
     /// The agent that performed the activity.
     pub agent: &'static str,
     /// Virtual/wall seconds when the artifact was produced.
@@ -42,96 +45,8 @@ pub struct ProvRecord<'a> {
     pub attrs: &'a [(&'static str, u64)],
 }
 
-/// A record's input names, borrowed from its log.
-#[derive(Clone, Copy)]
-pub struct Inputs<'a> {
-    names: &'a Names,
-    ids: &'a [u32],
-}
-
-impl<'a> Inputs<'a> {
-    /// The names, in the order recorded.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
-        let names = self.names;
-        self.ids.iter().map(move |&id| names.get(id))
-    }
-}
-
-impl PartialEq for Inputs<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl fmt::Debug for Inputs<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// End of a chain (of names in a bucket, of records producing a name).
+/// End of a chain of records producing a name.
 const END: u32 = u32::MAX;
-
-/// Every name the log has seen, each stored once: name `id` is
-/// `text[ends[id - 1]..ends[id]]`.
-#[derive(Clone, Default)]
-struct Names {
-    text: String,
-    ends: Vec<u32>,
-    /// Bucket (the low 32 bits of a name's FNV-1a hash) → its latest name;
-    /// the others are chained through `next`.
-    buckets: HashMap<u32, u32>,
-    /// Per name: the previous name in the same bucket, or [`END`].
-    next: Vec<u32>,
-}
-
-impl Names {
-    fn bucket(name: &str) -> u32 {
-        fnv1a64(name.as_bytes()) as u32
-    }
-
-    fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    fn get(&self, id: u32) -> &str {
-        let id = id as usize;
-        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
-        &self.text[start..self.ends[id] as usize]
-    }
-
-    /// The id of `name` among the names of its bucket.
-    fn find_in(&self, bucket: u32, name: &str) -> Option<u32> {
-        let head = self.buckets.get(&bucket).copied();
-        std::iter::successors(head, |&id| {
-            Some(self.next[id as usize]).filter(|&n| n != END)
-        })
-        .find(|&id| self.get(id) == name)
-    }
-
-    fn find(&self, name: &str) -> Option<u32> {
-        self.find_in(Self::bucket(name), name)
-    }
-
-    /// The id of `name`, new or not. The name is written straight onto the
-    /// end of `text`, and taken back off when it is already there.
-    fn intern(&mut self, name: impl fmt::Display) -> u32 {
-        let start = self.text.len();
-        write!(self.text, "{name}").expect("a String takes any text");
-        let written = &self.text[start..];
-        let bucket = Self::bucket(written);
-        if let Some(id) = self.find_in(bucket, written) {
-            self.text.truncate(start);
-            return id;
-        }
-        let id = u32::try_from(self.ends.len()).expect("fewer than 2^32 names");
-        let end = u32::try_from(self.text.len()).expect("fewer than 4 GiB of names");
-        self.ends.push(end);
-        let head = self.buckets.entry(bucket).or_insert(END);
-        self.next.push(std::mem::replace(head, id));
-        id
-    }
-}
 
 /// One record as stored: names by id, and the ends of its runs of
 /// `inputs` and `attrs` (each run starts where the previous record's ends).
@@ -150,7 +65,11 @@ struct Rec {
 /// An append-only provenance log, indexed by artifact name.
 #[derive(Clone, Default)]
 pub struct ProvenanceLog {
-    names: Names,
+    /// Every name, once; shared with the shipment manifests built from the
+    /// log, and copied on the first new name after such a build.
+    names: Arc<NameTable>,
+    /// The name being interned, written out before it is looked up.
+    scratch: String,
     /// Per name: the first and last record producing it, or [`END`]s.
     producers: Vec<(u32, u32)>,
     records: Vec<Rec>,
@@ -175,9 +94,12 @@ impl ProvenanceLog {
         Self::default()
     }
 
-    /// A name's id, new or not.
+    /// A name's id, new or not. A new name goes into the table, which is
+    /// copied first if a manifest still shares it.
     fn intern(&mut self, name: impl fmt::Display) -> u32 {
-        let id = self.names.intern(name);
+        self.scratch.clear();
+        write!(self.scratch, "{name}").expect("a String takes any text");
+        let id = NameTable::intern(&mut self.names, &self.scratch);
         if id as usize == self.producers.len() {
             self.producers.push((END, END));
         }
@@ -239,10 +161,7 @@ impl ProvenanceLog {
         ProvRecord {
             artifact: self.names.get(r.artifact),
             activity: r.activity,
-            inputs: Inputs {
-                names: &self.names,
-                ids: self.input_ids(i),
-            },
+            inputs: NameList::new(&self.names, self.input_ids(i)),
             agent: r.agent,
             at_s: r.at_s,
             attrs: &self.attrs[self.run(i, |r| r.attrs_end)],
@@ -324,19 +243,24 @@ impl ProvenanceLog {
     }
 
     /// The records behind `artifacts`, each `(artifact, activity)` once, the
-    /// first wins — a shipment manifest's lineage slice: for each artifact
-    /// in turn its producers, then those of its lineage, in lineage order.
-    /// One mark per name says whether a walk already reached it; such a
-    /// name's producers, and those of its whole ancestry, were handed out
-    /// then, so it is not walked again.
-    pub(crate) fn upstream_records<'a>(
-        &'a self,
-        artifacts: impl IntoIterator<Item = impl AsRef<str>>,
-        mut visit: impl FnMut(ProvRecord<'a>),
-    ) {
+    /// first wins — a shipment manifest's lineage slice: `visit` gets, for
+    /// each artifact in turn, the index of its producers, then those of its
+    /// lineage, in lineage order. One mark per name says whether a walk
+    /// already reached it; such a name's producers, and those of its whole
+    /// ancestry, were handed out then, so it is not walked again. Returns
+    /// the number of names reached: each is reached once, so it grows with
+    /// the slice, not with the log.
+    pub(crate) fn upstream_records(
+        &self,
+        artifacts: impl IntoIterator<Item = impl fmt::Display>,
+        mut visit: impl FnMut(usize),
+    ) -> usize {
         let (mut reached, mut order) = (vec![false; self.names.len()], Vec::new());
+        let (mut name, mut count) = (String::new(), 0);
         for artifact in artifacts {
-            let Some(start) = self.names.find(artifact.as_ref()) else {
+            name.clear();
+            write!(name, "{artifact}").expect("a String takes any text");
+            let Some(start) = self.names.find(&name) else {
                 continue;
             };
             if std::mem::replace(&mut reached[start as usize], true) {
@@ -354,10 +278,34 @@ impl ProvenanceLog {
                     .take_while(|&j| j != i)
                     .all(|j| self.records[j].activity != activity);
                 if first {
-                    visit(self.view(i));
+                    visit(i);
                 }
             });
+            count += order.len();
         }
+        count
+    }
+
+    /// The shipment manifest's lineage slice behind `artifacts`
+    /// ([`upstream_records`](Self::upstream_records)), by id in this log's
+    /// name table, which it shares.
+    pub(crate) fn shipment_lineage(
+        &self,
+        artifacts: impl IntoIterator<Item = impl fmt::Display>,
+    ) -> Lineage {
+        let mut lineage = Lineage::new(Arc::clone(&self.names));
+        self.upstream_records(artifacts, |i| {
+            let r = &self.records[i];
+            let inputs = self.input_ids(i).iter().copied();
+            lineage.push(r.artifact, r.activity, inputs, r.agent, r.at_s);
+        });
+        lineage
+    }
+
+    /// The name table, as the manifests built from the log share it.
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> &Arc<NameTable> {
+        &self.names
     }
 
     /// Verify the graph is acyclic (an artifact never being its own
@@ -396,9 +344,7 @@ impl ProvenanceLog {
     /// `used`/`generated` edges.
     pub fn to_json(&self) -> serde_json::Value {
         // Every name is some record's artifact or input.
-        let mut entities: Vec<&str> = (0..self.names.len() as u32)
-            .map(|id| self.names.get(id))
-            .collect();
+        let mut entities: Vec<&str> = self.names.iter().collect();
         entities.sort_unstable();
         serde_json::json!({
             "entities": entities,
@@ -457,6 +403,7 @@ pub(crate) mod scan {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn pipeline_log() -> ProvenanceLog {
         let mut log = ProvenanceLog::new();
@@ -595,8 +542,15 @@ mod tests {
         assert_eq!(log.to_json()["entities"].as_array().unwrap().len(), 0);
     }
 
-    /// Two different names in one bucket: the first pair a few ten thousand
-    /// generated names yield (a birthday search over 32 bits), found once.
+    /// Low 32 bits of a name's hash: names that share them start their probe
+    /// at the same slot of the name table's index at every size it takes.
+    fn home(name: &str) -> u32 {
+        eoml_util::hash::fnv1a64(name.as_bytes()) as u32
+    }
+
+    /// Two different names with one home slot: the first pair a few ten
+    /// thousand generated names yield (a birthday search over 32 bits),
+    /// found once.
     fn colliding_names() -> (String, String) {
         static PAIR: std::sync::OnceLock<(String, String)> = std::sync::OnceLock::new();
         let search = || {
@@ -605,7 +559,7 @@ mod tests {
                 .find_map(|i| {
                     let name = format!("granule-{i}");
                     by_bucket
-                        .insert(Names::bucket(&name), name.clone())
+                        .insert(home(&name), name.clone())
                         .map(|earlier| (earlier, name))
                 })
                 .expect("a collision exists")
@@ -617,14 +571,12 @@ mod tests {
     fn names_sharing_a_bucket_are_told_apart() {
         let (a, b) = colliding_names();
         assert_ne!(a, b);
-        assert_eq!(Names::bucket(&a), Names::bucket(&b));
+        assert_eq!(home(&a), home(&b), "a and b share one home slot");
         let mut log = ProvenanceLog::new();
         log.record(&a, "download", ["laads:a"], "pool", 1.0, &[]);
         log.record(&b, "download", ["laads:b"], "pool", 2.0, &[]);
         log.record(&a, "download", ["mirror:a"], "pool", 3.0, &[]);
         log.record("joined", "preprocess", [&b, &a], "w", 4.0, &[]);
-        let buckets = log.names.buckets.len();
-        assert_eq!(buckets, log.names.len() - 1, "a and b share one bucket");
         let at = |recs: Vec<ProvRecord>| recs.iter().map(|r| r.at_s).collect::<Vec<_>>();
         assert_eq!(at(log.producers(&a)), [1.0, 3.0]);
         assert_eq!(at(log.producers(&b)), [2.0]);
@@ -654,7 +606,7 @@ mod tests {
     type Shape = (usize, usize, Vec<usize>);
 
     /// Build a log over a small pool of names — two of them sharing a
-    /// bucket — so that re-produced artifacts, a second activity for the same
+    /// home slot — so that re-produced artifacts, a second activity for the same
     /// artifact, multi-input joins, inputs nobody produced, self-loops and
     /// longer cycles all turn up. With `dag`, every input is an earlier name
     /// of the pool (or one never produced), so the log cannot hold a cycle.
@@ -722,13 +674,13 @@ mod tests {
                     .filter(|r| alone_seen.insert((r.artifact, r.activity)))
                     .collect();
                 let mut alone = Vec::new();
-                log.upstream_records([name], |r| alone.push(r));
+                log.upstream_records([name], |i| alone.push(log.view(i)));
                 prop_assert_eq!(alone, alone_expect, "{}", name);
                 let first_wins = behind.iter().filter(|r| seen.insert((r.artifact, r.activity)));
                 expect_walked.extend(first_wins.copied());
             }
             let mut walked = Vec::new();
-            log.upstream_records(&names, |r| walked.push(r));
+            log.upstream_records(&names, |i| walked.push(log.view(i)));
             prop_assert_eq!(walked, expect_walked);
         }
     }

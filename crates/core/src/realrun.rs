@@ -319,7 +319,7 @@ impl RealPipeline {
             ..RealRunReport::default()
         };
         for stage in ["download", "preprocess", "inference"] {
-            journal.once(JournalEvent::stage_started(stage))?;
+            journal.once(|| JournalEvent::stage_started(stage))?;
         }
 
         // A granule the journal records as finished is folded in: its
@@ -367,17 +367,22 @@ impl RealPipeline {
                     *extent = ran.map(widened).or(*extent);
                 }
                 if let Some(bytes) = carried.downloaded {
-                    let file = g.to_string();
-                    journal.once(JournalEvent::FileDownloaded { file, bytes })?;
+                    journal.once(|| JournalEvent::FileDownloaded {
+                        file: g.to_string(),
+                        bytes,
+                    })?;
                 }
-                let file = if carried.tile_file {
-                    format!("tiles-{g}.nc")
-                } else {
-                    format!("scan-{g}")
+                // Built for the journal only: an unjournaled run names no file.
+                let file = || {
+                    if carried.tile_file {
+                        format!("tiles-{g}.nc")
+                    } else {
+                        format!("scan-{g}")
+                    }
                 };
                 let tiles = carried.tiles as u64;
-                journal.once(JournalEvent::TileFileWritten {
-                    file: file.clone(),
+                journal.once(|| JournalEvent::TileFileWritten {
+                    file: file(),
                     tiles,
                 })?;
                 report.total_tiles += carried.tiles;
@@ -385,9 +390,9 @@ impl RealPipeline {
                     report.tile_files += 1;
                     let labels = tally(&mut report.label_histogram, carried.labels);
                     report.labeled_tiles += labels;
-                    journal.once(JournalEvent::MonitorTriggered { file: file.clone() })?;
-                    journal.once(JournalEvent::LabelsAppended {
-                        file,
+                    journal.once(|| JournalEvent::MonitorTriggered { file: file() })?;
+                    journal.once(|| JournalEvent::LabelsAppended {
+                        file: file(),
                         labels: labels as u64,
                         bytes: carried.shipped_bytes,
                     })?;
@@ -399,7 +404,7 @@ impl RealPipeline {
             span.attr("tile_files", report.tile_files);
         }
         for stage in ["download", "preprocess", "inference"] {
-            journal.once(JournalEvent::stage_finished(stage))?;
+            journal.once(|| JournalEvent::stage_finished(stage))?;
         }
         let [download, preprocess, inference] =
             extents.map(|extent| extent.map_or(0.0, |(a, b)| (b - a).as_secs_f64()));
@@ -408,7 +413,7 @@ impl RealPipeline {
         // the shipped files.
         let shipment = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("shipment", "collect"));
-        journal.once(JournalEvent::stage_started("shipment"))?;
+        journal.once(|| JournalEvent::stage_started("shipment"))?;
         let shipped = nc_files_sorted(&outbox)?;
         // A file whose size cannot be read fails the shipment before it is
         // journaled: `once` would keep a short total across every resume.
@@ -417,11 +422,11 @@ impl RealPipeline {
             let meta = std::fs::metadata(path).map_err(|e| format!("{}: {e}", path.display()))?;
             shipped_bytes += meta.len();
         }
-        journal.once(JournalEvent::ShipmentFinished {
+        journal.once(|| JournalEvent::ShipmentFinished {
             files: shipped.len() as u64,
             bytes: shipped_bytes,
         })?;
-        journal.once(JournalEvent::stage_finished("shipment"))?;
+        journal.once(|| JournalEvent::stage_finished("shipment"))?;
         // The manifest hashes the real shipped bytes — what a destination
         // facility would verify against after the WAN hop. Each worker of the
         // pool hashes one contiguous run of the sorted files, four at a time

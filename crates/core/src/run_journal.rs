@@ -131,26 +131,38 @@ impl<'j> RunJournal<'j> {
         }
     }
 
-    /// Append `event`. A completion must be durable before the driver acts
-    /// on it, so on `Err` the caller abandons the step in progress.
-    pub(crate) fn record(&mut self, event: JournalEvent) -> Result<(), JournalError> {
+    /// Append the event `event` builds. A completion must be durable before
+    /// the driver acts on it, so on `Err` the caller abandons the step in
+    /// progress. An unjournaled run never builds the event.
+    pub(crate) fn record(
+        &mut self,
+        event: impl FnOnce() -> JournalEvent,
+    ) -> Result<(), JournalError> {
         self.check()?;
-        if let Some(sink) = &mut self.sink {
-            if let Err(e) = sink.append(event) {
-                self.refused = Some(Box::new(e.clone()));
-                return Err(e);
-            }
+        let Some(sink) = &mut self.sink else {
+            return Ok(());
+        };
+        if let Err(e) = sink.append(event()) {
+            self.refused = Some(Box::new(e.clone()));
+            return Err(e);
         }
         Ok(())
     }
 
     /// [`record`](Self::record) unless the state this run resumed from
-    /// already [covers](CampaignState::covers) `event`.
-    pub(crate) fn once(&mut self, event: JournalEvent) -> Result<(), JournalError> {
-        if self.is_journaled() && self.resume.covers(&event) {
+    /// already [covers](CampaignState::covers) the event.
+    pub(crate) fn once(
+        &mut self,
+        event: impl FnOnce() -> JournalEvent,
+    ) -> Result<(), JournalError> {
+        if !self.is_journaled() {
             return self.check();
         }
-        self.record(event)
+        let event = event();
+        if self.resume.covers(&event) {
+            return self.check();
+        }
+        self.record(|| event)
     }
 
     /// The journal's digest for the shipment manifest, if journaled.
@@ -249,14 +261,14 @@ mod tests {
         // Resumes with the first two events done; the claim is append 1.
         let mut sink = CountingSink::resuming(&events[..2], 3);
         let mut journal = RunJournal::claim(&mut sink, 7, "test").unwrap();
-        assert_eq!(journal.record(events[2].clone()), Ok(()));
+        assert_eq!(journal.record(|| events[2].clone()), Ok(()));
         assert_eq!(journal.check(), Ok(()));
         let refused = Err(JournalError::Io("disk full".into()));
-        assert_eq!(journal.once(events[3].clone()), refused);
+        assert_eq!(journal.once(|| events[3].clone()), refused);
         for ev in &events {
             // Covered or not, appended before or not: all refused alike.
-            assert_eq!(journal.record(ev.clone()), refused);
-            assert_eq!(journal.once(ev.clone()), refused);
+            assert_eq!(journal.record(|| ev.clone()), refused);
+            assert_eq!(journal.once(|| ev.clone()), refused);
         }
         assert_eq!(journal.check(), refused);
         drop(journal);
@@ -275,13 +287,13 @@ mod tests {
         let mut sink = CountingSink::resuming(&done, usize::MAX);
         let mut journal = RunJournal::claim(&mut sink, 7, "test").unwrap();
         for ev in &events[..4] {
-            assert_eq!(journal.once(ev.clone()), Ok(()));
+            assert_eq!(journal.once(|| ev.clone()), Ok(()));
         }
         assert_eq!(journal.digest().map(|d| d.events), Some(5), "none appended");
         for ev in &events[4..] {
-            assert_eq!(journal.once(ev.clone()), Ok(()));
+            assert_eq!(journal.once(|| ev.clone()), Ok(()));
         }
-        assert_eq!(journal.record(events[0].clone()), Ok(()));
+        assert_eq!(journal.record(|| events[0].clone()), Ok(()));
         let sync = journal.sync().expect("journaled");
         assert_eq!(Some(sync.digest), journal.digest());
         assert_eq!(sync.state().unwrap().shipped, Some((1, 64)));
@@ -293,9 +305,15 @@ mod tests {
     fn an_unjournaled_run_never_halts() {
         let mut journal = RunJournal::unjournaled();
         for ev in work_events().into_iter().cycle().take(50) {
-            assert_eq!(journal.record(ev.clone()), Ok(()));
-            assert_eq!(journal.once(ev), Ok(()));
+            assert_eq!(journal.record(|| ev.clone()), Ok(()));
+            assert_eq!(journal.once(|| ev), Ok(()));
         }
+        // Nor does it build the events it is handed.
+        assert_eq!(
+            journal.record(|| unreachable!("an event was built")),
+            Ok(())
+        );
+        assert_eq!(journal.once(|| unreachable!("an event was built")), Ok(()));
         assert_eq!(journal.check(), Ok(()));
         assert!(!journal.is_journaled());
         assert!(journal.digest().is_none() && journal.sync().is_none());

@@ -332,7 +332,7 @@ fn launch(params: StreamingParams, journal: RunJournal<'static>) -> (Simulation<
     // Re-entering at inference counts as a monitor trigger unless one is
     // already journaled for the file (dedup across restarts).
     for (file, _) in &inference_seed {
-        let trigger = JournalEvent::MonitorTriggered { file: file.clone() };
+        let trigger = || JournalEvent::MonitorTriggered { file: file.clone() };
         if st.borrow_mut().journal.once(trigger).is_err() {
             break;
         }
@@ -496,7 +496,7 @@ fn download_mover(
         |file| granule_trace_id(file).map(TraceContext::new),
         move |sim, file: &FileTiming| {
             let st = &file_st;
-            let downloaded = JournalEvent::FileDownloaded {
+            let downloaded = || JournalEvent::FileDownloaded {
                 file: file.name.clone(),
                 bytes: file.size.as_u64(),
             };
@@ -562,7 +562,7 @@ fn preprocess_batch(
                 .telemetry
                 .resource_scope("preprocess", "granule");
             let file = format!("tiles-{granule}.nc");
-            let written = JournalEvent::TileFileWritten {
+            let written = || JournalEvent::TileFileWritten {
                 file: preprocess_key(granule, tiles),
                 tiles: tiles.round() as u64,
             };
@@ -570,7 +570,7 @@ fn preprocess_batch(
                 return;
             }
             if tiles > 0.0 {
-                let trigger = JournalEvent::MonitorTriggered { file: file.clone() };
+                let trigger = || JournalEvent::MonitorTriggered { file: file.clone() };
                 if st.borrow_mut().journal.record(trigger).is_err() {
                     return;
                 }
@@ -650,7 +650,7 @@ fn shipment_mover(sim: &mut Simulation<World>, st: &S) -> FileMover<World> {
         move |sim, file: &FileTiming| {
             let st = &file_st;
             let tiles = tile_file_tiles(st.borrow().params.base.seed, &file.name);
-            let labeled = JournalEvent::LabelsAppended {
+            let labeled = || JournalEvent::LabelsAppended {
                 file: file.name.clone(),
                 labels: tiles.round() as u64,
                 bytes: file.size.as_u64(),
@@ -692,7 +692,7 @@ fn shipment_mover(sim: &mut Simulation<World>, st: &S) -> FileMover<World> {
                 s.failed.extend(report.failed);
                 (s.shipped_files as u64, s.shipped.as_u64())
             };
-            let finished = JournalEvent::ShipmentFinished { files, bytes };
+            let finished = || JournalEvent::ShipmentFinished { files, bytes };
             if st.borrow_mut().journal.once(finished).is_err() {
                 return;
             }

@@ -54,19 +54,16 @@ impl GranuleId {
     /// LAADS-convention file name for `product` of this granule.
     /// Example: `MOD021KM.A2022001.0005.061.2022003141500.eogr`.
     pub fn file_name(&self, product: ProductKind) -> String {
-        // Production timestamp: deterministic fiction two days after
-        // acquisition, as LAADS production lags acquisition.
-        let prod_date = CivilDate::from_days_from_epoch(self.date.days_from_epoch() + 2);
-        let mut name = NameBuf::default();
-        name.push(product.short_name(self.platform));
-        self.push_acquisition(&mut name);
-        name.push(".");
-        name.push(COLLECTION);
-        name.push(".");
-        name.push_padded(prod_date.year(), 4);
-        name.push_padded(prod_date.ordinal().into(), 3);
-        name.push("141500.eogr");
-        String::from(name.as_str())
+        self.file(product).to_string()
+    }
+
+    /// [`file_name`](Self::file_name) as something that prints, for a
+    /// caller that writes the name into a buffer of its own.
+    pub fn file(&self, product: ProductKind) -> FileName {
+        FileName {
+            granule: *self,
+            product,
+        }
     }
 
     /// Append `.A<YYYY><DDD>.<HHMM>`, the acquisition part of both names.
@@ -117,6 +114,33 @@ impl fmt::Display for GranuleId {
         let mut name = NameBuf::default();
         name.push(self.platform.prefix());
         self.push_acquisition(&mut name);
+        f.write_str(name.as_str())
+    }
+}
+
+/// The file name of one product of a granule, printed on demand
+/// ([`GranuleId::file`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileName {
+    granule: GranuleId,
+    product: ProductKind,
+}
+
+impl fmt::Display for FileName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let g = &self.granule;
+        // Production timestamp: deterministic fiction two days after
+        // acquisition, as LAADS production lags acquisition.
+        let prod_date = CivilDate::from_days_from_epoch(g.date.days_from_epoch() + 2);
+        let mut name = NameBuf::default();
+        name.push(self.product.short_name(g.platform));
+        g.push_acquisition(&mut name);
+        name.push(".");
+        name.push(COLLECTION);
+        name.push(".");
+        name.push_padded(prod_date.year(), 4);
+        name.push_padded(prod_date.ordinal().into(), 3);
+        name.push("141500.eogr");
         f.write_str(name.as_str())
     }
 }

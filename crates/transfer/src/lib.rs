@@ -53,7 +53,8 @@ pub use faults::{FaultInjector, FaultPlan, FlowOutcome};
 pub use flownet::{FlowId, FlowNetwork, HasNetwork};
 pub use ingest::{receive, IngestError, IngestReport, Ingestor, ReceivedArtifact};
 pub use manifest::{
-    content_digest, synthetic_digest, ArtifactEntry, JournalDigest, LineageRecord, ShipmentManifest,
+    content_digest, synthetic_digest, ArtifactEntry, JournalDigest, Lineage, LineageRecord,
+    ShipmentManifest,
 };
 pub use mover::{open_mover, FileJob, FileMover};
 pub use pool::{DownloadPool, DownloadReport, FileTiming};

@@ -9,13 +9,18 @@
 //! to the source is needed to detect a missing, extra, or corrupt file.
 //!
 //! This crate sits *below* `eoml-core`, so the manifest defines its own
-//! lineage record shape ([`LineageRecord`], mirroring core's
+//! lineage shape ([`Lineage`], whose [`LineageRecord`]s mirror core's
 //! `ProvRecord`) and takes the journal digest as plain numbers; the
-//! drivers convert when they build the manifest at shipment time.
+//! drivers convert when they build the manifest at shipment time. The
+//! lineage names its artifacts by id in a [`NameTable`]: a manifest built
+//! from a provenance log shares the log's table instead of copying names.
 
 use eoml_util::hash::{fnv1a64, fnv1a64_chain, fnv1a64_chain4, FNV_PRIME};
+use eoml_util::names::{NameList, NameTable};
 use serde_json::{json, Value};
+use std::fmt;
 use std::io::{self, Read};
+use std::sync::Arc;
 
 /// FNV-1a 64-bit digest of a byte payload — the content digest used for
 /// real artifacts (the on-disk pipeline hashes actual file bytes).
@@ -165,21 +170,144 @@ pub struct ArtifactEntry {
     pub trace_id: Option<String>,
 }
 
-/// One provenance record carried in the manifest: `activity` produced
-/// `artifact` from `inputs`. Mirrors core's `ProvRecord` without the
-/// dependency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LineageRecord {
+/// One provenance record carried in the manifest, borrowed from its
+/// [`Lineage`]: `activity` produced `artifact` from `inputs`. Mirrors
+/// core's `ProvRecord` without the dependency.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineageRecord<'a> {
     /// The produced artifact.
-    pub artifact: String,
+    pub artifact: &'a str,
     /// The producing activity (`"download"`, `"preprocess"`, …).
-    pub activity: String,
+    pub activity: &'a str,
     /// Input artifacts consumed.
-    pub inputs: Vec<String>,
+    pub inputs: NameList<'a>,
     /// The agent that performed the activity.
-    pub agent: String,
+    pub agent: &'a str,
     /// Virtual/wall seconds when the artifact was produced.
     pub at_s: f64,
+}
+
+/// A lineage record as stored: names by id, activity and agent as indices
+/// into the labels, and the end of its run of input ids (the run starts
+/// where the previous record's ends).
+#[derive(Clone, Copy)]
+struct Rec {
+    artifact: u32,
+    inputs_end: u32,
+    activity: u16,
+    agent: u16,
+    at_s: f64,
+}
+
+/// The provenance slice behind a shipment, in record order. Names live in
+/// a [`NameTable`] behind an `Arc`: a slice built from a provenance log
+/// shares the log's table, which the log copies before it adds a name, so
+/// a later record never changes a manifest already built.
+#[derive(Clone, Default)]
+pub struct Lineage {
+    names: Arc<NameTable>,
+    /// Activity and agent labels, each once.
+    labels: Vec<String>,
+    records: Vec<Rec>,
+    /// Every record's input ids, one run per record.
+    inputs: Vec<u32>,
+}
+
+impl Lineage {
+    /// An empty slice over `names`.
+    pub fn new(names: Arc<NameTable>) -> Self {
+        Self {
+            names,
+            ..Self::default()
+        }
+    }
+
+    /// The name table the records index.
+    pub fn names(&self) -> &Arc<NameTable> {
+        &self.names
+    }
+
+    /// The id of `name`, added to the table if new (the table is copied
+    /// first if it is shared).
+    pub fn intern(&mut self, name: &str) -> u32 {
+        NameTable::intern(&mut self.names, name)
+    }
+
+    /// Index of `label`, added if new.
+    fn label(&mut self, label: &str) -> u16 {
+        let at = match self.labels.iter().position(|l| l == label) {
+            Some(at) => at,
+            None => {
+                self.labels.push(label.to_string());
+                self.labels.len() - 1
+            }
+        };
+        u16::try_from(at).expect("fewer than 2^16 activity and agent labels")
+    }
+
+    /// Append a record: `activity` by `agent` produced the name `artifact`
+    /// from the names `inputs` at `at_s`; names are ids in
+    /// [`names`](Self::names).
+    pub fn push(
+        &mut self,
+        artifact: u32,
+        activity: &str,
+        inputs: impl IntoIterator<Item = u32>,
+        agent: &str,
+        at_s: f64,
+    ) {
+        self.inputs.extend(inputs);
+        let rec = Rec {
+            artifact,
+            inputs_end: u32::try_from(self.inputs.len()).expect("fewer than 2^32 inputs"),
+            activity: self.label(activity),
+            agent: self.label(agent),
+            at_s,
+        };
+        self.records.push(rec);
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the slice holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The records, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = LineageRecord<'_>> + '_ {
+        self.records.iter().enumerate().map(|(i, r)| {
+            let start = i
+                .checked_sub(1)
+                .map_or(0, |prev| self.records[prev].inputs_end);
+            LineageRecord {
+                artifact: self.names.get(r.artifact),
+                activity: &self.labels[r.activity as usize],
+                inputs: NameList::new(
+                    &self.names,
+                    &self.inputs[start as usize..r.inputs_end as usize],
+                ),
+                agent: &self.labels[r.agent as usize],
+                at_s: r.at_s,
+            }
+        })
+    }
+}
+
+/// Equal records by name, whatever the ids or the table behind them.
+impl PartialEq for Lineage {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Lineage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Digest of the source facility's compacted journal at manifest time:
@@ -206,7 +334,7 @@ pub struct ShipmentManifest {
     /// Shipped artifacts with digests.
     pub artifacts: Vec<ArtifactEntry>,
     /// Provenance slice behind the shipped artifacts.
-    pub lineage: Vec<LineageRecord>,
+    pub lineage: Lineage,
     /// Source journal digest, when the shipment ran journaled.
     pub journal: Option<JournalDigest>,
 }
@@ -219,7 +347,7 @@ impl ShipmentManifest {
             destination: destination.to_string(),
             created_s,
             artifacts: Vec::new(),
-            lineage: Vec::new(),
+            lineage: Lineage::default(),
             journal: None,
         }
     }
@@ -293,7 +421,7 @@ impl ShipmentManifest {
             "lineage": self.lineage.iter().map(|r| json!({
                 "artifact": r.artifact,
                 "activity": r.activity,
-                "inputs": r.inputs,
+                "inputs": r.inputs.iter().collect::<Vec<_>>(),
                 "agent": r.agent,
                 "at_s": r.at_s,
             })).collect::<Vec<_>>(),
@@ -328,23 +456,19 @@ impl ShipmentManifest {
                 trace_id: a["trace_id"].as_str().map(str::to_string),
             });
         }
-        let mut lineage = Vec::new();
+        let mut lineage = Lineage::default();
+        let mut inputs = Vec::new();
         for r in v["lineage"].as_array().map(|a| a.as_slice()).unwrap_or(&[]) {
-            lineage.push(LineageRecord {
-                artifact: str_field(r, "artifact")?,
-                activity: str_field(r, "activity")?,
-                inputs: r["inputs"]
-                    .as_array()
-                    .map(|a| {
-                        a.iter()
-                            .filter_map(Value::as_str)
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                agent: str_field(r, "agent")?,
-                at_s: r["at_s"].as_f64().unwrap_or(0.0),
-            });
+            let artifact = lineage.intern(&str_field(r, "artifact")?);
+            inputs.clear();
+            for input in r["inputs"].as_array().map(|a| a.as_slice()).unwrap_or(&[]) {
+                if let Some(name) = input.as_str() {
+                    inputs.push(lineage.intern(name));
+                }
+            }
+            let (activity, agent) = (str_field(r, "activity")?, str_field(r, "agent")?);
+            let at_s = r["at_s"].as_f64().unwrap_or(0.0);
+            lineage.push(artifact, &activity, inputs.iter().copied(), &agent, at_s);
         }
         let journal = if v["journal"].is_null() {
             None
@@ -384,13 +508,10 @@ mod tests {
                 trace_id: Some(name["tiles-".len()..name.len() - 3].to_string()),
             });
         }
-        m.lineage.push(LineageRecord {
-            artifact: "tiles-MOD.A2022001.0610.nc".into(),
-            activity: "preprocess".into(),
-            inputs: vec!["defiant:MOD021KM.A2022001.0610.hdf".into()],
-            agent: "parsl-worker".into(),
-            at_s: 40.0,
-        });
+        let artifact = m.lineage.intern("tiles-MOD.A2022001.0610.nc");
+        let input = m.lineage.intern("defiant:MOD021KM.A2022001.0610.hdf");
+        m.lineage
+            .push(artifact, "preprocess", [input], "parsl-worker", 40.0);
         m.journal = Some(JournalDigest {
             events: 17,
             checksum: 0xdead_beef_0bad_f00d,

@@ -161,9 +161,9 @@ impl<S: HasNetwork> Mover<S> {
                 obs.counter_add("bytes", "download", timing.size.as_u64());
                 obs.observe("file_attempts", "download", timing.attempts as f64);
             }
-            self.files.borrow_mut().push(timing.clone());
             sim.state_mut().network().note_delivered(timing.size);
             (self.on_file.borrow_mut())(sim, &timing);
+            self.files.borrow_mut().push(timing);
             return Verdict::Done;
         }
         // `attempt` is 1-based, so `attempt <= retry_limit` grants exactly

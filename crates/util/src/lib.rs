@@ -19,6 +19,8 @@
 //!   synthesize cloud and land fields.
 //! * [`timebase`] — civil dates, day-of-year arithmetic and UTC timestamps in
 //!   the range MODIS operates in (2000‒present).
+//! * [`names`] — a table of names, each stored once and known by a dense
+//!   `u32` id, found through an open-addressed index of FNV-1a 64 hashes.
 //! * [`idgen`] — process-wide monotonic id generation for tasks, transfers
 //!   and flow runs.
 //! * [`pool`] — the wall-clock worker pool, the one place the library
@@ -28,6 +30,7 @@
 pub mod bytes;
 pub mod hash;
 pub mod idgen;
+pub mod names;
 pub mod noise;
 pub mod pool;
 pub mod rng;

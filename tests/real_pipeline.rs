@@ -129,14 +129,50 @@ fn artifacts_are_byte_identical_to_the_recorded_golden_run() {
         "tiles-MOD.A2022001.0015.nc 8e6144f5d91d6b3a",
         "tiles-MOD.A2022001.0020.nc ca5f2f27ceec0fa2",
     ];
+    // Recorded at commit c5d29a0. A label moves only when its latent crosses
+    // a class boundary, so the shipped tiles' latents are pinned as well.
+    const LATENTS: &str = "a7bcc3f8ed4d8599";
     let dir = tempdir("golden");
     let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 2)
         .unwrap()
         .with_thresholds(0.0, 0.0);
-    pipeline.run(&day_granules(2)).unwrap();
+    let report = pipeline.run(&day_granules(2)).unwrap();
     assert_eq!(dir_digests(&dir.join("incoming")), INCOMING);
     assert_eq!(dir_digests(&dir.join("outbox")), OUTBOX);
+    let (tiles, latents) = latent_digest(&report.outbox, 32);
+    assert_eq!(tiles, report.labeled_tiles);
+    assert_eq!(latents, LATENTS);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Number of tiles in the shipped `files` and the FNV-1a digest of their
+/// latents' bits, encoded by the pipeline's model at `input` px.
+fn latent_digest(files: &[PathBuf], input: usize) -> (usize, String) {
+    let cfg = AeConfig {
+        in_ch: 6,
+        c1: 8,
+        c2: 16,
+        latent: 24,
+        input,
+        lr: 1e-3,
+        lambda: 0.1,
+    };
+    let model = AiccaModel::pretrained(cfg, 2022);
+    let mut scratch = EncodeScratch::default();
+    let mut bits = Vec::new();
+    let mut count = 0;
+    for file in files {
+        let nc = NcFile::decode(&std::fs::read(file).unwrap()).unwrap();
+        let (tiles, _) = read_tiles_nc(&nc).unwrap();
+        count += tiles.len();
+        for tile in &tiles {
+            for z in model.encoder.encode_slice(&tile.data, &mut scratch) {
+                bits.extend(z.to_bits().to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(bits.len(), count * 24 * 4);
+    (count, format!("{:016x}", fnv1a64(&bits)))
 }
 
 #[test]
