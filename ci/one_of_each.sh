@@ -10,9 +10,10 @@
 # of crates/{transfer,executor,core}/src, when the non-test part of any
 # crates/*/src file but util/src/pool.rs starts threads, when realrun.rs
 # grows a second pass or a directory crawl or allocates a granule's buffers
-# afresh, or when a by-name scan returns to the provenance log, and prints
-# the per-crate non-test line counts ROADMAP wants to see fall. Spans live once,
-# in eoml-obs: no `struct Span` / `Vec<Span>` in any other crate's source
+# afresh or reaches a step through JSON (a compute endpoint or a flow runner)
+# or a lock on the worker's set, or when a by-name scan returns to the
+# provenance log, and prints the per-crate non-test line counts ROADMAP wants
+# to see fall. Spans live once, in eoml-obs: no `struct Span` / `Vec<Span>` in any other crate's source
 # (core's Telemetry keeps only the Fig. 6 activity series and forwards every
 # interval to the hub); library code reads no environment variable
 # (`EOML_*` knobs belong to examples, tests and binaries); and `unsafe` and
@@ -107,6 +108,15 @@ fi
 if [ "$(hits 'DirectoryCrawler' "$realrun")" -ne 0 ]; then
   complain "DirectoryCrawler in $realrun (a worker hands its own tile file to its flow)"
 fi
+
+# The real driver calls its steps directly (DESIGN §17): no JSON stand-in for
+# Globus Compute or Flows in the non-test part of realrun.rs, and no lock
+# around the buffer set a worker owns (DESIGN §24).
+for pattern in 'serde_json' 'json!' 'eoml_compute' 'eoml_flows' 'Arc<Mutex<BufferSet>>'; do
+  if [ "$(hits "$pattern" "$realrun")" -ne 0 ]; then
+    complain "/$pattern/ in $realrun (call the step as a typed function on the worker's set)"
+  fi
+done
 
 # A worker carries each granule in the buffer set it keeps (DESIGN §24): the
 # non-test part of realrun.rs calls no form that allocates a granule's

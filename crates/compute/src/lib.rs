@@ -3,17 +3,17 @@
 //! Globus Compute is a federated function-serving fabric: users register
 //! functions, submit invocations to remote *endpoints*, and collect results
 //! via futures. The paper uses it to run the LAADS download function on the
-//! cluster. This crate reproduces the programming model:
+//! cluster. What it costs the paper is the launch of remote workers, which
+//! the virtual-time campaign charges through [`launch`]; the real driver
+//! calls its download step directly (DESIGN §17). This crate holds:
 //!
-//! * [`registry`] — named, versioned functions over JSON payloads
-//!   (mirroring Globus Compute's serialized-callable registry);
-//! * [`endpoint`] — a compute endpoint executing registered functions on
-//!   the thread that submits them (it starts no threads: the caller's are
-//!   its workers), with future-shaped handles, failure capture and
-//!   per-task accounting;
 //! * [`launch`] — the latency model of *starting* remote workers
 //!   (authenticate, provision, connect), the component measured at 5.63 s
-//!   in the paper's Fig. 7.
+//!   in the paper's Fig. 7;
+//! * [`registry`] and [`endpoint`] — the programming model in miniature:
+//!   named functions over JSON payloads, run on the thread that submits
+//!   them, with future-shaped handles and failure capture. The wall-clock
+//!   benchmark's round-trip probe is their last caller (ROADMAP item 1(e)).
 
 pub mod endpoint;
 pub mod launch;

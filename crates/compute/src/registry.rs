@@ -20,12 +20,6 @@ eoml_util::typed_id!(
 
 type BoxedFn = Arc<dyn Fn(Value) -> Result<Value, String> + Send + Sync>;
 
-struct Entry {
-    name: String,
-    version: u32,
-    func: BoxedFn,
-}
-
 /// Thread-safe, append-only function registry.
 #[derive(Default)]
 pub struct FunctionRegistry {
@@ -34,7 +28,7 @@ pub struct FunctionRegistry {
 
 #[derive(Default)]
 struct RegistryInner {
-    entries: Vec<Entry>,
+    entries: Vec<BoxedFn>,
     latest_by_name: HashMap<String, usize>,
 }
 
@@ -45,7 +39,7 @@ impl FunctionRegistry {
     }
 
     /// Register `func` under `name`; returns its id. Registering the same
-    /// name again creates a new version (and a new id); the old id remains
+    /// name again creates a new version with a new id; the old id remains
     /// callable.
     pub fn register(
         &self,
@@ -54,60 +48,25 @@ impl FunctionRegistry {
     ) -> FunctionId {
         let name = name.into();
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let version = inner
-            .entries
-            .iter()
-            .filter(|e| e.name == name)
-            .map(|e| e.version)
-            .max()
-            .map(|v| v + 1)
-            .unwrap_or(1);
         let idx = inner.entries.len();
-        inner.entries.push(Entry {
-            name: name.clone(),
-            version,
-            func: Arc::new(func),
-        });
+        inner.entries.push(Arc::new(func));
         inner.latest_by_name.insert(name, idx);
         FunctionId::from_raw(idx as u64 + 1)
     }
 
     /// Resolve the latest version of `name`.
-    pub fn lookup(&self, name: &str) -> Option<FunctionId> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<FunctionId> {
         self.read()
             .latest_by_name
             .get(name)
             .map(|&i| FunctionId::from_raw(i as u64 + 1))
     }
 
-    /// The `(name, version)` of a function id.
-    pub fn describe(&self, id: FunctionId) -> Option<(String, u32)> {
-        let inner = self.read();
-        let e = inner.entries.get(index(id)?)?;
-        Some((e.name.clone(), e.version))
-    }
-
-    /// Fetch the callable for an id (cheap Arc clone).
-    pub fn get(&self, id: FunctionId) -> Option<BoxedFn> {
-        Some(Arc::clone(&self.read().entries.get(index(id)?)?.func))
-    }
-
     /// Invoke a function synchronously in the caller's thread.
-    pub fn invoke(&self, id: FunctionId, args: Value) -> Result<Value, String> {
-        let f = self
-            .get(id)
-            .ok_or_else(|| format!("unknown function {id}"))?;
+    pub(crate) fn invoke(&self, id: FunctionId, args: Value) -> Result<Value, String> {
+        let f = index(id).and_then(|i| self.read().entries.get(i).map(Arc::clone));
+        let f = f.ok_or_else(|| format!("unknown function {id}"))?;
         f(args)
-    }
-
-    /// Number of registered entries (all versions).
-    pub fn len(&self) -> usize {
-        self.read().entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn read(&self) -> RwLockReadGuard<'_, RegistryInner> {
@@ -146,7 +105,6 @@ mod tests {
             let id = FunctionId::from_raw(unknown);
             let err = reg.invoke(id, json!({})).unwrap_err();
             assert!(err.contains("unknown function"), "{err}");
-            assert_eq!(reg.describe(id), None);
         }
     }
 
@@ -156,8 +114,6 @@ mod tests {
         let v1 = reg.register("f", |_| Ok(json!(1)));
         let v2 = reg.register("f", |_| Ok(json!(2)));
         assert_ne!(v1, v2);
-        assert_eq!(reg.describe(v1), Some(("f".into(), 1)));
-        assert_eq!(reg.describe(v2), Some(("f".into(), 2)));
         assert_eq!(reg.lookup("f"), Some(v2));
         assert_eq!(reg.invoke(v1, json!({})).unwrap(), json!(1));
         assert_eq!(reg.invoke(v2, json!({})).unwrap(), json!(2));
@@ -167,9 +123,9 @@ mod tests {
     fn lookup_unknown_is_none() {
         let reg = FunctionRegistry::new();
         assert_eq!(reg.lookup("nope"), None);
-        assert!(reg.is_empty());
-        reg.register("a", |_| Ok(Value::Null));
-        assert_eq!(reg.len(), 1);
+        let a = reg.register("a", |_| Ok(Value::Null));
+        assert_eq!(reg.lookup("a"), Some(a));
+        assert_eq!(reg.lookup("nope"), None);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::{Platform, ProductKind};
 use eoml_obs::{GranuleTrace, Obs, TraceAnalysis, TraceContext};
+use eoml_preprocess::pipeline::tile_file_name;
 use eoml_simtime::{Pool, SimTime, Simulation, Verdict};
 use eoml_transfer::backoff::BackoffPolicy;
 use eoml_transfer::faults::FaultPlan;
@@ -335,7 +336,7 @@ pub(crate) type InferencePool = Pool<World, (String, f64)>;
 /// produce a tile file, night granules only a scan record.
 pub(crate) fn preprocess_key(granule: GranuleId, tiles: f64) -> String {
     if tiles > 0.0 {
-        format!("tiles-{granule}.nc")
+        tile_file_name(granule)
     } else {
         format!("scan-{granule}")
     }
@@ -729,7 +730,7 @@ fn granule_preprocessed(
         }
     }
     if tiles > 0.0 {
-        let file = format!("tiles-{granule}.nc");
+        let file = tile_file_name(granule);
         let inputs = ProductKind::all().map(|p| Sited("defiant", granule.file(p)));
         // Rounded as `{tiles:.0}` prints it: half to even.
         let rounded = tiles.round_ties_even() as u64;

@@ -31,6 +31,7 @@ use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
 use eoml_obs::TraceContext;
+use eoml_preprocess::pipeline::tile_file_name;
 use eoml_simtime::{Pool, SimTime, Simulation, Verdict};
 use eoml_transfer::backoff::BackoffPolicy;
 use eoml_transfer::manifest::ShipmentManifest;
@@ -289,7 +290,7 @@ fn launch(params: StreamingParams, journal: RunJournal<'static>) -> (Simulation<
             downloaded += ByteSize::bytes(dl_bytes);
             granules_preprocessed += 1;
             if tiles > 0.0 {
-                inference_seed.push((format!("tiles-{g}.nc"), tiles));
+                inference_seed.push((tile_file_name(g), tiles));
             }
         } else if dl_parts == 3 {
             // All products durable: re-enter at preprocessing.
@@ -561,7 +562,7 @@ fn preprocess_batch(
                 .state_mut()
                 .telemetry
                 .resource_scope("preprocess", "granule");
-            let file = format!("tiles-{granule}.nc");
+            let file = tile_file_name(granule);
             let written = || JournalEvent::TileFileWritten {
                 file: preprocess_key(granule, tiles),
                 tiles: tiles.round() as u64,

@@ -21,7 +21,7 @@ use std::fmt;
 
 /// One state in a flow.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FlowState {
+pub(crate) enum FlowState {
     /// Invoke an action provider.
     Action {
         /// Provider name to invoke.
@@ -86,14 +86,14 @@ impl FlowState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowDefinition {
     /// Initial state name.
-    pub start_at: String,
+    pub(crate) start_at: String,
     /// States by name (ordered map for deterministic iteration).
-    pub states: BTreeMap<String, FlowState>,
+    pub(crate) states: BTreeMap<String, FlowState>,
 }
 
 /// Definition parse/validation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DefinitionError {
+pub(crate) enum DefinitionError {
     /// Top-level JSON is not an object or misses a field.
     Malformed(String),
     /// A state references an undefined state.
@@ -133,7 +133,7 @@ fn malformed(m: impl Into<String>) -> DefinitionError {
 
 impl FlowDefinition {
     /// Parse and validate a JSON definition.
-    pub fn from_json(doc: &Value) -> Result<Self, DefinitionError> {
+    pub(crate) fn from_json(doc: &Value) -> Result<Self, DefinitionError> {
         let obj = doc.as_object().ok_or_else(|| malformed("not an object"))?;
         let start_at = obj
             .get("start_at")
@@ -154,7 +154,7 @@ impl FlowDefinition {
     }
 
     /// Parse from a JSON string.
-    pub fn from_json_str(src: &str) -> Result<Self, DefinitionError> {
+    fn from_json_str(src: &str) -> Result<Self, DefinitionError> {
         let doc: Value =
             serde_json::from_str(src).map_err(|e| malformed(format!("bad JSON: {e}")))?;
         Self::from_json(&doc)

@@ -5,7 +5,10 @@
 //! The paper automates "(i) monitoring the file system for the creation of
 //! new files, and (ii) triggering the inference" with a Globus Flow whose
 //! steps are: launch crawler → run inference → append labels → move file to
-//! the transfer-out directory. This crate provides:
+//! the transfer-out directory. What the flow costs the paper is its
+//! per-transition overhead, which the virtual-time campaign charges; the real
+//! driver calls the same three steps directly (DESIGN §17). This crate
+//! provides:
 //!
 //! * [`definition`] — JSON flow definitions (Action / Choice / Wait / Pass /
 //!   Succeed / Fail states) with structural validation;
@@ -18,6 +21,6 @@ pub mod definition;
 pub mod runner;
 pub mod trigger;
 
-pub use definition::{FlowDefinition, FlowState};
+pub use definition::FlowDefinition;
 pub use runner::{ActionProvider, FlowEvent, FlowRun, FlowRunner, RunStatus};
 pub use trigger::DirectoryCrawler;

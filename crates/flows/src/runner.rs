@@ -2,15 +2,10 @@
 //! recording a per-transition event log.
 
 use crate::definition::{FlowDefinition, FlowState};
-use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
-use eoml_obs::{Obs, TraceContext};
-use eoml_simtime::SimTime;
 use serde_json::{Map, Value};
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::fmt;
 use std::ops::ControlFlow::{self, Break, Continue};
-use std::sync::Arc;
 
 eoml_util::typed_id!(
     /// Identifier of a flow run.
@@ -40,13 +35,6 @@ pub enum RunStatus {
     Succeeded,
     /// Reached a `fail` state or an action errored.
     Failed(String),
-}
-
-impl RunStatus {
-    /// Whether the run succeeded.
-    pub fn is_success(&self) -> bool {
-        matches!(self, RunStatus::Succeeded)
-    }
 }
 
 /// One entry in the run's event log.
@@ -83,7 +71,7 @@ impl FlowRun {
 
 /// Resolve `$.a.b` expressions against the context; non-`$.` values pass
 /// through unchanged, and objects/arrays are resolved recursively.
-pub fn resolve_params(params: &Value, ctx: &Value) -> Value {
+fn resolve_params(params: &Value, ctx: &Value) -> Value {
     match params {
         Value::String(s) if s.starts_with("$.") => {
             lookup_path(ctx, &s[2..]).cloned().unwrap_or(Value::Null)
@@ -99,7 +87,7 @@ pub fn resolve_params(params: &Value, ctx: &Value) -> Value {
 }
 
 /// Dot-path lookup: `lookup_path(ctx, "a.b")` → `ctx["a"]["b"]`.
-pub fn lookup_path<'a>(ctx: &'a Value, path: &str) -> Option<&'a Value> {
+fn lookup_path<'a>(ctx: &'a Value, path: &str) -> Option<&'a Value> {
     let mut cur = ctx;
     for part in path.split('.') {
         cur = cur.get(part)?;
@@ -116,15 +104,6 @@ pub struct FlowRunner<'a> {
     pub transition_overhead: f64,
     /// Safety limit on state transitions per run.
     pub max_steps: usize,
-    /// Optional observability hub: every state transition becomes a
-    /// sim-stamped `flow` span, and action states additionally feed the
-    /// `action_seconds{stage="flow"}` latency histogram.
-    pub obs: Option<Arc<Obs>>,
-    /// Trace identity stamped onto every span the *next* runs record.
-    /// Set it (or use [`FlowRunner::run_traced`]) when a run processes a
-    /// single granule so its flow hops join that granule's end-to-end
-    /// trace.
-    pub current_trace: Option<TraceContext>,
     next_run: u64,
 }
 
@@ -144,36 +123,7 @@ impl<'a> FlowRunner<'a> {
             providers: HashMap::new(),
             transition_overhead: 0.05,
             max_steps: 10_000,
-            obs: None,
-            current_trace: None,
             next_run: 1,
-        }
-    }
-
-    /// Attach an observability hub (see the `obs` field).
-    pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Record one executed state into the hub, if attached: a
-    /// `transitions` count, a `flow/<state>` span on the run's virtual
-    /// clock, and per-action latency for action states.
-    fn obs_event(&self, flow: &FlowDefinition, state: &str, entered_at: f64, duration: f64) {
-        let Some(obs) = &self.obs else { return };
-        obs.counter_add("transitions", "flow", 1);
-        let at = |secs: f64| SimTime::from_secs_f64(secs.max(0.0));
-        obs.record_sim_span(
-            "flow",
-            state,
-            at(entered_at),
-            at(entered_at + duration),
-            self.current_trace.as_ref(),
-            &[],
-        );
-        if matches!(flow.states.get(state), Some(FlowState::Action { .. })) {
-            obs.counter_add("actions", "flow", 1);
-            obs.observe("action_seconds", "flow", duration);
         }
     }
 
@@ -236,122 +186,20 @@ impl<'a> FlowRunner<'a> {
         }
     }
 
-    /// Execute `flow` as [`FlowRunner::run`] does, stamping every span the
-    /// run records with `trace` so the hops join that granule's
-    /// end-to-end trace. The trace is cleared again before returning.
-    pub fn run_traced(
-        &mut self,
-        flow: &FlowDefinition,
-        input: Value,
-        trace: &TraceContext,
-    ) -> FlowRun {
-        self.current_trace = Some(trace.clone());
-        let run = self.run(flow, input);
-        self.current_trace = None;
-        run
-    }
-
     /// Execute `flow` with the given initial `input` (stored at
-    /// `context.input`).
+    /// `context.input`): states from `start_at` until a terminal one (or the
+    /// step limit), each recorded in the run's event log.
     pub fn run(&mut self, flow: &FlowDefinition, input: Value) -> FlowRun {
         let id = RunId::from_raw(self.next_run);
         self.next_run += 1;
-        let ctx = serde_json::json!({ "input": input });
-        let start = flow.start_at.clone();
-        match self.drive(flow, id, start, ctx, |_| Ok::<_, Infallible>(())) {
-            Ok(run) => run,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Execute `flow` against a write-ahead `journal`, resuming run `run`
-    /// from its last journaled transition.
-    ///
-    /// Every state entry is journaled as a [`JournalEvent::FlowTransition`]
-    /// carrying the context accumulated so far, and the terminal outcome as a
-    /// [`JournalEvent::FlowFinished`]. On restart:
-    ///
-    /// - a run the journal records as finished returns its terminal status
-    ///   immediately, invoking no providers (context is not retained past the
-    ///   finish event and comes back as `Null`);
-    /// - an in-flight run resumes from the last durable transition with the
-    ///   journaled context — states before it are never re-executed, while
-    ///   the state that was in flight at the crash re-runs (at-least-once,
-    ///   as with any write-ahead log).
-    ///
-    /// A failed append aborts the run with the journal's error; nothing past
-    /// the failure is executed.
-    pub fn run_journaled<S: Storage>(
-        &mut self,
-        flow: &FlowDefinition,
-        input: Value,
-        journal: &mut Journal<S>,
-        run: u64,
-    ) -> Result<FlowRun, JournalError> {
-        let id = RunId::from_raw(run);
-        if let Some(status) = journal.state().flows_finished.get(&run) {
-            let status = match status.strip_prefix("failed:") {
-                Some(e) => RunStatus::Failed(e.to_string()),
-                None => RunStatus::Succeeded,
-            };
-            return Ok(FlowRun {
-                id,
-                status,
-                context: Value::Null,
-                events: Vec::new(),
-            });
-        }
-        let (current, ctx) = match journal.state().flow_states.get(&run) {
-            Some((state, context)) => (state.clone(), context.clone()),
-            None => {
-                let ctx = serde_json::json!({ "input": input });
-                journal.append(JournalEvent::FlowTransition {
-                    run,
-                    state: flow.start_at.clone(),
-                    context: ctx.clone(),
-                })?;
-                (flow.start_at.clone(), ctx)
-            }
-        };
-        self.drive(flow, id, current, ctx, |hop| {
-            let event = match hop {
-                Hop::Next(state, context) => JournalEvent::FlowTransition {
-                    run,
-                    state: state.to_string(),
-                    context: context.clone(),
-                },
-                Hop::Finished(RunStatus::Succeeded) => JournalEvent::FlowFinished {
-                    run,
-                    status: "succeeded".to_string(),
-                },
-                Hop::Finished(RunStatus::Failed(e)) => JournalEvent::FlowFinished {
-                    run,
-                    status: format!("failed:{e}"),
-                },
-            };
-            journal.append(event).map(drop)
-        })
-    }
-
-    /// The step loop both entry points share: execute states from `current`
-    /// until a terminal one (or the step limit), recording each into the
-    /// hub and the run's event log, and hand every transition to `hop` —
-    /// which journals it, or does nothing. An error from `hop` stops the run.
-    fn drive<E>(
-        &mut self,
-        flow: &FlowDefinition,
-        id: RunId,
-        mut current: String,
-        mut ctx: Value,
-        mut hop: impl FnMut(Hop<'_>) -> Result<(), E>,
-    ) -> Result<FlowRun, E> {
+        let mut ctx = serde_json::json!({ "input": input });
+        let mut current = flow.start_at.clone();
         let mut events = Vec::new();
         let mut clock = 0.0f64;
         let mut finished = None;
         for _ in 0..self.max_steps {
             let entered_at = clock;
             let (next, duration) = self.step(flow, &current, &mut ctx);
-            self.obs_event(flow, &current, entered_at, duration);
             events.push(FlowEvent {
                 state: current,
                 entered_at,
@@ -364,28 +212,19 @@ impl<'a> FlowRunner<'a> {
                 }
                 Continue(state) => {
                     clock += duration;
-                    hop(Hop::Next(&state, &ctx))?;
                     current = state;
                 }
             }
         }
         let status = finished
             .unwrap_or_else(|| RunStatus::Failed(format!("exceeded {} steps", self.max_steps)));
-        hop(Hop::Finished(&status))?;
-        Ok(FlowRun {
+        FlowRun {
             id,
             status,
             context: ctx,
             events,
-        })
+        }
     }
-}
-
-/// A transition the step loop reports: the state entered next, with the
-/// context accumulated so far, or the run's terminal status.
-enum Hop<'a> {
-    Next(&'a str, &'a Value),
-    Finished(&'a RunStatus),
 }
 
 /// Outcome of executing a single state: continue to the named state, or
@@ -402,69 +241,6 @@ impl Default for FlowRunner<'_> {
 mod tests {
     use super::*;
     use serde_json::json;
-
-    #[test]
-    fn observed_runner_records_transitions_and_action_latency() {
-        let obs = Obs::shared();
-        let mut stamp = |_: &str, params: &Value, _: &Value| {
-            let mut out = params.clone();
-            out["_duration"] = json!(0.25);
-            Ok(out)
-        };
-        let flow = linear_flow();
-        let run = {
-            let mut runner = FlowRunner::new().with_obs(Arc::clone(&obs));
-            runner.register("stamp", &mut stamp);
-            runner.run(&flow, json!({"file": "g1.eogr"}))
-        };
-        assert!(run.status.is_success());
-        let m = obs.metrics();
-        assert_eq!(
-            m.counter_value("transitions", "flow"),
-            Some(run.events.len() as u64)
-        );
-        assert_eq!(m.counter_value("actions", "flow"), Some(2));
-        let h = m.histogram("action_seconds", "flow").unwrap();
-        assert_eq!(h.count(), 2);
-        // Each action: 50 ms overhead + 250 ms body.
-        assert!((h.sum() - 0.6).abs() < 1e-9, "sum {}", h.sum());
-        // One sim-stamped span per executed state, on the run's clock.
-        let spans = obs.spans();
-        assert_eq!(spans.len(), run.events.len());
-        assert!(spans
-            .iter()
-            .all(|s| s.stage == "flow" && s.sim_start.is_some()));
-        let total: f64 = spans.iter().map(|s| s.sim_seconds().unwrap()).sum();
-        assert!((total - run.total_duration()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn traced_run_stamps_every_span_and_clears_the_trace() {
-        let obs = Obs::shared();
-        let mut stamp = |_: &str, params: &Value, _: &Value| {
-            let mut out = params.clone();
-            out["_duration"] = json!(0.25);
-            Ok(out)
-        };
-        let flow = linear_flow();
-        let mut runner = FlowRunner::new().with_obs(Arc::clone(&obs));
-        runner.register("stamp", &mut stamp);
-        let trace = TraceContext::new("MOD.A2022001.0610");
-        let traced = runner.run_traced(&flow, json!({"file": "g1.eogr"}), &trace);
-        assert!(traced.status.is_success());
-        assert!(runner.current_trace.is_none(), "trace not cleared");
-        // A later plain run must NOT inherit the previous trace.
-        let plain = runner.run(&flow, json!({"file": "g2.eogr"}));
-        assert!(plain.status.is_success());
-        let spans = obs.spans();
-        assert_eq!(spans.len(), traced.events.len() + plain.events.len());
-        let tagged: Vec<_> = spans
-            .iter()
-            .filter(|s| s.trace_id.as_deref() == Some("MOD.A2022001.0610"))
-            .collect();
-        assert_eq!(tagged.len(), traced.events.len());
-        assert!(spans[spans.len() - 1].trace_id.is_none());
-    }
 
     fn linear_flow() -> FlowDefinition {
         FlowDefinition::from_json(&json!({
@@ -492,7 +268,7 @@ mod tests {
         let mut runner = FlowRunner::new();
         runner.register("stamp", &mut provider);
         let run = runner.run(&linear_flow(), json!({"file": "tiles.nc"}));
-        assert!(run.status.is_success());
+        assert_eq!(run.status, RunStatus::Succeeded);
         assert_eq!(run.events.len(), 3);
         assert_eq!(run.events[0].state, "A");
         assert_eq!(run.events[2].state, "Done");
@@ -541,10 +317,10 @@ mod tests {
         }))
         .unwrap();
         let mut runner = FlowRunner::new();
-        assert!(runner
-            .run(&flow, json!({"kind": "day"}))
-            .status
-            .is_success());
+        assert_eq!(
+            runner.run(&flow, json!({"kind": "day"})).status,
+            RunStatus::Succeeded
+        );
         assert_eq!(
             runner.run(&flow, json!({"kind": "night"})).status,
             RunStatus::Failed("night granule".into())
@@ -632,122 +408,6 @@ mod tests {
         assert_eq!(r["list"], json!(["x", "literal"]));
         assert_eq!(r["missing"], Value::Null);
         assert_eq!(r["plain"], 42);
-    }
-
-    #[test]
-    fn journaled_run_without_crash_matches_plain() {
-        use eoml_journal::MemStorage;
-        let mut provider = |_: &str, params: &Value, _: &Value| {
-            Ok(json!({"tag": params["tag"], "_duration": 1.0}))
-        };
-        let plain = {
-            let mut p = provider;
-            let mut runner = FlowRunner::new();
-            runner.register("stamp", &mut p);
-            runner.run(&linear_flow(), json!({"file": "tiles.nc"}))
-        };
-        let (mut journal, _) = Journal::open(MemStorage::new()).unwrap();
-        let mut runner = FlowRunner::new();
-        runner.register("stamp", &mut provider);
-        let journaled = runner
-            .run_journaled(&linear_flow(), json!({"file": "tiles.nc"}), &mut journal, 7)
-            .unwrap();
-        assert_eq!(journaled.status, plain.status);
-        assert_eq!(journaled.context, plain.context);
-        assert_eq!(journaled.events.len(), plain.events.len());
-        assert_eq!(journal.state().flows_finished.get(&7).unwrap(), "succeeded");
-    }
-
-    #[test]
-    fn crashed_flow_resumes_from_last_transition() {
-        use eoml_journal::MemStorage;
-        use std::cell::Cell;
-        let invocations = Cell::new(0usize);
-        let mut provider = |_: &str, params: &Value, _: &Value| {
-            invocations.set(invocations.get() + 1);
-            Ok(json!({"tag": params["tag"], "_duration": 1.0}))
-        };
-        let baseline = {
-            let mut p = |_: &str, params: &Value, _: &Value| -> Result<Value, String> {
-                Ok(json!({"tag": params["tag"], "_duration": 1.0}))
-            };
-            let mut runner = FlowRunner::new();
-            runner.register("stamp", &mut p);
-            runner.run(&linear_flow(), json!({"file": "tiles.nc"}))
-        };
-
-        let store = MemStorage::new();
-        let (mut journal, _) = Journal::open(store.clone()).unwrap();
-        // Durable budget: start transition + A's successor transition, then
-        // crash journaling the transition out of B.
-        journal.crash_after(2);
-        let mut runner = FlowRunner::new();
-        runner.register("stamp", &mut provider);
-        let crashed =
-            runner.run_journaled(&linear_flow(), json!({"file": "tiles.nc"}), &mut journal, 7);
-        assert!(crashed.is_err());
-        let ran_before_crash = invocations.get();
-        assert!(ran_before_crash >= 1, "crash fired before any state ran");
-
-        let (mut journal, recovery) = Journal::open(store).unwrap();
-        assert_eq!(recovery.events, 2);
-        let resumed = runner
-            .run_journaled(&linear_flow(), json!({"file": "tiles.nc"}), &mut journal, 7)
-            .unwrap();
-        assert_eq!(resumed.status, baseline.status);
-        assert_eq!(resumed.context, baseline.context);
-        // The durable prefix (state A) is skipped: the resumed run replays
-        // fewer states than the full flow.
-        assert!(resumed.events.len() < baseline.events.len());
-        assert_eq!(journal.state().flows_finished.get(&7).unwrap(), "succeeded");
-    }
-
-    #[test]
-    fn finished_flow_is_not_reexecuted() {
-        use eoml_journal::MemStorage;
-        use std::cell::Cell;
-        let invocations = Cell::new(0usize);
-        let mut provider = |_: &str, params: &Value, _: &Value| {
-            invocations.set(invocations.get() + 1);
-            Ok(json!({"tag": params["tag"], "_duration": 1.0}))
-        };
-        let (mut journal, _) = Journal::open(MemStorage::new()).unwrap();
-        let mut runner = FlowRunner::new();
-        runner.register("stamp", &mut provider);
-        let first = runner
-            .run_journaled(&linear_flow(), json!({"file": "tiles.nc"}), &mut journal, 3)
-            .unwrap();
-        let after_first = invocations.get();
-        let again = runner
-            .run_journaled(&linear_flow(), json!({"file": "tiles.nc"}), &mut journal, 3)
-            .unwrap();
-        assert_eq!(
-            invocations.get(),
-            after_first,
-            "finished flow re-invoked providers"
-        );
-        assert_eq!(again.status, first.status);
-        assert!(again.events.is_empty());
-    }
-
-    #[test]
-    fn journaled_failure_status_round_trips() {
-        use eoml_journal::MemStorage;
-        let flow = FlowDefinition::from_json(&json!({
-            "start_at": "Boom",
-            "states": {"Boom": {"type": "fail", "error": "night granule"}}
-        }))
-        .unwrap();
-        let (mut journal, _) = Journal::open(MemStorage::new()).unwrap();
-        let mut runner = FlowRunner::new();
-        let first = runner
-            .run_journaled(&flow, json!({}), &mut journal, 9)
-            .unwrap();
-        assert_eq!(first.status, RunStatus::Failed("night granule".into()));
-        let again = runner
-            .run_journaled(&flow, json!({}), &mut journal, 9)
-            .unwrap();
-        assert_eq!(again.status, RunStatus::Failed("night granule".into()));
     }
 
     #[test]

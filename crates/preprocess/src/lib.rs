@@ -19,7 +19,8 @@ pub mod tiles;
 pub mod writer;
 
 pub use pipeline::{
-    preprocess_granule_files, preprocess_granule_with, GranuleBuffers, PipelineError,
+    preprocess_granule_files, preprocess_granule_with, tile_file_name, GranuleBuffers,
+    PipelineError,
 };
 pub use tiles::{cut_tile, extract_tiles, select_tiles, Tile, TileCriteria, TileSet};
 pub use writer::{

@@ -12,7 +12,9 @@ use crate::tiles::{cut_tile, cut_tiles, select_tiles, TileCriteria, TileSet};
 use crate::writer::{write_tiles_nc_into, TileNcError};
 use eoml_modis::container::{ContainerError, ReadError};
 use eoml_modis::files::{into_products, swath_from_containers, ProductFileError};
+use eoml_modis::granule::GranuleId;
 use eoml_modis::synth::Swath;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -95,6 +97,17 @@ pub struct GranuleBuffers {
     pub tile: Vec<f32>,
 }
 
+/// The name of granule `g`'s tile file, `tiles-<granule>.nc`: the one place
+/// the name is spelled. The `String` is sized before the name is written
+/// into it, with room for a `.part` suffix, so a name costs one allocation.
+pub fn tile_file_name(g: GranuleId) -> String {
+    // "tiles-" (6) + a granule name (at most 24 bytes, with an 11-character
+    // year) + ".nc" (3) + ".part" (5).
+    let mut name = String::with_capacity(38);
+    write!(name, "tiles-{g}.nc").expect("a String takes every write");
+    name
+}
+
 /// Preprocess one granule from its three product files on disk.
 pub fn preprocess_granule_files(
     mod02: &Path,
@@ -151,10 +164,10 @@ fn preprocess(
             tiles: set,
         });
     }
-    let id = swath.id;
     std::fs::create_dir_all(out_dir)?;
-    let final_path = out_dir.join(format!("tiles-{id}.nc"));
-    let part_path = out_dir.join(format!("tiles-{id}.nc.part"));
+    let name = tile_file_name(swath.id);
+    let final_path = out_dir.join(&name);
+    let part_path = out_dir.join(name + ".part");
     let mut part = File::create(&part_path)?;
     let cut = &mut |i: usize, pixels: &mut [f32]| match &set.tiles[i].data[..] {
         [] => cut_tile(swath, &set.tiles[i], pixels),
@@ -191,6 +204,20 @@ mod tests {
         ));
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn a_tile_file_name_is_one_allocation_with_room_for_its_part_suffix() {
+        for (platform, year) in [(Platform::Terra, 2022), (Platform::Aqua, 9999)] {
+            let date = CivilDate::new(year, 12, 31).unwrap();
+            for slot in [0, 121, 287] {
+                let g = GranuleId::new(platform, date, slot);
+                let name = tile_file_name(g);
+                assert_eq!(name, format!("tiles-{g}.nc"));
+                let part = name.capacity() >= name.len() + ".part".len();
+                assert!(part, "{name}: capacity {}", name.capacity());
+            }
+        }
     }
 
     fn day_swath() -> Swath {
