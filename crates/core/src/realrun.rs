@@ -132,8 +132,10 @@ enum Start {
 }
 
 /// What one worker carried one granule through.
-#[derive(Default)]
 struct Carried {
+    /// The granule and its tile file's name.
+    granule: GranuleId,
+    name: String,
     /// Its product files' bytes, when this pass downloaded them or found
     /// the granule shipped.
     downloaded: Option<u64>,
@@ -318,14 +320,15 @@ impl RealPipeline {
 
         // A granule the journal records as finished is folded in: its
         // labels are read back from its shipped file (the journal holds only
-        // their count). Every other granule is carried by the pass.
+        // their count). Every other granule is carried by the pass, with its
+        // tile file's name, built here once.
         let mut todo = Vec::new();
         for &g in granules {
-            if let Some(start) = self.start_of(g, journal) {
-                todo.push((g, start));
+            let name = tile_file_name(g);
+            if let Some(start) = self.start_of(g, &name, journal) {
+                todo.push((g, name, start));
                 continue;
             }
-            let name = tile_file_name(g);
             let resume = journal.resume();
             let Some(&(labels, _)) = resume.labeled.get(&name) else {
                 continue;
@@ -351,11 +354,11 @@ impl RealPipeline {
         let pass_id = pass.as_ref().map(|span| span.id());
         let mut extents: [Option<(Instant, Instant)>; 3] = [None; 3];
         self.executor.run(
-            todo.clone(),
+            todo,
             || self.worker(),
-            |worker, (g, start)| self.carry(g, start, worker, pass_id),
-            |i, carried| {
-                let g = todo[i].0;
+            |worker, (g, name, start)| self.carry(g, name, start, worker, pass_id),
+            |_, carried| {
+                let g = carried.granule;
                 for (extent, ran) in extents.iter_mut().zip(carried.ran) {
                     let widened = |(s, e)| extent.map_or((s, e), |(a, b)| (a.min(s), b.max(e)));
                     *extent = ran.map(widened).or(*extent);
@@ -367,16 +370,14 @@ impl RealPipeline {
                     })?;
                 }
                 // Built for the journal only: an unjournaled run names no file.
-                let file = || {
-                    if carried.tile_file {
-                        tile_file_name(g)
-                    } else {
-                        format!("scan-{g}")
-                    }
-                };
+                let name = carried.name;
                 let tiles = carried.tiles as u64;
                 journal.once(|| JournalEvent::TileFileWritten {
-                    file: file(),
+                    file: if carried.tile_file {
+                        name.clone()
+                    } else {
+                        format!("scan-{g}")
+                    },
                     tiles,
                 })?;
                 report.total_tiles += carried.tiles;
@@ -384,9 +385,9 @@ impl RealPipeline {
                     report.tile_files += 1;
                     let labels = tally(&mut report.label_histogram, carried.labels);
                     report.labeled_tiles += labels;
-                    journal.once(|| JournalEvent::MonitorTriggered { file: file() })?;
+                    journal.once(|| JournalEvent::MonitorTriggered { file: name.clone() })?;
                     journal.once(|| JournalEvent::LabelsAppended {
-                        file: file(),
+                        file: name,
                         labels: labels as u64,
                         bytes: carried.shipped_bytes,
                     })?;
@@ -404,48 +405,74 @@ impl RealPipeline {
             extents.map(|extent| extent.map_or(0.0, |(a, b)| (b - a).as_secs_f64()));
 
         // Stage 5: the outbox *is* the destination facility here; collect
-        // the shipped files.
+        // the shipped files. The manifest carries a content digest of each —
+        // what a destination facility verifies after the WAN hop — taken
+        // once, when the file is first shipped, and journaled: a file whose
+        // digest the journal holds keeps it, and must still be the size it
+        // was hashed at (DESIGN §26). A file whose size cannot be read fails
+        // the shipment before it is journaled: `once` would keep a short
+        // total across every resume.
         let shipment = Instant::now();
         let stage_span = self.obs.as_ref().map(|o| o.span("shipment", "collect"));
         journal.once(|| JournalEvent::stage_started("shipment"))?;
         let shipped = nc_files_sorted(&outbox)?;
-        // A file whose size cannot be read fails the shipment before it is
-        // journaled: `once` would keep a short total across every resume.
-        let mut shipped_bytes = 0;
-        for path in &shipped {
+        let mut manifest = ShipmentManifest::new(
+            "ace-defiant",
+            "frontier-orion",
+            started.elapsed().as_secs_f64(),
+        );
+        let (mut shipped_bytes, mut unhashed) = (0, Vec::new());
+        for (i, path) in shipped.iter().enumerate() {
             let meta = std::fs::metadata(path).map_err(|e| format!("{}: {e}", path.display()))?;
-            shipped_bytes += meta.len();
+            let (name, bytes) = (file_name(path)?, meta.len());
+            let digest = match journal.resume().digests.get(&name) {
+                None => {
+                    unhashed.push(i);
+                    0
+                }
+                Some(&(journaled, digest)) if journaled == bytes => digest,
+                Some(&(journaled, _)) => {
+                    let changed = format!(
+                        "{}: {bytes} bytes on disk, {journaled} when its digest was journaled",
+                        path.display()
+                    );
+                    return Err(changed.into());
+                }
+            };
+            shipped_bytes += bytes;
+            manifest.artifacts.push(ArtifactEntry {
+                trace_id: crate::campaign::granule_trace_id(&name),
+                name,
+                bytes,
+                digest,
+            });
+        }
+        // Each worker of the pool hashes one contiguous run of the files no
+        // earlier run hashed, four at a time (DESIGN §26); `map` keeps the
+        // runs' order.
+        if let Some(obs) = &self.obs {
+            obs.counter_add("files_hashed", "shipment", unhashed.len() as u64);
+        }
+        let run_len = unhashed.len().div_ceil(self.executor.workers()).max(1);
+        let runs = unhashed.chunks(run_len).collect();
+        let digests = self.executor.map(runs, |run: &[usize]| {
+            content_digests_of(run.iter().map(|&i| File::open(&shipped[i])))
+        });
+        for (&i, digest) in unhashed.iter().zip(digests.into_iter().flatten()) {
+            let failed = |e: std::io::Error| format!("{}: {e}", shipped[i].display());
+            let entry = &mut manifest.artifacts[i];
+            (entry.digest, entry.bytes) = digest.map_err(failed)?;
+            journal.once(|| JournalEvent::ArtifactDigested {
+                file: entry.name.clone(),
+                bytes: entry.bytes,
+                digest: entry.digest,
+            })?;
         }
         journal.once(|| JournalEvent::ShipmentFinished {
             files: shipped.len() as u64,
             bytes: shipped_bytes,
         })?;
         journal.once(|| JournalEvent::stage_finished("shipment"))?;
-        // The manifest hashes the real shipped bytes — what a destination
-        // facility would verify against after the WAN hop. Each worker of the
-        // pool hashes one contiguous run of the sorted files, four at a time
-        // (DESIGN §26); `map` keeps the runs' order.
-        let mut manifest = ShipmentManifest::new(
-            "ace-defiant",
-            "frontier-orion",
-            started.elapsed().as_secs_f64(),
-        );
-        let run_len = shipped.len().div_ceil(self.executor.workers()).max(1);
-        let runs = shipped.chunks(run_len).collect();
-        let digests = self.executor.map(runs, |run: &[PathBuf]| {
-            content_digests_of(run.iter().map(std::fs::File::open))
-        });
-        let digests = digests.into_iter().flatten();
-        for (path, digest) in shipped.iter().zip(digests) {
-            let name = file_name(path)?;
-            let (digest, bytes) = digest.map_err(|e| e.to_string())?;
-            manifest.artifacts.push(ArtifactEntry {
-                name: name.clone(),
-                bytes,
-                digest,
-                trace_id: crate::campaign::granule_trace_id(&name),
-            });
-        }
         manifest.journal = journal.digest();
         if let Some(mut span) = stage_span {
             span.attr("files", shipped.len());
@@ -467,18 +494,21 @@ impl RealPipeline {
     /// Where granule `g`'s remaining work starts, from the journal state
     /// this run resumed from and the workdir; `None` when the journal
     /// records it finished, which is decided without touching a file.
-    fn start_of(&self, g: GranuleId, journal: &RunJournal<'_>) -> Option<Start> {
+    /// `name` is its tile file's; its scan record is looked up only when
+    /// the journal holds a tile file at all.
+    fn start_of(&self, g: GranuleId, name: &str, journal: &RunJournal<'_>) -> Option<Start> {
         let resume = journal.resume();
-        let name = tile_file_name(g);
-        if resume.is_labeled(&name) || resume.has_tile_file(&format!("scan-{g}")) {
+        let scanned =
+            || !resume.tile_files.is_empty() && resume.has_tile_file(&format!("scan-{g}"));
+        if resume.is_labeled(name) || scanned() {
             return None;
         }
-        let exists = |sub: &str| self.workdir.join(sub).join(&name).exists();
+        let exists = |sub: &str| self.workdir.join(sub).join(name).exists();
         Some(if journal.is_journaled() && exists("outbox") {
             Start::Shipped
         } else if !resume.is_downloaded(&g.to_string()) {
             Start::Download
-        } else if resume.has_tile_file(&name) && exists("tiles") {
+        } else if resume.has_tile_file(name) && exists("tiles") {
             Start::Flow
         } else if product_files(&self.workdir, g).iter().all(|p| p.exists()) {
             Start::Preprocess
@@ -496,38 +526,44 @@ impl RealPipeline {
         }
     }
 
-    /// Carry granule `g` from `start` to its shipped file (or its scan
-    /// record), on `worker`. Every step works in the worker's buffer set,
-    /// which its next granule overwrites: nothing granule-sized is allocated
-    /// once the set has held a granule of this shape.
+    /// Carry granule `g`, whose tile file is `name`, from `start` to its
+    /// shipped file (or its scan record), on `worker`. Every step works in
+    /// the worker's buffer set, which its next granule overwrites: nothing
+    /// granule-sized is allocated once the set has held a granule of this
+    /// shape.
     fn carry(
         &self,
         g: GranuleId,
+        name: String,
         start: Start,
         worker: &mut Worker<'_>,
         pass: Option<u64>,
     ) -> Result<Carried, RealRunError> {
-        let trace = TraceContext::new(g.to_string());
-        let span = |stage, name| {
-            let mut span = self
-                .obs
-                .as_ref()
-                .zip(pass)
-                .map(|(o, at)| o.span_under(at, stage, name));
-            span.iter_mut().for_each(|span| span.set_trace(&trace));
-            span
+        let traced = self.obs.as_ref().zip(pass);
+        let trace = traced.map(|_| TraceContext::new(g.to_string()));
+        let span = |stage, step| {
+            let (obs, at) = traced?;
+            let mut span = obs.span_under(at, stage, step);
+            trace.iter().for_each(|trace| span.set_trace(trace));
+            Some(span)
         };
         let buffers = &mut worker.buffers;
-        let [p02, p03, p06] = product_files(&self.workdir, g);
-        let name = tile_file_name(g);
+        let products = product_files(&self.workdir, g);
         let mut out = Carried {
+            granule: g,
+            name,
+            downloaded: None,
+            tiles: 0,
             tile_file: true,
-            ..Carried::default()
+            labels: Vec::new(),
+            shipped_bytes: 0,
+            ran: [None; 3],
         };
+        let name = &out.name;
         if start == Start::Download {
             let _span = span("download", "synthesize");
             let began = Instant::now();
-            out.downloaded = Some(self.download(g, buffers)?);
+            out.downloaded = Some(self.download(g, &products, buffers)?);
             out.ran[0] = Some((began, Instant::now()));
         }
         if start <= Start::Preprocess {
@@ -536,7 +572,8 @@ impl RealPipeline {
             let tiles_dir = self.workdir.join("tiles");
             let criteria = &self.criteria;
             let buffers = &mut buffers.granule;
-            let done = preprocess_granule_with(&p02, &p03, &p06, &tiles_dir, criteria, buffers)
+            let [p02, p03, p06] = &products;
+            let done = preprocess_granule_with(p02, p03, p06, &tiles_dir, criteria, buffers)
                 .map_err(|e| format!("preprocess failed for {g}: {e}"))?;
             // Only the count leaves: the pixels are in the tile file.
             (out.tiles, out.tile_file) = (done.tiles.len(), done.output.is_some());
@@ -549,20 +586,20 @@ impl RealPipeline {
             let _span = span("inference", "flow");
             let began = Instant::now();
             (out.labels, out.shipped_bytes) = self
-                .infer_and_ship(&name, buffers)
+                .infer_and_ship(name, buffers)
                 .map_err(|e| format!("inference flow failed for {name}: {e}"))?;
             out.ran[2] = Some((began, Instant::now()));
         } else {
             // Shipped by a run that stopped before journaling all of it:
             // what the journal lacks is read back from the files.
-            let shipped = self.workdir.join("outbox").join(&name);
+            let shipped = self.workdir.join("outbox").join(name);
             let mut shipped = File::open(shipped).map_err(|e| format!("{name}: {e}"))?;
-            out.labels = shipped_labels(&name, &mut shipped)?;
+            out.labels = shipped_labels(name, &mut shipped)?;
             out.shipped_bytes = shipped
                 .metadata()
                 .map_err(|e| format!("{name}: {e}"))?
                 .len();
-            let sizes = [p02, p03, p06].map(|p| std::fs::metadata(p).map(|m| m.len()));
+            let sizes = products.map(|p| std::fs::metadata(p).map(|m| m.len()));
             out.downloaded = sizes.into_iter().sum::<Result<u64, _>>().ok();
         }
         out.tiles = out.labels.len(); // one label per tile
@@ -570,19 +607,24 @@ impl RealPipeline {
     }
 
     /// Stage 1 (substituted download): materialize granule `g`'s three
-    /// product files, synthesizing into the worker's `set` — the same planes
-    /// its preprocessing decodes into next (DESIGN §21, §24). The swath's
-    /// planes move into the product containers, each container is encoded
-    /// straight into its file, and the planes move back into the swath.
-    /// Returns the bytes written.
-    fn download(&self, g: GranuleId, set: &mut BufferSet) -> Result<u64, String> {
+    /// product files at `paths`, synthesizing into the worker's `set` — the
+    /// same planes its preprocessing decodes into next (DESIGN §21, §24).
+    /// The swath's planes move into the product containers, each container
+    /// is encoded straight into its file, and the planes move back into the
+    /// swath. Returns the bytes written.
+    fn download(
+        &self,
+        g: GranuleId,
+        paths: &[PathBuf; 3],
+        set: &mut BufferSet,
+    ) -> Result<u64, String> {
         let held = &mut set.granule.swath;
         let mut swath = held.take().unwrap_or_else(|| Swath::empty(g));
         self.synth
             .synthesize_into(g, &mut swath, &mut set.synthesis);
         let products = into_products(swath);
         let mut bytes = 0u64;
-        for (path, product) in product_files(&self.workdir, g).iter().zip(&products) {
+        for (path, product) in paths.iter().zip(&products) {
             let failed = |e: std::io::Error| format!("download failed: {}: {e}", path.display());
             let mut file = File::create(path).map_err(failed)?;
             product.encode_into(&mut file).map_err(failed)?;

@@ -52,6 +52,17 @@ pub enum JournalEvent {
         /// File payload size (needed to rebuild the shipment manifest).
         bytes: u64,
     },
+    /// A shipped file's content digest was taken, once: later runs reuse it
+    /// instead of hashing the file again.
+    ArtifactDigested {
+        /// Shipped file name.
+        file: String,
+        /// File size when it was hashed.
+        bytes: u64,
+        /// FNV-1a 64 of its bytes (16 hex digits on disk, as in the
+        /// shipment manifest).
+        digest: u64,
+    },
     /// The final shipment transfer completed.
     ShipmentFinished {
         /// Files shipped.
@@ -159,6 +170,13 @@ impl JournalEvent {
             } => {
                 json!({ "type": "labels_appended", "file": file, "labels": *labels, "bytes": *bytes })
             }
+            JournalEvent::ArtifactDigested {
+                file,
+                bytes,
+                digest,
+            } => {
+                json!({ "type": "artifact_digested", "file": file, "bytes": *bytes, "digest": format!("{digest:016x}") })
+            }
             JournalEvent::ShipmentFinished { files, bytes } => {
                 json!({ "type": "shipment_finished", "files": *files, "bytes": *bytes })
             }
@@ -233,6 +251,12 @@ impl JournalEvent {
                 file: str_field("file")?,
                 labels: u64_field("labels")?,
                 bytes: u64_field("bytes")?,
+            },
+            "artifact_digested" => JournalEvent::ArtifactDigested {
+                file: str_field("file")?,
+                bytes: u64_field("bytes")?,
+                digest: crate::state::hex_digest(&str_field("digest")?)
+                    .ok_or_else(|| format!("{typ}: 'digest' is not 16 hex digits"))?,
             },
             "shipment_finished" => JournalEvent::ShipmentFinished {
                 files: u64_field("files")?,
@@ -314,6 +338,11 @@ mod tests {
                 labels: 324,
                 bytes: 5_000_000,
             },
+            JournalEvent::ArtifactDigested {
+                file: "tiles_0001.nc".into(),
+                bytes: 5_000_000,
+                digest: 0x00ab_54a9_8ceb_1f0a,
+            },
             JournalEvent::ShipmentFinished {
                 files: 12,
                 bytes: 60_000_000,
@@ -365,5 +394,24 @@ mod tests {
         assert!(JournalEvent::from_json(&json!({ "type": "warp" })).is_err());
         assert!(JournalEvent::from_json(&json!({ "type": "stage_started" })).is_err());
         assert!(JournalEvent::decode(b"not json").is_err());
+        let digested = |digest: &str| json!({ "type": "artifact_digested", "file": "a.nc", "bytes": 1, "digest": digest });
+        for bad in [
+            "ab54a98ceb1f0a",
+            "+0ab54a98ceb1f0a",
+            "00ab54a98ceb1f0g",
+            "00AB54A98CEB1F0A0",
+        ] {
+            assert!(JournalEvent::from_json(&digested(bad)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_digest_is_written_as_16_hex_digits() {
+        let ev = JournalEvent::ArtifactDigested {
+            file: "a.nc".into(),
+            bytes: 7,
+            digest: 0xab,
+        };
+        assert_eq!(ev.to_json()["digest"].as_str(), Some("00000000000000ab"));
     }
 }

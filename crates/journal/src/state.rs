@@ -26,6 +26,8 @@ pub struct CampaignState {
     pub monitor_seen: BTreeSet<String>,
     /// Labeled files → (labels, file bytes).
     pub labeled: BTreeMap<String, (u64, u64)>,
+    /// Shipped files → (bytes, content digest), each taken once.
+    pub digests: BTreeMap<String, (u64, u64)>,
     /// Completed final shipment, if any: (files, bytes).
     pub shipped: Option<(u64, u64)>,
     /// Acknowledged ingest manifests → (files, bytes) verified. Keyed by
@@ -80,6 +82,13 @@ impl CampaignState {
             } => {
                 self.labeled.insert(file.clone(), (*labels, *bytes));
             }
+            JournalEvent::ArtifactDigested {
+                file,
+                bytes,
+                digest,
+            } => {
+                self.digests.insert(file.clone(), (*bytes, *digest));
+            }
             JournalEvent::ShipmentFinished { files, bytes } => {
                 self.shipped = Some((*files, *bytes));
             }
@@ -123,7 +132,7 @@ impl CampaignState {
     /// Whether this state already holds the completion `event` records, so
     /// a resuming driver need not append it again. It sits beside
     /// [`apply`](Self::apply) because both must agree on the key each event
-    /// is filed under. Only the seven work events can be covered; a claim,
+    /// is filed under. Only the eight work events can be covered; a claim,
     /// snapshot, flow, ingest or service record is always appended.
     pub fn covers(&self, event: &JournalEvent) -> bool {
         match event {
@@ -133,6 +142,7 @@ impl CampaignState {
             JournalEvent::TileFileWritten { file, .. } => self.has_tile_file(file),
             JournalEvent::MonitorTriggered { file } => self.monitor_saw(file),
             JournalEvent::LabelsAppended { file, .. } => self.is_labeled(file),
+            JournalEvent::ArtifactDigested { file, .. } => self.digests.contains_key(file),
             JournalEvent::ShipmentFinished { .. } => self.shipped.is_some(),
             _ => false,
         }
@@ -184,12 +194,14 @@ impl CampaignState {
         eoml_util::hash::fnv1a64(canon.to_json().to_string().as_bytes())
     }
 
-    /// Serialise for a snapshot event.
+    /// Serialise for a snapshot event. `digests` is written only when it
+    /// holds one, so a journal that never digests a file (every simulated
+    /// driver's) serialises, and checksums, as it did before the map.
     pub fn to_json(&self) -> Value {
         let pairs = |m: &BTreeMap<String, u64>| -> Value {
             Value::Object(m.iter().map(|(k, v)| (k.clone(), json!(*v))).collect())
         };
-        json!({
+        let mut state = json!({
             "seed": self.seed.map(|s| json!(s)).unwrap_or(Value::Null),
             "label": self.label.clone().map(Value::String).unwrap_or(Value::Null),
             "stages_started": self.stages_started.iter().cloned().collect::<Vec<_>>(),
@@ -239,7 +251,15 @@ impl CampaignState {
                     .collect::<Map>(),
             ),
             "events_applied": self.events_applied,
-        })
+        });
+        if !self.digests.is_empty() {
+            let digests = self.digests.iter().map(|(k, (bytes, digest))| {
+                let entry = json!({ "bytes": *bytes, "digest": format!("{digest:016x}") });
+                (k.clone(), entry)
+            });
+            state["digests"] = Value::Object(digests.collect());
+        }
+        state
     }
 
     /// Rebuild from a snapshot payload.
@@ -285,6 +305,18 @@ impl CampaignState {
                     .as_u64()
                     .ok_or_else(|| format!("snapshot labeled[{k}] missing bytes"))?;
                 s.labeled.insert(k.clone(), (labels, bytes));
+            }
+        }
+        if let Some(obj) = v["digests"].as_object() {
+            for (k, entry) in obj.iter() {
+                let bytes = entry["bytes"]
+                    .as_u64()
+                    .ok_or_else(|| format!("snapshot digests[{k}] missing bytes"))?;
+                let digest = entry["digest"]
+                    .as_str()
+                    .and_then(hex_digest)
+                    .ok_or_else(|| format!("snapshot digests[{k}] missing digest"))?;
+                s.digests.insert(k.clone(), (bytes, digest));
             }
         }
         if !v["shipped"].is_null() {
@@ -337,13 +369,20 @@ impl CampaignState {
     }
 }
 
+/// The digest written as exactly 16 hex digits, as the shipment manifest
+/// writes it.
+pub(crate) fn hex_digest(text: &str) -> Option<u64> {
+    let hex = text.len() == 16 && text.bytes().all(|b| b.is_ascii_hexdigit());
+    hex.then(|| u64::from_str_radix(text, 16).ok()).flatten()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// One of the seven work events (`kind` 0–6) or of the records a state
-    /// never covers (7–12); small name spaces so sequences collide.
+    /// One of the eight work events (`kind` 0–7) or of the records a state
+    /// never covers (8–13); small name spaces so sequences collide.
     fn event(kind: u8, n: u64) -> JournalEvent {
         let file = format!("tiles-{}.nc", n % 5);
         let stage = format!("stage-{}", n % 3);
@@ -359,23 +398,28 @@ mod tests {
                 bytes: n * 7,
             },
             6 => JournalEvent::ShipmentFinished { files: n, bytes: n },
-            7 => JournalEvent::CampaignStarted {
+            7 => JournalEvent::ArtifactDigested {
+                file,
+                bytes: n,
+                digest: n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            },
+            8 => JournalEvent::CampaignStarted {
                 seed: n,
                 label: stage,
             },
-            8 => JournalEvent::Snapshot {
+            9 => JournalEvent::Snapshot {
                 state: CampaignState::new().to_json(),
             },
-            9 => JournalEvent::FlowTransition {
+            10 => JournalEvent::FlowTransition {
                 run: n,
                 state: stage,
                 context: json!({ "file": file }),
             },
-            10 => JournalEvent::FlowFinished {
+            11 => JournalEvent::FlowFinished {
                 run: n,
                 status: "succeeded".into(),
             },
-            11 => JournalEvent::IngestAcked {
+            12 => JournalEvent::IngestAcked {
                 manifest: file,
                 facility: stage,
                 files: n,
@@ -394,14 +438,14 @@ mod tests {
         /// event again with the same payload changes no completed work.
         #[test]
         fn covers_holds_after_apply_for_the_work_events(
-            kinds in proptest::collection::vec((0u8..13, 0u64..40), 1..60),
+            kinds in proptest::collection::vec((0u8..14, 0u64..40), 1..60),
         ) {
             let mut s = CampaignState::new();
             for &(kind, n) in &kinds {
                 let ev = event(kind, n);
                 prop_assert!(!CampaignState::new().covers(&ev), "default state covers {:?}", ev);
                 s.apply(&ev);
-                prop_assert_eq!(s.covers(&ev), kind < 7, "{:?}", ev);
+                prop_assert_eq!(s.covers(&ev), kind < 8, "{:?}", ev);
                 let checksum = s.work_checksum();
                 if s.covers(&ev) {
                     s.apply(&ev);
@@ -558,6 +602,32 @@ mod tests {
         let s = populated();
         let back = CampaignState::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn digests_round_trip_and_are_written_only_when_held() {
+        let mut s = populated();
+        let without = (s.to_json().to_string(), s.work_checksum());
+        assert!(s.to_json()["digests"].is_null(), "an empty map was written");
+        s.apply(&JournalEvent::ArtifactDigested {
+            file: "t.nc".into(),
+            bytes: 777,
+            digest: 0x0f,
+        });
+        assert_eq!(s.digests["t.nc"], (777, 0x0f));
+        let v = s.to_json();
+        assert_eq!(
+            v["digests"]["t.nc"]["digest"].as_str(),
+            Some("000000000000000f")
+        );
+        assert_ne!(s.work_checksum(), without.1, "the digest is completed work");
+        assert_eq!(CampaignState::from_json(&v).unwrap(), s);
+        s.digests.clear();
+        s.events_applied -= 1;
+        assert_eq!((s.to_json().to_string(), s.work_checksum()), without);
+        let mut bad = v.clone();
+        bad["digests"]["t.nc"]["digest"] = json!("f");
+        assert!(CampaignState::from_json(&bad).is_err());
     }
 
     #[test]

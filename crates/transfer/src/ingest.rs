@@ -19,7 +19,7 @@
 //! `duplicate` report — the caller journals acks, this type only keeps
 //! the set.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use eoml_obs::{Obs, TraceContext};
@@ -406,8 +406,14 @@ impl Ingestor {
         let mut errors = Vec::new();
         let mut bytes_verified = 0u64;
         let mut clock = now_s;
+        // Both sides indexed by name, so verifying is not quadratic in the
+        // shipment; a name received twice is verified by its first copy.
+        let mut arrived = BTreeMap::new();
+        for r in received {
+            arrived.entry(r.name.as_str()).or_insert(r);
+        }
         for entry in &manifest.artifacts {
-            match received.iter().find(|r| r.name == entry.name) {
+            match arrived.get(entry.name.as_str()) {
                 None => errors.push(IngestError::Missing {
                     artifact: entry.name.clone(),
                 }),
@@ -443,8 +449,9 @@ impl Ingestor {
                 }
             }
         }
+        let listed: BTreeSet<&str> = manifest.artifacts.iter().map(|a| a.name.as_str()).collect();
         for r in received {
-            if manifest.artifact(&r.name).is_none() {
+            if !listed.contains(r.name.as_str()) {
                 errors.push(IngestError::Unexpected {
                     artifact: r.name.clone(),
                 });
@@ -538,6 +545,24 @@ mod tests {
                 .counter_value("artifacts_verified", "facility:frontier-orion"),
             Some(3)
         );
+    }
+
+    #[test]
+    fn a_name_received_twice_is_verified_by_its_first_copy() {
+        let m = manifest(2);
+        let mut corrupt = faithful(&m)[1].clone();
+        corrupt.digest ^= 1;
+        let mut received = faithful(&m);
+        received.push(corrupt.clone());
+        let report = Ingestor::new("frontier-orion").ingest(&m, &received, 0.0);
+        assert!(report.ok(), "{:?}", report.errors);
+        assert_eq!(report.verified.len(), 2);
+
+        received.insert(0, corrupt);
+        let report = Ingestor::new("frontier-orion").ingest(&m, &received, 0.0);
+        let kinds: Vec<&str> = report.errors.iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds, ["digest_mismatch"]);
+        assert_eq!(report.errors[0].artifact(), m.artifacts[1].name);
     }
 
     #[test]

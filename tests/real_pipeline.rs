@@ -9,14 +9,17 @@ use eoml::modis::granule::GranuleId;
 use eoml::modis::product::Platform;
 use eoml::modis::synth::{SwathDims, SwathSynthesizer};
 use eoml::ncdf::{NcFile, RecordVarSpan};
+use eoml::obs::Obs;
 use eoml::preprocess::writer::read_tiles_nc;
 use eoml::ricc::aicca::AiccaModel;
 use eoml::ricc::autoencoder::{AeConfig, EncodeScratch};
 use eoml::transfer::manifest::content_digest;
+use eoml::transfer::{IngestError, Ingestor, ReceivedArtifact};
 use eoml::util::hash::fnv1a64;
 use eoml::util::timebase::CivilDate;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -385,7 +388,7 @@ fn manifest_of_unequal_files_is_the_same_at_one_two_and_three_workers() {
 }
 
 #[test]
-fn a_resume_hashes_the_shipped_bytes_on_disk_not_the_journal() {
+fn a_resume_keeps_the_journaled_digest_so_the_destination_refuses_a_changed_file() {
     let dir = tempdir("rehash");
     let pipeline = RealPipeline::new(&dir, 2022, SwathDims::small(), 32, 2)
         .unwrap()
@@ -396,6 +399,12 @@ fn a_resume_hashes_the_shipped_bytes_on_disk_not_the_journal() {
     let before = pipeline.run_resumable(&granules, &mut journal).unwrap();
     let before = before.manifest.expect("manifest");
     assert_eq!(before.len(), 3);
+    let digested = journal
+        .events()
+        .iter()
+        .filter(|e| matches!(e, JournalEvent::ArtifactDigested { .. }))
+        .count();
+    assert_eq!(digested, 3, "one digest journaled per shipped file");
 
     // One radiance byte of the middle file's first tile; its labels stay.
     let path = dir.join("outbox").join(&before.artifacts[1].name);
@@ -414,19 +423,76 @@ fn a_resume_hashes_the_shipped_bytes_on_disk_not_the_journal() {
     file.write_all(&[byte[0] ^ 0x5a]).unwrap();
     drop(file);
 
-    let (mut journal, _) = Journal::open(store).unwrap();
+    // The resume takes every digest from the journal: the manifest still
+    // describes the bytes the pipeline shipped.
+    let (mut journal, _) = Journal::open(store.clone()).unwrap();
     let events = journal.len();
     let after = pipeline.run_resumable(&granules, &mut journal).unwrap();
     assert_eq!(journal.len(), events, "the resume had nothing left to do");
     let after = after.manifest.expect("manifest");
-    for (i, (a, b)) in after.artifacts.iter().zip(&before.artifacts).enumerate() {
-        assert_eq!((&a.name, a.bytes), (&b.name, b.bytes));
-        assert_eq!(a.digest != b.digest, i == 1, "{}", a.name);
-    }
+    assert_eq!(after.artifacts, before.artifacts);
+
+    // The destination hashes what it received, the changed bytes, and
+    // refuses the file instead of acknowledging the shipment.
+    let received: Vec<ReceivedArtifact> = after
+        .artifacts
+        .iter()
+        .map(|a| {
+            let bytes = std::fs::read(dir.join("outbox").join(&a.name)).unwrap();
+            ReceivedArtifact {
+                name: a.name.clone(),
+                bytes: bytes.len() as u64,
+                digest: content_digest(&bytes),
+            }
+        })
+        .collect();
+    let mut destination = Ingestor::new("frontier-orion");
+    let ingest = destination.ingest(&after, &received, 0.0);
     assert_eq!(
-        after.artifacts[1].digest,
-        content_digest(&std::fs::read(&path).unwrap())
+        ingest.errors,
+        [IngestError::DigestMismatch {
+            artifact: after.artifacts[1].name.clone(),
+            expected: before.artifacts[1].digest,
+            actual: received[1].digest,
+        }]
     );
+    assert!(
+        !destination.is_acked(&after.id()),
+        "a refused shipment was acked"
+    );
+
+    // A file cut short since its digest was journaled fails the resume as
+    // its labels are read back; one grown since fails the shipment's size
+    // check. Either error names the file, and nothing is journaled after it.
+    let shipped = |i: usize| dir.join("outbox").join(&before.artifacts[i].name);
+    let resume_fails = |i: usize, why: &str| {
+        let (mut journal, _) = Journal::open(store.clone()).unwrap();
+        let err = pipeline.run_resumable(&granules, &mut journal).unwrap_err();
+        let err = err.to_string();
+        assert!(err.contains(&before.artifacts[i].name), "{err}");
+        assert!(err.contains(why), "{err}");
+        drop(journal);
+        assert_eq!(
+            Journal::open(store.clone()).unwrap().0.len(),
+            events,
+            "{err}"
+        );
+    };
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(shipped(2))
+        .unwrap();
+    file.set_len(before.artifacts[2].bytes - 1).unwrap();
+    drop(file);
+    resume_fails(2, "truncated");
+    std::fs::remove_file(shipped(2)).unwrap();
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(shipped(0))
+        .unwrap();
+    file.write_all(&[0]).unwrap();
+    drop(file);
+    resume_fails(0, "bytes on disk");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -457,6 +523,60 @@ fn an_unreadable_shipped_file_fails_the_run_before_the_shipment_is_journaled() {
     assert!(
         !journaled(|e| matches!(e, JournalEvent::ShipmentFinished { .. })),
         "a shipment with an unreadable file was journaled"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_shipment_hashes_only_the_files_no_earlier_run_hashed() {
+    // The count twin of the no-op resume's wall time: `files_hashed` is
+    // the number of files the shipment hands to `content_digests_of`.
+    let granules = day_granules(5);
+    let (n, grown) = (3, &granules[..5]);
+    let hashed = |obs: &Obs| {
+        let metrics = obs.metrics();
+        metrics
+            .counter_value("files_hashed", "shipment")
+            .unwrap_or(0)
+    };
+    let observed = |dir: &PathBuf| {
+        let obs = Obs::shared();
+        let pipeline = RealPipeline::new(dir, 2022, SwathDims::small(), 32, 2)
+            .unwrap()
+            .with_thresholds(0.0, 0.0)
+            .with_obs(Arc::clone(&obs));
+        (pipeline, obs)
+    };
+
+    let plain_dir = tempdir("hashed-plain");
+    let (pipeline, obs) = observed(&plain_dir);
+    let report = pipeline.run(&granules[..n]).unwrap();
+    assert_eq!(report.outbox.len(), n);
+    assert_eq!(hashed(&obs), n as u64, "run");
+    std::fs::remove_dir_all(&plain_dir).unwrap();
+
+    let dir = tempdir("hashed-journaled");
+    let (pipeline, obs) = observed(&dir);
+    let store = MemStorage::new();
+    let mut runs = Vec::new();
+    for (kind, granules) in [
+        ("run_resumable", &granules[..n]),
+        ("a no-op resume", &granules[..n]),
+        ("the journal extended by two granules", grown),
+    ] {
+        let (mut journal, _) = Journal::open(store.clone()).unwrap();
+        let was = hashed(&obs);
+        let report = pipeline.run_resumable(granules, &mut journal).unwrap();
+        assert_eq!(report.outbox.len(), granules.len(), "{kind}");
+        runs.push((kind, hashed(&obs) - was));
+    }
+    assert_eq!(
+        runs,
+        [
+            ("run_resumable", n as u64),
+            ("a no-op resume", 0),
+            ("the journal extended by two granules", 2),
+        ]
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
