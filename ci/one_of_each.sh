@@ -21,7 +21,8 @@
 # hardware kernels (DESIGN §23). No Cargo.toml names crossbeam or
 # parking_lot: std's channel and locks are all the one pool needs. The hub
 # records one way (DESIGN §8): no live event sink subscribes to it. No
-# manifest under crates/ but the rayon shim's own names rayon.
+# manifest under crates/ but the rayon shim's own names rayon. No knob sets
+# the journal's snapshot cadence.
 #
 # "Non-test part" of a file = the lines before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -182,6 +183,14 @@ manifests=$(find crates -name Cargo.toml -not -path '*/target/*' -not -path 'cra
   sort | xargs grep -lE '(^|[^_[:alnum:]])rayon([^_[:alnum:]]|$)' || true)
 if [ -n "$manifests" ]; then
   complain "rayon named in:"$'\n'"$manifests"
+fi
+
+# The journal derives its snapshot cadence from the bytes it writes
+# (DESIGN §10): no config field, builder or open variant sets it. Files under
+# a `tests/` directory are tests throughout.
+knobs=$(callers 'snapshot_every' crates src examples | grep -v '/tests/' || true)
+if [ -n "$knobs" ]; then
+  complain "snapshot_every outside tests (the cadence is derived, DESIGN §10) in:"$'\n'"$knobs"
 fi
 
 lines() {

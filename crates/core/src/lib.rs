@@ -53,9 +53,8 @@ pub use chaos::{run_chaos_campaign, ChaosOutcome, ChaosReport, ChaosSchedule, In
 pub use provenance::{ProvRecord, ProvenanceLog};
 pub use realrun::{RealPipeline, RealRunError, RealRunReport};
 pub use scheduler::{
-    day_namespace, run_day_in_namespace, run_day_in_namespace_ticked, run_multi_day_resumable,
-    run_multi_day_resumable_ticked, run_streaming_days_resumable, DayRun, MultiDayReport,
-    StreamingDayRun,
+    day_namespace, run_day_in_namespace, run_multi_day_resumable, run_streaming_days_resumable,
+    DayRun, MultiDayReport, StreamingDayRun,
 };
 pub use streaming::{
     run_streaming_campaign, try_run_streaming_campaign, StreamingError, StreamingParams,

@@ -74,24 +74,14 @@ impl MultiDayReport {
 /// then bound the journal to snapshot + tail. Killing the process anywhere
 /// inside leaves a journal that resumes; rerunning a completed quantum
 /// replays it with zero re-execution.
-pub fn run_day_in_namespace(
-    params: &CampaignParams,
-    ledger: &Ledger,
-    namespace: &str,
-    date: CivilDate,
-) -> Result<DayRun, JournalError> {
-    run_day_in_namespace_ticked(params, ledger, namespace, date, None)
-}
-
-/// [`run_day_in_namespace`] with a per-quantum tick hook.
 ///
-/// `tick` runs once, after the quantum durably completes (journal
-/// compacted) but before the result is returned — the seam the ops plane
-/// hangs on: the hook observes the finished [`DayRun`] (makespan advances
-/// the sim-time ops clock, counters roll into windows) exactly once per
-/// *completed* quantum, so a quantum killed mid-run contributes nothing
-/// and is observed on the post-restart replay instead.
-pub fn run_day_in_namespace_ticked(
+/// `tick`, if given, runs once, after the quantum durably completes
+/// (journal compacted) but before the result is returned — the seam the
+/// ops plane hangs on: the hook observes the finished [`DayRun`] (makespan
+/// advances the sim-time ops clock, counters roll into windows) exactly
+/// once per *completed* quantum, so a quantum killed mid-run contributes
+/// nothing and is observed on the post-restart replay instead.
+pub fn run_day_in_namespace(
     params: &CampaignParams,
     ledger: &Ledger,
     namespace: &str,
@@ -134,17 +124,9 @@ pub fn run_day_in_namespace_ticked(
 /// second concurrent caller over the same root gets a typed
 /// [`JournalError::Busy`] instead of the two schedulers interleaving day
 /// namespaces. Returns [`JournalError::Crashed`] when a day's journal hits
-/// its injected kill point; rerunning with the same ledger resumes.
+/// its injected kill point; rerunning with the same ledger resumes. `tick`
+/// runs once per completed day (see [`run_day_in_namespace`]).
 pub fn run_multi_day_resumable(
-    params: CampaignParams,
-    ledger: &Ledger,
-) -> Result<MultiDayReport, JournalError> {
-    run_multi_day_resumable_ticked(params, ledger, None)
-}
-
-/// [`run_multi_day_resumable`] with a per-quantum tick hook (see
-/// [`run_day_in_namespace_ticked`] for the hook contract).
-pub fn run_multi_day_resumable_ticked(
     params: CampaignParams,
     ledger: &Ledger,
     tick: Option<&dyn Fn(&DayRun)>,
@@ -160,7 +142,7 @@ pub fn run_multi_day_resumable_ticked(
     };
     for date in params.start.iter_days(params.days) {
         let namespace = day_namespace(date);
-        out.push(run_day_in_namespace_ticked(
+        out.push(run_day_in_namespace(
             &params, ledger, &namespace, date, tick,
         )?);
     }
@@ -245,8 +227,8 @@ mod tests {
     #[test]
     fn multi_day_runs_each_day_in_its_own_namespace() {
         let root = tempdir("namespaces");
-        let ledger = Ledger::new(&root).unwrap().with_snapshot_every(8);
-        let report = run_multi_day_resumable(params(3), &ledger).unwrap();
+        let ledger = Ledger::new(&root).unwrap();
+        let report = run_multi_day_resumable(params(3), &ledger, None).unwrap();
         assert_eq!(report.days.len(), 3);
         assert_eq!(
             ledger.campaigns().unwrap(),
@@ -283,7 +265,7 @@ mod tests {
                 .borrow_mut()
                 .push((day.namespace.clone(), day.report.makespan_s));
         };
-        let report = run_multi_day_resumable_ticked(params(3), &ledger, Some(&tick)).unwrap();
+        let report = run_multi_day_resumable(params(3), &ledger, Some(&tick)).unwrap();
         let seen = ticks.borrow();
         assert_eq!(seen.len(), 3);
         // One tick per day namespace, carrying that day's makespan; the
@@ -302,9 +284,9 @@ mod tests {
     fn rerun_replays_completed_days_without_new_completions() {
         let root = tempdir("replay");
         let ledger = Ledger::new(&root).unwrap();
-        let first = run_multi_day_resumable(params(2), &ledger).unwrap();
+        let first = run_multi_day_resumable(params(2), &ledger, None).unwrap();
         let sizes_after_first = ledger.total_size().unwrap();
-        let second = run_multi_day_resumable(params(2), &ledger).unwrap();
+        let second = run_multi_day_resumable(params(2), &ledger, None).unwrap();
         for day in &second.days {
             assert!(
                 day.recovered_events > 0,
@@ -335,7 +317,7 @@ mod tests {
         let root_a = tempdir("crash-a");
         let root_b = tempdir("crash-b");
         let uninterrupted =
-            run_multi_day_resumable(params(2), &Ledger::new(&root_a).unwrap()).unwrap();
+            run_multi_day_resumable(params(2), &Ledger::new(&root_a).unwrap(), None).unwrap();
 
         // Crash during day 2: open day 2's journal with a kill point set,
         // then run the scheduler — day 1 completes, day 2 dies.
@@ -355,7 +337,7 @@ mod tests {
         }
         // The scheduler now finds a half-written day 2 journal and a fresh
         // day 1; it completes both.
-        let resumed = run_multi_day_resumable(params(2), &ledger).unwrap();
+        let resumed = run_multi_day_resumable(params(2), &ledger, None).unwrap();
         assert!(
             resumed.days[1].recovered_events > 0,
             "day 2 must resume from its crashed journal"
@@ -376,7 +358,7 @@ mod tests {
         let a = Ledger::new(&root).unwrap();
         let b = Ledger::new(&root).unwrap();
         let lock = a.lock_exclusive().unwrap();
-        let handle = std::thread::spawn(move || run_multi_day_resumable(params(2), &b));
+        let handle = std::thread::spawn(move || run_multi_day_resumable(params(2), &b, None));
         match handle.join().unwrap() {
             Err(JournalError::Busy(_)) => {}
             other => panic!("expected Busy conflict, got {other:?}"),
@@ -386,7 +368,7 @@ mod tests {
         drop(lock);
         // Once the first caller releases the root, the run goes through
         // and produces the normal day layout.
-        let report = run_multi_day_resumable(params(2), &a).unwrap();
+        let report = run_multi_day_resumable(params(2), &a, None).unwrap();
         assert_eq!(report.days.len(), 2);
         assert_eq!(a.list().unwrap(), vec!["day-2022-01-01", "day-2022-01-02"]);
         // Streaming takes the same root lock.

@@ -55,10 +55,10 @@ impl<S: Storage> Journal<S> {
         }
         let before_bytes = self.storage.len().map_err(JournalError::Io)?;
         // Ensure a snapshot of the current state closes the log.
-        let snapshot_appended = self.since_snapshot > 0
+        let snapshot_appended = self.cadence.since > 0
             || !matches!(self.events.last(), Some(JournalEvent::Snapshot { .. }));
         if snapshot_appended {
-            self.snapshot()?;
+            self.write_snapshot()?;
         }
         let keep_from = self
             .events
@@ -106,9 +106,9 @@ mod tests {
     #[test]
     fn compact_shrinks_storage_and_preserves_state() {
         let store = MemStorage::new();
-        let (mut j, _) = Journal::open_with_snapshot_every(store.clone(), 8).unwrap();
+        let (mut j, _) = Journal::open(store.clone()).unwrap();
         for i in 0..100 {
-            j.append(ev(i)).unwrap();
+            j.append_snapshotting(ev(i), 8);
         }
         let live = j.state().clone();
         let before = j.storage_size().unwrap();
@@ -127,7 +127,7 @@ mod tests {
         assert_eq!(j.state(), &expect, "live state unchanged");
 
         // Reopen: same state, bounded replay.
-        let (j2, rep) = Journal::open_with_snapshot_every(store, 8).unwrap();
+        let (j2, rep) = Journal::open(store).unwrap();
         assert_eq!(j2.state(), &expect);
         assert!(rep.snapshot_used);
         assert!(rep.replayed <= 8 + 1, "replayed {}", rep.replayed);
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn compact_on_fresh_snapshot_is_stable() {
         let store = MemStorage::new();
-        let (mut j, _) = Journal::open_with_snapshot_every(store.clone(), 0).unwrap();
+        let (mut j, _) = Journal::open(store.clone()).unwrap();
         for i in 0..10 {
             j.append(ev(i)).unwrap();
         }
@@ -153,17 +153,17 @@ mod tests {
     #[test]
     fn auto_compact_bounds_storage_growth() {
         let store = MemStorage::new();
-        let (j, _) = Journal::open_with_snapshot_every(store.clone(), 4).unwrap();
+        let (j, _) = Journal::open(store.clone()).unwrap();
         let mut j = j.with_auto_compact(2);
         let mut peak = 0u64;
         for i in 0..200 {
-            j.append(ev(i)).unwrap();
+            j.append_snapshotting(ev(i), 4);
             peak = peak.max(j.storage_size().unwrap());
         }
         // Without compaction 200 events + 50 snapshots would accumulate;
         // with it, storage stays within a few snapshot-cadence windows.
         let final_size = j.storage_size().unwrap();
-        let (j2, rep) = Journal::open_with_snapshot_every(store, 4).unwrap();
+        let (j2, rep) = Journal::open(store).unwrap();
         assert_eq!(j2.state(), j.state());
         assert!(rep.replayed <= 4 + 1, "replayed {}", rep.replayed);
         assert!(

@@ -4,7 +4,7 @@
 
 use serde_json::{json, Value};
 
-/// Everything a campaign (batch or streaming) or flow run records.
+/// Everything a campaign (batch, streaming or real) or a service records.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEvent {
     /// A campaign began; identifies the deterministic world it runs in.
@@ -93,22 +93,6 @@ pub enum JournalEvent {
         /// First verification error, human-readable.
         reason: String,
     },
-    /// A flow run moved to a new state with its post-transition context.
-    FlowTransition {
-        /// Flow run id.
-        run: u64,
-        /// State just entered.
-        state: String,
-        /// Context after the transition (for resume).
-        context: Value,
-    },
-    /// A flow run finished.
-    FlowFinished {
-        /// Flow run id.
-        run: u64,
-        /// "succeeded" or "failed: reason".
-        status: String,
-    },
     /// Generic keyed record for long-lived services layered on the journal
     /// (tenant registries, campaign lifecycle state, ...). The journal
     /// treats the value as opaque: a non-null value upserts the key, a
@@ -195,16 +179,6 @@ impl JournalEvent {
             } => {
                 json!({ "type": "ingest_rejected", "manifest": manifest, "facility": facility, "reason": reason })
             }
-            JournalEvent::FlowTransition {
-                run,
-                state,
-                context,
-            } => {
-                json!({ "type": "flow_transition", "run": *run, "state": state, "context": context })
-            }
-            JournalEvent::FlowFinished { run, status } => {
-                json!({ "type": "flow_finished", "run": *run, "status": status })
-            }
             JournalEvent::ServiceRecord { key, value } => {
                 json!({ "type": "service_record", "key": key, "value": value })
             }
@@ -272,15 +246,6 @@ impl JournalEvent {
                 manifest: str_field("manifest")?,
                 facility: str_field("facility")?,
                 reason: str_field("reason")?,
-            },
-            "flow_transition" => JournalEvent::FlowTransition {
-                run: u64_field("run")?,
-                state: str_field("state")?,
-                context: v["context"].clone(),
-            },
-            "flow_finished" => JournalEvent::FlowFinished {
-                run: u64_field("run")?,
-                status: str_field("status")?,
             },
             "service_record" => JournalEvent::ServiceRecord {
                 key: str_field("key")?,
@@ -357,15 +322,6 @@ mod tests {
                 manifest: "ace-defiant-00ab54a98ceb1f0a".into(),
                 facility: "frontier-orion".into(),
                 reason: "digest mismatch on tiles_0001.nc".into(),
-            },
-            JournalEvent::FlowTransition {
-                run: 7,
-                state: "Infer".into(),
-                context: json!({ "input": { "file": "x.nc" } }),
-            },
-            JournalEvent::FlowFinished {
-                run: 7,
-                status: "succeeded".into(),
             },
             JournalEvent::ServiceRecord {
                 key: "campaign/acme/winter".into(),

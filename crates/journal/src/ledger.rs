@@ -57,7 +57,6 @@ impl Drop for LedgerLock {
 /// A directory of per-campaign journals.
 pub struct Ledger {
     root: PathBuf,
-    snapshot_every: usize,
     compact_every_snapshots: usize,
     obs: Option<Arc<Obs>>,
 }
@@ -70,17 +69,9 @@ impl Ledger {
             .map_err(|e| JournalError::Io(format!("create ledger {}: {e}", root.display())))?;
         Ok(Self {
             root,
-            snapshot_every: 64,
             compact_every_snapshots: 0,
             obs: None,
         })
-    }
-
-    /// Override the auto-snapshot cadence applied to every journal opened
-    /// through this ledger.
-    pub fn with_snapshot_every(mut self, snapshot_every: usize) -> Self {
-        self.snapshot_every = snapshot_every;
-        self
     }
 
     /// Auto-compact journals opened through this ledger after this many
@@ -193,16 +184,11 @@ impl Ledger {
         std::fs::create_dir_all(&dir)
             .map_err(|e| JournalError::Io(format!("create {}: {e}", dir.display())))?;
         let storage = FileStorage::new(dir.join(WAL_FILE));
-        let (journal, report) = match &self.obs {
-            Some(obs) => {
-                let (j, r) = Journal::open_with_snapshot_every(storage, self.snapshot_every)?;
-                r.record(obs);
-                let mut j = j;
-                j.attach_obs(Arc::clone(obs));
-                (j, r)
-            }
-            None => Journal::open_with_snapshot_every(storage, self.snapshot_every)?,
-        };
+        let (mut journal, report) = Journal::open(storage)?;
+        if let Some(obs) = &self.obs {
+            report.record(obs);
+            journal.attach_obs(Arc::clone(obs));
+        }
         Ok((
             journal.with_auto_compact(self.compact_every_snapshots),
             report,
@@ -447,11 +433,11 @@ mod tests {
     #[test]
     fn compact_all_shrinks_every_journal_and_total_size() {
         let root = tempdir("compact");
-        let ledger = Ledger::new(&root).unwrap().with_snapshot_every(4);
+        let ledger = Ledger::new(&root).unwrap();
         for ns in ["a", "b"] {
             let (mut j, _) = ledger.open(ns).unwrap();
             for i in 0..60 {
-                j.append(ev(i)).unwrap();
+                j.append_snapshotting(ev(i), 4);
             }
         }
         let before = ledger.total_size().unwrap();

@@ -35,10 +35,6 @@ pub struct CampaignState {
     pub ingests_acked: BTreeMap<String, (u64, u64)>,
     /// Ingest rejections per facility (durable audit of loud failures).
     pub ingest_rejections: BTreeMap<String, u64>,
-    /// Last recorded state + context per in-flight flow run.
-    pub flow_states: BTreeMap<u64, (String, Value)>,
-    /// Terminal status per finished flow run.
-    pub flows_finished: BTreeMap<u64, String>,
     /// Keyed service records (tenant registries, campaign lifecycle, ...):
     /// last write wins, `null` deletes. Opaque to the journal.
     pub service_records: BTreeMap<String, Value>,
@@ -104,18 +100,6 @@ impl CampaignState {
             JournalEvent::IngestRejected { facility, .. } => {
                 *self.ingest_rejections.entry(facility.clone()).or_insert(0) += 1;
             }
-            JournalEvent::FlowTransition {
-                run,
-                state,
-                context,
-            } => {
-                self.flow_states
-                    .insert(*run, (state.clone(), context.clone()));
-            }
-            JournalEvent::FlowFinished { run, status } => {
-                self.flow_states.remove(run);
-                self.flows_finished.insert(*run, status.clone());
-            }
             JournalEvent::ServiceRecord { key, value } => {
                 if value.is_null() {
                     self.service_records.remove(key);
@@ -133,7 +117,7 @@ impl CampaignState {
     /// a resuming driver need not append it again. It sits beside
     /// [`apply`](Self::apply) because both must agree on the key each event
     /// is filed under. Only the eight work events can be covered; a claim,
-    /// snapshot, flow, ingest or service record is always appended.
+    /// snapshot, ingest or service record is always appended.
     pub fn covers(&self, event: &JournalEvent) -> bool {
         match event {
             JournalEvent::StageStarted { stage } => self.stages_started.contains(stage),
@@ -230,20 +214,11 @@ impl CampaignState {
                     .collect::<Map>(),
             ),
             "ingest_rejections": pairs(&self.ingest_rejections),
-            "flow_states": Value::Object(
-                self.flow_states
-                    .iter()
-                    .map(|(run, (state, ctx))| {
-                        (run.to_string(), json!({ "state": state, "context": ctx }))
-                    })
-                    .collect::<Map>(),
-            ),
-            "flows_finished": Value::Object(
-                self.flows_finished
-                    .iter()
-                    .map(|(run, status)| (run.to_string(), Value::String(status.clone())))
-                    .collect::<Map>(),
-            ),
+            // Constants: journals once held flow runs here, and keeping
+            // the two fields keeps every snapshot and work checksum as it
+            // was.
+            "flow_states": {},
+            "flows_finished": {},
             "service_records": Value::Object(
                 self.service_records
                     .iter()
@@ -262,7 +237,8 @@ impl CampaignState {
         state
     }
 
-    /// Rebuild from a snapshot payload.
+    /// Rebuild from a snapshot payload. `flow_states` and `flows_finished`
+    /// are ignored.
     pub fn from_json(v: &Value) -> Result<CampaignState, String> {
         let mut s = CampaignState::new();
         s.seed = v["seed"].as_u64();
@@ -340,25 +316,6 @@ impl CampaignState {
             }
         }
         s.ingest_rejections = u64_map("ingest_rejections")?;
-        if let Some(obj) = v["flow_states"].as_object() {
-            for (k, entry) in obj.iter() {
-                let run: u64 = k.parse().map_err(|_| format!("bad flow run id {k}"))?;
-                let state = entry["state"]
-                    .as_str()
-                    .ok_or_else(|| format!("snapshot flow_states[{k}] missing state"))?;
-                s.flow_states
-                    .insert(run, (state.to_string(), entry["context"].clone()));
-            }
-        }
-        if let Some(obj) = v["flows_finished"].as_object() {
-            for (k, entry) in obj.iter() {
-                let run: u64 = k.parse().map_err(|_| format!("bad flow run id {k}"))?;
-                let status = entry
-                    .as_str()
-                    .ok_or_else(|| format!("snapshot flows_finished[{k}] not a string"))?;
-                s.flows_finished.insert(run, status.to_string());
-            }
-        }
         if let Some(obj) = v["service_records"].as_object() {
             for (k, entry) in obj.iter() {
                 s.service_records.insert(k.clone(), entry.clone());
@@ -382,7 +339,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// One of the eight work events (`kind` 0–7) or of the records a state
-    /// never covers (8–13); small name spaces so sequences collide.
+    /// never covers (8–11); small name spaces so sequences collide.
     fn event(kind: u8, n: u64) -> JournalEvent {
         let file = format!("tiles-{}.nc", n % 5);
         let stage = format!("stage-{}", n % 3);
@@ -410,16 +367,7 @@ mod tests {
             9 => JournalEvent::Snapshot {
                 state: CampaignState::new().to_json(),
             },
-            10 => JournalEvent::FlowTransition {
-                run: n,
-                state: stage,
-                context: json!({ "file": file }),
-            },
-            11 => JournalEvent::FlowFinished {
-                run: n,
-                status: "succeeded".into(),
-            },
-            12 => JournalEvent::IngestAcked {
+            10 => JournalEvent::IngestAcked {
                 manifest: file,
                 facility: stage,
                 files: n,
@@ -438,7 +386,7 @@ mod tests {
         /// event again with the same payload changes no completed work.
         #[test]
         fn covers_holds_after_apply_for_the_work_events(
-            kinds in proptest::collection::vec((0u8..14, 0u64..40), 1..60),
+            kinds in proptest::collection::vec((0u8..12, 0u64..40), 1..60),
         ) {
             let mut s = CampaignState::new();
             for &(kind, n) in &kinds {
@@ -484,11 +432,6 @@ mod tests {
                 labels: 5,
                 bytes: 777,
             },
-            JournalEvent::FlowTransition {
-                run: 3,
-                state: "Infer".into(),
-                context: json!({ "file": "t.nc" }),
-            },
             JournalEvent::ShipmentFinished {
                 files: 1,
                 bytes: 777,
@@ -509,25 +452,7 @@ mod tests {
         assert!(s.monitor_saw("t.nc"));
         assert!(s.is_labeled("t.nc"));
         assert_eq!(s.shipped, Some((1, 777)));
-        assert_eq!(
-            s.flow_states.get(&3).map(|(st, _)| st.as_str()),
-            Some("Infer")
-        );
-        assert_eq!(s.events_applied, 9);
-    }
-
-    #[test]
-    fn flow_finish_clears_inflight_state() {
-        let mut s = populated();
-        s.apply(&JournalEvent::FlowFinished {
-            run: 3,
-            status: "succeeded".into(),
-        });
-        assert!(s.flow_states.is_empty());
-        assert_eq!(
-            s.flows_finished.get(&3).map(String::as_str),
-            Some("succeeded")
-        );
+        assert_eq!(s.events_applied, 8);
     }
 
     #[test]

@@ -104,9 +104,7 @@ pub struct Journal<S: Storage> {
     pub(crate) storage: S,
     pub(crate) events: Vec<JournalEvent>,
     pub(crate) state: CampaignState,
-    /// Append a snapshot automatically after this many events (0 = never).
-    pub(crate) snapshot_every: usize,
-    pub(crate) since_snapshot: usize,
+    pub(crate) cadence: Cadence,
     /// Auto-compact after this many snapshots have accumulated (0 = never).
     pub(crate) compact_every_snapshots: usize,
     pub(crate) snapshots_since_compact: usize,
@@ -121,9 +119,67 @@ pub struct Journal<S: Storage> {
 impl<S: Storage> Journal<S> {
     /// Open (or create) a journal, recovering any durable prefix. A torn
     /// tail is truncated in storage so subsequent appends extend a valid
-    /// frame sequence.
-    pub fn open(storage: S) -> Result<(Journal<S>, RecoveryReport), JournalError> {
-        Self::open_with_snapshot_every(storage, 64)
+    /// frame sequence. A checksum-valid frame that does not decode is not a
+    /// torn tail: open fails naming its offset and leaves storage as it is.
+    pub fn open(mut storage: S) -> Result<(Journal<S>, RecoveryReport), JournalError> {
+        let bytes = storage.read_all().map_err(JournalError::Io)?;
+        let mut events = Vec::new();
+        let mut cadence = Cadence::default();
+        let mut snapshots_seen = 0;
+        let mut offset = 0usize;
+        while let FrameOutcome::Ok { payload, next } = frame::decode_at(&bytes, offset) {
+            let event = JournalEvent::decode(payload).map_err(|e| {
+                JournalError::Io(format!(
+                    "valid frame at offset {offset} does not decode: {e}"
+                ))
+            })?;
+            let is_snapshot = matches!(event, JournalEvent::Snapshot { .. });
+            snapshots_seen += is_snapshot as usize;
+            cadence.count((next - offset) as u64, is_snapshot);
+            events.push(event);
+            offset = next;
+        }
+        let truncated_bytes = (bytes.len() - offset) as u64;
+        if truncated_bytes > 0 {
+            // Make the repair itself durable: a power loss right after
+            // recovery must not resurrect the torn tail under fresh
+            // appends.
+            storage.truncate(offset as u64).map_err(JournalError::Io)?;
+            storage.sync().map_err(JournalError::Io)?;
+        }
+        // Rebuild state from the latest usable snapshot; O(tail) replay.
+        let seed = events.iter().enumerate().rev().find_map(|(i, e)| match e {
+            JournalEvent::Snapshot { state } => {
+                CampaignState::from_json(state).ok().map(|s| (i, s))
+            }
+            _ => None,
+        });
+        let snapshot_used = seed.is_some();
+        let (replay_from, mut state) = seed.unwrap_or_default();
+        for ev in &events[replay_from..] {
+            state.apply(ev);
+        }
+        let report = RecoveryReport {
+            events: events.len(),
+            truncated_bytes,
+            replayed: events.len() - replay_from,
+            snapshots_seen,
+            snapshot_used,
+        };
+        Ok((
+            Journal {
+                storage,
+                events,
+                state,
+                cadence,
+                compact_every_snapshots: 0,
+                snapshots_since_compact: 0,
+                crash_in: None,
+                crashed: false,
+                obs: None,
+            },
+            report,
+        ))
     }
 
     /// Open empty `storage` pre-seeded with `state` — the failover entry
@@ -147,82 +203,6 @@ impl<S: Storage> Journal<S> {
         journal.state = state;
         journal.snapshot()?;
         Ok((journal, report))
-    }
-
-    /// [`Journal::open`] with an explicit auto-snapshot cadence.
-    pub fn open_with_snapshot_every(
-        mut storage: S,
-        snapshot_every: usize,
-    ) -> Result<(Journal<S>, RecoveryReport), JournalError> {
-        let bytes = storage.read_all().map_err(JournalError::Io)?;
-        let mut events = Vec::new();
-        let mut offset = 0usize;
-        loop {
-            match frame::decode_at(&bytes, offset) {
-                FrameOutcome::Ok { payload, next } => match JournalEvent::decode(payload) {
-                    Ok(ev) => {
-                        events.push(ev);
-                        offset = next;
-                    }
-                    // Checksum-valid but unparseable: treat like a torn
-                    // tail — keep the strict prefix before it.
-                    Err(_) => break,
-                },
-                FrameOutcome::End => break,
-                FrameOutcome::Torn => break,
-            }
-        }
-        let truncated_bytes = (bytes.len() - offset) as u64;
-        if truncated_bytes > 0 {
-            // Make the repair itself durable: a power loss right after
-            // recovery must not resurrect the torn tail under fresh
-            // appends.
-            storage.truncate(offset as u64).map_err(JournalError::Io)?;
-            storage.sync().map_err(JournalError::Io)?;
-        }
-        // Rebuild state from the latest usable snapshot; O(tail) replay.
-        let snapshot_at = events.iter().rposition(|e| {
-            matches!(e, JournalEvent::Snapshot { state }
-                     if CampaignState::from_json(state).is_ok())
-        });
-        let (mut state, replay_from) = match snapshot_at {
-            Some(i) => match &events[i] {
-                JournalEvent::Snapshot { state } => {
-                    (CampaignState::from_json(state).expect("validated above"), i)
-                }
-                _ => unreachable!("rposition matched a snapshot"),
-            },
-            None => (CampaignState::new(), 0),
-        };
-        for ev in &events[replay_from..] {
-            state.apply(ev);
-        }
-        let report = RecoveryReport {
-            events: events.len(),
-            truncated_bytes,
-            replayed: events.len() - replay_from,
-            snapshots_seen: events
-                .iter()
-                .filter(|e| matches!(e, JournalEvent::Snapshot { .. }))
-                .count(),
-            snapshot_used: snapshot_at.is_some(),
-        };
-        let since_snapshot = events.len() - snapshot_at.map_or(0, |i| i + 1);
-        Ok((
-            Journal {
-                storage,
-                events,
-                state,
-                snapshot_every,
-                since_snapshot,
-                compact_every_snapshots: 0,
-                snapshots_since_compact: 0,
-                crash_in: None,
-                crashed: false,
-                obs: None,
-            },
-            report,
-        ))
     }
 
     /// [`Journal::open`] wired to an observability hub: the recovery
@@ -265,11 +245,6 @@ impl<S: Storage> Journal<S> {
         self.crash_in = Some(n);
     }
 
-    /// Whether the injected crash point has been reached.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// Durable events, in append order.
     pub fn events(&self) -> &[JournalEvent] {
         &self.events
@@ -302,28 +277,35 @@ impl<S: Storage> Journal<S> {
     }
 
     /// Append one event durably (written and fsynced before this returns,
-    /// for storage that can sync at all).
+    /// for storage that can sync at all), then a snapshot once the frames
+    /// since the last one have paid for it: at least 64 of them, holding at
+    /// least as many bytes as that snapshot.
     pub fn append(&mut self, event: JournalEvent) -> Result<(), JournalError> {
         self.write_frame(event)?;
-        if self.snapshot_every > 0 && self.since_snapshot >= self.snapshot_every {
+        if self.cadence.due() {
             self.snapshot()?;
-            if self.compact_every_snapshots > 0
-                && self.snapshots_since_compact >= self.compact_every_snapshots
-            {
-                self.compact()?;
-            }
         }
         Ok(())
     }
 
-    /// Append a snapshot of the current state, resetting the auto-snapshot
-    /// counter.
+    /// Append a snapshot of the current state (the auto-snapshot cadence
+    /// counts from it), then compact if it completes the
+    /// [`with_auto_compact`](Self::with_auto_compact) count.
     pub fn snapshot(&mut self) -> Result<(), JournalError> {
+        self.write_snapshot()?;
+        if self.compact_every_snapshots > 0
+            && self.snapshots_since_compact >= self.compact_every_snapshots
+        {
+            self.compact()?;
+        }
+        Ok(())
+    }
+
+    pub(crate) fn write_snapshot(&mut self) -> Result<(), JournalError> {
         let snap = JournalEvent::Snapshot {
             state: self.state.to_json(),
         };
         self.write_frame(snap)?;
-        self.since_snapshot = 0;
         self.snapshots_since_compact += 1;
         if let Some(obs) = &self.obs {
             obs.counter_add("snapshots_written", "journal", 1);
@@ -357,10 +339,63 @@ impl<S: Storage> Journal<S> {
                 obs.observe("fsync_seconds", "journal", start.elapsed().as_secs_f64());
             }
         }
+        let is_snapshot = matches!(event, JournalEvent::Snapshot { .. });
+        self.cadence.count(bytes.len() as u64, is_snapshot);
         self.state.apply(&event);
         self.events.push(event);
-        self.since_snapshot += 1;
         Ok(())
+    }
+}
+
+/// When [`Journal::append`] takes a snapshot: once at least `MIN_EVENTS`
+/// frames have followed the last snapshot *and* those frames hold at least
+/// as many bytes as that snapshot's frame. A snapshot is paid for by the
+/// bytes it lets a reopen skip, so the bytes written into snapshots stay
+/// within the bytes of the other frames plus one snapshot, however large
+/// the state grows; a reopen replays fewer than `MIN_EVENTS` frames or
+/// fewer bytes than one snapshot. [`Journal::open`] rebuilds the counts from
+/// the frames it decodes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cadence {
+    /// Frames appended since the last snapshot (all of them when none).
+    pub(crate) since: usize,
+    /// Their bytes, frame headers included.
+    since_bytes: u64,
+    /// The last snapshot frame's bytes (0 before the first).
+    snapshot_bytes: u64,
+}
+
+impl Cadence {
+    /// The fewest frames between two automatic snapshots.
+    const MIN_EVENTS: usize = 64;
+
+    fn count(&mut self, frame_bytes: u64, is_snapshot: bool) {
+        if is_snapshot {
+            *self = Cadence {
+                snapshot_bytes: frame_bytes,
+                ..Cadence::default()
+            };
+        } else {
+            self.since += 1;
+            self.since_bytes += frame_bytes;
+        }
+    }
+
+    fn due(&self) -> bool {
+        self.since >= Self::MIN_EVENTS && self.since_bytes >= self.snapshot_bytes
+    }
+}
+
+#[cfg(test)]
+impl<S: Storage> Journal<S> {
+    /// [`append`](Self::append), then a snapshot once `every` frames follow
+    /// the last one (0 = only the automatic ones): the dense cadence some
+    /// tests want.
+    pub(crate) fn append_snapshotting(&mut self, event: JournalEvent, every: usize) {
+        self.append(event).unwrap();
+        if every > 0 && self.cadence.since >= every {
+            self.snapshot().unwrap();
+        }
     }
 }
 
@@ -475,6 +510,33 @@ mod tests {
     }
 
     #[test]
+    fn a_valid_frame_that_does_not_decode_fails_open_and_keeps_storage() {
+        let store = MemStorage::new();
+        let (mut j, _) = Journal::open(store.clone()).unwrap();
+        for i in 0..3 {
+            j.append(ev(i)).unwrap();
+        }
+        let mut bytes = store.snapshot_bytes();
+        let offset = bytes.len();
+        // Checksum-valid, but of a kind this build does not know (journals
+        // once held flow runs), with valid frames after it.
+        let unknown = br#"{"type":"flow_transition","run":1,"state":"Infer","context":{}}"#;
+        bytes.extend_from_slice(&frame::encode(unknown));
+        for i in 3..6 {
+            bytes.extend_from_slice(&frame::encode(&ev(i).encode()));
+        }
+        store.set_bytes(bytes.clone());
+        match Journal::open(store.clone()) {
+            Err(JournalError::Io(msg)) => {
+                assert!(msg.contains(&format!("offset {offset}")), "{msg}")
+            }
+            Err(e) => panic!("unexpected error {e:?}"),
+            Ok(_) => panic!("a frame that does not decode must fail the open"),
+        }
+        assert_eq!(store.snapshot_bytes(), bytes, "storage must stay as it was");
+    }
+
+    #[test]
     fn crash_after_stops_appends_deterministically() {
         let store = MemStorage::new();
         let (mut j, _) = Journal::open(store.clone()).unwrap();
@@ -483,7 +545,6 @@ mod tests {
         assert!(j.append(ev(1)).is_ok());
         assert!(j.append(ev(2)).is_ok());
         assert_eq!(j.append(ev(3)), Err(JournalError::Crashed));
-        assert!(j.is_crashed());
         assert_eq!(j.append(ev(4)), Err(JournalError::Crashed));
         let (j2, rep) = Journal::open(store).unwrap();
         assert_eq!(rep.events, 3);
@@ -493,12 +554,12 @@ mod tests {
     #[test]
     fn snapshots_bound_replay_cost() {
         let store = MemStorage::new();
-        let (mut j, _) = Journal::open_with_snapshot_every(store.clone(), 10).unwrap();
+        let (mut j, _) = Journal::open(store.clone()).unwrap();
         for i in 0..57 {
-            j.append(ev(i)).unwrap();
+            j.append_snapshotting(ev(i), 10);
         }
         let live_state = j.state().clone();
-        let (j2, rep) = Journal::open_with_snapshot_every(store, 10).unwrap();
+        let (j2, rep) = Journal::open(store).unwrap();
         assert_eq!(j2.state(), &live_state);
         // 57 events + interleaved snapshots; replay must start at the last
         // snapshot, not the beginning.
@@ -509,9 +570,9 @@ mod tests {
     #[test]
     fn open_observed_records_recovery_and_append_metrics() {
         let store = MemStorage::new();
-        let (mut j, _) = Journal::open_with_snapshot_every(store.clone(), 5).unwrap();
+        let (mut j, _) = Journal::open(store.clone()).unwrap();
         for i in 0..12 {
-            j.append(ev(i)).unwrap();
+            j.append_snapshotting(ev(i), 5);
         }
         // Tear the tail so recovery has bytes to truncate.
         let full = store.snapshot_bytes();
@@ -548,11 +609,11 @@ mod tests {
     #[test]
     fn snapshotless_recovery_reports_no_snapshot_used() {
         let store = MemStorage::new();
-        let (mut j, _) = Journal::open_with_snapshot_every(store.clone(), 0).unwrap();
+        let (mut j, _) = Journal::open(store.clone()).unwrap();
         for i in 0..6 {
             j.append(ev(i)).unwrap();
         }
-        let (_, rep) = Journal::open_with_snapshot_every(store, 0).unwrap();
+        let (_, rep) = Journal::open(store).unwrap();
         assert_eq!(rep.snapshots_seen, 0);
         assert!(!rep.snapshot_used);
         assert_eq!(rep.replayed, rep.events, "whole log replays");
@@ -588,14 +649,12 @@ mod tests {
     #[test]
     fn recovered_state_matches_full_replay() {
         let store = MemStorage::new();
-        let (mut j, _) = Journal::open_with_snapshot_every(store.clone(), 7).unwrap();
+        let (mut j, _) = Journal::open(store.clone()).unwrap();
         for i in 0..40 {
-            j.append(ev(i)).unwrap();
+            j.append_snapshotting(ev(i), 7);
             if i % 11 == 0 {
-                j.append(JournalEvent::StageFinished {
-                    stage: format!("stage-{i}"),
-                })
-                .unwrap();
+                let stage = format!("stage-{i}");
+                j.append_snapshotting(JournalEvent::StageFinished { stage }, 7);
             }
         }
         let (j2, _) = Journal::open(store).unwrap();

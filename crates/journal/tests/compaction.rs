@@ -3,7 +3,7 @@
 //! image written, rename not reached) must leave the pre-compaction
 //! journal fully recoverable.
 
-use eoml_journal::{CampaignState, FileStorage, Journal, JournalEvent, MemStorage};
+use eoml_journal::{CampaignState, FileStorage, Journal, JournalEvent, MemStorage, Storage};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -41,6 +41,16 @@ fn reopened_state(store: MemStorage) -> CampaignState {
     state
 }
 
+/// Append `events`, with a snapshot after every `snapshot_every`th of them.
+fn append_all<S: Storage>(j: &mut Journal<S>, events: &[JournalEvent], snapshot_every: usize) {
+    for (i, ev) in events.iter().enumerate() {
+        j.append(ev.clone()).unwrap();
+        if (i + 1) % snapshot_every == 0 {
+            j.snapshot().unwrap();
+        }
+    }
+}
+
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "eoml-compaction-{tag}-{}-{}",
@@ -69,24 +79,16 @@ proptest! {
         let split = ((events.len() as f64) * split_frac) as usize;
 
         let plain = MemStorage::new();
-        let (mut j, _) =
-            Journal::open_with_snapshot_every(plain.clone(), snapshot_every).unwrap();
-        for ev in &events {
-            j.append(ev.clone()).unwrap();
-        }
+        let (mut j, _) = Journal::open(plain.clone()).unwrap();
+        append_all(&mut j, &events, snapshot_every);
         drop(j);
 
         let compacted = MemStorage::new();
-        let (mut j, _) =
-            Journal::open_with_snapshot_every(compacted.clone(), snapshot_every).unwrap();
-        for ev in &events[..split] {
-            j.append(ev.clone()).unwrap();
-        }
+        let (mut j, _) = Journal::open(compacted.clone()).unwrap();
+        append_all(&mut j, &events[..split], snapshot_every);
         let report = j.compact().unwrap();
         prop_assert!(report.after_bytes > 0, "compacted image never empty");
-        for ev in &events[split..] {
-            j.append(ev.clone()).unwrap();
-        }
+        append_all(&mut j, &events[split..], snapshot_every);
         let live = {
             let mut s = j.state().clone();
             s.events_applied = 0;
@@ -99,8 +101,7 @@ proptest! {
 
         // Replay cost after compaction stays O(snapshot cadence): at most
         // the snapshot frame itself plus one cadence window of tail.
-        let (_, rep) =
-            Journal::open_with_snapshot_every(compacted, snapshot_every).unwrap();
+        let (_, rep) = Journal::open(compacted).unwrap();
         prop_assert!(
             rep.replayed <= snapshot_every + 1,
             "replayed {} > cadence {}",
@@ -115,12 +116,10 @@ fn many_appends_then_compact_shrinks_file_and_bounds_replay() {
     let dir = tempdir("bound");
     let path = dir.join("wal.log");
     let snapshot_every = 8usize;
-    let (mut j, _) =
-        Journal::open_with_snapshot_every(FileStorage::new(&path), snapshot_every).unwrap();
+    let (mut j, _) = Journal::open(FileStorage::new(&path)).unwrap();
     // N >> snapshot_every appends.
-    for i in 0..500 {
-        j.append(event((i % 5) as u8, i as u64)).unwrap();
-    }
+    let events: Vec<_> = (0..500).map(|i| event((i % 5) as u8, i as u64)).collect();
+    append_all(&mut j, &events, snapshot_every);
     let before = std::fs::metadata(&path).unwrap().len();
     let report = j.compact().unwrap();
     let after = std::fs::metadata(&path).unwrap().len();
@@ -129,8 +128,7 @@ fn many_appends_then_compact_shrinks_file_and_bounds_replay() {
     assert_eq!(report.after_bytes, after);
     drop(j);
 
-    let (j2, rep) =
-        Journal::open_with_snapshot_every(FileStorage::new(&path), snapshot_every).unwrap();
+    let (j2, rep) = Journal::open(FileStorage::new(&path)).unwrap();
     assert!(
         rep.replayed <= snapshot_every,
         "replayed {} > {snapshot_every}",
@@ -145,10 +143,9 @@ fn many_appends_then_compact_shrinks_file_and_bounds_replay() {
 fn crash_mid_compaction_recovers_the_precompaction_journal() {
     let dir = tempdir("crash");
     let path = dir.join("wal.log");
-    let (mut j, _) = Journal::open_with_snapshot_every(FileStorage::new(&path), 6).unwrap();
-    for i in 0..40 {
-        j.append(event((i % 5) as u8, i as u64)).unwrap();
-    }
+    let (mut j, _) = Journal::open(FileStorage::new(&path)).unwrap();
+    let events: Vec<_> = (0..40).map(|i| event((i % 5) as u8, i as u64)).collect();
+    append_all(&mut j, &events, 6);
     let mut expected = j.state().clone();
     expected.events_applied = 0;
     drop(j);
@@ -162,7 +159,7 @@ fn crash_mid_compaction_recovers_the_precompaction_journal() {
 
     // Recovery ignores the staging file entirely and reopens the full
     // pre-compaction journal.
-    let (j2, rep) = Journal::open_with_snapshot_every(FileStorage::new(&path), 6).unwrap();
+    let (j2, rep) = Journal::open(FileStorage::new(&path)).unwrap();
     assert_eq!(rep.truncated_bytes, 0, "journal itself is intact");
     let mut got = j2.state().clone();
     got.events_applied = 0;
@@ -174,7 +171,7 @@ fn crash_mid_compaction_recovers_the_precompaction_journal() {
     assert!(report.after_bytes < report.before_bytes);
     assert!(!temp.exists(), "staging file consumed by the rename");
     drop(j2);
-    let (j3, _) = Journal::open_with_snapshot_every(FileStorage::new(&path), 6).unwrap();
+    let (j3, _) = Journal::open(FileStorage::new(&path)).unwrap();
     let mut got = j3.state().clone();
     got.events_applied = 0;
     assert_eq!(got, expected, "post-compaction state still matches");
@@ -188,16 +185,15 @@ fn crash_exactly_at_rename_means_new_image_is_complete() {
     // replace_all directly and reopening.
     let dir = tempdir("renamed");
     let path = dir.join("wal.log");
-    let (mut j, _) = Journal::open_with_snapshot_every(FileStorage::new(&path), 4).unwrap();
-    for i in 0..30 {
-        j.append(event((i % 5) as u8, i as u64)).unwrap();
-    }
+    let (mut j, _) = Journal::open(FileStorage::new(&path)).unwrap();
+    let events: Vec<_> = (0..30).map(|i| event((i % 5) as u8, i as u64)).collect();
+    append_all(&mut j, &events, 4);
     let mut expected = j.state().clone();
     j.compact().unwrap();
     expected.events_applied = 0;
     drop(j);
 
-    let (j2, rep) = Journal::open_with_snapshot_every(FileStorage::new(&path), 4).unwrap();
+    let (j2, rep) = Journal::open(FileStorage::new(&path)).unwrap();
     assert_eq!(rep.truncated_bytes, 0);
     assert!(rep.snapshot_used);
     let mut got = j2.state().clone();

@@ -31,12 +31,16 @@ fn event(kind: u8, n: u64) -> JournalEvent {
     }
 }
 
+/// Journal `events`, with a snapshot after every `snapshot_every`th of them
+/// (0 = none: too few events for an automatic one).
 fn write_journal(events: &[JournalEvent], snapshot_every: usize) -> MemStorage {
     let store = MemStorage::new();
-    let (mut journal, _) =
-        Journal::open_with_snapshot_every(store.clone(), snapshot_every).unwrap();
-    for ev in events {
+    let (mut journal, _) = Journal::open(store.clone()).unwrap();
+    for (i, ev) in events.iter().enumerate() {
         journal.append(ev.clone()).unwrap();
+        if snapshot_every > 0 && (i + 1) % snapshot_every == 0 {
+            journal.snapshot().unwrap();
+        }
     }
     store
 }

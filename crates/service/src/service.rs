@@ -33,7 +33,7 @@ use crate::spec::CampaignSpec;
 use crate::tenant::{check_campaign_name, TenantSpec};
 use eoml_cluster::{BudgetPool, ClusterSpec};
 use eoml_core::campaign::run_campaign_resumable;
-use eoml_core::scheduler::{run_day_in_namespace_ticked, DayRun};
+use eoml_core::scheduler::{run_day_in_namespace, DayRun};
 use eoml_journal::{FileStorage, Journal};
 use eoml_journal::{JournalError, JournalEvent, Ledger, LedgerLock};
 use eoml_obs::{
@@ -216,8 +216,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// The cluster whose cores back the worker [`BudgetPool`].
     pub cluster: ClusterSpec,
-    /// Auto-snapshot cadence for every journal the service opens.
-    pub snapshot_every: usize,
     /// Injected kill point (tests only).
     pub kill: Option<KillPoint>,
     /// Continuous ops plane (rolling windows, SLOs, fairness audit,
@@ -232,7 +230,6 @@ impl ServiceConfig {
         Self {
             shards: 4,
             cluster: ClusterSpec::tiny(8),
-            snapshot_every: 64,
             kill: None,
             ops: Some(OpsConfig::small()),
         }
@@ -368,9 +365,7 @@ impl CampaignService {
         assert!(config.shards >= 1, "need at least one shard");
         let root = root.as_ref().to_path_buf();
         let obs = Obs::shared();
-        let control_ledger = Ledger::new(root.join("control"))?
-            .with_snapshot_every(config.snapshot_every)
-            .with_auto_compact(4);
+        let control_ledger = Ledger::new(root.join("control"))?.with_auto_compact(4);
         let control_lock = control_ledger.lock_exclusive()?;
         let (journal, recovery_report) = control_ledger.open("service")?;
         let state = journal.state().clone();
@@ -407,7 +402,7 @@ impl CampaignService {
         let mut locks = vec![control_lock];
         let mut ledgers = BTreeMap::new();
         for spec in control.tenants.values() {
-            let ledger = Self::make_tenant_ledger(&root, &config, &spec.id, &obs)?;
+            let ledger = Self::make_tenant_ledger(&root, &spec.id, &obs)?;
             locks.push(ledger.lock_exclusive()?);
             ledgers.insert(spec.id.clone(), Arc::new(ledger));
             shards[shard_of(&spec.id, config.shards)]
@@ -488,12 +483,10 @@ impl CampaignService {
 
     fn make_tenant_ledger(
         root: &Path,
-        config: &ServiceConfig,
         tenant: &str,
         obs: &Arc<Obs>,
     ) -> Result<Ledger, JournalError> {
         Ok(Ledger::new(root.join("tenants").join(tenant))?
-            .with_snapshot_every(config.snapshot_every)
             .with_auto_compact(4)
             .with_obs(Arc::clone(obs)))
     }
@@ -593,7 +586,7 @@ impl CampaignService {
             return Err(ServiceError::DuplicateTenant(spec.id));
         }
         control.record_tenant(&spec)?;
-        let ledger = Self::make_tenant_ledger(&self.root, &self.config, &spec.id, &self.obs)?;
+        let ledger = Self::make_tenant_ledger(&self.root, &spec.id, &self.obs)?;
         self.locks
             .lock()
             .expect("locks poisoned")
@@ -1078,17 +1071,11 @@ impl CampaignService {
                         // The kill point never fired (journal already past
                         // it); fall through via the normal path to compact
                         // and produce the DayRun bookkeeping.
-                        run_day_in_namespace_ticked(
-                            &day_params,
-                            &ledger,
-                            &namespace,
-                            date,
-                            Some(&tick),
-                        )?
+                        run_day_in_namespace(&day_params, &ledger, &namespace, date, Some(&tick))?
                     }
                 }
             } else {
-                run_day_in_namespace_ticked(&day_params, &ledger, &namespace, date, Some(&tick))?
+                run_day_in_namespace(&day_params, &ledger, &namespace, date, Some(&tick))?
             }
         };
         drop(lease);

@@ -382,7 +382,6 @@ fn main() {
         Ok(dir) => {
             let ledger = Ledger::new(&dir)
                 .expect("create ledger")
-                .with_snapshot_every(32)
                 .with_auto_compact(8);
             let multi = run_multi_day_resumable(
                 CampaignParams {
@@ -391,6 +390,7 @@ fn main() {
                     ..CampaignParams::paper_demo()
                 },
                 &ledger,
+                None,
             )
             .expect("multi-day campaign");
             let mut fresh_days = 0;

@@ -468,7 +468,7 @@ fn on_disk_ledger_run_crashes_and_resumes_across_file_journals() {
 
     let dir = tempdir("ledger-work");
     let ledger_dir = tempdir("ledger-root");
-    let ledger = Ledger::new(&ledger_dir).unwrap().with_snapshot_every(4);
+    let ledger = Ledger::new(&ledger_dir).unwrap();
     let p = pipeline(&dir);
 
     let (mut journal, _) = ledger.open("day-2022-01-01").unwrap();
